@@ -1,40 +1,26 @@
 #!/usr/bin/env bash
-# Local CI gate — the same four checks the GitHub Actions workflow runs.
-# Everything is offline: dependencies are vendored under vendor/.
+# CI gate: build, test, fmt and clippy over the whole workspace, then
+# end-to-end smokes of the hpsim and repro binaries. The GitHub Actions
+# workflow runs this script. Everything is offline: the external
+# dependencies are stand-ins under vendor/.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo build --release =="
-cargo build --release
+echo "== cargo build --release --workspace =="
+cargo build --release --workspace
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+cargo test -q --workspace
 
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== chaos smoke: hpsim --faults examples/chaos.json --audit =="
 HPAGE_PROFILE=test ./target/release/hpsim --policy pcc \
     --faults examples/chaos.json --audit --quiet
-
-echo "== bench smoke: criterion hotpath suite vs committed baseline =="
-# Smoke mode: few samples, minutes -> seconds. Results go to a scratch
-# artifact (never clobber the committed full-mode BENCH_hotpath.json);
-# a >20% bfs18_e2e throughput drop vs the committed baseline prints a
-# non-blocking warning from the bench binary itself.
-# $PWD anchors: cargo runs bench binaries with CWD = the package dir.
-HPAGE_BENCH_SMOKE=1 \
-    HPAGE_BENCH_OUT="$PWD/BENCH_hotpath_smoke.json" \
-    HPAGE_BENCH_BASELINE="$PWD/BENCH_hotpath.json" \
-    cargo bench -q -p hpage-bench --bench hotpath
-test -s BENCH_hotpath_smoke.json
-
-echo "== bench trajectory: append smoke run, re-render EXPERIMENTS.md =="
-cat BENCH_hotpath_smoke.json >> BENCH_history.jsonl
-./target/release/bench_trend --experiments EXPERIMENTS.md
 
 echo "== telemetry smoke: hpsim --ledger --metrics --chrome-trace =="
 HPAGE_PROFILE=test ./target/release/hpsim --policy pcc --ledger \
@@ -91,12 +77,6 @@ HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
 HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
     --threads 4 --jobs 1 --quiet > /tmp/ci_mem_j1.txt
 cmp /tmp/ci_mem_j1.txt /tmp/ci_map_j8.txt
-# Legacy HPT1 container replays to the same report (format sniffing).
-HPAGE_PROFILE=test ./target/release/hpsim --app bfs --trace-format hpt1 \
-    --trace-out /tmp/ci_trace.hpt1 --max-accesses 200000 > /dev/null
-HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt1 \
-    --threads 4 --quiet > /tmp/ci_mem_hpt1.txt
-cmp /tmp/ci_mem_1.txt /tmp/ci_mem_hpt1.txt
 
 echo "== consolidation smoke: 32 tenants, fairness + storms in artifact =="
 HPAGE_PROFILE=test ./target/release/repro --consolidation --tenants 32 \

@@ -21,8 +21,7 @@ use hpage_perf::{fmt_pct, fmt_speedup, TextTable};
 use hpage_sim::{JsonlSink, PolicyChoice, ProcessSpec, SimReport, Simulation, Tee};
 use hpage_telemetry::TelemetryRecorder;
 use hpage_trace::{
-    instantiate, AnyWorkload, AppId, Dataset, Hpt2Writer, MmapTrace, RecordedWorkload, TraceWriter,
-    Workload,
+    instantiate, AnyWorkload, AppId, Dataset, Hpt2Writer, MmapTrace, RecordedWorkload, Workload,
 };
 use hpage_types::{derive_seed, NestedConfig, PccPlacement, ProcessId, PromotionPolicyKind};
 use std::fs::File;
@@ -35,7 +34,7 @@ const USAGE: &str = "usage: hpsim --app <bfs|sssp|pr|canneal|omnetpp|xalancbmk|d
              [--threads N] [--frag PCT] [--budget-pct PCT] [--seed N] [--max-accesses N]
              [--nested] [--pcc-placement guest|host|both|none]
              [--jobs N|-j N] [--sim-threads N] [--schedule-out FILE] [--schedule-in FILE] [--trace-out FILE]
-             [--trace-in FILE] [--trace-format hpt1|hpt2] [--mmap]
+             [--trace-in FILE] [--mmap]
              [--trace-info FILE] [--events FILE] [--metrics FILE]
              [--ledger] [--chrome-trace FILE] [--faults FILE] [--no-degrade]
              [--audit] [--throughput] [--quiet|-q] [--verbose|-v]
@@ -52,13 +51,11 @@ virtualization: --nested runs the workload as a VM under nested (2D)
              promotion (default both; the printed baseline stays native 4KB,
              so the speedup column reads as nested-vs-native). repro --virt
              runs the full four-placement ablation
-tracing:     --trace-out dumps the access stream; --trace-format picks the
-             container (hpt2, the default, is blocked with per-block restart
-             points and checksums; hpt1 is the legacy flat delta stream);
-             --trace-in replays a recorded trace, auto-detecting the format;
-             --mmap replays an HPT2 trace straight out of the file mapping
-             (zero-copy, no in-memory decode) — reports are byte-identical
-             to the in-memory path
+tracing:     --trace-out dumps the access stream as an HPT2 trace (blocked,
+             with per-block restart points and checksums); --trace-in
+             replays a recorded HPT2 trace; --mmap replays it straight out
+             of the file mapping (zero-copy, no in-memory decode) — reports
+             are byte-identical to the in-memory path
 flight recorder: --events streams every simulation event (TLB hits, walks,
              faults, PCC updates, promotions, shootdowns, interval snapshots)
              as JSON Lines; --metrics writes the per-interval series plus the
@@ -74,7 +71,7 @@ robustness:  --faults loads a JSON fault plan (OOM windows, fragmentation
              A/B runs); --audit cross-checks OS/TLB/PCC invariants every
              interval and exits 1 on any violation
 throughput:  --throughput times the instrumented run and appends a
-             simulator accesses/sec line (compare against BENCH_hotpath.json)
+             simulator accesses/sec line
 verbosity:   --quiet prints the results table only; -v adds the per-interval series
 environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices>";
 
@@ -117,7 +114,6 @@ struct Options {
     schedule_in: Option<String>,
     trace_out: Option<String>,
     trace_in: Option<String>,
-    trace_format: String,
     mmap: bool,
     trace_info: Option<String>,
     events: Option<String>,
@@ -153,7 +149,6 @@ fn parse_args() -> Options {
         schedule_in: None,
         trace_out: None,
         trace_in: None,
-        trace_format: "hpt2".into(),
         mmap: false,
         trace_info: None,
         events: None,
@@ -263,13 +258,6 @@ fn parse_args() -> Options {
             "--schedule-in" => opts.schedule_in = Some(value(&mut i)),
             "--trace-out" => opts.trace_out = Some(value(&mut i)),
             "--trace-in" => opts.trace_in = Some(value(&mut i)),
-            "--trace-format" => {
-                let v = value(&mut i);
-                if v != "hpt1" && v != "hpt2" {
-                    die(&format!("--trace-format must be hpt1 or hpt2, got '{v}'"));
-                }
-                opts.trace_format = v;
-            }
             "--mmap" => opts.mmap = true,
             "--nested" => opts.nested = true,
             "--pcc-placement" => {
@@ -406,34 +394,16 @@ fn main() {
             .or(profile.max_accesses_per_core)
             .unwrap_or(u64::MAX);
         let trace = workload.trace().take(cap as usize);
-        let n = if opts.trace_format == "hpt1" {
-            let mut writer = TraceWriter::new(BufWriter::new(file))
-                .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-            writer
-                .write_all(trace)
-                .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-            let n = writer.records();
-            writer
-                .finish()
-                .unwrap_or_else(|e| die(&format!("flush {path}: {e}")));
-            n
-        } else {
-            let mut writer = Hpt2Writer::new(BufWriter::new(file))
-                .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-            writer
-                .write_all(trace)
-                .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-            let n = writer.records();
-            writer
-                .finish()
-                .unwrap_or_else(|e| die(&format!("flush {path}: {e}")));
-            n
-        };
-        println!(
-            "wrote {n} accesses of {} to {path} ({})",
-            workload.name(),
-            opts.trace_format
-        );
+        let mut writer = Hpt2Writer::new(BufWriter::new(file))
+            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        writer
+            .write_all(trace)
+            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        let n = writer.records();
+        writer
+            .finish()
+            .unwrap_or_else(|e| die(&format!("flush {path}: {e}")));
+        println!("wrote {n} accesses of {} to {path} (hpt2)", workload.name());
         return;
     }
 
@@ -669,8 +639,8 @@ fn main() {
     println!("{t}");
 
     if opts.throughput {
-        // Simulator (host) throughput of the instrumented run, for
-        // comparison against the BENCH_hotpath.json trajectory. With
+        // Simulator (host) throughput of the instrumented run: a quick
+        // check, not a benchmark (hpbench is the benchmark). With
         // --jobs 2+ the 4KB baseline runs concurrently and contends for
         // the machine; use --jobs 1 for an uncontended measurement.
         let secs = policy_wall.as_secs_f64().max(1e-9);

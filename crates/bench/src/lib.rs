@@ -1,6 +1,5 @@
-//! Shared harness for the `repro` binary and the Criterion benches:
-//! profile selection and table rendering for every figure/table of the
-//! paper's evaluation.
+//! Shared harness for the `repro` binary: profile selection and table
+//! rendering for every figure/table of the paper's evaluation.
 //!
 //! Every renderer that runs simulations takes a [`Harness`] and submits
 //! its cells through it, so the `repro` binary can fan the whole grid
@@ -11,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod json;
-pub mod trend;
 
 use hpage_perf::{ascii_plot, fmt_pct, fmt_speedup, geomean_positive, TextTable};
 use hpage_sim::{
@@ -36,14 +34,6 @@ pub fn profile_from_env() -> SimProfile {
         }
     }
     profile
-}
-
-/// A fast profile for Criterion benches (each bench iteration runs a
-/// whole experiment, so windows are kept short).
-pub fn bench_profile() -> SimProfile {
-    let mut p = SimProfile::test();
-    p.max_accesses_per_core = Some(300_000);
-    p
 }
 
 /// Renders a geomean summary line, excluding (and reporting) any
@@ -402,7 +392,7 @@ pub fn render_consolidation(
     let t0 = std::time::Instant::now();
     let r = hpage_sim::consolidation_on(profile, &cfg, &mut telemetry);
     h.log().record_cell(
-        &format!("consolidation/{tenants}t/pcc"),
+        format!("consolidation/{tenants}t/pcc"),
         t0.elapsed().as_secs_f64(),
     );
     let mut t = TextTable::new([
@@ -670,7 +660,6 @@ mod tests {
     fn profile_from_env_defaults_are_valid() {
         let p = profile_from_env();
         p.system.validate().unwrap();
-        bench_profile().system.validate().unwrap();
     }
 
     #[test]

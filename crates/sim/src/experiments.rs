@@ -133,11 +133,6 @@ pub fn fig1_page_sizes_on(h: &Harness, profile: &SimProfile, apps: &[AppId]) -> 
         .collect()
 }
 
-/// [`fig1_page_sizes_on`] on a throwaway sequential harness.
-pub fn fig1_page_sizes(profile: &SimProfile, apps: &[AppId]) -> Vec<Fig1Row> {
-    fig1_page_sizes_on(&Harness::sequential(), profile, apps)
-}
-
 // ---------------------------------------------------------------------
 // Fig. 2 — reuse-distance characterisation
 // ---------------------------------------------------------------------
@@ -190,11 +185,6 @@ pub fn fig2_reuse_on(
         hub_regions,
         hub_samples,
     }
-}
-
-/// [`fig2_reuse_on`] on a throwaway sequential harness.
-pub fn fig2_reuse(profile: &SimProfile, app: AppId, max_accesses: u64) -> Fig2Summary {
-    fig2_reuse_on(&Harness::sequential(), profile, app, max_accesses)
 }
 
 // ---------------------------------------------------------------------
@@ -296,15 +286,6 @@ pub fn fig5_utility_on(
     (curves, point(&linux50), point(&linux90), point(&ideal))
 }
 
-/// [`fig5_utility_on`] on a throwaway sequential harness.
-pub fn fig5_utility(
-    profile: &SimProfile,
-    app: AppId,
-    sweep: &[u64],
-) -> (Vec<UtilityCurve>, RefPoint, RefPoint, RefPoint) {
-    fig5_utility_on(&Harness::sequential(), profile, app, sweep)
-}
-
 // ---------------------------------------------------------------------
 // Fig. 6 — PCC size sensitivity
 // ---------------------------------------------------------------------
@@ -390,11 +371,6 @@ pub fn fig6_pcc_size_on(
     rows
 }
 
-/// [`fig6_pcc_size_on`] on a throwaway sequential harness.
-pub fn fig6_pcc_size(profile: &SimProfile, apps: &[AppId], sizes: &[u32]) -> Vec<Fig6Row> {
-    fig6_pcc_size_on(&Harness::sequential(), profile, apps, sizes)
-}
-
 // ---------------------------------------------------------------------
 // Fig. 7 — 90% fragmentation comparison (with demotion)
 // ---------------------------------------------------------------------
@@ -474,11 +450,6 @@ pub fn fig7_fragmentation_on(
             }
         })
         .collect()
-}
-
-/// [`fig7_fragmentation_on`] on a throwaway sequential harness.
-pub fn fig7_fragmentation(profile: &SimProfile, apps: &[AppId], frag_pct: u8) -> Vec<Fig7Row> {
-    fig7_fragmentation_on(&Harness::sequential(), profile, apps, frag_pct)
 }
 
 // ---------------------------------------------------------------------
@@ -590,16 +561,6 @@ pub fn fig8_multithread_on(
     rows
 }
 
-/// [`fig8_multithread_on`] on a throwaway sequential harness.
-pub fn fig8_multithread(
-    profile: &SimProfile,
-    apps: &[AppId],
-    thread_counts: &[u32],
-    sweep: &[u64],
-) -> Vec<Fig8Row> {
-    fig8_multithread_on(&Harness::sequential(), profile, apps, thread_counts, sweep)
-}
-
 // ---------------------------------------------------------------------
 // Fig. 9 — multiprocess studies
 // ---------------------------------------------------------------------
@@ -709,15 +670,6 @@ pub fn fig9_multiprocess_on(
     (rows, ideal_speedups)
 }
 
-/// [`fig9_multiprocess_on`] on a throwaway sequential harness.
-pub fn fig9_multiprocess(
-    profile: &SimProfile,
-    config: Fig9Config,
-    sweep: &[u64],
-) -> (Vec<Fig9Row>, (f64, f64)) {
-    fig9_multiprocess_on(&Harness::sequential(), profile, config, sweep)
-}
-
 /// Geomean speedup over a set of Fig. 1 rows (convenience for the
 /// paper's "geomean 1.3×" summary).
 pub fn fig1_geomean_2m(rows: &[Fig1Row]) -> Option<f64> {
@@ -810,11 +762,6 @@ pub fn dataset_sweep_on(h: &Harness, profile: &SimProfile, apps: &[AppId]) -> Ve
             }
         })
         .collect()
-}
-
-/// [`dataset_sweep_on`] on a throwaway sequential harness.
-pub fn dataset_sweep(profile: &SimProfile, apps: &[AppId]) -> Vec<DatasetRow> {
-    dataset_sweep_on(&Harness::sequential(), profile, apps)
 }
 
 /// Geomean of the PCC 4%-budget speedups over a set of dataset rows
@@ -952,11 +899,6 @@ pub fn ablation_design_choices_on(
         promotions: cached_pcc.aggregate.promotions,
     });
     rows
-}
-
-/// [`ablation_design_choices_on`] on a throwaway sequential harness.
-pub fn ablation_design_choices(profile: &SimProfile, app: AppId) -> Vec<AblationRow> {
-    ablation_design_choices_on(&Harness::sequential(), profile, app)
 }
 
 // ---------------------------------------------------------------------
@@ -1531,7 +1473,11 @@ mod tests {
 
     #[test]
     fn fig1_shapes_hold_for_extremes() {
-        let rows = fig1_page_sizes(&profile(), &[AppId::Canneal, AppId::Dedup]);
+        let rows = fig1_page_sizes_on(
+            &Harness::sequential(),
+            &profile(),
+            &[AppId::Canneal, AppId::Dedup],
+        );
         assert_eq!(rows.len(), 2);
         let canneal = &rows[0];
         let dedup = &rows[1];
@@ -1550,15 +1496,19 @@ mod tests {
 
     #[test]
     fn fig2_bfs_finds_hubs() {
-        let s = fig2_reuse(&profile(), AppId::Bfs, 300_000);
+        let s = fig2_reuse_on(&Harness::sequential(), &profile(), AppId::Bfs, 300_000);
         assert!(s.tlb_friendly + s.hubs + s.low_reuse > 0);
         assert!(s.app.starts_with("BFS"));
     }
 
     #[test]
     fn fig5_pcc_beats_hawkeye_and_curve_rises() {
-        let (curves, linux50, _linux90, ideal) =
-            fig5_utility(&profile(), AppId::Canneal, &[0, 8, 100]);
+        let (curves, linux50, _linux90, ideal) = fig5_utility_on(
+            &Harness::sequential(),
+            &profile(),
+            AppId::Canneal,
+            &[0, 8, 100],
+        );
         let pcc = &curves[0];
         let hawkeye = &curves[1];
         assert_eq!(pcc.policy, "pcc");
@@ -1581,7 +1531,12 @@ mod tests {
 
     #[test]
     fn fig6_more_entries_never_much_worse() {
-        let rows = fig6_pcc_size(&profile(), &[AppId::Canneal], &[4, 64]);
+        let rows = fig6_pcc_size_on(
+            &Harness::sequential(),
+            &profile(),
+            &[AppId::Canneal],
+            &[4, 64],
+        );
         // rows: baseline(0), 4, 64, ideal(MAX)
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].pcc_entries, 0);
@@ -1596,7 +1551,7 @@ mod tests {
         // omnetpp's Zipf skew is where candidate *selection* matters:
         // with only 10% of blocks huge-capable, promoting the hot head
         // beats Linux's first-touch greed.
-        let rows = fig7_fragmentation(&profile(), &[AppId::Omnetpp], 90);
+        let rows = fig7_fragmentation_on(&Harness::sequential(), &profile(), &[AppId::Omnetpp], 90);
         let r = &rows[0];
         assert!(
             r.pcc >= r.linux - 0.01,
@@ -1619,7 +1574,13 @@ mod tests {
 
     #[test]
     fn fig8_runs_both_policies() {
-        let rows = fig8_multithread(&profile(), &[AppId::Canneal], &[2], &[0, 8]);
+        let rows = fig8_multithread_on(
+            &Harness::sequential(),
+            &profile(),
+            &[AppId::Canneal],
+            &[2],
+            &[0, 8],
+        );
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].threads, 2);
         assert!(rows[0].ideal_speedup >= 1.0);
@@ -1635,7 +1596,8 @@ mod tests {
             app_a: AppId::Omnetpp, // TLB-hostile
             app_b: AppId::Dedup,   // TLB-friendly
         };
-        let (rows, ideal) = fig9_multiprocess(&profile(), cfg, &[0, 100]);
+        let (rows, ideal) =
+            fig9_multiprocess_on(&Harness::sequential(), &profile(), cfg, &[0, 100]);
         assert_eq!(rows.len(), 4);
         // At the full sweep under highest-frequency, omnetpp speeds up
         // while dedup stays roughly flat (the paper's mcf analogue).
@@ -1658,7 +1620,7 @@ mod tests {
         let mut p = profile();
         p.max_accesses_per_core = Some(300_000);
         p.workloads.graph_scale = 12;
-        let rows = dataset_sweep(&p, &[AppId::Bfs]);
+        let rows = dataset_sweep_on(&Harness::sequential(), &p, &[AppId::Bfs]);
         assert_eq!(rows.len(), 6); // 3 datasets x {sorted, unsorted}
         assert!(rows.iter().any(|r| r.dbg_sorted));
         assert!(rows.iter().any(|r| r.dataset == "Twitter"));
@@ -1668,7 +1630,7 @@ mod tests {
 
     #[test]
     fn ablation_rows_cover_variants() {
-        let rows = ablation_design_choices(&profile(), AppId::Omnetpp);
+        let rows = ablation_design_choices_on(&Harness::sequential(), &profile(), AppId::Omnetpp);
         assert_eq!(rows.len(), 9);
         let cached = rows
             .iter()
@@ -1753,7 +1715,7 @@ mod tests {
         );
         // Two shootdown-spike windows, one storm flush per core each.
         assert!(
-            r.storm_flushes >= 32 && r.storm_flushes % 32 == 0,
+            r.storm_flushes >= 32 && r.storm_flushes.is_multiple_of(32),
             "storms: {}",
             r.storm_flushes
         );

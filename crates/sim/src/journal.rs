@@ -22,9 +22,8 @@
 //! `HPAGE_PROFILE=test` cannot silently poison a paper-scale run.
 //! Resume tolerates a truncated or corrupt *trailing* region — the
 //! expected wreckage of an interrupt mid-write — by skipping unparseable
-//! lines and counting them (same philosophy as `bench_trend`'s history
-//! splice). Writes flush per line so the journal is as current as the
-//! last completed cell.
+//! lines and counting them. Writes flush per line so the journal is as
+//! current as the last completed cell.
 
 use hpage_faults::json::{parse, Value};
 use hpage_obs::json::esc;

@@ -33,13 +33,12 @@ mod shard;
 mod simulation;
 
 pub use experiments::{
-    ablation_design_choices, ablation_design_choices_on, consolidation_on, dataset_geomean,
-    dataset_sweep, dataset_sweep_on, fig1_geomean_2m, fig1_page_sizes, fig1_page_sizes_on,
-    fig2_reuse, fig2_reuse_on, fig5_utility, fig5_utility_on, fig6_pcc_size, fig6_pcc_size_on,
-    fig7_fragmentation, fig7_fragmentation_on, fig8_multithread, fig8_multithread_on,
-    fig9_multiprocess, fig9_multiprocess_on, virt_on, AblationRow, ConsolidationConfig,
-    ConsolidationReport, ConsolidationTenantRow, DatasetRow, Fig1Row, Fig2Summary, Fig6Row,
-    Fig7Row, Fig8Row, Fig9Config, Fig9Row, VirtConfig, VirtPlacementRow, VirtReport, VirtVmRow,
+    ablation_design_choices_on, consolidation_on, dataset_geomean, dataset_sweep_on,
+    fig1_geomean_2m, fig1_page_sizes_on, fig2_reuse_on, fig5_utility_on, fig6_pcc_size_on,
+    fig7_fragmentation_on, fig8_multithread_on, fig9_multiprocess_on, virt_on, AblationRow,
+    ConsolidationConfig, ConsolidationReport, ConsolidationTenantRow, DatasetRow, Fig1Row,
+    Fig2Summary, Fig6Row, Fig7Row, Fig8Row, Fig9Config, Fig9Row, VirtConfig, VirtPlacementRow,
+    VirtReport, VirtVmRow,
 };
 pub use journal::CellJournal;
 pub use profile::SimProfile;

@@ -595,7 +595,7 @@ mod tests {
         // A miss at all sizes counts one miss.
         let misses_before = t.stats().misses;
         assert!(t
-            .lookup_addr(VirtAddr::new(0xdead_beef_000), &sizes)
+            .lookup_addr(VirtAddr::new(0x0dea_dbee_f000), &sizes)
             .is_none());
         assert_eq!(t.stats().misses, misses_before + 1);
     }

@@ -1,10 +1,11 @@
 //! `HPT2`: the blocked, seekable, integrity-checked trace format, and
 //! its mmap-backed zero-copy replay path.
 //!
-//! `HPT1` (see [`crate::io`]) is a single delta chain: byte `i` cannot
-//! be decoded without every byte before it, so readers can neither
-//! seek, shard, nor detect corruption short of decoding garbage. `HPT2`
-//! keeps the same per-record encoding but cuts the chain into blocks:
+//! Each record is a header byte plus the zigzag varint delta of its
+//! address from the previous record's. A single delta chain over the
+//! whole file could be decoded only from the start, so a reader could
+//! neither seek, shard, nor detect corruption short of decoding
+//! garbage. `HPT2` cuts the chain into blocks:
 //!
 //! ```text
 //! "HPT2"  u32 block_records                  // file header
@@ -38,8 +39,6 @@
 //! streams can decode block-by-block with no error paths in the hot
 //! loop and windows borrowed straight from the decode buffer.
 
-use crate::hugebuf::HugeVec;
-use crate::io::{read_varint, unzigzag, write_varint, zigzag};
 use crate::mmap::{Advice, Mmap};
 use crate::recorded::coalesce_sorted_indices;
 use crate::workload::{StreamIter, TraceStream, Workload};
@@ -50,7 +49,7 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 /// File magic of the blocked format.
-pub(crate) const HPT2_MAGIC: &[u8; 4] = b"HPT2";
+const HPT2_MAGIC: &[u8; 4] = b"HPT2";
 /// End-of-file magic (the header magic reversed).
 const END_MAGIC: &[u8; 4] = b"2TPH";
 
@@ -70,6 +69,58 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 fn invalid(msg: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            return w.write_all(&[byte]);
+        }
+        w.write_all(&[byte | 0x80])?;
+    }
+}
+
+/// Reads one LEB128 varint; `None` on a clean EOF before its first
+/// byte.
+fn read_varint<R: Read>(r: &mut R) -> io::Result<Option<u64>> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    let mut first = true;
+    loop {
+        let mut byte = [0u8; 1];
+        match r.read_exact(&mut byte) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof && first => return Ok(None),
+            Err(e) => return Err(e),
+        }
+        first = false;
+        if shift >= 64 {
+            return Err(invalid("varint overflows u64"));
+        }
+        // The 10th byte (shift == 63) has room for exactly one payload
+        // bit. A continuation bit, or any of payload bits 1..7 set,
+        // encodes a value outside u64 — reject it instead of silently
+        // shifting those bits into oblivion and decoding a wrong
+        // address.
+        if shift == 63 && byte[0] > 0x01 {
+            return Err(invalid("varint overflows u64"));
+        }
+        v |= u64::from(byte[0] & 0x7F) << shift;
+        if byte[0] & 0x80 == 0 {
+            return Ok(Some(v));
+        }
+        shift += 7;
+    }
 }
 
 /// Tracks the set of touched 2 MiB regions with a last-hit cache, so
@@ -151,7 +202,11 @@ impl<W: Write> Hpt2Writer<W> {
     pub fn write(&mut self, access: &MemoryAccess) -> io::Result<()> {
         let header = u8::from(access.kind == AccessKind::Write);
         self.block.push(header);
-        // Same wrapping-ring delta as HPT1 (see TraceWriter::write).
+        // Wrapping subtraction in u64, then reinterpret: the reader
+        // undoes it with `wrapping_add` in the same ring, so round-trip
+        // is exact for every address pair — including ones more than
+        // i64::MAX apart, where a checked `as i64` subtraction
+        // overflows (debug-build panic).
         let delta = access.addr.raw().wrapping_sub(self.prev_addr) as i64;
         write_varint(&mut self.block, zigzag(delta))?;
         self.prev_addr = access.addr.raw();
@@ -232,7 +287,7 @@ impl<W: Write> Hpt2Writer<W> {
 fn decode_block_strict(
     payload: &[u8],
     n_records: u32,
-    out: &mut HugeVec<MemoryAccess>,
+    out: &mut Vec<MemoryAccess>,
     regions: &mut RegionTracker,
 ) -> io::Result<()> {
     let mut slice = payload;
@@ -267,7 +322,7 @@ fn decode_block_strict(
 
 /// Fast-path decode of an already-validated block payload (no error
 /// paths: [`MmapTrace::open`] proved the payload well-formed).
-fn decode_block_trusted(payload: &[u8], n_records: u32, out: &mut HugeVec<MemoryAccess>) {
+fn decode_block_trusted(payload: &[u8], n_records: u32, out: &mut Vec<MemoryAccess>) {
     out.clear();
     let mut pos = 0usize;
     let mut prev_addr = 0u64;
@@ -323,27 +378,18 @@ enum ReaderState {
 }
 
 impl<R: Read> Hpt2Reader<R> {
-    /// Opens a trace, validating the header magic.
+    /// Opens a trace, validating the header.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on a magic mismatch, or any I/O error.
+    /// Returns `InvalidData` on a magic mismatch or a zero block size,
+    /// or any I/O error.
     pub fn new(mut reader: R) -> io::Result<Self> {
         let mut magic = [0u8; 4];
         reader.read_exact(&mut magic)?;
         if &magic != HPT2_MAGIC {
             return Err(invalid("not an HPT2 trace file"));
         }
-        Hpt2Reader::after_magic(reader)
-    }
-
-    /// Resumes a reader positioned just past the magic (see
-    /// [`crate::TraceReader::after_magic`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors reading the block-size header.
-    pub(crate) fn after_magic(mut reader: R) -> io::Result<Self> {
         let mut le = [0u8; 4];
         reader.read_exact(&mut le)?;
         let block_records = u32::from_le_bytes(le);
@@ -567,7 +613,7 @@ impl MmapTrace {
         let mut blocks = Vec::new();
         let mut total = 0u64;
         let mut regions = RegionTracker::default();
-        let mut scratch = HugeVec::new();
+        let mut scratch = Vec::new();
         loop {
             let header = bytes.get(pos..pos + 8).ok_or_else(truncated)?;
             let payload_len = u32::from_le_bytes(header[..4].try_into().unwrap());
@@ -673,7 +719,7 @@ impl MmapTrace {
         Hpt2Stream {
             trace: self,
             next_block: 0,
-            buf: HugeVec::new(),
+            buf: Vec::new(),
             pos: 0,
             stride: threads as usize,
             phase_skip: thread as usize,
@@ -726,7 +772,7 @@ pub struct Hpt2Stream<'a> {
     trace: &'a MmapTrace,
     next_block: usize,
     /// Decoded records of the current block.
-    buf: HugeVec<MemoryAccess>,
+    buf: Vec<MemoryAccess>,
     /// Consumed prefix of `buf`.
     pos: usize,
     stride: usize,
@@ -886,7 +932,7 @@ mod tests {
     }
 
     #[test]
-    fn from_reader_auto_detects_hpt2() {
+    fn from_reader_replays_hpt2() {
         let accesses = sample_trace(300);
         let bytes = encode(&accesses, 32);
         let w = RecordedWorkload::from_reader("t", bytes.as_slice()).unwrap();
@@ -961,22 +1007,13 @@ mod tests {
         let full = encode(&accesses, 64);
         for cut in [full.len() - 1, full.len() - 5, full.len() / 2, 9] {
             let bytes = &full[..cut];
-            let mut ok = true;
-            match Hpt2Reader::new(bytes) {
-                Ok(r) => {
-                    for item in r {
-                        if item.is_err() {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    // A truncated stream must either error or have
-                    // stopped before the (missing) validated trailer.
-                    if ok {
-                        panic!("truncated at {cut}: reader finished cleanly");
-                    }
-                }
-                Err(_) => {}
+            // A truncated stream must either error or have stopped
+            // before the (missing) validated trailer.
+            if let Ok(mut r) = Hpt2Reader::new(bytes) {
+                assert!(
+                    r.any(|item| item.is_err()),
+                    "truncated at {cut}: reader finished cleanly"
+                );
             }
             let path = temp_trace("trunc", bytes);
             assert!(MmapTrace::open("t", &path).is_err(), "truncated at {cut}");
@@ -1012,6 +1049,54 @@ mod tests {
         let err = MmapTrace::open("t", &path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn ten_byte_varint_edge() {
+        // u64::MAX encodes as nine 0xFF continuation bytes + final 0x01:
+        // the 10th byte carries exactly one payload bit.
+        let mut max = vec![0xFFu8; 9];
+        max.push(0x01);
+        assert_eq!(
+            read_varint(&mut max.as_slice()).unwrap(),
+            Some(u64::MAX),
+            "canonical 10-byte encoding of u64::MAX must decode"
+        );
+
+        // Regression: payload bits 1..7 in the 10th byte used to be
+        // silently shifted out, decoding a *wrong* value instead of
+        // erroring.
+        for last in [0x02u8, 0x40, 0x7F] {
+            let mut buf = vec![0xFFu8; 9];
+            buf.push(last);
+            let err = read_varint(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "last byte {last:#x}"
+            );
+        }
+
+        // A continuation bit in the 10th byte overflows too, even if
+        // its payload bits are in range.
+        for tail in [&[0x81u8, 0x00][..], &[0x80, 0x01]] {
+            let mut buf = vec![0xFFu8; 9];
+            buf.extend_from_slice(tail);
+            let err = read_varint(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tail {tail:?}");
+        }
+    }
+
+    #[test]
+    fn varint_edge_values() {
+        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, v).unwrap();
+            assert_eq!(read_varint(&mut buf.as_slice()).unwrap(), Some(v));
+        }
+        assert_eq!(unzigzag(zigzag(-5)), -5);
+        assert_eq!(unzigzag(zigzag(i64::MAX)), i64::MAX);
+        assert_eq!(unzigzag(zigzag(i64::MIN)), i64::MIN);
     }
 
     #[test]

@@ -676,7 +676,7 @@ mod tests {
         // BFS touches every edge once from its owning vertex: at least
         // 2 offsets + 1 neighbor + 1 prop read per edge of nonzero-degree
         // vertices.
-        assert!(count as u64 >= w.graph().edge_count() * 2);
+        assert!(count >= w.graph().edge_count() * 2);
     }
 
     #[test]

@@ -16,17 +16,15 @@
 //! assert_eq!(first_thousand.len(), 1000);
 //! ```
 
-// `deny` rather than `forbid`: the mmap/hugebuf modules opt back in
-// (each unsafe block carries its SAFETY argument); everything else
-// stays unsafe-free.
+// `deny` rather than `forbid`: the mmap module opts back in (each
+// unsafe block carries its SAFETY argument); everything else stays
+// unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod catalog;
 mod graph;
 mod hpt2;
-mod hugebuf;
-mod io;
 mod kernels;
 mod layout;
 mod mmap;
@@ -41,8 +39,6 @@ pub use catalog::{
 };
 pub use graph::{degree_based_grouping, generate_rmat, CsrGraph, RmatParams};
 pub use hpt2::{Hpt2Reader, Hpt2Stream, Hpt2Writer, MmapTrace, DEFAULT_BLOCK_RECORDS};
-pub use hugebuf::{HugeVec, HUGE_PAGE_BYTES};
-pub use io::{TraceReader, TraceWriter};
 pub use kernels::{GraphKernel, GraphWorkload};
 pub use layout::{AddressSpaceBuilder, ArrayLayout, HEAP_BASE};
 pub use mmap::{Advice, Mmap};

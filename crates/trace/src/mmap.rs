@@ -24,8 +24,6 @@ pub enum Advice {
     Sequential,
     /// Expect access soon: start paging in now.
     WillNeed,
-    /// Back with transparent huge pages if the kernel can.
-    HugePage,
 }
 
 #[cfg(unix)]
@@ -37,7 +35,6 @@ mod sys {
     pub const MAP_PRIVATE: c_int = 2;
     pub const MADV_SEQUENTIAL: c_int = 2;
     pub const MADV_WILLNEED: c_int = 3;
-    pub const MADV_HUGEPAGE: c_int = 14;
 
     extern "C" {
         pub fn mmap(
@@ -50,33 +47,6 @@ mod sys {
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
         pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-    }
-}
-
-/// Best-effort `madvise` over an arbitrary buffer (used by the
-/// huge-page-aligned allocator as well as file mappings). The address
-/// range must be page-aligned for the kernel to accept it; errors are
-/// swallowed — advice is never load-bearing.
-pub(crate) fn advise_raw(ptr: *mut u8, len: usize, advice: Advice) {
-    #[cfg(unix)]
-    {
-        let adv = match advice {
-            Advice::Sequential => sys::MADV_SEQUENTIAL,
-            Advice::WillNeed => sys::MADV_WILLNEED,
-            Advice::HugePage => sys::MADV_HUGEPAGE,
-        };
-        if len > 0 {
-            // SAFETY: the caller owns [ptr, ptr+len); madvise does not
-            // invalidate or mutate the mapping's contents for these
-            // advice values, and an error return is ignored.
-            unsafe {
-                let _ = sys::madvise(ptr.cast(), len, adv);
-            }
-        }
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = (ptr, len, advice);
     }
 }
 
@@ -189,7 +159,18 @@ impl Mmap {
     /// kernels that reject the advice).
     pub fn advise(&self, advice: Advice) {
         #[cfg(unix)]
-        advise_raw(self.ptr, self.len, advice);
+        if self.len > 0 {
+            let adv = match advice {
+                Advice::Sequential => sys::MADV_SEQUENTIAL,
+                Advice::WillNeed => sys::MADV_WILLNEED,
+            };
+            // SAFETY: [ptr, ptr+len) is a live mapping owned by self;
+            // madvise does not invalidate or mutate its contents for
+            // these advice values, and an error return is ignored.
+            unsafe {
+                let _ = sys::madvise(self.ptr.cast(), self.len, adv);
+            }
+        }
         #[cfg(not(unix))]
         let _ = advice;
     }

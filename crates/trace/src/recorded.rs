@@ -1,18 +1,15 @@
 //! Replaying captured traces: a [`Workload`] backed by a recorded access
-//! stream (e.g. an `HPT1`/`HPT2` file written by [`TraceWriter`] /
-//! [`Hpt2Writer`], or a trace captured from a real binary with a
-//! Pin-like tool and converted).
+//! stream (e.g. an `HPT2` file written by [`Hpt2Writer`], or a trace
+//! captured from a real binary with a Pin-like tool and converted).
 //!
 //! This closes the loop of the paper's methodology: their offline
 //! simulation consumed Pin traces of real executions; ours can consume
 //! any recorded stream through the same [`Workload`] interface the
 //! synthetic generators implement.
 //!
-//! [`TraceWriter`]: crate::io::TraceWriter
 //! [`Hpt2Writer`]: crate::hpt2::Hpt2Writer
 
-use crate::hugebuf::HugeVec;
-use crate::io::TraceReader;
+use crate::hpt2::Hpt2Reader;
 use crate::workload::{TraceStream, Workload};
 use hpage_types::{MemoryAccess, PageSize, Region, VirtAddr};
 use std::io::{self, Read};
@@ -22,24 +19,16 @@ use std::io::{self, Read};
 /// The constructor scans the accesses once to derive the footprint (the
 /// set of touched 2 MiB regions, coalesced into contiguous ranges), which
 /// the utility-curve budgets are computed from.
-///
-/// The access array lives in a [`HugeVec`]: huge-page-aligned and
-/// `MADV_HUGEPAGE`-advised, so replaying a multi-gigabyte trace does not
-/// thrash the *simulator's* TLB while it measures the simulated one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedWorkload {
     name: String,
-    accesses: HugeVec<MemoryAccess>,
+    accesses: Vec<MemoryAccess>,
     regions: Vec<Region>,
 }
 
 impl RecordedWorkload {
     /// Builds a workload from accesses already in memory.
     pub fn new(name: impl Into<String>, accesses: Vec<MemoryAccess>) -> Self {
-        RecordedWorkload::from_huge(name, HugeVec::from(&accesses[..]))
-    }
-
-    pub(crate) fn from_huge(name: impl Into<String>, accesses: HugeVec<MemoryAccess>) -> Self {
         let regions = coalesce_regions(&accesses);
         RecordedWorkload {
             name: name.into(),
@@ -48,36 +37,15 @@ impl RecordedWorkload {
         }
     }
 
-    /// Reads a trace file fully into memory, auto-detecting the format
-    /// from the magic (`HPT1` record stream or blocked `HPT2`).
+    /// Reads an `HPT2` trace fully into memory.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and format errors from the reader; unknown magic
-    /// is `InvalidData`.
-    pub fn from_reader<R: Read>(name: impl Into<String>, mut reader: R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        reader.read_exact(&mut magic)?;
-        let mut accesses = HugeVec::new();
-        match &magic {
-            crate::io::HPT1_MAGIC => {
-                for rec in TraceReader::after_magic(reader) {
-                    accesses.push(rec?);
-                }
-            }
-            crate::hpt2::HPT2_MAGIC => {
-                for rec in crate::hpt2::Hpt2Reader::after_magic(reader)? {
-                    accesses.push(rec?);
-                }
-            }
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "not an HPT1/HPT2 trace file",
-                ))
-            }
-        }
-        Ok(RecordedWorkload::from_huge(name, accesses))
+    /// Propagates I/O and format errors from the reader; any other
+    /// magic is `InvalidData`.
+    pub fn from_reader<R: Read>(name: impl Into<String>, reader: R) -> io::Result<Self> {
+        let accesses = Hpt2Reader::new(reader)?.collect::<io::Result<_>>()?;
+        Ok(RecordedWorkload::new(name, accesses))
     }
 
     /// Number of recorded accesses.
@@ -231,7 +199,6 @@ impl Workload for RecordedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::TraceWriter;
 
     fn acc(addr: u64) -> MemoryAccess {
         MemoryAccess::read(VirtAddr::new(addr))
@@ -263,16 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip_preserves_trace() {
-        let original: Vec<MemoryAccess> =
-            (0..500u64).map(|i| acc(0x1000_0000 + i * 0x777)).collect();
-        let mut buf = Vec::new();
-        let mut tw = TraceWriter::new(&mut buf).unwrap();
-        tw.write_all(original.iter().copied()).unwrap();
-        tw.finish().unwrap();
-        let w = RecordedWorkload::from_reader("replay", buf.as_slice()).unwrap();
-        let replayed: Vec<MemoryAccess> = w.trace().collect();
-        assert_eq!(replayed, original);
+    fn other_magic_is_rejected() {
+        for bytes in [&b"HPT1\x00\x02"[..], b"NOPE", b""] {
+            let err = RecordedWorkload::from_reader("t", bytes).unwrap_err();
+            let want = if bytes.len() < 4 {
+                io::ErrorKind::UnexpectedEof
+            } else {
+                io::ErrorKind::InvalidData
+            };
+            assert_eq!(err.kind(), want, "{bytes:?}");
+        }
     }
 
     #[test]

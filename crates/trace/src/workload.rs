@@ -10,10 +10,9 @@ use hpage_types::{MemoryAccess, Region};
 /// through a boxed iterator costs a virtual call per element and walls
 /// off the generator from the optimizer. A `TraceStream` amortises the
 /// dynamic dispatch to one [`next_window`](Self::next_window) call per
-/// chunk — and, unlike the old `fill`-into-a-`Vec` shape, hands the
-/// consumer a **borrowed window** into storage the stream already owns,
-/// so the hot loop reads accesses in place instead of copying every
-/// chunk through an intermediate buffer.
+/// chunk, and hands the consumer a **borrowed window** into storage
+/// the stream already owns, so the hot loop reads accesses in place
+/// instead of copying every chunk through an intermediate buffer.
 ///
 /// # Window protocol
 ///
@@ -40,19 +39,6 @@ pub trait TraceStream {
     ///
     /// [`next_window`]: Self::next_window
     fn window(&self) -> &[MemoryAccess];
-
-    /// Appends up to `max` accesses to `buf`, returning how many were
-    /// produced. Compatibility shim over [`next_window`]; returns 0
-    /// when the trace is exhausted. Note it advances the stream, so it
-    /// must not be mixed with window-style consumption of the same
-    /// chunk.
-    ///
-    /// [`next_window`]: Self::next_window
-    fn fill(&mut self, buf: &mut Vec<MemoryAccess>, max: usize) -> usize {
-        let w = self.next_window(max);
-        buf.extend_from_slice(w);
-        w.len()
-    }
 }
 
 /// Adapts any access iterator into a [`TraceStream`] by buffering one
@@ -236,33 +222,23 @@ mod tests {
     }
 
     #[test]
-    fn fill_shim_respects_max_and_appends() {
-        let accesses: Vec<MemoryAccess> = (0..10)
-            .map(|i| MemoryAccess::read(VirtAddr::new(0x1000 + i * 8)))
-            .collect();
-        let mut it = IterStream::new(accesses.clone().into_iter());
-        let mut buf = Vec::new();
-        assert_eq!(it.fill(&mut buf, 4), 4);
-        assert_eq!(it.fill(&mut buf, 4), 4);
-        assert_eq!(it.fill(&mut buf, 4), 2);
-        assert_eq!(buf, accesses);
-    }
-
-    #[test]
     fn windows_partition_the_trace_exactly() {
         let accesses: Vec<MemoryAccess> = (0..10)
             .map(|i| MemoryAccess::read(VirtAddr::new(0x1000 + i * 8)))
             .collect();
         let mut s = IterStream::new(accesses.clone().into_iter());
         let mut seen = Vec::new();
+        let mut lens = Vec::new();
         loop {
             let w = s.next_window(4);
+            lens.push(w.len());
             if w.is_empty() {
                 break;
             }
             seen.extend_from_slice(w);
         }
         assert_eq!(seen, accesses);
+        assert_eq!(lens, [4, 4, 2, 0], "only the final window is short");
     }
 
     #[test]

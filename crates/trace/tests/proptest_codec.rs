@@ -1,4 +1,4 @@
-//! Property tests for the trace codecs: full-range round-trips and
+//! Property tests for the `HPT2` trace codec: full-range round-trips and
 //! truncation/corruption fuzz.
 //!
 //! These are the tests that would have caught both historical codec
@@ -7,9 +7,7 @@
 //! 10-byte varints. Addresses are drawn from the *whole* `u64` domain,
 //! not plausible heap ranges.
 
-use hpage_trace::{
-    Hpt2Reader, Hpt2Writer, MmapTrace, RecordedWorkload, TraceReader, TraceWriter, Workload,
-};
+use hpage_trace::{Hpt2Reader, Hpt2Writer, MmapTrace, RecordedWorkload, Workload};
 use hpage_types::{MemoryAccess, VirtAddr};
 use proptest::prelude::*;
 use std::io;
@@ -26,24 +24,12 @@ fn to_accesses(raw: &[(u64, bool)]) -> Vec<MemoryAccess> {
         .collect()
 }
 
-fn encode_hpt1(accesses: &[MemoryAccess]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let mut w = TraceWriter::new(&mut buf).unwrap();
-    w.write_all(accesses.iter().copied()).unwrap();
-    w.finish().unwrap();
-    buf
-}
-
 fn encode_hpt2(accesses: &[MemoryAccess], block_records: u32) -> Vec<u8> {
     let mut buf = Vec::new();
     let mut w = Hpt2Writer::with_block_records(&mut buf, block_records).unwrap();
     w.write_all(accesses.iter().copied()).unwrap();
     w.finish().unwrap();
     buf
-}
-
-fn decode_hpt1(bytes: &[u8]) -> io::Result<Vec<MemoryAccess>> {
-    TraceReader::new(bytes)?.collect()
 }
 
 fn decode_hpt2(bytes: &[u8]) -> io::Result<Vec<MemoryAccess>> {
@@ -78,14 +64,6 @@ fn temp_trace(tag: &str, case: u64, bytes: &[u8]) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    fn hpt1_roundtrips_full_range_addresses(
-        raw in prop::collection::vec((any::<u64>(), any::<bool>()), 0..400),
-    ) {
-        let accesses = to_accesses(&raw);
-        let bytes = encode_hpt1(&accesses);
-        prop_assert_eq!(decode_hpt1(&bytes).unwrap(), accesses);
-    }
-
     fn hpt2_roundtrips_full_range_addresses(
         raw in prop::collection::vec((any::<u64>(), any::<bool>()), 0..400),
         block_records in 1u32..70,
@@ -106,22 +84,6 @@ proptest! {
         std::fs::remove_file(&path).unwrap();
     }
 
-    fn hpt1_truncation_never_yields_wrong_records(
-        raw in prop::collection::vec((any::<u64>(), any::<bool>()), 1..200),
-        cut_sel in any::<u64>(),
-    ) {
-        let accesses = to_accesses(&raw);
-        let bytes = encode_hpt1(&accesses);
-        // Cut after the magic, strictly before the end.
-        let cut = 4 + (cut_sel % (bytes.len() as u64 - 4)) as usize;
-        let (prefix, _errored) = decode_prefix(TraceReader::new(&bytes[..cut]).unwrap());
-        // HPT1 has no trailer, so a cut at a record boundary is
-        // indistinguishable from end-of-trace — but every record the
-        // reader does yield must be one of the original's, in order.
-        prop_assert!(prefix.len() <= accesses.len());
-        prop_assert_eq!(&prefix[..], &accesses[..prefix.len()]);
-    }
-
     fn hpt2_truncation_is_detected(
         raw in prop::collection::vec((any::<u64>(), any::<bool>()), 1..200),
         block_records in 1u32..33,
@@ -136,13 +98,10 @@ proptest! {
         // Streaming reader: must surface an error (the trailer cannot
         // validate), and any records yielded first must be a correct
         // prefix (block checksums gate every decoded record).
-        match Hpt2Reader::new(truncated) {
-            Ok(r) => {
-                let (prefix, errored) = decode_prefix(r);
-                prop_assert!(errored, "cut at {} of {} read cleanly", cut, bytes.len());
-                prop_assert_eq!(&prefix[..], &accesses[..prefix.len()]);
-            }
-            Err(_) => {}
+        if let Ok(r) = Hpt2Reader::new(truncated) {
+            let (prefix, errored) = decode_prefix(r);
+            prop_assert!(errored, "cut at {} of {} read cleanly", cut, bytes.len());
+            prop_assert_eq!(&prefix[..], &accesses[..prefix.len()]);
         }
 
         // Mmap reader validates at open: must refuse the file.
@@ -167,25 +126,19 @@ proptest! {
         // reader either errors or (for flips in don't-care positions,
         // e.g. growing the declared max block size) yields the exact
         // original trace.
-        match Hpt2Reader::new(bytes.as_slice()) {
-            Ok(r) => {
-                let (prefix, errored) = decode_prefix(r);
-                if errored {
-                    prop_assert_eq!(&prefix[..], &accesses[..prefix.len()]);
-                } else {
-                    prop_assert_eq!(&prefix[..], &accesses[..]);
-                }
+        if let Ok(r) = Hpt2Reader::new(bytes.as_slice()) {
+            let (prefix, errored) = decode_prefix(r);
+            if errored {
+                prop_assert_eq!(&prefix[..], &accesses[..prefix.len()]);
+            } else {
+                prop_assert_eq!(&prefix[..], &accesses[..]);
             }
-            Err(_) => {}
         }
 
         let path = temp_trace("corrupt", case, &bytes);
-        match MmapTrace::open("prop", &path) {
-            Ok(mapped) => {
-                let replayed: Vec<MemoryAccess> = mapped.trace().collect();
-                prop_assert_eq!(replayed, &accesses[..]);
-            }
-            Err(_) => {}
+        if let Ok(mapped) = MmapTrace::open("prop", &path) {
+            let replayed: Vec<MemoryAccess> = mapped.trace().collect();
+            prop_assert_eq!(replayed, &accesses[..]);
         }
         std::fs::remove_file(&path).unwrap();
     }
