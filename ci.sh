@@ -18,6 +18,14 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark smoke: hpbench as its own package, pinned digest =="
+# Build hpbench through its standalone manifest, as BENCHMARK.json's
+# runner does, and run one short workload: exit 0 means every run's
+# digest matched the one pinned in hpbench.
+CARGO_TARGET_DIR=.bench_build cargo build --offline --release \
+    --manifest-path crates/bench/src/bin/hpbench/Cargo.toml
+./.bench_build/release/hpbench run --workload bfs_pcc --seconds 1 --trace 0
+
 echo "== chaos smoke: hpsim --faults examples/chaos.json --audit =="
 HPAGE_PROFILE=test ./target/release/hpsim --policy pcc \
     --faults examples/chaos.json --audit --quiet

@@ -8,7 +8,7 @@
 //! (see DESIGN.md), at configurable scale.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// A directed graph in Compressed Sparse Row form.
 ///
@@ -34,13 +34,7 @@ impl CsrGraph {
             assert!(u < n && v < n, "edge endpoint out of range");
             degree[u as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(n as usize + 1);
-        let mut acc = 0u64;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
+        let offsets = offsets_from_degrees(&degree);
         let mut cursor = offsets.clone();
         let mut neighbors = vec![0u32; edges.len()];
         for &(u, v) in edges {
@@ -105,14 +99,36 @@ impl CsrGraph {
             assert!(p < n && !seen[p as usize], "perm must be a permutation");
             seen[p as usize] = true;
         }
-        let mut edges = Vec::with_capacity(self.edge_count() as usize);
+        // New vertex `perm[u]` gets old vertex `u`'s degree and its
+        // neighbours, renamed, in the same order: the CSR `from_edges`
+        // would build from the relabelled edges in source order.
+        let mut degree = vec![0u64; n as usize];
         for u in 0..n {
-            for &v in self.neighbors_of(u) {
-                edges.push((perm[u as usize], perm[v as usize]));
+            degree[perm[u as usize] as usize] = self.degree(u);
+        }
+        let offsets = offsets_from_degrees(&degree);
+        let mut neighbors = vec![0u32; self.neighbors.len()];
+        for u in 0..n {
+            let old = self.neighbors_of(u);
+            let lo = offsets[perm[u as usize] as usize] as usize;
+            for (slot, &v) in neighbors[lo..lo + old.len()].iter_mut().zip(old) {
+                *slot = perm[v as usize];
             }
         }
-        CsrGraph::from_edges(n, &edges)
+        CsrGraph { offsets, neighbors }
     }
+}
+
+/// CSR offsets for the given out-degrees: their prefix sums, from 0.
+fn offsets_from_degrees(degree: &[u64]) -> Vec<u64> {
+    let mut offsets = Vec::with_capacity(degree.len() + 1);
+    let mut acc = 0u64;
+    offsets.push(0);
+    for d in degree {
+        acc += d;
+        offsets.push(acc);
+    }
+    offsets
 }
 
 /// Parameters of the R-MAT (recursive matrix) generator, the standard
@@ -191,41 +207,65 @@ impl RmatParams {
     }
 }
 
+/// `2^53`: `rng.random::<f64>()` is `k · 2⁻⁵³` for `k = next_u64() >> 11`,
+/// one of this many values.
+const DRAW_VALUES: u64 = 1 << 53;
+
+/// The integer form of the draw test `r < p`: `r < p` exactly when
+/// `k < draw_threshold(p)`. Both sides are exact in `f64`: `k · 2⁻⁵³` for
+/// an integer `k < 2⁵³`, and `p · 2⁵³` (a power-of-two scaling). So
+/// `r < p ⇔ k < p · 2⁵³ ⇔ k < ⌈p · 2⁵³⌉`; the cast saturates `p ≤ 0` to
+/// "never" and the clamp keeps `p ≥ 1` at "always".
+fn draw_threshold(p: f64) -> u64 {
+    ((p * DRAW_VALUES as f64).ceil() as u64).min(DRAW_VALUES)
+}
+
 /// Generates an R-MAT graph deterministically from `seed`.
+///
+/// Each edge draws `scale` uniforms `r` and descends one quadrant per
+/// draw: top-left if `r < a`, top-right if `r < a + b`, bottom-left if
+/// `r < a + b + c`, else bottom-right. The draws are compared as
+/// integers against [`draw_threshold`]s, which decides every draw
+/// exactly as the `f64` comparisons would.
 ///
 /// # Panics
 ///
-/// Panics if `scale` is 0 or ≥ 31, or the quadrant probabilities exceed 1.
+/// Panics if `scale` is 0 or ≥ 31, if `a`, `b` or `c` is negative or
+/// NaN, or if they sum to more than 1.
 pub fn generate_rmat(params: &RmatParams, seed: u64) -> CsrGraph {
     assert!(
         params.scale > 0 && params.scale < 31,
         "scale must be 1..=30"
     );
+    for (name, p) in [("a", params.a), ("b", params.b), ("c", params.c)] {
+        assert!(
+            p >= 0.0,
+            "quadrant probability {name} must be a non-negative number, got {p}"
+        );
+    }
     let d = 1.0 - params.a - params.b - params.c;
     assert!(d >= -1e-9, "quadrant probabilities must sum to <= 1");
-    let n = params.vertex_count();
+    // Non-negative parameters make the thresholds non-decreasing, so the
+    // number of thresholds a draw reaches is its quadrant `q` in 0..4
+    // (top-left, top-right, bottom-left, bottom-right), and `q` is
+    // `2 · source bit + target bit`: the source bit is `q >= 2`, the
+    // target bit is `q`'s parity.
+    let t_a = draw_threshold(params.a);
+    let t_ab = draw_threshold(params.a + params.b);
+    let t_abc = draw_threshold(params.a + params.b + params.c);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut edges = Vec::with_capacity(params.edge_count() as usize);
     for _ in 0..params.edge_count() {
         let (mut u, mut v) = (0u32, 0u32);
         for _ in 0..params.scale {
-            u <<= 1;
-            v <<= 1;
-            let r: f64 = rng.random();
-            if r < params.a {
-                // top-left: neither bit set
-            } else if r < params.a + params.b {
-                v |= 1;
-            } else if r < params.a + params.b + params.c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            let k = rng.next_u64() >> 11;
+            let (ge_a, ge_ab, ge_abc) = (k >= t_a, k >= t_ab, k >= t_abc);
+            u = u << 1 | u32::from(ge_ab);
+            v = v << 1 | u32::from(ge_a ^ ge_ab ^ ge_abc);
         }
-        edges.push((u % n, v % n));
+        edges.push((u, v));
     }
-    CsrGraph::from_edges(n, &edges)
+    CsrGraph::from_edges(params.vertex_count(), &edges)
 }
 
 /// Degree-Based Grouping (Faldu et al., IISWC'19): coarsely reorders
@@ -249,6 +289,75 @@ pub fn degree_based_grouping(graph: &CsrGraph) -> (CsrGraph, Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpage_types::FxHasher;
+    use proptest::prelude::*;
+    use rand::Rng;
+    use std::hash::Hasher;
+
+    /// R-MAT with float draws: one `f64` per level through a three-way
+    /// comparison chain, then `from_edges`. The reference
+    /// `generate_rmat` must match bit for bit.
+    fn generate_rmat_float_oracle(params: &RmatParams, seed: u64) -> CsrGraph {
+        let n = params.vertex_count();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut edges = Vec::with_capacity(params.edge_count() as usize);
+        for _ in 0..params.edge_count() {
+            let (mut u, mut v) = (0u32, 0u32);
+            for _ in 0..params.scale {
+                u <<= 1;
+                v <<= 1;
+                let r: f64 = rng.random();
+                if r < params.a {
+                    // top-left: neither bit set
+                } else if r < params.a + params.b {
+                    v |= 1;
+                } else if r < params.a + params.b + params.c {
+                    u |= 1;
+                } else {
+                    u |= 1;
+                    v |= 1;
+                }
+            }
+            edges.push((u % n, v % n));
+        }
+        CsrGraph::from_edges(n, &edges)
+    }
+
+    /// Relabelling through an explicit edge list and `from_edges`: the
+    /// reference `relabel` must match.
+    fn relabel_via_edges(g: &CsrGraph, perm: &[u32]) -> CsrGraph {
+        let mut edges = Vec::new();
+        for u in 0..g.vertex_count() {
+            for &v in g.neighbors_of(u) {
+                edges.push((perm[u as usize], perm[v as usize]));
+            }
+        }
+        CsrGraph::from_edges(g.vertex_count(), &edges)
+    }
+
+    /// The four presets and the parameter edges of the threshold
+    /// mapping, at `scale`.
+    fn params_under_test(scale: u32) -> Vec<RmatParams> {
+        let with = |a: f64, b: f64, c: f64| RmatParams {
+            scale,
+            edge_factor: 8,
+            a,
+            b,
+            c,
+        };
+        vec![
+            RmatParams::kronecker(scale),
+            RmatParams::social(scale),
+            RmatParams::web(scale),
+            RmatParams::uniform(scale),
+            with(0.0, 0.4, 0.3),           // a = 0
+            with(0.7, 0.0, 0.0),           // b = c = 0
+            with(0.5, 0.25, 0.25),         // a + b + c = 1 exactly
+            with(0.5, 0.25, 0.25 + 1e-10), // d = -1e-10
+            with(0.0, 0.0, 0.0),           // every draw bottom-right
+            with(1.0, 0.0, 0.0),           // every draw top-left
+        ]
+    }
 
     fn path_graph() -> CsrGraph {
         // 0 -> 1 -> 2 -> 3, plus hub 0 -> {2, 3}
@@ -353,5 +462,125 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(degs(&s1), degs(&s2));
+    }
+
+    #[test]
+    fn draw_threshold_decides_every_draw_as_the_float_compare() {
+        let unit = 1.0 / DRAW_VALUES as f64;
+        let ps = [
+            0.0,
+            unit,
+            0.19,
+            0.5,
+            0.57,
+            0.76,
+            0.95,
+            1.0 - unit,
+            1.0,
+            1.0 + 1e-10,
+        ];
+        for p in ps {
+            let t = draw_threshold(p);
+            for k in [t.saturating_sub(1), t, t + 1] {
+                let k = k.min(DRAW_VALUES - 1);
+                assert_eq!(
+                    (k as f64 * unit) < p,
+                    k < t,
+                    "p = {p}, k = {k}, threshold = {t}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// The integer-threshold generator builds exactly the graph the
+        /// float-branch oracle builds, for every parameter set under test.
+        #[test]
+        fn rmat_matches_float_oracle(scale in 1u32..15, seed in any::<u64>()) {
+            for p in params_under_test(scale) {
+                prop_assert_eq!(generate_rmat(&p, seed), generate_rmat_float_oracle(&p, seed));
+            }
+        }
+    }
+
+    /// FxHash of a graph's offsets and neighbours.
+    fn graph_digest(g: &CsrGraph) -> u64 {
+        let mut h = FxHasher::default();
+        for &o in g.offsets() {
+            h.write_u64(o);
+        }
+        for &v in g.neighbors() {
+            h.write_u32(v);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn kronecker_16_digest_is_pinned() {
+        // A change here changes every graph workload's trace, and with it
+        // every pinned digest and golden downstream.
+        let g = generate_rmat(&RmatParams::kronecker(16), 0xC0FFEE);
+        assert_eq!(graph_digest(&g), 1_726_299_722_890_978_864);
+    }
+
+    #[test]
+    fn relabel_matches_the_edge_list_construction() {
+        for (params, seed) in [
+            (RmatParams::kronecker(10), 3),
+            (RmatParams::social(9), 5),
+            (RmatParams::uniform(8), 8),
+        ] {
+            let g = generate_rmat(&params, seed);
+            let (sorted, perm) = degree_based_grouping(&g);
+            assert_eq!(sorted, relabel_via_edges(&g, &perm));
+            // A permutation that moves every vertex.
+            let n = g.vertex_count();
+            let rotate: Vec<u32> = (0..n).map(|u| (u + 1) % n).collect();
+            assert_eq!(g.relabel(&rotate), relabel_via_edges(&g, &rotate));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "quadrant probability a must be a non-negative number")]
+    fn negative_a_is_rejected() {
+        let p = RmatParams {
+            a: -0.1,
+            b: 0.6,
+            c: 0.5,
+            ..RmatParams::kronecker(4)
+        };
+        let _ = generate_rmat(&p, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "quadrant probability c must be a non-negative number")]
+    fn negative_c_is_rejected() {
+        let p = RmatParams {
+            c: -1e-12,
+            ..RmatParams::kronecker(4)
+        };
+        let _ = generate_rmat(&p, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "quadrant probability b must be a non-negative number, got NaN")]
+    fn nan_b_is_rejected() {
+        let p = RmatParams {
+            b: f64::NAN,
+            ..RmatParams::kronecker(4)
+        };
+        let _ = generate_rmat(&p, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "sum to <= 1")]
+    fn oversized_sum_is_rejected() {
+        let p = RmatParams {
+            a: 0.6,
+            b: 0.3,
+            c: 0.2,
+            ..RmatParams::kronecker(4)
+        };
+        let _ = generate_rmat(&p, 1);
     }
 }
