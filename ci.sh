@@ -62,29 +62,30 @@ if ./target/release/hpsim --app bfs --sim-threads 0 --quiet > /dev/null 2>&1; th
     exit 1
 fi
 
-echo "== trace pipeline smoke: record -> mmap replay byte-identical =="
-# Record an HPT2 trace, then replay it through the zero-copy mmap path
-# and the in-memory path: SimReport and event JSONL must be
+echo "== trace pipeline smoke: record -> replay byte-identical =="
+# Record an HPT2 trace and replay it: SimReport and event JSONL must be
 # byte-identical at every --sim-threads/--jobs, including strided
-# multi-thread replay (--threads 4).
+# multi-thread replay (--threads 4). Re-recording the replayed trace
+# must reproduce the file byte for byte.
 HPAGE_PROFILE=test ./target/release/hpsim --app bfs \
     --trace-out /tmp/ci_trace.hpt2 --max-accesses 200000 > /dev/null
 for st in 1 2 8; do
     HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
-        --threads 4 --sim-threads "$st" --events /tmp/ci_mem_$st.jsonl \
-        --quiet > /tmp/ci_mem_$st.txt
-    HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
-        --mmap --threads 4 --sim-threads "$st" --events /tmp/ci_map_$st.jsonl \
-        --quiet > /tmp/ci_map_$st.txt
-    cmp /tmp/ci_mem_$st.txt /tmp/ci_map_$st.txt
-    cmp /tmp/ci_mem_$st.jsonl /tmp/ci_map_$st.jsonl
+        --threads 4 --sim-threads "$st" --events /tmp/ci_replay_$st.jsonl \
+        --quiet > /tmp/ci_replay_$st.txt
 done
-cmp /tmp/ci_mem_1.txt /tmp/ci_mem_8.txt
+for st in 2 8; do
+    cmp /tmp/ci_replay_1.txt /tmp/ci_replay_$st.txt
+    cmp /tmp/ci_replay_1.jsonl /tmp/ci_replay_$st.jsonl
+done
 HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
-    --mmap --threads 4 --jobs 8 --quiet > /tmp/ci_map_j8.txt
+    --threads 4 --jobs 8 --quiet > /tmp/ci_replay_j8.txt
 HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
-    --threads 4 --jobs 1 --quiet > /tmp/ci_mem_j1.txt
-cmp /tmp/ci_mem_j1.txt /tmp/ci_map_j8.txt
+    --threads 4 --jobs 1 --quiet > /tmp/ci_replay_j1.txt
+cmp /tmp/ci_replay_j1.txt /tmp/ci_replay_j8.txt
+HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
+    --trace-out /tmp/ci_trace_again.hpt2 --max-accesses 200000 > /dev/null
+cmp /tmp/ci_trace.hpt2 /tmp/ci_trace_again.hpt2
 
 echo "== consolidation smoke: 32 tenants, fairness + storms in artifact =="
 HPAGE_PROFILE=test ./target/release/repro --consolidation --tenants 32 \

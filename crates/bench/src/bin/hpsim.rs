@@ -20,9 +20,7 @@ use hpage_os::{read_schedule, write_schedule, DegradationConfig, PromotionBudget
 use hpage_perf::{fmt_pct, fmt_speedup, TextTable};
 use hpage_sim::{JsonlSink, PolicyChoice, ProcessSpec, SimReport, Simulation, Tee};
 use hpage_telemetry::TelemetryRecorder;
-use hpage_trace::{
-    instantiate, AnyWorkload, AppId, Dataset, Hpt2Writer, MmapTrace, RecordedWorkload, Workload,
-};
+use hpage_trace::{instantiate, AnyWorkload, AppId, Dataset, Hpt2Writer, MmapTrace, Workload};
 use hpage_types::{derive_seed, NestedConfig, PccPlacement, ProcessId, PromotionPolicyKind};
 use std::fs::File;
 use std::io::BufWriter;
@@ -34,8 +32,7 @@ const USAGE: &str = "usage: hpsim --app <bfs|sssp|pr|canneal|omnetpp|xalancbmk|d
              [--threads N] [--frag PCT] [--budget-pct PCT] [--seed N] [--max-accesses N]
              [--nested] [--pcc-placement guest|host|both|none]
              [--jobs N|-j N] [--sim-threads N] [--schedule-out FILE] [--schedule-in FILE] [--trace-out FILE]
-             [--trace-in FILE] [--mmap]
-             [--trace-info FILE] [--events FILE] [--metrics FILE]
+             [--trace-in FILE] [--trace-info FILE] [--events FILE] [--metrics FILE]
              [--ledger] [--chrome-trace FILE] [--faults FILE] [--no-degrade]
              [--audit] [--throughput] [--quiet|-q] [--verbose|-v]
 parallelism: --jobs 2+ runs the 4KB baseline concurrently with the
@@ -53,9 +50,10 @@ virtualization: --nested runs the workload as a VM under nested (2D)
              runs the full four-placement ablation
 tracing:     --trace-out dumps the access stream as an HPT2 trace (blocked,
              with per-block restart points and checksums); --trace-in
-             replays a recorded HPT2 trace; --mmap replays it straight out
-             of the file mapping (zero-copy, no in-memory decode) — reports
-             are byte-identical to the in-memory path
+             replays a recorded HPT2 trace straight out of the file mapping
+             (FILE must be a regular file, validated in full before the run;
+             --threads N splits its records round-robin over N cores);
+             --trace-info summarises one
 flight recorder: --events streams every simulation event (TLB hits, walks,
              faults, PCC updates, promotions, shootdowns, interval snapshots)
              as JSON Lines; --metrics writes the per-interval series plus the
@@ -114,7 +112,6 @@ struct Options {
     schedule_in: Option<String>,
     trace_out: Option<String>,
     trace_in: Option<String>,
-    mmap: bool,
     trace_info: Option<String>,
     events: Option<String>,
     metrics: Option<String>,
@@ -149,7 +146,6 @@ fn parse_args() -> Options {
         schedule_in: None,
         trace_out: None,
         trace_in: None,
-        mmap: false,
         trace_info: None,
         events: None,
         metrics: None,
@@ -258,7 +254,6 @@ fn parse_args() -> Options {
             "--schedule-in" => opts.schedule_in = Some(value(&mut i)),
             "--trace-out" => opts.trace_out = Some(value(&mut i)),
             "--trace-in" => opts.trace_in = Some(value(&mut i)),
-            "--mmap" => opts.mmap = true,
             "--nested" => opts.nested = true,
             "--pcc-placement" => {
                 let raw = value(&mut i);
@@ -291,8 +286,7 @@ fn parse_args() -> Options {
 
 enum AnyOrRecorded {
     Builtin(AnyWorkload),
-    Recorded(RecordedWorkload),
-    /// `--mmap`: replayed straight out of the file mapping.
+    /// `--trace-in`: replayed straight out of the file mapping.
     Mapped(MmapTrace),
 }
 
@@ -307,23 +301,32 @@ impl AnyOrRecorded {
     fn as_workload(&self) -> &dyn Workload {
         match self {
             AnyOrRecorded::Builtin(w) => w,
-            AnyOrRecorded::Recorded(w) => w,
             AnyOrRecorded::Mapped(w) => w,
         }
     }
 }
 
+/// Maps and validates the HPT2 trace at `path`; any failure is a usage
+/// error (exit 2).
+fn open_trace(path: &str) -> MmapTrace {
+    MmapTrace::open(format!("recorded:{path}"), std::path::Path::new(path)).unwrap_or_else(|e| {
+        let verb = match e.kind() {
+            std::io::ErrorKind::InvalidData | std::io::ErrorKind::UnexpectedEof => "parse",
+            _ => "open",
+        };
+        die(&format!("{verb} {path}: {e}"))
+    })
+}
+
 fn trace_info(path: &str) -> ! {
     use hpage_trace::ReuseAnalyzer;
-    let file = File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-    let w = RecordedWorkload::from_reader(path, std::io::BufReader::new(file))
-        .unwrap_or_else(|e| die(&format!("parse {path}: {e}")));
+    let w = open_trace(path);
     let mut analyzer = ReuseAnalyzer::new();
     analyzer.observe_all(w.trace());
     let (friendly, hubs, low) = analyzer.class_counts();
     let total = (friendly + hubs + low).max(1);
     let mut t = TextTable::new(["property", "value"]);
-    t.row(["records".into(), w.len().to_string()]);
+    t.row(["records".into(), w.records().to_string()]);
     t.row([
         "footprint".into(),
         format!("{} KiB", w.footprint_bytes() >> 10),
@@ -363,20 +366,7 @@ fn main() {
     }
     let profile = profile_from_env();
     let holder = match &opts.trace_in {
-        Some(path) if opts.mmap => {
-            let w = MmapTrace::open(format!("mapped:{path}"), std::path::Path::new(path))
-                .unwrap_or_else(|e| die(&format!("mmap {path}: {e} (--mmap needs HPT2)")));
-            AnyOrRecorded::Mapped(w)
-        }
-        Some(path) => {
-            let file = File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-            let w = RecordedWorkload::from_reader(
-                format!("recorded:{path}"),
-                std::io::BufReader::new(file),
-            )
-            .unwrap_or_else(|e| die(&format!("parse {path}: {e}")));
-            AnyOrRecorded::Recorded(w)
-        }
+        Some(path) => AnyOrRecorded::Mapped(open_trace(path)),
         None => AnyOrRecorded::Builtin(instantiate(
             opts.app,
             opts.dataset,

@@ -1,7 +1,9 @@
-//! Error paths of the `hpsim` command line for inputs it no longer
-//! accepts: a trace in the retired `HPT1` container and the retired
-//! flag that chose between containers. Each must be a usage error
-//! (exit 2) with a message naming the problem, never a panic.
+//! Error paths of the `hpsim` command line for inputs it does not
+//! accept: a trace in the retired `HPT1` container, an `HPT2` trace with
+//! junk after its end magic, a path that is not a regular file, and the
+//! retired flags that chose between containers and between replay
+//! paths. Each must be a usage error (exit 2) with a message naming the
+//! problem, never a panic.
 
 use std::process::{Command, Output};
 
@@ -24,10 +26,16 @@ fn assert_usage_error(out: &Output, needle: &str) {
     );
 }
 
-#[test]
-fn hpt1_trace_is_rejected_with_and_without_mmap() {
+/// A unique temp path for this test process.
+fn temp_path(name: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
-    path.push(format!("hpage-hpsim-cli-{}.hpt1", std::process::id()));
+    path.push(format!("hpage-hpsim-cli-{}-{name}", std::process::id()));
+    path
+}
+
+#[test]
+fn hpt1_trace_is_rejected() {
+    let path = temp_path("trace.hpt1");
     // An HPT1 header followed by one record: header byte, varint delta.
     std::fs::write(&path, b"HPT1\x00\x02").unwrap();
     let p = path.to_str().unwrap();
@@ -35,15 +43,44 @@ fn hpt1_trace_is_rejected_with_and_without_mmap() {
     let out = hpsim(&["--trace-in", p, "--quiet"]);
     assert_usage_error(&out, &format!("hpsim: parse {p}: not an HPT2 trace file"));
 
-    let out = hpsim(&["--trace-in", p, "--mmap", "--quiet"]);
-    assert_usage_error(&out, &format!("hpsim: mmap {p}: not an HPT2 trace file"));
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn trace_with_trailing_bytes_is_rejected() {
+    let path = temp_path("trailing.hpt2");
+    let p = path.to_str().unwrap();
+    let out = hpsim(&["--app", "bfs", "--trace-out", p, "--max-accesses", "5000"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    // Junk after the `2TPH` end magic.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(&[0xAB; 8]);
+    std::fs::write(&path, bytes).unwrap();
+
+    let want = format!("hpsim: parse {p}: HPT2 trace has trailing bytes");
+    assert_usage_error(&hpsim(&["--trace-in", p, "--quiet"]), &want);
+    assert_usage_error(&hpsim(&["--trace-info", p]), &want);
 
     std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
+fn non_regular_trace_is_rejected() {
+    // Replay memory-maps the trace; a directory (like a pipe) cannot be.
+    let dir = std::env::temp_dir();
+    let d = dir.to_str().unwrap();
+    let want = format!("hpsim: open {d}: HPT2 replay needs a regular file");
+    assert_usage_error(&hpsim(&["--trace-in", d, "--quiet"]), &want);
+    assert_usage_error(&hpsim(&["--trace-info", d]), &want);
+}
+
+#[test]
 fn container_flag_is_an_unknown_argument() {
-    let flag = "--trace-format";
-    let out = hpsim(&["--app", "bfs", flag, "hpt2", "--quiet"]);
-    assert_usage_error(&out, &format!("hpsim: unknown argument '{flag}'"));
+    for args in [&["--trace-format", "hpt2"][..], &["--mmap"]] {
+        let mut argv = vec!["--app", "bfs"];
+        argv.extend_from_slice(args);
+        argv.push("--quiet");
+        let out = hpsim(&argv);
+        assert_usage_error(&out, &format!("hpsim: unknown argument '{}'", args[0]));
+    }
 }

@@ -48,6 +48,7 @@
 
 pub mod json;
 
+use hpage_obs::json::esc;
 use hpage_types::HpageError;
 use json::Value;
 
@@ -369,25 +370,6 @@ fn fault_err(reason: impl Into<String>) -> HpageError {
     HpageError::Fault {
         reason: reason.into(),
     }
-}
-
-// Plan names come from user JSON; keep them from breaking the emitted
-// document. Mirrors hpage-obs::json::esc (obs is not a dependency here
-// to keep faults at the bottom of the graph next to types).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The faults in force for one promotion interval, as computed by

@@ -254,17 +254,6 @@ impl Workload for AnyWorkload {
         }
     }
 
-    fn thread_trace(
-        &self,
-        thread: u32,
-        threads: u32,
-    ) -> Box<dyn Iterator<Item = hpage_types::MemoryAccess> + Send + '_> {
-        match self {
-            AnyWorkload::Graph(w) => w.thread_trace(thread, threads),
-            AnyWorkload::Synth(w) => w.thread_trace(thread, threads),
-        }
-    }
-
     fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
         match self {
             AnyWorkload::Graph(w) => w.thread_stream(thread, threads),

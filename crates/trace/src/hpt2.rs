@@ -40,8 +40,7 @@
 //! loop and windows borrowed straight from the decode buffer.
 
 use crate::mmap::{Advice, Mmap};
-use crate::recorded::coalesce_sorted_indices;
-use crate::workload::{StreamIter, TraceStream, Workload};
+use crate::workload::{TraceStream, Workload};
 use hpage_types::{AccessKind, MemoryAccess, PageSize, Region, VirtAddr};
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -281,13 +280,12 @@ impl<W: Write> Hpt2Writer<W> {
     }
 }
 
-/// Strictly decodes one block payload, appending records to `out` and
-/// observing regions. Errors if the payload and record count disagree
+/// Strictly decodes one block payload, observing the regions of its
+/// records. Errors if the payload and record count disagree
 /// in any way (short payload, trailing bytes, non-canonical varint).
 fn decode_block_strict(
     payload: &[u8],
     n_records: u32,
-    out: &mut Vec<MemoryAccess>,
     regions: &mut RegionTracker,
 ) -> io::Result<()> {
     let mut slice = payload;
@@ -306,13 +304,7 @@ fn decode_block_strict(
         };
         let addr = (prev_addr as i64).wrapping_add(delta) as u64;
         prev_addr = addr;
-        let access = if header[0] & 1 == 1 {
-            MemoryAccess::write(VirtAddr::new(addr))
-        } else {
-            MemoryAccess::read(VirtAddr::new(addr))
-        };
-        regions.observe(access.addr);
-        out.push(access);
+        regions.observe(VirtAddr::new(addr));
     }
     if !slice.is_empty() {
         return Err(invalid("HPT2 block has bytes after its last record"));
@@ -322,11 +314,24 @@ fn decode_block_strict(
 
 /// Fast-path decode of an already-validated block payload (no error
 /// paths: [`MmapTrace::open`] proved the payload well-formed).
-fn decode_block_trusted(payload: &[u8], n_records: u32, out: &mut Vec<MemoryAccess>) {
+///
+/// Keeps records `skip, skip + stride, …` of the block in `out` — every
+/// record when `skip == 0, stride == 1`, one core's round-robin share
+/// otherwise. The delta chain still decodes every record; only the kept
+/// ones are stored. Returns how many records the next block must skip
+/// to continue the partition.
+fn decode_block_trusted(
+    payload: &[u8],
+    n_records: u32,
+    skip: usize,
+    stride: usize,
+    out: &mut Vec<MemoryAccess>,
+) -> usize {
     out.clear();
     let mut pos = 0usize;
     let mut prev_addr = 0u64;
-    for _ in 0..n_records {
+    let mut keep = skip;
+    for i in 0..n_records as usize {
         let header = payload[pos];
         pos += 1;
         let mut v = 0u64;
@@ -342,222 +347,47 @@ fn decode_block_trusted(payload: &[u8], n_records: u32, out: &mut Vec<MemoryAcce
         }
         let addr = (prev_addr as i64).wrapping_add(unzigzag(v)) as u64;
         prev_addr = addr;
-        out.push(if header & 1 == 1 {
-            MemoryAccess::write(VirtAddr::new(addr))
-        } else {
-            MemoryAccess::read(VirtAddr::new(addr))
-        });
+        if i == keep {
+            keep += stride;
+            out.push(if header & 1 == 1 {
+                MemoryAccess::write(VirtAddr::new(addr))
+            } else {
+                MemoryAccess::read(VirtAddr::new(addr))
+            });
+        }
     }
     debug_assert_eq!(pos, payload.len(), "validated block decoded short");
+    keep - n_records as usize
 }
 
-/// Streaming `HPT2` reader over any `Read`. Implements
-/// `Iterator<Item = io::Result<MemoryAccess>>`; block checksums and the
-/// trailer are verified as the stream crosses them, so a corrupted file
-/// yields an error, never silently wrong records.
-#[derive(Debug)]
-pub struct Hpt2Reader<R: Read> {
-    reader: R,
-    block_records: u32,
-    block: Vec<u8>,
-    pos: usize,
-    remaining_in_block: u32,
-    prev_addr: u64,
-    total_read: u64,
-    regions: RegionTracker,
-    state: ReaderState,
-}
+/// Index of the last 2 MiB page of the 64-bit address space.
+const TOP_HUGE_PAGE: u64 = u64::MAX / (2 << 20);
 
-#[derive(Debug, PartialEq, Eq)]
-enum ReaderState {
-    Streaming,
-    /// Terminator seen and trailer verified; iterator is done.
-    Finished,
-    /// An error was yielded; the iterator is fused.
-    Failed,
-}
-
-impl<R: Read> Hpt2Reader<R> {
-    /// Opens a trace, validating the header.
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on a magic mismatch or a zero block size,
-    /// or any I/O error.
-    pub fn new(mut reader: R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        reader.read_exact(&mut magic)?;
-        if &magic != HPT2_MAGIC {
-            return Err(invalid("not an HPT2 trace file"));
-        }
-        let mut le = [0u8; 4];
-        reader.read_exact(&mut le)?;
-        let block_records = u32::from_le_bytes(le);
-        if block_records == 0 {
-            return Err(invalid("HPT2 header has zero block size"));
-        }
-        Ok(Hpt2Reader {
-            reader,
-            block_records,
-            block: Vec::new(),
-            pos: 0,
-            remaining_in_block: 0,
-            prev_addr: 0,
-            total_read: 0,
-            regions: RegionTracker::default(),
-            state: ReaderState::Streaming,
-        })
-    }
-
-    fn read_u32(&mut self) -> io::Result<u32> {
-        let mut le = [0u8; 4];
-        self.reader.read_exact(&mut le)?;
-        Ok(u32::from_le_bytes(le))
-    }
-
-    fn read_u64(&mut self) -> io::Result<u64> {
-        let mut le = [0u8; 8];
-        self.reader.read_exact(&mut le)?;
-        Ok(u64::from_le_bytes(le))
-    }
-
-    /// Loads and checksums the next block; `Ok(false)` at the
-    /// terminator (after trailer validation).
-    fn next_block(&mut self) -> io::Result<bool> {
-        let payload_len = self.read_u32()?;
-        let n_records = self.read_u32()?;
-        if payload_len == 0 && n_records == 0 {
-            self.validate_trailer()?;
-            return Ok(false);
-        }
-        if payload_len == 0 || n_records == 0 || n_records > self.block_records {
-            return Err(invalid("HPT2 block header out of range"));
-        }
-        let checksum = self.read_u64()?;
-        self.block.resize(payload_len as usize, 0);
-        self.reader.read_exact(&mut self.block)?;
-        if fnv1a64(&self.block) != checksum {
-            return Err(invalid("HPT2 block checksum mismatch"));
-        }
-        // Record count vs payload agreement is enforced as records are
-        // decoded (short payload or trailing bytes both error).
-        self.pos = 0;
-        self.remaining_in_block = n_records;
-        self.prev_addr = 0;
-        Ok(true)
-    }
-
-    fn validate_trailer(&mut self) -> io::Result<()> {
-        let mut trailer = Vec::new();
-        let total = self.read_u64()?;
-        trailer.extend_from_slice(&total.to_le_bytes());
-        let mut varint_buf = VarintCapture {
-            reader: &mut self.reader,
-            captured: &mut trailer,
-        };
-        let count = read_varint(&mut varint_buf)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated trailer"))?;
-        let mut indices = Vec::new();
-        let mut prev = 0u64;
-        for i in 0..count {
-            let delta = read_varint(&mut varint_buf)?
-                .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "truncated trailer"))?;
-            if i > 0 && delta == 0 {
-                return Err(invalid("HPT2 trailer regions not strictly increasing"));
+/// Coalesces a sorted, deduplicated list of 2 MiB region indices into
+/// maximal contiguous [`Region`]s: the footprint [`MmapTrace`] derives
+/// from the trailer's touched-region set.
+fn coalesce_sorted_indices(indices: &[u64]) -> Vec<Region> {
+    let mut regions = Vec::new();
+    let mut run: Option<(u64, u64)> = None; // (first, last)
+    for &idx in indices {
+        run = match run {
+            Some((first, last)) if last + 1 == idx => Some((first, idx)),
+            Some((first, last)) => {
+                regions.push(span(first, last));
+                Some((idx, idx))
             }
-            prev = prev
-                .checked_add(delta)
-                .ok_or_else(|| invalid("HPT2 trailer region index overflow"))?;
-            indices.push(prev);
-        }
-        let checksum = self.read_u64()?;
-        if fnv1a64(&trailer) != checksum {
-            return Err(invalid("HPT2 trailer checksum mismatch"));
-        }
-        let mut end = [0u8; 4];
-        self.reader.read_exact(&mut end)?;
-        if &end != END_MAGIC {
-            return Err(invalid("HPT2 end magic mismatch"));
-        }
-        if total != self.total_read {
-            return Err(invalid("HPT2 trailer record count mismatch"));
-        }
-        let observed = std::mem::take(&mut self.regions).into_sorted();
-        if observed != indices {
-            return Err(invalid("HPT2 trailer region set disagrees with records"));
-        }
-        Ok(())
-    }
-
-    fn next_record(&mut self) -> io::Result<Option<MemoryAccess>> {
-        while self.remaining_in_block == 0 {
-            if !self.next_block()? {
-                self.state = ReaderState::Finished;
-                return Ok(None);
-            }
-        }
-        let mut slice = &self.block[self.pos..];
-        let before = slice.len();
-        let mut header = [0u8; 1];
-        slice
-            .read_exact(&mut header)
-            .map_err(|_| invalid("HPT2 block shorter than its record count"))?;
-        if header[0] & !1 != 0 {
-            return Err(invalid("HPT2 record header has reserved bits set"));
-        }
-        let delta = match read_varint(&mut slice)? {
-            Some(v) => unzigzag(v),
-            None => return Err(invalid("HPT2 block shorter than its record count")),
+            None => Some((idx, idx)),
         };
-        self.pos += before - slice.len();
-        let addr = (self.prev_addr as i64).wrapping_add(delta) as u64;
-        self.prev_addr = addr;
-        self.remaining_in_block -= 1;
-        if self.remaining_in_block == 0 && self.pos != self.block.len() {
-            return Err(invalid("HPT2 block has bytes after its last record"));
-        }
-        self.total_read += 1;
-        let access = if header[0] & 1 == 1 {
-            MemoryAccess::write(VirtAddr::new(addr))
-        } else {
-            MemoryAccess::read(VirtAddr::new(addr))
-        };
-        self.regions.observe(access.addr);
-        Ok(Some(access))
     }
+    if let Some((first, last)) = run {
+        regions.push(span(first, last));
+    }
+    regions
 }
 
-/// `Read` shim that tees every byte it passes through into a capture
-/// buffer — used to checksum the trailer varints while parsing them.
-struct VarintCapture<'a, R: Read> {
-    reader: &'a mut R,
-    captured: &'a mut Vec<u8>,
-}
-
-impl<R: Read> Read for VarintCapture<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.reader.read(buf)?;
-        self.captured.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-}
-
-impl<R: Read> Iterator for Hpt2Reader<R> {
-    type Item = io::Result<MemoryAccess>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.state != ReaderState::Streaming {
-            return None;
-        }
-        match self.next_record() {
-            Ok(Some(a)) => Some(Ok(a)),
-            Ok(None) => None,
-            Err(e) => {
-                self.state = ReaderState::Failed;
-                Some(Err(e))
-            }
-        }
-    }
+fn span(first: u64, last: u64) -> Region {
+    let bytes = PageSize::Huge2M.bytes();
+    Region::new(VirtAddr::new(first * bytes), (last - first + 1) * bytes)
 }
 
 /// Offsets of one validated block inside the mapping.
@@ -593,9 +423,17 @@ impl MmapTrace {
     /// Any structural problem — bad magic, checksum mismatch, block
     /// counts disagreeing with payloads, truncation, trailing bytes,
     /// trailer totals or regions disagreeing with the records — is
-    /// `InvalidData`/`UnexpectedEof`; OS errors pass through.
+    /// `InvalidData`/`UnexpectedEof`. A path that is not a regular file
+    /// (a pipe, a directory) is `InvalidInput`: it cannot be mapped. OS
+    /// errors pass through.
     pub fn open(name: impl Into<String>, path: &Path) -> io::Result<Self> {
         let file = File::open(path)?;
+        if !file.metadata()?.is_file() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "HPT2 replay needs a regular file (it is memory-mapped)",
+            ));
+        }
         let map = Mmap::map_file(&file)?;
         map.advise(Advice::Sequential);
         map.advise(Advice::WillNeed);
@@ -613,7 +451,6 @@ impl MmapTrace {
         let mut blocks = Vec::new();
         let mut total = 0u64;
         let mut regions = RegionTracker::default();
-        let mut scratch = Vec::new();
         loop {
             let header = bytes.get(pos..pos + 8).ok_or_else(truncated)?;
             let payload_len = u32::from_le_bytes(header[..4].try_into().unwrap());
@@ -634,8 +471,7 @@ impl MmapTrace {
             if fnv1a64(payload) != checksum {
                 return Err(invalid("HPT2 block checksum mismatch"));
             }
-            scratch.clear();
-            decode_block_strict(payload, n_records, &mut scratch, &mut regions)?;
+            decode_block_strict(payload, n_records, &mut regions)?;
             blocks.push(BlockMeta {
                 payload_start: pos,
                 payload_len,
@@ -688,6 +524,13 @@ impl MmapTrace {
         if observed != indices {
             return Err(invalid("HPT2 trailer region set disagrees with records"));
         }
+        // A `Region` ends at an exclusive u64 address, so the last 2 MiB
+        // page of the address space has no footprint to report.
+        if observed.last() == Some(&TOP_HUGE_PAGE) {
+            return Err(invalid(
+                "HPT2 trace touches the top 2 MiB page of the address space",
+            ));
+        }
 
         Ok(MmapTrace {
             name: name.into(),
@@ -722,7 +565,7 @@ impl MmapTrace {
             buf: Vec::new(),
             pos: 0,
             stride: threads as usize,
-            phase_skip: thread as usize,
+            skip: thread as usize,
             gather: Vec::new(),
             win: Win::Buf { start: 0, len: 0 },
         }
@@ -738,15 +581,9 @@ impl Workload for MmapTrace {
         self.regions.clone()
     }
 
-    fn thread_trace(
-        &self,
-        thread: u32,
-        threads: u32,
-    ) -> Box<dyn Iterator<Item = MemoryAccess> + Send + '_> {
-        // Same round-robin record partition as RecordedWorkload.
-        Box::new(StreamIter::new(self.stream_for(thread, threads)))
-    }
-
+    /// A recorded trace is one thread's stream; replayed across
+    /// `threads` cores it is partitioned round-robin by record, so core
+    /// `thread` replays records `thread, thread + threads, …`.
     fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
         Box::new(self.stream_for(thread, threads))
     }
@@ -755,29 +592,28 @@ impl Workload for MmapTrace {
 /// Where the current window lives.
 #[derive(Debug, Clone, Copy)]
 enum Win {
-    /// Subslice of the decoded block buffer (single-threaded fast path).
+    /// Subslice of the decoded block buffer.
     Buf { start: usize, len: usize },
-    /// The gather buffer (block-boundary or strided windows).
+    /// The gather buffer (block-boundary windows).
     Gather,
 }
 
 /// Replay stream over an [`MmapTrace`].
 ///
-/// Single-threaded replay hands out windows that are direct subslices
-/// of the decoded block buffer; only windows straddling a block
-/// boundary (1 in `block_records / window` calls) are gathered.
-/// Strided replay (multi-core partitions) always gathers its every
-/// `stride`-th records.
+/// Each block is decoded into `buf` keeping only this core's records
+/// (all of them single-threaded, every `stride`-th when the trace is
+/// partitioned over cores). Windows are direct subslices of `buf`; only
+/// windows straddling a block boundary are gathered.
 pub struct Hpt2Stream<'a> {
     trace: &'a MmapTrace,
     next_block: usize,
-    /// Decoded records of the current block.
+    /// This core's decoded records of the current block.
     buf: Vec<MemoryAccess>,
     /// Consumed prefix of `buf`.
     pos: usize,
     stride: usize,
-    /// Records still to skip before the next strided pick.
-    phase_skip: usize,
+    /// Records the next block skips before this core's first pick.
+    skip: usize,
     gather: Vec<MemoryAccess>,
     win: Win,
 }
@@ -785,62 +621,43 @@ pub struct Hpt2Stream<'a> {
 impl Hpt2Stream<'_> {
     /// Decodes the next block into `buf`; false when none remain.
     fn advance_block(&mut self) -> bool {
+        self.pos = 0;
         let Some(&meta) = self.trace.blocks.get(self.next_block) else {
             self.buf.clear();
-            self.pos = 0;
             return false;
         };
-        decode_block_trusted(
+        self.skip = decode_block_trusted(
             self.trace.payload(self.next_block),
             meta.n_records,
+            self.skip,
+            self.stride,
             &mut self.buf,
         );
         self.next_block += 1;
-        self.pos = 0;
         true
     }
 }
 
 impl TraceStream for Hpt2Stream<'_> {
     fn next_window(&mut self, max: usize) -> &[MemoryAccess] {
-        if self.stride == 1 {
-            if self.pos + max <= self.buf.len() {
-                let start = self.pos;
-                self.pos += max;
-                self.win = Win::Buf { start, len: max };
-                return &self.buf[start..start + max];
-            }
-            // Block boundary: gather the tail, then heads of following
-            // blocks until the window is full or the trace ends.
-            self.gather.clear();
-            self.gather.extend_from_slice(&self.buf[self.pos..]);
-            self.pos = self.buf.len();
-            while self.gather.len() < max {
-                if !self.advance_block() {
-                    break;
-                }
-                let take = (max - self.gather.len()).min(self.buf.len());
-                self.gather.extend_from_slice(&self.buf[..take]);
-                self.pos = take;
-            }
-            self.win = Win::Gather;
-            return &self.gather;
+        if self.pos + max <= self.buf.len() {
+            let start = self.pos;
+            self.pos += max;
+            self.win = Win::Buf { start, len: max };
+            return &self.buf[start..start + max];
         }
-        // Strided partition: pick every stride-th record.
+        // Block boundary: gather the tail, then heads of following
+        // blocks until the window is full or the trace ends.
         self.gather.clear();
+        self.gather.extend_from_slice(&self.buf[self.pos..]);
+        self.pos = self.buf.len();
         while self.gather.len() < max {
-            let avail = self.buf.len() - self.pos;
-            if self.phase_skip >= avail {
-                self.phase_skip -= avail;
-                if !self.advance_block() {
-                    break;
-                }
-                continue;
+            if !self.advance_block() {
+                break;
             }
-            self.pos += self.phase_skip;
-            self.gather.push(self.buf[self.pos]);
-            self.pos += 1;
-            self.phase_skip = self.stride - 1;
+            let take = (max - self.gather.len()).min(self.buf.len());
+            self.gather.extend_from_slice(&self.buf[..take]);
+            self.pos = take;
         }
         self.win = Win::Gather;
         &self.gather
@@ -857,7 +674,6 @@ impl TraceStream for Hpt2Stream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorded::RecordedWorkload;
 
     fn acc(addr: u64) -> MemoryAccess {
         MemoryAccess::read(VirtAddr::new(addr))
@@ -885,33 +701,74 @@ mod tests {
         buf
     }
 
-    fn temp_trace(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+    /// Writes `bytes` to a temp file, opens it and removes the file (the
+    /// mapping outlives the directory entry).
+    fn open_bytes(name: &str, bytes: &[u8]) -> io::Result<MmapTrace> {
         let mut p = std::env::temp_dir();
         p.push(format!("hpage-hpt2-test-{}-{name}", std::process::id()));
         std::fs::write(&p, bytes).unwrap();
-        p
+        let opened = MmapTrace::open("t", &p);
+        std::fs::remove_file(&p).unwrap();
+        opened
+    }
+
+    fn roundtrip(name: &str, accesses: &[MemoryAccess], block_records: u32) -> MmapTrace {
+        let m = open_bytes(name, &encode(accesses, block_records)).unwrap();
+        assert_eq!(m.records(), accesses.len() as u64);
+        let replayed: Vec<MemoryAccess> = m.trace().collect();
+        assert_eq!(replayed, accesses);
+        m
+    }
+
+    /// The footprint oracle: the regions cover exactly the touched 2 MiB
+    /// pages, in order, and no two of them are adjacent (maximal runs).
+    fn assert_footprint(m: &MmapTrace, accesses: &[MemoryAccess]) {
+        let huge = PageSize::Huge2M.bytes();
+        let touched: BTreeSet<u64> = accesses.iter().map(|a| a.addr.raw() / huge).collect();
+        let regions = m.regions();
+        let covered: Vec<u64> = regions
+            .iter()
+            .flat_map(|r| r.start().raw() / huge..r.end().raw() / huge)
+            .collect();
+        assert_eq!(covered, touched.into_iter().collect::<Vec<_>>());
+        for pair in regions.windows(2) {
+            assert!(pair[0].end() < pair[1].start(), "{pair:?} not maximal");
+        }
+        assert_eq!(m.footprint_bytes(), covered.len() as u64 * huge);
+    }
+
+    /// Drains a stream window by window, checking the window protocol.
+    fn drain(s: &mut dyn TraceStream, max: usize) -> Vec<MemoryAccess> {
+        let mut got = Vec::new();
+        loop {
+            let win = s.next_window(max).to_vec();
+            assert_eq!(win, s.window(), "window() must re-borrow");
+            got.extend_from_slice(&win);
+            if win.len() < max {
+                break;
+            }
+        }
+        assert!(
+            s.next_window(max).is_empty(),
+            "exhausted stream stays empty"
+        );
+        got
     }
 
     #[test]
     fn empty_roundtrip() {
-        let bytes = encode(&[], 8);
-        let back: Vec<MemoryAccess> = Hpt2Reader::new(bytes.as_slice())
-            .unwrap()
-            .collect::<io::Result<Vec<_>>>()
-            .unwrap();
-        assert!(back.is_empty());
+        let m = roundtrip("empty", &[], 8);
+        assert_eq!(m.block_count(), 0);
+        assert!(m.regions().is_empty());
+        assert_eq!(m.footprint_bytes(), 0);
     }
 
     #[test]
     fn multi_block_roundtrip() {
         let accesses = sample_trace(1000);
         // Block size 64 → 15 full blocks + a 40-record tail.
-        let bytes = encode(&accesses, 64);
-        let back: Vec<MemoryAccess> = Hpt2Reader::new(bytes.as_slice())
-            .unwrap()
-            .collect::<io::Result<Vec<_>>>()
-            .unwrap();
-        assert_eq!(back, accesses);
+        let m = roundtrip("multi", &accesses, 64);
+        assert_eq!(m.block_count(), 16);
     }
 
     #[test]
@@ -923,64 +780,103 @@ mod tests {
             MemoryAccess::write(VirtAddr::new(1u64 << 63)),
             acc(u64::MAX - 1),
         ];
-        let bytes = encode(&accesses, 2);
-        let back: Vec<MemoryAccess> = Hpt2Reader::new(bytes.as_slice())
-            .unwrap()
-            .collect::<io::Result<Vec<_>>>()
-            .unwrap();
-        assert_eq!(back, accesses);
-    }
-
-    #[test]
-    fn from_reader_replays_hpt2() {
-        let accesses = sample_trace(300);
-        let bytes = encode(&accesses, 32);
-        let w = RecordedWorkload::from_reader("t", bytes.as_slice()).unwrap();
-        let replayed: Vec<MemoryAccess> = w.trace().collect();
-        assert_eq!(replayed, accesses);
+        // The codec carries every u64, but the top 2 MiB page has no
+        // `Region` (its exclusive end would be 2^64): a typed error, not
+        // a panic while building the footprint.
+        let err = open_bytes("extreme", &encode(&accesses, 2)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("top 2 MiB page"), "{err}");
+        // One page lower, the same wrapping deltas round-trip.
+        let below_top = u64::MAX - PageSize::Huge2M.bytes();
+        let accesses: Vec<MemoryAccess> = accesses
+            .iter()
+            .map(|a| MemoryAccess {
+                addr: VirtAddr::new(a.addr.raw().min(below_top)),
+                ..*a
+            })
+            .collect();
+        roundtrip("extreme", &accesses, 2);
     }
 
     #[test]
     fn mmap_trace_replays_identically() {
         let accesses = sample_trace(2000);
-        let bytes = encode(&accesses, 128);
-        let path = temp_trace("replay", &bytes);
-        let m = MmapTrace::open("t", &path).unwrap();
-        assert_eq!(m.records(), 2000);
+        let m = roundtrip("replay", &accesses, 128);
         assert_eq!(m.block_count(), 2000 / 128 + 1);
-        let replayed: Vec<MemoryAccess> = m.trace().collect();
-        assert_eq!(replayed, accesses);
-        // Footprint must byte-match the in-memory path.
-        let in_mem = RecordedWorkload::new("t", accesses);
-        assert_eq!(m.regions(), in_mem.regions());
-        assert_eq!(m.footprint_bytes(), in_mem.footprint_bytes());
-        std::fs::remove_file(&path).unwrap();
+        assert_footprint(&m, &accesses);
     }
 
     #[test]
-    fn mmap_stream_windows_match_thread_trace() {
+    fn footprint_coalesces_contiguous_regions() {
+        let mb2 = PageSize::Huge2M.bytes();
+        let accesses = [
+            acc(0),            // region 0
+            acc(mb2 + 5),      // region 1 (contiguous with 0)
+            acc(10 * mb2 + 9), // region 10 (separate)
+        ];
+        let m = roundtrip("coalesce", &accesses, 2);
+        assert_eq!(m.regions().len(), 2);
+        assert_eq!(m.footprint_bytes(), 3 * mb2);
+        assert_footprint(&m, &accesses);
+    }
+
+    #[test]
+    fn strided_streams_replay_the_round_robin_partition() {
         let accesses = sample_trace(700);
-        let bytes = encode(&accesses, 64);
-        let path = temp_trace("windows", &bytes);
-        let m = MmapTrace::open("t", &path).unwrap();
-        let in_mem = RecordedWorkload::new("t", accesses);
-        for (thread, threads) in [(0, 1), (0, 2), (1, 2), (3, 4)] {
-            let expect: Vec<MemoryAccess> = in_mem.thread_trace(thread, threads).collect();
-            let mut s = m.thread_stream(thread, threads);
-            let mut got = Vec::new();
-            loop {
-                // 48 < 64 forces windows that straddle block restarts.
-                let win = s.next_window(48).to_vec();
-                assert_eq!(win, s.window(), "window() must re-borrow");
-                got.extend_from_slice(&win);
-                if win.len() < 48 {
-                    break;
-                }
+        // Blocks of 64 with windows of 48 straddle block restarts;
+        // blocks of 3 under 7 or 8 cores leave some blocks with no
+        // record for a core.
+        for block_records in [64, 3] {
+            let m = open_bytes("windows", &encode(&accesses, block_records)).unwrap();
+            for (thread, threads) in [(0, 1), (0, 2), (1, 2), (3, 4), (6, 7), (5, 8)] {
+                let expect: Vec<MemoryAccess> = accesses
+                    .iter()
+                    .copied()
+                    .skip(thread as usize)
+                    .step_by(threads as usize)
+                    .collect();
+                let got = drain(&mut *m.thread_stream(thread, threads), 48);
+                assert_eq!(
+                    got, expect,
+                    "blocks of {block_records}, thread {thread}/{threads}"
+                );
             }
-            assert_eq!(got, expect, "thread {thread}/{threads}");
-            assert!(s.next_window(48).is_empty());
         }
-        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn single_thread_stream_resumes_after_window_reborrow() {
+        let original: Vec<MemoryAccess> = (0..10u64).map(|i| acc(i * 0x1000)).collect();
+        let m = open_bytes("reborrow", &encode(&original, 3)).unwrap();
+        let mut s = m.thread_stream(0, 1);
+        assert!(s.window().is_empty(), "no window before the first call");
+        assert_eq!(s.next_window(4), &original[0..4]);
+        assert_eq!(s.window(), &original[0..4]);
+        assert_eq!(s.next_window(4), &original[4..8]);
+        assert_eq!(s.next_window(4), &original[8..10], "short final window");
+        assert!(s.next_window(4).is_empty());
+        assert!(s.window().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "bad thread index")]
+    fn bad_thread_panics() {
+        let m = open_bytes("badthread", &encode(&sample_trace(10), 4)).unwrap();
+        let _ = m.thread_stream(2, 2);
+    }
+
+    #[test]
+    fn other_magic_is_rejected() {
+        for (i, bytes) in [&b"HPT1\x00\x02"[..], b"NOPE", b""].iter().enumerate() {
+            let err = open_bytes(&format!("magic{i}"), bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn non_regular_file_is_rejected() {
+        let err = MmapTrace::open("t", &std::env::temp_dir()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
@@ -990,15 +886,8 @@ mod tests {
         // Flip a bit deep in some block payload.
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        let items: Vec<io::Result<MemoryAccess>> =
-            Hpt2Reader::new(bytes.as_slice()).unwrap().collect();
-        assert!(
-            items.iter().any(|r| r.is_err()),
-            "streaming reader must surface the corruption"
-        );
-        let path = temp_trace("corrupt", &bytes);
-        assert!(MmapTrace::open("t", &path).is_err());
-        std::fs::remove_file(&path).unwrap();
+        let err = open_bytes("corrupt", &bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -1006,19 +895,20 @@ mod tests {
         let accesses = sample_trace(500);
         let full = encode(&accesses, 64);
         for cut in [full.len() - 1, full.len() - 5, full.len() / 2, 9] {
-            let bytes = &full[..cut];
-            // A truncated stream must either error or have stopped
-            // before the (missing) validated trailer.
-            if let Ok(mut r) = Hpt2Reader::new(bytes) {
-                assert!(
-                    r.any(|item| item.is_err()),
-                    "truncated at {cut}: reader finished cleanly"
-                );
-            }
-            let path = temp_trace("trunc", bytes);
-            assert!(MmapTrace::open("t", &path).is_err(), "truncated at {cut}");
-            std::fs::remove_file(&path).unwrap();
+            assert!(
+                open_bytes("trunc", &full[..cut]).is_err(),
+                "truncated at {cut}"
+            );
         }
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut bytes = encode(&sample_trace(100), 64);
+        bytes.extend_from_slice(&[0u8; 8]);
+        let err = open_bytes("trailing", &bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "HPT2 trace has trailing bytes");
     }
 
     #[test]
@@ -1035,20 +925,16 @@ mod tests {
         let mut tampered = bytes.clone();
         tampered[trailer_total_at] ^= 1;
         // Without fixing the checksum the mismatch is caught there:
-        let path = temp_trace("trailer", &tampered);
-        let err = MmapTrace::open("t", &path).unwrap_err();
+        let err = open_bytes("trailer", &tampered).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
         // Now recompute the trailer checksum over the tampered bytes so
         // only the record-count cross-check can catch the lie.
         let trailer_end = tampered.len() - 12; // checksum + end magic
         let sum = fnv1a64(&tampered[trailer_total_at..trailer_end]);
         let at = trailer_end;
         tampered[at..at + 8].copy_from_slice(&sum.to_le_bytes());
-        let path = temp_trace("trailer2", &tampered);
-        let err = MmapTrace::open("t", &path).unwrap_err();
+        let err = open_bytes("trailer2", &tampered).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1105,11 +991,34 @@ mod tests {
         // single varint must encode an absolute address (delta from 0),
         // which only round-trips if restart points work.
         let accesses = vec![acc(0xDEAD_0000_0000), acc(0x0000_BEEF)];
-        let bytes = encode(&accesses, 1);
-        let back: Vec<MemoryAccess> = Hpt2Reader::new(bytes.as_slice())
-            .unwrap()
-            .collect::<io::Result<Vec<_>>>()
-            .unwrap();
-        assert_eq!(back, accesses);
+        let m = roundtrip("restart", &accesses, 1);
+        assert_eq!(m.block_count(), 2);
+    }
+
+    #[test]
+    fn replayed_trace_drives_the_tlb() {
+        // Sanity: a replayed trace behaves like any other workload in
+        // TLB terms.
+        use hpage_tlb::{PageTable, TlbHierarchy, TlbOutcome};
+        use hpage_types::{Pfn, TlbConfig};
+        let accesses: Vec<MemoryAccess> =
+            (0..64u64).map(|i| acc(0x4000_0000 + i * 0x1000)).collect();
+        let m = roundtrip("tlb", &accesses, 16);
+        let mut pt = PageTable::new();
+        let mut tlb = TlbHierarchy::new(TlbConfig::tiny());
+        let mut walks = 0;
+        for a in m.trace() {
+            if tlb.lookup(a.addr) == TlbOutcome::Miss {
+                let vpn = a.addr.vpn(PageSize::Base4K);
+                if pt.translate(a.addr).is_none() {
+                    pt.map(vpn, Pfn::new(vpn.index(), PageSize::Base4K))
+                        .unwrap();
+                }
+                let walk = pt.walk(a.addr).unwrap();
+                tlb.fill(walk.translation);
+                walks += 1;
+            }
+        }
+        assert_eq!(walks, 64); // one cold miss per distinct page
     }
 }

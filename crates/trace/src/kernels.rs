@@ -137,20 +137,6 @@ impl Workload for GraphWorkload {
         self.regions.clone()
     }
 
-    fn thread_trace(
-        &self,
-        thread: u32,
-        threads: u32,
-    ) -> Box<dyn Iterator<Item = MemoryAccess> + Send + '_> {
-        let (lo, hi) = self.vertex_range(thread, threads);
-        match self.kernel {
-            GraphKernel::Bfs => Box::new(KernelIter(BfsTrace::new(self, lo, hi))),
-            GraphKernel::Sssp => Box::new(KernelIter(SsspTrace::new(self, lo, hi))),
-            GraphKernel::PageRank => Box::new(KernelIter(PrTrace::new(self, lo, hi))),
-            GraphKernel::Components => Box::new(KernelIter(CcTrace::new(self, lo, hi))),
-        }
-    }
-
     fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
         // `BulkKernel`'s windows borrow the kernel's own pending queue,
         // so the simulation reads generated accesses in place.
@@ -276,15 +262,6 @@ impl AccessQueue {
         self.buf.push(a);
     }
 
-    #[inline(always)]
-    fn pop_front(&mut self) -> Option<MemoryAccess> {
-        let a = self.buf.get(self.head).copied();
-        if a.is_some() {
-            self.consume(1);
-        }
-        a
-    }
-
     fn len(&self) -> usize {
         self.buf.len() - self.head
     }
@@ -322,8 +299,7 @@ const COMPACT_AT: usize = 1024;
 
 /// A kernel generator reduced to its two primitives: the queue of
 /// already-produced accesses and a `step` that scans one more vertex.
-/// [`BulkKernel`] builds both the per-element [`Iterator`] and the
-/// chunked [`TraceStream`] from these.
+/// [`BulkKernel`] builds the chunked [`TraceStream`] from these.
 trait KernelSteps {
     /// The scanner holding queued accesses.
     fn pending(&mut self) -> &mut AccessQueue;
@@ -331,25 +307,6 @@ trait KernelSteps {
     fn pending_ref(&self) -> &AccessQueue;
     /// Advances the kernel by one vertex; `false` when the trace is done.
     fn step(&mut self) -> bool;
-}
-
-/// Per-element adapter: the classic pop-or-step iterator, used by
-/// [`Workload::thread_trace`].
-struct KernelIter<T>(T);
-
-impl<T: KernelSteps> Iterator for KernelIter<T> {
-    type Item = MemoryAccess;
-
-    fn next(&mut self) -> Option<MemoryAccess> {
-        loop {
-            if let Some(a) = self.0.pending().pop_front() {
-                return Some(a);
-            }
-            if !self.0.step() {
-                return None;
-            }
-        }
-    }
 }
 
 /// Chunked adapter giving a [`KernelSteps`] state machine a zero-copy
@@ -655,6 +612,7 @@ impl KernelSteps for PrTrace<'_> {
 mod tests {
     use super::*;
     use crate::graph::{generate_rmat, RmatParams};
+    use crate::workload::StreamIter;
     use hpage_types::VirtAddr;
 
     fn small_graph() -> CsrGraph {
@@ -731,7 +689,7 @@ mod tests {
         let rank_next = w.props_b.unwrap();
         let mut writes = 0u64;
         for t in 0..4 {
-            for acc in w.thread_trace(t, 4) {
+            for acc in StreamIter::new(w.thread_stream(t, 4)) {
                 if acc.kind == hpage_types::AccessKind::Write
                     && rank_next.region().contains(acc.addr)
                 {
@@ -746,7 +704,7 @@ mod tests {
     #[should_panic(expected = "bad thread index")]
     fn bad_thread_panics() {
         let w = GraphWorkload::new(GraphKernel::Bfs, small_graph(), "k");
-        let _ = w.thread_trace(2, 2);
+        let _ = w.thread_stream(2, 2);
     }
 
     #[test]
@@ -763,30 +721,50 @@ mod tests {
         assert_eq!(w.name(), "CC-Kron8");
     }
 
+    /// Concatenates every window of thread `thread`/`threads`, pulling
+    /// `max` at a time and checking the window protocol on the way.
+    fn concat_windows(
+        w: &GraphWorkload,
+        thread: u32,
+        threads: u32,
+        max: usize,
+    ) -> Vec<MemoryAccess> {
+        let mut s = w.thread_stream(thread, threads);
+        let mut got = Vec::new();
+        loop {
+            let win = s.next_window(max).to_vec();
+            assert_eq!(win, s.window(), "window() must re-borrow");
+            got.extend_from_slice(&win);
+            if win.len() < max {
+                assert!(s.next_window(max).is_empty(), "short window = end");
+                return got;
+            }
+        }
+    }
+
     #[test]
-    fn stream_windows_match_thread_trace() {
-        let g = small_graph();
-        let w = GraphWorkload::new(GraphKernel::Bfs, g, "k");
-        for (thread, threads) in [(0, 1), (1, 3)] {
-            let expect: Vec<_> = w.thread_trace(thread, threads).collect();
-            let mut s = w.thread_stream(thread, threads);
-            let mut got = Vec::new();
-            loop {
-                // An awkward window size so windows straddle the
-                // scanner's per-vertex bursts and leave queue tails.
-                let win = s.next_window(7).to_vec();
-                assert_eq!(win, s.window(), "window() must re-borrow");
-                if win.is_empty() {
-                    break;
-                }
-                let full = win.len() == 7;
-                got.extend_from_slice(&win);
-                if !full {
-                    assert!(s.next_window(7).is_empty(), "short window = end");
-                    break;
+    fn streams_are_independent_of_window_size() {
+        // Window sizes from one access to far more than a vertex burst:
+        // 7 straddles the scanner's per-vertex bursts and leaves queue
+        // tails, 4096 forces many steps per window.
+        for kernel in [
+            GraphKernel::Bfs,
+            GraphKernel::Sssp,
+            GraphKernel::PageRank,
+            GraphKernel::Components,
+        ] {
+            let w = GraphWorkload::new(kernel, small_graph(), "k").with_pr_iterations(1);
+            for (thread, threads) in [(0, 1), (1, 3)] {
+                let expect = concat_windows(&w, thread, threads, 1);
+                assert!(!expect.is_empty(), "{kernel:?} {thread}/{threads}");
+                for max in [7, 256, 4096] {
+                    assert_eq!(
+                        concat_windows(&w, thread, threads, max),
+                        expect,
+                        "{kernel:?} thread {thread}/{threads}, window {max}"
+                    );
                 }
             }
-            assert_eq!(got, expect, "thread {thread}/{threads}");
         }
     }
 

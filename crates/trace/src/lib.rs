@@ -28,7 +28,6 @@ mod hpt2;
 mod kernels;
 mod layout;
 mod mmap;
-mod recorded;
 mod reuse;
 mod synth;
 mod wcache;
@@ -38,11 +37,10 @@ pub use catalog::{
     instantiate, paper_table1, AnyWorkload, AppId, CatalogRow, Dataset, WorkloadScale,
 };
 pub use graph::{degree_based_grouping, generate_rmat, CsrGraph, RmatParams};
-pub use hpt2::{Hpt2Reader, Hpt2Stream, Hpt2Writer, MmapTrace, DEFAULT_BLOCK_RECORDS};
+pub use hpt2::{Hpt2Stream, Hpt2Writer, MmapTrace, DEFAULT_BLOCK_RECORDS};
 pub use kernels::{GraphKernel, GraphWorkload};
 pub use layout::{AddressSpaceBuilder, ArrayLayout, HEAP_BASE};
 pub use mmap::{Advice, Mmap};
-pub use recorded::RecordedWorkload;
 pub use reuse::{PageProfile, ReuseAnalyzer, ReuseClass};
 pub use synth::{
     canneal, dedup, gups, hashjoin, mcf, omnetpp, xalancbmk, Pattern, SynthScale, SyntheticBuilder,

@@ -150,22 +150,10 @@ impl Workload for SyntheticWorkload {
         self.regions.clone()
     }
 
-    fn thread_trace(
-        &self,
-        thread: u32,
-        threads: u32,
-    ) -> Box<dyn Iterator<Item = MemoryAccess> + Send + '_> {
-        assert!(thread < threads, "bad thread index");
-        // Threads share the pattern but draw from distinct RNG streams.
-        Box::new(SynthTrace::new(
-            self,
-            self.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(thread) + 1)),
-        ))
-    }
-
     fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
         assert!(thread < threads, "bad thread index");
-        // Wrap the concrete iterator so window production monomorphises.
+        // Threads share the pattern but draw from distinct RNG streams;
+        // wrapping the concrete iterator monomorphises window production.
         Box::new(IterStream::new(SynthTrace::new(
             self,
             self.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(thread) + 1)),
@@ -499,6 +487,7 @@ pub fn hashjoin(scale: SynthScale, seed: u64) -> SyntheticWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::StreamIter;
     use hpage_types::AccessKind;
 
     fn assert_in_regions(w: &SyntheticWorkload, n: usize) {
@@ -560,8 +549,8 @@ mod tests {
     #[test]
     fn threads_get_distinct_streams() {
         let w = canneal(SynthScale::TEST, 7);
-        let t0: Vec<_> = w.thread_trace(0, 2).take(500).collect();
-        let t1: Vec<_> = w.thread_trace(1, 2).take(500).collect();
+        let t0: Vec<_> = StreamIter::new(w.thread_stream(0, 2)).take(500).collect();
+        let t1: Vec<_> = StreamIter::new(w.thread_stream(1, 2)).take(500).collect();
         assert_ne!(t0, t1);
     }
 

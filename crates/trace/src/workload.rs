@@ -44,14 +44,12 @@ pub trait TraceStream {
 /// Adapts any access iterator into a [`TraceStream`] by buffering one
 /// window at a time.
 ///
-/// This is the generic slow path (one `next()` per element into the
-/// buffer); concrete workloads implement `TraceStream` natively so
-/// their windows borrow storage the generator fills anyway. There is
+/// This is the generic path (one `next()` per element into the
+/// buffer), used by generators whose natural form is an iterator; the
+/// graph kernels and the trace replayer implement `TraceStream`
+/// natively so their windows borrow storage they fill anyway. There is
 /// deliberately **no** blanket `impl<I: Iterator> TraceStream for I`:
-/// the window API needs a place to own the buffer, and the old blanket
-/// impl made it too easy to route a workload's "monomorphised" stream
-/// through per-element dispatch by accident (see
-/// `RecordedWorkload::thread_stream`'s history).
+/// the window API needs a place to own the buffer.
 pub struct IterStream<I> {
     iter: I,
     buf: Vec<MemoryAccess>,
@@ -81,7 +79,7 @@ impl<I: Iterator<Item = MemoryAccess>> TraceStream for IterStream<I> {
 
 /// Adapts a [`TraceStream`] back into a per-element iterator (for
 /// consumers that genuinely want one access at a time, e.g. trace-file
-/// writers and analyzers).
+/// writers and analyzers); [`Workload::trace`] is built on it.
 pub struct StreamIter<S> {
     stream: S,
     pos: usize,
@@ -120,6 +118,16 @@ impl<S: TraceStream> Iterator for StreamIter<S> {
     }
 }
 
+impl<S: TraceStream + ?Sized> TraceStream for Box<S> {
+    fn next_window(&mut self, max: usize) -> &[MemoryAccess] {
+        (**self).next_window(max)
+    }
+
+    fn window(&self) -> &[MemoryAccess] {
+        (**self).window()
+    }
+}
+
 /// A workload that can be traced.
 ///
 /// Implementations are deterministic: the same workload produces the same
@@ -140,38 +148,25 @@ pub trait Workload {
         self.regions().iter().map(|r| r.len()).sum()
     }
 
-    /// The access trace of thread `thread` when the workload runs with
-    /// `threads` total threads. Single-threaded workloads may ignore the
-    /// arguments for `threads == 1`.
+    /// The access trace of thread `thread`, when the workload runs with
+    /// `threads` total threads, as a windowed [`TraceStream`] — what the
+    /// simulation hot loop consumes, and the one way a workload emits
+    /// its accesses. Single-threaded workloads may ignore the arguments
+    /// for `threads == 1`.
     ///
     /// # Panics
     ///
     /// Implementations panic if `thread >= threads` or the workload does
     /// not support the requested thread count.
     ///
-    /// The returned iterator is `Send` so the sharded simulation loop
-    /// can pin each core's trace to a worker thread; workload state is
-    /// plain data, so this costs implementations nothing.
-    fn thread_trace(
-        &self,
-        thread: u32,
-        threads: u32,
-    ) -> Box<dyn Iterator<Item = MemoryAccess> + Send + '_>;
+    /// The returned stream is `Send` so the sharded simulation loop can
+    /// pin each core's trace to a worker thread; workload state is plain
+    /// data, so this costs implementations nothing.
+    fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_>;
 
-    /// The access trace of thread `thread` as a windowed [`TraceStream`]
-    /// — what the simulation hot loop consumes.
-    ///
-    /// The default adapts [`Self::thread_trace`] through [`IterStream`]
-    /// (correct, but dispatches per element into the buffer); concrete
-    /// workloads override it with a native stream whose windows borrow
-    /// generator-owned storage.
-    fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
-        Box::new(IterStream::new(self.thread_trace(thread, threads)))
-    }
-
-    /// Convenience: the single-threaded trace.
+    /// Convenience: the single-threaded trace, one access at a time.
     fn trace(&self) -> Box<dyn Iterator<Item = MemoryAccess> + Send + '_> {
-        self.thread_trace(0, 1)
+        Box::new(StreamIter::new(self.thread_stream(0, 1)))
     }
 }
 
@@ -192,13 +187,11 @@ mod tests {
                 Region::new(VirtAddr::new(0x10_0000), 50),
             ]
         }
-        fn thread_trace(
-            &self,
-            thread: u32,
-            threads: u32,
-        ) -> Box<dyn Iterator<Item = MemoryAccess> + Send + '_> {
+        fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
             assert!(thread < threads);
-            Box::new(std::iter::once(MemoryAccess::read(VirtAddr::new(0x1000))))
+            Box::new(IterStream::new(std::iter::once(MemoryAccess::read(
+                VirtAddr::new(0x1000),
+            ))))
         }
     }
 
@@ -213,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn default_stream_adapts_the_iterator() {
+    fn iter_stream_follows_the_window_protocol() {
         let mut s = Dummy.thread_stream(0, 1);
         assert!(s.window().is_empty(), "no window before the first call");
         assert_eq!(s.next_window(16).len(), 1);
