@@ -51,6 +51,13 @@ if ./target/release/repro --figure 7 --jobs 0 --quiet > /dev/null 2>&1; then
     exit 1
 fi
 
+echo "== ablation smoke: design-choice ablation golden-pinned =="
+# The only byte-exact pin on the native page-walk cache through the
+# engine (its "PWC only" and "PWC + PCC" rows). Stdout is the fixture.
+HPAGE_PROFILE=test ./target/release/repro --ablation -j 1 \
+    --bench-out /tmp/BENCH_repro_ablation.json --quiet > /tmp/repro_ablation.txt
+cmp crates/bench/tests/golden/ablation_test.txt /tmp/repro_ablation.txt
+
 echo "== shard smoke: --sim-threads 4 report is byte-identical to 1 =="
 HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc \
     --sim-threads 1 --quiet > /tmp/hpsim_st1.txt

@@ -18,7 +18,7 @@ use hpage_bench::profile_from_env;
 use hpage_faults::FaultPlan;
 use hpage_os::{read_schedule, write_schedule, DegradationConfig, PromotionBudget};
 use hpage_perf::{fmt_pct, fmt_speedup, TextTable};
-use hpage_sim::{JsonlSink, PolicyChoice, ProcessSpec, SimReport, Simulation, Tee};
+use hpage_sim::{JsonlSink, NullRecorder, PolicyChoice, ProcessSpec, SimReport, Simulation, Tee};
 use hpage_telemetry::TelemetryRecorder;
 use hpage_trace::{instantiate, AnyWorkload, AppId, Dataset, Hpt2Writer, MmapTrace, Workload};
 use hpage_types::{derive_seed, NestedConfig, PccPlacement, ProcessId, PromotionPolicyKind};
@@ -206,11 +206,19 @@ fn parse_args() -> Options {
                     .collect()
             }
             "--threads" => {
-                opts.threads = value(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --threads"))
+                opts.threads = match value(&mut i).parse() {
+                    Ok(0) => die("--threads must be at least 1"),
+                    Ok(n) => n,
+                    Err(_) => die("bad --threads"),
+                }
             }
-            "--frag" => opts.frag = value(&mut i).parse().unwrap_or_else(|_| die("bad --frag")),
+            "--frag" => {
+                opts.frag = match value(&mut i).parse() {
+                    Ok(pct) if pct > 100 => die(&format!("--frag {pct} is out of range (max 100)")),
+                    Ok(pct) => pct,
+                    Err(_) => die("bad --frag"),
+                }
+            }
             "--budget-pct" => {
                 opts.budget_pct = Some(
                     value(&mut i)
@@ -220,11 +228,11 @@ fn parse_args() -> Options {
             }
             "--seed" => opts.seed = value(&mut i).parse().unwrap_or_else(|_| die("bad --seed")),
             "--max-accesses" => {
-                opts.max_accesses = Some(
-                    value(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --max-accesses")),
-                )
+                opts.max_accesses = match value(&mut i).parse() {
+                    Ok(0) => die("--max-accesses must be at least 1"),
+                    Ok(n) => Some(n),
+                    Err(_) => die("bad --max-accesses"),
+                }
             }
             "--jobs" | "-j" => {
                 // Zero, garbage, and absurd values are usage errors
@@ -541,7 +549,7 @@ fn main() {
             }
             (None, false) => {
                 let report = sim
-                    .try_run(&spec())
+                    .try_run_recorded(&spec(), &mut NullRecorder)
                     .unwrap_or_else(|e| fail(&format!("simulation failed: {e}")));
                 (report, None, None, t0.elapsed())
             }

@@ -2,8 +2,8 @@
 //! accept: a trace in the retired `HPT1` container, an `HPT2` trace with
 //! junk after its end magic, a path that is not a regular file, and the
 //! retired flags that chose between containers and between replay
-//! paths. Each must be a usage error (exit 2) with a message naming the
-//! problem, never a panic.
+//! paths, and numeric flags out of range. Each must be a usage error
+//! (exit 2) with a message naming the problem, never a panic or a hang.
 
 use std::process::{Command, Output};
 
@@ -82,5 +82,33 @@ fn container_flag_is_an_unknown_argument() {
         argv.push("--quiet");
         let out = hpsim(&argv);
         assert_usage_error(&out, &format!("hpsim: unknown argument '{}'", args[0]));
+    }
+}
+
+#[test]
+fn out_of_range_numbers_are_usage_errors() {
+    // Past the parser the first two would panic (fragmentation is a
+    // percentage, a process needs a thread); a zero access budget
+    // simulates nothing.
+    for (flag, value, want) in [
+        (
+            "--frag",
+            "101",
+            "hpsim: --frag 101 is out of range (max 100)",
+        ),
+        (
+            "--frag",
+            "150",
+            "hpsim: --frag 150 is out of range (max 100)",
+        ),
+        ("--threads", "0", "hpsim: --threads must be at least 1"),
+        (
+            "--max-accesses",
+            "0",
+            "hpsim: --max-accesses must be at least 1",
+        ),
+    ] {
+        let out = hpsim(&["--app", "bfs", flag, value, "--quiet"]);
+        assert_usage_error(&out, want);
     }
 }

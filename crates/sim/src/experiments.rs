@@ -835,7 +835,7 @@ pub fn ablation_design_choices_on(
     // geometry scales with the profile's L2 TLB so scaled-down runs see
     // realistic structure-cache pressure (see PwcConfig::scaled_to_tlb).
     let mut pwc = profile.clone();
-    pwc.system.pwc = Some(hpage_types::PwcConfig::scaled_to_tlb_clamped(
+    pwc.system.pwc = Some(hpage_types::PwcConfig::scaled_to_tlb(
         profile.system.tlb.l2.entries,
     ));
     cells.push(plain("pwc-only", &pwc, PolicyChoice::BasePages));
@@ -1094,7 +1094,9 @@ pub fn consolidation_on<R: Recorder>(
         .collect();
 
     let mut events = MemoryRecorder::new();
-    let report = sim.run_recorded(&specs, &mut Tee(recorder, &mut events));
+    let report = sim
+        .try_run_recorded(&specs, &mut Tee(recorder, &mut events))
+        .unwrap_or_else(|e| panic!("simulation failed: {e}"));
 
     let rows: Vec<ConsolidationTenantRow> = tenants
         .iter()
@@ -1455,7 +1457,7 @@ mod tests {
         for app in AppId::ALL {
             let w = hpage_trace::instantiate(app, Dataset::Kronecker, base.workloads, 0xC0FFEE);
             let mut p = base.clone().sized_for(w.footprint_bytes());
-            p.system.pwc = Some(hpage_types::PwcConfig::scaled_to_tlb_clamped(
+            p.system.pwc = Some(hpage_types::PwcConfig::scaled_to_tlb(
                 p.system.tlb.l2.entries,
             ));
             let r = Simulation::new(p.system.clone(), PolicyChoice::BasePages)

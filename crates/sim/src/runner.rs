@@ -337,7 +337,9 @@ impl Cell {
             .iter()
             .map(|(w, threads)| ProcessSpec::with_threads(w.as_ref(), *threads))
             .collect();
-        self.sim.run_recorded(&specs, recorder)
+        self.sim
+            .try_run_recorded(&specs, recorder)
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"))
     }
 
     /// A stable 64-bit key over everything that determines this cell's

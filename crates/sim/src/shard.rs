@@ -191,14 +191,41 @@ impl HostSpace for VmHost<'_> {
     }
 }
 
+/// A core's paging-structure cache: the native split PWC, or in nested
+/// mode the 2D complex that replaces it (its guest dimension comes from
+/// `NestedConfig::guest_pwc`; `SystemConfig::pwc` is ignored there).
+/// The nested complex is boxed: it is over twice the native cache's size.
+enum WalkCache {
+    Native(PageWalkCache),
+    Nested(Box<NestedPwc>),
+}
+
+impl WalkCache {
+    /// Empties the cache (shootdown storm).
+    fn flush(&mut self) {
+        match self {
+            WalkCache::Native(pwc) => pwc.flush(),
+            WalkCache::Nested(npwc) => npwc.flush(),
+        }
+    }
+
+    /// Drops structure entries covering a (guest-)virtual 2 MiB region
+    /// after a promotion/demotion shootdown.
+    fn invalidate_region(&mut self, region: Vpn) {
+        match self {
+            WalkCache::Native(pwc) => pwc.invalidate_region(region),
+            WalkCache::Nested(npwc) => npwc.invalidate_guest_region(region),
+        };
+    }
+}
+
 /// OS-visible state a shard surrenders at an interval barrier.
 #[derive(Default)]
 struct OsSlice {
     spaces: Vec<(usize, AddressSpace)>,
     vms: Vec<(usize, NestedVm)>,
     tlbs: Vec<(usize, TlbHierarchy)>,
-    pwcs: Vec<(usize, PageWalkCache)>,
-    npwcs: Vec<(usize, NestedPwc)>,
+    walk_caches: Vec<(usize, WalkCache)>,
     pccs: Vec<(usize, Pcc)>,
     pccs_1g: Vec<(usize, Pcc)>,
     /// Running per-core counters (overwrite, not delta). Surrendered at
@@ -275,10 +302,8 @@ struct CoreSeat<'w> {
     // `Option` so the state can travel to the coordinator at barriers;
     // always `Some` while the worker executes.
     tlb: Option<TlbHierarchy>,
-    pwc: Option<PageWalkCache>,
-    /// Nested mode: the 2D translation-cache complex replacing `pwc`
-    /// (which is forced `None` when the run is nested).
-    npwc: Option<NestedPwc>,
+    /// `None` when the run models no page-walk cache.
+    walk_cache: Option<WalkCache>,
     pcc: Option<Pcc>,
     pcc_1g: Option<Pcc>,
     /// Length of the trace stream's current window.
@@ -456,11 +481,8 @@ impl<'w> ShardWorker<'w> {
             slice
                 .tlbs
                 .push((seat.core, seat.tlb.take().expect("tlb resident")));
-            if let Some(p) = seat.pwc.take() {
-                slice.pwcs.push((seat.core, p));
-            }
-            if let Some(p) = seat.npwc.take() {
-                slice.npwcs.push((seat.core, p));
+            if let Some(c) = seat.walk_cache.take() {
+                slice.walk_caches.push((seat.core, c));
             }
             if let Some(p) = seat.pcc.take() {
                 slice.pccs.push((seat.core, p));
@@ -497,11 +519,8 @@ impl<'w> ShardWorker<'w> {
         for (core, t) in slice.tlbs {
             self.seat_mut(core).tlb = Some(t);
         }
-        for (core, p) in slice.pwcs {
-            self.seat_mut(core).pwc = Some(p);
-        }
-        for (core, p) in slice.npwcs {
-            self.seat_mut(core).npwc = Some(p);
+        for (core, c) in slice.walk_caches {
+            self.seat_mut(core).walk_cache = Some(c);
         }
         for (core, p) in slice.pccs {
             self.seat_mut(core).pcc = Some(p);
@@ -533,8 +552,7 @@ fn run_seat<const REC: bool>(
         pid,
         trace,
         tlb,
-        pwc,
-        npwc,
+        walk_cache,
         pcc,
         pcc_1g,
         chunk_len,
@@ -614,8 +632,7 @@ fn run_seat<const REC: bool>(
             Some(handle_walk::<REC>(
                 core,
                 pid,
-                pwc,
-                npwc,
+                walk_cache,
                 vm.as_deref_mut(),
                 host_scratch,
                 host_region_walks,
@@ -664,8 +681,7 @@ fn run_seat<const REC: bool>(
                     Ok(walk) => Some(handle_walk::<REC>(
                         core,
                         pid,
-                        pwc,
-                        npwc,
+                        walk_cache,
                         vm.as_deref_mut(),
                         host_scratch,
                         host_region_walks,
@@ -766,8 +782,7 @@ fn run_seat<const REC: bool>(
 fn handle_walk<const REC: bool>(
     core: usize,
     pid: usize,
-    pwc: &mut Option<PageWalkCache>,
-    npwc: &mut Option<NestedPwc>,
+    walk_cache: &mut Option<WalkCache>,
     vm: Option<&mut NestedVm>,
     host_scratch: &mut Vec<WalkResult>,
     host_region_walks: &mut RegionWalks,
@@ -784,43 +799,44 @@ fn handle_walk<const REC: bool>(
     walk: WalkResult,
     flags: WorkerFlags,
 ) -> Result<Translation, HpageError> {
-    let (nominal_levels, effective_levels) = if let Some(npwc) = npwc.as_mut() {
-        let vm = vm.expect("nested seats always have a VM");
-        let gpa = hpage_tlb::data_gpa(&walk, access.addr);
-        let refs = {
-            let OsState { phys, spaces, .. } = &mut vm.os;
-            let mut host = VmHost {
-                space: &mut spaces[0],
-                phys,
+    let (nominal_levels, effective_levels) = match walk_cache.as_mut() {
+        Some(WalkCache::Nested(npwc)) => {
+            let vm = vm.expect("nested seats always have a VM");
+            let gpa = hpage_tlb::data_gpa(&walk, access.addr);
+            let refs = {
+                let OsState { phys, spaces, .. } = &mut vm.os;
+                let mut host = VmHost {
+                    space: &mut spaces[0],
+                    phys,
+                };
+                npwc.walk(
+                    access.addr,
+                    walk.levels_referenced,
+                    gpa,
+                    &mut host,
+                    host_scratch,
+                )?
             };
-            npwc.walk(
-                access.addr,
-                walk.levels_referenced,
-                gpa,
-                &mut host,
-                host_scratch,
-            )?
-        };
-        for hw in host_scratch.iter() {
-            let region = hw.translation.vpn.base().vpn(PageSize::Huge2M);
-            if let Some(host_pcc) = vm.pcc.as_mut() {
-                if hw.translation.size() != PageSize::Huge1G {
-                    host_pcc.record_walk(region, hw.pmd_accessed_before);
+            for hw in host_scratch.iter() {
+                let region = hw.translation.vpn.base().vpn(PageSize::Huge2M);
+                if let Some(host_pcc) = vm.pcc.as_mut() {
+                    if hw.translation.size() != PageSize::Huge1G {
+                        host_pcc.record_walk(region, hw.pmd_accessed_before);
+                    }
+                }
+                if flags.ledger_on {
+                    *host_region_walks
+                        .entry((pid as u32, region.index()))
+                        .or_insert(0) += 1;
                 }
             }
-            if flags.ledger_on {
-                *host_region_walks
-                    .entry((pid as u32, region.index()))
-                    .or_insert(0) += 1;
-            }
+            (walk.levels_referenced * 5 + 4, refs)
         }
-        (walk.levels_referenced * 5 + 4, refs)
-    } else {
-        let effective = match pwc.as_mut() {
-            Some(pwc) => pwc.walk(access.addr, walk.levels_referenced),
-            None => walk.levels_referenced,
-        };
-        (walk.levels_referenced, effective)
+        Some(WalkCache::Native(pwc)) => (
+            walk.levels_referenced,
+            pwc.walk(access.addr, walk.levels_referenced),
+        ),
+        None => (walk.levels_referenced, walk.levels_referenced),
     };
     counters.walk_levels += u64::from(effective_levels);
     if flags.ledger_on {
@@ -1020,10 +1036,8 @@ fn worker_main(mut worker: ShardWorker<'_>, rx: Receiver<ToShard>, tx: Sender<Fr
 /// barrier, then redistributed.
 struct Assembled {
     tlbs: Vec<TlbHierarchy>,
-    pwcs: Option<Vec<PageWalkCache>>,
-    /// Nested mode: every core's 2D translation-cache complex, so host
-    /// shootdowns can invalidate nested entries at the barrier.
-    npwcs: Option<Vec<NestedPwc>>,
+    /// Indexed by core; `None` for cores without a page-walk cache.
+    walk_caches: Vec<Option<WalkCache>>,
 }
 
 /// Reusable per-round coordinator buffers. A single-core round covers
@@ -1069,7 +1083,6 @@ struct Coordinator<'a, 'w, R: Recorder> {
     host_region_walks: Option<RegionWalks>,
     bank: Option<PccBank>,
     bank_1g: Option<PccBank>,
-    has_pwc: bool,
     remaining: Vec<u64>,
     live: Vec<bool>,
     live_count: usize,
@@ -1287,8 +1300,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         }
         let n = self.core_shard.len();
         let mut tlbs: Vec<Option<TlbHierarchy>> = (0..n).map(|_| None).collect();
-        let mut pwcs: Vec<Option<PageWalkCache>> = (0..n).map(|_| None).collect();
-        let mut npwcs: Vec<Option<NestedPwc>> = (0..n).map(|_| None).collect();
+        let mut walk_caches: Vec<Option<WalkCache>> = (0..n).map(|_| None).collect();
         for si in 0..self.shards.len() {
             let slice = match self.shards[si].recv() {
                 FromShard::Os(s) => *s,
@@ -1303,11 +1315,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             for (core, t) in slice.tlbs {
                 tlbs[core] = Some(t);
             }
-            for (core, p) in slice.pwcs {
-                pwcs[core] = Some(p);
-            }
-            for (core, p) in slice.npwcs {
-                npwcs[core] = Some(p);
+            for (core, c) in slice.walk_caches {
+                walk_caches[core] = Some(c);
             }
             for (core, p) in slice.pccs {
                 self.bank
@@ -1340,28 +1349,17 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 .into_iter()
                 .map(|t| t.expect("every core surrendered its TLB"))
                 .collect(),
-            pwcs: self.has_pwc.then(|| {
-                pwcs.into_iter()
-                    .map(|p| p.expect("every core surrendered its PWC"))
-                    .collect()
-            }),
-            npwcs: self.sim.nested.is_some().then(|| {
-                npwcs
-                    .into_iter()
-                    .map(|p| p.expect("every nested core surrendered its caches"))
-                    .collect()
-            }),
+            walk_caches,
         }
     }
 
     /// Hands OS-visible state back to the shards after a barrier.
     fn distribute_os(&mut self, assembled: Assembled) {
-        let Assembled { tlbs, pwcs, npwcs } = assembled;
+        let Assembled {
+            tlbs,
+            mut walk_caches,
+        } = assembled;
         let mut tlbs: Vec<Option<TlbHierarchy>> = tlbs.into_iter().map(Some).collect();
-        let mut pwcs: Option<Vec<Option<PageWalkCache>>> =
-            pwcs.map(|v| v.into_iter().map(Some).collect());
-        let mut npwcs: Option<Vec<Option<NestedPwc>>> =
-            npwcs.map(|v| v.into_iter().map(Some).collect());
         for si in 0..self.shards.len() {
             let mut slice = OsSlice::default();
             for (pid, &shard) in self.process_shard.iter().enumerate() {
@@ -1382,15 +1380,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 slice
                     .tlbs
                     .push((core, tlbs[core].take().expect("tlb assembled")));
-                if let Some(p) = pwcs.as_mut() {
-                    slice
-                        .pwcs
-                        .push((core, p[core].take().expect("pwc assembled")));
-                }
-                if let Some(p) = npwcs.as_mut() {
-                    slice
-                        .npwcs
-                        .push((core, p[core].take().expect("nested caches assembled")));
+                if let Some(c) = walk_caches[core].take() {
+                    slice.walk_caches.push((core, c));
                 }
                 if let Some(b) = self.bank.as_mut() {
                     slice.pccs.push((core, b.take(CoreId(core as u32))));
@@ -1449,11 +1440,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 for (core, tlb) in assembled.tlbs.iter_mut().enumerate() {
                     let entries_flushed = tlb.resident_entries() as u64;
                     tlb.flush();
-                    if let Some(pwcs) = assembled.pwcs.as_mut() {
-                        pwcs[core].flush();
-                    }
-                    if let Some(npwcs) = assembled.npwcs.as_mut() {
-                        npwcs[core].flush();
+                    if let Some(c) = assembled.walk_caches[core].as_mut() {
+                        c.flush();
                     }
                     self.recorder.record(
                         total_accesses,
@@ -1610,11 +1598,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             for (core, tlb) in assembled.tlbs.iter_mut().enumerate() {
                 if self.core_process[core] == pid.0 as usize {
                     entries_flushed += tlb.shootdown(region) as u64;
-                    if let Some(pwcs) = assembled.pwcs.as_mut() {
-                        pwcs[core].invalidate_region(region);
-                    }
-                    if let Some(npwcs) = assembled.npwcs.as_mut() {
-                        npwcs[core].invalidate_guest_region(region);
+                    if let Some(c) = assembled.walk_caches[core].as_mut() {
+                        c.invalidate_region(region);
                     }
                     self.per_process[pid.0 as usize].shootdowns += 1;
                 }
@@ -1739,8 +1724,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             // A host remap invalidates nested translations through the
             // remapped gPA region on every core of the VM.
             for (_, region) in report.shootdown_regions() {
-                if let Some(npwcs) = assembled.npwcs.as_mut() {
-                    for (core, npwc) in npwcs.iter_mut().enumerate() {
+                for (core, c) in assembled.walk_caches.iter_mut().enumerate() {
+                    if let Some(WalkCache::Nested(npwc)) = c {
                         if self.core_process[core] == pid {
                             npwc.invalidate_host_region(region);
                             self.per_process[pid].host_shootdowns += 1;
@@ -1975,18 +1960,13 @@ pub(crate) fn run<R: Recorder>(
                 space_slot,
                 trace: spec.workload.thread_stream(t, spec.threads),
                 tlb: Some(TlbHierarchy::new(sim.config.tlb)),
-                // Nested mode replaces the native PWC with the 2D
-                // cache complex (its guest arrays come from
-                // `NestedConfig::guest_pwc`); `SystemConfig::pwc` is
-                // deliberately ignored there.
-                pwc: if sim.nested.is_some() {
-                    None
-                } else {
-                    sim.config.pwc.map(|c| {
-                        PageWalkCache::new(c.pml4e_entries, c.pdpte_entries, c.pde_entries)
-                    })
+                walk_cache: match sim.nested.as_ref() {
+                    Some(nc) => Some(WalkCache::Nested(Box::new(NestedPwc::new(nc)))),
+                    None => sim
+                        .config
+                        .pwc
+                        .map(|c| WalkCache::Native(PageWalkCache::new(c))),
                 },
-                npwc: sim.nested.as_ref().map(NestedPwc::new),
                 pcc: bank.as_mut().map(|b| b.take(CoreId(core as u32))),
                 pcc_1g: bank_1g.as_mut().map(|b| b.take(CoreId(core as u32))),
                 chunk_len: 0,
@@ -2009,6 +1989,7 @@ pub(crate) fn run<R: Recorder>(
         }
     }
 
+    let budget = sim.max_accesses_per_core.unwrap_or(u64::MAX);
     let mut coordinator = Coordinator {
         sim,
         recorder,
@@ -2028,10 +2009,10 @@ pub(crate) fn run<R: Recorder>(
         host_region_walks: (sim.ledger && sim.nested.is_some()).then(RegionWalks::default),
         bank,
         bank_1g,
-        has_pwc: sim.config.pwc.is_some() && sim.nested.is_none(),
-        remaining: vec![sim.max_accesses_per_core.unwrap_or(u64::MAX); n_cores],
-        live: vec![true; n_cores],
-        live_count: n_cores,
+        // A zero budget retires every core before the first round.
+        remaining: vec![budget; n_cores],
+        live: vec![budget > 0; n_cores],
+        live_count: if budget > 0 { n_cores } else { 0 },
         per_core: vec![RunCounters::default(); n_cores],
         per_process: vec![RunCounters::default(); processes.len()],
         budget: sim.budget,

@@ -402,13 +402,23 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if `processes` is empty or physical memory is exhausted
-    /// (use [`try_run`](Self::try_run) for a fallible variant).
+    /// (use [`try_run_recorded`](Self::try_run_recorded) with a
+    /// [`NullRecorder`] for a fallible variant).
     pub fn run(&self, processes: &[ProcessSpec<'_>]) -> SimReport {
-        self.run_recorded(processes, &mut NullRecorder)
+        match self.try_run_recorded(processes, &mut NullRecorder) {
+            Ok(report) => report,
+            Err(e) => panic!("simulation failed: {e}"),
+        }
     }
 
-    /// Fallible [`run`](Self::run): returns the error instead of
-    /// panicking when the simulated machine runs out of physical memory.
+    /// Fallible [`run`](Self::run) that streams a typed [`Event`] into
+    /// `recorder` at every decision point (TLB hits, walks, faults, PCC
+    /// updates, promotions, demotions, shootdowns, interval snapshots).
+    ///
+    /// The simulation is generic over the recorder, so a run with
+    /// [`NullRecorder`] monomorphizes every instrumentation site to dead
+    /// code — an unobserved run costs nothing. Timestamps are total
+    /// accesses issued, so a fixed-seed recording is byte-stable.
     ///
     /// # Errors
     ///
@@ -416,42 +426,6 @@ impl Simulation {
     /// fails (huge-page failures degrade to base pages and injected
     /// faults never gate base allocation, so under any fault plan this
     /// only fires on genuine exhaustion).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `processes` is empty.
-    pub fn try_run(&self, processes: &[ProcessSpec<'_>]) -> Result<SimReport, HpageError> {
-        self.try_run_recorded(processes, &mut NullRecorder)
-    }
-
-    /// Like [`run`](Self::run), but streams a typed [`Event`] into
-    /// `recorder` at every decision point (TLB hits, walks, faults, PCC
-    /// updates, promotions, demotions, shootdowns, interval snapshots).
-    ///
-    /// The simulation is generic over the recorder, so `run` with the
-    /// default [`NullRecorder`] monomorphizes every instrumentation site
-    /// to dead code — an unobserved run costs nothing. Timestamps are
-    /// total accesses issued, so a fixed-seed recording is byte-stable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `processes` is empty or physical memory is exhausted.
-    pub fn run_recorded<R: Recorder>(
-        &self,
-        processes: &[ProcessSpec<'_>],
-        recorder: &mut R,
-    ) -> SimReport {
-        match self.try_run_recorded(processes, recorder) {
-            Ok(report) => report,
-            Err(e) => panic!("simulation failed: {e}"),
-        }
-    }
-
-    /// Fallible [`run_recorded`](Self::run_recorded).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_run`](Self::try_run).
     ///
     /// # Panics
     ///
@@ -659,6 +633,19 @@ mod tests {
     }
 
     #[test]
+    fn zero_access_budget_returns_an_empty_report() {
+        // A zero budget gives no core any quota, so every core must be
+        // retired before the first round or the round loop never ends.
+        let w = random_workload(8, 100_000, 1);
+        let report = tiny_sim(PolicyChoice::pcc_default())
+            .with_max_accesses_per_core(0)
+            .run(&[ProcessSpec::with_threads(&w, 2)]);
+        assert_eq!(report.aggregate.accesses, 0);
+        assert_eq!(report.aggregate.walks, 0);
+        assert_eq!(report.per_process[0].accesses, 0);
+    }
+
+    #[test]
     fn deterministic_runs() {
         let w = random_workload(8, 150_000, 9);
         let r1 = tiny_sim(PolicyChoice::pcc_default()).run(&[ProcessSpec::new(&w)]);
@@ -673,8 +660,9 @@ mod tests {
         let w = random_workload(8, 150_000, 9);
         let silent = tiny_sim(PolicyChoice::pcc_default()).run(&[ProcessSpec::new(&w)]);
         let mut rec = MemoryRecorder::new();
-        let observed =
-            tiny_sim(PolicyChoice::pcc_default()).run_recorded(&[ProcessSpec::new(&w)], &mut rec);
+        let observed = tiny_sim(PolicyChoice::pcc_default())
+            .try_run_recorded(&[ProcessSpec::new(&w)], &mut rec)
+            .unwrap();
         assert_eq!(silent, observed);
         assert!(!rec.is_empty());
     }
@@ -689,7 +677,8 @@ mod tests {
                 let mut buf = Vec::new();
                 let mut sink = JsonlSink::new(&mut buf);
                 tiny_sim(PolicyChoice::pcc_default())
-                    .run_recorded(&[ProcessSpec::new(&w)], &mut sink);
+                    .try_run_recorded(&[ProcessSpec::new(&w)], &mut sink)
+                    .unwrap();
                 let counts = sink.finish().expect("stream to memory");
                 assert!(!counts.is_empty());
                 String::from_utf8(buf).unwrap()
@@ -706,7 +695,9 @@ mod tests {
     fn recorder_captures_expected_event_kinds() {
         let w = random_workload(8, 400_000, 1);
         let mut rec = MemoryRecorder::new();
-        tiny_sim(PolicyChoice::pcc_default()).run_recorded(&[ProcessSpec::new(&w)], &mut rec);
+        tiny_sim(PolicyChoice::pcc_default())
+            .try_run_recorded(&[ProcessSpec::new(&w)], &mut rec)
+            .unwrap();
         let counts = rec.counts_by_kind();
         for kind in [
             "tlb_hit",
@@ -987,7 +978,7 @@ mod tests {
                 .with_faults(chaos_plan())
                 .with_degradation(hpage_os::DegradationConfig::default())
                 .with_audit()
-                .try_run(&[ProcessSpec::new(&w)])
+                .try_run_recorded(&[ProcessSpec::new(&w)], &mut NullRecorder)
                 .unwrap()
         };
         let r1 = run();
@@ -1034,7 +1025,7 @@ mod tests {
         ] {
             let report = tiny_sim(policy)
                 .with_audit()
-                .try_run(&[ProcessSpec::new(&w)])
+                .try_run_recorded(&[ProcessSpec::new(&w)], &mut NullRecorder)
                 .unwrap();
             assert_eq!(
                 report.audit_violations,
@@ -1049,7 +1040,7 @@ mod tests {
     fn unfaulted_runs_report_no_fault_stats() {
         let w = random_workload(8, 100_000, 1);
         let report = tiny_sim(PolicyChoice::BasePages)
-            .try_run(&[ProcessSpec::new(&w)])
+            .try_run_recorded(&[ProcessSpec::new(&w)], &mut NullRecorder)
             .unwrap();
         assert_eq!(report.fault_stats, None);
         assert!(report.audit_violations.is_empty());
@@ -1093,7 +1084,9 @@ mod tests {
                 .map(|w| ProcessSpec::new(w as &dyn Workload))
                 .collect();
             let mut rec = MemoryRecorder::new();
-            let report = tiny_sim(PolicyChoice::pcc_default()).run_recorded(&specs, &mut rec);
+            let report = tiny_sim(PolicyChoice::pcc_default())
+                .try_run_recorded(&specs, &mut rec)
+                .unwrap();
             assert_eq!(report.aggregate.accesses, total);
             let boundaries: Vec<u64> = rec
                 .events()
@@ -1140,14 +1133,15 @@ mod tests {
                         .with_ledger()
                         .with_audit()
                         .with_sim_threads(threads)
-                        .run_recorded(
+                        .try_run_recorded(
                             &[
                                 ProcessSpec::new(&w0),
                                 ProcessSpec::new(&w1),
                                 ProcessSpec::new(&w2),
                             ],
                             &mut sink,
-                        );
+                        )
+                        .unwrap();
                     sink.finish().expect("stream to memory");
                     (report, String::from_utf8(buf).unwrap())
                 })
@@ -1210,7 +1204,8 @@ mod tests {
         let mut rec = MemoryRecorder::new();
         tiny_sim(PolicyChoice::pcc_default())
             .with_faults(plan)
-            .run_recorded(&[ProcessSpec::new(&w0), ProcessSpec::new(&w1)], &mut rec);
+            .try_run_recorded(&[ProcessSpec::new(&w0), ProcessSpec::new(&w1)], &mut rec)
+            .unwrap();
         let storms: Vec<(u32, u64)> = rec
             .events()
             .iter()
@@ -1328,14 +1323,15 @@ mod tests {
                     .with_ledger()
                     .with_audit()
                     .with_sim_threads(threads)
-                    .run_recorded(
+                    .try_run_recorded(
                         &[
                             ProcessSpec::new(&w0),
                             ProcessSpec::new(&w1),
                             ProcessSpec::new(&w2),
                         ],
                         &mut sink,
-                    );
+                    )
+                    .unwrap();
                 sink.finish().expect("stream to memory");
                 (report, String::from_utf8(buf).unwrap())
             })
@@ -1361,7 +1357,8 @@ mod tests {
         let mut rec = MemoryRecorder::new();
         let recorded = tiny_sim(PolicyChoice::pcc_default())
             .with_nested(hpage_types::NestedConfig::typical())
-            .run_recorded(&[ProcessSpec::new(&w)], &mut rec);
+            .try_run_recorded(&[ProcessSpec::new(&w)], &mut rec)
+            .unwrap();
         assert_eq!(silent, recorded);
         // Recorded nested walks carry the nominal 2D level count (the
         // guest chain length interleaved with host walks) alongside the

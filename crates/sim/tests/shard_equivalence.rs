@@ -121,7 +121,7 @@ fn run(
         .collect();
     let mut buf = Vec::new();
     let mut sink = JsonlSink::new(&mut buf);
-    let report = sim.run_recorded(&specs, &mut sink);
+    let report = sim.try_run_recorded(&specs, &mut sink).unwrap();
     sink.finish().expect("stream to memory");
     (report, String::from_utf8(buf).expect("JSONL is UTF-8"))
 }

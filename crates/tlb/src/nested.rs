@@ -16,14 +16,16 @@
 //! ```
 //!
 //! [`NestedPwc`] models the translation caches that make real nested
-//! paging viable: split guest paging-structure caches (VA-tagged),
-//! split host paging-structure caches (gPA-tagged), and a fully
-//! associative nested TLB caching gPA→hPA page translations (an nTLB
-//! hit skips the host walk entirely). All seven arrays share one
-//! monotonically increasing stamp counter, so every LRU decision is
-//! total-ordered and representation-independent — which is what lets
-//! [`ReferenceNestedWalker`], a naive `BTreeMap`-based model, predict
-//! the fast walker's per-access reference count exactly.
+//! paging viable: a guest [`PageWalkCache`] (VA-tagged), a host
+//! [`PageWalkCache`] (gPA-tagged), and a fully associative nested TLB
+//! caching gPA→hPA page translations (an nTLB hit skips the host walk
+//! entirely). Both dimensions step through the one deepest-hit walk,
+//! [`PageWalkCache::walk`]. Every LRU array stamps its own touches, and
+//! a victim is chosen by comparing stamps inside one array only, so
+//! each array's recency order is the order of its touches in time —
+//! which is what lets [`ReferenceNestedWalker`], a naive
+//! `BTreeMap`-based model with one shared clock, predict the fast
+//! walker's per-access reference count exactly.
 //!
 //! Guest table pages are given deterministic guest-physical addresses
 //! by [`table_page_gpa`]: a pure function of (level, gVA) placing each
@@ -31,6 +33,7 @@
 //! [`TABLE_GPA_BASE`], far above any guest data frame, so table and
 //! data gPAs never collide and the scheme needs no allocator state.
 
+use crate::pwc::{LruArray, PageWalkCache};
 use crate::table::WalkResult;
 use hpage_types::{HpageError, NestedConfig, PageSize, VirtAddr, Vpn};
 use std::collections::BTreeMap;
@@ -149,87 +152,19 @@ impl NestedPwcStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    tag: u64,
-    stamp: u64,
-}
-
-/// Fully associative LRU array keyed by a region tag. Recency comes
-/// from the owner's shared stamp counter, bumped on *every* touch, so
-/// stamps are globally unique and the LRU victim is always unique.
-#[derive(Debug, Clone)]
-struct LruArray {
-    entries: Vec<Entry>,
-    capacity: usize,
-}
-
-impl LruArray {
-    fn new(capacity: u32) -> Self {
-        assert!(capacity > 0, "nested PWC arrays need at least one entry");
-        LruArray {
-            entries: Vec::with_capacity(capacity as usize),
-            capacity: capacity as usize,
-        }
-    }
-
-    fn probe(&mut self, tag: u64, stamp: &mut u64) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.tag == tag) {
-            *stamp += 1;
-            e.stamp = *stamp;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn install(&mut self, tag: u64, stamp: &mut u64) {
-        if self.probe(tag, stamp) {
-            return;
-        }
-        if self.entries.len() == self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("capacity > 0");
-            self.entries.swap_remove(lru);
-        }
-        *stamp += 1;
-        self.entries.push(Entry { tag, stamp: *stamp });
-    }
-
-    fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| keep(e.tag));
-        before - self.entries.len()
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
 /// Two-dimensional paging-structure caches plus nested TLB for one
 /// core. See the module docs for the cost model.
 #[derive(Debug, Clone)]
 pub struct NestedPwc {
-    // Guest dimension, tagged by guest-virtual prefixes.
-    g_pml4e: LruArray,
-    g_pdpte: LruArray,
-    g_pde: LruArray,
-    // Host dimension, tagged by guest-physical prefixes.
-    h_pml4e: LruArray,
-    h_pdpte: LruArray,
-    h_pde: LruArray,
+    /// Guest dimension, tagged by guest-virtual prefixes.
+    guest: PageWalkCache,
+    /// Host dimension, tagged by guest-physical prefixes.
+    host: PageWalkCache,
     /// gPA→hPA translations tagged at the *host mapping's* size (see
     /// [`ntlb_tag`]): one entry covers a 4 KiB page, a whole 2 MiB
     /// region, or a whole 1 GiB region. This reach multiplication is
     /// the architectural payoff of host-dimension huge pages.
     ntlb: LruArray,
-    stamp: u64,
     stats: NestedPwcStats,
 }
 
@@ -242,14 +177,9 @@ impl NestedPwc {
     /// [`NestedConfig::validate`] first).
     pub fn new(config: &NestedConfig) -> Self {
         NestedPwc {
-            g_pml4e: LruArray::new(config.guest_pwc.pml4e_entries),
-            g_pdpte: LruArray::new(config.guest_pwc.pdpte_entries),
-            g_pde: LruArray::new(config.guest_pwc.pde_entries),
-            h_pml4e: LruArray::new(config.host_pwc.pml4e_entries),
-            h_pdpte: LruArray::new(config.host_pwc.pdpte_entries),
-            h_pde: LruArray::new(config.host_pwc.pde_entries),
+            guest: PageWalkCache::new(config.guest_pwc),
+            host: PageWalkCache::new(config.host_pwc),
             ntlb: LruArray::new(config.ntlb_entries),
-            stamp: 0,
             stats: NestedPwcStats::default(),
         }
     }
@@ -296,38 +226,8 @@ impl NestedPwc {
         host_walks.clear();
         self.stats.walks += 1;
 
-        // Guest dimension: identical semantics to the native
-        // PageWalkCache — deepest hit wins, leaves are never cached,
-        // the walked non-leaf prefix is installed.
-        let tag_512g = va.raw() >> 39;
-        let tag_1g = va.raw() >> 30;
-        let tag_2m = va.raw() >> 21;
-        let referenced: u8;
-        if leaf == 4 && self.g_pde.probe(tag_2m, &mut self.stamp) {
-            referenced = 1;
-        } else if leaf >= 3 && self.g_pdpte.probe(tag_1g, &mut self.stamp) {
-            referenced = leaf - 2;
-            if leaf == 4 {
-                self.g_pde.install(tag_2m, &mut self.stamp);
-            }
-        } else if self.g_pml4e.probe(tag_512g, &mut self.stamp) {
-            referenced = leaf - 1;
-            if leaf >= 3 {
-                self.g_pdpte.install(tag_1g, &mut self.stamp);
-            }
-            if leaf == 4 {
-                self.g_pde.install(tag_2m, &mut self.stamp);
-            }
-        } else {
-            referenced = leaf;
-            self.g_pml4e.install(tag_512g, &mut self.stamp);
-            if leaf >= 3 {
-                self.g_pdpte.install(tag_1g, &mut self.stamp);
-            }
-            if leaf == 4 {
-                self.g_pde.install(tag_2m, &mut self.stamp);
-            }
-        }
+        // Guest dimension: the native deepest-hit walk over VA tags.
+        let referenced = self.guest.walk(va, leaf);
 
         // Host dimension: one entry read per referenced guest level,
         // each preceded by a gPA→hPA translation, plus the data page.
@@ -350,87 +250,43 @@ impl NestedPwc {
     ) -> Result<u8, HpageError> {
         // A gPA is host-mapped at exactly one size at a time (remaps
         // invalidate), so at most one of the three probes can hit.
-        if self
-            .ntlb
-            .probe(ntlb_tag(PageSize::Base4K, gpa), &mut self.stamp)
-            || self
-                .ntlb
-                .probe(ntlb_tag(PageSize::Huge2M, gpa), &mut self.stamp)
-            || self
-                .ntlb
-                .probe(ntlb_tag(PageSize::Huge1G, gpa), &mut self.stamp)
+        if self.ntlb.probe(ntlb_tag(PageSize::Base4K, gpa))
+            || self.ntlb.probe(ntlb_tag(PageSize::Huge2M, gpa))
+            || self.ntlb.probe(ntlb_tag(PageSize::Huge1G, gpa))
         {
             self.stats.ntlb_hits += 1;
             return Ok(0);
         }
         self.stats.ntlb_misses += 1;
         let walk = host.walk_gpa(gpa)?;
-        let hleaf = walk.levels_referenced;
-        let tag_512g = gpa.raw() >> 39;
-        let tag_1g = gpa.raw() >> 30;
-        let tag_2m = gpa.raw() >> 21;
-        let referenced: u8;
-        if hleaf == 4 && self.h_pde.probe(tag_2m, &mut self.stamp) {
-            referenced = 1;
-        } else if hleaf >= 3 && self.h_pdpte.probe(tag_1g, &mut self.stamp) {
-            referenced = hleaf - 2;
-            if hleaf == 4 {
-                self.h_pde.install(tag_2m, &mut self.stamp);
-            }
-        } else if self.h_pml4e.probe(tag_512g, &mut self.stamp) {
-            referenced = hleaf - 1;
-            if hleaf >= 3 {
-                self.h_pdpte.install(tag_1g, &mut self.stamp);
-            }
-            if hleaf == 4 {
-                self.h_pde.install(tag_2m, &mut self.stamp);
-            }
-        } else {
-            referenced = hleaf;
-            self.h_pml4e.install(tag_512g, &mut self.stamp);
-            if hleaf >= 3 {
-                self.h_pdpte.install(tag_1g, &mut self.stamp);
-            }
-            if hleaf == 4 {
-                self.h_pde.install(tag_2m, &mut self.stamp);
-            }
-        }
-        self.ntlb
-            .install(ntlb_tag(walk.translation.size(), gpa), &mut self.stamp);
+        // Host dimension: the same walk over gPA tags.
+        let referenced = self.host.walk(gpa, walk.levels_referenced);
+        self.ntlb.install(ntlb_tag(walk.translation.size(), gpa));
         host_walks.push(walk);
         Ok(referenced)
     }
 
     /// Drops guest-side structure entries covering a guest-virtual
-    /// 2 MiB region — the nested analogue of
-    /// [`PageWalkCache::invalidate_region`](crate::PageWalkCache::invalidate_region),
-    /// issued on guest promotion/demotion shootdowns. Returns entries
-    /// dropped.
+    /// 2 MiB region ([`PageWalkCache::invalidate_region`] on the guest
+    /// cache), issued on guest promotion/demotion shootdowns. Returns
+    /// entries dropped.
     pub fn invalidate_guest_region(&mut self, region: Vpn) -> usize {
-        let g = region.containing(PageSize::Huge1G).index();
-        let m = region.index();
-        self.g_pdpte.retain(|tag| tag != g) + self.g_pde.retain(|tag| tag != m)
+        self.guest.invalidate_region(region)
     }
 
     /// Drops host-side structure entries and nested-TLB translations
     /// covering a guest-physical 2 MiB region, issued when the host
     /// remaps it (host promotion/demotion). Returns entries dropped.
     pub fn invalidate_host_region(&mut self, region: Vpn) -> usize {
-        let g = region.containing(PageSize::Huge1G).index();
         let m = region.index();
-        self.h_pdpte.retain(|tag| tag != g)
-            + self.h_pde.retain(|tag| tag != m)
+        self.host.invalidate_region(region)
             + self.ntlb.retain(|tag| !ntlb_tag_covers_2m_region(tag, m))
     }
 
     /// Empties every array (shootdown storms flush the whole complex).
     pub fn flush(&mut self) {
-        self.g_pml4e.clear();
-        self.g_pdpte.clear();
-        self.g_pde.clear();
-        self.h_pml4e.clear();
-        self.h_pdpte.clear();
-        self.h_pde.clear();
+        self.guest.flush();
+        self.host.flush();
         self.ntlb.clear();
     }
 }
@@ -515,10 +371,11 @@ impl HostSpace for SimpleHost {
 /// Naive slow-path 2D walker: the executable specification the fast
 /// [`NestedPwc`] is property-tested against. Every cache array is a
 /// plain ordered map from tag to last-touch stamp; eviction scans for
-/// the minimum stamp. Because both implementations draw stamps from
-/// one per-walker counter bumped on every touch, their LRU decisions —
-/// and therefore their per-access reference counts — must agree
-/// exactly.
+/// the minimum stamp. All seven maps draw stamps from one clock bumped
+/// on every touch. The fast walker stamps each array from its own
+/// counter instead; since a victim is only ever chosen within one
+/// array, both orders agree, and so must the LRU decisions — and
+/// therefore the per-access reference counts.
 #[derive(Debug, Default)]
 pub struct ReferenceNestedWalker {
     guest: [ReferenceArray; 3],
@@ -567,6 +424,12 @@ impl ReferenceArray {
         }
         *clock += 1;
         self.map.insert(tag, *clock);
+    }
+}
+
+impl ReferenceArray {
+    fn remove(&mut self, tag: u64) -> usize {
+        usize::from(self.map.remove(&tag).is_some())
     }
 }
 
@@ -672,6 +535,36 @@ impl ReferenceNestedWalker {
         }
         refs += self.host_refs(data_gpa, host)?;
         Ok(refs)
+    }
+
+    /// Slow-path equivalent of [`NestedPwc::invalidate_guest_region`]:
+    /// drops the region's guest PDE and its covering guest PDPTE.
+    pub fn invalidate_guest_region(&mut self, region: Vpn) -> usize {
+        let base = region.base().raw();
+        self.guest[1].remove(level_tag(base, 2)) + self.guest[2].remove(level_tag(base, 3))
+    }
+
+    /// Slow-path equivalent of [`NestedPwc::invalidate_host_region`]:
+    /// drops the region's host PDE, its covering host PDPTE, and every
+    /// nested-TLB translation overlapping the region — its 512 base
+    /// pages, the region itself, and the 1 GiB page containing it.
+    pub fn invalidate_host_region(&mut self, region: Vpn) -> usize {
+        let base = region.base();
+        let first_4k = ntlb_tag(PageSize::Base4K, base);
+        let pages: usize = (0..512).map(|i| self.ntlb.remove(first_4k + i)).sum();
+        self.host[1].remove(level_tag(base.raw(), 2))
+            + self.host[2].remove(level_tag(base.raw(), 3))
+            + pages
+            + self.ntlb.remove(ntlb_tag(PageSize::Huge2M, base))
+            + self.ntlb.remove(ntlb_tag(PageSize::Huge1G, base))
+    }
+
+    /// Slow-path equivalent of [`NestedPwc::flush`].
+    pub fn flush(&mut self) {
+        for array in self.guest.iter_mut().chain(self.host.iter_mut()) {
+            array.map.clear();
+        }
+        self.ntlb.map.clear();
     }
 }
 
@@ -900,7 +793,7 @@ mod tests {
     proptest! {
         #[test]
         fn fast_walker_matches_reference_model(
-            ops in prop::collection::vec((0u64..64, 0u8..8), 1..400),
+            ops in prop::collection::vec((0u64..64, 0u8..8, 0u8..16), 1..400),
             huge2m in prop::collection::hash_set(0u64..16, 0..8),
             huge1g in prop::collection::hash_set(0u64..2, 0..2),
         ) {
@@ -926,8 +819,43 @@ mod tests {
                 ref_host.prefer_1g(seg);
             }
             let mut scratch = Vec::new();
-            for (i, &(page, sel)) in ops.iter().enumerate() {
+            for (i, &(page, sel, op)) in ops.iter().enumerate() {
                 let va = VirtAddr::new(page << 12 | (page & 3) << 30);
+                let dgpa = VirtAddr::new((page % 24) << 12);
+                match op {
+                    // A guest promotion/demotion shootdown.
+                    13 => {
+                        let region = va.vpn(PageSize::Huge2M);
+                        prop_assert_eq!(
+                            fast.invalidate_guest_region(region),
+                            reference.invalidate_guest_region(region),
+                            "guest invalidation diverged at op {}", i
+                        );
+                        continue;
+                    }
+                    // A host remap: the data page's region is promoted
+                    // on both hosts (when it can be), then shot down.
+                    14 => {
+                        let region = dgpa.vpn(PageSize::Huge2M);
+                        prop_assert_eq!(
+                            fast_host.promote_2m(region.index()).is_ok(),
+                            ref_host.promote_2m(region.index()).is_ok()
+                        );
+                        prop_assert_eq!(
+                            fast.invalidate_host_region(region),
+                            reference.invalidate_host_region(region),
+                            "host invalidation diverged at op {}", i
+                        );
+                        continue;
+                    }
+                    // A shootdown storm.
+                    15 => {
+                        fast.flush();
+                        reference.flush();
+                        continue;
+                    }
+                    _ => {}
+                }
                 // Guest leaf level fixed per 1 GiB VA region: a mix of
                 // 4 KiB / 2 MiB / 1 GiB guest mappings.
                 let leaf = match va.raw() >> 30 {
@@ -936,14 +864,10 @@ mod tests {
                     2 => 2,
                     _ => 2 + (sel % 3),
                 };
-                let dgpa = VirtAddr::new((page % 24) << 12);
                 let f = fast.walk(va, leaf, dgpa, &mut fast_host, &mut scratch).unwrap();
                 let m = reference.walk(va, leaf, dgpa, &mut ref_host).unwrap();
                 prop_assert_eq!(f, m, "divergence at op {}", i);
                 prop_assert!((1..=MAX_NESTED_REFS).contains(&f), "refs {} out of bounds", f);
-                // Occasionally shoot down a region on both models' hosts
-                // is not modelled here: invalidation equivalence is pinned
-                // by the unit tests above.
             }
         }
 

@@ -10,9 +10,11 @@
 //! Intel-style split paging-structure caches are modelled: arrays for
 //! PML4E (512 GiB tags), PDPTE (1 GiB tags) and PDE (2 MiB tags) entries.
 //! A hit at a level lets the walk resume below it, down to a single leaf
-//! reference on a PDE hit.
+//! reference on a PDE hit. [`PageWalkCache`] is the only such cache: the
+//! nested walker ([`NestedPwc`](crate::NestedPwc)) runs one per
+//! translation dimension.
 
-use hpage_types::{PageSize, TlbLevelConfig, VirtAddr, Vpn};
+use hpage_types::{PageSize, PwcConfig, VirtAddr, Vpn};
 
 /// Statistics for one PWC instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,61 +48,109 @@ impl PwcStats {
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     tag: u64,
-    last_used: u64,
+    stamp: u64,
+}
+
+/// Fully associative true-LRU array keyed by a region tag. Its own
+/// stamp counter is bumped on *every* touch, so stamps within the array
+/// are unique and the LRU victim is always unique. Victims are chosen
+/// by comparing stamps inside one array only, so any counter that
+/// increases with time orders the entries the same way.
+#[derive(Debug, Clone)]
+pub(crate) struct LruArray {
+    entries: Vec<Entry>,
+    capacity: usize,
+    stamp: u64,
+}
+
+impl LruArray {
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub(crate) fn new(capacity: u32) -> Self {
+        assert!(capacity > 0, "PWC arrays need at least one entry");
+        LruArray {
+            entries: Vec::with_capacity(capacity as usize),
+            capacity: capacity as usize,
+            stamp: 0,
+        }
+    }
+
+    /// Probes for `tag`, refreshing recency on a hit.
+    pub(crate) fn probe(&mut self, tag: u64) -> bool {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.tag == tag) {
+            self.stamp += 1;
+            e.stamp = self.stamp;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Inserts `tag`, evicting the LRU entry when full.
+    pub(crate) fn install(&mut self, tag: u64) {
+        if self.probe(tag) {
+            return;
+        }
+        if self.entries.len() == self.capacity {
+            let lru = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(i, _)| i)
+                .expect("capacity > 0");
+            self.entries.swap_remove(lru);
+        }
+        self.stamp += 1;
+        self.entries.push(Entry {
+            tag,
+            stamp: self.stamp,
+        });
+    }
+
+    /// Drops every entry whose tag fails `keep`; returns entries dropped.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64) -> bool) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|e| keep(e.tag));
+        before - self.entries.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
 }
 
 /// A fully-software model of a split paging-structure cache (Intel
 /// terminology): separate arrays for PML4E, PDPTE, and PDE entries.
 #[derive(Debug, Clone)]
 pub struct PageWalkCache {
-    /// PML4E cache: tags are 512 GiB-region indices (VA >> 39).
-    pml4e: Vec<Entry>,
-    pml4e_capacity: usize,
-    /// PDPTE cache: tags are 1 GiB-region indices (VA >> 30).
-    pdpte: Vec<Entry>,
-    pdpte_capacity: usize,
-    /// PDE cache: tags are 2 MiB-region indices (VA >> 21). Only
-    /// meaningful for 4 KiB-leaf walks (a 2 MiB leaf *is* the PDE).
-    pde: Vec<Entry>,
-    pde_capacity: usize,
-    clock: u64,
+    /// Indexed by structure level − 1: the PML4E cache (tags are
+    /// 512 GiB-region indices, `addr >> 39`), the PDPTE cache (1 GiB,
+    /// `addr >> 30`) and the PDE cache (2 MiB, `addr >> 21`; only
+    /// meaningful for 4 KiB-leaf walks, since a 2 MiB leaf *is* the PDE).
+    arrays: [LruArray; 3],
     stats: PwcStats,
 }
 
 impl PageWalkCache {
-    /// Creates a PWC with the given capacities (fully associative, LRU).
+    /// Creates a PWC with the given geometry (fully associative, LRU).
     /// Skylake-era parts have roughly 4×PML4E, 16–32×PDPTE and
-    /// 32–64×PDE entries.
+    /// 32–64×PDE entries ([`PwcConfig::typical`]).
     ///
     /// # Panics
     ///
-    /// Panics if any capacity is zero.
-    pub fn new(pml4e_entries: u32, pdpte_entries: u32, pde_entries: u32) -> Self {
-        assert!(
-            pml4e_entries > 0 && pdpte_entries > 0 && pde_entries > 0,
-            "PWC arrays need at least one entry"
-        );
+    /// Panics if any capacity is zero (callers should
+    /// [`PwcConfig::validate`] first).
+    pub fn new(config: PwcConfig) -> Self {
         PageWalkCache {
-            pml4e: Vec::with_capacity(pml4e_entries as usize),
-            pml4e_capacity: pml4e_entries as usize,
-            pdpte: Vec::with_capacity(pdpte_entries as usize),
-            pdpte_capacity: pdpte_entries as usize,
-            pde: Vec::with_capacity(pde_entries as usize),
-            pde_capacity: pde_entries as usize,
-            clock: 0,
+            arrays: [
+                LruArray::new(config.pml4e_entries),
+                LruArray::new(config.pdpte_entries),
+                LruArray::new(config.pde_entries),
+            ],
             stats: PwcStats::default(),
         }
-    }
-
-    /// A typical modern-CPU geometry (4 PML4E, 32 PDPTE, 64 PDE).
-    pub fn typical() -> Self {
-        PageWalkCache::new(4, 32, 64)
-    }
-
-    /// Builds from [`TlbLevelConfig`]-style entries, ignoring
-    /// associativity (PWCs are tiny and modelled fully associative).
-    pub fn from_entries(config: (TlbLevelConfig, TlbLevelConfig, TlbLevelConfig)) -> Self {
-        PageWalkCache::new(config.0.entries, config.1.entries, config.2.entries)
     }
 
     /// Lifetime statistics.
@@ -108,52 +158,21 @@ impl PageWalkCache {
         &self.stats
     }
 
-    /// Probes an array, refreshing recency on a hit.
-    fn probe(entries: &mut [Entry], tag: u64, clock: u64) -> bool {
-        if let Some(e) = entries.iter_mut().find(|e| e.tag == tag) {
-            e.last_used = clock;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Inserts a tag, evicting the LRU entry when full.
-    fn install(entries: &mut Vec<Entry>, capacity: usize, tag: u64, clock: u64) {
-        if Self::probe(entries, tag, clock) {
-            return;
-        }
-        if entries.len() == capacity {
-            let lru = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("capacity > 0");
-            entries.swap_remove(lru);
-        }
-        entries.push(Entry {
-            tag,
-            last_used: clock,
-        });
-    }
-
-    /// Accounts one hardware walk for `va` whose leaf sits at
+    /// Accounts one hardware walk for `addr` whose leaf sits at
     /// `leaf_levels` radix levels from the root (4 for a 4 KiB PTE, 3
     /// for a 2 MiB PMD leaf, 2 for a 1 GiB PUD leaf). Returns the number
     /// of page-table levels actually referenced after PWC skipping, and
-    /// installs the walked prefix entries.
+    /// installs the walked prefix entries. The address is whatever the
+    /// walked table is indexed by: a virtual address natively, a
+    /// guest-physical one in the host dimension of a nested walk.
     ///
     /// # Panics
     ///
     /// Panics if `leaf_levels` is outside `2..=4`.
-    pub fn walk(&mut self, va: VirtAddr, leaf_levels: u8) -> u8 {
+    pub fn walk(&mut self, addr: VirtAddr, leaf_levels: u8) -> u8 {
         assert!((2..=4).contains(&leaf_levels), "leaf level out of range");
-        self.clock += 1;
         self.stats.walks += 1;
-        let tag_512g = va.raw() >> 39;
-        let tag_1g = va.vpn(PageSize::Huge1G).index();
-        let tag_2m = va.vpn(PageSize::Huge2M).index();
+        let tag = |level: u8| addr.raw() >> (48 - 9 * u32::from(level));
 
         // Deepest hit wins; structure levels above the hit are not
         // referenced, so their cache arrays are left untouched. The walk
@@ -162,36 +181,20 @@ impl PageWalkCache {
         // non-leaf when the leaf sits below it (3+ levels) — a 1 GiB-leaf
         // walk's PDPTE is the translation itself and paging-structure
         // caches never hold leaves.
-        let referenced;
-        if leaf_levels == 4 && Self::probe(&mut self.pde, tag_2m, self.clock) {
-            referenced = 1; // just the leaf PTE
-            self.stats.pde_hits += 1;
-        } else if leaf_levels >= 3 && Self::probe(&mut self.pdpte, tag_1g, self.clock) {
-            referenced = leaf_levels - 2;
-            self.stats.pdpte_hits += 1;
-            if leaf_levels == 4 {
-                Self::install(&mut self.pde, self.pde_capacity, tag_2m, self.clock);
-            }
-        } else if Self::probe(&mut self.pml4e, tag_512g, self.clock) {
-            referenced = leaf_levels - 1;
-            self.stats.pml4e_hits += 1;
-            if leaf_levels >= 3 {
-                Self::install(&mut self.pdpte, self.pdpte_capacity, tag_1g, self.clock);
-            }
-            if leaf_levels == 4 {
-                Self::install(&mut self.pde, self.pde_capacity, tag_2m, self.clock);
-            }
-        } else {
-            referenced = leaf_levels;
-            self.stats.misses += 1;
-            Self::install(&mut self.pml4e, self.pml4e_capacity, tag_512g, self.clock);
-            if leaf_levels >= 3 {
-                Self::install(&mut self.pdpte, self.pdpte_capacity, tag_1g, self.clock);
-            }
-            if leaf_levels == 4 {
-                Self::install(&mut self.pde, self.pde_capacity, tag_2m, self.clock);
-            }
+        let hit = (1..leaf_levels)
+            .rev()
+            .find(|&level| self.arrays[usize::from(level) - 1].probe(tag(level)))
+            .unwrap_or(0);
+        for level in hit + 1..leaf_levels {
+            self.arrays[usize::from(level) - 1].install(tag(level));
         }
+        match hit {
+            0 => self.stats.misses += 1,
+            1 => self.stats.pml4e_hits += 1,
+            2 => self.stats.pdpte_hits += 1,
+            _ => self.stats.pde_hits += 1,
+        }
+        let referenced = leaf_levels - hit;
         self.stats.levels_referenced += u64::from(referenced);
         referenced
     }
@@ -202,23 +205,14 @@ impl PageWalkCache {
     pub fn invalidate_region(&mut self, region: Vpn) -> usize {
         let g = region.containing(PageSize::Huge1G).index();
         let m = region.index();
-        let before = self.pdpte.len() + self.pde.len();
-        self.pdpte.retain(|e| e.tag != g);
-        self.pde.retain(|e| e.tag != m);
-        before - self.pdpte.len() - self.pde.len()
+        self.arrays[1].retain(|tag| tag != g) + self.arrays[2].retain(|tag| tag != m)
     }
 
     /// Empties all arrays.
     pub fn flush(&mut self) {
-        self.pml4e.clear();
-        self.pdpte.clear();
-        self.pde.clear();
-    }
-}
-
-impl Default for PageWalkCache {
-    fn default() -> Self {
-        PageWalkCache::typical()
+        for array in &mut self.arrays {
+            array.clear();
+        }
     }
 }
 
@@ -228,14 +222,14 @@ mod tests {
 
     #[test]
     fn first_walk_references_all_levels() {
-        let mut pwc = PageWalkCache::typical();
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
         assert_eq!(pwc.walk(VirtAddr::new(0x1234_5000), 4), 4);
         assert_eq!(pwc.stats().misses, 1);
     }
 
     #[test]
     fn repeat_walk_same_2m_region_hits_pde() {
-        let mut pwc = PageWalkCache::typical();
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
         pwc.walk(VirtAddr::new(0x1234_5000), 4);
         // Same 2MB region: PDE hit, only the leaf PTE referenced.
         assert_eq!(pwc.walk(VirtAddr::new(0x1234_6000), 4), 1);
@@ -248,7 +242,7 @@ mod tests {
 
     #[test]
     fn cross_1g_same_512g_skips_top_only() {
-        let mut pwc = PageWalkCache::typical();
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
         pwc.walk(VirtAddr::new(0), 4);
         // Different 1GB region, same 512GB region: PML4E hit.
         assert_eq!(pwc.walk(VirtAddr::new(1 << 30), 4), 3);
@@ -257,7 +251,7 @@ mod tests {
 
     #[test]
     fn huge_leaf_walks_are_shorter() {
-        let mut pwc = PageWalkCache::typical();
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
         assert_eq!(pwc.walk(VirtAddr::new(0x4000_0000), 3), 3); // cold 2MB leaf
         assert_eq!(pwc.walk(VirtAddr::new(0x4020_0000), 3), 1); // PDPTE hit
                                                                 // A 1GB leaf with a PDPTE hit still needs the leaf reference.
@@ -266,7 +260,11 @@ mod tests {
 
     #[test]
     fn lru_eviction_in_pdpte_array() {
-        let mut pwc = PageWalkCache::new(4, 2, 64);
+        let mut pwc = PageWalkCache::new(PwcConfig {
+            pml4e_entries: 4,
+            pdpte_entries: 2,
+            pde_entries: 64,
+        });
         pwc.walk(VirtAddr::new(0), 4);
         pwc.walk(VirtAddr::new(1 << 30), 4);
         pwc.walk(VirtAddr::new(2 << 30), 4); // evicts 1GB region 0
@@ -282,7 +280,7 @@ mod tests {
     fn huge_1g_leaf_does_not_seed_structure_cache() {
         // A 1 GiB-leaf walk's PDPTE *is* the translation, not a pointer
         // to a lower table; paging-structure caches never hold leaves.
-        let mut pwc = PageWalkCache::typical();
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
         assert_eq!(pwc.walk(VirtAddr::new(0x4000_0000), 2), 2);
         // A later 4 KiB-leaf walk in the same 1 GiB region must pay the
         // PML4E-hit path (3 references), not a bogus PDPTE hit seeded by
@@ -296,7 +294,7 @@ mod tests {
     fn steady_state_approaches_paper_reference_rate() {
         // Hammer a handful of 1GB regions: mean references/walk should
         // approach the 1.1–1.4 the paper quotes for effective PWCs.
-        let mut pwc = PageWalkCache::typical();
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
         for i in 0..10_000u64 {
             pwc.walk(VirtAddr::new((i % 8) << 30 | (i * 0x1000) & 0x3FFF_F000), 4);
         }
@@ -306,7 +304,7 @@ mod tests {
 
     #[test]
     fn invalidate_and_flush() {
-        let mut pwc = PageWalkCache::typical();
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
         pwc.walk(VirtAddr::new(0x4000_0000), 4);
         let region = VirtAddr::new(0x4000_0000).vpn(PageSize::Huge2M);
         // Both the PDE entry and the covering PDPTE entry are dropped.
@@ -319,13 +317,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_panics() {
-        let _ = PageWalkCache::new(0, 4, 4);
+        let _ = PageWalkCache::new(PwcConfig {
+            pml4e_entries: 0,
+            pdpte_entries: 4,
+            pde_entries: 4,
+        });
     }
 
     #[test]
     #[should_panic(expected = "leaf level")]
     fn bad_leaf_level_panics() {
-        let mut pwc = PageWalkCache::typical();
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
         pwc.walk(VirtAddr::new(0), 5);
     }
 }

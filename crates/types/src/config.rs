@@ -229,7 +229,8 @@ impl PwcConfig {
         }
     }
 
-    /// Geometry scaled in proportion to a shrunken L2 TLB.
+    /// Geometry scaled in proportion to a shrunken L2 TLB, each array
+    /// floored at one entry.
     ///
     /// [`typical`](Self::typical) pairs with the paper's 1024-entry L2
     /// (Table 2). Scaled-down experiment profiles shrink the TLB so
@@ -238,55 +239,14 @@ impl PwcConfig {
     /// instead of the paper's 1.1–1.4 band). Scaling each array by the
     /// same factor as the L2 keeps the PWC-reach-to-TLB-reach ratio.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the scale factor would round any
-    /// structure-cache array down to zero entries. Earlier revisions
-    /// silently clamped such arrays to one entry; that hid geometry bugs
-    /// in nested (2D) mode, where a single walk probes every array up to
-    /// five times and a phantom 1-entry array distorts the measured walk
-    /// cost. Undersized geometries are now a configuration error the
-    /// caller must handle.
-    pub fn scaled_to_tlb(l2_entries: u32) -> Result<Self, ConfigError> {
-        const PAPER_L2_ENTRIES: u32 = 1024;
-        fn scale(what: &'static str, entries: u32, l2: u32) -> Result<u32, ConfigError> {
-            let scaled = entries * l2 / PAPER_L2_ENTRIES;
-            if scaled == 0 {
-                return Err(ConfigError::new(what));
-            }
-            Ok(scaled)
-        }
-        let t = PwcConfig::typical();
-        Ok(PwcConfig {
-            pml4e_entries: scale(
-                "L2 TLB too small to scale the PML4E cache: array would have 0 entries",
-                t.pml4e_entries,
-                l2_entries,
-            )?,
-            pdpte_entries: scale(
-                "L2 TLB too small to scale the PDPTE cache: array would have 0 entries",
-                t.pdpte_entries,
-                l2_entries,
-            )?,
-            pde_entries: scale(
-                "L2 TLB too small to scale the PDE cache: array would have 0 entries",
-                t.pde_entries,
-                l2_entries,
-            )?,
-        })
-    }
-
-    /// [`scaled_to_tlb`](Self::scaled_to_tlb) with each array floored at
-    /// one entry instead of rejecting.
-    ///
-    /// Native-mode experiment profiles use this: a one-entry upper-level
-    /// array is a legitimate (if tiny) native structure cache, and the
-    /// scaled-down profiles need *some* PWC to show realistic walk-cost
-    /// pressure. Nested (2D) geometry must go through the strict
-    /// constructor — there a phantom one-entry array is probed up to
-    /// five times per walk and distorts the measured cost.
+    /// The floor keeps the result valid at any L2 size: a one-entry
+    /// upper-level array is a legitimate (if tiny) structure cache, and
+    /// the scaled-down profiles need *some* PWC to show realistic
+    /// walk-cost pressure. Nested (2D) geometry does not come from here:
+    /// it is [`NestedConfig`]'s own, checked by
+    /// [`NestedConfig::validate`].
     #[must_use]
-    pub fn scaled_to_tlb_clamped(l2_entries: u32) -> Self {
+    pub fn scaled_to_tlb(l2_entries: u32) -> Self {
         const PAPER_L2_ENTRIES: u32 = 1024;
         let t = PwcConfig::typical();
         let scale = |entries: u32| (entries * l2_entries / PAPER_L2_ENTRIES).max(1);
@@ -759,30 +719,20 @@ mod tests {
     }
 
     #[test]
-    fn scaled_to_tlb_rejects_undersized_geometry() {
-        // 16-entry L2 scales the 4-entry PML4E cache to 4*16/1024 = 0;
-        // that used to clamp to 1 silently — it must now be an error.
-        assert!(PwcConfig::scaled_to_tlb(16).is_err());
-        // The smallest L2 whose scaled PML4E cache is still nonempty.
-        let ok = PwcConfig::scaled_to_tlb(256).unwrap();
-        assert_eq!(ok.pml4e_entries, 1);
-        assert_eq!(ok.pdpte_entries, 8);
-        assert_eq!(ok.pde_entries, 16);
-        ok.validate().unwrap();
+    fn scaled_to_tlb_floors_each_array_at_one_entry() {
+        let geometry = |l2| {
+            let c = PwcConfig::scaled_to_tlb(l2);
+            c.validate().unwrap();
+            (c.pml4e_entries, c.pdpte_entries, c.pde_entries)
+        };
+        // A 16-entry L2 scales the 4/32/64 geometry to 0/0/1; the empty
+        // arrays floor at one entry.
+        assert_eq!(geometry(16), (1, 1, 1));
+        assert_eq!(geometry(128), (1, 4, 8));
+        // The smallest L2 at which no array needs the floor.
+        assert_eq!(geometry(256), (1, 8, 16));
         // At the paper's L2 size scaling is the identity.
-        assert_eq!(
-            PwcConfig::scaled_to_tlb(1024).unwrap(),
-            PwcConfig::typical()
-        );
-        // The clamped variant agrees wherever the strict one succeeds,
-        // and floors at one entry where it rejects.
-        assert_eq!(PwcConfig::scaled_to_tlb_clamped(256), ok);
-        assert_eq!(PwcConfig::scaled_to_tlb_clamped(1024), PwcConfig::typical());
-        let clamped = PwcConfig::scaled_to_tlb_clamped(128);
-        assert_eq!(clamped.pml4e_entries, 1);
-        assert_eq!(clamped.pdpte_entries, 4);
-        assert_eq!(clamped.pde_entries, 8);
-        clamped.validate().unwrap();
+        assert_eq!(PwcConfig::scaled_to_tlb(1024), PwcConfig::typical());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use hpage::faults::{FaultKind, FaultPlan, FaultWindow};
 use hpage::os::DegradationConfig;
-use hpage::sim::{Harness, PolicyChoice, ProcessSpec, Simulation};
+use hpage::sim::{Harness, NullRecorder, PolicyChoice, ProcessSpec, Simulation};
 use hpage::trace::{Pattern, SyntheticBuilder, SyntheticWorkload};
 use hpage::types::SystemConfig;
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
             .with_faults(plan)
             .with_degradation(DegradationConfig::default())
             .with_audit()
-            .try_run(&[ProcessSpec::new(&w)])
+            .try_run_recorded(&[ProcessSpec::new(&w)], &mut NullRecorder)
             .expect("chaos run must degrade gracefully, not error");
         prop_assert!(
             report.audit_violations.is_empty(),
@@ -115,7 +115,7 @@ proptest! {
                 .with_faults(plan.clone())
                 .with_degradation(DegradationConfig::default())
                 .with_audit()
-                .try_run(&[ProcessSpec::new(&w)])
+                .try_run_recorded(&[ProcessSpec::new(&w)], &mut NullRecorder)
                 .expect("chaos run must degrade gracefully, not error")
         };
         prop_assert_eq!(run(), run());

@@ -5,7 +5,9 @@
 use hpage::os::PhysicalMemory;
 use hpage::pcc::{Pcc, PccEvent, ReplacementPolicy};
 use hpage::tlb::{PageTable, PageWalkCache, SetAssocTlb, Translation};
-use hpage::types::{derive_seed, PageSize, PccConfig, Pfn, TlbLevelConfig, VirtAddr, Vpn};
+use hpage::types::{
+    derive_seed, PageSize, PccConfig, Pfn, PwcConfig, TlbLevelConfig, VirtAddr, Vpn,
+};
 use proptest::prelude::*;
 
 fn region(i: u64) -> Vpn {
@@ -407,16 +409,22 @@ proptest! {
 
     /// The native paging-structure cache is exactly a deepest-hit-wins
     /// walker over three true-LRU arrays: a BTreeMap reference model
-    /// driven by the same per-walk clock predicts every reference count
-    /// under arbitrary interleavings of walks at all three leaf depths,
-    /// region invalidations, and full flushes — the same technique that
-    /// pins the nested (2D) walker in `hpage::tlb::nested`.
+    /// driven by a per-walk clock (the cache stamps every touch; a walk
+    /// writes each array at most once, so both orders agree) predicts
+    /// every reference count under arbitrary interleavings of walks at
+    /// all three leaf depths, region invalidations, and full flushes —
+    /// the same technique that pins the nested (2D) walker in
+    /// `hpage::tlb::nested`.
     #[test]
     fn pwc_matches_reference_lru_model(
         ops in prop::collection::vec((0u64..2048, 0u8..3, 0u8..10), 1..500),
     ) {
         // Tiny geometry so evictions actually happen.
-        let mut pwc = PageWalkCache::new(1, 2, 4);
+        let mut pwc = PageWalkCache::new(PwcConfig {
+            pml4e_entries: 1,
+            pdpte_entries: 2,
+            pde_entries: 4,
+        });
         let mut arrays = [RefLruArray::new(1), RefLruArray::new(2), RefLruArray::new(4)];
         let mut clock = 0u64;
         for (i, &(page, leaf_sel, op)) in ops.iter().enumerate() {

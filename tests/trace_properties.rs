@@ -6,7 +6,7 @@ use hpage::trace::{
     degree_based_grouping, generate_rmat, CsrGraph, Pattern, ReuseAnalyzer, RmatParams,
     SyntheticBuilder, Workload,
 };
-use hpage::types::VirtAddr;
+use hpage::types::{PwcConfig, VirtAddr};
 use proptest::prelude::*;
 
 proptest! {
@@ -107,7 +107,7 @@ proptest! {
     fn pwc_reference_bounds(
         walks in prop::collection::vec((0u64..(1 << 34), 2u8..5), 1..300),
     ) {
-        let mut pwc = PageWalkCache::typical();
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
         for &(addr, leaf) in &walks {
             let refs = pwc.walk(VirtAddr::new(addr), leaf);
             prop_assert!(refs >= 1 && refs <= leaf);
