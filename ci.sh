@@ -6,6 +6,20 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# bounded NAME CMD...: runs a --sim-threads smoke under a time limit, so
+# a deadlocked shard handoff fails the step by name instead of hanging
+# the job.
+bounded() {
+    local name=$1
+    shift
+    local rc=0
+    timeout 300 "$@" || rc=$?
+    if [ "$rc" -eq 124 ]; then
+        echo "$name: no result after 300 s (shard handoff deadlock?)" >&2
+    fi
+    return "$rc"
+}
+
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 
@@ -59,10 +73,10 @@ HPAGE_PROFILE=test ./target/release/repro --ablation -j 1 \
 cmp crates/bench/tests/golden/ablation_test.txt /tmp/repro_ablation.txt
 
 echo "== shard smoke: --sim-threads 4 report is byte-identical to 1 =="
-HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc \
-    --sim-threads 1 --quiet > /tmp/hpsim_st1.txt
-HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc \
-    --sim-threads 4 --quiet > /tmp/hpsim_st4.txt
+bounded "hpsim --sim-threads 1" env HPAGE_PROFILE=test ./target/release/hpsim \
+    --app bfs --policy pcc --sim-threads 1 --quiet > /tmp/hpsim_st1.txt
+bounded "hpsim --sim-threads 4" env HPAGE_PROFILE=test ./target/release/hpsim \
+    --app bfs --policy pcc --sim-threads 4 --quiet > /tmp/hpsim_st4.txt
 cmp /tmp/hpsim_st1.txt /tmp/hpsim_st4.txt
 if ./target/release/hpsim --app bfs --sim-threads 0 --quiet > /dev/null 2>&1; then
     echo "hpsim accepted --sim-threads 0" >&2
@@ -77,7 +91,8 @@ echo "== trace pipeline smoke: record -> replay byte-identical =="
 HPAGE_PROFILE=test ./target/release/hpsim --app bfs \
     --trace-out /tmp/ci_trace.hpt2 --max-accesses 200000 > /dev/null
 for st in 1 2 8; do
-    HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
+    bounded "replay --sim-threads $st" env HPAGE_PROFILE=test \
+        ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
         --threads 4 --sim-threads "$st" --events /tmp/ci_replay_$st.jsonl \
         --quiet > /tmp/ci_replay_$st.txt
 done
@@ -95,7 +110,8 @@ HPAGE_PROFILE=test ./target/release/hpsim --trace-in /tmp/ci_trace.hpt2 \
 cmp /tmp/ci_trace.hpt2 /tmp/ci_trace_again.hpt2
 
 echo "== consolidation smoke: 32 tenants, fairness + storms in artifact =="
-HPAGE_PROFILE=test ./target/release/repro --consolidation --tenants 32 \
+bounded "repro --consolidation --sim-threads 4" env HPAGE_PROFILE=test \
+    ./target/release/repro --consolidation --tenants 32 \
     --sim-threads 4 --bench-out BENCH_consolidation.json --quiet \
     > /tmp/repro_consolidation.txt
 grep -q 'Jain fairness over promotion shares:' /tmp/repro_consolidation.txt
@@ -108,18 +124,22 @@ echo "== virt smoke: nested ablation deterministic, golden-pinned =="
 # The 2D-translation ablation must be byte-identical at any shard/job
 # count, match the committed golden fixture (stdout is the fixture plus
 # repro's trailing blank line), and embed under "virt" in the artifact.
-HPAGE_PROFILE=test ./target/release/repro --virt --sim-threads 1 --jobs 1 \
+bounded "repro --virt --sim-threads 1" env HPAGE_PROFILE=test \
+    ./target/release/repro --virt --sim-threads 1 --jobs 1 \
     --bench-out BENCH_virt.json --quiet > /tmp/repro_virt_1.txt
-HPAGE_PROFILE=test ./target/release/repro --virt --sim-threads 8 --jobs 8 \
+bounded "repro --virt --sim-threads 8" env HPAGE_PROFILE=test \
+    ./target/release/repro --virt --sim-threads 8 --jobs 8 \
     --bench-out /tmp/BENCH_virt_8.json --quiet > /tmp/repro_virt_8.txt
 cmp /tmp/repro_virt_1.txt /tmp/repro_virt_8.txt
 cmp <(cat crates/bench/tests/golden/virt_test.txt; echo) /tmp/repro_virt_1.txt
 grep -q 'verdict: PCCs in both dimensions beat either dimension alone' \
     /tmp/repro_virt_1.txt
 grep -q '"virt":{"scenario":"virt"' BENCH_virt.json
-HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc --nested \
+bounded "hpsim --nested --sim-threads 1" env HPAGE_PROFILE=test \
+    ./target/release/hpsim --app bfs --policy pcc --nested \
     --sim-threads 1 --quiet > /tmp/hpsim_nested_1.txt
-HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc --nested \
+bounded "hpsim --nested --sim-threads 4" env HPAGE_PROFILE=test \
+    ./target/release/hpsim --app bfs --policy pcc --nested \
     --sim-threads 4 --quiet > /tmp/hpsim_nested_4.txt
 cmp /tmp/hpsim_nested_1.txt /tmp/hpsim_nested_4.txt
 grep -q 'host promotions' /tmp/hpsim_nested_1.txt

@@ -38,9 +38,10 @@ const USAGE: &str = "usage: hpsim --app <bfs|sssp|pr|canneal|omnetpp|xalancbmk|d
 parallelism: --jobs 2+ runs the 4KB baseline concurrently with the
              instrumented run (default: available cores; the printed
              report is byte-identical at any N); --sim-threads N shards
-             the simulation loop itself across N worker threads with
-             barrier-synchronized intervals (default 1; reports and
-             event streams are byte-identical at any N)
+             the simulation loop itself across N threads, the calling
+             thread and N-1 workers; a process never spans shards
+             (default 1; reports and event streams are byte-identical
+             at any N)
 virtualization: --nested runs the workload as a VM under nested (2D)
              translation: every guest-walk step is host-translated through
              per-VM host page tables, with 2D structure caches and a nested

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 const USAGE: &str = "usage: repro [--all] [--figure 1|2|5|6|7|8|9a|9b] [--table 1|2|storage] [--ablation] [--datasets] [--timeline] [--consolidation] [--tenants N] [--virt] [--ledger-out FILE] [--json 1|6|7|ablation|datasets] [--jobs N|-j N] [--sim-threads N] [--bench-out FILE] [--journal FILE | --resume FILE] [--retries N] [--harness-faults FILE] [--soft-deadline-ms N] [--hard-deadline-ms N] [--quiet|-q] [--verbose|-v]
 parallelism: --jobs N runs up to N simulation cells concurrently (default: available cores; tables are byte-identical at any N);
-           --sim-threads N shards the consolidation/virt simulation loops across N worker threads (default 1;
+           --sim-threads N shards the consolidation/virt simulation loops across N threads (default 1;
            reports are byte-identical at any N — hpsim accepts the same flag for single-scenario runs)
 consolidation: --consolidation co-locates --tenants N mixed tenants (default 32) on one machine under a churn
            plan and reports the Jain fairness index over per-tenant promotion shares plus shootdown-storm

@@ -14,7 +14,7 @@ use crate::profile::SimProfile;
 use crate::runner::{Cell, Harness, SharedWorkload, EXPERIMENT_SEED as SEED};
 use crate::simulation::{PolicyChoice, ProcessSpec, SimReport, Simulation};
 use hpage_faults::{FaultKind, FaultPlan, FaultWindow};
-use hpage_obs::{Event, MemoryRecorder, Recorder, Tee};
+use hpage_obs::{Event, Recorder, Tee};
 use hpage_os::PromotionBudget;
 use hpage_perf::{geomean, UtilityCurve, UtilityPoint};
 use hpage_trace::{
@@ -1093,9 +1093,9 @@ pub fn consolidation_on<R: Recorder>(
         .map(|(w, _, _)| ProcessSpec::new(w as &dyn Workload))
         .collect();
 
-    let mut events = MemoryRecorder::new();
+    let mut storms = StormTally::default();
     let report = sim
-        .try_run_recorded(&specs, &mut Tee(recorder, &mut events))
+        .try_run_recorded(&specs, &mut Tee(recorder, &mut storms))
         .unwrap_or_else(|e| panic!("simulation failed: {e}"));
 
     let rows: Vec<ConsolidationTenantRow> = tenants
@@ -1117,17 +1117,6 @@ pub fn consolidation_on<R: Recorder>(
     } else {
         sum * sum / (rows.len() as f64 * sum_sq)
     };
-    let (mut storm_flushes, mut storm_entries_flushed, mut storm_entries_max) = (0, 0, 0);
-    for (_, event) in events.events() {
-        if let Event::ShootdownStorm {
-            entries_flushed, ..
-        } = event
-        {
-            storm_flushes += 1;
-            storm_entries_flushed += entries_flushed;
-            storm_entries_max = storm_entries_max.max(entries_flushed);
-        }
-    }
     ConsolidationReport {
         tenants: cfg.tenants,
         sim_threads: cfg.sim_threads,
@@ -1138,9 +1127,33 @@ pub fn consolidation_on<R: Recorder>(
         promotion_failures: report.promotion_failures,
         huge_pages_at_end: report.huge_pages_at_end,
         shootdowns: report.aggregate.shootdowns,
-        storm_flushes,
-        storm_entries_flushed,
-        storm_entries_max,
+        storm_flushes: storms.flushes,
+        storm_entries_flushed: storms.entries_flushed,
+        storm_entries_max: storms.entries_max,
+    }
+}
+
+/// Counts `ShootdownStorm` events and drops everything else. It stays
+/// disabled: the engine records storms whether or not a recorder is
+/// enabled, so teeing it in neither buffers the run's events nor turns
+/// on per-access recording.
+#[derive(Default)]
+struct StormTally {
+    flushes: u64,
+    entries_flushed: u64,
+    entries_max: u64,
+}
+
+impl Recorder for StormTally {
+    fn record(&mut self, _at: u64, event: Event) {
+        if let Event::ShootdownStorm {
+            entries_flushed, ..
+        } = event
+        {
+            self.flushes += 1;
+            self.entries_flushed += entries_flushed;
+            self.entries_max = self.entries_max.max(entries_flushed);
+        }
     }
 }
 
@@ -1739,6 +1752,32 @@ mod tests {
             },
             r
         );
+    }
+
+    #[test]
+    fn storm_tally_matches_a_memory_recorder() {
+        let p = SimProfile::test();
+        let cfg = ConsolidationConfig::for_profile(&p, 2, 2);
+        let mut events = hpage_obs::MemoryRecorder::new();
+        let recorded = consolidation_on(&p, &cfg, &mut events);
+        let storms: Vec<u64> = events
+            .events()
+            .into_iter()
+            .filter_map(|(_, ev)| match ev {
+                Event::ShootdownStorm {
+                    entries_flushed, ..
+                } => Some(entries_flushed),
+                _ => None,
+            })
+            .collect();
+        assert!(!storms.is_empty(), "the churn plan storms the TLBs");
+        assert_eq!(recorded.storm_flushes, storms.len() as u64);
+        assert_eq!(recorded.storm_entries_flushed, storms.iter().sum::<u64>());
+        assert_eq!(recorded.storm_entries_max, *storms.iter().max().unwrap());
+        // Without an enabled recorder the tally still sees every storm,
+        // and the run is the same.
+        let unrecorded = consolidation_on(&p, &cfg, &mut hpage_obs::NullRecorder);
+        assert_eq!(unrecorded, recorded);
     }
 
     #[test]

@@ -17,19 +17,38 @@
 //! Cores are grouped into **shards**. Every core of a process lives on
 //! the shard that owns the process's [`AddressSpace`], so page-table
 //! walks (which set A-bits) never cross a shard boundary between
-//! barriers. With `--sim-threads 1` (the default) the single shard runs
-//! inline on the calling thread; with more, each shard is an OS thread
-//! and rounds execute in parallel.
+//! barriers. Shard 0 always runs on the calling thread, which is also
+//! the coordinator: with `--sim-threads 1` (the default) that is the
+//! whole run, and with *N* shards the engine spawns *N − 1* worker
+//! threads, so every thread it uses has a shard to execute.
+//!
+//! # Handoff
+//!
+//! Threads meet once per round — at most [`CHUNK`] accesses per core,
+//! a few µs of work — plus once per fault wave and twice per interval
+//! barrier, so the cost of a meeting decides whether threads pay off.
+//! The coordinator sends one message per shard per round (`Execute`:
+//! fill the chunks, then run them), sends to the threaded shards first,
+//! runs shard 0 inline, and then reads every reply in shard order.
+//! Each direction of a threaded shard is a [`Slot`]: a FIFO message
+//! cell plus an atomic sequence number that the waiting end polls for
+//! [`SPIN_LIMIT`] iterations before it parks; the sender unparks it
+//! after every message. Dropping the sending end — normally, or while
+//! a panic unwinds a worker — closes the slot and wakes the waiter, so
+//! a coordinator error stops every worker and a worker panic becomes a
+//! coordinator panic instead of a hang.
 //!
 //! # Determinism
 //!
 //! The protocol is canonical — the schedule of every simulated event is
 //! a pure function of the inputs, never of the shard count:
 //!
-//! * **Timestamps** are block-sequential: after the fill phase the
-//!   coordinator prefix-sums the per-core chunk lengths in core order,
-//!   so core *c*'s accesses occupy a contiguous timestamp block that
-//!   only depends on the lengths of cores `< c`.
+//! * **Timestamps** are block-sequential: once every shard has reported
+//!   its fill counts, the coordinator prefix-sums the per-core chunk
+//!   lengths in core order, so core *c*'s accesses occupy a contiguous
+//!   timestamp block that only depends on the lengths of cores `< c`.
+//!   Workers stamp events relative to the chunk's start; the
+//!   coordinator adds the block base as it drains them.
 //! * **Page faults** pause the faulting core. Workers run every core to
 //!   its first unserved fault (or chunk end), then the coordinator
 //!   serves all pending allocation requests against the shared
@@ -53,7 +72,9 @@
 //! [`CacheHierarchy`], so enabling it forces a single shard.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, Thread};
 
 use hpage_cache::{CacheHierarchy, CacheOutcome};
 use hpage_faults::FaultInjector;
@@ -100,7 +121,6 @@ struct WorkerFlags {
 /// already ran on the worker; the coordinator supplies the frame.
 struct FaultRequest {
     core: usize,
-    va: VirtAddr,
     wants_huge: bool,
 }
 
@@ -242,11 +262,9 @@ struct OsSlice {
 }
 
 enum ToShard {
-    /// Start a round: refill each listed core's chunk (quota accesses).
-    Fill { quotas: Vec<(usize, u64)> },
-    /// Execute the filled chunks; `ts_bases[i]` is the global access
-    /// count just before core `i`'s block.
-    Execute { ts_bases: Vec<(usize, u64)> },
+    /// Start a round: refill each listed core's chunk (quota accesses)
+    /// and run the chunks.
+    Execute { quotas: Vec<(usize, u64)> },
     /// Deliver fault grants to paused cores and resume them.
     Grants { grants: Vec<(usize, FaultGrant)> },
     /// Surrender all OS-visible state for an interval barrier.
@@ -256,13 +274,16 @@ enum ToShard {
 }
 
 enum FromShard {
-    /// Reply to `Fill`: the request's own buffer handed back, each
-    /// quota overwritten with how many accesses the core's trace
-    /// produced — the coordinator recycles it, so steady-state rounds
-    /// allocate nothing for fill traffic.
-    Filled { gots: Vec<(usize, u64)> },
     /// Reply to `Execute`/`Grants`.
-    Progress(Box<ShardProgress>),
+    Progress {
+        /// `Execute` only (empty after `Grants`): the request's own
+        /// buffer handed back, each quota overwritten with how many
+        /// accesses the core's trace produced — the coordinator
+        /// recycles it, so steady-state rounds allocate nothing for
+        /// fill traffic.
+        filled: Vec<(usize, u64)>,
+        progress: Box<ShardProgress>,
+    },
     /// Reply to `TakeOs`.
     Os(Box<OsSlice>),
 }
@@ -278,7 +299,8 @@ enum ShardProgress {
     },
     /// Every filled chunk ran to completion.
     RoundDone {
-        /// Per-core event buffers, each in timestamp order.
+        /// Per-core event buffers, each in timestamp order, stamped
+        /// relative to the core's chunk (its first access is 1).
         events: Vec<(usize, Vec<(u64, Event)>)>,
         unused: Vec<(usize, FaultGrant)>,
     },
@@ -308,10 +330,9 @@ struct CoreSeat<'w> {
     pcc_1g: Option<Pcc>,
     /// Length of the trace stream's current window.
     chunk_len: usize,
-    /// Next unexecuted index into the window.
+    /// Next unexecuted index into the window; the access there is
+    /// stamped `pos + 1`, relative to the chunk's start.
     pos: usize,
-    /// Timestamp of the access at `pos`.
-    ts: u64,
     /// The access at `pos` already faulted; retry the walk directly
     /// (the TLB lookup already counted its miss).
     resume_walk: bool,
@@ -370,22 +391,21 @@ impl<'w> ShardWorker<'w> {
     /// Processes one coordinator message. `RestoreOs` has no reply.
     fn handle(&mut self, msg: ToShard) -> Option<FromShard> {
         match msg {
-            ToShard::Fill { mut quotas } => {
+            ToShard::Execute { mut quotas } => {
                 self.fill(&mut quotas);
-                Some(FromShard::Filled { gots: quotas })
-            }
-            ToShard::Execute { ts_bases } => {
-                for (core, base) in ts_bases {
-                    // First access of the block is access number base+1.
-                    self.seat_mut(core).ts = base + 1;
-                }
-                Some(FromShard::Progress(Box::new(self.run_ready())))
+                Some(FromShard::Progress {
+                    filled: quotas,
+                    progress: Box::new(self.run_ready()),
+                })
             }
             ToShard::Grants { grants } => {
                 for (core, grant) in grants {
                     self.seat_mut(core).pending_grant = Some(grant);
                 }
-                Some(FromShard::Progress(Box::new(self.run_ready())))
+                Some(FromShard::Progress {
+                    filled: Vec::new(),
+                    progress: Box::new(self.run_ready()),
+                })
             }
             ToShard::TakeOs => Some(FromShard::Os(Box::new(self.take_os()))),
             ToShard::RestoreOs(slice) => {
@@ -557,7 +577,6 @@ fn run_seat<const REC: bool>(
         pcc_1g,
         chunk_len,
         pos,
-        ts,
         resume_walk,
         pending_grant,
         in_round,
@@ -595,7 +614,6 @@ fn run_seat<const REC: bool>(
             unused_grants.push(grant);
             return Ok(Some(FaultRequest {
                 core,
-                va: access.addr,
                 wants_huge: false,
             }));
         } else {
@@ -612,7 +630,7 @@ fn run_seat<const REC: bool>(
             };
             if REC {
                 events.push((
-                    *ts,
+                    *pos as u64 + 1,
                     Event::Fault {
                         core: CoreId(core as u32),
                         process: ProcessId(pid as u32),
@@ -625,7 +643,7 @@ fn run_seat<const REC: bool>(
     }
     while *pos < *chunk_len {
         let access = chunk[*pos];
-        let at = *ts;
+        let at = *pos as u64 + 1;
         let data_translation: Option<Translation> = if *resume_walk {
             *resume_walk = false;
             let walk = space.page_table_mut().walk(access.addr)?;
@@ -702,11 +720,7 @@ fn run_seat<const REC: bool>(
                         // Page fault: ship the allocation request; the
                         // access retries here once the grant lands.
                         let wants_huge = space.fault_wants_huge(access.addr, flags.prefer_huge);
-                        return Ok(Some(FaultRequest {
-                            core,
-                            va: access.addr,
-                            wants_huge,
-                        }));
+                        return Ok(Some(FaultRequest { core, wants_huge }));
                     }
                 },
             }
@@ -724,7 +738,6 @@ fn run_seat<const REC: bool>(
             }
         }
         *pos += 1;
-        *ts += 1;
     }
     // Chunk complete. Without a recorder the A-bit harvest batched
     // during the chunk replays into the PCC banks here, once per chunk:
@@ -982,52 +995,164 @@ fn interval_snapshot(
     }
 }
 
-/// A shard as the coordinator sees it: either the worker inline on this
-/// thread (single-shard runs) or a channel pair to a worker thread.
-/// `send`/`recv` have identical semantics in both variants, so the
-/// coordinator logic — and therefore the simulated schedule — is the
-/// same code path at any thread count.
+/// How many times a waiting end of a [`Slot`] polls for a message
+/// before it parks: about 20 µs of `spin_loop` on a 2-vCPU Xeon VM,
+/// the cost of one park/unpark wake-up there. Between barriers the
+/// peer usually answers within one round, a few µs, so the spin
+/// catches it; the bound caps the CPU a waiter takes from the thread
+/// it waits for when the host is oversubscribed (`repro --jobs` runs
+/// many sharded cells at once), and through every interval block.
+const SPIN_LIMIT: u32 = 1 << 10;
+
+/// One direction of a shard handoff: a FIFO message cell, a sequence
+/// number the receiver polls without taking the cell's lock, and the
+/// flag the sender's drop sets.
+struct Slot<T> {
+    cell: Mutex<VecDeque<T>>,
+    /// Messages pushed so far. Stored with `Release` after the push and
+    /// loaded with `Acquire` before the pop.
+    sent: AtomicU64,
+    /// The sending end is gone — dropped, or unwound by a panic. Stored
+    /// with `Release` after the sender's last push and loaded with
+    /// `Acquire`, so a receiver that sees it also sees every count.
+    closed: AtomicBool,
+}
+
+/// Creates a slot and its receiving end. The sending end
+/// ([`HandoffTx`]) names the receiving thread, so it is built once
+/// that thread exists.
+fn handoff<T>() -> (Arc<Slot<T>>, HandoffRx<T>) {
+    let slot = Arc::new(Slot {
+        cell: Mutex::new(VecDeque::new()),
+        sent: AtomicU64::new(0),
+        closed: AtomicBool::new(false),
+    });
+    let rx = HandoffRx {
+        slot: Arc::clone(&slot),
+        taken: 0,
+    };
+    (slot, rx)
+}
+
+/// The sending end of a [`Slot`]. Doubles as the drop guard: dropping
+/// it, also while a panic unwinds its thread, closes the slot and
+/// wakes the receiver.
+struct HandoffTx<T> {
+    slot: Arc<Slot<T>>,
+    receiver: Thread,
+}
+
+impl<T> HandoffTx<T> {
+    fn send(&self, msg: T) {
+        self.slot
+            .cell
+            .lock()
+            .expect("no thread panics holding a handoff cell")
+            .push_back(msg);
+        self.slot.sent.fetch_add(1, Ordering::Release);
+        // Cheap when the receiver is still spinning: it only leaves a
+        // token that makes its next park return at once.
+        self.receiver.unpark();
+    }
+}
+
+impl<T> Drop for HandoffTx<T> {
+    fn drop(&mut self) {
+        self.slot.closed.store(true, Ordering::Release);
+        self.receiver.unpark();
+    }
+}
+
+/// The receiving end of a [`Slot`].
+struct HandoffRx<T> {
+    slot: Arc<Slot<T>>,
+    /// Messages received so far.
+    taken: u64,
+}
+
+impl<T> HandoffRx<T> {
+    /// Waits for the next message in send order: spins up to
+    /// [`SPIN_LIMIT`] polls, then parks until the sender unparks it.
+    /// `None` once the sender is gone and every message it sent has
+    /// been received.
+    fn recv(&mut self) -> Option<T> {
+        let mut spins = 0;
+        loop {
+            if self.slot.sent.load(Ordering::Acquire) > self.taken {
+                self.taken += 1;
+                let msg = self
+                    .slot
+                    .cell
+                    .lock()
+                    .expect("no thread panics holding a handoff cell")
+                    .pop_front();
+                return Some(msg.expect("a counted message is queued"));
+            }
+            if self.slot.closed.load(Ordering::Acquire) {
+                // The sender closes after its last push: one more look
+                // at the count sees everything it sent.
+                if self.slot.sent.load(Ordering::Acquire) > self.taken {
+                    continue;
+                }
+                return None;
+            }
+            if spins < SPIN_LIMIT {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                thread::park();
+            }
+        }
+    }
+}
+
+/// A shard as the coordinator sees it: the worker on this thread
+/// (always shard 0) or a handoff pair to a worker thread. `send`/`recv`
+/// have identical semantics in both variants, so the coordinator logic
+/// — and therefore the simulated schedule — is the same code path at
+/// any thread count. The inline worker runs a message only when its
+/// reply is read: the coordinator sends to every shard, then reads the
+/// replies in shard order, so shard 0 executes while the threaded
+/// shards execute theirs.
 enum Shard<'w> {
     Inline {
         worker: Box<ShardWorker<'w>>,
-        queued: VecDeque<FromShard>,
+        queued: VecDeque<ToShard>,
     },
     Threaded {
-        tx: Sender<ToShard>,
-        rx: Receiver<FromShard>,
+        tx: HandoffTx<ToShard>,
+        rx: HandoffRx<FromShard>,
     },
 }
 
 impl Shard<'_> {
     fn send(&mut self, msg: ToShard) {
         match self {
-            Shard::Inline { worker, queued } => {
-                if let Some(reply) = worker.handle(msg) {
-                    queued.push_back(reply);
-                }
-            }
-            Shard::Threaded { tx, .. } => {
-                // A send to a dead worker surfaces as a recv panic with
-                // better context; ignore the error here.
-                let _ = tx.send(msg);
-            }
+            Shard::Inline { queued, .. } => queued.push_back(msg),
+            Shard::Threaded { tx, .. } => tx.send(msg),
         }
     }
 
     fn recv(&mut self) -> FromShard {
         match self {
-            Shard::Inline { queued, .. } => queued.pop_front().expect("inline reply queued"),
+            Shard::Inline { worker, queued } => loop {
+                let msg = queued.pop_front().expect("inline request queued");
+                if let Some(reply) = worker.handle(msg) {
+                    return reply;
+                }
+            },
             Shard::Threaded { rx, .. } => rx.recv().expect("shard worker alive"),
         }
     }
 }
 
-fn worker_main(mut worker: ShardWorker<'_>, rx: Receiver<ToShard>, tx: Sender<FromShard>) {
-    while let Ok(msg) = rx.recv() {
+/// A worker thread's loop. It ends when the coordinator drops its
+/// sending end; a panic in `handle` drops `tx`, which wakes the
+/// coordinator to a closed slot.
+fn worker_main(mut worker: ShardWorker<'_>, mut rx: HandoffRx<ToShard>, tx: HandoffTx<FromShard>) {
+    while let Some(msg) = rx.recv() {
         if let Some(reply) = worker.handle(msg) {
-            if tx.send(reply).is_err() {
-                break; // coordinator gone (error path); shut down
-            }
+            tx.send(reply);
         }
     }
 }
@@ -1047,16 +1172,14 @@ struct Assembled {
 #[derive(Default)]
 struct RoundScratch {
     quotas: Vec<(usize, u64)>,
-    filling: Vec<usize>,
     gots: Vec<(usize, u64)>,
-    ts_bases: Vec<(usize, u64)>,
     active: Vec<usize>,
     round_events: Vec<(usize, Vec<(u64, Event)>)>,
     requests: Vec<FaultRequest>,
     unused: Vec<(usize, FaultGrant)>,
     paused: Vec<usize>,
-    /// Message-buffer pool for `Fill`/`Execute` payloads; `Filled`
-    /// replies hand their request's buffer back into it.
+    /// Message-buffer pool for `Execute` payloads; the first reply of
+    /// each round hands its request's buffer back into it.
     pool: Vec<Vec<(usize, u64)>>,
 }
 
@@ -1110,7 +1233,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
     }
 
     /// One round: plan quotas (exactly up to the interval boundary),
-    /// fill, execute through fault waves, drain events, and run the
+    /// fill and execute through fault waves, drain events, and run the
     /// interval block if the boundary was reached.
     fn round(&mut self) -> Result<(), HpageError> {
         let n_shards = self.shards.len();
@@ -1133,10 +1256,11 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         }
         debug_assert!(!quotas.is_empty(), "a live core always gets quota");
 
-        // Fill. Message buffers cycle through `scratch.pool` — the
-        // worker hands each request's buffer back as its reply.
-        let mut filling = std::mem::take(&mut self.scratch.filling);
-        filling.clear();
+        // One message per shard: each worker fills its cores' chunks
+        // and runs them at once, and the fill counts come back with its
+        // first reply. Message buffers cycle through `scratch.pool`.
+        let mut active = std::mem::take(&mut self.scratch.active);
+        active.clear();
         for si in 0..n_shards {
             let mut q = self.scratch.pool.pop().unwrap_or_default();
             q.clear();
@@ -1148,67 +1272,14 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             if q.is_empty() {
                 self.scratch.pool.push(q);
             } else {
-                filling.push(si);
-                self.shards[si].send(ToShard::Fill { quotas: q });
-            }
-        }
-        let mut gots = std::mem::take(&mut self.scratch.gots);
-        gots.clear();
-        for &si in &filling {
-            match self.shards[si].recv() {
-                FromShard::Filled { gots: g } => {
-                    gots.extend_from_slice(&g);
-                    self.scratch.pool.push(g);
-                }
-                _ => unreachable!("Fill answered with Filled"),
-            }
-        }
-        gots.sort_unstable_by_key(|&(core, _)| core);
-        self.scratch.filling = filling;
-
-        // Liveness and block-sequential timestamp bases.
-        let mut ts = self.total_accesses;
-        let mut ts_bases = std::mem::take(&mut self.scratch.ts_bases);
-        ts_bases.clear();
-        for (&(core, quota), &(core2, got)) in quotas.iter().zip(gots.iter()) {
-            debug_assert_eq!(core, core2);
-            self.remaining[core] -= got;
-            if got < quota || self.remaining[core] == 0 {
-                self.live[core] = false;
-                self.live_count -= 1;
-            }
-            if got > 0 {
-                ts_bases.push((core, ts));
-                ts += got;
-            }
-        }
-        self.scratch.quotas = quotas;
-        self.scratch.gots = gots;
-        let round_total = ts - self.total_accesses;
-        if round_total == 0 {
-            self.scratch.ts_bases = ts_bases;
-            return Ok(()); // every participating trace was dry
-        }
-
-        // Execute, serving fault waves until all chunks complete.
-        let mut active = std::mem::take(&mut self.scratch.active);
-        active.clear();
-        for si in 0..n_shards {
-            let mut b = self.scratch.pool.pop().unwrap_or_default();
-            b.clear();
-            b.extend(
-                ts_bases
-                    .iter()
-                    .filter(|&&(core, _)| self.core_shard[core] == si),
-            );
-            if b.is_empty() {
-                self.scratch.pool.push(b);
-            } else {
-                self.shards[si].send(ToShard::Execute { ts_bases: b });
+                self.shards[si].send(ToShard::Execute { quotas: q });
                 active.push(si);
             }
         }
-        self.scratch.ts_bases = ts_bases;
+
+        // Serve fault waves until all chunks complete.
+        let mut gots = std::mem::take(&mut self.scratch.gots);
+        gots.clear();
         let mut round_events = std::mem::take(&mut self.scratch.round_events);
         round_events.clear();
         let mut requests = std::mem::take(&mut self.scratch.requests);
@@ -1219,11 +1290,14 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             unused.clear();
             paused.clear();
             for &si in &active {
-                let progress = match self.shards[si].recv() {
-                    FromShard::Progress(p) => *p,
-                    _ => unreachable!("Execute/Grants answered with Progress"),
+                let FromShard::Progress { filled, progress } = self.shards[si].recv() else {
+                    unreachable!("Execute/Grants answered with Progress")
                 };
-                match progress {
+                if !filled.is_empty() {
+                    gots.extend_from_slice(&filled);
+                    self.scratch.pool.push(filled);
+                }
+                match *progress {
                     ShardProgress::Paused {
                         requests: r,
                         unused: u,
@@ -1257,9 +1331,6 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             for req in requests.drain(..) {
                 let grant = AddressSpace::allocate_grant(&mut self.os.phys, req.wants_huge)?;
                 shard_grants[self.core_shard[req.core]].push((req.core, grant));
-                // The worker validates the grant at install time; `va`
-                // travels only for the worker's retry bookkeeping.
-                let _ = req.va;
             }
             for &si in &paused {
                 let g = std::mem::take(&mut shard_grants[si]);
@@ -1273,16 +1344,34 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         self.scratch.paused = paused;
         self.scratch.active = active;
 
-        // Drain the round's events in core order — which, with
-        // block-sequential timestamps, is timestamp order.
+        // Liveness and block-sequential timestamp bases: prefix sums of
+        // the fill counts in core order. Drain the round's events in
+        // the same order — which is timestamp order — rebasing each
+        // chunk-relative stamp onto its core's block.
+        gots.sort_unstable_by_key(|&(core, _)| core);
         round_events.sort_unstable_by_key(|&(core, _)| core);
-        for (_, events) in round_events.drain(..) {
-            for (at, ev) in events {
-                self.recorder.record(at, ev);
+        let mut events = round_events.drain(..).peekable();
+        let mut ts = self.total_accesses;
+        for (&(core, quota), &(core2, got)) in quotas.iter().zip(gots.iter()) {
+            debug_assert_eq!(core, core2);
+            self.remaining[core] -= got;
+            if got < quota || self.remaining[core] == 0 {
+                self.live[core] = false;
+                self.live_count -= 1;
             }
+            if let Some((_, evs)) = events.next_if(|&(c, _)| c == core) {
+                for (at, ev) in evs {
+                    self.recorder.record(ts + at, ev);
+                }
+            }
+            ts += got;
         }
+        debug_assert!(events.next().is_none(), "events come from filled cores");
+        drop(events);
+        self.scratch.quotas = quotas;
+        self.scratch.gots = gots;
         self.scratch.round_events = round_events;
-        self.total_accesses += round_total;
+        self.total_accesses = ts;
 
         if self.total_accesses == self.next_interval {
             let mut assembled = self.assemble_os();
@@ -1443,6 +1532,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                     if let Some(c) = assembled.walk_caches[core].as_mut() {
                         c.flush();
                     }
+                    // Recorded even when the recorder is disabled:
+                    // `consolidation_on` tallies storms that way.
                     self.recorder.record(
                         total_accesses,
                         Event::ShootdownStorm {
@@ -1971,7 +2062,6 @@ pub(crate) fn run<R: Recorder>(
                 pcc_1g: bank_1g.as_mut().map(|b| b.take(CoreId(core as u32))),
                 chunk_len: 0,
                 pos: 0,
-                ts: 0,
                 resume_walk: false,
                 pending_grant: None,
                 in_round: false,
@@ -2027,25 +2117,195 @@ pub(crate) fn run<R: Recorder>(
         scratch: RoundScratch::default(),
     };
 
-    if shard_count == 1 {
-        let worker = workers.pop().expect("one shard");
-        coordinator.shards.push(Shard::Inline {
-            worker: Box::new(worker),
-            queued: VecDeque::new(),
-        });
+    // Shard 0 runs on this thread, between the coordinator's sends and
+    // its reads; every other shard gets a worker thread.
+    let coordinator_thread = thread::current();
+    let mut workers = workers.into_iter();
+    coordinator.shards.push(Shard::Inline {
+        worker: Box::new(workers.next().expect("at least one shard")),
+        queued: VecDeque::new(),
+    });
+    thread::scope(|scope| {
+        for worker in workers {
+            let (to_worker, worker_rx) = handoff::<ToShard>();
+            let (from_worker, coordinator_rx) = handoff::<FromShard>();
+            let worker_tx = HandoffTx {
+                slot: from_worker,
+                receiver: coordinator_thread.clone(),
+            };
+            let handle = scope.spawn(move || worker_main(worker, worker_rx, worker_tx));
+            coordinator.shards.push(Shard::Threaded {
+                tx: HandoffTx {
+                    slot: to_worker,
+                    receiver: handle.thread().clone(),
+                },
+                rx: coordinator_rx,
+            });
+        }
         coordinator.run_to_completion()
-    } else {
-        std::thread::scope(|scope| {
-            for worker in workers {
-                let (to_tx, to_rx) = mpsc::channel::<ToShard>();
-                let (from_tx, from_rx) = mpsc::channel::<FromShard>();
-                scope.spawn(move || worker_main(worker, to_rx, from_tx));
-                coordinator.shards.push(Shard::Threaded {
-                    tx: to_tx,
-                    rx: from_rx,
-                });
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    /// Runs `f` on a thread of its own and fails the test if it has not
+    /// finished after a minute, so a lost wake-up fails instead of
+    /// hanging the test run. A panic in `f` is re-raised here.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done_tx, done_rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = done_tx.send(panic::catch_unwind(AssertUnwindSafe(f)));
+        });
+        match done_rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(Ok(value)) => value,
+            Ok(Err(payload)) => panic::resume_unwind(payload),
+            Err(_) => panic!("the handoff hung"),
+        }
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn handoff_delivers_in_send_order() {
+        let got = within_a_minute(|| {
+            let (slot, mut rx) = handoff::<u32>();
+            let tx = HandoffTx {
+                slot,
+                receiver: thread::current(),
+            };
+            for i in 0..5 {
+                tx.send(i);
             }
-            coordinator.run_to_completion()
-        })
+            drop(tx);
+            // Messages sent before the close still arrive, then `None`.
+            std::iter::from_fn(|| rx.recv()).collect::<Vec<u32>>()
+        });
+        assert_eq!(got, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn handoff_wakes_a_parked_receiver() {
+        let waited = within_a_minute(|| {
+            let (slot, mut rx) = handoff::<u32>();
+            let receiver = thread::current();
+            let sender = thread::spawn(move || {
+                let tx = HandoffTx { slot, receiver };
+                // Far past the spin bound: the receiver is parked by now.
+                thread::sleep(Duration::from_millis(50));
+                tx.send(7);
+                tx // keep the slot open until the receiver is done
+            });
+            let t0 = Instant::now();
+            assert_eq!(rx.recv(), Some(7));
+            let waited = t0.elapsed();
+            let _tx = sender.join().expect("sender thread");
+            waited
+        });
+        assert!(waited >= Duration::from_millis(50));
+    }
+
+    #[test]
+    fn handoff_round_trips_keep_order_across_spin_and_park() {
+        within_a_minute(|| {
+            let (to_peer, mut peer_rx) = handoff::<u64>();
+            let (from_peer, mut rx) = handoff::<u64>();
+            let me = thread::current();
+            let peer = thread::spawn(move || {
+                let tx = HandoffTx {
+                    slot: from_peer,
+                    receiver: me,
+                };
+                while let Some(n) = peer_rx.recv() {
+                    if n % 1000 == 0 {
+                        // Make the other side run out of spins.
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    tx.send(n * 2);
+                }
+            });
+            let tx = HandoffTx {
+                slot: to_peer,
+                receiver: peer.thread().clone(),
+            };
+            for n in 0..5000 {
+                tx.send(n);
+                assert_eq!(rx.recv(), Some(n * 2));
+            }
+            drop(tx);
+            peer.join().expect("peer exits once the slot closes");
+            assert_eq!(rx.recv(), None);
+        });
+    }
+
+    #[test]
+    fn a_peer_panic_mid_round_closes_the_slot() {
+        within_a_minute(|| {
+            let (to_peer, mut peer_rx) = handoff::<u32>();
+            let (from_peer, mut rx) = handoff::<u32>();
+            let me = thread::current();
+            let peer = thread::spawn(move || {
+                let tx = HandoffTx {
+                    slot: from_peer,
+                    receiver: me,
+                };
+                let first = peer_rx.recv().expect("first request");
+                tx.send(first + 1);
+                let _second = peer_rx.recv();
+                panic!("peer dies mid-round");
+            });
+            let tx = HandoffTx {
+                slot: to_peer,
+                receiver: peer.thread().clone(),
+            };
+            tx.send(1);
+            assert_eq!(rx.recv(), Some(2));
+            tx.send(2);
+            // The unwinding peer drops its sending end: the waiter wakes
+            // to a closed slot instead of parking forever.
+            assert_eq!(rx.recv(), None);
+            assert!(peer.join().is_err());
+        });
+    }
+
+    #[test]
+    fn a_worker_panic_mid_round_panics_the_coordinator() {
+        let msg = within_a_minute(|| {
+            let (to_worker, mut worker_rx) = handoff::<ToShard>();
+            let (from_worker, coordinator_rx) = handoff::<FromShard>();
+            let me = thread::current();
+            let worker = thread::spawn(move || {
+                let _tx = HandoffTx {
+                    slot: from_worker,
+                    receiver: me,
+                };
+                let _msg = worker_rx.recv();
+                panic!("shard worker failed mid-round");
+            });
+            let mut shard = Shard::Threaded {
+                tx: HandoffTx {
+                    slot: to_worker,
+                    receiver: worker.thread().clone(),
+                },
+                rx: coordinator_rx,
+            };
+            shard.send(ToShard::TakeOs);
+            let payload = panic::catch_unwind(AssertUnwindSafe(|| shard.recv()))
+                .err()
+                .expect("recv from a dead worker panics");
+            assert!(worker.join().is_err());
+            panic_message(payload.as_ref())
+        });
+        assert!(msg.contains("shard worker alive"), "payload: {msg:?}");
     }
 }

@@ -295,11 +295,12 @@ impl Simulation {
         self
     }
 
-    /// Shards the simulation loop across `n` OS threads. Every core of
-    /// a process is pinned to the shard that owns the process's address
-    /// space, so the effective shard count is capped at the process
-    /// count (and forced to 1 when the shared-LLC data-cache model is
-    /// on). Reports, recordings, and the promotion ledger are
+    /// Shards the simulation loop across `n` OS threads: the calling
+    /// thread runs the first shard and `n - 1` workers the rest. Every
+    /// core of a process is pinned to the shard that owns the process's
+    /// address space, so the effective shard count is capped at the
+    /// process count (and forced to 1 when the shared-LLC data-cache
+    /// model is on). Reports, recordings, and the promotion ledger are
     /// byte-identical at any thread count — see the engine docs in
     /// `shard.rs` for the determinism argument. `n == 0` is treated
     /// as 1.
