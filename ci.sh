@@ -83,6 +83,22 @@ if ./target/release/hpsim --app bfs --sim-threads 0 --quiet > /dev/null 2>&1; th
     exit 1
 fi
 
+echo "== recording-purity smoke: --events leaves the report unchanged =="
+# The flight recorder is pure observation: the report of a run that
+# streams its events must be byte-identical to the run without them.
+purity() {
+    local name=$1
+    shift
+    bounded "hpsim $name" env HPAGE_PROFILE=test ./target/release/hpsim \
+        "$@" --quiet > /tmp/ci_purity_plain.txt
+    bounded "hpsim $name --events" env HPAGE_PROFILE=test ./target/release/hpsim \
+        "$@" --events /tmp/ci_purity.jsonl --quiet > /tmp/ci_purity_recorded.txt
+    cmp /tmp/ci_purity_plain.txt /tmp/ci_purity_recorded.txt
+}
+purity "bfs pcc --threads 4" --app bfs --policy pcc --threads 4
+purity "omnetpp victim --threads 2" --app omnetpp --policy victim --threads 2
+purity "bfs pcc --nested" --app bfs --policy pcc --nested
+
 echo "== trace pipeline smoke: record -> replay byte-identical =="
 # Record an HPT2 trace and replay it: SimReport and event JSONL must be
 # byte-identical at every --sim-threads/--jobs, including strided

@@ -21,14 +21,14 @@ use hpage_perf::{fmt_pct, fmt_speedup, TextTable};
 use hpage_sim::{JsonlSink, NullRecorder, PolicyChoice, ProcessSpec, SimReport, Simulation, Tee};
 use hpage_telemetry::TelemetryRecorder;
 use hpage_trace::{instantiate, AnyWorkload, AppId, Dataset, Hpt2Writer, MmapTrace, Workload};
-use hpage_types::{derive_seed, NestedConfig, PccPlacement, ProcessId, PromotionPolicyKind};
+use hpage_types::{derive_seed, NestedConfig, PccPlacement, PromotionPolicyKind};
 use std::fs::File;
 use std::io::BufWriter;
 use std::process::exit;
 
 const USAGE: &str = "usage: hpsim --app <bfs|sssp|pr|canneal|omnetpp|xalancbmk|dedup|mcf>
              [--dataset kronecker|twitter|web] [--policy base|ideal|linux|hawkeye|pcc|victim|replay]
-             [--selection highest-frequency|round-robin] [--demotion] [--bias <pid,...>]
+             [--selection highest-frequency|round-robin] [--demotion]
              [--threads N] [--frag PCT] [--budget-pct PCT] [--seed N] [--max-accesses N]
              [--nested] [--pcc-placement guest|host|both|none]
              [--jobs N|-j N] [--sim-threads N] [--schedule-out FILE] [--schedule-in FILE] [--trace-out FILE]
@@ -101,7 +101,6 @@ struct Options {
     policy: String,
     selection: PromotionPolicyKind,
     demotion: bool,
-    bias: Vec<ProcessId>,
     threads: u32,
     frag: u8,
     budget_pct: Option<u64>,
@@ -135,7 +134,6 @@ fn parse_args() -> Options {
         policy: "pcc".into(),
         selection: PromotionPolicyKind::HighestFrequency,
         demotion: false,
-        bias: Vec::new(),
         threads: 1,
         frag: 0,
         budget_pct: None,
@@ -200,12 +198,6 @@ fn parse_args() -> Options {
                 }
             }
             "--demotion" => opts.demotion = true,
-            "--bias" => {
-                opts.bias = value(&mut i)
-                    .split(',')
-                    .map(|t| ProcessId(t.trim().parse().unwrap_or_else(|_| die("bad --bias pid"))))
-                    .collect()
-            }
             "--threads" => {
                 opts.threads = match value(&mut i).parse() {
                     Ok(0) => die("--threads must be at least 1"),
@@ -414,7 +406,7 @@ fn main() {
         "pcc" => PolicyChoice::Pcc {
             selection: opts.selection,
             demotion: opts.demotion,
-            bias: opts.bias.clone(),
+            bias: Vec::new(),
         },
         "victim" => PolicyChoice::VictimCache { entries: 128 },
         "replay" => {

@@ -244,10 +244,8 @@ fn main() {
             eprintln!("repro: cannot read {path}: {e}");
             std::process::exit(1);
         });
-        let plan = hpage_faults::FaultPlan::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("repro: {path}: {e}");
-            std::process::exit(1);
-        });
+        let plan = hpage_faults::FaultPlan::from_json(&text)
+            .unwrap_or_else(|e| die(&format!("{path}: {e}")));
         supervisor = supervisor.with_faults(plan);
     }
     if let Some(ms) = soft_deadline_ms {

@@ -1,9 +1,9 @@
 //! Error paths of the `hpsim` command line for inputs it does not
 //! accept: a trace in the retired `HPT1` container, an `HPT2` trace with
-//! junk after its end magic, a path that is not a regular file, and the
-//! retired flags that chose between containers and between replay
-//! paths, and numeric flags out of range. Each must be a usage error
-//! (exit 2) with a message naming the problem, never a panic or a hang.
+//! junk after its end magic, a path that is not a regular file, retired
+//! flags, numeric flags out of range, and a fault plan nested too deep
+//! to parse. Each must be a usage error (exit 2) with a message naming
+//! the problem, never a panic or a hang.
 
 use std::process::{Command, Output};
 
@@ -75,8 +75,12 @@ fn non_regular_trace_is_rejected() {
 }
 
 #[test]
-fn container_flag_is_an_unknown_argument() {
-    for args in [&["--trace-format", "hpt2"][..], &["--mmap"]] {
+fn retired_flag_is_an_unknown_argument() {
+    for args in [
+        &["--trace-format", "hpt2"][..],
+        &["--mmap"],
+        &["--bias", "0"],
+    ] {
         let mut argv = vec!["--app", "bfs"];
         argv.extend_from_slice(args);
         argv.push("--quiet");
@@ -111,4 +115,27 @@ fn out_of_range_numbers_are_usage_errors() {
         let out = hpsim(&["--app", "bfs", flag, value, "--quiet"]);
         assert_usage_error(&out, want);
     }
+}
+
+#[test]
+fn deeply_nested_fault_plan_is_a_usage_error() {
+    // Deep enough to overflow the stack of an unbounded recursive parser.
+    let path = temp_path("deep.json");
+    std::fs::write(
+        &path,
+        format!("{}{}", "[".repeat(30_000), "]".repeat(30_000)),
+    )
+    .unwrap();
+    let p = path.to_str().unwrap();
+
+    let out = hpsim(&["--app", "bfs", "--faults", p, "--quiet"]);
+    assert_usage_error(&out, "nesting deeper than 128 levels");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--figure", "7", "--harness-faults", p, "--quiet"])
+        .env("HPAGE_PROFILE", "test")
+        .output()
+        .expect("spawn repro");
+    assert_usage_error(&out, "nesting deeper than 128 levels");
+
+    std::fs::remove_file(&path).unwrap();
 }

@@ -6,7 +6,9 @@
 //! null. The build environment is offline, so serde is not an option.
 //! Numbers are parsed as `u64` (fault plans only carry counts, seeds,
 //! and percentages); floats, exponents, and negative numbers are
-//! rejected rather than silently truncated.
+//! rejected rather than silently truncated. Arrays and objects nest at
+//! most [`MAX_DEPTH`] deep, so a hostile document is an error rather
+//! than a stack overflow.
 
 use std::collections::BTreeMap;
 
@@ -61,11 +63,18 @@ impl Value {
     }
 }
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level; fault plans and journal lines nest
+/// three or four levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document; trailing non-whitespace, and arrays
+/// or objects nested deeper than [`MAX_DEPTH`], are errors.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -79,6 +88,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -112,8 +123,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b'0'..=b'9') => self.number(),
             Some(b't') => self.literal("true", Value::Bool(true)),
@@ -129,6 +140,20 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -326,6 +351,30 @@ mod tests {
     #[test]
     fn rejects_duplicate_keys() {
         assert!(parse(r#"{"a":1,"a":2}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let at_limit = parse(&nested(MAX_DEPTH)).unwrap();
+        let mut v = &at_limit;
+        for _ in 1..MAX_DEPTH {
+            v = &v.as_array().unwrap()[0];
+        }
+        assert_eq!(v, &Value::Array(Vec::new()));
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Objects count toward the same limit, and a document far past it
+        // fails the same way instead of overflowing the stack.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).unwrap_err().contains("nesting deeper"));
+        assert!(parse(&nested(30_000))
+            .unwrap_err()
+            .contains("nesting deeper"));
     }
 
     #[test]

@@ -274,11 +274,15 @@ impl Auditor {
     }
 
     /// Checks every translation resident in each core's TLB hierarchy
-    /// against the page table of the process that core runs. `tlbs[i]`
-    /// must be core `i`'s hierarchy.
-    pub fn check_tlbs(&self, os: &OsState, tlbs: &[TlbHierarchy]) -> Vec<AuditViolation> {
+    /// against the page table of the process that core runs. The `i`th
+    /// hierarchy `tlbs` yields must be core `i`'s.
+    pub fn check_tlbs<'t>(
+        &self,
+        os: &OsState,
+        tlbs: impl IntoIterator<Item = &'t TlbHierarchy>,
+    ) -> Vec<AuditViolation> {
         let mut violations = Vec::new();
-        for (core, tlb) in tlbs.iter().enumerate() {
+        for (core, tlb) in tlbs.into_iter().enumerate() {
             let core_id = CoreId(core as u32);
             let Ok(process) = os.process_of(core_id) else {
                 violations.push(AuditViolation::UnplacedCore { core: core as u32 });
@@ -371,10 +375,10 @@ impl Auditor {
     /// [`check_tlbs`](Self::check_tlbs) and
     /// [`check_pcc`](Self::check_pcc) when the caller has those
     /// structures.
-    pub fn run(
+    pub fn run<'t>(
         &self,
         os: &OsState,
-        tlbs: &[TlbHierarchy],
+        tlbs: impl IntoIterator<Item = &'t TlbHierarchy>,
         bank: Option<&PccBank>,
     ) -> Vec<AuditViolation> {
         let mut violations = self.check(os);

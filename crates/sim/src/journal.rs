@@ -296,6 +296,25 @@ mod tests {
     }
 
     #[test]
+    fn resume_skips_a_line_nested_too_deep() {
+        let path = temp_path("deep");
+        {
+            let j = CellJournal::create(&path, "test", "both").unwrap();
+            j.record_section("figure 1", "ok output\n").unwrap();
+        }
+        // Deep enough to overflow the stack of an unbounded recursive
+        // parser.
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            writeln!(f, "{}{}", "[".repeat(30_000), "]".repeat(30_000)).unwrap();
+        }
+        let j = CellJournal::resume(&path, "test", "both").unwrap();
+        assert_eq!(j.skipped_lines(), 1);
+        assert_eq!(j.completed_sections(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn resume_rejects_profile_mismatch_and_junk() {
         let path = temp_path("mismatch");
         {

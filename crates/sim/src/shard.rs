@@ -144,12 +144,9 @@ struct NestedVm {
     /// the host dimension stays all-4K). `Send` because the VM travels
     /// with its shard's worker thread between barriers.
     policy: Box<dyn HugePagePolicy + Send>,
-    /// The host PCC bank (one core): resident here only across interval
-    /// barriers.
+    /// The host PCC bank (one core). The walk path feeds it in place,
+    /// and the host policy reads it at interval barriers.
     bank: Option<PccBank>,
-    /// The bank's single PCC, taken out while the VM executes on a
-    /// worker so the walk path feeds it without bank indirection.
-    pcc: Option<Pcc>,
     /// Per-VM invariant auditor over the host OS state.
     auditor: Option<Auditor>,
 }
@@ -177,16 +174,14 @@ impl NestedVm {
         } else {
             Box::new(BasePagesPolicy)
         };
-        let mut bank = host_pcc.then(|| {
+        let bank = host_pcc.then(|| {
             PccBank::with_replacement(1, sim.config.pcc_2m, PageSize::Huge2M, sim.replacement)
         });
-        let pcc = bank.as_mut().map(|b| b.take(CoreId(0)));
         let auditor = sim.audit.then(|| Auditor::new(&os));
         Ok(NestedVm {
             os,
             policy,
             bank,
-            pcc,
             auditor,
         })
     }
@@ -239,15 +234,31 @@ impl WalkCache {
     }
 }
 
+/// The granularity of each PCC bank, in the order of
+/// [`CoreHw::pccs`]: the 2 MiB bank the promotion policy ranks, then
+/// the 1 GiB bank (§3.2.3).
+const PCC_SIZES: [PageSize; 2] = [PageSize::Huge2M, PageSize::Huge1G];
+
+/// One core's translation hardware: its TLB hierarchy, its
+/// paging-structure cache, and its PCC in each bank. The seat holds it
+/// between barriers, and it travels to the coordinator and back as one
+/// value at each interval barrier.
+struct CoreHw {
+    tlb: TlbHierarchy,
+    /// `None` when the run models no page-walk cache.
+    walk_cache: Option<WalkCache>,
+    /// The core's PCC in each bank, in [`PCC_SIZES`] order. `None` when
+    /// the run has no such bank, and at a barrier, while the PCC is back
+    /// in its bank for the policy and the audit.
+    pccs: [Option<Pcc>; 2],
+}
+
 /// OS-visible state a shard surrenders at an interval barrier.
 #[derive(Default)]
 struct OsSlice {
     spaces: Vec<(usize, AddressSpace)>,
     vms: Vec<(usize, NestedVm)>,
-    tlbs: Vec<(usize, TlbHierarchy)>,
-    walk_caches: Vec<(usize, WalkCache)>,
-    pccs: Vec<(usize, Pcc)>,
-    pccs_1g: Vec<(usize, Pcc)>,
+    cores: Vec<(usize, CoreHw)>,
     /// Running per-core counters (overwrite, not delta). Surrendered at
     /// barriers only — the interval block and the final report are the
     /// sole readers, and both sit behind [`ToShard::TakeOs`], so the
@@ -308,8 +319,8 @@ enum ShardProgress {
     Failed(HpageError),
 }
 
-/// One simulated core's private state: TLB hierarchy, page-walk cache,
-/// PCC slice, trace stream, and the in-flight chunk.
+/// One simulated core's private state: translation hardware, trace
+/// stream, and the in-flight chunk.
 ///
 /// The chunk itself is *not* stored here: it is the trace stream's
 /// current window ([`TraceStream::window`]), borrowed zero-copy by
@@ -321,13 +332,9 @@ struct CoreSeat<'w> {
     /// Index into the owning worker's `spaces`.
     space_slot: usize,
     trace: Box<dyn TraceStream + Send + 'w>,
-    // `Option` so the state can travel to the coordinator at barriers;
-    // always `Some` while the worker executes.
-    tlb: Option<TlbHierarchy>,
-    /// `None` when the run models no page-walk cache.
-    walk_cache: Option<WalkCache>,
-    pcc: Option<Pcc>,
-    pcc_1g: Option<Pcc>,
+    /// `Option` so the hardware can travel to the coordinator at
+    /// barriers; always `Some` while the worker executes.
+    hw: Option<CoreHw>,
     /// Length of the trace stream's current window.
     chunk_len: usize,
     /// Next unexecuted index into the window; the access there is
@@ -346,18 +353,9 @@ struct CoreSeat<'w> {
     events: Vec<(u64, Event)>,
     region_walks: RegionWalks,
     unused_grants: Vec<FaultGrant>,
-    /// Batched A-bit harvest for the 2 MiB PCC: `(region, a_bit)` pairs
-    /// collected during the chunk and replayed once at chunk
-    /// completion. Only used when no recorder is attached (with a
-    /// recorder, `PccUpdate` events must interleave in timestamp order,
-    /// so the feed runs inline). Persists across fault pauses within a
-    /// chunk.
-    pcc_feed: Vec<(Vpn, bool)>,
-    /// Same, for the 1 GiB PCC bank.
-    pcc_feed_1g: Vec<(Vpn, bool)>,
     /// Scratch for the host walks one 2D walk performs (nTLB misses);
-    /// recycled across walks, drained into the host PCC feed and the
-    /// host ledger tally immediately after each walk.
+    /// recycled across walks, drained into the host PCC and the host
+    /// ledger tally immediately after each walk.
     host_scratch: Vec<WalkResult>,
     /// Host-dimension walk tallies for the host promotion ledger,
     /// keyed by `(VM pid, gPA 2 MiB region index)`.
@@ -428,7 +426,12 @@ impl<'w> ShardWorker<'w> {
             seat.chunk_len = got;
             seat.in_round = got > 0;
             if got > 0 {
-                let s = seat.tlb.as_ref().expect("tlb resident").stats();
+                let s = seat
+                    .hw
+                    .as_ref()
+                    .expect("core hardware resident")
+                    .tlb
+                    .stats();
                 seat.chunk_base = (s.accesses, s.l1_hits, s.l2_hits, s.walks);
             }
             slot.1 = got as u64;
@@ -498,18 +501,8 @@ impl<'w> ShardWorker<'w> {
             }
         }
         for seat in self.seats.iter_mut() {
-            slice
-                .tlbs
-                .push((seat.core, seat.tlb.take().expect("tlb resident")));
-            if let Some(c) = seat.walk_cache.take() {
-                slice.walk_caches.push((seat.core, c));
-            }
-            if let Some(p) = seat.pcc.take() {
-                slice.pccs.push((seat.core, p));
-            }
-            if let Some(p) = seat.pcc_1g.take() {
-                slice.pccs_1g.push((seat.core, p));
-            }
+            let hw = seat.hw.take().expect("core hardware resident");
+            slice.cores.push((seat.core, hw));
             slice.counters.push((seat.core, seat.counters));
             slice.region_walks.extend(seat.region_walks.drain());
             slice
@@ -536,17 +529,8 @@ impl<'w> ShardWorker<'w> {
                 .expect("VM belongs to this shard");
             self.vms[slot] = Some(vm);
         }
-        for (core, t) in slice.tlbs {
-            self.seat_mut(core).tlb = Some(t);
-        }
-        for (core, c) in slice.walk_caches {
-            self.seat_mut(core).walk_cache = Some(c);
-        }
-        for (core, p) in slice.pccs {
-            self.seat_mut(core).pcc = Some(p);
-        }
-        for (core, p) in slice.pccs_1g {
-            self.seat_mut(core).pcc_1g = Some(p);
+        for (core, hw) in slice.cores {
+            self.seat_mut(core).hw = Some(hw);
         }
     }
 }
@@ -558,7 +542,7 @@ impl<'w> ShardWorker<'w> {
 /// recorder-less hot loop contains no event plumbing at all. The seat
 /// is destructured into disjoint field borrows up front: the chunk is
 /// the trace stream's current window, borrowed zero-copy for the whole
-/// loop while the TLB, counters and PCC feeds stay mutable beside it.
+/// loop while the core's hardware and counters stay mutable beside it.
 fn run_seat<const REC: bool>(
     seat: &mut CoreSeat<'_>,
     space: &mut AddressSpace,
@@ -571,10 +555,7 @@ fn run_seat<const REC: bool>(
         core,
         pid,
         trace,
-        tlb,
-        walk_cache,
-        pcc,
-        pcc_1g,
+        hw,
         chunk_len,
         pos,
         resume_walk,
@@ -585,15 +566,13 @@ fn run_seat<const REC: bool>(
         events,
         region_walks,
         unused_grants,
-        pcc_feed,
-        pcc_feed_1g,
         host_scratch,
         host_region_walks,
         ..
     } = seat;
     let core = *core;
     let pid = *pid;
-    let tlb = tlb.as_mut().expect("tlb resident");
+    let hw = hw.as_mut().expect("core hardware resident");
     // Re-acquire the window on every entry (the seat may be resuming
     // from a fault pause); `window` re-borrows the same slice that
     // `next_window` produced at fill time.
@@ -650,15 +629,10 @@ fn run_seat<const REC: bool>(
             Some(handle_walk::<REC>(
                 core,
                 pid,
-                walk_cache,
+                hw,
                 vm.as_deref_mut(),
                 host_scratch,
                 host_region_walks,
-                tlb,
-                pcc,
-                pcc_1g,
-                pcc_feed,
-                pcc_feed_1g,
                 counters,
                 events,
                 region_walks,
@@ -668,7 +642,7 @@ fn run_seat<const REC: bool>(
                 flags,
             )?)
         } else {
-            match tlb.lookup(access.addr) {
+            match hw.tlb.lookup(access.addr) {
                 TlbOutcome::L1Hit(t) => {
                     if REC {
                         events.push((
@@ -699,15 +673,10 @@ fn run_seat<const REC: bool>(
                     Ok(walk) => Some(handle_walk::<REC>(
                         core,
                         pid,
-                        walk_cache,
+                        hw,
                         vm.as_deref_mut(),
                         host_scratch,
                         host_region_walks,
-                        tlb,
-                        pcc,
-                        pcc_1g,
-                        pcc_feed,
-                        pcc_feed_1g,
                         counters,
                         events,
                         region_walks,
@@ -739,29 +708,9 @@ fn run_seat<const REC: bool>(
         }
         *pos += 1;
     }
-    // Chunk complete. Without a recorder the A-bit harvest batched
-    // during the chunk replays into the PCC banks here, once per chunk:
-    // each bank is per-seat, the replay preserves the per-bank call
-    // order, and PCC state is only read at interval barriers (which sit
-    // between completed rounds), so the result is bit-identical to the
-    // inline feed.
-    if !REC {
-        if let Some(pcc) = pcc.as_mut() {
-            for &(region, a_bit) in pcc_feed.iter() {
-                pcc.record_walk(region, a_bit);
-            }
-        }
-        pcc_feed.clear();
-        if let Some(pcc_1g) = pcc_1g.as_mut() {
-            for &(region, a_bit) in pcc_feed_1g.iter() {
-                pcc_1g.record_walk(region, a_bit);
-            }
-        }
-        pcc_feed_1g.clear();
-    }
-    // Fold the TLB stats delta into the counters (the hierarchy already
-    // counts lookups, so the hot loop doesn't).
-    let s = tlb.stats();
+    // Chunk complete. Fold the TLB stats delta into the counters (the
+    // hierarchy already counts lookups, so the hot loop doesn't).
+    let s = hw.tlb.stats();
     counters.accesses += s.accesses - chunk_base.0;
     counters.l1_hits += s.l1_hits - chunk_base.1;
     counters.l2_hits += s.l2_hits - chunk_base.2;
@@ -771,9 +720,9 @@ fn run_seat<const REC: bool>(
 }
 
 /// The post-walk datapath: PWC (or the nested 2D complex), ledger
-/// tally, TLB fill, PCC feeds. A free function over the seat's
-/// split-borrowed fields so it can run while the trace window (an
-/// immutable borrow of the seat's stream) is live in [`run_seat`].
+/// tally, TLB fill, A-bit harvest into the PCCs. A free function over
+/// the seat's split-borrowed fields so it can run while the trace window
+/// (an immutable borrow of the seat's stream) is live in [`run_seat`].
 ///
 /// In nested mode the guest walk's level count is only the first
 /// dimension: every referenced guest level and the data page are
@@ -782,9 +731,8 @@ fn run_seat<const REC: bool>(
 /// walks actually performed feed the host PCC and the host ledger
 /// tally. `Event::Walk` then carries the *nominal* cold 2D cost
 /// (`guest_levels × 5 + 4`) as `levels` and the real reference count as
-/// `effective_levels`; the host PCC feed runs inline on both the
-/// recorded and unrecorded paths (it emits no events), so recording
-/// stays pure observation.
+/// `effective_levels`. The host PCC emits no events, so its feed is the
+/// same with and without a recorder.
 ///
 /// # Errors
 ///
@@ -795,15 +743,10 @@ fn run_seat<const REC: bool>(
 fn handle_walk<const REC: bool>(
     core: usize,
     pid: usize,
-    walk_cache: &mut Option<WalkCache>,
+    hw: &mut CoreHw,
     vm: Option<&mut NestedVm>,
     host_scratch: &mut Vec<WalkResult>,
     host_region_walks: &mut RegionWalks,
-    tlb: &mut TlbHierarchy,
-    pcc: &mut Option<Pcc>,
-    pcc_1g: &mut Option<Pcc>,
-    pcc_feed: &mut Vec<(Vpn, bool)>,
-    pcc_feed_1g: &mut Vec<(Vpn, bool)>,
     counters: &mut RunCounters,
     events: &mut Vec<(u64, Event)>,
     region_walks: &mut RegionWalks,
@@ -812,7 +755,7 @@ fn handle_walk<const REC: bool>(
     walk: WalkResult,
     flags: WorkerFlags,
 ) -> Result<Translation, HpageError> {
-    let (nominal_levels, effective_levels) = match walk_cache.as_mut() {
+    let (nominal_levels, effective_levels) = match hw.walk_cache.as_mut() {
         Some(WalkCache::Nested(npwc)) => {
             let vm = vm.expect("nested seats always have a VM");
             let gpa = hpage_tlb::data_gpa(&walk, access.addr);
@@ -830,11 +773,11 @@ fn handle_walk<const REC: bool>(
                     host_scratch,
                 )?
             };
-            for hw in host_scratch.iter() {
-                let region = hw.translation.vpn.base().vpn(PageSize::Huge2M);
-                if let Some(host_pcc) = vm.pcc.as_mut() {
-                    if hw.translation.size() != PageSize::Huge1G {
-                        host_pcc.record_walk(region, hw.pmd_accessed_before);
+            for host_walk in host_scratch.iter() {
+                let region = host_walk.translation.vpn.base().vpn(PageSize::Huge2M);
+                if let Some(bank) = vm.bank.as_mut() {
+                    if host_walk.translation.size() != PageSize::Huge1G {
+                        bank.record_walk(CoreId(0), region, host_walk.pmd_accessed_before);
                     }
                 }
                 if flags.ledger_on {
@@ -868,54 +811,31 @@ fn handle_walk<const REC: bool>(
             },
         ));
     }
-    let l2_victim = tlb.fill(walk.translation);
-    // A-bit harvest → 2 MiB PCC. In victim mode (§5.4.1 ablation) the
-    // feed is the L2 eviction stream: an eviction is evidence of prior
+    let l2_victim = hw.tlb.fill(walk.translation);
+    // A-bit harvest, 2 MiB bank first: each PCC reads the accessed bit
+    // of its own level (PMD, PUD), and the 2 MiB PCC skips walks that
+    // end in a 1 GiB page. In victim mode (§5.4.1 ablation) the feed is
+    // the L2 eviction stream instead: an eviction is evidence of prior
     // residence, so it always takes the A-bit-set update path (the
-    // bank's cold-miss filter is off in this mode).
-    if pcc.is_some() {
+    // banks' cold-miss filter is off in this mode).
+    for (pcc, size) in hw.pccs.iter_mut().zip(PCC_SIZES) {
+        let Some(pcc) = pcc else {
+            continue;
+        };
         let harvested = if flags.victim_mode {
-            l2_victim.map(|victim| (victim.vpn.base().vpn(PageSize::Huge2M), true))
+            l2_victim.map(|victim| (victim.vpn.base().vpn(size), true))
+        } else if size == PageSize::Huge1G {
+            Some((access.addr.vpn(size), walk.pud_accessed_before))
         } else if walk.translation.size() != PageSize::Huge1G {
-            Some((access.addr.vpn(PageSize::Huge2M), walk.pmd_accessed_before))
+            Some((access.addr.vpn(size), walk.pmd_accessed_before))
         } else {
             None
         };
         if let Some((region, a_bit)) = harvested {
             if REC {
-                record_pcc_walk(
-                    events,
-                    pcc.as_mut().expect("checked above"),
-                    at,
-                    core as u32,
-                    region,
-                    a_bit,
-                );
+                record_pcc_walk(events, pcc, at, core as u32, region, a_bit);
             } else {
-                pcc_feed.push((region, a_bit));
-            }
-        }
-    }
-    // Same for the 1 GiB bank, which rides the eviction feed in victim
-    // mode and the PUD A-bit otherwise.
-    if pcc_1g.is_some() {
-        let harvested = if flags.victim_mode {
-            l2_victim.map(|victim| (victim.vpn.base().vpn(PageSize::Huge1G), true))
-        } else {
-            Some((access.addr.vpn(PageSize::Huge1G), walk.pud_accessed_before))
-        };
-        if let Some((region, a_bit)) = harvested {
-            if REC {
-                record_pcc_walk(
-                    events,
-                    pcc_1g.as_mut().expect("checked above"),
-                    at,
-                    core as u32,
-                    region,
-                    a_bit,
-                );
-            } else {
-                pcc_feed_1g.push((region, a_bit));
+                pcc.record_walk(region, a_bit);
             }
         }
     }
@@ -923,9 +843,8 @@ fn handle_walk<const REC: bool>(
 }
 
 /// Reports one walk to a per-core PCC and buffers the decision as an
-/// event (recorder-attached path only — without a recorder the feed is
-/// batched per chunk and replayed raw). Decay is detected via the
-/// stats delta.
+/// event (recorder-attached path only). Decay is detected via the stats
+/// delta.
 fn record_pcc_walk(
     events: &mut Vec<(u64, Event)>,
     pcc: &mut Pcc,
@@ -1157,14 +1076,6 @@ fn worker_main(mut worker: ShardWorker<'_>, mut rx: HandoffRx<ToShard>, tx: Hand
     }
 }
 
-/// Per-core state materialized at the coordinator for an interval
-/// barrier, then redistributed.
-struct Assembled {
-    tlbs: Vec<TlbHierarchy>,
-    /// Indexed by core; `None` for cores without a page-walk cache.
-    walk_caches: Vec<Option<WalkCache>>,
-}
-
 /// Reusable per-round coordinator buffers. A single-core round covers
 /// only [`CHUNK`] accesses, so per-round allocations are visible in the
 /// end-to-end throughput gate; everything the coordinator needs each
@@ -1204,8 +1115,9 @@ struct Coordinator<'a, 'w, R: Recorder> {
     /// keyed by `(VM pid, gPA 2 MiB region)`.
     host_ledger: Option<PromotionLedger>,
     host_region_walks: Option<RegionWalks>,
-    bank: Option<PccBank>,
-    bank_1g: Option<PccBank>,
+    /// The PCC banks, in [`PCC_SIZES`] order. Each core's PCCs are back
+    /// here only across interval barriers.
+    banks: [Option<PccBank>; 2],
     remaining: Vec<u64>,
     live: Vec<bool>,
     live_count: usize,
@@ -1374,22 +1286,22 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         self.total_accesses = ts;
 
         if self.total_accesses == self.next_interval {
-            let mut assembled = self.assemble_os();
-            self.interval_block(&mut assembled);
+            let mut cores = self.assemble_os();
+            self.interval_block(&mut cores);
             self.next_interval += self.sim.config.promotion_interval_accesses;
-            self.distribute_os(assembled);
+            self.distribute_os(cores);
         }
         Ok(())
     }
 
-    /// Pulls every shard's OS-visible state back into the coordinator.
-    fn assemble_os(&mut self) -> Assembled {
+    /// Pulls every shard's OS-visible state back into the coordinator:
+    /// each core's PCCs return to their banks, and the rest of each
+    /// core's hardware comes back indexed by core.
+    fn assemble_os(&mut self) -> Vec<CoreHw> {
         for si in 0..self.shards.len() {
             self.shards[si].send(ToShard::TakeOs);
         }
-        let n = self.core_shard.len();
-        let mut tlbs: Vec<Option<TlbHierarchy>> = (0..n).map(|_| None).collect();
-        let mut walk_caches: Vec<Option<WalkCache>> = (0..n).map(|_| None).collect();
+        let mut cores: Vec<Option<CoreHw>> = (0..self.core_shard.len()).map(|_| None).collect();
         for si in 0..self.shards.len() {
             let slice = match self.shards[si].recv() {
                 FromShard::Os(s) => *s,
@@ -1401,23 +1313,15 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             for (pid, vm) in slice.vms {
                 self.vms[pid] = Some(vm);
             }
-            for (core, t) in slice.tlbs {
-                tlbs[core] = Some(t);
-            }
-            for (core, c) in slice.walk_caches {
-                walk_caches[core] = Some(c);
-            }
-            for (core, p) in slice.pccs {
-                self.bank
-                    .as_mut()
-                    .expect("seats hold PCCs only when the bank exists")
-                    .restore(CoreId(core as u32), p);
-            }
-            for (core, p) in slice.pccs_1g {
-                self.bank_1g
-                    .as_mut()
-                    .expect("seats hold 1G PCCs only when the bank exists")
-                    .restore(CoreId(core as u32), p);
+            for (core, mut hw) in slice.cores {
+                for (bank, pcc) in self.banks.iter_mut().zip(&mut hw.pccs) {
+                    if let Some(pcc) = pcc.take() {
+                        bank.as_mut()
+                            .expect("seats hold PCCs only when the bank exists")
+                            .restore(CoreId(core as u32), pcc);
+                    }
+                }
+                cores[core] = Some(hw);
             }
             for (core, c) in slice.counters {
                 self.per_core[core] = c;
@@ -1433,53 +1337,30 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 }
             }
         }
-        Assembled {
-            tlbs: tlbs
-                .into_iter()
-                .map(|t| t.expect("every core surrendered its TLB"))
-                .collect(),
-            walk_caches,
-        }
+        cores
+            .into_iter()
+            .map(|hw| hw.expect("every core surrendered its hardware"))
+            .collect()
     }
 
-    /// Hands OS-visible state back to the shards after a barrier.
-    fn distribute_os(&mut self, assembled: Assembled) {
-        let Assembled {
-            tlbs,
-            mut walk_caches,
-        } = assembled;
-        let mut tlbs: Vec<Option<TlbHierarchy>> = tlbs.into_iter().map(Some).collect();
-        for si in 0..self.shards.len() {
-            let mut slice = OsSlice::default();
-            for (pid, &shard) in self.process_shard.iter().enumerate() {
-                if shard != si {
-                    continue;
-                }
-                let placeholder = AddressSpace::new(ProcessId(pid as u32));
-                let space = std::mem::replace(&mut self.os.spaces[pid], placeholder);
-                slice.spaces.push((pid, space));
-                if let Some(vm) = self.vms[pid].take() {
-                    slice.vms.push((pid, vm));
-                }
+    /// Hands OS-visible state back to the shards after a barrier; each
+    /// core takes its PCCs out of the banks again.
+    fn distribute_os(&mut self, cores: Vec<CoreHw>) {
+        let mut slices: Vec<OsSlice> = (0..self.shards.len()).map(|_| OsSlice::default()).collect();
+        for (pid, &shard) in self.process_shard.iter().enumerate() {
+            let placeholder = AddressSpace::new(ProcessId(pid as u32));
+            let space = std::mem::replace(&mut self.os.spaces[pid], placeholder);
+            slices[shard].spaces.push((pid, space));
+            if let Some(vm) = self.vms[pid].take() {
+                slices[shard].vms.push((pid, vm));
             }
-            for core in 0..self.core_shard.len() {
-                if self.core_shard[core] != si {
-                    continue;
-                }
-                slice
-                    .tlbs
-                    .push((core, tlbs[core].take().expect("tlb assembled")));
-                if let Some(c) = walk_caches[core].take() {
-                    slice.walk_caches.push((core, c));
-                }
-                if let Some(b) = self.bank.as_mut() {
-                    slice.pccs.push((core, b.take(CoreId(core as u32))));
-                }
-                if let Some(b) = self.bank_1g.as_mut() {
-                    slice.pccs_1g.push((core, b.take(CoreId(core as u32))));
-                }
-            }
-            self.shards[si].send(ToShard::RestoreOs(Box::new(slice)));
+        }
+        for (core, mut hw) in cores.into_iter().enumerate() {
+            hw.pccs = take_pccs(&mut self.banks, core);
+            slices[self.core_shard[core]].cores.push((core, hw));
+        }
+        for (shard, slice) in self.shards.iter_mut().zip(slices) {
+            shard.send(ToShard::RestoreOs(Box::new(slice)));
         }
     }
 
@@ -1488,7 +1369,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
     /// interval row. Runs on fully assembled state, so it is verbatim
     /// the sequential loop's logic and its outputs cannot depend on the
     /// shard count.
-    fn interval_block(&mut self, assembled: &mut Assembled) {
+    fn interval_block(&mut self, cores: &mut [CoreHw]) {
         let total_accesses = self.total_accesses;
         // Apply this interval's injected faults *before* the policy
         // runs, so an OOM window actually starves the promotions
@@ -1515,21 +1396,18 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 }
             }
             if effects.pcc_reset {
-                if let Some(bank) = self.bank.as_mut() {
+                for bank in self.banks.iter_mut().flatten() {
                     bank.clear_all();
-                }
-                if let Some(bank_1g) = self.bank_1g.as_mut() {
-                    bank_1g.clear_all();
                 }
             }
             if effects.shootdown_spike {
                 // A shootdown storm from an interfering workload: every
                 // core takes a full TLB + PWC flush, and the flush size
                 // is recorded so storm cost is observable downstream.
-                for (core, tlb) in assembled.tlbs.iter_mut().enumerate() {
-                    let entries_flushed = tlb.resident_entries() as u64;
-                    tlb.flush();
-                    if let Some(c) = assembled.walk_caches[core].as_mut() {
+                for (core, hw) in cores.iter_mut().enumerate() {
+                    let entries_flushed = hw.tlb.resident_entries() as u64;
+                    hw.tlb.flush();
+                    if let Some(c) = hw.walk_cache.as_mut() {
                         c.flush();
                     }
                     // Recorded even when the recorder is disabled:
@@ -1569,7 +1447,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         }
         let report = self.policy.run_interval(
             &mut self.os,
-            self.bank.as_mut(),
+            self.banks[0].as_mut(),
             total_accesses,
             &mut self.budget,
         );
@@ -1686,10 +1564,10 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         }
         for (pid, region) in report.shootdown_regions() {
             let mut entries_flushed = 0u64;
-            for (core, tlb) in assembled.tlbs.iter_mut().enumerate() {
+            for (core, hw) in cores.iter_mut().enumerate() {
                 if self.core_process[core] == pid.0 as usize {
-                    entries_flushed += tlb.shootdown(region) as u64;
-                    if let Some(c) = assembled.walk_caches[core].as_mut() {
+                    entries_flushed += hw.tlb.shootdown(region) as u64;
+                    if let Some(c) = hw.walk_cache.as_mut() {
                         c.invalidate_region(region);
                     }
                     self.per_process[pid.0 as usize].shootdowns += 1;
@@ -1707,7 +1585,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         // Audit once the interval's shootdowns have been applied
         // (TLBs/PCCs must be coherent with the page tables now).
         if let Some(auditor) = self.auditor.as_ref() {
-            let mut found = auditor.run(&self.os, &assembled.tlbs, self.bank.as_ref());
+            let tlbs = cores.iter().map(|hw| &hw.tlb);
+            let mut found = auditor.run(&self.os, tlbs, self.banks[0].as_ref());
             if let Some(ledger) = self.ledger.as_ref() {
                 found.extend(auditor.check_ledger(&self.os, ledger));
             }
@@ -1715,7 +1594,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             self.audit_violations
                 .extend(found.into_iter().map(|v| (interval_index, v)));
         }
-        self.host_interval_block(assembled);
+        self.host_interval_block(cores);
         self.interval_index += 1;
         let row = IntervalRow {
             walk_rate: dw as f64 / da as f64,
@@ -1723,8 +1602,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             l2_hit_rate: dl2 as f64 / da as f64,
             promotions: report.promotions.len() as u64,
             demotions: report.demotions.len() as u64,
-            pcc_occupancy: self
-                .bank
+            pcc_occupancy: self.banks[0]
                 .as_ref()
                 .map(|b| b.total_candidates() as u64)
                 .unwrap_or(0),
@@ -1738,7 +1616,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 Event::Interval(interval_snapshot(
                     self.interval_series.len() as u64,
                     &row,
-                    self.bank.as_ref(),
+                    self.banks[0].as_ref(),
                     &self.os,
                 )),
             );
@@ -1751,7 +1629,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
     /// single-threaded on fully assembled state, exactly like the guest
     /// block, so its outputs cannot depend on the shard count. A no-op
     /// in native runs (`vms` is all `None`).
-    fn host_interval_block(&mut self, assembled: &mut Assembled) {
+    fn host_interval_block(&mut self, cores: &mut [CoreHw]) {
         if self.sim.nested.is_none() {
             return;
         }
@@ -1769,11 +1647,6 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             let Some(vm) = self.vms[pid].as_mut() else {
                 continue;
             };
-            // The seat-resident host PCC returns to its bank for the
-            // policy's dump, and is taken back out afterwards.
-            if let Some(bank) = vm.bank.as_mut() {
-                bank.restore(CoreId(0), vm.pcc.take().expect("host PCC resident"));
-            }
             // Host promotions are hypervisor work outside the guest
             // policy's budget; each VM gets a fresh unlimited budget.
             let mut budget = PromotionBudget::UNLIMITED;
@@ -1815,8 +1688,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             // A host remap invalidates nested translations through the
             // remapped gPA region on every core of the VM.
             for (_, region) in report.shootdown_regions() {
-                for (core, c) in assembled.walk_caches.iter_mut().enumerate() {
-                    if let Some(WalkCache::Nested(npwc)) = c {
+                for (core, hw) in cores.iter_mut().enumerate() {
+                    if let Some(WalkCache::Nested(npwc)) = hw.walk_cache.as_mut() {
                         if self.core_process[core] == pid {
                             npwc.invalidate_host_region(region);
                             self.per_process[pid].host_shootdowns += 1;
@@ -1825,14 +1698,11 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 }
             }
             if let Some(auditor) = vm.auditor.as_ref() {
-                let found = auditor.run(&vm.os, &[], vm.bank.as_ref());
+                let found = auditor.run(&vm.os, std::iter::empty(), vm.bank.as_ref());
                 let interval_index = self.interval_index;
                 self.audit_violations
                     .extend(found.into_iter().map(|v| (interval_index, v)));
                 any_audit = true;
-            }
-            if let Some(bank) = vm.bank.as_mut() {
-                vm.pcc = Some(bank.take(CoreId(0)));
             }
         }
         // Ledger coherence: `Auditor::check_ledger` indexes spaces by
@@ -1876,8 +1746,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             .per_process
             .iter()
             .fold(RunCounters::default(), |acc, c| acc.merged(c));
-        let candidates_1g = self
-            .bank_1g
+        let [_, bank_1g] = self.banks;
+        let candidates_1g = bank_1g
             .map(|b| {
                 b.dump_by_frequency()
                     .into_iter()
@@ -1907,6 +1777,37 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             host_ledger: self.host_ledger,
         })
     }
+}
+
+/// Builds the bank of per-core PCCs at `size` for the policies that
+/// feed one; the 1 GiB bank also needs `SystemConfig::pcc_1g`. A victim
+/// cache (§5.4.1 ablation) is structurally a PCC bank fed by L2
+/// evictions with no accessed-bit filter: evictions are evidence of
+/// prior residence, so the cold-miss problem does not arise. Its 2 MiB
+/// bank takes the victim cache's entry count; the 1 GiB bank keeps its
+/// own sizing.
+fn pcc_bank(sim: &Simulation, size: PageSize, cores: u32) -> Option<PccBank> {
+    let victim_entries = sim.policy.uses_victim_cache();
+    if !sim.policy.uses_pcc() && victim_entries.is_none() {
+        return None;
+    }
+    let mut cfg = match size {
+        PageSize::Huge1G => sim.config.pcc_1g?,
+        _ => sim.config.pcc_2m,
+    };
+    if let Some(entries) = victim_entries {
+        if size == PageSize::Huge2M {
+            cfg = cfg.with_entries(entries);
+        }
+        cfg.access_bit_filter = false;
+    }
+    Some(PccBank::with_replacement(cores, cfg, size, sim.replacement))
+}
+
+/// Takes `core`'s PCC out of each bank the run has.
+fn take_pccs(banks: &mut [Option<PccBank>; 2], core: usize) -> [Option<Pcc>; 2] {
+    let id = CoreId(core as u32);
+    banks.each_mut().map(|b| b.as_mut().map(|b| b.take(id)))
 }
 
 /// Entry point: builds the shard partition and drives the run.
@@ -1943,56 +1844,7 @@ pub(crate) fn run<R: Recorder>(
     let ledger = sim.ledger.then(PromotionLedger::new);
     let region_walks = sim.ledger.then(RegionWalks::default);
 
-    let victim_entries = sim.policy.uses_victim_cache();
-    let mut bank = sim.policy.uses_pcc().then(|| {
-        PccBank::with_replacement(
-            total_cores,
-            sim.config.pcc_2m,
-            PageSize::Huge2M,
-            sim.replacement,
-        )
-    });
-    // A victim cache is structurally a PCC bank fed by L2 evictions
-    // with no accessed-bit filter (evictions are evidence of prior
-    // residence, so the cold-miss problem does not arise).
-    if let Some(entries) = victim_entries {
-        let cfg = hpage_types::PccConfig {
-            access_bit_filter: false,
-            ..sim.config.pcc_2m.with_entries(entries)
-        };
-        bank = Some(PccBank::with_replacement(
-            total_cores,
-            cfg,
-            PageSize::Huge2M,
-            sim.replacement,
-        ));
-    }
-    // The 1 GiB bank follows the same mode selection as the 2 MiB bank:
-    // in victim mode it keeps its own sizing but drops the cold-miss
-    // filter and rides the eviction feed (it used to be silently absent
-    // in the §5.4.1 ablation, making the 2M-vs-1G comparison vacuous).
-    let mut bank_1g = match (
-        sim.policy.uses_pcc() || victim_entries.is_some(),
-        sim.config.pcc_1g,
-    ) {
-        (true, Some(cfg)) => {
-            let cfg = if victim_entries.is_some() {
-                hpage_types::PccConfig {
-                    access_bit_filter: false,
-                    ..cfg
-                }
-            } else {
-                cfg
-            };
-            Some(PccBank::with_replacement(
-                total_cores,
-                cfg,
-                PageSize::Huge1G,
-                sim.replacement,
-            ))
-        }
-        _ => None,
-    };
+    let mut banks = PCC_SIZES.map(|size| pcc_bank(sim, size, total_cores));
 
     // Shard partition: every core of a process lands on the shard that
     // owns the process's address space. The shared-LLC cache model
@@ -2007,7 +1859,7 @@ pub(crate) fn run<R: Recorder>(
 
     let flags = WorkerFlags {
         prefer_huge,
-        victim_mode: victim_entries.is_some(),
+        victim_mode: sim.policy.uses_victim_cache().is_some(),
         ledger_on: sim.ledger,
         recorder_on: recorder.enabled(),
     };
@@ -2050,16 +1902,17 @@ pub(crate) fn run<R: Recorder>(
                 pid: pi,
                 space_slot,
                 trace: spec.workload.thread_stream(t, spec.threads),
-                tlb: Some(TlbHierarchy::new(sim.config.tlb)),
-                walk_cache: match sim.nested.as_ref() {
-                    Some(nc) => Some(WalkCache::Nested(Box::new(NestedPwc::new(nc)))),
-                    None => sim
-                        .config
-                        .pwc
-                        .map(|c| WalkCache::Native(PageWalkCache::new(c))),
-                },
-                pcc: bank.as_mut().map(|b| b.take(CoreId(core as u32))),
-                pcc_1g: bank_1g.as_mut().map(|b| b.take(CoreId(core as u32))),
+                hw: Some(CoreHw {
+                    tlb: TlbHierarchy::new(sim.config.tlb),
+                    walk_cache: match sim.nested.as_ref() {
+                        Some(nc) => Some(WalkCache::Nested(Box::new(NestedPwc::new(nc)))),
+                        None => sim
+                            .config
+                            .pwc
+                            .map(|c| WalkCache::Native(PageWalkCache::new(c))),
+                    },
+                    pccs: take_pccs(&mut banks, core),
+                }),
                 chunk_len: 0,
                 pos: 0,
                 resume_walk: false,
@@ -2070,8 +1923,6 @@ pub(crate) fn run<R: Recorder>(
                 events: Vec::new(),
                 region_walks: RegionWalks::default(),
                 unused_grants: Vec::new(),
-                pcc_feed: Vec::new(),
-                pcc_feed_1g: Vec::new(),
                 host_scratch: Vec::new(),
                 host_region_walks: RegionWalks::default(),
             });
@@ -2097,8 +1948,7 @@ pub(crate) fn run<R: Recorder>(
         vms: (0..processes.len()).map(|_| None).collect(),
         host_ledger: (sim.ledger && sim.nested.is_some()).then(PromotionLedger::new),
         host_region_walks: (sim.ledger && sim.nested.is_some()).then(RegionWalks::default),
-        bank,
-        bank_1g,
+        banks,
         // A zero budget retires every core before the first round.
         remaining: vec![budget; n_cores],
         live: vec![budget > 0; n_cores],

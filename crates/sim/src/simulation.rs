@@ -658,14 +658,36 @@ mod tests {
     fn recording_does_not_perturb_the_simulation() {
         // The flight recorder must be pure observation: a run with a live
         // recorder produces a SimReport identical to an unobserved run.
+        // Also with the 1 GiB bank on, under the PCC and under the victim
+        // cache, with cores on two shard threads.
         let w = random_workload(8, 150_000, 9);
-        let silent = tiny_sim(PolicyChoice::pcc_default()).run(&[ProcessSpec::new(&w)]);
-        let mut rec = MemoryRecorder::new();
-        let observed = tiny_sim(PolicyChoice::pcc_default())
-            .try_run_recorded(&[ProcessSpec::new(&w)], &mut rec)
-            .unwrap();
-        assert_eq!(silent, observed);
-        assert!(!rec.is_empty());
+        let w2 = random_workload(8, 150_000, 10);
+        let mut cfg_1g = hpage_types::SystemConfig::tiny();
+        cfg_1g.pcc_1g = Some(hpage_types::PccConfig::paper_1g());
+        let one = [ProcessSpec::new(&w)];
+        let two = [ProcessSpec::with_threads(&w, 2), ProcessSpec::new(&w2)];
+        let cases: [(Simulation, &[ProcessSpec<'_>]); 3] = [
+            (tiny_sim(PolicyChoice::pcc_default()), &one),
+            (
+                Simulation::new(cfg_1g.clone(), PolicyChoice::pcc_default()).with_sim_threads(2),
+                &two,
+            ),
+            (
+                Simulation::new(cfg_1g, PolicyChoice::VictimCache { entries: 128 })
+                    .with_sim_threads(2),
+                &two,
+            ),
+        ];
+        for (sim, specs) in cases {
+            let silent = sim.run(specs);
+            let mut rec = MemoryRecorder::new();
+            let observed = sim.try_run_recorded(specs, &mut rec).unwrap();
+            assert_eq!(silent, observed, "{}", silent.policy);
+            assert!(!rec.is_empty());
+            if sim.config.pcc_1g.is_some() {
+                assert!(!silent.candidates_1g.is_empty(), "{}", silent.policy);
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The unit tests in `simulation.rs` pin a handful of hand-picked
 //! scenarios; this suite samples the space — policy × fault plan ×
-//! process mix × worker count — and requires, for every draw, that the
+//! process mix × worker count × 1 GiB PCC bank on/off — and requires, for every draw, that the
 //! sharded run reproduces the sequential run **byte-for-byte**: the
 //! [`SimReport`] (which carries per-process stats, interval series,
 //! audit findings, and the promotion ledger via `PartialEq`) and the
@@ -17,7 +17,7 @@
 use hpage_faults::{FaultKind, FaultPlan, FaultWindow};
 use hpage_sim::{JsonlSink, PolicyChoice, ProcessSpec, SimReport, Simulation};
 use hpage_trace::{Pattern, SyntheticBuilder, SyntheticWorkload, Workload};
-use hpage_types::SystemConfig;
+use hpage_types::{PccConfig, SystemConfig};
 use proptest::prelude::*;
 
 /// One tenant: a synthetic workload whose pattern, footprint, and
@@ -105,10 +105,13 @@ fn faults(index: u64) -> Option<FaultPlan> {
 fn run(
     policy: PolicyChoice,
     plan: Option<FaultPlan>,
+    pcc_1g: bool,
     tenants: &[SyntheticWorkload],
     sim_threads: usize,
 ) -> (SimReport, String) {
-    let mut sim = Simulation::new(SystemConfig::tiny(), policy)
+    let mut config = SystemConfig::tiny();
+    config.pcc_1g = pcc_1g.then(PccConfig::paper_1g);
+    let mut sim = Simulation::new(config, policy)
         .with_ledger()
         .with_audit()
         .with_sim_threads(sim_threads);
@@ -131,6 +134,7 @@ proptest! {
     fn sharded_engine_matches_sequential(
         policy_index in 0u64..5,
         fault_index in 0u64..3,
+        pcc_1g in any::<bool>(),
         seeds in prop::collection::vec(1u64..10_000, 1..5),
         sim_threads in 2usize..9,
     ) {
@@ -140,9 +144,9 @@ proptest! {
             .map(|(i, &s)| workload(i, s))
             .collect();
         let (seq_report, seq_events) =
-            run(policy(policy_index), faults(fault_index), &tenants, 1);
+            run(policy(policy_index), faults(fault_index), pcc_1g, &tenants, 1);
         let (par_report, par_events) =
-            run(policy(policy_index), faults(fault_index), &tenants, sim_threads);
+            run(policy(policy_index), faults(fault_index), pcc_1g, &tenants, sim_threads);
         prop_assert!(
             seq_report.audit_violations.is_empty(),
             "sequential run violated invariants: {:?}",
@@ -151,18 +155,20 @@ proptest! {
         prop_assert_eq!(
             &par_report,
             &seq_report,
-            "report diverged: policy {} faults {} tenants {:?} threads {}",
+            "report diverged: policy {} faults {} 1g {} tenants {:?} threads {}",
             policy_index,
             fault_index,
+            pcc_1g,
             seeds,
             sim_threads
         );
         prop_assert_eq!(
             &par_events,
             &seq_events,
-            "event stream diverged: policy {} faults {} tenants {:?} threads {}",
+            "event stream diverged: policy {} faults {} 1g {} tenants {:?} threads {}",
             policy_index,
             fault_index,
+            pcc_1g,
             seeds,
             sim_threads
         );
