@@ -83,6 +83,26 @@ if ./target/release/hpsim --app bfs --sim-threads 0 --quiet > /dev/null 2>&1; th
     exit 1
 fi
 
+echo "== set-up smoke: the graph does not depend on the host's cores =="
+# At scale 18 (4M edges) graph set-up draws and builds on one thread per
+# core; pinned to one core it runs as one range. The reports must be
+# byte-identical, so a host's core count never reaches a result.
+HPAGE_PROFILE=test HPAGE_SCALE=18 taskset -c 0 ./target/release/hpsim \
+    --app bfs --policy pcc --quiet > /tmp/hpsim_setup_1core.txt
+HPAGE_PROFILE=test HPAGE_SCALE=18 ./target/release/hpsim \
+    --app bfs --policy pcc --quiet > /tmp/hpsim_setup_cores.txt
+cmp /tmp/hpsim_setup_1core.txt /tmp/hpsim_setup_cores.txt
+# A scale the generator cannot take is a usage error, not a panic.
+for scale in 0 abc; do
+    scale_rc=0
+    HPAGE_SCALE=$scale ./target/release/hpsim --app bfs --policy pcc \
+        --quiet > /dev/null 2>&1 || scale_rc=$?
+    if [ "$scale_rc" -ne 2 ]; then
+        echo "hpsim HPAGE_SCALE=$scale exited $scale_rc, want 2" >&2
+        exit 1
+    fi
+done
+
 echo "== recording-purity smoke: --events leaves the report unchanged =="
 # The flight recorder is pure observation: the report of a run that
 # streams its events must be byte-identical to the run without them.

@@ -72,7 +72,7 @@ robustness:  --faults loads a JSON fault plan (OOM windows, fragmentation
 throughput:  --throughput times the instrumented run and appends a
              simulator accesses/sec line
 verbosity:   --quiet prints the results table only; -v adds the per-interval series
-environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices>";
+environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices, 1..=30>";
 
 /// Largest accepted `--jobs` value — far above any real machine, small
 /// enough to catch typos like `--jobs 10000`.
@@ -362,10 +362,10 @@ fn trace_info(path: &str) -> ! {
 
 fn main() {
     let opts = parse_args();
+    let profile = profile_from_env().unwrap_or_else(|e| die(&e.to_string()));
     if let Some(path) = &opts.trace_info {
         trace_info(path);
     }
-    let profile = profile_from_env();
     let holder = match &opts.trace_in {
         Some(path) => AnyOrRecorded::Mapped(open_trace(path)),
         None => AnyOrRecorded::Builtin(instantiate(

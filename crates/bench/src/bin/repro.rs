@@ -43,7 +43,7 @@ checkpoint: --journal FILE records completed cells+sections; --resume FILE repla
            sections byte-identically and re-runs only the rest
 exit codes: 0 ok, 1 runtime error, 2 usage error, 3 completed with failed cells (partial output)
 verbosity: progress notes go to stderr; --quiet silences them, -v adds per-section timing
-environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices>";
+environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices, 1..=30>";
 
 /// Largest accepted `--jobs` value — far above any real machine, small
 /// enough to catch typos like `--jobs 10000`.
@@ -230,7 +230,7 @@ fn main() {
     if journal_out.is_some() && resume_from.is_some() {
         die("--journal and --resume are mutually exclusive (resume appends to its own file)");
     }
-    let profile = profile_from_env();
+    let profile = profile_from_env().unwrap_or_else(|e| die(&e.to_string()));
     let profile_name = match std::env::var("HPAGE_PROFILE").as_deref() {
         Ok("test") => "test",
         Ok("paper") => "paper",

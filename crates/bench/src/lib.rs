@@ -17,23 +17,56 @@ use hpage_sim::{
     fig5_utility_on, fig6_pcc_size_on, fig7_fragmentation_on, fig8_multithread_on,
     fig9_multiprocess_on, Cell, Fig9Config, Harness, PolicyChoice, SimProfile, Simulation,
 };
-use hpage_trace::{paper_table1, AppId};
+use hpage_trace::{paper_table1, AppId, RmatParams};
+
+/// Why the environment names no valid profile.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProfileError {
+    /// `HPAGE_PROFILE` is not `test`, `scaled` or `paper`.
+    Profile(String),
+    /// `HPAGE_SCALE` is not an integer in `1..=RmatParams::MAX_SCALE`.
+    Scale(String),
+}
+
+impl std::fmt::Display for ProfileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProfileError::Profile(v) => {
+                write!(f, "HPAGE_PROFILE must be test, scaled or paper, got {v:?}")
+            }
+            ProfileError::Scale(v) => write!(
+                f,
+                "HPAGE_SCALE must be an integer in 1..={}, got {v:?}",
+                RmatParams::MAX_SCALE
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ProfileError {}
 
 /// Resolves the experiment profile from the environment:
 /// `HPAGE_PROFILE=test|scaled|paper` (default `scaled`) and
-/// `HPAGE_SCALE=<log2 vertices>` to override the graph scale.
-pub fn profile_from_env() -> SimProfile {
-    let mut profile = match std::env::var("HPAGE_PROFILE").as_deref() {
-        Ok("test") => SimProfile::test(),
-        Ok("paper") => SimProfile::paper(),
-        _ => SimProfile::scaled(),
+/// `HPAGE_SCALE=<log2 vertices>` in `1..=RmatParams::MAX_SCALE` to
+/// override the graph scale. A variable that is unset or empty takes
+/// its default; any other value outside those is an error.
+pub fn profile_from_env() -> Result<SimProfile, ProfileError> {
+    let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    let mut profile = match var("HPAGE_PROFILE").as_deref() {
+        None | Some("" | "scaled") => SimProfile::scaled(),
+        Some("test") => SimProfile::test(),
+        Some("paper") => SimProfile::paper(),
+        Some(other) => return Err(ProfileError::Profile(other.to_string())),
     };
-    if let Ok(scale) = std::env::var("HPAGE_SCALE") {
-        if let Ok(n) = scale.parse::<u32>() {
-            profile = profile.with_graph_scale(n);
-        }
+    if let Some(scale) = var("HPAGE_SCALE").filter(|s| !s.is_empty()) {
+        let n = scale
+            .parse::<u32>()
+            .ok()
+            .filter(|n| (1..=RmatParams::MAX_SCALE).contains(n))
+            .ok_or(ProfileError::Scale(scale))?;
+        profile = profile.with_graph_scale(n);
     }
-    profile
+    Ok(profile)
 }
 
 /// Renders a geomean summary line, excluding (and reporting) any
@@ -658,7 +691,7 @@ mod tests {
 
     #[test]
     fn profile_from_env_defaults_are_valid() {
-        let p = profile_from_env();
+        let p = profile_from_env().unwrap();
         p.system.validate().unwrap();
     }
 

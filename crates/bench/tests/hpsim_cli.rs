@@ -1,9 +1,10 @@
 //! Error paths of the `hpsim` command line for inputs it does not
 //! accept: a trace in the retired `HPT1` container, an `HPT2` trace with
 //! junk after its end magic, a path that is not a regular file, retired
-//! flags, numeric flags out of range, and a fault plan nested too deep
-//! to parse. Each must be a usage error (exit 2) with a message naming
-//! the problem, never a panic or a hang.
+//! flags, numeric flags out of range, a fault plan nested too deep to
+//! parse, and an `HPAGE_PROFILE` or `HPAGE_SCALE` that names no profile.
+//! Each must be a usage error (exit 2) with a message naming the
+//! problem, never a panic, a hang or a silent fallback.
 
 use std::process::{Command, Output};
 
@@ -138,4 +139,45 @@ fn deeply_nested_fault_plan_is_a_usage_error() {
     assert_usage_error(&out, "nesting deeper than 128 levels");
 
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn bad_profile_environment_is_a_usage_error() {
+    // Scales outside 1..=30 used to panic inside the generator (hpsim
+    // exited 101, repro 3); garbage used to fall back to the default.
+    let cases = [
+        ("HPAGE_SCALE", "0"),
+        ("HPAGE_SCALE", "31"),
+        ("HPAGE_SCALE", "-1"),
+        ("HPAGE_SCALE", "abc"),
+        ("HPAGE_PROFILE", "bogus"),
+    ];
+    for (var, value) in cases {
+        let want = match var {
+            "HPAGE_SCALE" => format!("HPAGE_SCALE must be an integer in 1..=30, got \"{value}\""),
+            _ => format!("HPAGE_PROFILE must be test, scaled or paper, got \"{value}\""),
+        };
+        for (bin, args) in [
+            (
+                env!("CARGO_BIN_EXE_hpsim"),
+                &["--app", "bfs", "--quiet"][..],
+            ),
+            (
+                env!("CARGO_BIN_EXE_repro"),
+                &["--figure", "7", "--quiet"][..],
+            ),
+        ] {
+            let out = Command::new(bin)
+                .args(args)
+                .env("HPAGE_PROFILE", "test")
+                .env(var, value)
+                .output()
+                .expect("spawn");
+            assert_usage_error(&out, &want);
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains("usage: "),
+                "{var}={value}: no usage"
+            );
+        }
+    }
 }

@@ -23,25 +23,78 @@ pub struct CsrGraph {
 impl CsrGraph {
     /// Builds a CSR graph from an edge list over `n` vertices.
     /// Self-loops are kept; duplicate edges are kept (multigraph), which
-    /// matches how R-MAT generators feed the GAP kernels.
+    /// matches how R-MAT generators feed the GAP kernels. Each vertex's
+    /// neighbours keep their order in `edges`. Large edge lists are
+    /// built on several threads, one per 2^20 edges and at most one per
+    /// core; the graph is the same at any thread count.
     ///
     /// # Panics
     ///
     /// Panics if any endpoint is `>= n`.
     pub fn from_edges(n: u32, edges: &[(u32, u32)]) -> Self {
-        let mut degree = vec![0u64; n as usize];
-        for &(u, v) in edges {
-            assert!(u < n && v < n, "edge endpoint out of range");
-            degree[u as usize] += 1;
+        Self::from_edges_on(n, edges, setup_threads(edges.len() as u64))
+    }
+
+    /// [`from_edges`](Self::from_edges) on `threads` threads (the
+    /// calling thread and `threads - 1` scoped workers).
+    ///
+    /// Both passes split the vertices into `threads` blocks, and every
+    /// thread scans the whole edge list in order but touches only edges
+    /// whose source lies in its own block. So the extra memory is O(n)
+    /// at any thread count, and each vertex's neighbours land in edge
+    /// order, exactly as one sequential scatter would place them.
+    fn from_edges_on(n: u32, edges: &[(u32, u32)], threads: usize) -> Self {
+        // Degrees, by equal vertex blocks: `offsets[u + 1]` counts the
+        // edges out of `u`. Every thread also checks every endpoint. In
+        // both passes a source below the block wraps to a huge index and
+        // one past it indexes past the end, so `get_mut` skips both.
+        let mut offsets = vec![0u64; n as usize + 1];
+        let vertex_cuts: Vec<usize> = (1..threads).map(|k| k * n as usize / threads).collect();
+        on_threads(
+            split_at_cuts(&mut offsets[1..], &vertex_cuts),
+            |(lo, degree)| {
+                for &(u, v) in edges {
+                    assert!(u < n && v < n, "edge endpoint out of range");
+                    if let Some(d) = degree.get_mut((u as usize).wrapping_sub(lo)) {
+                        *d += 1;
+                    }
+                }
+            },
+        );
+        for u in 0..n as usize {
+            offsets[u + 1] += offsets[u];
         }
-        let offsets = offsets_from_degrees(&degree);
-        let mut cursor = offsets.clone();
+        // Scatter, by vertex blocks holding about equal edge counts:
+        // block `k` starts at the first vertex whose offset reaches
+        // `k · m / threads`, and owns the neighbour slots from there.
+        let m = edges.len() as u64;
+        let mut bounds = vec![0];
+        bounds.extend(
+            (1..threads).map(|k| offsets.partition_point(|&o| o < k as u64 * m / threads as u64)),
+        );
+        bounds.push(n as usize);
+        let slot_cuts: Vec<usize> = bounds[1..threads]
+            .iter()
+            .map(|&u| offsets[u] as usize)
+            .collect();
         let mut neighbors = vec![0u32; edges.len()];
-        for &(u, v) in edges {
-            let c = &mut cursor[u as usize];
-            neighbors[*c as usize] = v;
-            *c += 1;
-        }
+        let blocks = split_at_cuts(&mut neighbors, &slot_cuts)
+            .into_iter()
+            .zip(bounds.windows(2))
+            .collect();
+        on_threads(blocks, |((base, slots), block)| {
+            let lo = block[0];
+            let mut cursor: Vec<usize> = offsets[lo..block[1]]
+                .iter()
+                .map(|&o| o as usize - base)
+                .collect();
+            for &(u, v) in edges {
+                if let Some(c) = cursor.get_mut((u as usize).wrapping_sub(lo)) {
+                    slots[*c] = v;
+                    *c += 1;
+                }
+            }
+        });
         CsrGraph { offsets, neighbors }
     }
 
@@ -131,6 +184,53 @@ fn offsets_from_degrees(degree: &[u64]) -> Vec<u64> {
     offsets
 }
 
+/// Edges below which one more set-up thread does not pay for itself.
+/// Every test-profile graph stays on the calling thread.
+const MIN_RANGE_EDGES: u64 = 1 << 20;
+
+/// Threads for drawing or building a graph of `m` edges: one per
+/// [`MIN_RANGE_EDGES`], at most one per available core. The graph never
+/// depends on this number, only its set-up time does.
+fn setup_threads(m: u64) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.min(m.div_ceil(MIN_RANGE_EDGES).max(1) as usize)
+}
+
+/// Splits `slice` at the sorted offsets `cuts`, pairing each part with
+/// the offset it starts at.
+fn split_at_cuts<'a, T>(mut slice: &'a mut [T], cuts: &[usize]) -> Vec<(usize, &'a mut [T])> {
+    let mut parts = Vec::with_capacity(cuts.len() + 1);
+    let mut start = 0;
+    for &cut in cuts {
+        let (head, tail) = slice.split_at_mut(cut - start);
+        parts.push((start, head));
+        slice = tail;
+        start = cut;
+    }
+    parts.push((start, slice));
+    parts
+}
+
+/// Runs `work` on every item: the first on the calling thread, the rest
+/// on scoped threads. A panic in any of them is re-raised here with its
+/// own payload.
+fn on_threads<I: Send>(items: Vec<I>, work: impl Fn(I) + Sync) {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut items = items.into_iter();
+        let first = items.next();
+        let workers: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        if let Some(item) = first {
+            work(item);
+        }
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
 /// Parameters of the R-MAT (recursive matrix) generator, the standard
 /// Kronecker-graph construction used by Graph500 and the GAP suite.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,6 +296,9 @@ impl RmatParams {
         }
     }
 
+    /// The largest `scale` [`generate_rmat`] accepts.
+    pub const MAX_SCALE: u32 = 30;
+
     /// Number of vertices (`2^scale`).
     pub fn vertex_count(&self) -> u32 {
         1u32 << self.scale
@@ -220,52 +323,101 @@ fn draw_threshold(p: f64) -> u64 {
     ((p * DRAW_VALUES as f64).ceil() as u64).min(DRAW_VALUES)
 }
 
+/// R-MAT's per-edge descent with its draws decided on integers: the
+/// validated [`draw_threshold`]s of one parameter set.
+#[derive(Debug, Clone, Copy)]
+struct Quadrants {
+    scale: u32,
+    t_a: u64,
+    t_ab: u64,
+    t_abc: u64,
+}
+
+impl Quadrants {
+    /// # Panics
+    ///
+    /// Panics if `scale` is outside `1..=`[`RmatParams::MAX_SCALE`], if
+    /// `a`, `b` or `c` is negative or NaN, or if they sum to more than 1.
+    fn new(params: &RmatParams) -> Self {
+        assert!(
+            (1..=RmatParams::MAX_SCALE).contains(&params.scale),
+            "scale must be 1..={}",
+            RmatParams::MAX_SCALE
+        );
+        for (name, p) in [("a", params.a), ("b", params.b), ("c", params.c)] {
+            assert!(
+                p >= 0.0,
+                "quadrant probability {name} must be a non-negative number, got {p}"
+            );
+        }
+        let d = 1.0 - params.a - params.b - params.c;
+        assert!(d >= -1e-9, "quadrant probabilities must sum to <= 1");
+        Quadrants {
+            scale: params.scale,
+            t_a: draw_threshold(params.a),
+            t_ab: draw_threshold(params.a + params.b),
+            t_abc: draw_threshold(params.a + params.b + params.c),
+        }
+    }
+
+    /// One edge from the next `scale` draws of `rng`.
+    fn edge(&self, rng: &mut StdRng) -> (u32, u32) {
+        // Non-negative parameters make the thresholds non-decreasing, so
+        // the number of thresholds a draw reaches is its quadrant `q` in
+        // 0..4 (top-left, top-right, bottom-left, bottom-right), and `q`
+        // is `2 · source bit + target bit`: the source bit is `q >= 2`,
+        // the target bit is `q`'s parity.
+        let (mut u, mut v) = (0u32, 0u32);
+        for _ in 0..self.scale {
+            let k = rng.next_u64() >> 11;
+            let (ge_a, ge_ab, ge_abc) = (k >= self.t_a, k >= self.t_ab, k >= self.t_abc);
+            u = u << 1 | u32::from(ge_ab);
+            v = v << 1 | u32::from(ge_a ^ ge_ab ^ ge_abc);
+        }
+        (u, v)
+    }
+}
+
+/// Draws `m` edges from the stream seeded by `seed`, one range per
+/// thread: the ranges start at 0 and at each of the sorted `cuts`. Edge
+/// `i` always takes draws `i · scale` onward, so a range starting at
+/// edge `lo` jumps its copy of the seeded generator `lo · scale` draws
+/// ahead, and the edge list is the same for any `cuts`.
+fn draw_edges(quadrants: Quadrants, seed: u64, m: usize, cuts: &[usize]) -> Vec<(u32, u32)> {
+    let seeded = StdRng::seed_from_u64(seed);
+    let mut edges = vec![(0u32, 0u32); m];
+    on_threads(split_at_cuts(&mut edges, cuts), |(lo, range)| {
+        let mut rng = seeded.clone();
+        rng.jump(lo as u64 * u64::from(quadrants.scale));
+        for edge in range {
+            *edge = quadrants.edge(&mut rng);
+        }
+    });
+    edges
+}
+
 /// Generates an R-MAT graph deterministically from `seed`.
 ///
 /// Each edge draws `scale` uniforms `r` and descends one quadrant per
 /// draw: top-left if `r < a`, top-right if `r < a + b`, bottom-left if
 /// `r < a + b + c`, else bottom-right. The draws are compared as
 /// integers against [`draw_threshold`]s, which decides every draw
-/// exactly as the `f64` comparisons would.
+/// exactly as the `f64` comparisons would. Large graphs are drawn and
+/// built on several threads; the graph is the same at any count.
 ///
 /// # Panics
 ///
-/// Panics if `scale` is 0 or ≥ 31, if `a`, `b` or `c` is negative or
-/// NaN, or if they sum to more than 1.
+/// Panics if `scale` is outside `1..=`[`RmatParams::MAX_SCALE`], if
+/// `a`, `b` or `c` is negative or NaN, or if they sum to more than 1.
 pub fn generate_rmat(params: &RmatParams, seed: u64) -> CsrGraph {
-    assert!(
-        params.scale > 0 && params.scale < 31,
-        "scale must be 1..=30"
-    );
-    for (name, p) in [("a", params.a), ("b", params.b), ("c", params.c)] {
-        assert!(
-            p >= 0.0,
-            "quadrant probability {name} must be a non-negative number, got {p}"
-        );
-    }
-    let d = 1.0 - params.a - params.b - params.c;
-    assert!(d >= -1e-9, "quadrant probabilities must sum to <= 1");
-    // Non-negative parameters make the thresholds non-decreasing, so the
-    // number of thresholds a draw reaches is its quadrant `q` in 0..4
-    // (top-left, top-right, bottom-left, bottom-right), and `q` is
-    // `2 · source bit + target bit`: the source bit is `q >= 2`, the
-    // target bit is `q`'s parity.
-    let t_a = draw_threshold(params.a);
-    let t_ab = draw_threshold(params.a + params.b);
-    let t_abc = draw_threshold(params.a + params.b + params.c);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut edges = Vec::with_capacity(params.edge_count() as usize);
-    for _ in 0..params.edge_count() {
-        let (mut u, mut v) = (0u32, 0u32);
-        for _ in 0..params.scale {
-            let k = rng.next_u64() >> 11;
-            let (ge_a, ge_ab, ge_abc) = (k >= t_a, k >= t_ab, k >= t_abc);
-            u = u << 1 | u32::from(ge_ab);
-            v = v << 1 | u32::from(ge_a ^ ge_ab ^ ge_abc);
-        }
-        edges.push((u, v));
-    }
-    CsrGraph::from_edges(params.vertex_count(), &edges)
+    let quadrants = Quadrants::new(params);
+    let m = params.edge_count() as usize;
+    let threads = setup_threads(m as u64);
+    let cuts: Vec<usize> = (1..threads).map(|r| r * m / threads).collect();
+    CsrGraph::from_edges(
+        params.vertex_count(),
+        &draw_edges(quadrants, seed, m, &cuts),
+    )
 }
 
 /// Degree-Based Grouping (Faldu et al., IISWC'19): coarsely reorders
@@ -320,7 +472,23 @@ mod tests {
             }
             edges.push((u % n, v % n));
         }
-        CsrGraph::from_edges(n, &edges)
+        csr_by_stable_sort(n, &edges)
+    }
+
+    /// CSR from an edge list by a stable sort on the source, which keeps
+    /// each vertex's neighbours in edge order: the reference for
+    /// `from_edges` at any thread count.
+    fn csr_by_stable_sort(n: u32, edges: &[(u32, u32)]) -> CsrGraph {
+        let mut sorted = edges.to_vec();
+        sorted.sort_by_key(|&(u, _)| u);
+        let mut degree = vec![0u64; n as usize];
+        for &(u, _) in &sorted {
+            degree[u as usize] += 1;
+        }
+        CsrGraph {
+            offsets: offsets_from_degrees(&degree),
+            neighbors: sorted.iter().map(|&(_, v)| v).collect(),
+        }
     }
 
     /// Relabelling through an explicit edge list and `from_edges`: the
@@ -521,6 +689,63 @@ mod tests {
         // every pinned digest and golden downstream.
         let g = generate_rmat(&RmatParams::kronecker(16), 0xC0FFEE);
         assert_eq!(graph_digest(&g), 1_726_299_722_890_978_864);
+    }
+
+    #[test]
+    fn kronecker_18_digest_is_pinned() {
+        // Large enough that set-up splits it across threads by default
+        // (4M edges), so this pins the multi-range path on any host with
+        // more than one core.
+        let g = generate_rmat(&RmatParams::kronecker(18), 0xC0FFEE);
+        assert_eq!(graph_digest(&g), 5_675_821_594_307_235_066);
+    }
+
+    proptest! {
+        /// Drawing the edges in ranges that start anywhere, and building
+        /// the CSR on 1..=8 threads, gives the float oracle's graph.
+        #[test]
+        fn graph_does_not_depend_on_ranges_or_threads(
+            scale in 1u32..15,
+            seed in any::<u64>(),
+            raw_cuts in prop::collection::vec(any::<u64>(), 0..8),
+        ) {
+            for p in [
+                RmatParams::kronecker(scale),
+                RmatParams::social(scale),
+                RmatParams::web(scale),
+                RmatParams::uniform(scale),
+            ] {
+                let m = p.edge_count() as usize;
+                let mut cuts: Vec<usize> =
+                    raw_cuts.iter().map(|&c| (c % (m as u64 + 1)) as usize).collect();
+                cuts.sort_unstable();
+                let edges = draw_edges(Quadrants::new(&p), seed, m, &cuts);
+                let g = CsrGraph::from_edges_on(p.vertex_count(), &edges, cuts.len() + 1);
+                prop_assert_eq!(g, generate_rmat_float_oracle(&p, seed));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_ranges_and_more_threads_than_vertices_are_fine() {
+        let p = RmatParams::social(2); // 4 vertices, 96 edges
+        let oracle = generate_rmat_float_oracle(&p, 9);
+        let m = p.edge_count() as usize;
+        for cuts in [vec![0, 0, m, m], vec![m; 7], vec![1, 2, 3, 95]] {
+            let edges = draw_edges(Quadrants::new(&p), 9, m, &cuts);
+            for threads in [1, 3, 8] {
+                assert_eq!(CsrGraph::from_edges_on(4, &edges, threads), oracle);
+            }
+        }
+        let empty = CsrGraph::from_edges_on(3, &[], 8);
+        assert_eq!(empty.offsets(), &[0, 0, 0, 0]);
+        assert_eq!(empty.edge_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bad_edge_panics_on_every_thread_count() {
+        let _ = CsrGraph::from_edges_on(2, &[(0, 1), (1, 0), (2, 0)], 4);
     }
 
     #[test]
