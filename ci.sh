@@ -53,6 +53,20 @@ grep -E '^prediction_accuracy: [01]\.[0-9]+$' /tmp/hpsim_ledger.txt
 grep '"name":"ledger.prediction_accuracy_ppm"' /tmp/hpsim_metrics.jsonl
 test -s trace_smoke.json
 
+echo "== ledger smoke: promotion ledgers golden-pinned =="
+# The fixture is each run's stdout after a `$ hpsim ARGS` header; rerun
+# every header's arguments and compare, at one and at two shard threads.
+ledger_golden=crates/bench/tests/golden/ledger_test.txt
+for st in 1 2; do
+    sed -n 's/^\$ hpsim //p' "$ledger_golden" | while read -r args; do
+        echo "\$ hpsim $args"
+        # shellcheck disable=SC2086 # the header holds whitespace-split flags
+        bounded "hpsim $args --sim-threads $st" env HPAGE_PROFILE=test \
+            ./target/release/hpsim $args -j 1 --quiet --sim-threads "$st"
+    done > /tmp/hpsim_ledger_st$st.txt
+    cmp "$ledger_golden" /tmp/hpsim_ledger_st$st.txt
+done
+
 echo "== repro smoke: parallel harness determinism (-j 2 vs -j 1) =="
 HPAGE_PROFILE=test ./target/release/repro --figure 7 --ablation \
     --jobs 2 --bench-out BENCH_repro.json --quiet > /tmp/repro_j2.txt

@@ -693,6 +693,14 @@ fn main() {
             ledger.render_table()
         );
     }
+    // Nested runs also settle host promotions against realized host walks.
+    if let Some(ledger) = &report.host_ledger {
+        println!(
+            "host promotion ledger ({})\n{}",
+            report.policy,
+            ledger.render_table()
+        );
+    }
 
     if let Some(telem) = &telemetry {
         if let Some(path) = &opts.chrome_trace {
