@@ -74,8 +74,9 @@ throughput:  --throughput times the instrumented run and appends a
 verbosity:   --quiet prints the results table only; -v adds the per-interval series
 environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices, 1..=30>";
 
-/// Largest accepted `--jobs` value — far above any real machine, small
-/// enough to catch typos like `--jobs 10000`.
+/// Largest accepted `--jobs`, `--sim-threads` and `--threads` value —
+/// far above any real machine, small enough to catch typos like
+/// `--jobs 10000`.
 const MAX_JOBS: usize = 512;
 
 fn die(msg: &str) -> ! {
@@ -201,6 +202,9 @@ fn parse_args() -> Options {
             "--threads" => {
                 opts.threads = match value(&mut i).parse() {
                     Ok(0) => die("--threads must be at least 1"),
+                    Ok(n) if n as usize > MAX_JOBS => {
+                        die(&format!("--threads {n} is out of range (max {MAX_JOBS})"))
+                    }
                     Ok(n) => n,
                     Err(_) => die("bad --threads"),
                 }

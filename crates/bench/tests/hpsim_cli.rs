@@ -92,8 +92,9 @@ fn retired_flag_is_an_unknown_argument() {
 
 #[test]
 fn out_of_range_numbers_are_usage_errors() {
-    // Past the parser the first two would panic (fragmentation is a
-    // percentage, a process needs a thread); a zero access budget
+    // Past the parser the first three would panic (fragmentation is a
+    // percentage, a process needs a thread) and a huge thread count
+    // aborts on allocation or runs for minutes; a zero access budget
     // simulates nothing.
     for (flag, value, want) in [
         (
@@ -107,6 +108,16 @@ fn out_of_range_numbers_are_usage_errors() {
             "hpsim: --frag 150 is out of range (max 100)",
         ),
         ("--threads", "0", "hpsim: --threads must be at least 1"),
+        (
+            "--threads",
+            "513",
+            "hpsim: --threads 513 is out of range (max 512)",
+        ),
+        (
+            "--threads",
+            "4294967295",
+            "hpsim: --threads 4294967295 is out of range (max 512)",
+        ),
         (
             "--max-accesses",
             "0",

@@ -28,6 +28,7 @@
 //! [`PhysicalMemory`]: crate::PhysicalMemory
 //! [`PhysicalMemory::fragment`]: crate::PhysicalMemory::fragment
 
+use crate::addrspace::AddressSpace;
 use crate::engine::OsState;
 use hpage_pcc::PccBank;
 use hpage_tlb::TlbHierarchy;
@@ -342,18 +343,20 @@ impl Auditor {
 
     /// Cross-checks the promotion ledger against the page tables: every
     /// entry the ledger considers open must be huge-mapped in its
-    /// process's space. (The converse — huge-mapped regions missing
-    /// from the ledger — is legitimate for fault-time THP promotions
-    /// the interval engine never saw, so it is not flagged.)
-    pub fn check_ledger(
+    /// process's space, which `space_of` looks up by the entry's process
+    /// id (`None`: no such process). The guest passes its `OsState`'s
+    /// spaces; a nested run's host ledger is keyed by VM pid and passes
+    /// each VM's one host space. (The converse — huge-mapped regions
+    /// missing from the ledger — is legitimate for fault-time THP
+    /// promotions the interval engine never saw, so it is not flagged.)
+    pub fn check_ledger<'s>(
         &self,
-        os: &OsState,
         ledger: &crate::ledger::PromotionLedger,
+        space_of: impl Fn(usize) -> Option<&'s AddressSpace>,
     ) -> Vec<AuditViolation> {
         let mut violations = Vec::new();
         for e in ledger.open_entries() {
-            let pid = e.process.0 as usize;
-            let Some(space) = os.spaces.get(pid) else {
+            let Some(space) = space_of(e.process.0 as usize) else {
                 violations.push(AuditViolation::LedgerMismatch {
                     what: format!("open entry for unknown process {}", e.process.0),
                 });
@@ -538,19 +541,40 @@ mod tests {
         let mut ledger = crate::PromotionLedger::new();
         ledger.record_promotion(ProcessId(0), region, 0, 10);
         // The ledger thinks the region is huge, but no promotion happened.
-        let violations = auditor.check_ledger(&os, &ledger);
+        let violations = auditor.check_ledger(&ledger, |pid| os.spaces.get(pid));
         assert!(violations
             .iter()
             .any(|v| matches!(v, AuditViolation::LedgerMismatch { .. })));
         os.spaces[0].promote(region, true, 0, &mut os.phys).unwrap();
-        assert!(auditor.check_ledger(&os, &ledger).is_empty());
+        assert!(auditor
+            .check_ledger(&ledger, |pid| os.spaces.get(pid))
+            .is_empty());
         // Demotion recorded on both sides: clean again.
         os.spaces[0].demote(region, &mut os.phys).unwrap();
         ledger.record_demotion(ProcessId(0), region);
-        assert!(auditor.check_ledger(&os, &ledger).is_empty());
+        assert!(auditor
+            .check_ledger(&ledger, |pid| os.spaces.get(pid))
+            .is_empty());
         // An entry for a process the OS does not have.
         ledger.record_promotion(ProcessId(9), region, 0, 1);
-        assert!(!auditor.check_ledger(&os, &ledger).is_empty());
+        assert!(!auditor
+            .check_ledger(&ledger, |pid| os.spaces.get(pid))
+            .is_empty());
+
+        // A lookup over two OS states, one space each, keyed by position
+        // (a nested run's host ledger, keyed by VM pid): entry 1 is
+        // checked against the second state's space only.
+        let mut vms = [os_with_pages(512), os_with_pages(512)];
+        let host_of = |vms: &[OsState; 2], pid: usize| {
+            let mut ledger = crate::PromotionLedger::new();
+            ledger.record_promotion(ProcessId(pid as u32), region, 0, 1);
+            auditor.check_ledger(&ledger, |p| vms.get(p).map(|os| &os.spaces[0]))
+        };
+        let vm = &mut vms[1];
+        vm.spaces[0].promote(region, true, 0, &mut vm.phys).unwrap();
+        assert!(host_of(&vms, 1).is_empty());
+        assert_eq!(host_of(&vms, 0).len(), 1, "VM 0 never promoted");
+        assert_eq!(host_of(&vms, 2).len(), 1, "no VM 2");
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! submission order, so tables are byte-identical at any `--jobs` —
 //! into structured rows; `hpage-bench`'s `repro` binary renders them.
 //!
-//! Every `fig*` driver has two forms: `fig*_on(&Harness, ...)` for
-//! callers that own a harness (the repro binary, the determinism
-//! suite), and the original `fig*(profile, ...)` signature which runs
-//! on a throwaway sequential harness.
+//! Every driver takes the harness it runs on (`fig*_on(&Harness,
+//! ...)`): the repro binary passes its worker pool, and tests and
+//! other one-off callers pass [`Harness::sequential`].
 
 use crate::profile::SimProfile;
 use crate::runner::{Cell, Harness, SharedWorkload, EXPERIMENT_SEED as SEED};

@@ -204,34 +204,30 @@ impl SupervisorConfig {
         derive_seed(per_cell, &format!("retry/{attempt}")) % (self.max_backoff_ms + 1)
     }
 
-    /// How many leading attempts of cell `index` the fault plan panics
-    /// (the max across covering `cell_panic` windows).
-    fn injected_panics(&self, index: u64) -> u32 {
-        self.faults.as_ref().map_or(0, |plan| {
-            plan.cell_windows()
-                .filter(|w| w.covers(index))
-                .filter_map(|w| match w.kind {
-                    FaultKind::CellPanic { failures } => Some(failures),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0)
-        })
-    }
-
-    /// Injected stall per attempt of cell `index`, in milliseconds (the
-    /// max across covering `cell_stall` windows).
-    fn injected_stall_ms(&self, index: u64) -> u64 {
-        self.faults.as_ref().map_or(0, |plan| {
-            plan.cell_windows()
-                .filter(|w| w.covers(index))
-                .filter_map(|w| match w.kind {
-                    FaultKind::CellStall { millis } => Some(millis),
-                    _ => None,
-                })
-                .max()
-                .unwrap_or(0)
-        })
+    /// The harness fault plan's hook for cell `index`, which both
+    /// attempt paths run first inside their `catch_unwind`: it sleeps the
+    /// injected stall (the max over covering `cell_stall` windows), then
+    /// panics each attempt up to the count of injected failures (the max
+    /// over covering `cell_panic` windows). It owns its two numbers, so a
+    /// detached attempt thread can take it along.
+    fn injection(&self, index: usize) -> impl Fn(u32) + Send + 'static {
+        let (mut stall_ms, mut injected) = (0, 0);
+        let windows = self.faults.iter().flat_map(|plan| plan.cell_windows());
+        for w in windows.filter(|w| w.covers(index as u64)) {
+            match w.kind {
+                FaultKind::CellStall { millis } => stall_ms = stall_ms.max(millis),
+                FaultKind::CellPanic { failures } => injected = injected.max(failures),
+                _ => {}
+            }
+        }
+        move |attempt| {
+            if stall_ms > 0 {
+                std::thread::sleep(Duration::from_millis(stall_ms));
+            }
+            if attempt <= injected {
+                panic!("injected cell panic (attempt {attempt} of {injected} injected failures)");
+            }
+        }
     }
 }
 
@@ -529,18 +525,10 @@ impl Harness {
     {
         self.dispatch(cells.len(), |i| {
             let cell = &cells[i];
-            let injected = self.supervisor.injected_panics(i as u64);
-            let stall = self.supervisor.injected_stall_ms(i as u64);
+            let inject = self.supervisor.injection(i);
             self.supervise_loop(i, cell, |attempt| {
                 catch_unwind(AssertUnwindSafe(|| {
-                    if stall > 0 {
-                        std::thread::sleep(Duration::from_millis(stall));
-                    }
-                    if u64::from(attempt) <= u64::from(injected) {
-                        panic!(
-                            "injected cell panic (attempt {attempt} of {injected} injected failures)"
-                        );
-                    }
+                    inject(attempt);
                     f(cell)
                 }))
                 .map_err(|payload| AttemptError::Panicked(panic_message(payload)))
@@ -675,20 +663,12 @@ impl Harness {
         attempt: u32,
     ) -> Result<SimReport, AttemptError> {
         let sup = &self.supervisor;
-        let injected = sup.injected_panics(index as u64);
-        let stall = sup.injected_stall_ms(index as u64);
+        let inject = sup.injection(index);
         let (tx, rx) = mpsc::channel();
         let worker_cell = Arc::clone(cell);
         std::thread::spawn(move || {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if stall > 0 {
-                    std::thread::sleep(Duration::from_millis(stall));
-                }
-                if u64::from(attempt) <= u64::from(injected) {
-                    panic!(
-                        "injected cell panic (attempt {attempt} of {injected} injected failures)"
-                    );
-                }
+                inject(attempt);
                 worker_cell.run()
             }));
             // A send into a closed channel means the watchdog abandoned

@@ -63,10 +63,11 @@
 //!   requests allocated, in global core order.
 //! * **Events** are buffered per core and drained into the recorder in
 //!   core order at the end of each round, which equals timestamp order.
-//! * **Merges** at interval barriers (PCC banks, TLBs, per-core
-//!   counters, ledger walk tallies) key by core or by region and are
-//!   order-insensitive sums, so the assembled state is byte-identical
-//!   at any `--sim-threads`.
+//! * **Barriers** move two lists: processes (address space and, nested,
+//!   VM) keyed by pid, and cores ([`CoreHw`]) keyed by core. The only
+//!   merges — PCCs back into their banks, ledger walk tallies summed by
+//!   region — are order-insensitive, so the assembled state is
+//!   byte-identical at any `--sim-threads`.
 //!
 //! The shared-LLC data-cache model couples cores through one
 //! [`CacheHierarchy`], so enabling it forces a single shard.
@@ -239,10 +240,11 @@ impl WalkCache {
 /// the 1 GiB bank (§3.2.3).
 const PCC_SIZES: [PageSize; 2] = [PageSize::Huge2M, PageSize::Huge1G];
 
-/// One core's translation hardware: its TLB hierarchy, its
-/// paging-structure cache, and its PCC in each bank. The seat holds it
-/// between barriers, and it travels to the coordinator and back as one
-/// value at each interval barrier.
+/// Everything one core owns between barriers: its translation hardware
+/// (TLB hierarchy, paging-structure cache, its PCC in each bank) and
+/// what the engine counts for it. The seat holds it between barriers,
+/// and it travels to the coordinator and back as one value at each
+/// interval barrier.
 struct CoreHw {
     tlb: TlbHierarchy,
     /// `None` when the run models no page-walk cache.
@@ -251,25 +253,44 @@ struct CoreHw {
     /// the run has no such bank, and at a barrier, while the PCC is back
     /// in its bank for the policy and the audit.
     pccs: [Option<Pcc>; 2],
+    /// What the engine counts itself: walk levels, faults and
+    /// data-cache outcomes. Accesses, TLB hits and walks are the TLB's
+    /// own counts; [`run_counters`](Self::run_counters) adds them.
+    counters: RunCounters,
+    /// Ledger tallies (kept only when the ledger is on): walks per
+    /// `(pid, 2 MiB region index)`, drained at every interval barrier.
+    region_walks: RegionWalks,
+    /// Same for the host dimension of a nested run, keyed by
+    /// `(VM pid, gPA 2 MiB region index)`.
+    host_region_walks: RegionWalks,
 }
+
+impl CoreHw {
+    /// The core's counts so far. Exact at a barrier, where every chunk
+    /// has completed: the TLB's counts are cumulative and per core, and
+    /// a flush does not reset them.
+    fn run_counters(&self) -> RunCounters {
+        let s = self.tlb.stats();
+        RunCounters {
+            accesses: s.accesses,
+            l1_hits: s.l1_hits,
+            l2_hits: s.l2_hits,
+            walks: s.walks,
+            ..self.counters
+        }
+    }
+}
+
+/// One process as it moves between a shard and the coordinator: its
+/// pid, its address space and, in nested runs, the host half of its VM.
+type Process = (usize, AddressSpace, Option<NestedVm>);
 
 /// OS-visible state a shard surrenders at an interval barrier.
 #[derive(Default)]
 struct OsSlice {
-    spaces: Vec<(usize, AddressSpace)>,
-    vms: Vec<(usize, NestedVm)>,
+    /// In ascending pid order.
+    processes: Vec<Process>,
     cores: Vec<(usize, CoreHw)>,
-    /// Running per-core counters (overwrite, not delta). Surrendered at
-    /// barriers only — the interval block and the final report are the
-    /// sole readers, and both sit behind [`ToShard::TakeOs`], so the
-    /// per-round protocol does not carry counters at all.
-    counters: Vec<(usize, RunCounters)>,
-    /// Drained per-region walk tallies, merged (summed) into the
-    /// coordinator's ledger feed.
-    region_walks: Vec<((u32, u64), u64)>,
-    /// Same, for the host dimension of a nested run, keyed by
-    /// `(VM pid, gPA 2 MiB region index)`.
-    host_region_walks: Vec<((u32, u64), u64)>,
 }
 
 enum ToShard {
@@ -329,8 +350,8 @@ enum ShardProgress {
 struct CoreSeat<'w> {
     core: usize,
     pid: usize,
-    /// Index into the owning worker's `spaces`.
-    space_slot: usize,
+    /// Index into the owning worker's `processes`.
+    process_slot: usize,
     trace: Box<dyn TraceStream + Send + 'w>,
     /// `Option` so the hardware can travel to the coordinator at
     /// barriers; always `Some` while the worker executes.
@@ -346,32 +367,21 @@ struct CoreSeat<'w> {
     pending_grant: Option<FaultGrant>,
     /// The core has an unfinished chunk in the current round.
     in_round: bool,
-    /// TLB stats snapshot (accesses, l1, l2, walks) at chunk start;
-    /// the delta folds into `counters` when the chunk completes.
-    chunk_base: (u64, u64, u64, u64),
-    counters: RunCounters,
     events: Vec<(u64, Event)>,
-    region_walks: RegionWalks,
     unused_grants: Vec<FaultGrant>,
     /// Scratch for the host walks one 2D walk performs (nTLB misses);
     /// recycled across walks, drained into the host PCC and the host
     /// ledger tally immediately after each walk.
     host_scratch: Vec<WalkResult>,
-    /// Host-dimension walk tallies for the host promotion ledger,
-    /// keyed by `(VM pid, gPA 2 MiB region index)`.
-    host_region_walks: RegionWalks,
 }
 
-/// A shard: a set of cores plus the address spaces they fault into.
+/// A shard: a set of cores plus the processes they fault into.
 struct ShardWorker<'w> {
     /// Seats in global core order.
     seats: Vec<CoreSeat<'w>>,
-    /// Address spaces owned by this shard, keyed by process id.
-    spaces: Vec<(usize, Option<AddressSpace>)>,
-    /// Nested mode: the host half of each process's VM, slot-parallel
-    /// to `spaces` (`None` entries in native runs, and while the VM is
-    /// surrendered at a barrier).
-    vms: Vec<Option<NestedVm>>,
+    /// The processes this shard owns, in ascending pid order; empty
+    /// while they are surrendered at a barrier.
+    processes: Vec<Process>,
     /// The shared data-cache model (forces a single shard, so at most
     /// one worker ever holds it).
     caches: Option<CacheHierarchy>,
@@ -425,15 +435,6 @@ impl<'w> ShardWorker<'w> {
             let got = seat.trace.next_window(quota as usize).len();
             seat.chunk_len = got;
             seat.in_round = got > 0;
-            if got > 0 {
-                let s = seat
-                    .hw
-                    .as_ref()
-                    .expect("core hardware resident")
-                    .tlb
-                    .stats();
-                seat.chunk_base = (s.accesses, s.l1_hits, s.l2_hits, s.walks);
-            }
             slot.1 = got as u64;
         }
     }
@@ -445,8 +446,7 @@ impl<'w> ShardWorker<'w> {
         let mut requests = Vec::new();
         let ShardWorker {
             seats,
-            spaces,
-            vms,
+            processes,
             caches,
             ..
         } = self;
@@ -454,18 +454,14 @@ impl<'w> ShardWorker<'w> {
             if !seat.in_round {
                 continue;
             }
-            let space = spaces[seat.space_slot]
-                .1
-                .as_mut()
-                .expect("space resident between barriers");
-            let vm = vms[seat.space_slot].as_mut();
+            let (_, space, vm) = &mut processes[seat.process_slot];
             // Monomorphize the hot loop on "is a recorder attached":
             // event pushes and the inline PCC feed compile out of the
             // recorder-less path entirely.
             let ran = if flags.recorder_on {
-                run_seat::<true>(seat, space, vm, caches, flags)
+                run_seat::<true>(seat, space, vm.as_mut(), caches, flags)
             } else {
-                run_seat::<false>(seat, space, vm, caches, flags)
+                run_seat::<false>(seat, space, vm.as_mut(), caches, flags)
             };
             match ran {
                 Ok(Some(req)) => requests.push(req),
@@ -493,42 +489,22 @@ impl<'w> ShardWorker<'w> {
     }
 
     fn take_os(&mut self) -> OsSlice {
-        let mut slice = OsSlice::default();
-        for (slot, (pid, s)) in self.spaces.iter_mut().enumerate() {
-            slice.spaces.push((*pid, s.take().expect("space resident")));
-            if let Some(vm) = self.vms[slot].take() {
-                slice.vms.push((*pid, vm));
-            }
+        let cores = self
+            .seats
+            .iter_mut()
+            .map(|seat| (seat.core, seat.hw.take().expect("core hardware resident")))
+            .collect();
+        OsSlice {
+            processes: std::mem::take(&mut self.processes),
+            cores,
         }
-        for seat in self.seats.iter_mut() {
-            let hw = seat.hw.take().expect("core hardware resident");
-            slice.cores.push((seat.core, hw));
-            slice.counters.push((seat.core, seat.counters));
-            slice.region_walks.extend(seat.region_walks.drain());
-            slice
-                .host_region_walks
-                .extend(seat.host_region_walks.drain());
-        }
-        slice
     }
 
+    /// Takes the barrier's state back. Processes return in the pid order
+    /// they left in, so each seat's `process_slot` still points at its own.
     fn restore_os(&mut self, slice: OsSlice) {
-        for (pid, space) in slice.spaces {
-            let slot = self
-                .spaces
-                .iter_mut()
-                .find(|(p, _)| *p == pid)
-                .expect("process belongs to this shard");
-            slot.1 = Some(space);
-        }
-        for (pid, vm) in slice.vms {
-            let slot = self
-                .spaces
-                .iter()
-                .position(|(p, _)| *p == pid)
-                .expect("VM belongs to this shard");
-            self.vms[slot] = Some(vm);
-        }
+        debug_assert!(self.processes.is_empty(), "restored once per barrier");
+        self.processes = slice.processes;
         for (core, hw) in slice.cores {
             self.seat_mut(core).hw = Some(hw);
         }
@@ -542,7 +518,8 @@ impl<'w> ShardWorker<'w> {
 /// recorder-less hot loop contains no event plumbing at all. The seat
 /// is destructured into disjoint field borrows up front: the chunk is
 /// the trace stream's current window, borrowed zero-copy for the whole
-/// loop while the core's hardware and counters stay mutable beside it.
+/// loop while the core's hardware (counts included) stays mutable
+/// beside it.
 fn run_seat<const REC: bool>(
     seat: &mut CoreSeat<'_>,
     space: &mut AddressSpace,
@@ -561,13 +538,9 @@ fn run_seat<const REC: bool>(
         resume_walk,
         pending_grant,
         in_round,
-        chunk_base,
-        counters,
         events,
-        region_walks,
         unused_grants,
         host_scratch,
-        host_region_walks,
         ..
     } = seat;
     let core = *core;
@@ -599,11 +572,11 @@ fn run_seat<const REC: bool>(
             let out = space.install_grant(access.addr, grant)?;
             let size = match out {
                 FaultOutcome::Base(_) => {
-                    counters.faults_base += 1;
+                    hw.counters.faults_base += 1;
                     PageSize::Base4K
                 }
                 FaultOutcome::Huge(_) => {
-                    counters.faults_huge += 1;
+                    hw.counters.faults_huge += 1;
                     PageSize::Huge2M
                 }
             };
@@ -632,10 +605,7 @@ fn run_seat<const REC: bool>(
                 hw,
                 vm.as_deref_mut(),
                 host_scratch,
-                host_region_walks,
-                counters,
                 events,
-                region_walks,
                 access,
                 at,
                 walk,
@@ -676,10 +646,7 @@ fn run_seat<const REC: bool>(
                         hw,
                         vm.as_deref_mut(),
                         host_scratch,
-                        host_region_walks,
-                        counters,
                         events,
-                        region_walks,
                         access,
                         at,
                         walk,
@@ -701,20 +668,13 @@ fn run_seat<const REC: bool>(
             let paddr = hpage_types::PhysAddr::new(t.pfn.base().raw() + offset);
             match caches.access(core, paddr) {
                 CacheOutcome::L1 => {}
-                CacheOutcome::L2 => counters.cache_l2_hits += 1,
-                CacheOutcome::Llc => counters.cache_llc_hits += 1,
-                CacheOutcome::Memory => counters.cache_memory += 1,
+                CacheOutcome::L2 => hw.counters.cache_l2_hits += 1,
+                CacheOutcome::Llc => hw.counters.cache_llc_hits += 1,
+                CacheOutcome::Memory => hw.counters.cache_memory += 1,
             }
         }
         *pos += 1;
     }
-    // Chunk complete. Fold the TLB stats delta into the counters (the
-    // hierarchy already counts lookups, so the hot loop doesn't).
-    let s = hw.tlb.stats();
-    counters.accesses += s.accesses - chunk_base.0;
-    counters.l1_hits += s.l1_hits - chunk_base.1;
-    counters.l2_hits += s.l2_hits - chunk_base.2;
-    counters.walks += s.walks - chunk_base.3;
     *in_round = false;
     Ok(None)
 }
@@ -746,10 +706,7 @@ fn handle_walk<const REC: bool>(
     hw: &mut CoreHw,
     vm: Option<&mut NestedVm>,
     host_scratch: &mut Vec<WalkResult>,
-    host_region_walks: &mut RegionWalks,
-    counters: &mut RunCounters,
     events: &mut Vec<(u64, Event)>,
-    region_walks: &mut RegionWalks,
     access: MemoryAccess,
     at: u64,
     walk: WalkResult,
@@ -781,7 +738,7 @@ fn handle_walk<const REC: bool>(
                     }
                 }
                 if flags.ledger_on {
-                    *host_region_walks
+                    *hw.host_region_walks
                         .entry((pid as u32, region.index()))
                         .or_insert(0) += 1;
                 }
@@ -794,10 +751,10 @@ fn handle_walk<const REC: bool>(
         ),
         None => (walk.levels_referenced, walk.levels_referenced),
     };
-    counters.walk_levels += u64::from(effective_levels);
+    hw.counters.walk_levels += u64::from(effective_levels);
     if flags.ledger_on {
         let key = (pid as u32, access.addr.vpn(PageSize::Huge2M).index());
-        *region_walks.entry(key).or_insert(0) += 1;
+        *hw.region_walks.entry(key).or_insert(0) += 1;
     }
     if REC {
         events.push((
@@ -1107,28 +1064,24 @@ struct Coordinator<'a, 'w, R: Recorder> {
     auditor: Option<Auditor>,
     audit_violations: Vec<(u64, AuditViolation)>,
     ledger: Option<PromotionLedger>,
-    region_walks: Option<RegionWalks>,
     /// Nested mode: one VM (host half) per process, parked here between
     /// barriers only while its shard has surrendered it. Indexed by pid.
     vms: Vec<Option<NestedVm>>,
     /// Nested mode with the ledger on: provenance for *host* promotions,
     /// keyed by `(VM pid, gPA 2 MiB region)`.
     host_ledger: Option<PromotionLedger>,
-    host_region_walks: Option<RegionWalks>,
     /// The PCC banks, in [`PCC_SIZES`] order. Each core's PCCs are back
     /// here only across interval barriers.
     banks: [Option<PccBank>; 2],
     remaining: Vec<u64>,
     live: Vec<bool>,
     live_count: usize,
-    per_core: Vec<RunCounters>,
     per_process: Vec<RunCounters>,
     budget: PromotionBudget,
     total_accesses: u64,
     next_interval: u64,
     promotion_failures: u64,
     schedule: PromotionSchedule,
-    interval_walk_rates: Vec<f64>,
     interval_series: IntervalSeries,
     /// (accesses, walks, l1, l2) at the last barrier.
     marks: (u64, u64, u64, u64),
@@ -1307,11 +1260,9 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 FromShard::Os(s) => *s,
                 _ => unreachable!("TakeOs answered with Os"),
             };
-            for (pid, space) in slice.spaces {
+            for (pid, space, vm) in slice.processes {
                 self.os.spaces[pid] = space;
-            }
-            for (pid, vm) in slice.vms {
-                self.vms[pid] = Some(vm);
+                self.vms[pid] = vm;
             }
             for (core, mut hw) in slice.cores {
                 for (bank, pcc) in self.banks.iter_mut().zip(&mut hw.pccs) {
@@ -1322,19 +1273,6 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                     }
                 }
                 cores[core] = Some(hw);
-            }
-            for (core, c) in slice.counters {
-                self.per_core[core] = c;
-            }
-            if let Some(rw) = self.region_walks.as_mut() {
-                for (k, v) in slice.region_walks {
-                    *rw.entry(k).or_insert(0) += v;
-                }
-            }
-            if let Some(rw) = self.host_region_walks.as_mut() {
-                for (k, v) in slice.host_region_walks {
-                    *rw.entry(k).or_insert(0) += v;
-                }
             }
         }
         cores
@@ -1350,10 +1288,9 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         for (pid, &shard) in self.process_shard.iter().enumerate() {
             let placeholder = AddressSpace::new(ProcessId(pid as u32));
             let space = std::mem::replace(&mut self.os.spaces[pid], placeholder);
-            slices[shard].spaces.push((pid, space));
-            if let Some(vm) = self.vms[pid].take() {
-                slices[shard].vms.push((pid, vm));
-            }
+            slices[shard]
+                .processes
+                .push((pid, space, self.vms[pid].take()));
         }
         for (core, mut hw) in cores.into_iter().enumerate() {
             hw.pccs = take_pccs(&mut self.banks, core);
@@ -1426,9 +1363,13 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 deny_compaction: effects.compaction_stall,
             });
         }
-        let walks_now: u64 = self.per_core.iter().map(|c| c.walks).sum();
-        let l1_now: u64 = self.per_core.iter().map(|c| c.l1_hits).sum();
-        let l2_now: u64 = self.per_core.iter().map(|c| c.l2_hits).sum();
+        let (mut walks_now, mut l1_now, mut l2_now) = (0, 0, 0);
+        for hw in cores.iter() {
+            let s = hw.tlb.stats();
+            walks_now += s.walks;
+            l1_now += s.l1_hits;
+            l2_now += s.l2_hits;
+        }
         let da = total_accesses - self.marks.0;
         let dw = walks_now - self.marks.1;
         let dl1 = l1_now - self.marks.2;
@@ -1441,9 +1382,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         // Settle the ledger's view of the interval that just ended
         // *before* the policy acts: walk counts observed here are the
         // realized cost each open promotion is scored against.
-        if let (Some(ledger), Some(rw)) = (self.ledger.as_mut(), self.region_walks.as_mut()) {
-            ledger.observe_interval(rw);
-            rw.clear();
+        if let Some(ledger) = self.ledger.as_mut() {
+            ledger.observe_interval(&drain_tallies(cores, |hw| &mut hw.region_walks));
         }
         let report = self.policy.run_interval(
             &mut self.os,
@@ -1588,7 +1528,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             let tlbs = cores.iter().map(|hw| &hw.tlb);
             let mut found = auditor.run(&self.os, tlbs, self.banks[0].as_ref());
             if let Some(ledger) = self.ledger.as_ref() {
-                found.extend(auditor.check_ledger(&self.os, ledger));
+                found.extend(auditor.check_ledger(ledger, |pid| self.os.spaces.get(pid)));
             }
             let interval_index = self.interval_index;
             self.audit_violations
@@ -1609,7 +1549,6 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             huge_pages_resident: self.os.phys.huge_blocks_in_use(),
             bloat_bytes: self.os.spaces.iter().map(|s| s.bloat_bytes()).sum(),
         };
-        self.interval_walk_rates.push(row.walk_rate);
         if self.recorder.enabled() {
             self.recorder.record(
                 total_accesses,
@@ -1636,13 +1575,9 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         let total_accesses = self.total_accesses;
         // Settle realized host-walk counts before the host policy acts,
         // mirroring the guest ledger's observe-then-decide ordering.
-        if let (Some(ledger), Some(rw)) =
-            (self.host_ledger.as_mut(), self.host_region_walks.as_mut())
-        {
-            ledger.observe_interval(rw);
-            rw.clear();
+        if let Some(ledger) = self.host_ledger.as_mut() {
+            ledger.observe_interval(&drain_tallies(cores, |hw| &mut hw.host_region_walks));
         }
-        let mut any_audit = false;
         for pid in 0..self.vms.len() {
             let Some(vm) = self.vms[pid].as_mut() else {
                 continue;
@@ -1702,45 +1637,30 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 let interval_index = self.interval_index;
                 self.audit_violations
                     .extend(found.into_iter().map(|v| (interval_index, v)));
-                any_audit = true;
             }
         }
-        // Ledger coherence: `Auditor::check_ledger` indexes spaces by
-        // the entry's process id, but host entries are keyed by VM pid
-        // while each VM's OsState holds a single space — so the
-        // cross-check runs here against `spaces[0]` of the entry's VM.
-        if any_audit {
-            if let Some(ledger) = self.host_ledger.as_ref() {
-                let mut found = Vec::new();
-                for e in ledger.open_entries() {
-                    let huge = self.vms[e.process.0 as usize]
-                        .as_ref()
-                        .map(|vm| vm.os.spaces[0].page_table().is_huge_mapped(e.region));
-                    if huge != Some(true) {
-                        found.push(AuditViolation::LedgerMismatch {
-                            what: format!(
-                                "open host entry {} of VM {} is not huge-mapped (missed demotion?)",
-                                e.region, e.process.0
-                            ),
-                        });
-                    }
-                }
-                let interval_index = self.interval_index;
-                self.audit_violations
-                    .extend(found.into_iter().map(|v| (interval_index, v)));
-            }
+        // Host ledger coherence: its entries are keyed by VM pid, and
+        // each VM's OsState holds the one host space they live in.
+        if let (Some(auditor), Some(ledger)) = (self.auditor.as_ref(), self.host_ledger.as_ref()) {
+            let vms = &self.vms;
+            let found = auditor.check_ledger(ledger, |pid| {
+                vms.get(pid)?.as_ref().map(|vm| &vm.os.spaces[0])
+            });
+            let interval_index = self.interval_index;
+            self.audit_violations
+                .extend(found.into_iter().map(|v| (interval_index, v)));
         }
     }
 
     fn finish(mut self) -> Result<SimReport, HpageError> {
         // Pull final state home (spaces for bloat, the 1 GiB bank for
         // the candidate dump; the TLBs are no longer needed).
-        let _ = self.assemble_os();
+        let cores = self.assemble_os();
         // Attribute per-core TLB events and faults to the owning
         // process.
-        for (core, counters) in self.per_core.iter().enumerate() {
+        for (core, hw) in cores.iter().enumerate() {
             let p = self.core_process[core];
-            self.per_process[p] = self.per_process[p].merged(counters);
+            self.per_process[p] = self.per_process[p].merged(&hw.run_counters());
         }
         let aggregate = self
             .per_process
@@ -1768,7 +1688,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             promotion_failures: self.promotion_failures,
             candidates_1g,
             schedule: self.schedule,
-            interval_walk_rates: self.interval_walk_rates,
+            interval_walk_rates: self.interval_series.walk_rates(),
             interval_series: self.interval_series,
             bloat_bytes,
             fault_stats: self.injector.map(|i| *i.stats()),
@@ -1802,6 +1722,18 @@ fn pcc_bank(sim: &Simulation, size: PageSize, cores: u32) -> Option<PccBank> {
         cfg.access_bit_filter = false;
     }
     Some(PccBank::with_replacement(cores, cfg, size, sim.replacement))
+}
+
+/// Drains one ledger tally out of every core into a single map, summed
+/// by key.
+fn drain_tallies(cores: &mut [CoreHw], tally: fn(&mut CoreHw) -> &mut RegionWalks) -> RegionWalks {
+    let mut sum = RegionWalks::default();
+    for hw in cores {
+        for (key, walks) in tally(hw).drain() {
+            *sum.entry(key).or_insert(0) += walks;
+        }
+    }
+    sum
 }
 
 /// Takes `core`'s PCC out of each bank the run has.
@@ -1842,7 +1774,6 @@ pub(crate) fn run<R: Recorder>(
     };
     let auditor = sim.audit.then(|| Auditor::new(&os));
     let ledger = sim.ledger.then(PromotionLedger::new);
-    let region_walks = sim.ledger.then(RegionWalks::default);
 
     let mut banks = PCC_SIZES.map(|size| pcc_bank(sim, size, total_cores));
 
@@ -1866,8 +1797,7 @@ pub(crate) fn run<R: Recorder>(
     let mut workers: Vec<ShardWorker<'_>> = (0..shard_count)
         .map(|_| ShardWorker {
             seats: Vec::new(),
-            spaces: Vec::new(),
-            vms: Vec::new(),
+            processes: Vec::new(),
             caches: None,
             flags,
         })
@@ -1878,12 +1808,11 @@ pub(crate) fn run<R: Recorder>(
     for pid in 0..processes.len() {
         let placeholder = AddressSpace::new(ProcessId(pid as u32));
         let space = std::mem::replace(&mut os.spaces[pid], placeholder);
-        let worker = &mut workers[process_shard[pid]];
-        worker.spaces.push((pid, Some(space)));
-        worker.vms.push(match sim.nested.as_ref() {
+        let vm = match sim.nested.as_ref() {
             Some(nc) => Some(NestedVm::new(sim, nc, pid)?),
             None => None,
-        });
+        };
+        workers[process_shard[pid]].processes.push((pid, space, vm));
     }
     let mut core_shard = vec![0usize; n_cores];
     let mut core = 0usize;
@@ -1892,15 +1821,15 @@ pub(crate) fn run<R: Recorder>(
         for t in 0..spec.threads {
             core_shard[core] = shard;
             let worker = &mut workers[shard];
-            let space_slot = worker
-                .spaces
+            let process_slot = worker
+                .processes
                 .iter()
-                .position(|(p, _)| *p == pi)
+                .position(|(p, ..)| *p == pi)
                 .expect("space placed before seats");
             worker.seats.push(CoreSeat {
                 core,
                 pid: pi,
-                space_slot,
+                process_slot,
                 trace: spec.workload.thread_stream(t, spec.threads),
                 hw: Some(CoreHw {
                     tlb: TlbHierarchy::new(sim.config.tlb),
@@ -1912,19 +1841,18 @@ pub(crate) fn run<R: Recorder>(
                             .map(|c| WalkCache::Native(PageWalkCache::new(c))),
                     },
                     pccs: take_pccs(&mut banks, core),
+                    counters: RunCounters::default(),
+                    region_walks: RegionWalks::default(),
+                    host_region_walks: RegionWalks::default(),
                 }),
                 chunk_len: 0,
                 pos: 0,
                 resume_walk: false,
                 pending_grant: None,
                 in_round: false,
-                chunk_base: (0, 0, 0, 0),
-                counters: RunCounters::default(),
                 events: Vec::new(),
-                region_walks: RegionWalks::default(),
                 unused_grants: Vec::new(),
                 host_scratch: Vec::new(),
-                host_region_walks: RegionWalks::default(),
             });
             core += 1;
         }
@@ -1944,23 +1872,19 @@ pub(crate) fn run<R: Recorder>(
         auditor,
         audit_violations: Vec::new(),
         ledger,
-        region_walks,
         vms: (0..processes.len()).map(|_| None).collect(),
         host_ledger: (sim.ledger && sim.nested.is_some()).then(PromotionLedger::new),
-        host_region_walks: (sim.ledger && sim.nested.is_some()).then(RegionWalks::default),
         banks,
         // A zero budget retires every core before the first round.
         remaining: vec![budget; n_cores],
         live: vec![budget > 0; n_cores],
         live_count: if budget > 0 { n_cores } else { 0 },
-        per_core: vec![RunCounters::default(); n_cores],
         per_process: vec![RunCounters::default(); processes.len()],
         budget: sim.budget,
         total_accesses: 0,
         next_interval: sim.config.promotion_interval_accesses,
         promotion_failures: 0,
         schedule: PromotionSchedule::default(),
-        interval_walk_rates: Vec::new(),
         interval_series: IntervalSeries::new(),
         marks: (0, 0, 0, 0),
         interval_index: 0,
