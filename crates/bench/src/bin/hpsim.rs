@@ -688,22 +688,16 @@ fn main() {
         }
     }
 
-    // The attribution table is the artifact --ledger asks for; print it
-    // even at --quiet (CI greps its prediction_accuracy line).
-    if let Some(ledger) = &report.ledger {
-        println!(
-            "promotion ledger ({})\n{}",
-            report.policy,
-            ledger.render_table()
-        );
-    }
-    // Nested runs also settle host promotions against realized host walks.
-    if let Some(ledger) = &report.host_ledger {
-        println!(
-            "host promotion ledger ({})\n{}",
-            report.policy,
-            ledger.render_table()
-        );
+    // The attribution tables are the artifact --ledger asks for; print
+    // them even at --quiet (CI greps the prediction_accuracy line).
+    // Nested runs also score host promotions against host walks.
+    for (name, ledger) in [
+        ("promotion ledger", &report.ledger),
+        ("host promotion ledger", &report.host_ledger),
+    ] {
+        if let Some(ledger) = ledger {
+            println!("{name} ({})\n{}", report.policy, ledger.render_table());
+        }
     }
 
     if let Some(telem) = &telemetry {

@@ -1653,11 +1653,10 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
     }
 
     fn finish(mut self) -> Result<SimReport, HpageError> {
-        // Pull final state home (spaces for bloat, the 1 GiB bank for
-        // the candidate dump; the TLBs are no longer needed).
+        // Pull final state home: spaces for bloat, the 1 GiB bank for
+        // the candidate dump, and each core's counts, which are
+        // attributed to the owning process.
         let cores = self.assemble_os();
-        // Attribute per-core TLB events and faults to the owning
-        // process.
         for (core, hw) in cores.iter().enumerate() {
             let p = self.core_process[core];
             self.per_process[p] = self.per_process[p].merged(&hw.run_counters());

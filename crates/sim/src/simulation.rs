@@ -178,7 +178,8 @@ pub struct SimReport {
     /// Page-table-walk rate per promotion interval, in interval order —
     /// the time-to-benefit curve (§5.4.2: "the PCC can identify HUBs
     /// within a few seconds"). Entry `i` covers the i-th interval of
-    /// accesses.
+    /// accesses. Filled from `interval_series.walk_rates()` when the run
+    /// ends.
     pub interval_walk_rates: Vec<f64>,
     /// Full per-interval time series (walk/L1/L2 rates, promotions,
     /// demotions, PCC occupancy, huge-page residency, bloat) — the
