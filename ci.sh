@@ -97,15 +97,27 @@ if ./target/release/hpsim --app bfs --sim-threads 0 --quiet > /dev/null 2>&1; th
     exit 1
 fi
 
-echo "== set-up smoke: the graph does not depend on the host's cores =="
+echo "== set-up and producer smoke: results do not depend on the host's cores =="
 # At scale 18 (4M edges) graph set-up draws and builds on one thread per
-# core; pinned to one core it runs as one range. The reports must be
-# byte-identical, so a host's core count never reaches a result.
-HPAGE_PROFILE=test HPAGE_SCALE=18 taskset -c 0 ./target/release/hpsim \
-    --app bfs --policy pcc --quiet > /tmp/hpsim_setup_1core.txt
-HPAGE_PROFILE=test HPAGE_SCALE=18 ./target/release/hpsim \
-    --app bfs --policy pcc --quiet > /tmp/hpsim_setup_cores.txt
-cmp /tmp/hpsim_setup_1core.txt /tmp/hpsim_setup_cores.txt
+# core; pinned to one core it runs as one range. A run also generates a
+# core's trace on a producer thread only while a CPU is spare: pinned to
+# one core it gets none, unpinned (one job, so the 4KB baseline does not
+# run beside it) its first core gets one on a host with two or more.
+# Reports and event streams must be byte-identical, so neither set-up
+# threads nor producers ever reach a result. --threads 3 is one shard
+# with three cores, only some of them fed by a producer; its event
+# streams cover the first 300k accesses of each core.
+all_cpus="0-$(($(nproc) - 1))"
+for cpus in 0 "$all_cpus"; do
+    HPAGE_PROFILE=test HPAGE_SCALE=18 taskset -c "$cpus" ./target/release/hpsim \
+        --app bfs --policy pcc -j 1 --quiet > "/tmp/hpsim_setup_$cpus.txt"
+    HPAGE_PROFILE=test HPAGE_SCALE=18 taskset -c "$cpus" ./target/release/hpsim \
+        --app bfs --policy pcc -j 1 --threads 3 --max-accesses 300000 \
+        --events "/tmp/hpsim_setup_t3_$cpus.jsonl" --quiet > "/tmp/hpsim_setup_t3_$cpus.txt"
+done
+cmp /tmp/hpsim_setup_0.txt "/tmp/hpsim_setup_$all_cpus.txt"
+cmp /tmp/hpsim_setup_t3_0.txt "/tmp/hpsim_setup_t3_$all_cpus.txt"
+cmp /tmp/hpsim_setup_t3_0.jsonl "/tmp/hpsim_setup_t3_$all_cpus.jsonl"
 # A scale the generator cannot take is a usage error, not a panic.
 for scale in 0 abc; do
     scale_rc=0

@@ -217,11 +217,13 @@ fn parse_args() -> Options {
                 }
             }
             "--budget-pct" => {
-                opts.budget_pct = Some(
-                    value(&mut i)
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --budget-pct")),
-                )
+                opts.budget_pct = match value(&mut i).parse() {
+                    Ok(pct) if pct > 100 => {
+                        die(&format!("--budget-pct {pct} is out of range (max 100)"))
+                    }
+                    Ok(pct) => Some(pct),
+                    Err(_) => die("bad --budget-pct"),
+                }
             }
             "--seed" => opts.seed = value(&mut i).parse().unwrap_or_else(|_| die("bad --seed")),
             "--max-accesses" => {
@@ -556,7 +558,13 @@ fn main() {
     // them changes wall-clock only, never the printed report.
     let (base, (report, event_counts, mut telemetry, policy_wall)) = if opts.jobs > 1 {
         std::thread::scope(|scope| {
-            let baseline = scope.spawn(run_base);
+            // Two engines at once: neither may take the other's CPU for
+            // a trace producer.
+            let _cpus = hpage_sim::claim_busy(2);
+            let baseline = scope.spawn(|| {
+                hpage_sim::cover_thread();
+                run_base()
+            });
             let policy_out = run_policy();
             (baseline.join().expect("baseline worker"), policy_out)
         })

@@ -1,8 +1,9 @@
 //! Error paths of the `hpsim` command line for inputs it does not
 //! accept: a trace in the retired `HPT1` container, an `HPT2` trace with
 //! junk after its end magic, a path that is not a regular file, retired
-//! flags, numeric flags out of range, a fault plan nested too deep to
-//! parse, and an `HPAGE_PROFILE` or `HPAGE_SCALE` that names no profile.
+//! flags, numeric flags out of range or malformed, a fault plan nested
+//! too deep to parse, and an `HPAGE_PROFILE` or `HPAGE_SCALE` that
+//! names no profile.
 //! Each must be a usage error (exit 2) with a message naming the
 //! problem, never a panic, a hang or a silent fallback.
 
@@ -123,9 +124,47 @@ fn out_of_range_numbers_are_usage_errors() {
             "0",
             "hpsim: --max-accesses must be at least 1",
         ),
+        (
+            "--budget-pct",
+            "101",
+            "hpsim: --budget-pct 101 is out of range (max 100)",
+        ),
+        (
+            "--budget-pct",
+            "18446744073709551615",
+            "hpsim: --budget-pct 18446744073709551615 is out of range (max 100)",
+        ),
     ] {
         let out = hpsim(&["--app", "bfs", flag, value, "--quiet"]);
         assert_usage_error(&out, want);
+    }
+}
+
+#[test]
+fn numeric_flags_never_panic_on_malformed_values() {
+    // Every numeric flag against values a `u64`/`usize`/`u8` parser
+    // rejects: negative, not a number, one past `u64::MAX`, empty. Exit
+    // 0 or 2 is acceptable; 101 (a panic) never is.
+    let flags = [
+        "--threads",
+        "--frag",
+        "--budget-pct",
+        "--seed",
+        "--max-accesses",
+        "--jobs",
+        "--sim-threads",
+    ];
+    let values = ["-1", "abc", "18446744073709551616", ""];
+    for flag in flags {
+        for value in values {
+            let out = hpsim(&["--app", "bfs", flag, value, "--quiet"]);
+            let code = out.status.code();
+            assert!(
+                matches!(code, Some(0 | 2)),
+                "hpsim {flag} {value:?} exited {code:?}, stderr:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
     }
 }
 

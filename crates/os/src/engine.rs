@@ -103,10 +103,11 @@ impl PromotionBudget {
     /// Budget covering `percent`% of a footprint of `footprint_bytes`,
     /// rounded up so any nonzero percentage allows at least one region
     /// (the paper's 1% of a 10 GB footprint is ~51 regions; at simulated
-    /// scales 1% can be fractional).
+    /// scales 1% can be fractional). The product saturates, so an absurd
+    /// percentage means "every region" instead of a wrapped budget.
     pub fn percent_of_footprint(percent: u64, footprint_bytes: u64) -> Self {
         let total_regions = footprint_bytes.div_ceil(PageSize::Huge2M.bytes());
-        PromotionBudget::regions((total_regions * percent).div_ceil(100))
+        PromotionBudget::regions(total_regions.saturating_mul(percent).div_ceil(100))
     }
 
     /// Whether at least one promotion is still allowed.
@@ -1756,5 +1757,11 @@ mod tests {
         assert_eq!(b.remaining_regions, Some(1));
         let b = PromotionBudget::percent_of_footprint(0, 10 * MB2);
         assert_eq!(b.remaining_regions, Some(0));
+    }
+
+    #[test]
+    fn budget_percent_saturates() {
+        let b = PromotionBudget::percent_of_footprint(u64::MAX, 10 * MB2);
+        assert_eq!(b.remaining_regions, Some(u64::MAX.div_ceil(100)));
     }
 }

@@ -24,6 +24,7 @@
 //! is instantiated once per `repro` invocation no matter how many
 //! figures touch it.
 
+use crate::cpus;
 use crate::journal::CellJournal;
 use crate::profile::SimProfile;
 use crate::simulation::{ProcessSpec, SimReport, Simulation};
@@ -552,15 +553,21 @@ impl Harness {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let workers = self.jobs.min(n);
+        // Claimed up front, so no engine hands a producer the CPU of a
+        // worker that has not started its first cell yet.
+        let _cpus = cpus::claim_busy(workers);
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+                scope.spawn(|| {
+                    cpus::cover_thread();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let result = exec(i);
+                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
                     }
-                    let result = exec(i);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
                 });
             }
         });

@@ -19,8 +19,21 @@
 //! walks (which set A-bits) never cross a shard boundary between
 //! barriers. Shard 0 always runs on the calling thread, which is also
 //! the coordinator: with `--sim-threads 1` (the default) that is the
-//! whole run, and with *N* shards the engine spawns *N − 1* worker
-//! threads, so every thread it uses has a shard to execute.
+//! whole simulation, and with *N* shards the engine spawns *N − 1*
+//! worker threads.
+//!
+//! # Trace producers
+//!
+//! A core's trace can also be generated on a thread of its own: a
+//! [`ProducerStream`] fills blocks of accesses ahead of the shard that
+//! replays them, taking trace generation off that shard's critical
+//! path. Cores get producers in core order while the process has a CPU
+//! to spare: `available_parallelism()` minus every CPU the process has
+//! claimed for the shards of running engines and the workers of a
+//! harness (see [`crate::cpus`]). So with one CPU, or with as many
+//! shards or harness jobs as CPUs, no producer starts and the run is
+//! the direct path. A producer changes where accesses are generated,
+//! never which, so every output is the same with or without one.
 //!
 //! # Handoff
 //!
@@ -93,12 +106,13 @@ use hpage_perf::RunCounters;
 use hpage_tlb::{
     HostSpace, NestedPwc, PageWalkCache, TlbHierarchy, TlbOutcome, Translation, WalkResult,
 };
-use hpage_trace::TraceStream;
+use hpage_trace::{ProducerStream, TraceStream};
 use hpage_types::{
     derive_seed, CoreId, HpageError, MemoryAccess, NestedConfig, PageSize, ProcessId,
     PromotionPolicyKind, VirtAddr, Vpn,
 };
 
+use crate::cpus;
 use crate::simulation::{ProcessSpec, SimReport, Simulation};
 
 /// Accesses per core per round. Also the upper bound on how far one
@@ -1793,112 +1807,122 @@ pub(crate) fn run<R: Recorder>(
         ledger_on: sim.ledger,
         recorder_on: recorder.enabled(),
     };
-    let mut workers: Vec<ShardWorker<'_>> = (0..shard_count)
-        .map(|_| ShardWorker {
-            seats: Vec::new(),
-            processes: Vec::new(),
-            caches: None,
-            flags,
-        })
-        .collect();
-    if let Some(c) = sim.cache {
-        workers[0].caches = Some(CacheHierarchy::new(c, total_cores));
-    }
-    for pid in 0..processes.len() {
-        let placeholder = AddressSpace::new(ProcessId(pid as u32));
-        let space = std::mem::replace(&mut os.spaces[pid], placeholder);
-        let vm = match sim.nested.as_ref() {
-            Some(nc) => Some(NestedVm::new(sim, nc, pid)?),
-            None => None,
-        };
-        workers[process_shard[pid]].processes.push((pid, space, vm));
-    }
-    let mut core_shard = vec![0usize; n_cores];
-    let mut core = 0usize;
-    for (pi, spec) in processes.iter().enumerate() {
-        let shard = process_shard[pi];
-        for t in 0..spec.threads {
-            core_shard[core] = shard;
-            let worker = &mut workers[shard];
-            let process_slot = worker
-                .processes
-                .iter()
-                .position(|(p, ..)| *p == pi)
-                .expect("space placed before seats");
-            worker.seats.push(CoreSeat {
-                core,
-                pid: pi,
-                process_slot,
-                trace: spec.workload.thread_stream(t, spec.threads),
-                hw: Some(CoreHw {
-                    tlb: TlbHierarchy::new(sim.config.tlb),
-                    walk_cache: match sim.nested.as_ref() {
-                        Some(nc) => Some(WalkCache::Nested(Box::new(NestedPwc::new(nc)))),
-                        None => sim
-                            .config
-                            .pwc
-                            .map(|c| WalkCache::Native(PageWalkCache::new(c))),
-                    },
-                    pccs: take_pccs(&mut banks, core),
-                    counters: RunCounters::default(),
-                    region_walks: RegionWalks::default(),
-                    host_region_walks: RegionWalks::default(),
-                }),
-                chunk_len: 0,
-                pos: 0,
-                resume_walk: false,
-                pending_grant: None,
-                in_round: false,
-                events: Vec::new(),
-                unused_grants: Vec::new(),
-                host_scratch: Vec::new(),
-            });
-            core += 1;
-        }
-    }
-
-    let budget = sim.max_accesses_per_core.unwrap_or(u64::MAX);
-    let mut coordinator = Coordinator {
-        sim,
-        recorder,
-        shards: Vec::with_capacity(shard_count),
-        core_shard,
-        core_process,
-        process_shard,
-        os,
-        policy,
-        injector,
-        auditor,
-        audit_violations: Vec::new(),
-        ledger,
-        vms: (0..processes.len()).map(|_| None).collect(),
-        host_ledger: (sim.ledger && sim.nested.is_some()).then(PromotionLedger::new),
-        banks,
-        // A zero budget retires every core before the first round.
-        remaining: vec![budget; n_cores],
-        live: vec![budget > 0; n_cores],
-        live_count: if budget > 0 { n_cores } else { 0 },
-        per_process: vec![RunCounters::default(); processes.len()],
-        budget: sim.budget,
-        total_accesses: 0,
-        next_interval: sim.config.promotion_interval_accesses,
-        promotion_failures: 0,
-        schedule: PromotionSchedule::default(),
-        interval_series: IntervalSeries::new(),
-        marks: (0, 0, 0, 0),
-        interval_index: 0,
-        scratch: RoundScratch::default(),
-    };
-
-    // Shard 0 runs on this thread, between the coordinator's sends and
-    // its reads; every other shard gets a worker thread.
-    let coordinator_thread = thread::current();
-    let mut workers = workers.into_iter();
-    coordinator.shards.push(Shard::Inline {
-        worker: Box::new(workers.next().expect("at least one shard")),
-        queued: VecDeque::new(),
-    });
+    // One CPU per shard thread; cores then get trace producers, in core
+    // order, while the process has CPUs to spare. Both claims outlive
+    // the scope, so the CPUs are busy until every thread has joined.
+    let _busy = cpus::claim_busy(shard_count);
+    let spare = cpus::claim_spare(n_cores);
     thread::scope(|scope| {
+        let mut workers: Vec<ShardWorker<'_>> = (0..shard_count)
+            .map(|_| ShardWorker {
+                seats: Vec::new(),
+                processes: Vec::new(),
+                caches: None,
+                flags,
+            })
+            .collect();
+        if let Some(c) = sim.cache {
+            workers[0].caches = Some(CacheHierarchy::new(c, total_cores));
+        }
+        for pid in 0..processes.len() {
+            let placeholder = AddressSpace::new(ProcessId(pid as u32));
+            let space = std::mem::replace(&mut os.spaces[pid], placeholder);
+            let vm = match sim.nested.as_ref() {
+                Some(nc) => Some(NestedVm::new(sim, nc, pid)?),
+                None => None,
+            };
+            workers[process_shard[pid]].processes.push((pid, space, vm));
+        }
+
+        let mut core_shard = vec![0usize; n_cores];
+        let mut core = 0usize;
+        for (pi, spec) in processes.iter().enumerate() {
+            let shard = process_shard[pi];
+            for t in 0..spec.threads {
+                core_shard[core] = shard;
+                let worker = &mut workers[shard];
+                let process_slot = worker
+                    .processes
+                    .iter()
+                    .position(|(p, ..)| *p == pi)
+                    .expect("space placed before seats");
+                let mut trace = spec.workload.thread_stream(t, spec.threads);
+                if core < spare.cpus() {
+                    trace = Box::new(ProducerStream::spawn(scope, trace));
+                }
+                worker.seats.push(CoreSeat {
+                    core,
+                    pid: pi,
+                    process_slot,
+                    trace,
+                    hw: Some(CoreHw {
+                        tlb: TlbHierarchy::new(sim.config.tlb),
+                        walk_cache: match sim.nested.as_ref() {
+                            Some(nc) => Some(WalkCache::Nested(Box::new(NestedPwc::new(nc)))),
+                            None => sim
+                                .config
+                                .pwc
+                                .map(|c| WalkCache::Native(PageWalkCache::new(c))),
+                        },
+                        pccs: take_pccs(&mut banks, core),
+                        counters: RunCounters::default(),
+                        region_walks: RegionWalks::default(),
+                        host_region_walks: RegionWalks::default(),
+                    }),
+                    chunk_len: 0,
+                    pos: 0,
+                    resume_walk: false,
+                    pending_grant: None,
+                    in_round: false,
+                    events: Vec::new(),
+                    unused_grants: Vec::new(),
+                    host_scratch: Vec::new(),
+                });
+                core += 1;
+            }
+        }
+
+        let budget = sim.max_accesses_per_core.unwrap_or(u64::MAX);
+        let mut coordinator = Coordinator {
+            sim,
+            recorder,
+            shards: Vec::with_capacity(shard_count),
+            core_shard,
+            core_process,
+            process_shard,
+            os,
+            policy,
+            injector,
+            auditor,
+            audit_violations: Vec::new(),
+            ledger,
+            vms: (0..processes.len()).map(|_| None).collect(),
+            host_ledger: (sim.ledger && sim.nested.is_some()).then(PromotionLedger::new),
+            banks,
+            // A zero budget retires every core before the first round.
+            remaining: vec![budget; n_cores],
+            live: vec![budget > 0; n_cores],
+            live_count: if budget > 0 { n_cores } else { 0 },
+            per_process: vec![RunCounters::default(); processes.len()],
+            budget: sim.budget,
+            total_accesses: 0,
+            next_interval: sim.config.promotion_interval_accesses,
+            promotion_failures: 0,
+            schedule: PromotionSchedule::default(),
+            interval_series: IntervalSeries::new(),
+            marks: (0, 0, 0, 0),
+            interval_index: 0,
+            scratch: RoundScratch::default(),
+        };
+
+        // Shard 0 runs on this thread, between the coordinator's sends
+        // and its reads; every other shard gets a worker thread.
+        let coordinator_thread = thread::current();
+        let mut workers = workers.into_iter();
+        coordinator.shards.push(Shard::Inline {
+            worker: Box::new(workers.next().expect("at least one shard")),
+            queued: VecDeque::new(),
+        });
         for worker in workers {
             let (to_worker, worker_rx) = handoff::<ToShard>();
             let (from_worker, coordinator_rx) = handoff::<FromShard>();
@@ -1915,6 +1939,9 @@ pub(crate) fn run<R: Recorder>(
                 rx: coordinator_rx,
             });
         }
+        // Returning drops the coordinator and with it every seat, which
+        // ends each producer before the scope joins it, also when the
+        // run stops early on an error or the access budget.
         coordinator.run_to_completion()
     })
 }

@@ -47,4 +47,4 @@ pub use synth::{
     SyntheticWorkload,
 };
 pub use wcache::{CacheStats, WorkloadCache, WorkloadKey};
-pub use workload::{IterStream, StreamIter, TraceStream, Workload};
+pub use workload::{IterStream, ProducerStream, StreamIter, TraceStream, Workload};

@@ -1,6 +1,13 @@
 //! The [`Workload`] abstraction: something that owns a virtual address
 //! space layout and can emit the memory-access trace of its execution.
 
+use std::any::Any;
+use std::marker::PhantomData;
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::Scope;
+
 use hpage_types::{MemoryAccess, Region};
 
 /// A chunked access-trace producer: the hot-path alternative to
@@ -74,6 +81,160 @@ impl<I: Iterator<Item = MemoryAccess>> TraceStream for IterStream<I> {
 
     fn window(&self) -> &[MemoryAccess] {
         &self.buf
+    }
+}
+
+/// Accesses per block a [`ProducerStream`] hands over. With two filled
+/// blocks queued, one being filled and one being read, a reader and its
+/// producer hold 2 MiB of blocks.
+const PRODUCER_BLOCK: usize = 32 * 1024;
+
+/// Filled blocks a producer may queue ahead of its reader.
+const PRODUCER_QUEUE: usize = 2;
+
+/// Window size a producer pulls from its inner stream: small enough
+/// that a kernel's pending queue stays the size it is without a
+/// producer, large enough to amortise the virtual call.
+const PRODUCER_PULL: usize = 1024;
+
+/// What a producer sends: a filled block, or the payload of the panic
+/// that stopped it.
+type Filled = Result<Vec<MemoryAccess>, Box<dyn Any + Send>>;
+
+/// A [`TraceStream`] generated on a thread of its own.
+///
+/// [`spawn`](Self::spawn) moves the inner stream into a scoped producer
+/// thread, which fills blocks of 32 Ki accesses and sends them over a
+/// bounded channel; the reader hands drained blocks back for reuse. A
+/// window inside one block is a slice of it, zero-copy; a window that
+/// straddles blocks is stitched into a side buffer. The window protocol
+/// is the inner stream's: windows partition the same trace, and only
+/// the last one is short.
+///
+/// A panic in the inner stream is forwarded with its own payload and
+/// re-raised by the reader when it reaches the block the panic cut
+/// short, so a failed generator never looks like the end of the trace.
+/// Dropping the reader early closes both channels, which ends the
+/// producer at its next send; the scope's join cannot hang on it. The
+/// `'scope` lifetime keeps the reader inside the scope its producer
+/// runs in.
+pub struct ProducerStream<'scope> {
+    filled: Receiver<Filled>,
+    drained: Sender<Vec<MemoryAccess>>,
+    /// The block being read; empty before the first window.
+    block: Vec<MemoryAccess>,
+    /// Next unread index into `block`.
+    pos: usize,
+    /// `block` is the trace's last (short) block.
+    last: bool,
+    /// Accesses in a full block.
+    block_len: usize,
+    /// The current window: `block[start..end]`, or `stitch` when it
+    /// straddles blocks.
+    window: Option<Range<usize>>,
+    stitch: Vec<MemoryAccess>,
+    _scope: PhantomData<&'scope ()>,
+}
+
+impl<'scope> ProducerStream<'scope> {
+    /// Starts generating `inner` on a new thread of `scope`.
+    pub fn spawn<S>(scope: &'scope Scope<'scope, '_>, inner: S) -> Self
+    where
+        S: TraceStream + Send + 'scope,
+    {
+        Self::with_block(scope, inner, PRODUCER_BLOCK)
+    }
+
+    fn with_block<S>(scope: &'scope Scope<'scope, '_>, mut inner: S, block_len: usize) -> Self
+    where
+        S: TraceStream + Send + 'scope,
+    {
+        let (filled_tx, filled) = mpsc::sync_channel::<Filled>(PRODUCER_QUEUE);
+        let (drained, drained_rx) = mpsc::channel::<Vec<MemoryAccess>>();
+        scope.spawn(move || {
+            let mut block: Vec<MemoryAccess> = Vec::with_capacity(block_len);
+            loop {
+                let fill = panic::catch_unwind(AssertUnwindSafe(|| {
+                    while block.len() < block_len {
+                        let want = (block_len - block.len()).min(PRODUCER_PULL);
+                        let window = inner.next_window(want);
+                        block.extend_from_slice(window);
+                        if window.len() < want {
+                            return true;
+                        }
+                    }
+                    false
+                }));
+                let (sent, done) = match fill {
+                    Ok(ended) => (filled_tx.send(Ok(block)), ended),
+                    Err(payload) => (filled_tx.send(Err(payload)), true),
+                };
+                if sent.is_err() || done {
+                    return;
+                }
+                block = drained_rx.try_recv().unwrap_or_default();
+                block.clear();
+                block.reserve(block_len);
+            }
+        });
+        ProducerStream {
+            filled,
+            drained,
+            block: Vec::new(),
+            pos: 0,
+            last: false,
+            block_len,
+            window: Some(0..0),
+            stitch: Vec::new(),
+            _scope: PhantomData,
+        }
+    }
+
+    /// Replaces the drained block with the producer's next one.
+    fn next_block(&mut self) {
+        let block = match self.filled.recv() {
+            Ok(Ok(block)) => block,
+            Ok(Err(payload)) => panic::resume_unwind(payload),
+            Err(_) => panic!("trace producer stopped before the end of the trace"),
+        };
+        self.last = block.len() < self.block_len;
+        // The producer may have finished; then the block is not needed.
+        let _ = self.drained.send(std::mem::replace(&mut self.block, block));
+        self.pos = 0;
+    }
+}
+
+impl TraceStream for ProducerStream<'_> {
+    fn next_window(&mut self, max: usize) -> &[MemoryAccess] {
+        if self.pos == self.block.len() && !self.last {
+            self.next_block();
+        }
+        let start = self.pos;
+        if self.block.len() - start >= max || self.last {
+            self.pos = self.block.len().min(start + max);
+            self.window = Some(start..self.pos);
+            return &self.block[start..self.pos];
+        }
+        self.stitch.clear();
+        loop {
+            let take = (max - self.stitch.len()).min(self.block.len() - self.pos);
+            self.stitch
+                .extend_from_slice(&self.block[self.pos..self.pos + take]);
+            self.pos += take;
+            if self.stitch.len() == max || self.last {
+                break;
+            }
+            self.next_block();
+        }
+        self.window = None;
+        &self.stitch
+    }
+
+    fn window(&self) -> &[MemoryAccess] {
+        match &self.window {
+            Some(range) => &self.block[range.clone()],
+            None => &self.stitch,
+        }
     }
 }
 
@@ -232,6 +393,144 @@ mod tests {
         }
         assert_eq!(seen, accesses);
         assert_eq!(lens, [4, 4, 2, 0], "only the final window is short");
+    }
+
+    fn accesses(n: u64) -> Vec<MemoryAccess> {
+        (0..n)
+            .map(|i| MemoryAccess::read(VirtAddr::new(0x1000 + i * 8)))
+            .collect()
+    }
+
+    /// Every window `stream` returns for the sizes `sizes` yields in
+    /// turn, until the first short one, checking that `window`
+    /// re-borrows each.
+    fn windows(
+        stream: &mut dyn TraceStream,
+        mut sizes: impl FnMut() -> usize,
+    ) -> Vec<Vec<MemoryAccess>> {
+        let mut out = Vec::new();
+        loop {
+            let max = sizes();
+            let w = stream.next_window(max).to_vec();
+            assert_eq!(w, stream.window(), "window re-borrows the current window");
+            let short = w.len() < max;
+            out.push(w);
+            if short {
+                return out;
+            }
+        }
+    }
+
+    #[test]
+    fn producer_stream_keeps_the_window_protocol() {
+        // A 64-access block stitches a window every few calls; the
+        // lengths cover a trace that ends mid-block and one that ends
+        // exactly on a block boundary.
+        for n in [10_007, 64 * 40] {
+            let trace = accesses(n);
+            for size in [1, 7, 256, 4096] {
+                let bare = windows(&mut IterStream::new(trace.clone().into_iter()), || size);
+                let produced = std::thread::scope(|scope| {
+                    let inner = IterStream::new(trace.clone().into_iter());
+                    let mut stream = ProducerStream::with_block(scope, inner, 64);
+                    assert!(
+                        stream.window().is_empty(),
+                        "no window before the first call"
+                    );
+                    let seen = windows(&mut stream, || size);
+                    assert!(stream.next_window(size).is_empty(), "stays exhausted");
+                    seen
+                });
+                assert_eq!(produced, bare, "{n} accesses, windows of {size}");
+            }
+            // Window sizes that change every call, as the engine's
+            // interval-truncated quotas do.
+            let mut state = 1u64;
+            let mut sizes = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as usize % 300 + 1
+            };
+            let mut replay = sizes;
+            let bare = windows(&mut IterStream::new(trace.clone().into_iter()), &mut sizes);
+            let produced = std::thread::scope(|scope| {
+                let inner = IterStream::new(trace.clone().into_iter());
+                windows(
+                    &mut ProducerStream::with_block(scope, inner, 64),
+                    &mut replay,
+                )
+            });
+            assert_eq!(produced, bare, "{n} accesses, mixed windows");
+        }
+    }
+
+    #[test]
+    fn producer_stream_at_full_block_size_matches_the_bare_stream() {
+        let trace = accesses(3 * PRODUCER_BLOCK as u64 + 5);
+        let bare = windows(&mut IterStream::new(trace.clone().into_iter()), || 256);
+        let produced = std::thread::scope(|scope| {
+            let inner = IterStream::new(trace.into_iter());
+            windows(&mut ProducerStream::spawn(scope, inner), || 256)
+        });
+        assert_eq!(produced, bare);
+    }
+
+    /// Yields `windows` windows of its inner stream, then panics.
+    struct Failing<S> {
+        inner: S,
+        windows: u32,
+    }
+
+    impl<S: TraceStream> TraceStream for Failing<S> {
+        fn next_window(&mut self, max: usize) -> &[MemoryAccess] {
+            assert!(self.windows > 0, "trace stream failed mid-run");
+            self.windows -= 1;
+            self.inner.next_window(max)
+        }
+
+        fn window(&self) -> &[MemoryAccess] {
+            self.inner.window()
+        }
+    }
+
+    #[test]
+    fn producer_panic_reaches_the_reader_with_its_own_payload() {
+        let payload = std::thread::scope(|scope| {
+            let inner = Failing {
+                inner: IterStream::new(accesses(100_000).into_iter()),
+                windows: 20,
+            };
+            let mut stream = ProducerStream::with_block(scope, inner, 64);
+            panic::catch_unwind(AssertUnwindSafe(
+                || {
+                    while stream.next_window(7).len() == 7 {}
+                },
+            ))
+            .expect_err("a failed generator is not the end of the trace")
+        });
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"trace stream failed mid-run")
+        );
+    }
+
+    #[test]
+    fn dropping_the_reader_mid_block_lets_the_scope_join() {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            std::thread::scope(|scope| {
+                // Endless: the producer fills its queue and blocks on a
+                // send that only the reader's drop can end.
+                let inner =
+                    IterStream::new(std::iter::repeat(MemoryAccess::read(VirtAddr::new(0x1000))));
+                let mut stream = ProducerStream::with_block(scope, inner, 64);
+                assert_eq!(stream.next_window(10).len(), 10);
+                drop(stream);
+            });
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the scope joined after the reader was dropped");
     }
 
     #[test]
