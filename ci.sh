@@ -86,6 +86,16 @@ HPAGE_PROFILE=test ./target/release/repro --ablation -j 1 \
     --bench-out /tmp/BENCH_repro_ablation.json --quiet > /tmp/repro_ablation.txt
 cmp crates/bench/tests/golden/ablation_test.txt /tmp/repro_ablation.txt
 
+echo "== figure smoke: every table and figure golden-pinned =="
+# The whole of repro --all at the test profile; stdout is the fixture,
+# at one and at two workers. golden_fig1 slices Fig. 1 out of it.
+all_golden=crates/bench/tests/golden/repro_all_test.txt
+for j in 1 2; do
+    HPAGE_PROFILE=test ./target/release/repro --all -j "$j" \
+        --bench-out "/tmp/BENCH_repro_all_j$j.json" --quiet > "/tmp/repro_all_j$j.txt"
+    cmp "$all_golden" "/tmp/repro_all_j$j.txt"
+done
+
 echo "== shard smoke: --sim-threads 4 report is byte-identical to 1 =="
 bounded "hpsim --sim-threads 1" env HPAGE_PROFILE=test ./target/release/hpsim \
     --app bfs --policy pcc --sim-threads 1 --quiet > /tmp/hpsim_st1.txt
