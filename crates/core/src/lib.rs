@@ -43,42 +43,3 @@ mod cache;
 
 pub use bank::{CoreCandidate, PccBank};
 pub use cache::{Candidate, Pcc, PccEvent, PccStats, ReplacementPolicy};
-
-/// Decides whether a 1 GiB promotion is preferable to 2 MiB promotions for
-/// a region, per §3.2.3 of the paper: if the frequency of a 2 MiB PCC entry
-/// is at least 512× less than the corresponding 1 GiB PCC entry's
-/// frequency, the 1 GiB page size is the better fit.
-///
-/// `freq_2m` is the frequency of one 2 MiB entry inside the 1 GiB region;
-/// `freq_1g` is the 1 GiB PCC entry's frequency.
-///
-/// ```
-/// use hpage_pcc::prefer_1g_promotion;
-/// assert!(prefer_1g_promotion(1, 512));
-/// assert!(!prefer_1g_promotion(2, 512));
-/// assert!(prefer_1g_promotion(0, 1));
-/// ```
-pub fn prefer_1g_promotion(freq_2m: u64, freq_1g: u64) -> bool {
-    if freq_1g == 0 {
-        return false;
-    }
-    match freq_2m.checked_mul(512) {
-        Some(scaled) => scaled <= freq_1g,
-        None => false,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn prefer_1g_boundary() {
-        assert!(prefer_1g_promotion(0, 1));
-        assert!(prefer_1g_promotion(1, 512));
-        assert!(!prefer_1g_promotion(1, 511));
-        assert!(!prefer_1g_promotion(0, 0));
-        // Overflow-safe.
-        assert!(!prefer_1g_promotion(u64::MAX, u64::MAX));
-    }
-}

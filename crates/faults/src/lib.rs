@@ -16,8 +16,8 @@
 //!
 //! Fault kinds:
 //!
-//! - [`FaultKind::OomWindow`] — `alloc_huge` / `alloc_giant` fail for
-//!   the window's duration (the OS keeps satisfying base-page faults).
+//! - [`FaultKind::OomWindow`] — `alloc_huge` fails for the window's
+//!   duration (the OS keeps satisfying base-page faults).
 //! - [`FaultKind::CompactionStall`] — compaction is unavailable; only
 //!   already-clean 2 MiB blocks can back promotions.
 //! - [`FaultKind::FragmentationShock`] — `PhysicalMemory::fragment` is
@@ -55,7 +55,7 @@ use json::Value;
 /// One category of injected fault. See the crate docs for semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Huge and giant allocations fail outright.
+    /// Huge allocations fail outright.
     OomWindow,
     /// Compaction is unavailable; only clean blocks back promotions.
     CompactionStall,
@@ -376,7 +376,7 @@ fn fault_err(reason: impl Into<String>) -> HpageError {
 /// [`FaultInjector::effects_at`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IntervalEffects {
-    /// Huge/giant allocations must fail this interval.
+    /// Huge allocations must fail this interval.
     pub oom: bool,
     /// Compaction must be treated as unavailable this interval.
     pub compaction_stall: bool,

@@ -286,60 +286,6 @@ impl AddressSpace {
         })
     }
 
-    /// Promotes an entire 1 GiB region to a gigantic page (§3.2.3): the
-    /// region's mix of base and 2 MiB mappings is collectively replaced
-    /// by one PUD leaf. Frames are released back to physical memory.
-    ///
-    /// # Errors
-    ///
-    /// * [`HpageError::OutOfMemory`] — no aligned gigabyte could be freed.
-    /// * [`HpageError::InvalidRemap`] / [`HpageError::Unmapped`] — see
-    ///   [`hpage_tlb::PageTable::promote_1g`].
-    pub fn promote_1g(
-        &mut self,
-        region: Vpn,
-        allow_compaction: bool,
-        now: u64,
-        phys: &mut PhysicalMemory,
-    ) -> Result<PromotionOutcome, HpageError> {
-        if region.size() != PageSize::Huge1G {
-            return Err(HpageError::InvalidRemap {
-                reason: "promote_1g requires a 1GB region".into(),
-            });
-        }
-        if self.page_table.translate(region.base()).map(|t| t.size()) == Some(PageSize::Huge1G) {
-            return Err(HpageError::InvalidRemap {
-                reason: format!("{region} is already a 1GB page"),
-            });
-        }
-        let giant = phys.alloc_giant(allow_compaction)?;
-        let (bases, huges) = match self.page_table.promote_1g(region, giant.pfn) {
-            Ok(freed) => freed,
-            Err(e) => {
-                phys.free_giant(giant.pfn)?;
-                return Err(e);
-            }
-        };
-        let collapsed = bases.len() as u64 + 512 * huges.len() as u64;
-        for pfn in bases {
-            phys.free_base(pfn)?;
-        }
-        for pfn in huges {
-            phys.free_huge(pfn)?;
-        }
-        // Constituent 2MB promotions are superseded.
-        for sub in region.split(PageSize::Huge2M) {
-            self.promoted.remove(&sub.index());
-        }
-        let _ = now;
-        self.stats.promotions += 1;
-        Ok(PromotionOutcome {
-            region,
-            pages_migrated: giant.pages_migrated,
-            pages_collapsed: collapsed,
-        })
-    }
-
     /// Demotes a huge `region` back to base pages. The data stays
     /// resident: the huge frame is split in place into 512 base frames.
     ///
@@ -562,47 +508,6 @@ mod tests {
         let out = a.promote(r, true, 2, &mut pm).unwrap();
         assert_eq!(out.pages_collapsed, 512);
         assert!(a.is_promoted(r));
-    }
-
-    #[test]
-    fn promote_1g_collapses_region() {
-        let mut a = AddressSpace::new(ProcessId(1));
-        // 3 GiB of memory: room for one aligned clean gigabyte plus data.
-        let mut pm = PhysicalMemory::new(3 << 30);
-        let giant = Vpn::new(8, PageSize::Huge1G);
-        let subs: Vec<Vpn> = giant.split(PageSize::Huge2M).collect();
-        // Fault some base pages and promote one subregion to 2MB first.
-        a.fault(subs[0].base(), false, &mut pm).unwrap();
-        a.fault(subs[1].base(), false, &mut pm).unwrap();
-        a.promote(subs[0], true, 1, &mut pm).unwrap();
-        assert!(a.is_promoted(subs[0]));
-        let out = a.promote_1g(giant, true, 2, &mut pm).unwrap();
-        assert_eq!(out.pages_collapsed, 512 + 1);
-        assert_eq!(
-            a.page_table().mapping_size(giant.base()),
-            Some(PageSize::Huge1G)
-        );
-        // The superseded 2MB promotion record is gone.
-        assert!(!a.is_promoted(subs[0]));
-        // Promoting again fails.
-        assert!(a.promote_1g(giant, true, 3, &mut pm).is_err());
-    }
-
-    #[test]
-    fn promote_1g_oom_rolls_back_nothing() {
-        let mut a = AddressSpace::new(ProcessId(1));
-        let mut pm = PhysicalMemory::new(64 * MB2); // < 1 GiB
-        let giant = Vpn::new(8, PageSize::Huge1G);
-        a.fault(giant.base(), false, &mut pm).unwrap();
-        assert!(matches!(
-            a.promote_1g(giant, true, 0, &mut pm),
-            Err(HpageError::OutOfMemory { .. })
-        ));
-        // Mapping intact.
-        assert_eq!(
-            a.page_table().mapping_size(giant.base()),
-            Some(PageSize::Base4K)
-        );
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   plus a fixed *background* residue (the anonymous pages planted by
 //!   [`PhysicalMemory::fragment`], which no space owns).
 //! * **Huge-block accounting** — blocks marked huge in physical memory
-//!   match the huge-mapped 2 MiB regions across all page tables (a 1 GiB
-//!   leaf counts as its 512 constituent regions).
+//!   match the huge-mapped 2 MiB regions across all page tables.
 //! * **Per-block invariants** — no block is simultaneously huge and
 //!   base-occupied, huge and unmovable, or over capacity.
 //! * **TLB coherence** — after shootdowns, every translation still
@@ -207,9 +206,7 @@ impl Auditor {
             .sum()
     }
 
-    /// Huge-mapped 2 MiB regions across all page tables. A 1 GiB leaf
-    /// contributes its 512 constituent regions, matching the 512 physical
-    /// blocks its giant frame occupies.
+    /// Huge-mapped 2 MiB regions across all page tables.
     fn space_huge_regions(os: &OsState) -> u64 {
         os.spaces
             .iter()

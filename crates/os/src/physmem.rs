@@ -40,7 +40,7 @@ pub struct PhysMemStats {
     pub compactions: u64,
     /// Total base pages migrated by compaction.
     pub pages_migrated: u64,
-    /// Huge/giant allocations denied by an injected fault gate (counted
+    /// Huge allocations denied by an injected fault gate (counted
     /// separately from organic `huge_failures`).
     pub gated_failures: u64,
 }
@@ -50,7 +50,7 @@ pub struct PhysMemStats {
 /// window starves *promotions*, not the demand-fault path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocGate {
-    /// Deny every huge and giant allocation outright.
+    /// Deny every huge allocation outright.
     pub deny_huge: bool,
     /// Treat compaction as unavailable (clean blocks still allocate).
     pub deny_compaction: bool,
@@ -444,130 +444,6 @@ impl PhysicalMemory {
         })
     }
 
-    /// Allocates a 1 GiB frame: 512 naturally aligned, contiguous 2 MiB
-    /// blocks, all clean and huge-capable. With `allow_compaction`, the
-    /// occupied blocks in the best-aligned window are vacated first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HpageError::OutOfMemory`] when no aligned window can be
-    /// freed — on fragmented memory this is the common case, which is why
-    /// 1 GiB pages are effectively boot-time-only resources on real
-    /// systems. Returns [`HpageError::Fault`] when an injected
-    /// [`AllocGate`] denies huge allocation.
-    pub fn alloc_giant(&mut self, allow_compaction: bool) -> Result<HugeAlloc, HpageError> {
-        if self.gate.deny_huge {
-            self.stats.gated_failures += 1;
-            return Err(HpageError::Fault {
-                reason: "oom window: giant allocation denied".into(),
-            });
-        }
-        let allow_compaction = allow_compaction && !self.gate.deny_compaction;
-        const BLOCKS: usize = 512;
-        let windows = self.blocks.len() / BLOCKS;
-        let mut best: Option<(u64, usize)> = None; // (pages to move, window)
-        'windows: for w in 0..windows {
-            let window = &self.blocks[w * BLOCKS..(w + 1) * BLOCKS];
-            let mut to_move = 0u64;
-            for b in window {
-                if !b.huge_capable() {
-                    continue 'windows;
-                }
-                to_move += u64::from(b.used);
-            }
-            if to_move == 0 {
-                best = Some((0, w));
-                break;
-            }
-            if allow_compaction && best.map(|(m, _)| to_move < m).unwrap_or(true) {
-                best = Some((to_move, w));
-            }
-        }
-        let Some((to_move, w)) = best else {
-            self.stats.huge_failures += 1;
-            return Err(HpageError::OutOfMemory {
-                requested: PageSize::Huge1G.bytes(),
-            });
-        };
-        if to_move > 0 {
-            // Check room elsewhere, then vacate the window.
-            let free_elsewhere: u64 = self
-                .blocks
-                .iter()
-                .enumerate()
-                .filter(|&(i, b)| (i < w * BLOCKS || i >= (w + 1) * BLOCKS) && !b.huge)
-                .map(|(_, b)| u64::from(b.free()))
-                .sum();
-            if to_move > free_elsewhere {
-                self.stats.huge_failures += 1;
-                return Err(HpageError::OutOfMemory {
-                    requested: PageSize::Huge1G.bytes(),
-                });
-            }
-            let mut remaining = to_move;
-            let (lo, hi) = (w * BLOCKS, (w + 1) * BLOCKS);
-            for i in (0..self.blocks.len()).filter(|&i| i < lo || i >= hi) {
-                if remaining == 0 {
-                    break;
-                }
-                if self.blocks[i].huge {
-                    continue;
-                }
-                let take = remaining.min(u64::from(self.blocks[i].free()));
-                self.blocks[i].used += take as u16;
-                remaining -= take;
-            }
-            for b in &mut self.blocks[lo..hi] {
-                b.used = 0;
-            }
-            self.stats.compactions += 1;
-            self.stats.pages_migrated += to_move;
-        }
-        for b in &mut self.blocks[w * BLOCKS..(w + 1) * BLOCKS] {
-            b.huge = true;
-        }
-        self.stats.huge_allocs += 1;
-        Ok(HugeAlloc {
-            pfn: Pfn::new(w as u64, PageSize::Huge1G),
-            pages_migrated: to_move,
-        })
-    }
-
-    /// Frees a 1 GiB frame allocated by [`alloc_giant`](Self::alloc_giant).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HpageError::InvariantViolation`] for a wrong-sized or
-    /// out-of-range PFN, or when any block of the window is not huge
-    /// (a double free or never-allocated window). Checked up front: the
-    /// window is either released whole or left untouched.
-    pub fn free_giant(&mut self, pfn: Pfn) -> Result<(), HpageError> {
-        if pfn.size() != PageSize::Huge1G {
-            return Err(invariant(format!(
-                "free_giant takes 1G frames, got {:?}",
-                pfn.size()
-            )));
-        }
-        let lo = pfn.index() as usize * 512;
-        if lo + 512 > self.blocks.len() {
-            return Err(invariant(format!(
-                "free_giant: pfn {} outside physical memory",
-                pfn.index()
-            )));
-        }
-        if let Some(off) = self.blocks[lo..lo + 512].iter().position(|b| !b.huge) {
-            return Err(invariant(format!(
-                "free_giant of window {}: block {} is not huge (double free?)",
-                pfn.index(),
-                lo + off
-            )));
-        }
-        for b in &mut self.blocks[lo..lo + 512] {
-            b.huge = false;
-        }
-        Ok(())
-    }
-
     /// Frees a 2 MiB frame.
     ///
     /// # Errors
@@ -805,42 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn giant_alloc_needs_aligned_clean_gigabyte() {
-        let mut pm = PhysicalMemory::new(1024 * MB2); // 2 GiB = 2 windows
-        let g = pm.alloc_giant(false).unwrap();
-        assert_eq!(g.pfn.size(), PageSize::Huge1G);
-        assert_eq!(g.pages_migrated, 0);
-        assert_eq!(pm.huge_blocks_in_use(), 512);
-        // A second window is still available; a third is not.
-        assert!(pm.alloc_giant(false).is_ok());
-        assert!(pm.alloc_giant(true).is_err());
-        pm.free_giant(g.pfn).unwrap();
-        assert!(pm.alloc_giant(false).is_ok());
-    }
-
-    #[test]
-    fn giant_alloc_compacts_least_used_window() {
-        let mut pm = PhysicalMemory::new(1024 * MB2);
-        // Dirty both windows so no clean aligned gigabyte exists.
-        pm.blocks[3].used = 7; // window 0
-        pm.blocks[600].used = 3; // window 1
-        assert!(pm.alloc_giant(false).is_err());
-        let g = pm.alloc_giant(true).unwrap();
-        assert_eq!(g.pages_migrated, 3); // window 1 vacated
-        assert_eq!(g.pfn.index(), 1);
-        // Its 3 pages moved into window 0.
-        let used: u64 = pm.blocks[..512].iter().map(|b| u64::from(b.used)).sum();
-        assert_eq!(used, 10);
-    }
-
-    #[test]
-    fn giant_alloc_fails_on_any_pinned_block() {
-        let mut pm = PhysicalMemory::new(512 * MB2); // exactly one window
-        pm.blocks[100].unmovable = true;
-        assert!(pm.alloc_giant(true).is_err());
-    }
-
-    #[test]
     fn frees_reject_double_free_and_bad_pfns() {
         let mut pm = PhysicalMemory::new(2 * MB2);
         let p = pm.alloc_base().unwrap();
@@ -865,20 +705,6 @@ mod tests {
         assert!(pm.free_huge(Pfn::new(77, PageSize::Huge2M)).is_err());
         assert!(pm.split_huge_in_place(h.pfn).is_err());
         assert_eq!(pm.free_frames(), pm.total_frames());
-    }
-
-    #[test]
-    fn free_giant_rejects_partial_windows() {
-        let mut pm = PhysicalMemory::new(512 * MB2);
-        let g = pm.alloc_giant(false).unwrap();
-        // Break the window: release one constituent 2M block.
-        pm.free_huge(Pfn::new(5, PageSize::Huge2M)).unwrap();
-        let before = pm.huge_blocks_in_use();
-        assert!(pm.free_giant(g.pfn).is_err());
-        // Check-then-mutate: the failed free released nothing.
-        assert_eq!(pm.huge_blocks_in_use(), before);
-        assert!(pm.free_giant(Pfn::new(0, PageSize::Base4K)).is_err());
-        assert!(pm.free_giant(Pfn::new(9, PageSize::Huge1G)).is_err());
     }
 
     #[test]
@@ -908,7 +734,7 @@ mod tests {
         });
         assert!(matches!(pm.alloc_huge(true), Err(HpageError::Fault { .. })));
         assert!(matches!(
-            pm.alloc_giant(true),
+            pm.alloc_huge(false),
             Err(HpageError::Fault { .. })
         ));
         // The demand-fault path is never gated.

@@ -15,7 +15,7 @@ pub struct RunCounters {
     /// Accesses that missed the whole hierarchy (page-table walks).
     pub walks: u64,
     /// Sum of page-table levels referenced over all walks (4 per walk for
-    /// base-page leaves, 3 for 2 MiB, 2 for 1 GiB).
+    /// base-page leaves, 3 for 2 MiB).
     pub walk_levels: u64,
     /// Page faults served with base pages.
     pub faults_base: u64,

@@ -48,7 +48,6 @@ impl SimProfile {
             l1_2m: TlbLevelConfig::new(8, 4),
             l1_1g: TlbLevelConfig::new(2, 2),
             l2: TlbLevelConfig::new(128, 8),
-            l2_holds_1g: false,
         };
         let system = SystemConfig {
             tlb,

@@ -747,9 +747,7 @@ fn handle_walk<const REC: bool>(
             for host_walk in host_scratch.iter() {
                 let region = host_walk.translation.vpn.base().vpn(PageSize::Huge2M);
                 if let Some(bank) = vm.bank.as_mut() {
-                    if host_walk.translation.size() != PageSize::Huge1G {
-                        bank.record_walk(CoreId(0), region, host_walk.pmd_accessed_before);
-                    }
+                    bank.record_walk(CoreId(0), region, host_walk.pmd_accessed_before);
                 }
                 if flags.ledger_on {
                     *hw.host_region_walks
@@ -784,8 +782,7 @@ fn handle_walk<const REC: bool>(
     }
     let l2_victim = hw.tlb.fill(walk.translation);
     // A-bit harvest, 2 MiB bank first: each PCC reads the accessed bit
-    // of its own level (PMD, PUD), and the 2 MiB PCC skips walks that
-    // end in a 1 GiB page. In victim mode (§5.4.1 ablation) the feed is
+    // of its own level (PMD, PUD). In victim mode (§5.4.1 ablation) the feed is
     // the L2 eviction stream instead: an eviction is evidence of prior
     // residence, so it always takes the A-bit-set update path (the
     // banks' cold-miss filter is off in this mode).
@@ -797,10 +794,8 @@ fn handle_walk<const REC: bool>(
             l2_victim.map(|victim| (victim.vpn.base().vpn(size), true))
         } else if size == PageSize::Huge1G {
             Some((access.addr.vpn(size), walk.pud_accessed_before))
-        } else if walk.translation.size() != PageSize::Huge1G {
-            Some((access.addr.vpn(size), walk.pmd_accessed_before))
         } else {
-            None
+            Some((access.addr.vpn(size), walk.pmd_accessed_before))
         };
         if let Some((region, a_bit)) = harvested {
             if REC {

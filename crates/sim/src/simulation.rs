@@ -167,9 +167,9 @@ pub struct SimReport {
     /// Huge-page promotion attempts that failed for lack of frames.
     pub promotion_failures: u64,
     /// Final ranked contents of the 1 GiB PCCs, aggregated across cores
-    /// (empty unless `SystemConfig::pcc_1g` is set). The OS can compare
-    /// these with the 2 MiB candidates via
-    /// [`hpage_pcc::prefer_1g_promotion`] (§3.2.3).
+    /// (empty unless `SystemConfig::pcc_1g` is set). Reported only: no
+    /// policy promotes to 1 GiB, because 1 GiB pages are not mapped
+    /// (§3.2.3's 2 MiB-vs-1 GiB comparison is not modelled).
     pub candidates_1g: Vec<Candidate>,
     /// The promotion schedule of this run (every promotion with its
     /// timestamp) — feed it to [`PolicyChoice::Replay`] to reproduce the

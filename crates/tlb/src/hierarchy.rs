@@ -67,7 +67,7 @@ impl TlbHierarchyStats {
 
 /// A core's data-TLB hierarchy: split-size L1 (4 KiB / 2 MiB / 1 GiB) in
 /// front of a unified L2 that holds 4 KiB and 2 MiB entries (Haswell's STLB
-/// does not cache 1 GiB translations; configurable).
+/// does not cache 1 GiB translations).
 #[derive(Debug, Clone)]
 pub struct TlbHierarchy {
     config: TlbConfig,
@@ -171,12 +171,8 @@ impl TlbHierarchy {
                 return TlbOutcome::L1Hit(t);
             }
         }
-        // L2: unified over 4K + 2M (and optionally 1G).
-        let mut l2_sizes: &[PageSize] = &[PageSize::Base4K, PageSize::Huge2M];
-        if self.config.l2_holds_1g {
-            l2_sizes = &PageSize::ALL;
-        }
-        for &size in l2_sizes {
+        // L2: unified over 4K + 2M.
+        for size in [PageSize::Base4K, PageSize::Huge2M] {
             let vpn = va.vpn(size);
             if let Some(t) = self.l2.touch(vpn) {
                 self.l2_hits_by_size[size as usize] += 1;
@@ -199,7 +195,7 @@ impl TlbHierarchy {
         self.l1_for(size).insert(translation);
         // The access that walked retries at this size next.
         self.l1_hint = size;
-        if size != PageSize::Huge1G || self.config.l2_holds_1g {
+        if size != PageSize::Huge1G {
             self.l2.insert(translation)
         } else {
             None
@@ -325,19 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn one_gb_entries_fill_l2_when_enabled() {
-        let mut cfg = TlbConfig::tiny();
-        cfg.l2_holds_1g = true;
-        let mut h = TlbHierarchy::new(cfg);
-        let g = Translation {
-            vpn: Vpn::new(2, PageSize::Huge1G),
-            pfn: Pfn::new(2, PageSize::Huge1G),
-        };
-        h.fill(g);
-        assert_eq!(h.resident_entries(), 2);
-    }
-
-    #[test]
     fn shootdown_clears_all_levels() {
         let mut h = hierarchy();
         let region = Vpn::new(1, PageSize::Huge2M);
@@ -439,7 +422,7 @@ mod tests {
             victim = h.fill(t4k(k * l2_sets));
         }
         assert_eq!(victim, Some(t4k(0)));
-        // 1GB fills (not cached in L2 by default) never report victims.
+        // 1GB fills (never cached in L2) never report victims.
         let g = Translation {
             vpn: Vpn::new(5, PageSize::Huge1G),
             pfn: Pfn::new(5, PageSize::Huge1G),

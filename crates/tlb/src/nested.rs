@@ -75,30 +75,32 @@ pub fn table_page_gpa(level: u8, va: VirtAddr) -> VirtAddr {
 /// Nested-TLB tag for a guest-physical address translated through a
 /// host mapping of the given size. Entries are tagged at the *host
 /// mapping's* granularity — a 2 MiB host page yields one entry whose
-/// tag is `gpa >> 21`, covering all 512 base pages of the region; a
-/// 1 GiB host page covers its whole region with a single entry. The
-/// size class lives in the tag's top bits so same-index entries of
+/// tag is `gpa >> 21`, covering all 512 base pages of the region. The
+/// size class lives in the tag's top bit so same-index entries of
 /// different sizes never alias (gPAs fit in well under 60 bits).
+///
+/// # Panics
+///
+/// Panics for [`PageSize::Huge1G`]: host pages are at most 2 MiB (a
+/// [`PageTable`](crate::PageTable) maps no 1 GiB page).
 pub fn ntlb_tag(size: PageSize, gpa: VirtAddr) -> u64 {
-    let (class, shift) = match size {
-        PageSize::Base4K => (0u64, 12),
-        PageSize::Huge2M => (1, 21),
-        PageSize::Huge1G => (2, 30),
-    };
-    (class << 60) | (gpa.raw() >> shift)
+    match size {
+        PageSize::Base4K => gpa.raw() >> 12,
+        PageSize::Huge2M => (1 << 60) | (gpa.raw() >> 21),
+        PageSize::Huge1G => unreachable!("1 GiB host pages are not modelled"),
+    }
 }
 
 /// Whether a nested-TLB tag overlaps the guest-physical 2 MiB region
 /// with index `m` (`gpa >> 21`): the region's own 4 KiB and 2 MiB
-/// entries, and the 1 GiB entry containing it. Used by host-remap
-/// invalidation, which must drop every translation the remap could
-/// have changed.
+/// entries. Used by host-remap invalidation, which must drop every
+/// translation the remap could have changed.
 fn ntlb_tag_covers_2m_region(tag: u64, m: u64) -> bool {
     let index = tag & ((1 << 60) - 1);
-    match tag >> 60 {
-        0 => index >> 9 == m,
-        1 => index == m,
-        _ => index == m >> 9,
+    if tag >> 60 == 0 {
+        index >> 9 == m
+    } else {
+        index == m
     }
 }
 
@@ -161,9 +163,9 @@ pub struct NestedPwc {
     /// Host dimension, tagged by guest-physical prefixes.
     host: PageWalkCache,
     /// gPA→hPA translations tagged at the *host mapping's* size (see
-    /// [`ntlb_tag`]): one entry covers a 4 KiB page, a whole 2 MiB
-    /// region, or a whole 1 GiB region. This reach multiplication is
-    /// the architectural payoff of host-dimension huge pages.
+    /// [`ntlb_tag`]): one entry covers a 4 KiB page or a whole 2 MiB
+    /// region. This reach multiplication is the architectural payoff of
+    /// host-dimension huge pages.
     ntlb: LruArray,
     stats: NestedPwcStats,
 }
@@ -190,8 +192,8 @@ impl NestedPwc {
     }
 
     /// Performs one 2D walk for `va`, whose guest leaf sits at
-    /// `guest_leaf_levels` (4 = 4 KiB PTE, 3 = 2 MiB PMD leaf, 2 = 1 GiB
-    /// PUD leaf) and whose resolved data byte lives at guest-physical
+    /// `guest_leaf_levels` (4 = 4 KiB PTE, 3 = 2 MiB PMD leaf) and whose
+    /// resolved data byte lives at guest-physical
     /// `data_gpa`. Each referenced guest level's table page and the data
     /// page are translated through the nested TLB / host structure
     /// caches, calling `host` only on nTLB misses. Host walks actually
@@ -208,7 +210,7 @@ impl NestedPwc {
     ///
     /// # Panics
     ///
-    /// Panics if `guest_leaf_levels` is outside `2..=4`.
+    /// Panics if `guest_leaf_levels` is outside `3..=4`.
     pub fn walk<H: HostSpace>(
         &mut self,
         va: VirtAddr,
@@ -218,7 +220,7 @@ impl NestedPwc {
         host_walks: &mut Vec<WalkResult>,
     ) -> Result<u8, HpageError> {
         let leaf = guest_leaf_levels;
-        assert!((2..=4).contains(&leaf), "guest leaf level out of range");
+        assert!((3..=4).contains(&leaf), "guest leaf level out of range");
         debug_assert!(
             data_gpa.raw() < TABLE_GPA_BASE,
             "data gPA collides with table segment"
@@ -249,10 +251,9 @@ impl NestedPwc {
         host_walks: &mut Vec<WalkResult>,
     ) -> Result<u8, HpageError> {
         // A gPA is host-mapped at exactly one size at a time (remaps
-        // invalidate), so at most one of the three probes can hit.
+        // invalidate), so at most one of the two probes can hit.
         if self.ntlb.probe(ntlb_tag(PageSize::Base4K, gpa))
             || self.ntlb.probe(ntlb_tag(PageSize::Huge2M, gpa))
-            || self.ntlb.probe(ntlb_tag(PageSize::Huge1G, gpa))
         {
             self.stats.ntlb_hits += 1;
             return Ok(0);
@@ -300,7 +301,6 @@ pub struct SimpleHost {
     table: crate::PageTable,
     next_frame: u64,
     huge_2m: std::collections::BTreeSet<u64>,
-    huge_1g: std::collections::BTreeSet<u64>,
 }
 
 impl SimpleHost {
@@ -313,12 +313,6 @@ impl SimpleHost {
     /// by a host huge page on first touch.
     pub fn prefer_2m(&mut self, region_index: u64) {
         self.huge_2m.insert(region_index);
-    }
-
-    /// Marks a guest-physical 1 GiB region (`gpa >> 30`) to be backed
-    /// by a host gigantic page on first touch.
-    pub fn prefer_1g(&mut self, region_index: u64) {
-        self.huge_1g.insert(region_index);
     }
 
     /// Collapses an already-resident guest-physical 2 MiB region into a
@@ -343,9 +337,7 @@ impl SimpleHost {
 
     fn map_for(&mut self, gpa: VirtAddr) -> Result<(), HpageError> {
         self.next_frame += 1;
-        let size = if self.huge_1g.contains(&(gpa.raw() >> 30)) {
-            PageSize::Huge1G
-        } else if self.huge_2m.contains(&(gpa.raw() >> 21)) {
+        let size = if self.huge_2m.contains(&(gpa.raw() >> 21)) {
             PageSize::Huge2M
         } else {
             PageSize::Base4K
@@ -490,9 +482,6 @@ impl ReferenceNestedWalker {
             || self
                 .ntlb
                 .touch(ntlb_tag(PageSize::Huge2M, gpa), &mut self.clock)
-            || self
-                .ntlb
-                .touch(ntlb_tag(PageSize::Huge1G, gpa), &mut self.clock)
         {
             return Ok(0);
         }
@@ -518,7 +507,7 @@ impl ReferenceNestedWalker {
     ///
     /// # Panics
     ///
-    /// Panics if `guest_leaf_levels` is outside `2..=4`.
+    /// Panics if `guest_leaf_levels` is outside `3..=4`.
     pub fn walk<H: HostSpace>(
         &mut self,
         va: VirtAddr,
@@ -527,7 +516,7 @@ impl ReferenceNestedWalker {
         host: &mut H,
     ) -> Result<u8, HpageError> {
         let leaf = guest_leaf_levels;
-        assert!((2..=4).contains(&leaf), "guest leaf level out of range");
+        assert!((3..=4).contains(&leaf), "guest leaf level out of range");
         let guest_referenced = Self::dim_walk(&mut self.guest, &mut self.clock, va.raw(), leaf);
         let mut refs = 0u8;
         for level in (leaf - guest_referenced + 1)..=leaf {
@@ -547,7 +536,7 @@ impl ReferenceNestedWalker {
     /// Slow-path equivalent of [`NestedPwc::invalidate_host_region`]:
     /// drops the region's host PDE, its covering host PDPTE, and every
     /// nested-TLB translation overlapping the region — its 512 base
-    /// pages, the region itself, and the 1 GiB page containing it.
+    /// pages and the region itself.
     pub fn invalidate_host_region(&mut self, region: Vpn) -> usize {
         let base = region.base();
         let first_4k = ntlb_tag(PageSize::Base4K, base);
@@ -556,7 +545,6 @@ impl ReferenceNestedWalker {
             + self.host[2].remove(level_tag(base.raw(), 3))
             + pages
             + self.ntlb.remove(ntlb_tag(PageSize::Huge2M, base))
-            + self.ntlb.remove(ntlb_tag(PageSize::Huge1G, base))
     }
 
     /// Slow-path equivalent of [`NestedPwc::flush`].
@@ -573,26 +561,19 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn cold_cost(guest_leaf: u8, host_size: Option<PageSize>) -> u8 {
+    /// Cold 2D walk cost with 4 KiB host pages, or 2 MiB ones when
+    /// `host_2m`.
+    fn cold_cost(guest_leaf: u8, host_2m: bool) -> u8 {
         let mut host = SimpleHost::new();
         let cfg = NestedConfig::typical();
         let mut npwc = NestedPwc::new(&cfg);
         let va = VirtAddr::new(0x4000_2000);
-        // Register every gPA region the walk can touch at the host size.
-        if let Some(size) = host_size {
+        // Register every gPA region the walk can touch as a host 2 MiB page.
+        if host_2m {
             for level in 1..=guest_leaf {
-                let gpa = table_page_gpa(level, va);
-                match size {
-                    PageSize::Huge2M => host.prefer_2m(gpa.raw() >> 21),
-                    PageSize::Huge1G => host.prefer_1g(gpa.raw() >> 30),
-                    PageSize::Base4K => {}
-                }
+                host.prefer_2m(table_page_gpa(level, va).raw() >> 21);
             }
-            match size {
-                PageSize::Huge2M => host.prefer_2m(0x4000_2000u64 >> 21),
-                PageSize::Huge1G => host.prefer_1g(0x4000_2000u64 >> 30),
-                PageSize::Base4K => {}
-            }
+            host.prefer_2m(0x4000_2000u64 >> 21);
         }
         let mut scratch = Vec::new();
         npwc.walk(
@@ -608,29 +589,21 @@ mod tests {
     #[test]
     fn cold_walk_costs_match_the_derivation() {
         // Lg guest levels, each (Lh + 1) references, plus Lh for data.
-        assert_eq!(cold_cost(4, None), 24); // 4·5 + 4
-        assert_eq!(cold_cost(3, None), 19); // 3·5 + 4
-        assert_eq!(cold_cost(2, None), 14); // 2·5 + 4
-        assert_eq!(cold_cost(4, Some(PageSize::Huge2M)), 19); // 4·4 + 3
-        assert_eq!(cold_cost(3, Some(PageSize::Huge2M)), 15);
-        assert_eq!(cold_cost(2, Some(PageSize::Huge2M)), 11);
-        assert_eq!(cold_cost(2, Some(PageSize::Huge1G)), 8); // 2·3 + 2
+        assert_eq!(cold_cost(4, false), 24); // 4·5 + 4
+        assert_eq!(cold_cost(3, false), 19); // 3·5 + 4
+        assert_eq!(cold_cost(4, true), 19); // 4·4 + 3
+        assert_eq!(cold_cost(3, true), 15); // 3·4 + 3
     }
 
     #[test]
     fn cold_cost_is_monotone_under_promotion_on_either_dimension() {
-        let host_sizes = [None, Some(PageSize::Huge2M), Some(PageSize::Huge1G)];
         // Promoting the guest (smaller leaf depth) at fixed host size:
-        for &h in &host_sizes {
-            assert!(cold_cost(4, h) >= cold_cost(3, h));
-            assert!(cold_cost(3, h) >= cold_cost(2, h));
+        for host_2m in [false, true] {
+            assert!(cold_cost(4, host_2m) >= cold_cost(3, host_2m));
         }
         // Promoting the host at fixed guest depth:
-        for leaf in 2..=4u8 {
-            assert!(cold_cost(leaf, None) >= cold_cost(leaf, Some(PageSize::Huge2M)));
-            assert!(
-                cold_cost(leaf, Some(PageSize::Huge2M)) >= cold_cost(leaf, Some(PageSize::Huge1G))
-            );
+        for leaf in 3..=4u8 {
+            assert!(cold_cost(leaf, false) >= cold_cost(leaf, true));
         }
     }
 
@@ -795,7 +768,6 @@ mod tests {
         fn fast_walker_matches_reference_model(
             ops in prop::collection::vec((0u64..64, 0u8..8, 0u8..16), 1..400),
             huge2m in prop::collection::hash_set(0u64..16, 0..8),
-            huge1g in prop::collection::hash_set(0u64..2, 0..2),
         ) {
             // Small geometry so evictions actually happen.
             let cfg = NestedConfig {
@@ -811,12 +783,6 @@ mod tests {
             for &r in &huge2m {
                 fast_host.prefer_2m(r);
                 ref_host.prefer_2m(r);
-            }
-            for &r in &huge1g {
-                // Host 1G pages over the table-page segment region.
-                let seg = (TABLE_GPA_BASE >> 30) + r;
-                fast_host.prefer_1g(seg);
-                ref_host.prefer_1g(seg);
             }
             let mut scratch = Vec::new();
             for (i, &(page, sel, op)) in ops.iter().enumerate() {
@@ -857,12 +823,11 @@ mod tests {
                     _ => {}
                 }
                 // Guest leaf level fixed per 1 GiB VA region: a mix of
-                // 4 KiB / 2 MiB / 1 GiB guest mappings.
+                // 4 KiB / 2 MiB guest mappings.
                 let leaf = match va.raw() >> 30 {
                     0 => 4,
                     1 => 3,
-                    2 => 2,
-                    _ => 2 + (sel % 3),
+                    _ => 3 + (sel % 2),
                 };
                 let f = fast.walk(va, leaf, dgpa, &mut fast_host, &mut scratch).unwrap();
                 let m = reference.walk(va, leaf, dgpa, &mut ref_host).unwrap();
@@ -873,7 +838,7 @@ mod tests {
 
         #[test]
         fn nested_refs_stay_in_hard_bounds(
-            ops in prop::collection::vec((0u64..4096, 0u8..3), 1..300),
+            ops in prop::collection::vec((0u64..4096, 0u8..2), 1..300),
         ) {
             let cfg = NestedConfig::typical();
             let mut npwc = NestedPwc::new(&cfg);
@@ -882,7 +847,7 @@ mod tests {
             for &(page, leaf_sel) in &ops {
                 let va = VirtAddr::new(page << 12);
                 let refs = npwc
-                    .walk(va, 2 + leaf_sel, VirtAddr::new((page % 512) << 12), &mut host, &mut scratch)
+                    .walk(va, 3 + leaf_sel, VirtAddr::new((page % 512) << 12), &mut host, &mut scratch)
                     .unwrap();
                 prop_assert!((1..=MAX_NESTED_REFS).contains(&refs));
             }

@@ -160,7 +160,7 @@ impl PageWalkCache {
 
     /// Accounts one hardware walk for `addr` whose leaf sits at
     /// `leaf_levels` radix levels from the root (4 for a 4 KiB PTE, 3
-    /// for a 2 MiB PMD leaf, 2 for a 1 GiB PUD leaf). Returns the number
+    /// for a 2 MiB PMD leaf; 1 GiB leaves are not modelled). Returns the number
     /// of page-table levels actually referenced after PWC skipping, and
     /// installs the walked prefix entries. The address is whatever the
     /// walked table is indexed by: a virtual address natively, a
@@ -168,19 +168,18 @@ impl PageWalkCache {
     ///
     /// # Panics
     ///
-    /// Panics if `leaf_levels` is outside `2..=4`.
+    /// Panics if `leaf_levels` is outside `3..=4`.
     pub fn walk(&mut self, addr: VirtAddr, leaf_levels: u8) -> u8 {
-        assert!((2..=4).contains(&leaf_levels), "leaf level out of range");
+        assert!((3..=4).contains(&leaf_levels), "leaf level out of range");
         self.stats.walks += 1;
         let tag = |level: u8| addr.raw() >> (48 - 9 * u32::from(level));
 
         // Deepest hit wins; structure levels above the hit are not
         // referenced, so their cache arrays are left untouched. The walk
         // installs every non-leaf entry it actually traverses: a PDE is
-        // only a non-leaf on 4 KiB-leaf walks, and a PDPTE is only a
-        // non-leaf when the leaf sits below it (3+ levels) — a 1 GiB-leaf
-        // walk's PDPTE is the translation itself and paging-structure
-        // caches never hold leaves.
+        // only a non-leaf on 4 KiB-leaf walks (a 2 MiB leaf's PDE is the
+        // translation itself, and paging-structure caches never hold
+        // leaves).
         let hit = (1..leaf_levels)
             .rev()
             .find(|&level| self.arrays[usize::from(level) - 1].probe(tag(level)))
@@ -254,8 +253,6 @@ mod tests {
         let mut pwc = PageWalkCache::new(PwcConfig::typical());
         assert_eq!(pwc.walk(VirtAddr::new(0x4000_0000), 3), 3); // cold 2MB leaf
         assert_eq!(pwc.walk(VirtAddr::new(0x4020_0000), 3), 1); // PDPTE hit
-                                                                // A 1GB leaf with a PDPTE hit still needs the leaf reference.
-        assert_eq!(pwc.walk(VirtAddr::new(0x4000_0000), 2), 1);
     }
 
     #[test]
@@ -274,20 +271,6 @@ mod tests {
         // A *different* 2MB page in region 0 must pay the PML4E-only
         // path (PDE and PDPTE both miss).
         assert_eq!(pwc.walk(VirtAddr::new(0x40_0000), 4), 3);
-    }
-
-    #[test]
-    fn huge_1g_leaf_does_not_seed_structure_cache() {
-        // A 1 GiB-leaf walk's PDPTE *is* the translation, not a pointer
-        // to a lower table; paging-structure caches never hold leaves.
-        let mut pwc = PageWalkCache::new(PwcConfig::typical());
-        assert_eq!(pwc.walk(VirtAddr::new(0x4000_0000), 2), 2);
-        // A later 4 KiB-leaf walk in the same 1 GiB region must pay the
-        // PML4E-hit path (3 references), not a bogus PDPTE hit seeded by
-        // the huge leaf above it.
-        assert_eq!(pwc.walk(VirtAddr::new(0x4000_1000), 4), 3);
-        assert_eq!(pwc.stats().pml4e_hits, 1);
-        assert_eq!(pwc.stats().pdpte_hits, 0);
     }
 
     #[test]
@@ -329,5 +312,12 @@ mod tests {
     fn bad_leaf_level_panics() {
         let mut pwc = PageWalkCache::new(PwcConfig::typical());
         pwc.walk(VirtAddr::new(0), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf level")]
+    fn one_gib_leaf_level_panics() {
+        let mut pwc = PageWalkCache::new(PwcConfig::typical());
+        pwc.walk(VirtAddr::new(0), 2);
     }
 }

@@ -1,9 +1,11 @@
 //! A 4-level x86-64-style radix page table with per-level accessed bits.
 //!
 //! The model keeps only what the simulation needs: present mappings at
-//! 4 KiB / 2 MiB / 1 GiB granularity, and the *accessed* bits the hardware
-//! walker sets at the PUD (1 GiB) and PMD (2 MiB) levels — the bits the
-//! PCC's cold-miss filter reads (steps 3 and 6 of the paper's Fig. 3).
+//! 4 KiB / 2 MiB granularity, and the *accessed* bits the hardware
+//! walker sets at the PUD (1 GiB region) and PMD (2 MiB) levels — the
+//! bits the PCC's cold-miss filter reads (steps 3 and 6 of the paper's
+//! Fig. 3). A PUD entry always points to a PMD directory: 1 GiB leaf
+//! mappings are not modelled, and [`PageTable::map`] rejects them.
 
 use hpage_types::{FxHashMap, HpageError, PageSize, Pfn, VirtAddr, Vpn};
 
@@ -32,27 +34,20 @@ pub struct WalkResult {
     /// before this walk. Drives the 1 GiB PCC's cold-miss filter.
     pub pud_accessed_before: bool,
     /// Whether the PMD-level (2 MiB region) accessed bit was already set
-    /// before this walk. Drives the 2 MiB PCC's cold-miss filter. For a
-    /// 1 GiB mapping there is no PMD level; the field is `false`.
+    /// before this walk. Drives the 2 MiB PCC's cold-miss filter.
     pub pmd_accessed_before: bool,
     /// Number of page-table levels the walker had to reference
-    /// (2 for a 1 GiB leaf at the PUD, 3 for a 2 MiB leaf at the PMD,
-    /// 4 for a 4 KiB leaf at the PTE — counting from the PGD).
+    /// (3 for a 2 MiB leaf at the PMD, 4 for a 4 KiB leaf at the PTE —
+    /// counting from the PGD).
     pub levels_referenced: u8,
 }
 
+/// One PUD entry: the 1 GiB region's accessed bit and the table of the
+/// 512 PMDs covering it.
 #[derive(Debug, Clone)]
 struct PudEntry {
     accessed: bool,
-    kind: PudKind,
-}
-
-#[derive(Debug, Clone)]
-enum PudKind {
-    /// 1 GiB leaf mapping.
-    Huge1G(Pfn),
-    /// Points to a table of the 512 PMDs covering this 1 GiB region.
-    Table(PmdDir),
+    pmds: PmdDir,
 }
 
 /// The 512-entry PMD directory of one PUD: a real page table is an
@@ -62,14 +57,12 @@ enum PudKind {
 #[derive(Debug, Clone)]
 struct PmdDir {
     slots: Box<[Option<PmdEntry>]>,
-    live: u32,
 }
 
 impl PmdDir {
     fn new() -> Self {
         PmdDir {
             slots: vec![None; ENTRIES_PER_TABLE].into_boxed_slice(),
-            live: 0,
         }
     }
 
@@ -86,37 +79,16 @@ impl PmdDir {
         self.slots[Self::slot_of(idx)].as_mut()
     }
 
-    fn insert(&mut self, idx: u64, entry: PmdEntry) -> Option<PmdEntry> {
-        let old = self.slots[Self::slot_of(idx)].replace(entry);
-        if old.is_none() {
-            self.live += 1;
-        }
-        old
+    fn insert(&mut self, idx: u64, entry: PmdEntry) {
+        self.slots[Self::slot_of(idx)] = Some(entry);
     }
 
     fn remove(&mut self, idx: u64) -> Option<PmdEntry> {
-        let old = self.slots[Self::slot_of(idx)].take();
-        if old.is_some() {
-            self.live -= 1;
-        }
-        old
+        self.slots[Self::slot_of(idx)].take()
     }
 
     fn or_insert_with(&mut self, idx: u64, default: impl FnOnce() -> PmdEntry) -> &mut PmdEntry {
-        let slot = &mut self.slots[Self::slot_of(idx)];
-        if slot.is_none() {
-            *slot = Some(default());
-            self.live += 1;
-        }
-        slot.as_mut().expect("just filled")
-    }
-
-    fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    fn values(&self) -> impl Iterator<Item = &PmdEntry> {
-        self.slots.iter().flatten()
+        self.slots[Self::slot_of(idx)].get_or_insert_with(default)
     }
 
     /// Present entries as (local slot, entry) pairs, ascending.
@@ -249,7 +221,7 @@ impl PteTable {
 
 /// A process's page table.
 ///
-/// Mappings can be installed at any of the three page sizes;
+/// Mappings can be installed at 4 KiB or 2 MiB;
 /// [`promote_2m`](Self::promote_2m) and [`demote_2m`](Self::demote_2m)
 /// implement the remappings the OS performs during huge page promotion
 /// and demotion.
@@ -275,83 +247,63 @@ impl PageTable {
     ///
     /// # Errors
     ///
-    /// Returns [`HpageError::InvalidRemap`] if the sizes differ or any part
-    /// of the region is already mapped.
+    /// Returns [`HpageError::InvalidRemap`] if the sizes differ, if `vpn`
+    /// is a 1 GiB page (not modelled), or if any part of the region is
+    /// already mapped.
     pub fn map(&mut self, vpn: Vpn, pfn: Pfn) -> Result<(), HpageError> {
         if vpn.size() != pfn.size() {
             return Err(HpageError::InvalidRemap {
                 reason: format!("vpn size {} != pfn size {}", vpn.size(), pfn.size()),
             });
         }
+        if vpn.size() == PageSize::Huge1G {
+            return Err(not_modelled_1g());
+        }
         if self.translate(vpn.base()).is_some() {
             return Err(HpageError::InvalidRemap {
                 reason: format!("{vpn} is already mapped"),
             });
         }
-        let pud_idx = vpn.containing(PageSize::Huge1G).index();
-        match vpn.size() {
-            PageSize::Huge1G => {
-                if self.puds.contains_key(&pud_idx) {
-                    return Err(HpageError::InvalidRemap {
-                        reason: format!("{vpn} overlaps existing mappings"),
-                    });
-                }
-                self.puds.insert(
-                    pud_idx,
-                    PudEntry {
-                        accessed: false,
-                        kind: PudKind::Huge1G(pfn),
-                    },
-                );
-            }
-            PageSize::Huge2M => {
-                let pud = self.pud_table(pud_idx)?;
-                if pud.get(vpn.index()).is_some() {
-                    return Err(HpageError::InvalidRemap {
-                        reason: format!("{vpn} overlaps existing base mappings"),
-                    });
-                }
-                pud.insert(
-                    vpn.index(),
-                    PmdEntry {
-                        accessed: false,
-                        kind: PmdKind::Huge2M(pfn),
-                    },
-                );
-            }
-            PageSize::Base4K => {
-                let pmd_idx = vpn.containing(PageSize::Huge2M).index();
-                let pud = self.pud_table(pud_idx)?;
-                let pmd = pud.or_insert_with(pmd_idx, || PmdEntry {
-                    accessed: false,
-                    kind: PmdKind::Table(PteTable::new()),
+        let pmds = self.pmd_dir(vpn.containing(PageSize::Huge1G).index());
+        if vpn.size() == PageSize::Huge2M {
+            if pmds.get(vpn.index()).is_some() {
+                return Err(HpageError::InvalidRemap {
+                    reason: format!("{vpn} overlaps existing base mappings"),
                 });
-                match &mut pmd.kind {
-                    PmdKind::Table(ptes) => {
-                        ptes.insert(vpn.index(), pfn, false);
-                    }
-                    PmdKind::Huge2M(_) => {
-                        return Err(HpageError::InvalidRemap {
-                            reason: format!("{vpn} lies inside an existing 2MB mapping"),
-                        })
-                    }
-                }
             }
+            pmds.insert(
+                vpn.index(),
+                PmdEntry {
+                    accessed: false,
+                    kind: PmdKind::Huge2M(pfn),
+                },
+            );
+            return Ok(());
         }
-        Ok(())
-    }
-
-    fn pud_table(&mut self, pud_idx: u64) -> Result<&mut PmdDir, HpageError> {
-        let pud = self.puds.entry(pud_idx).or_insert_with(|| PudEntry {
+        let pmd = pmds.or_insert_with(vpn.containing(PageSize::Huge2M).index(), || PmdEntry {
             accessed: false,
-            kind: PudKind::Table(PmdDir::new()),
+            kind: PmdKind::Table(PteTable::new()),
         });
-        match &mut pud.kind {
-            PudKind::Table(t) => Ok(t),
-            PudKind::Huge1G(_) => Err(HpageError::InvalidRemap {
-                reason: "region lies inside an existing 1GB mapping".into(),
+        match &mut pmd.kind {
+            PmdKind::Table(ptes) => {
+                ptes.insert(vpn.index(), pfn, false);
+                Ok(())
+            }
+            PmdKind::Huge2M(_) => Err(HpageError::InvalidRemap {
+                reason: format!("{vpn} lies inside an existing 2MB mapping"),
             }),
         }
+    }
+
+    fn pmd_dir(&mut self, pud_idx: u64) -> &mut PmdDir {
+        &mut self
+            .puds
+            .entry(pud_idx)
+            .or_insert_with(|| PudEntry {
+                accessed: false,
+                pmds: PmdDir::new(),
+            })
+            .pmds
     }
 
     /// Removes the mapping containing `vpn.base()` at exactly `vpn`'s size.
@@ -359,83 +311,55 @@ impl PageTable {
     ///
     /// # Errors
     ///
-    /// Returns [`HpageError::Unmapped`] if no mapping of that size covers
-    /// the address.
+    /// Returns [`HpageError::InvalidRemap`] for a 1 GiB `vpn` (not
+    /// modelled) and [`HpageError::Unmapped`] if no mapping of that size
+    /// covers the address.
     pub fn unmap(&mut self, vpn: Vpn) -> Result<Pfn, HpageError> {
         let err = || HpageError::Unmapped {
             addr: vpn.base().raw(),
         };
+        if vpn.size() == PageSize::Huge1G {
+            return Err(not_modelled_1g());
+        }
         let pud_idx = vpn.containing(PageSize::Huge1G).index();
-        match vpn.size() {
-            PageSize::Huge1G => match self.puds.remove(&pud_idx) {
-                Some(PudEntry {
-                    kind: PudKind::Huge1G(pfn),
+        let pmds = &mut self.puds.get_mut(&pud_idx).ok_or_else(err)?.pmds;
+        if vpn.size() == PageSize::Huge2M {
+            return match pmds.remove(vpn.index()) {
+                Some(PmdEntry {
+                    kind: PmdKind::Huge2M(pfn),
                     ..
                 }) => Ok(pfn),
                 Some(other) => {
-                    self.puds.insert(pud_idx, other);
+                    pmds.insert(vpn.index(), other);
                     Err(err())
                 }
                 None => Err(err()),
-            },
-            PageSize::Huge2M => {
-                let pud = self.puds.get_mut(&pud_idx).ok_or_else(err)?;
-                let PudKind::Table(pmds) = &mut pud.kind else {
-                    return Err(err());
-                };
-                match pmds.remove(vpn.index()) {
-                    Some(PmdEntry {
-                        kind: PmdKind::Huge2M(pfn),
-                        ..
-                    }) => Ok(pfn),
-                    Some(other) => {
-                        pmds.insert(vpn.index(), other);
-                        Err(err())
-                    }
-                    None => Err(err()),
-                }
-            }
-            PageSize::Base4K => {
-                let pmd_idx = vpn.containing(PageSize::Huge2M).index();
-                let pud = self.puds.get_mut(&pud_idx).ok_or_else(err)?;
-                let PudKind::Table(pmds) = &mut pud.kind else {
-                    return Err(err());
-                };
-                let pmd = pmds.get_mut(pmd_idx).ok_or_else(err)?;
-                let PmdKind::Table(ptes) = &mut pmd.kind else {
-                    return Err(err());
-                };
-                ptes.remove(vpn.index()).ok_or_else(err)
-            }
+            };
         }
+        let pmd_idx = vpn.containing(PageSize::Huge2M).index();
+        let pmd = pmds.get_mut(pmd_idx).ok_or_else(err)?;
+        let PmdKind::Table(ptes) = &mut pmd.kind else {
+            return Err(err());
+        };
+        ptes.remove(vpn.index()).ok_or_else(err)
     }
 
     /// Resolves `va` without touching accessed bits (an "OS peek", unlike
     /// the hardware [`walk`](Self::walk)).
     pub fn translate(&self, va: VirtAddr) -> Option<Translation> {
-        let pud_idx = va.vpn(PageSize::Huge1G).index();
-        let pud = self.puds.get(&pud_idx)?;
-        match &pud.kind {
-            PudKind::Huge1G(pfn) => Some(Translation {
-                vpn: va.vpn(PageSize::Huge1G),
+        let pud = self.puds.get(&va.vpn(PageSize::Huge1G).index())?;
+        let pmd = pud.pmds.get(va.vpn(PageSize::Huge2M).index())?;
+        match &pmd.kind {
+            PmdKind::Huge2M(pfn) => Some(Translation {
+                vpn: va.vpn(PageSize::Huge2M),
                 pfn: *pfn,
             }),
-            PudKind::Table(pmds) => {
-                let pmd_idx = va.vpn(PageSize::Huge2M).index();
-                let pmd = pmds.get(pmd_idx)?;
-                match &pmd.kind {
-                    PmdKind::Huge2M(pfn) => Some(Translation {
-                        vpn: va.vpn(PageSize::Huge2M),
-                        pfn: *pfn,
-                    }),
-                    PmdKind::Table(ptes) => {
-                        let w = ptes.word(va.vpn(PageSize::Base4K).index());
-                        (w & PTE_PRESENT != 0).then(|| Translation {
-                            vpn: va.vpn(PageSize::Base4K),
-                            pfn: PteTable::unpack_pfn(w),
-                        })
-                    }
-                }
+            PmdKind::Table(ptes) => {
+                let w = ptes.word(va.vpn(PageSize::Base4K).index());
+                (w & PTE_PRESENT != 0).then(|| Translation {
+                    vpn: va.vpn(PageSize::Base4K),
+                    pfn: PteTable::unpack_pfn(w),
+                })
             }
         }
     }
@@ -459,58 +383,52 @@ impl PageTable {
         let pud_idx = va.vpn(PageSize::Huge1G).index();
         let pud = self.puds.get_mut(&pud_idx).ok_or_else(err)?;
         let pud_accessed_before = pud.accessed;
-        match &mut pud.kind {
-            PudKind::Huge1G(pfn) => {
-                let pfn = *pfn;
-                pud.accessed = true;
-                self.walks += 1;
-                Ok(WalkResult {
+        let pmd_idx = va.vpn(PageSize::Huge2M).index();
+        let pmd = pud.pmds.get_mut(pmd_idx).ok_or_else(err)?;
+        let pmd_accessed_before = pmd.accessed;
+        let result = match &mut pmd.kind {
+            PmdKind::Huge2M(pfn) => WalkResult {
+                translation: Translation {
+                    vpn: va.vpn(PageSize::Huge2M),
+                    pfn: *pfn,
+                },
+                pud_accessed_before,
+                pmd_accessed_before,
+                levels_referenced: 3,
+            },
+            PmdKind::Table(ptes) => {
+                let w = ptes.word_mut(va.vpn(PageSize::Base4K).index());
+                if *w & PTE_PRESENT == 0 {
+                    return Err(err());
+                }
+                *w |= PTE_ACCESSED;
+                WalkResult {
                     translation: Translation {
-                        vpn: va.vpn(PageSize::Huge1G),
-                        pfn,
+                        vpn: va.vpn(PageSize::Base4K),
+                        pfn: PteTable::unpack_pfn(*w),
                     },
                     pud_accessed_before,
-                    pmd_accessed_before: false,
-                    levels_referenced: 2,
-                })
+                    pmd_accessed_before,
+                    levels_referenced: 4,
+                }
             }
-            PudKind::Table(pmds) => {
-                let pmd_idx = va.vpn(PageSize::Huge2M).index();
-                let pmd = pmds.get_mut(pmd_idx).ok_or_else(err)?;
-                let pmd_accessed_before = pmd.accessed;
-                let result = match &mut pmd.kind {
-                    PmdKind::Huge2M(pfn) => WalkResult {
-                        translation: Translation {
-                            vpn: va.vpn(PageSize::Huge2M),
-                            pfn: *pfn,
-                        },
-                        pud_accessed_before,
-                        pmd_accessed_before,
-                        levels_referenced: 3,
-                    },
-                    PmdKind::Table(ptes) => {
-                        let w = ptes.word_mut(va.vpn(PageSize::Base4K).index());
-                        if *w & PTE_PRESENT == 0 {
-                            return Err(err());
-                        }
-                        *w |= PTE_ACCESSED;
-                        WalkResult {
-                            translation: Translation {
-                                vpn: va.vpn(PageSize::Base4K),
-                                pfn: PteTable::unpack_pfn(*w),
-                            },
-                            pud_accessed_before,
-                            pmd_accessed_before,
-                            levels_referenced: 4,
-                        }
-                    }
-                };
-                pmd.accessed = true;
-                pud.accessed = true;
-                self.walks += 1;
-                Ok(result)
-            }
-        }
+        };
+        pmd.accessed = true;
+        pud.accessed = true;
+        self.walks += 1;
+        Ok(result)
+    }
+
+    /// The PMD entry of a 2 MiB region, if its PUD and PMD are present.
+    fn pmd(&self, region: Vpn) -> Option<&PmdEntry> {
+        let pud_idx = region.containing(PageSize::Huge1G).index();
+        self.puds.get(&pud_idx)?.pmds.get(region.index())
+    }
+
+    /// Mutable form of [`pmd`](Self::pmd).
+    fn pmd_mut(&mut self, region: Vpn) -> Option<&mut PmdEntry> {
+        let pud_idx = region.containing(PageSize::Huge1G).index();
+        self.puds.get_mut(&pud_idx)?.pmds.get_mut(region.index())
     }
 
     /// Replaces the 4 KiB mappings of a fully- or partially-mapped 2 MiB
@@ -528,27 +446,17 @@ impl PageTable {
                 reason: "promote_2m requires 2MB vpn and pfn".into(),
             });
         }
-        let pud_idx = region.containing(PageSize::Huge1G).index();
-        let pud = self.puds.get_mut(&pud_idx).ok_or(HpageError::Unmapped {
+        let unmapped = || HpageError::Unmapped {
             addr: region.base().raw(),
-        })?;
-        let PudKind::Table(pmds) = &mut pud.kind else {
-            return Err(HpageError::InvalidRemap {
-                reason: "region lies inside a 1GB mapping".into(),
-            });
         };
-        let pmd = pmds.get_mut(region.index()).ok_or(HpageError::Unmapped {
-            addr: region.base().raw(),
-        })?;
+        let pmd = self.pmd_mut(region).ok_or_else(unmapped)?;
         match &mut pmd.kind {
             PmdKind::Huge2M(_) => Err(HpageError::InvalidRemap {
                 reason: format!("{region} is already a huge page"),
             }),
             PmdKind::Table(ptes) => {
                 if ptes.is_empty() {
-                    return Err(HpageError::Unmapped {
-                        addr: region.base().raw(),
-                    });
+                    return Err(unmapped());
                 }
                 let old: Vec<Pfn> = ptes.pfns().collect();
                 pmd.kind = PmdKind::Huge2M(new_pfn);
@@ -556,60 +464,6 @@ impl PageTable {
                 Ok(old)
             }
         }
-    }
-
-    /// Replaces everything mapped inside a 1 GiB region with a single
-    /// PUD leaf pointing at `new_pfn` — the page-table side of 1 GiB
-    /// promotion (§3.2.3: a candidate comprising both 4 KiB and 2 MiB
-    /// mappings is collectively promoted). Returns the base frames and
-    /// 2 MiB frames that were unmapped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HpageError::InvalidRemap`] on size mismatches or if the
-    /// region is already a 1 GiB leaf, and [`HpageError::Unmapped`] if
-    /// nothing is mapped inside the region.
-    pub fn promote_1g(
-        &mut self,
-        region: Vpn,
-        new_pfn: Pfn,
-    ) -> Result<(Vec<Pfn>, Vec<Pfn>), HpageError> {
-        if region.size() != PageSize::Huge1G || new_pfn.size() != PageSize::Huge1G {
-            return Err(HpageError::InvalidRemap {
-                reason: "promote_1g requires 1GB vpn and pfn".into(),
-            });
-        }
-        let Some(pud) = self.puds.get(&region.index()) else {
-            return Err(HpageError::Unmapped {
-                addr: region.base().raw(),
-            });
-        };
-        let PudKind::Table(pmds) = &pud.kind else {
-            return Err(HpageError::InvalidRemap {
-                reason: format!("{region} is already a 1GB page"),
-            });
-        };
-        if pmds.is_empty() {
-            return Err(HpageError::Unmapped {
-                addr: region.base().raw(),
-            });
-        }
-        let mut base_frames = Vec::new();
-        let mut huge_frames = Vec::new();
-        for pmd in pmds.values() {
-            match &pmd.kind {
-                PmdKind::Huge2M(pfn) => huge_frames.push(*pfn),
-                PmdKind::Table(ptes) => base_frames.extend(ptes.pfns()),
-            }
-        }
-        self.puds.insert(
-            region.index(),
-            PudEntry {
-                accessed: false,
-                kind: PudKind::Huge1G(new_pfn),
-            },
-        );
-        Ok((base_frames, huge_frames))
     }
 
     /// Splits a 2 MiB huge mapping back into 512 base-page mappings onto
@@ -632,22 +486,12 @@ impl PageTable {
                 reason: "demote_2m requires exactly 512 4KB pfns".into(),
             });
         }
-        let pud_idx = region.containing(PageSize::Huge1G).index();
-        let pud = self.puds.get_mut(&pud_idx).ok_or(HpageError::Unmapped {
+        let unmapped = || HpageError::Unmapped {
             addr: region.base().raw(),
-        })?;
-        let PudKind::Table(pmds) = &mut pud.kind else {
-            return Err(HpageError::InvalidRemap {
-                reason: "region lies inside a 1GB mapping".into(),
-            });
         };
-        let pmd = pmds.get_mut(region.index()).ok_or(HpageError::Unmapped {
-            addr: region.base().raw(),
-        })?;
+        let pmd = self.pmd_mut(region).ok_or_else(unmapped)?;
         let PmdKind::Huge2M(huge_pfn) = pmd.kind else {
-            return Err(HpageError::Unmapped {
-                addr: region.base().raw(),
-            });
+            return Err(unmapped());
         };
         let mut ptes = PteTable::new();
         for (vpn, pfn) in region.split(PageSize::Base4K).zip(base_pfns.iter()) {
@@ -663,14 +507,9 @@ impl PageTable {
     /// (khugepaged, HawkEye).
     pub fn mapped_base_pages_in(&self, region: Vpn) -> u64 {
         assert_eq!(region.size(), PageSize::Huge2M);
-        let pud_idx = region.containing(PageSize::Huge1G).index();
-        match self.puds.get(&pud_idx).map(|p| &p.kind) {
-            Some(PudKind::Huge1G(_)) => 512,
-            Some(PudKind::Table(pmds)) => match pmds.get(region.index()).map(|p| &p.kind) {
-                Some(PmdKind::Huge2M(_)) => 512,
-                Some(PmdKind::Table(ptes)) => ptes.len() as u64,
-                None => 0,
-            },
+        match self.pmd(region).map(|p| &p.kind) {
+            Some(PmdKind::Huge2M(_)) => 512,
+            Some(PmdKind::Table(ptes)) => ptes.len() as u64,
             None => 0,
         }
     }
@@ -679,22 +518,16 @@ impl PageTable {
     /// HawkEye's *access coverage* metric for one huge page region.
     pub fn accessed_base_pages_in(&self, region: Vpn) -> u64 {
         assert_eq!(region.size(), PageSize::Huge2M);
-        let pud_idx = region.containing(PageSize::Huge1G).index();
-        match self.puds.get(&pud_idx).map(|p| &p.kind) {
-            Some(PudKind::Huge1G(_)) => 512,
-            Some(PudKind::Table(pmds)) => match pmds.get(region.index()).map(|p| &p.kind) {
-                Some(PmdKind::Huge2M(e)) => {
-                    let _ = e;
-                    // For a huge leaf, coverage is its own A-bit times 512.
-                    if pmds.get(region.index()).map(|p| p.accessed) == Some(true) {
-                        512
-                    } else {
-                        0
-                    }
-                }
-                Some(PmdKind::Table(ptes)) => ptes.accessed_count() as u64,
-                None => 0,
-            },
+        match self.pmd(region) {
+            // For a huge leaf, coverage is its own A-bit times 512.
+            Some(PmdEntry {
+                kind: PmdKind::Huge2M(_),
+                accessed,
+            }) => 512 * u64::from(*accessed),
+            Some(PmdEntry {
+                kind: PmdKind::Table(ptes),
+                ..
+            }) => ptes.accessed_count() as u64,
             None => 0,
         }
     }
@@ -703,15 +536,10 @@ impl PageTable {
     /// (software scanners reset A-bits between measurement intervals).
     pub fn clear_accessed_in(&mut self, region: Vpn) {
         assert_eq!(region.size(), PageSize::Huge2M);
-        let pud_idx = region.containing(PageSize::Huge1G).index();
-        if let Some(pud) = self.puds.get_mut(&pud_idx) {
-            if let PudKind::Table(pmds) = &mut pud.kind {
-                if let Some(pmd) = pmds.get_mut(region.index()) {
-                    pmd.accessed = false;
-                    if let PmdKind::Table(ptes) = &mut pmd.kind {
-                        ptes.clear_accessed();
-                    }
-                }
+        if let Some(pmd) = self.pmd_mut(region) {
+            pmd.accessed = false;
+            if let PmdKind::Table(ptes) = &mut pmd.kind {
+                ptes.clear_accessed();
             }
         }
     }
@@ -722,30 +550,27 @@ impl PageTable {
     pub fn mapped_2m_regions(&self) -> Vec<Vpn> {
         let mut regions: Vec<Vpn> = Vec::new();
         for (pud_idx, pud) in &self.puds {
-            match &pud.kind {
-                PudKind::Huge1G(_) => {
-                    regions.extend(Vpn::new(*pud_idx, PageSize::Huge1G).split(PageSize::Huge2M));
-                }
-                PudKind::Table(pmds) => {
-                    regions.extend(
-                        pmds.entries().map(|(slot, _)| {
-                            Vpn::new(pud_idx * 512 + slot as u64, PageSize::Huge2M)
-                        }),
-                    );
-                }
-            }
+            regions.extend(
+                pud.pmds
+                    .entries()
+                    .map(|(slot, _)| Vpn::new(pud_idx * 512 + slot as u64, PageSize::Huge2M)),
+            );
         }
         regions.sort_by_key(|v| v.index());
         regions
     }
 
-    /// Whether the mapping covering `region` is a 2 MiB (or larger) leaf.
+    /// Whether `region` is mapped by a 2 MiB leaf.
     pub fn is_huge_mapped(&self, region: Vpn) -> bool {
         assert_eq!(region.size(), PageSize::Huge2M);
-        matches!(
-            self.mapping_size(region.base()),
-            Some(PageSize::Huge2M) | Some(PageSize::Huge1G)
-        )
+        self.mapping_size(region.base()) == Some(PageSize::Huge2M)
+    }
+}
+
+/// The error for a 1 GiB [`PageTable::map`] or [`PageTable::unmap`].
+fn not_modelled_1g() -> HpageError {
+    HpageError::InvalidRemap {
+        reason: "1 GiB mappings are not modelled".into(),
     }
 }
 
@@ -771,8 +596,6 @@ mod tests {
         let mut pt = PageTable::new();
         pt.map(v4k(5), p4k(50)).unwrap();
         pt.map(v2m(1000), p2m(99)).unwrap();
-        pt.map(Vpn::new(3, PageSize::Huge1G), Pfn::new(2, PageSize::Huge1G))
-            .unwrap();
 
         let t = pt.translate(v4k(5).base()).unwrap();
         assert_eq!(t.pfn, p4k(50));
@@ -781,11 +604,26 @@ mod tests {
         let t = pt.translate(v2m(1000).base().offset(0x12345)).unwrap();
         assert_eq!(t.pfn, p2m(99));
         assert_eq!(t.size(), PageSize::Huge2M);
+    }
 
-        let t = pt
-            .translate(VirtAddr::new(3 << 30).offset(123 << 12))
-            .unwrap();
-        assert_eq!(t.size(), PageSize::Huge1G);
+    #[test]
+    fn map_and_unmap_of_1g_pages_are_rejected() {
+        let mut pt = PageTable::new();
+        let giant = Vpn::new(3, PageSize::Huge1G);
+        let want = HpageError::InvalidRemap {
+            reason: "1 GiB mappings are not modelled".into(),
+        };
+        assert_eq!(
+            pt.map(giant, Pfn::new(2, PageSize::Huge1G)),
+            Err(want.clone())
+        );
+        assert_eq!(pt.unmap(giant), Err(want.clone()));
+        // Mappings already inside the gigabyte are left alone.
+        let inner = giant.split(PageSize::Huge2M).nth(7).unwrap();
+        pt.map(inner, p2m(5)).unwrap();
+        assert_eq!(pt.unmap(giant), Err(want));
+        assert!(pt.is_huge_mapped(inner));
+        assert!(pt.translate(giant.base()).is_none());
     }
 
     #[test]
@@ -855,18 +693,6 @@ mod tests {
         assert!(!w.pmd_accessed_before);
         let w2 = pt.walk(v2m(4).base()).unwrap();
         assert!(w2.pmd_accessed_before);
-    }
-
-    #[test]
-    fn walk_1g_leaf_reports_two_levels() {
-        let mut pt = PageTable::new();
-        pt.map(Vpn::new(2, PageSize::Huge1G), Pfn::new(5, PageSize::Huge1G))
-            .unwrap();
-        let w = pt.walk(VirtAddr::new(2 << 30)).unwrap();
-        assert_eq!(w.levels_referenced, 2);
-        assert!(!w.pud_accessed_before);
-        let w2 = pt.walk(VirtAddr::new((2 << 30) + 4096)).unwrap();
-        assert!(w2.pud_accessed_before);
     }
 
     #[test]
@@ -975,32 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn promote_1g_collapses_mixed_mappings() {
-        let mut pt = PageTable::new();
-        let giant = Vpn::new(2, PageSize::Huge1G);
-        let subregions: Vec<Vpn> = giant.split(PageSize::Huge2M).collect();
-        // Mixed state: one 2MB leaf + a few base pages elsewhere.
-        pt.map(subregions[0], p2m(40)).unwrap();
-        for (i, page) in subregions[3].split(PageSize::Base4K).take(5).enumerate() {
-            pt.map(page, p4k(50 + i as u64)).unwrap();
-        }
-        let (bases, huges) = pt.promote_1g(giant, Pfn::new(9, PageSize::Huge1G)).unwrap();
-        assert_eq!(bases.len(), 5);
-        assert_eq!(huges, vec![p2m(40)]);
-        // Every address in the gigabyte now translates via the PUD leaf.
-        let t = pt.translate(subregions[100].base()).unwrap();
-        assert_eq!(t.size(), PageSize::Huge1G);
-        // Re-promotion fails (already 1GB).
-        assert!(pt
-            .promote_1g(giant, Pfn::new(10, PageSize::Huge1G))
-            .is_err());
-        // Empty region fails.
-        assert!(pt
-            .promote_1g(Vpn::new(7, PageSize::Huge1G), Pfn::new(1, PageSize::Huge1G))
-            .is_err());
-    }
-
-    #[test]
     fn unmap_all_sizes() {
         let mut pt = PageTable::new();
         pt.map(v4k(5), p4k(50)).unwrap();
@@ -1010,10 +810,8 @@ mod tests {
 
         pt.map(v2m(8), p2m(3)).unwrap();
         assert_eq!(pt.unmap(v2m(8)).unwrap(), p2m(3));
-
-        let g = Vpn::new(1, PageSize::Huge1G);
-        pt.map(g, Pfn::new(1, PageSize::Huge1G)).unwrap();
-        assert_eq!(pt.unmap(g).unwrap(), Pfn::new(1, PageSize::Huge1G));
+        assert!(pt.translate(v2m(8).base()).is_none());
+        assert!(pt.unmap(v2m(8)).is_err());
     }
 
     #[test]

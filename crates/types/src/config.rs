@@ -55,11 +55,9 @@ pub struct TlbConfig {
     pub l1_2m: TlbLevelConfig,
     /// L1 D-TLB for 1 GiB pages.
     pub l1_1g: TlbLevelConfig,
-    /// Unified L2 TLB (4 KiB and 2 MiB entries share it, as on Haswell).
+    /// Unified L2 TLB (4 KiB and 2 MiB entries share it, as on Haswell,
+    /// whose STLB does not cache 1 GiB entries).
     pub l2: TlbLevelConfig,
-    /// Whether 1 GiB translations may also be cached in the L2 TLB.
-    /// Haswell does not cache 1 GiB entries in its STLB.
-    pub l2_holds_1g: bool,
 }
 
 impl TlbConfig {
@@ -70,7 +68,6 @@ impl TlbConfig {
             l1_2m: TlbLevelConfig::new(32, 4),
             l1_1g: TlbLevelConfig::new(4, 4),
             l2: TlbLevelConfig::new(1024, 8),
-            l2_holds_1g: false,
         }
     }
 
@@ -81,7 +78,6 @@ impl TlbConfig {
             l1_2m: TlbLevelConfig::new(4, 4),
             l1_1g: TlbLevelConfig::new(2, 2),
             l2: TlbLevelConfig::new(64, 8),
-            l2_holds_1g: false,
         }
     }
 
@@ -353,7 +349,7 @@ pub struct NestedConfig {
     pub host_pwc: PwcConfig,
     /// Entries in the fully associative nested TLB caching gPA→hPA
     /// translations at the host mapping's size — one entry covers a
-    /// 4 KiB page or a whole 2 MiB / 1 GiB host region (a hit skips
+    /// 4 KiB page or a whole 2 MiB host region (a hit skips
     /// the host walk entirely).
     pub ntlb_entries: u32,
 }

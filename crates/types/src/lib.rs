@@ -44,9 +44,6 @@ pub use seed::derive_seed;
 /// Number of 4 KiB base pages inside one 2 MiB huge page (x86-64: 512).
 pub const BASE_PAGES_PER_2M: u64 = PageSize::Huge2M.bytes() / PageSize::Base4K.bytes();
 
-/// Number of 2 MiB huge pages inside one 1 GiB gigantic page (x86-64: 512).
-pub const HUGE_PAGES_PER_1G: u64 = PageSize::Huge1G.bytes() / PageSize::Huge2M.bytes();
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,6 +51,5 @@ mod tests {
     #[test]
     fn page_counts_match_x86() {
         assert_eq!(BASE_PAGES_PER_2M, 512);
-        assert_eq!(HUGE_PAGES_PER_1G, 512);
     }
 }

@@ -105,7 +105,7 @@ proptest! {
     /// never fewer than 1, and its stats counters add up.
     #[test]
     fn pwc_reference_bounds(
-        walks in prop::collection::vec((0u64..(1 << 34), 2u8..5), 1..300),
+        walks in prop::collection::vec((0u64..(1 << 34), 3u8..5), 1..300),
     ) {
         let mut pwc = PageWalkCache::new(PwcConfig::typical());
         for &(addr, leaf) in &walks {
