@@ -87,6 +87,16 @@ fn num_value(flag: &str, it: &mut std::vec::IntoIter<String>) -> u64 {
         .unwrap_or_else(|_| die(&format!("{flag} expects a number")))
 }
 
+/// Parses a `--soft-deadline-ms`/`--hard-deadline-ms` operand. A zero
+/// deadline would flag (soft) or abandon (hard) every cell before it
+/// could finish, so it is a usage error.
+fn deadline_ms(flag: &str, it: &mut std::vec::IntoIter<String>) -> u64 {
+    match num_value(flag, it) {
+        0 => die(&format!("{flag} must be at least 1")),
+        ms => ms,
+    }
+}
+
 /// Best-effort extraction of a panic payload's message.
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -214,10 +224,10 @@ fn main() {
                     .unwrap_or_else(|_| die("--retries is out of range"))
             }
             "--soft-deadline-ms" => {
-                soft_deadline_ms = Some(num_value("--soft-deadline-ms", &mut it))
+                soft_deadline_ms = Some(deadline_ms("--soft-deadline-ms", &mut it))
             }
             "--hard-deadline-ms" => {
-                hard_deadline_ms = Some(num_value("--hard-deadline-ms", &mut it))
+                hard_deadline_ms = Some(deadline_ms("--hard-deadline-ms", &mut it))
             }
             _ => rest.push(a),
         }
