@@ -325,7 +325,7 @@ impl Auditor {
             let pt = os.spaces[process].page_table();
             for candidate in bank.pcc(core_id).iter() {
                 if candidate.region.size() != PageSize::Huge2M {
-                    continue; // 1 GiB-granularity PCCs audited via 2 MiB sub-regions.
+                    continue; // No 1 GiB page is mapped, so a 1 GiB candidate is never stale.
                 }
                 if pt.is_huge_mapped(candidate.region) {
                     violations.push(AuditViolation::StalePccCandidate {

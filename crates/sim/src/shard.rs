@@ -782,9 +782,9 @@ fn handle_walk<const REC: bool>(
     }
     let l2_victim = hw.tlb.fill(walk.translation);
     // A-bit harvest, 2 MiB bank first: each PCC reads the accessed bit
-    // of its own level (PMD, PUD). In victim mode (§5.4.1 ablation) the feed is
-    // the L2 eviction stream instead: an eviction is evidence of prior
-    // residence, so it always takes the A-bit-set update path (the
+    // of its own level (PMD, PUD). In victim mode (§5.4.1 ablation) the
+    // feed is the L2 eviction stream instead: an eviction is evidence of
+    // prior residence, so it always takes the A-bit-set update path (the
     // banks' cold-miss filter is off in this mode).
     for (pcc, size) in hw.pccs.iter_mut().zip(PCC_SIZES) {
         let Some(pcc) = pcc else {

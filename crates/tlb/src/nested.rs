@@ -193,12 +193,12 @@ impl NestedPwc {
 
     /// Performs one 2D walk for `va`, whose guest leaf sits at
     /// `guest_leaf_levels` (4 = 4 KiB PTE, 3 = 2 MiB PMD leaf) and whose
-    /// resolved data byte lives at guest-physical
-    /// `data_gpa`. Each referenced guest level's table page and the data
-    /// page are translated through the nested TLB / host structure
-    /// caches, calling `host` only on nTLB misses. Host walks actually
-    /// performed are appended to `host_walks` (cleared first) so the
-    /// caller can feed a host-side PCC and ledger.
+    /// resolved data byte lives at guest-physical `data_gpa`. Each
+    /// referenced guest level's table page and the data page are
+    /// translated through the nested TLB / host structure caches,
+    /// calling `host` only on nTLB misses. Host walks actually performed
+    /// are appended to `host_walks` (cleared first) so the caller can
+    /// feed a host-side PCC and ledger.
     ///
     /// Returns the total memory references, guaranteed to lie in
     /// `1..=`[`MAX_NESTED_REFS`].
