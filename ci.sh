@@ -223,26 +223,20 @@ if ./target/release/hpsim --app bfs --pcc-placement host --quiet \
     exit 1
 fi
 
-echo "== supervisor smoke: injected panic -> partial output, exit 3 =="
-# With no retry budget the injected cell panic must degrade exactly one
-# section to an n/a row and exit with the partial-failure code, not 1.
+echo "== supervisor smoke: hard-deadline overrun -> partial output, exit 3 =="
+# A 1 ms hard deadline is shorter than any cell, so every figure 7 cell
+# is abandoned after its one attempt: the section degrades to an n/a row,
+# the run exits with the partial-failure code (not 1), and the failures
+# land in the artifact.
 set +e
-HPAGE_PROFILE=test ./target/release/repro --figure 7 \
-    --harness-faults examples/cell_chaos.json --retries 0 --jobs 2 \
-    --bench-out /tmp/BENCH_repro_chaos.json --quiet \
-    > /tmp/repro_chaos.txt 2>/dev/null
-chaos_rc=$?
+HPAGE_PROFILE=test ./target/release/repro --figure 7 --hard-deadline-ms 1 \
+    --jobs 2 --bench-out /tmp/BENCH_repro_deadline.json --quiet \
+    > /tmp/repro_deadline.txt 2>/dev/null
+deadline_rc=$?
 set -e
-test "$chaos_rc" -eq 3
-grep -q 'n/a (cell failed:' /tmp/repro_chaos.txt
-
-echo "== supervisor smoke: retries absorb the same plan byte-identically =="
-HPAGE_PROFILE=test ./target/release/repro --figure 7 --jobs 2 \
-    --bench-out /tmp/BENCH_repro_fig7.json --quiet > /tmp/repro_fig7.txt
-HPAGE_PROFILE=test ./target/release/repro --figure 7 \
-    --harness-faults examples/cell_chaos.json --retries 2 --jobs 2 \
-    --bench-out /tmp/BENCH_repro_retry.json --quiet > /tmp/repro_retry.txt
-cmp /tmp/repro_retry.txt /tmp/repro_fig7.txt
+test "$deadline_rc" -eq 3
+grep -q 'n/a (cell failed: .*exceeded hard deadline' /tmp/repro_deadline.txt
+grep -q '"failures":\[{"label":' /tmp/BENCH_repro_deadline.json
 
 echo "== checkpoint smoke: journal a partial run, resume the full one =="
 # First run journals only figure 7; the resumed run replays it and adds
@@ -255,5 +249,16 @@ HPAGE_PROFILE=test ./target/release/repro --figure 7 --ablation \
     --bench-out /tmp/BENCH_repro_resumed.json --quiet > /tmp/repro_resumed.txt
 cmp /tmp/repro_resumed.txt /tmp/repro_j2.txt
 test -s BENCH_repro_journal.jsonl
+# A journal from a build that also wrote per-cell records (version 1) is
+# refused as a usage error rather than half-read.
+echo '{"journal":"hpage-repro","version":1,"profile":"test","scale":""}' \
+    > /tmp/repro_journal_v1.jsonl
+v1_rc=0
+HPAGE_PROFILE=test ./target/release/repro --figure 7 \
+    --resume /tmp/repro_journal_v1.jsonl --quiet > /dev/null 2>&1 || v1_rc=$?
+if [ "$v1_rc" -ne 2 ]; then
+    echo "repro resumed a version-1 journal with exit $v1_rc, want 2" >&2
+    exit 1
+fi
 
 echo "CI OK"

@@ -17,12 +17,12 @@
 //! (`--bench-out` overrides the path).
 
 use hpage_bench::*;
-use hpage_sim::{CellJournal, Fig9Config, Harness, SupervisorConfig};
+use hpage_sim::{CellJournal, Fig9Config, Harness, JournalError};
 use hpage_trace::AppId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::time::Duration;
 
-const USAGE: &str = "usage: repro [--all] [--figure 1|2|5|6|7|8|9a|9b] [--table 1|2|storage] [--ablation] [--datasets] [--timeline] [--consolidation] [--tenants N] [--virt] [--ledger-out FILE] [--json 1|6|7|ablation|datasets] [--jobs N|-j N] [--sim-threads N] [--bench-out FILE] [--journal FILE | --resume FILE] [--retries N] [--harness-faults FILE] [--soft-deadline-ms N] [--hard-deadline-ms N] [--quiet|-q] [--verbose|-v]
+const USAGE: &str = "usage: repro [--all] [--figure 1|2|5|6|7|8|9a|9b] [--table 1|2|storage] [--ablation] [--datasets] [--timeline] [--consolidation] [--tenants N] [--virt] [--ledger-out FILE] [--json 1|6|7|ablation|datasets] [--jobs N|-j N] [--sim-threads N] [--bench-out FILE] [--journal FILE | --resume FILE] [--soft-deadline-ms N] [--hard-deadline-ms N] [--quiet|-q] [--verbose|-v]
 parallelism: --jobs N runs up to N simulation cells concurrently (default: available cores; tables are byte-identical at any N);
            --sim-threads N shards the consolidation/virt simulation loops across N threads (default 1;
            reports are byte-identical at any N — hpsim accepts the same flag for single-scenario runs)
@@ -35,12 +35,11 @@ virtualization: --virt co-locates 4 mixed VMs under nested (2D) translation and 
 artifacts: runs that simulate anything write wall-clock timings to BENCH_repro.json (override with --bench-out);
            --ledger-out runs the PCC policy with the promotion ledger on, prints the
            predicted-vs-realized attribution summary, and writes per-region entries to FILE as JSONL
-supervision: cells run under a supervisor — panics are isolated and retried (--retries, default 1)
-           with seeded backoff; --soft/--hard-deadline-ms flag or abandon overrunning cells;
-           --harness-faults injects cell_panic/cell_stall windows from a fault-plan JSON;
-           a section whose cells still fail renders an 'n/a (cell failed: ...)' row
-checkpoint: --journal FILE records completed cells+sections; --resume FILE replays completed
-           sections byte-identically and re-runs only the rest
+supervision: each cell runs once, its panic isolated from the rest of the grid;
+           --soft/--hard-deadline-ms flag or abandon overrunning cells;
+           a section with a failed cell renders an 'n/a (cell failed: ...)' row
+checkpoint: --journal FILE records each completed section; --resume FILE replays them
+           byte-identically and re-runs only the rest (a malformed or mismatched journal is a usage error)
 exit codes: 0 ok, 1 runtime error, 2 usage error, 3 completed with failed cells (partial output)
 verbosity: progress notes go to stderr; --quiet silences them, -v adds per-section timing
 environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices, 1..=30>";
@@ -111,9 +110,9 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Section runner: progress notes, wall-clock accounting, journal
 /// replay/record, and degraded rendering.
 ///
-/// Each section runs under `catch_unwind`: a grid whose cells failed
-/// past their retry budget (the harness panics with an aggregate
-/// message *after* the grid completes) degrades into an
+/// Each section runs under `catch_unwind`: a grid with a failed cell
+/// (the harness panics with an aggregate message *after* the grid
+/// completes) degrades into an
 /// `n/a (cell failed: …)` row instead of aborting the remaining
 /// sections, and the run exits with code 3. With a journal attached,
 /// completed sections are recorded with their full rendered output;
@@ -121,12 +120,12 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// byte-identically without re-running any cells.
 struct Sections {
     verbosity: u8,
-    journal: Option<Arc<CellJournal>>,
-    failed: std::cell::Cell<bool>,
+    journal: Option<CellJournal>,
+    failed: bool,
 }
 
 impl Sections {
-    fn run<F: FnOnce() -> String>(&self, h: &Harness, label: &str, f: F) -> String {
+    fn run<F: FnOnce() -> String>(&mut self, h: &Harness, label: &str, f: F) -> String {
         if let Some(stored) = self
             .journal
             .as_ref()
@@ -150,7 +149,7 @@ impl Sections {
                 if self.verbosity >= 2 {
                     eprintln!("repro: {label} done in {wall:.1}s");
                 }
-                if let Some(j) = &self.journal {
+                if let Some(j) = &mut self.journal {
                     if let Err(e) = j.record_section(label, &text) {
                         eprintln!("repro: warning: journal {}: {e}", j.path());
                     }
@@ -158,7 +157,7 @@ impl Sections {
                 text
             }
             Err(payload) => {
-                self.failed.set(true);
+                self.failed = true;
                 let msg = panic_text(payload);
                 eprintln!("repro: {label} failed: {msg}");
                 format!("{label}: n/a (cell failed: {msg})")
@@ -188,8 +187,6 @@ fn main() {
     let mut ledger_out: Option<String> = None;
     let mut journal_out: Option<String> = None;
     let mut resume_from: Option<String> = None;
-    let mut retries: u32 = 1;
-    let mut harness_faults: Option<String> = None;
     let mut soft_deadline_ms: Option<u64> = None;
     let mut hard_deadline_ms: Option<u64> = None;
     let mut sim_threads: usize = 1;
@@ -217,12 +214,6 @@ fn main() {
             "--ledger-out" => ledger_out = Some(path_value("--ledger-out", &mut it)),
             "--journal" => journal_out = Some(path_value("--journal", &mut it)),
             "--resume" => resume_from = Some(path_value("--resume", &mut it)),
-            "--harness-faults" => harness_faults = Some(path_value("--harness-faults", &mut it)),
-            "--retries" => {
-                retries = num_value("--retries", &mut it)
-                    .try_into()
-                    .unwrap_or_else(|_| die("--retries is out of range"))
-            }
             "--soft-deadline-ms" => {
                 soft_deadline_ms = Some(deadline_ms("--soft-deadline-ms", &mut it))
             }
@@ -248,40 +239,25 @@ fn main() {
     };
     let scale = std::env::var("HPAGE_SCALE").unwrap_or_default();
 
-    let mut supervisor = SupervisorConfig::default().with_max_retries(retries);
-    if let Some(path) = &harness_faults {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("repro: cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let plan = hpage_faults::FaultPlan::from_json(&text)
-            .unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        supervisor = supervisor.with_faults(plan);
-    }
-    if let Some(ms) = soft_deadline_ms {
-        supervisor = supervisor.with_soft_deadline_ms(ms);
-    }
-    if let Some(ms) = hard_deadline_ms {
-        supervisor = supervisor.with_hard_deadline_ms(ms);
-    }
-
-    let journal: Option<Arc<CellJournal>> = match (&journal_out, &resume_from) {
-        (Some(path), None) => Some(Arc::new(
+    let journal: Option<CellJournal> = match (&journal_out, &resume_from) {
+        (Some(path), None) => Some(
             CellJournal::create(path, profile_name, &scale).unwrap_or_else(|e| {
                 eprintln!("repro: cannot create journal {path}: {e}");
                 std::process::exit(1);
             }),
-        )),
+        ),
         (None, Some(path)) => {
-            let j = CellJournal::resume(path, profile_name, &scale).unwrap_or_else(|e| {
-                eprintln!("repro: {e}");
-                std::process::exit(1);
+            let j = CellJournal::resume(path, profile_name, &scale).unwrap_or_else(|e| match e {
+                JournalError::Invalid(_) => die(&e.to_string()),
+                JournalError::Io(_) => {
+                    eprintln!("repro: {e}");
+                    std::process::exit(1);
+                }
             });
             if verbosity >= 1 {
                 eprintln!(
-                    "repro: resuming from {path}: {} section(s), {} cell(s) on record{}",
+                    "repro: resuming from {path}: {} section(s) on record{}",
                     j.completed_sections(),
-                    j.completed_cells(),
                     if j.skipped_lines() > 0 {
                         format!(", {} corrupt line(s) skipped", j.skipped_lines())
                     } else {
@@ -289,25 +265,24 @@ fn main() {
                     }
                 );
             }
-            Some(Arc::new(j))
+            Some(j)
         }
         _ => None,
     };
 
     let jobs = jobs.unwrap_or_else(default_jobs);
-    let mut harness = Harness::new(jobs).with_supervisor(supervisor);
-    if let Some(j) = &journal {
-        harness = harness.with_journal(Arc::clone(j));
-    }
-    let harness = harness;
+    let harness = Harness::new(jobs).with_deadlines(
+        soft_deadline_ms.map(Duration::from_millis),
+        hard_deadline_ms.map(Duration::from_millis),
+    );
     let h = &harness;
     if verbosity >= 1 && jobs > 1 {
         eprintln!("repro: running up to {jobs} simulation cells in parallel");
     }
-    let sections = Sections {
+    let mut sections = Sections {
         verbosity,
         journal,
-        failed: std::cell::Cell::new(false),
+        failed: false,
     };
     let sweep: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 100];
     let quick_sweep: &[u64] = &[0, 1, 4, 16, 100];
@@ -487,10 +462,7 @@ fn main() {
                             quick_sweep
                         ))
                     ),
-                    other => {
-                        eprintln!("unknown figure '{other}'\n{USAGE}");
-                        std::process::exit(2);
-                    }
+                    other => die(&format!("unknown figure '{other}'")),
                 }
             }
             "--ablation" => {
@@ -590,10 +562,7 @@ fn main() {
                             &AppId::GRAPH
                         ))
                     ),
-                    other => {
-                        eprintln!("unknown json target '{other}'\n{USAGE}");
-                        std::process::exit(2);
-                    }
+                    other => die(&format!("unknown json target '{other}'")),
                 }
             }
             "--table" => {
@@ -603,16 +572,10 @@ fn main() {
                     "1" => println!("{}", render_table1()),
                     "2" => println!("{}", render_table2(&profile)),
                     "storage" => println!("{}", render_storage()),
-                    other => {
-                        eprintln!("unknown table '{other}'\n{USAGE}");
-                        std::process::exit(2);
-                    }
+                    other => die(&format!("unknown table '{other}'")),
                 }
             }
-            other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
-                std::process::exit(2);
-            }
+            other => die(&format!("unknown argument '{other}'")),
         }
         i += 1;
     }
@@ -635,8 +598,9 @@ fn main() {
         }
     }
 
-    // Simulated anything? Persist the wall-clock artifact.
-    if !h.log().cells().is_empty() {
+    // Simulated anything, even only cells that failed? Persist the
+    // wall-clock artifact, which also records the failures.
+    if !h.log().cells().is_empty() || !h.log().failures().is_empty() {
         for w in h.log().warnings() {
             eprintln!("repro: warning: {w}");
         }
@@ -665,10 +629,10 @@ fn main() {
     }
 
     // Partial output: every requested section was attempted (degraded
-    // ones rendered as `n/a` rows) but at least one cell exhausted its
-    // retry budget. Distinct from exit 1 so callers can keep partial
-    // artifacts while still flagging the run.
-    if sections.failed.get() || !h.log().failures().is_empty() {
+    // ones rendered as `n/a` rows) but at least one cell failed.
+    // Distinct from exit 1 so callers can keep partial artifacts while
+    // still flagging the run.
+    if sections.failed || !h.log().failures().is_empty() {
         if verbosity >= 1 {
             eprintln!("repro: completed with failed cells (partial output)");
         }

@@ -1,8 +1,9 @@
 //! Error paths of the `hpsim` command line for inputs it does not
 //! accept: a trace in the retired `HPT1` container, an `HPT2` trace with
 //! junk after its end magic, a path that is not a regular file, retired
-//! flags, numeric flags out of range or malformed, a fault plan nested
-//! too deep to parse, and an `HPAGE_PROFILE` or `HPAGE_SCALE` that
+//! flags, numeric flags out of range or malformed, a malformed fault
+//! plan (truncated, an unknown kind or key, a bad or missing `at`, or
+//! nested too deep to parse), and an `HPAGE_PROFILE` or `HPAGE_SCALE` that
 //! names no profile.
 //! Each must be a usage error (exit 2) with a message naming the
 //! problem, never a panic, a hang or a silent fallback.
@@ -169,26 +170,74 @@ fn numeric_flags_never_panic_on_malformed_values() {
 }
 
 #[test]
-fn deeply_nested_fault_plan_is_a_usage_error() {
-    // Deep enough to overflow the stack of an unbounded recursive parser.
-    let path = temp_path("deep.json");
-    std::fs::write(
-        &path,
-        format!("{}{}", "[".repeat(30_000), "]".repeat(30_000)),
-    )
-    .unwrap();
-    let p = path.to_str().unwrap();
-
-    let out = hpsim(&["--app", "bfs", "--faults", p, "--quiet"]);
-    assert_usage_error(&out, "nesting deeper than 128 levels");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--figure", "7", "--harness-faults", p, "--quiet"])
-        .env("HPAGE_PROFILE", "test")
-        .output()
-        .expect("spawn repro");
-    assert_usage_error(&out, "nesting deeper than 128 levels");
-
-    std::fs::remove_file(&path).unwrap();
+fn malformed_fault_plans_are_usage_errors() {
+    // `cell_panic` and `cell_stall` were harness-level kinds the
+    // simulation ignored; a plan naming them is now refused. The deep
+    // row would overflow the stack of an unbounded recursive parser.
+    let deep = format!("{}{}", "[".repeat(30_000), "]".repeat(30_000));
+    let rows: [(&str, &str, &str); 12] = [
+        (
+            "truncated",
+            r#"{"faults": [{"kind": "oom", "at": 1"#,
+            "expected ',' or '}'",
+        ),
+        (
+            "unknown-kind",
+            r#"{"faults": [{"kind": "warp_core_breach", "at": 0}]}"#,
+            "unknown kind \"warp_core_breach\"",
+        ),
+        (
+            "cell-panic",
+            r#"{"faults": [{"kind": "cell_panic", "at": 0, "failures": 1}]}"#,
+            "unknown kind \"cell_panic\"",
+        ),
+        (
+            "cell-stall",
+            r#"{"faults": [{"kind": "cell_stall", "at": 0, "millis": 5}]}"#,
+            "unknown kind \"cell_stall\"",
+        ),
+        (
+            "unknown-key",
+            r#"{"faults": [{"kind": "oom", "at": 0, "typo": 1}]}"#,
+            "unknown key \"typo\"",
+        ),
+        (
+            "unknown-top-key",
+            r#"{"faults": [], "extra": true}"#,
+            "unknown key \"extra\"",
+        ),
+        (
+            "float-at",
+            r#"{"faults": [{"kind": "oom", "at": 1.5}]}"#,
+            "non-integer number",
+        ),
+        (
+            "negative-at",
+            r#"{"faults": [{"kind": "oom", "at": -1}]}"#,
+            "negative number",
+        ),
+        (
+            "missing-at",
+            r#"{"faults": [{"kind": "oom"}]}"#,
+            "missing \"at\" interval",
+        ),
+        (
+            "string-at",
+            r#"{"faults": [{"kind": "oom", "at": "3"}]}"#,
+            "\"at\" must be an unsigned integer",
+        ),
+        ("not-an-object", "[1, 2]", "top level must be an object"),
+        ("deep", &deep, "nesting deeper than 128 levels"),
+    ];
+    for (name, plan, needle) in rows {
+        let path = temp_path(&format!("plan-{name}.json"));
+        std::fs::write(&path, plan).unwrap();
+        let p = path.to_str().unwrap();
+        let out = hpsim(&["--app", "bfs", "--faults", p, "--quiet"]);
+        assert_usage_error(&out, &format!("hpsim: parse {p}: "));
+        assert_usage_error(&out, needle);
+        std::fs::remove_file(&path).unwrap();
+    }
 }
 
 #[test]

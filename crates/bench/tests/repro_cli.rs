@@ -1,8 +1,10 @@
-//! Error paths of the `repro` command line for numeric flags it does not
-//! accept: zero where zero means nothing useful, garbage, a missing
-//! operand, values past the flag's range and past `u64::MAX`. Each must
-//! be a usage error (exit 2) whose message names the flag, never a
-//! panic, a run of every cell to failure, or a silent fallback.
+//! Error paths of the `repro` command line: numeric flags given zero
+//! where zero means nothing useful, garbage, a missing operand, values
+//! past the flag's range and past `u64::MAX`; retired flags; and a
+//! `--resume` journal that is malformed or recorded under another
+//! profile. Each must be a usage error (exit 2) whose message names the
+//! flag or file, never a panic, a run of every cell to failure, or a
+//! silent fallback. Only a journal that cannot be read exits 1.
 
 use std::process::{Command, Output};
 
@@ -10,6 +12,7 @@ fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .env("HPAGE_PROFILE", "test")
+        .env_remove("HPAGE_SCALE")
         .output()
         .expect("spawn repro")
 }
@@ -30,25 +33,20 @@ fn assert_usage_error(args: &[&str], prefix: &str) {
 }
 
 /// The numeric flags, each with a value past its range where it has
-/// one. Zero is swept for every flag but `--retries`, where it is a
-/// valid budget (no retry; `ci.sh` runs with it).
-const FLAGS: [(&str, bool, Option<&str>); 6] = [
-    ("--jobs", true, Some("513")),
-    ("--sim-threads", true, Some("513")),
-    ("--tenants", true, Some("4097")),
-    ("--retries", false, Some("4294967296")),
-    ("--soft-deadline-ms", true, None),
-    ("--hard-deadline-ms", true, None),
+/// one. Zero is invalid for all of them.
+const FLAGS: [(&str, Option<&str>); 5] = [
+    ("--jobs", Some("513")),
+    ("--sim-threads", Some("513")),
+    ("--tenants", Some("4097")),
+    ("--soft-deadline-ms", None),
+    ("--hard-deadline-ms", None),
 ];
 
 #[test]
 fn numeric_flags_reject_bad_operands() {
-    for (flag, zero_is_invalid, past_range) in FLAGS {
+    for (flag, past_range) in FLAGS {
         let prefix = format!("repro: {flag} ");
-        let mut values = vec!["abc", "-1", "", "18446744073709551616"];
-        if zero_is_invalid {
-            values.push("0");
-        }
+        let mut values = vec!["abc", "-1", "", "18446744073709551616", "0"];
         values.extend(past_range);
         for value in values {
             assert_usage_error(&["--figure", "7", flag, value, "--quiet"], &prefix);
@@ -68,4 +66,84 @@ fn zero_deadlines_are_usage_errors() {
             &format!("repro: {flag} must be at least 1"),
         );
     }
+}
+
+#[test]
+fn retired_flags_are_unknown_arguments() {
+    // Cells run once and the harness injects no cell faults, so the
+    // retry budget and the harness fault plan are gone.
+    for args in [&["--retries", "1"][..], &["--harness-faults", "x"]] {
+        let mut argv = args.to_vec();
+        argv.extend(["--figure", "7", "--quiet"]);
+        assert_usage_error(&argv, &format!("repro: unknown argument '{}'", args[0]));
+    }
+}
+
+/// A journal header with the given magic, version, profile and scale.
+fn header(magic: &str, version: u64, profile: &str, scale: &str) -> String {
+    format!(
+        "{{\"journal\":\"{magic}\",\"version\":{version},\"profile\":\"{profile}\",\"scale\":\"{scale}\"}}\n"
+    )
+}
+
+#[test]
+fn malformed_or_mismatched_journals_are_usage_errors() {
+    // This run is profile=test with no HPAGE_SCALE (scale ""); a
+    // version-1 journal is what builds with per-cell records wrote.
+    let rows = [
+        ("empty", String::new(), "empty file"),
+        ("non-json", "not a journal\n".to_string(), "bad header"),
+        ("array", "[1, 2]\n".to_string(), "header is not an object"),
+        ("no-magic", "{}\n".to_string(), "header missing \"journal\""),
+        (
+            "magic",
+            header("other", 2, "test", ""),
+            "not an hpage-repro journal",
+        ),
+        (
+            "version-1",
+            header("hpage-repro", 1, "test", ""),
+            "version 1 (this build reads 2)",
+        ),
+        (
+            "profile",
+            header("hpage-repro", 2, "paper", ""),
+            "recorded under profile=paper scale=",
+        ),
+        (
+            "scale",
+            header("hpage-repro", 2, "test", "14"),
+            "recorded under profile=test scale=14",
+        ),
+    ];
+    for (name, text, needle) in rows {
+        let path = std::env::temp_dir().join(format!(
+            "hpage-repro-cli-{}-{name}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, text).unwrap();
+        let p = path.to_str().unwrap();
+        assert_usage_error(
+            &["--figure", "7", "--resume", p, "--quiet"],
+            &format!("repro: journal {p}: {needle}"),
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+#[test]
+fn unreadable_journal_is_a_runtime_error() {
+    let path = std::env::temp_dir().join(format!(
+        "hpage-repro-cli-{}-missing.jsonl",
+        std::process::id()
+    ));
+    let p = path.to_str().unwrap();
+    let out = repro(&["--figure", "7", "--resume", p, "--quiet"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    assert!(
+        stderr.starts_with(&format!("repro: journal {p}: cannot read")),
+        "stderr:\n{stderr}"
+    );
 }

@@ -28,20 +28,6 @@
 //! - [`FaultKind::ShootdownSpike`] — shootdowns during the window flush
 //!   entire TLB hierarchies instead of single regions, modeling the
 //!   latency/overshoot of IPI storms.
-//!
-//! Two further kinds target the *experiment harness* rather than the
-//! simulated OS, so the chaos suite can drive the supervised runner
-//! itself (panic isolation, retries, deadlines):
-//!
-//! - [`FaultKind::CellPanic`] — the covered harness cells panic on their
-//!   first `failures` attempts.
-//! - [`FaultKind::CellStall`] — the covered harness cells sleep `millis`
-//!   wall-clock milliseconds per attempt before running.
-//!
-//! For these two, a window's `at`/`for` range is measured in **cell
-//! submission indices**, not promotion intervals; the simulation-level
-//! [`FaultInjector`] ignores them entirely (see
-//! [`FaultKind::is_harness_level`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,19 +58,6 @@ pub enum FaultKind {
     PccReset,
     /// Shootdowns flush whole TLB hierarchies instead of one region.
     ShootdownSpike,
-    /// Harness-level: the covered cells panic on their first `failures`
-    /// attempts (the window range is cell submission indices).
-    CellPanic {
-        /// How many leading attempts panic before the cell succeeds
-        /// (≥ 1; with a retry budget below this, the cell fails).
-        failures: u32,
-    },
-    /// Harness-level: the covered cells sleep this long per attempt
-    /// before running (the window range is cell submission indices).
-    CellStall {
-        /// Wall-clock milliseconds to stall each attempt.
-        millis: u64,
-    },
 }
 
 impl FaultKind {
@@ -96,20 +69,7 @@ impl FaultKind {
             FaultKind::FragmentationShock { .. } => "fragmentation_shock",
             FaultKind::PccReset => "pcc_reset",
             FaultKind::ShootdownSpike => "shootdown_spike",
-            FaultKind::CellPanic { .. } => "cell_panic",
-            FaultKind::CellStall { .. } => "cell_stall",
         }
-    }
-
-    /// Whether this kind targets the experiment harness (cell panics and
-    /// stalls) rather than the simulated OS. Harness-level windows use
-    /// cell submission indices for `at`/`for` and are inert inside the
-    /// simulation's [`FaultInjector`].
-    pub fn is_harness_level(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::CellPanic { .. } | FaultKind::CellStall { .. }
-        )
     }
 }
 
@@ -182,23 +142,8 @@ impl FaultPlan {
                     )));
                 }
             }
-            if let FaultKind::CellPanic { failures } = w.kind {
-                if failures == 0 {
-                    return Err(fault_err(format!(
-                        "plan {:?}: window {i} cell_panic with zero failures injects nothing",
-                        self.name
-                    )));
-                }
-            }
         }
         Ok(())
-    }
-
-    /// The harness-level windows (cell panics and stalls), whose
-    /// `at`/`for` ranges are cell submission indices. The supervised
-    /// runner consumes these; [`FaultInjector`] skips them.
-    pub fn cell_windows(&self) -> impl Iterator<Item = &FaultWindow> {
-        self.windows.iter().filter(|w| w.kind.is_harness_level())
     }
 
     /// The last interval (exclusive) touched by any window, i.e. the
@@ -222,16 +167,14 @@ impl FaultPlan {
     ///     {"kind": "fragmentation_shock", "at": 4, "for": 1,
     ///      "percent": 60, "seed": 9},
     ///     {"kind": "pcc_reset", "at": 5, "for": 2},
-    ///     {"kind": "shootdown_spike", "at": 3, "for": 1},
-    ///     {"kind": "cell_panic", "at": 3, "for": 1, "failures": 1},
-    ///     {"kind": "cell_stall", "at": 0, "for": 2, "millis": 10}
+    ///     {"kind": "shootdown_spike", "at": 3, "for": 1}
     ///   ]
     /// }
     /// ```
     ///
-    /// `"for"` defaults to 1 when omitted (as does `"failures"` for
-    /// `cell_panic`). Unknown keys are rejected so typos fail loudly
-    /// instead of silently injecting nothing.
+    /// `"for"` defaults to 1 when omitted. Unknown kinds and keys are
+    /// rejected so typos fail loudly instead of silently injecting
+    /// nothing.
     pub fn from_json(text: &str) -> Result<Self, HpageError> {
         let root = json::parse(text).map_err(|e| fault_err(format!("fault plan JSON: {e}")))?;
         let obj = root
@@ -296,24 +239,6 @@ impl FaultPlan {
                     seed: get_uint("seed")?.unwrap_or(0),
                 }
             }
-            "cell_panic" => {
-                allowed = &["kind", "at", "for", "failures"];
-                let failures = get_uint("failures")?.unwrap_or(1);
-                if failures == 0 || failures > u64::from(u32::MAX) {
-                    return Err(fault_err(format!(
-                        "fault {i}: cell_panic \"failures\" must be in 1..=2^32-1"
-                    )));
-                }
-                FaultKind::CellPanic {
-                    failures: failures as u32,
-                }
-            }
-            "cell_stall" => {
-                allowed = &["kind", "at", "for", "millis"];
-                let millis = get_uint("millis")?
-                    .ok_or_else(|| fault_err(format!("fault {i}: cell_stall needs \"millis\"")))?;
-                FaultKind::CellStall { millis }
-            }
             other => {
                 return Err(fault_err(format!("fault {i}: unknown kind {other:?}")));
             }
@@ -347,17 +272,8 @@ impl FaultPlan {
                 w.at,
                 w.duration
             ));
-            match w.kind {
-                FaultKind::FragmentationShock { percent, seed } => {
-                    out.push_str(&format!(", \"percent\": {percent}, \"seed\": {seed}"));
-                }
-                FaultKind::CellPanic { failures } => {
-                    out.push_str(&format!(", \"failures\": {failures}"));
-                }
-                FaultKind::CellStall { millis } => {
-                    out.push_str(&format!(", \"millis\": {millis}"));
-                }
-                _ => {}
+            if let FaultKind::FragmentationShock { percent, seed } = w.kind {
+                out.push_str(&format!(", \"percent\": {percent}, \"seed\": {seed}"));
             }
             out.push('}');
         }
@@ -477,12 +393,6 @@ impl FaultInjector {
             Some(p) => w.covers(interval) && !w.covers(p),
         };
         for w in &self.plan.windows {
-            // Harness-level kinds target cell submission indices, not
-            // sim intervals; the supervised runner consumes them and
-            // the injector treats them as inert.
-            if w.kind.is_harness_level() {
-                continue;
-            }
             let active = w.covers(interval);
             let started = newly_started(w);
             // One-shot shocks fire when their window is first reached,
@@ -507,8 +417,6 @@ impl FaultInjector {
                         fx.shocks.push((percent, seed));
                     }
                 }
-                // Skipped above; unreachable here.
-                FaultKind::CellPanic { .. } | FaultKind::CellStall { .. } => {}
             }
             if started || (shock_due && !active) {
                 let label = w.kind.label();
@@ -714,6 +622,8 @@ mod tests {
             r#"{"faults": 3}"#,
             r#"{"name": 1, "faults": []}"#,
             r#"{"faults": [{"kind": "warp_core_breach", "at": 0}]}"#,
+            r#"{"faults": [{"kind": "cell_panic", "at": 0}]}"#,
+            r#"{"faults": [{"kind": "cell_stall", "at": 0, "millis": 5}]}"#,
             r#"{"faults": [{"kind": "oom"}]}"#,
             r#"{"faults": [{"kind": "oom", "at": 0, "for": 0}]}"#,
             r#"{"faults": [{"kind": "oom", "at": 0, "typo": 1}]}"#,
@@ -739,61 +649,5 @@ mod tests {
         let text = p.to_json();
         assert!(text.contains("a\\\"b"));
         assert_eq!(FaultPlan::from_json(&text).unwrap().name, "a\"b");
-    }
-
-    #[test]
-    fn harness_kinds_round_trip_through_json() {
-        let text = r#"{
-            "name": "cells",
-            "faults": [
-                {"kind": "cell_panic", "at": 3, "for": 2, "failures": 4},
-                {"kind": "cell_panic", "at": 0},
-                {"kind": "cell_stall", "at": 1, "for": 3, "millis": 25}
-            ]
-        }"#;
-        let p = FaultPlan::from_json(text).unwrap();
-        assert_eq!(p.windows.len(), 3);
-        assert_eq!(p.windows[0], w(FaultKind::CellPanic { failures: 4 }, 3, 2));
-        // "failures" defaults to 1 like "for".
-        assert_eq!(p.windows[1], w(FaultKind::CellPanic { failures: 1 }, 0, 1));
-        assert_eq!(p.windows[2], w(FaultKind::CellStall { millis: 25 }, 1, 3));
-        let reparsed = FaultPlan::from_json(&p.to_json()).unwrap();
-        assert_eq!(reparsed, p);
-    }
-
-    #[test]
-    fn harness_kinds_reject_malformed_windows() {
-        for bad in [
-            r#"{"faults": [{"kind": "cell_panic", "at": 0, "failures": 0}]}"#,
-            r#"{"faults": [{"kind": "cell_panic", "at": 0, "millis": 5}]}"#,
-            r#"{"faults": [{"kind": "cell_stall", "at": 0}]}"#,
-            r#"{"faults": [{"kind": "cell_stall", "at": 0, "failures": 1}]}"#,
-        ] {
-            assert!(FaultPlan::from_json(bad).is_err(), "accepted: {bad}");
-        }
-        assert!(
-            FaultPlan::new("p", vec![w(FaultKind::CellPanic { failures: 0 }, 0, 1)]).is_err(),
-            "zero-failure cell_panic must fail validation"
-        );
-    }
-
-    #[test]
-    fn harness_kinds_are_inert_in_the_injector() {
-        let p = plan(vec![
-            w(FaultKind::CellPanic { failures: 2 }, 0, 4),
-            w(FaultKind::CellStall { millis: 10 }, 1, 4),
-        ]);
-        let mut inj = FaultInjector::new(p.clone()).unwrap();
-        for interval in 0..6 {
-            let fx = inj.effects_at(interval);
-            assert!(
-                !fx.any(),
-                "harness kinds must not affect interval {interval}"
-            );
-            assert!(fx.started.is_empty());
-        }
-        assert_eq!(inj.stats().faulted_intervals, 0);
-        // But the supervised runner can still see them.
-        assert_eq!(p.cell_windows().count(), 2);
     }
 }

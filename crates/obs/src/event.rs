@@ -225,36 +225,6 @@ pub enum Event {
         /// Bytes returned to the free pool.
         bytes: u64,
     },
-    /// A harness cell's attempt panicked; the supervisor caught it.
-    CellPanicked {
-        /// Submission index of the cell in its grid.
-        cell: u64,
-        /// Which attempt panicked (1-based).
-        attempt: u32,
-    },
-    /// The supervisor re-queued a failed cell after a seeded backoff.
-    CellRetried {
-        /// Submission index of the cell in its grid.
-        cell: u64,
-        /// The attempt about to run (1-based; ≥ 2 for a retry).
-        attempt: u32,
-        /// Seeded backoff slept before this attempt, in milliseconds.
-        backoff_ms: u64,
-    },
-    /// A cell exceeded its soft deadline (flagged, still running).
-    CellSoftDeadline {
-        /// Submission index of the cell in its grid.
-        cell: u64,
-        /// Wall-clock elapsed when the flag was raised, in milliseconds.
-        elapsed_ms: u64,
-    },
-    /// A cell exceeded its hard deadline and its attempt was abandoned.
-    CellHardDeadline {
-        /// Submission index of the cell in its grid.
-        cell: u64,
-        /// Which attempt was abandoned (1-based).
-        attempt: u32,
-    },
     /// Nested mode: the host promoted a guest-physical region to a huge
     /// page (the guest-side decision is the ordinary
     /// [`PromotionDecision`](Event::PromotionDecision)).
@@ -269,7 +239,7 @@ pub enum Event {
 }
 
 /// Every event kind's wire name, in emission-summary order.
-pub const EVENT_KINDS: [&str; 21] = [
+pub const EVENT_KINDS: [&str; 17] = [
     "tlb_hit",
     "walk",
     "fault",
@@ -286,10 +256,6 @@ pub const EVENT_KINDS: [&str; 21] = [
     "pressure_enter",
     "pressure_exit",
     "bloat_recovered",
-    "cell_panic",
-    "cell_retry",
-    "cell_deadline_soft",
-    "cell_deadline_hard",
     "host_promote",
 ];
 
@@ -322,10 +288,6 @@ impl Event {
             Event::PressureEnter { .. } => "pressure_enter",
             Event::PressureExit { .. } => "pressure_exit",
             Event::BloatRecovered { .. } => "bloat_recovered",
-            Event::CellPanicked { .. } => "cell_panic",
-            Event::CellRetried { .. } => "cell_retry",
-            Event::CellSoftDeadline { .. } => "cell_deadline_soft",
-            Event::CellHardDeadline { .. } => "cell_deadline_hard",
             Event::HostPromotion { .. } => "host_promote",
         }
     }
@@ -490,20 +452,6 @@ impl Event {
             Event::BloatRecovered { process, bytes } => {
                 format!("\"process\":{},\"bytes\":{}", process.0, bytes)
             }
-            Event::CellPanicked { cell, attempt } => {
-                format!("\"cell\":{cell},\"attempt\":{attempt}")
-            }
-            Event::CellRetried {
-                cell,
-                attempt,
-                backoff_ms,
-            } => format!("\"cell\":{cell},\"attempt\":{attempt},\"backoff_ms\":{backoff_ms}"),
-            Event::CellSoftDeadline { cell, elapsed_ms } => {
-                format!("\"cell\":{cell},\"elapsed_ms\":{elapsed_ms}")
-            }
-            Event::CellHardDeadline { cell, attempt } => {
-                format!("\"cell\":{cell},\"attempt\":{attempt}")
-            }
             Event::HostPromotion {
                 process,
                 region,
@@ -623,23 +571,6 @@ mod tests {
             Event::BloatRecovered {
                 process: ProcessId(1),
                 bytes: 2 * 1024 * 1024 - 4096,
-            },
-            Event::CellPanicked {
-                cell: 3,
-                attempt: 1,
-            },
-            Event::CellRetried {
-                cell: 3,
-                attempt: 2,
-                backoff_ms: 14,
-            },
-            Event::CellSoftDeadline {
-                cell: 0,
-                elapsed_ms: 12_000,
-            },
-            Event::CellHardDeadline {
-                cell: 0,
-                attempt: 2,
             },
             Event::HostPromotion {
                 process: ProcessId(1),

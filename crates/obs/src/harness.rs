@@ -31,26 +31,13 @@ pub struct SectionTiming {
     pub wall_s: f64,
 }
 
-/// One supervised retry of a failed cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryRecord {
-    /// The retried cell's label.
-    pub label: String,
-    /// The attempt about to run (1-based; ≥ 2 for a retry).
-    pub attempt: u32,
-    /// Seeded backoff slept before the attempt, in milliseconds.
-    pub backoff_ms: u64,
-}
-
-/// A cell the supervisor gave up on after exhausting its retry budget.
+/// A cell whose single attempt failed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureRecord {
     /// The failed cell's label.
     pub label: String,
     /// Human-readable failure reason (panic message or deadline).
     pub reason: String,
-    /// Attempts made before giving up.
-    pub attempts: u32,
 }
 
 /// A cell that overran a supervisor deadline.
@@ -58,7 +45,7 @@ pub struct FailureRecord {
 pub struct DeadlineFlag {
     /// The flagged cell's label.
     pub label: String,
-    /// `true` for the hard deadline (attempt abandoned), `false` for
+    /// `true` for the hard deadline (cell abandoned), `false` for
     /// the soft deadline (flagged, still running).
     pub hard: bool,
     /// Wall-clock seconds elapsed when the flag was raised.
@@ -77,7 +64,6 @@ pub struct HarnessLog {
     cells: Mutex<Vec<CellTiming>>,
     sections: Mutex<Vec<SectionTiming>>,
     warnings: Mutex<Vec<String>>,
-    retries: Mutex<Vec<RetryRecord>>,
     failures: Mutex<Vec<FailureRecord>>,
     deadline_flags: Mutex<Vec<DeadlineFlag>>,
 }
@@ -120,30 +106,15 @@ impl HarnessLog {
         self.sections.lock().unwrap().clone()
     }
 
-    /// Records one supervised retry of a failed cell.
-    pub fn record_retry(&self, label: impl Into<String>, attempt: u32, backoff_ms: u64) {
-        self.retries.lock().unwrap().push(RetryRecord {
-            label: label.into(),
-            attempt,
-            backoff_ms,
-        });
-    }
-
-    /// Records a cell the supervisor gave up on.
-    pub fn record_failure(
-        &self,
-        label: impl Into<String>,
-        reason: impl Into<String>,
-        attempts: u32,
-    ) {
+    /// Records a failed cell.
+    pub fn record_failure(&self, label: impl Into<String>, reason: impl Into<String>) {
         self.failures.lock().unwrap().push(FailureRecord {
             label: label.into(),
             reason: reason.into(),
-            attempts,
         });
     }
 
-    /// Records a deadline overrun (`hard = true` abandons the attempt).
+    /// Records a deadline overrun (`hard = true` abandons the cell).
     pub fn record_deadline(&self, label: impl Into<String>, hard: bool, wall_s: f64) {
         self.deadline_flags.lock().unwrap().push(DeadlineFlag {
             label: label.into(),
@@ -155,11 +126,6 @@ impl HarnessLog {
     /// Snapshot of all warnings.
     pub fn warnings(&self) -> Vec<String> {
         self.warnings.lock().unwrap().clone()
-    }
-
-    /// Snapshot of all supervised retries, in occurrence order.
-    pub fn retries(&self) -> Vec<RetryRecord> {
-        self.retries.lock().unwrap().clone()
     }
 
     /// Snapshot of all cell failures, in occurrence order.
@@ -175,7 +141,13 @@ impl HarnessLog {
     /// Total wall-clock seconds across all recorded cells (the *serial*
     /// cost of the grid; with `jobs > 1` this exceeds elapsed time).
     pub fn total_cell_seconds(&self) -> f64 {
-        self.cells.lock().unwrap().iter().map(|c| c.wall_s).sum()
+        // A fold from +0.0: `sum()` of no floats is -0.0, which the
+        // artifact would render as "-0.000000".
+        self.cells
+            .lock()
+            .unwrap()
+            .iter()
+            .fold(0.0, |total, c| total + c.wall_s)
     }
 
     /// Renders the log as the body fields of the `BENCH_repro.json`
@@ -208,27 +180,14 @@ impl HarnessLog {
             .iter()
             .map(|w| format!("\"{}\"", esc(w)))
             .collect();
-        let retries: Vec<String> = self
-            .retries()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"label\":\"{}\",\"attempt\":{},\"backoff_ms\":{}}}",
-                    esc(&r.label),
-                    r.attempt,
-                    r.backoff_ms
-                )
-            })
-            .collect();
         let failures: Vec<String> = self
             .failures()
             .iter()
             .map(|f| {
                 format!(
-                    "{{\"label\":\"{}\",\"reason\":\"{}\",\"attempts\":{}}}",
+                    "{{\"label\":\"{}\",\"reason\":\"{}\"}}",
                     esc(&f.label),
-                    esc(&f.reason),
-                    f.attempts
+                    esc(&f.reason)
                 )
             })
             .collect();
@@ -246,12 +205,11 @@ impl HarnessLog {
             .collect();
         format!(
             "\"serial_cell_s\":{},\"sections\":[{}],\"cells\":[{}],\"warnings\":[{}],\
-             \"retries\":[{}],\"failures\":[{}],\"deadline_flags\":[{}]",
+             \"failures\":[{}],\"deadline_flags\":[{}]",
             num(self.total_cell_seconds()),
             sections.join(","),
             cells.join(","),
             warnings.join(","),
-            retries.join(","),
             failures.join(","),
             deadlines.join(",")
         )
@@ -277,37 +235,43 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_log_totals_positive_zero() {
+        let log = HarnessLog::new();
+        log.record_failure("c", "exceeded hard deadline of 1 ms");
+        assert!(log.total_cell_seconds().is_sign_positive());
+        assert!(log
+            .to_json_fields()
+            .starts_with("\"serial_cell_s\":0.000000,"));
+    }
+
+    #[test]
     fn json_fields_are_valid_json() {
         let log = HarnessLog::new();
         log.record_cell("a\"b", 0.5);
         log.record_section("figure \\ 9", 2.0);
         log.warn("watch\nout");
-        log.record_retry("fig7/BFS/pcc", 2, 14);
-        log.record_failure("fig7/BFS/pcc", "panicked: \"boom\"", 3);
+        log.record_failure("fig7/BFS/pcc", "panicked: \"boom\"");
         log.record_deadline("fig7/BFS/pcc", true, 30.5);
         let wrapped = format!("{{{}}}", log.to_json_fields());
         assert_json_shape(&wrapped);
         assert!(wrapped.contains("\"serial_cell_s\":0.500000"));
-        assert!(wrapped.contains("\"retries\":[{\"label\":"));
-        assert!(wrapped.contains("\"attempts\":3"));
+        assert!(wrapped.contains("\"failures\":[{\"label\":"));
+        assert!(!wrapped.contains("retries"));
         assert!(wrapped.contains("\"hard\":true"));
     }
 
     #[test]
     fn supervisor_records_round_trip() {
         let log = HarnessLog::new();
-        log.record_retry("c", 2, 7);
-        log.record_failure("c", "hard deadline", 2);
+        log.record_failure("c", "hard deadline");
         log.record_deadline("c", false, 1.5);
         assert_eq!(
-            log.retries(),
-            vec![RetryRecord {
+            log.failures(),
+            vec![FailureRecord {
                 label: "c".into(),
-                attempt: 2,
-                backoff_ms: 7
+                reason: "hard deadline".into()
             }]
         );
-        assert_eq!(log.failures()[0].reason, "hard deadline");
         assert!(!log.deadline_flags()[0].hard);
     }
 

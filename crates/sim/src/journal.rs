@@ -1,52 +1,65 @@
-//! Cell-level checkpoint/resume journal for long repro runs.
+//! Section-level checkpoint/resume journal for long repro runs.
 //!
-//! A supervised run can be interrupted hours in — by a crash, an OOM
-//! kill, or an operator — and restarting the whole grid from scratch
-//! wastes everything already computed. The journal is the fix: an
-//! append-only JSONL file recording every completed cell (keyed by its
-//! [`fingerprint`](crate::Cell::fingerprint)) and every completed
-//! *section* together with its fully rendered output. `repro --resume
-//! <journal>` replays the stored section text verbatim and re-runs only
-//! what is missing, so a resumed run's stdout is byte-identical to an
-//! uninterrupted one.
+//! A run can be interrupted hours in — by a crash, an OOM kill, or an
+//! operator — and restarting every figure from scratch wastes everything
+//! already computed. The journal is the fix: an append-only JSONL file
+//! recording every completed *section* together with its fully rendered
+//! output. `repro --resume <journal>` replays the stored section text
+//! verbatim and re-runs only the sections that are missing, so a resumed
+//! run's stdout is byte-identical to an uninterrupted one.
 //!
 //! Wire format (one JSON object per line):
 //!
 //! ```text
-//! {"journal":"hpage-repro","version":1,"profile":"test","scale":"both"}
-//! {"type":"cell","fp":"0x1b2e...","label":"fig7/BFS/pcc","attempts":1,"wall_ms":412}
+//! {"journal":"hpage-repro","version":2,"profile":"test","scale":"both"}
 //! {"type":"section","label":"figure 7","output":"...escaped full text..."}
 //! ```
 //!
 //! The header pins the profile and scale so a journal recorded under
 //! `HPAGE_PROFILE=test` cannot silently poison a paper-scale run.
+//! Version 1 journals also held per-cell records that resume never
+//! read; this build refuses them rather than half-read them.
 //! Resume tolerates a truncated or corrupt *trailing* region — the
 //! expected wreckage of an interrupt mid-write — by skipping unparseable
 //! lines and counting them. Writes flush per line so the journal is as
-//! current as the last completed cell.
+//! current as the last completed section.
 
 use hpage_faults::json::{parse, Value};
 use hpage_obs::json::esc;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
-use std::sync::Mutex;
 
 /// Magic string identifying a journal file.
 const MAGIC: &str = "hpage-repro";
 /// Current wire-format version.
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
 
-/// An append-only journal of completed cells and sections.
-///
-/// Thread-safe: the supervised runner's workers record cells
-/// concurrently; the driving binary records sections between grids.
+/// Why [`CellJournal::resume`] refused a journal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JournalError {
+    /// The file could not be read or reopened for append.
+    Io(String),
+    /// The file is not a journal this run may resume: an empty file, a
+    /// header that is not JSON, the wrong magic or version, or a
+    /// profile/scale other than this run's.
+    Invalid(String),
+}
+
+impl std::fmt::Display for JournalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JournalError::Io(msg) | JournalError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// An append-only journal of completed sections.
 #[derive(Debug)]
 pub struct CellJournal {
     path: String,
-    writer: Mutex<BufWriter<File>>,
-    cells_done: Mutex<HashSet<u64>>,
-    sections_done: Mutex<BTreeMap<String, String>>,
+    writer: BufWriter<File>,
+    sections_done: BTreeMap<String, String>,
     skipped_lines: u64,
 }
 
@@ -65,102 +78,91 @@ impl CellJournal {
         writer.flush()?;
         Ok(CellJournal {
             path: path.to_string(),
-            writer: Mutex::new(writer),
-            cells_done: Mutex::new(HashSet::new()),
-            sections_done: Mutex::new(BTreeMap::new()),
+            writer,
+            sections_done: BTreeMap::new(),
             skipped_lines: 0,
         })
     }
 
     /// Reopens an existing journal for resume: parses every line,
     /// validates the header against `profile` and `scale`, loads the
-    /// completed-cell and completed-section sets, and reopens the file
-    /// in append mode. Corrupt or truncated lines are skipped and
-    /// counted ([`skipped_lines`](Self::skipped_lines)), not fatal —
-    /// an interrupt mid-write is exactly the case resume exists for.
-    pub fn resume(path: &str, profile: &str, scale: &str) -> Result<Self, String> {
+    /// completed sections, and reopens the file in append mode. Corrupt
+    /// or truncated lines after the header are skipped and counted
+    /// ([`skipped_lines`](Self::skipped_lines)), not fatal — an
+    /// interrupt mid-write is exactly the case resume exists for.
+    pub fn resume(path: &str, profile: &str, scale: &str) -> Result<Self, JournalError> {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("journal {path}: cannot read: {e}"))?;
+            .map_err(|e| JournalError::Io(format!("journal {path}: cannot read: {e}")))?;
+        let invalid = |what: String| JournalError::Invalid(format!("journal {path}: {what}"));
         let mut lines = text.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| format!("journal {path}: empty file"))?;
-        let header = parse(header).map_err(|e| format!("journal {path}: bad header: {e}"))?;
+        let header = lines.next().ok_or_else(|| invalid("empty file".into()))?;
+        let header = parse(header).map_err(|e| invalid(format!("bad header: {e}")))?;
         let header = header
             .as_object()
-            .ok_or_else(|| format!("journal {path}: header is not an object"))?;
-        let field = |key: &str| -> Result<&str, String> {
+            .ok_or_else(|| invalid("header is not an object".into()))?;
+        let field = |key: &str| -> Result<&str, JournalError> {
             header
                 .get(key)
                 .and_then(Value::as_str)
-                .ok_or_else(|| format!("journal {path}: header missing \"{key}\""))
+                .ok_or_else(|| invalid(format!("header missing \"{key}\"")))
         };
         if field("journal")? != MAGIC {
-            return Err(format!("journal {path}: not an {MAGIC} journal"));
+            return Err(invalid(format!("not an {MAGIC} journal")));
         }
         let version = header
             .get("version")
             .and_then(Value::as_uint)
-            .ok_or_else(|| format!("journal {path}: header missing \"version\""))?;
+            .ok_or_else(|| invalid("header missing \"version\"".into()))?;
         if version != VERSION {
-            return Err(format!(
-                "journal {path}: version {version} (this build reads {VERSION})"
-            ));
+            return Err(invalid(format!(
+                "version {version} (this build reads {VERSION})"
+            )));
         }
         let (j_profile, j_scale) = (field("profile")?, field("scale")?);
         if j_profile != profile || j_scale != scale {
-            return Err(format!(
-                "journal {path}: recorded under profile={j_profile} scale={j_scale}, \
+            return Err(invalid(format!(
+                "recorded under profile={j_profile} scale={j_scale}, \
                  but this run is profile={profile} scale={scale}"
-            ));
+            )));
         }
 
-        let mut cells_done = HashSet::new();
         let mut sections_done = BTreeMap::new();
         let mut skipped = 0u64;
         for line in lines {
             if line.trim().is_empty() {
                 continue;
             }
-            match Self::parse_entry(line) {
-                Some(Entry::Cell(fp)) => {
-                    cells_done.insert(fp);
-                }
-                Some(Entry::Section { label, output }) => {
+            match Self::parse_section(line) {
+                Some((label, output)) => {
                     sections_done.insert(label, output);
                 }
                 None => skipped += 1,
             }
         }
 
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("journal {path}: cannot reopen for append: {e}"))?;
+        let file = OpenOptions::new().append(true).open(path).map_err(|e| {
+            JournalError::Io(format!("journal {path}: cannot reopen for append: {e}"))
+        })?;
         Ok(CellJournal {
             path: path.to_string(),
-            writer: Mutex::new(BufWriter::new(file)),
-            cells_done: Mutex::new(cells_done),
-            sections_done: Mutex::new(sections_done),
+            writer: BufWriter::new(file),
+            sections_done,
             skipped_lines: skipped,
         })
     }
 
-    fn parse_entry(line: &str) -> Option<Entry> {
+    /// One section record as `(label, output)`, or `None` for any
+    /// other line.
+    fn parse_section(line: &str) -> Option<(String, String)> {
         let v = parse(line).ok()?;
         let obj = v.as_object()?;
-        match obj.get("type")?.as_str()? {
-            "cell" => {
-                let fp = obj.get("fp")?.as_str()?;
-                let fp = fp.strip_prefix("0x")?;
-                Some(Entry::Cell(u64::from_str_radix(fp, 16).ok()?))
-            }
-            "section" => Some(Entry::Section {
-                label: obj.get("label")?.as_str()?.to_string(),
-                output: obj.get("output")?.as_str()?.to_string(),
-            }),
-            _ => None,
+        if obj.get("type")?.as_str()? != "section" {
+            return None;
         }
+        Some((
+            obj.get("label")?.as_str()?.to_string(),
+            obj.get("output")?.as_str()?.to_string(),
+        ))
     }
 
     /// The journal's file path.
@@ -173,72 +175,30 @@ impl CellJournal {
         self.skipped_lines
     }
 
-    /// Number of completed cells on record.
-    pub fn completed_cells(&self) -> usize {
-        self.cells_done.lock().unwrap().len()
-    }
-
-    /// Whether a cell with this fingerprint already completed.
-    pub fn cell_is_done(&self, fingerprint: u64) -> bool {
-        self.cells_done.lock().unwrap().contains(&fingerprint)
-    }
-
     /// The stored output of a completed section, if any.
     pub fn completed_section(&self, label: &str) -> Option<String> {
-        self.sections_done.lock().unwrap().get(label).cloned()
+        self.sections_done.get(label).cloned()
     }
 
     /// Number of completed sections on record.
     pub fn completed_sections(&self) -> usize {
-        self.sections_done.lock().unwrap().len()
-    }
-
-    /// Records one completed cell. Flushes so an interrupt right after
-    /// loses nothing.
-    pub fn record_cell(
-        &self,
-        fingerprint: u64,
-        label: &str,
-        attempts: u32,
-        wall_ms: u64,
-    ) -> std::io::Result<()> {
-        {
-            let mut w = self.writer.lock().unwrap();
-            writeln!(
-                w,
-                "{{\"type\":\"cell\",\"fp\":\"{fingerprint:#018x}\",\"label\":\"{}\",\
-                 \"attempts\":{attempts},\"wall_ms\":{wall_ms}}}",
-                esc(label)
-            )?;
-            w.flush()?;
-        }
-        self.cells_done.lock().unwrap().insert(fingerprint);
-        Ok(())
+        self.sections_done.len()
     }
 
     /// Records one completed section with its fully rendered output.
-    pub fn record_section(&self, label: &str, output: &str) -> std::io::Result<()> {
-        {
-            let mut w = self.writer.lock().unwrap();
-            writeln!(
-                w,
-                "{{\"type\":\"section\",\"label\":\"{}\",\"output\":\"{}\"}}",
-                esc(label),
-                esc(output)
-            )?;
-            w.flush()?;
-        }
+    /// Flushes so an interrupt right after loses nothing.
+    pub fn record_section(&mut self, label: &str, output: &str) -> std::io::Result<()> {
+        writeln!(
+            self.writer,
+            "{{\"type\":\"section\",\"label\":\"{}\",\"output\":\"{}\"}}",
+            esc(label),
+            esc(output)
+        )?;
+        self.writer.flush()?;
         self.sections_done
-            .lock()
-            .unwrap()
             .insert(label.to_string(), output.to_string());
         Ok(())
     }
-}
-
-enum Entry {
-    Cell(u64),
-    Section { label: String, output: String },
 }
 
 #[cfg(test)]
@@ -256,15 +216,12 @@ mod tests {
     fn create_resume_round_trip() {
         let path = temp_path("roundtrip");
         {
-            let j = CellJournal::create(&path, "test", "both").unwrap();
-            j.record_cell(0xDEAD_BEEF, "fig7/BFS/pcc", 2, 412).unwrap();
+            let mut j = CellJournal::create(&path, "test", "both").unwrap();
             j.record_section("figure 7", "fig7 header\nrow a | 1.0\n")
                 .unwrap();
         }
-        let j = CellJournal::resume(&path, "test", "both").unwrap();
+        let mut j = CellJournal::resume(&path, "test", "both").unwrap();
         assert_eq!(j.skipped_lines(), 0);
-        assert!(j.cell_is_done(0xDEAD_BEEF));
-        assert!(!j.cell_is_done(0xDEAD_BEF0));
         assert_eq!(
             j.completed_section("figure 7").as_deref(),
             Some("fig7 header\nrow a | 1.0\n")
@@ -281,7 +238,7 @@ mod tests {
     fn resume_tolerates_truncated_tail() {
         let path = temp_path("truncated");
         {
-            let j = CellJournal::create(&path, "test", "both").unwrap();
+            let mut j = CellJournal::create(&path, "test", "both").unwrap();
             j.record_section("figure 1", "ok output\n").unwrap();
         }
         // Emulate an interrupt mid-write: a half line at the end.
@@ -299,7 +256,7 @@ mod tests {
     fn resume_skips_a_line_nested_too_deep() {
         let path = temp_path("deep");
         {
-            let j = CellJournal::create(&path, "test", "both").unwrap();
+            let mut j = CellJournal::create(&path, "test", "both").unwrap();
             j.record_section("figure 1", "ok output\n").unwrap();
         }
         // Deep enough to overflow the stack of an unbounded recursive
@@ -320,17 +277,28 @@ mod tests {
         {
             let _ = CellJournal::create(&path, "test", "both").unwrap();
         }
-        assert!(CellJournal::resume(&path, "paper", "both")
-            .unwrap_err()
-            .contains("profile=test"));
-        assert!(CellJournal::resume(&path, "test", "graph").is_err());
+        let invalid = |profile: &str, scale: &str| match CellJournal::resume(&path, profile, scale)
+        {
+            Err(JournalError::Invalid(msg)) => msg,
+            other => panic!("want an invalid-journal error, got {other:?}"),
+        };
+        assert!(invalid("paper", "both").contains("profile=test"));
+        assert!(invalid("test", "graph").contains("scale="));
         std::fs::write(&path, "not a journal\n").unwrap();
-        assert!(CellJournal::resume(&path, "test", "both").is_err());
+        assert!(invalid("test", "both").contains("bad header"));
+        std::fs::write(
+            &path,
+            "{\"journal\":\"hpage-repro\",\"version\":1,\"profile\":\"test\",\"scale\":\"both\"}\n",
+        )
+        .unwrap();
+        assert!(invalid("test", "both").contains("version 1 (this build reads 2)"));
         std::fs::write(&path, "").unwrap();
-        assert!(CellJournal::resume(&path, "test", "both")
-            .unwrap_err()
-            .contains("empty"));
+        assert!(invalid("test", "both").contains("empty"));
         let _ = std::fs::remove_file(&path);
+        assert!(matches!(
+            CellJournal::resume(&path, "test", "both"),
+            Err(JournalError::Io(_))
+        ));
     }
 
     #[test]
@@ -338,7 +306,7 @@ mod tests {
         let path = temp_path("escape");
         let gnarly = "tab\there \"quoted\" back\\slash\nline2 \u{1F600}\n";
         {
-            let j = CellJournal::create(&path, "test", "both").unwrap();
+            let mut j = CellJournal::create(&path, "test", "both").unwrap();
             j.record_section("weird", gnarly).unwrap();
         }
         let j = CellJournal::resume(&path, "test", "both").unwrap();

@@ -42,16 +42,16 @@ pub use experiments::{
     Fig2Summary, Fig6Row, Fig7Row, Fig8Row, Fig9Config, Fig9Row, VirtConfig, VirtPlacementRow,
     VirtReport, VirtVmRow,
 };
-pub use journal::CellJournal;
+pub use journal::{CellJournal, JournalError};
 pub use profile::SimProfile;
-pub use runner::{Cell, CellFailure, Harness, SharedWorkload, SupervisorConfig, EXPERIMENT_SEED};
+pub use runner::{Cell, CellFailure, Harness, SharedWorkload, EXPERIMENT_SEED};
 pub use simulation::{PolicyChoice, ProcessSpec, SimReport, Simulation};
 
 // Re-export the flight-recorder surface so simulator users need not
 // depend on `hpage-obs` directly.
 pub use hpage_obs::{
     CellTiming, DeadlineFlag, Event, FailureRecord, HarnessLog, IntervalRow, IntervalSeries,
-    JsonlSink, MemoryRecorder, NullRecorder, Recorder, RetryRecord, SectionTiming, Tee,
+    JsonlSink, MemoryRecorder, NullRecorder, Recorder, SectionTiming, Tee,
 };
 
 // Likewise the promotion ledger, which [`SimReport::ledger`] carries.

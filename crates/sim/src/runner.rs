@@ -20,18 +20,21 @@
 //!    order; only wall-clock *observability* (the [`HarnessLog`]) sees
 //!    completion order.
 //!
+//! Each cell gets exactly one attempt. Cells are pure over their
+//! configuration, so a cell that panicked would panic again; the harness
+//! instead isolates the failure (`catch_unwind`, optional soft and hard
+//! deadlines), lets the rest of the grid finish, and records the cell's
+//! timing or its failure once, in the [`HarnessLog`].
+//!
 //! The harness also owns the run's [`WorkloadCache`], so each workload
 //! is instantiated once per `repro` invocation no matter how many
 //! figures touch it.
 
 use crate::cpus;
-use crate::journal::CellJournal;
 use crate::profile::SimProfile;
 use crate::simulation::{ProcessSpec, SimReport, Simulation};
-use hpage_faults::{FaultKind, FaultPlan};
-use hpage_obs::{Event, HarnessLog};
+use hpage_obs::HarnessLog;
 use hpage_trace::{AnyWorkload, AppId, Dataset, Workload, WorkloadCache};
-use hpage_types::derive_seed;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -58,195 +61,48 @@ const _: () = {
     assert_send_sync::<CellFailure>();
 };
 
-/// Why the supervisor gave up on a cell. Carried in the cell's result
-/// slot (`Err` side of [`Harness::try_run_map`]) instead of unwinding
-/// through — and poisoning — the worker pool.
+/// Why a cell failed. Carried in the cell's result slot (`Err` side of
+/// [`Harness::try_run_map`]) instead of unwinding through — and
+/// poisoning — the worker pool. Each cell runs once: cells are pure over
+/// their configuration, so a second attempt would fail the same way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CellFailure {
-    /// Every attempt panicked; `message` is the last panic's payload.
+    /// The cell panicked.
     Panicked {
-        /// The last attempt's panic message.
+        /// The panic message.
         message: String,
-        /// Attempts made (1 + retries).
-        attempts: u32,
     },
-    /// The last attempt overran the supervisor's hard deadline and was
-    /// abandoned.
+    /// The cell overran the hard deadline and was abandoned.
     HardDeadline {
         /// The hard deadline, in milliseconds.
         limit_ms: u64,
-        /// Attempts made (1 + retries).
-        attempts: u32,
     },
 }
 
-impl CellFailure {
-    /// Attempts made before the supervisor gave up.
-    pub fn attempts(&self) -> u32 {
-        match self {
-            CellFailure::Panicked { attempts, .. } | CellFailure::HardDeadline { attempts, .. } => {
-                *attempts
-            }
-        }
-    }
-
-    /// Short human-readable reason, e.g. for `n/a (cell failed: …)` rows.
-    pub fn reason(&self) -> String {
-        match self {
-            CellFailure::Panicked { message, .. } => format!("panicked: {message}"),
-            CellFailure::HardDeadline { limit_ms, .. } => {
-                format!("exceeded hard deadline of {limit_ms} ms")
-            }
-        }
-    }
-}
-
 impl std::fmt::Display for CellFailure {
+    /// The short reason `n/a (cell failed: …)` rows and the
+    /// [`HarnessLog`] carry.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CellFailure::Panicked { message, attempts } => {
-                write!(f, "panicked after {attempts} attempt(s): {message}")
-            }
-            CellFailure::HardDeadline { limit_ms, attempts } => write!(
-                f,
-                "exceeded hard deadline of {limit_ms} ms after {attempts} attempt(s)"
-            ),
-        }
-    }
-}
-
-/// Supervisor policy for a [`Harness`]: retry budget, seeded backoff,
-/// deadlines, and harness-level fault injection.
-///
-/// The default config is the pre-supervisor behaviour — no retries, no
-/// deadlines, no injected faults — except that panics are *always*
-/// isolated per cell rather than poisoning the pool.
-#[derive(Debug, Clone)]
-pub struct SupervisorConfig {
-    /// Retries after the first attempt (0 = fail on first error).
-    pub max_retries: u32,
-    /// Seed for the per-cell backoff schedule (derived, never used raw).
-    pub retry_seed: u64,
-    /// Upper bound on one backoff sleep, in milliseconds (0 disables
-    /// sleeping entirely; retries are then immediate).
-    pub max_backoff_ms: u64,
-    /// Flag cells running longer than this into the [`HarnessLog`]
-    /// (observability only; the cell keeps running).
-    pub soft_deadline: Option<Duration>,
-    /// Abandon attempts running longer than this and retry/fail the
-    /// cell. Only enforced by report-shaped runs ([`Harness::run`] /
-    /// [`Harness::run_supervised`]); `run_map` closures borrow local
-    /// state and cannot be abandoned mid-flight.
-    pub hard_deadline: Option<Duration>,
-    /// Harness-level fault plan: `cell_panic` / `cell_stall` windows
-    /// covering cell *submission indices* (other kinds are ignored
-    /// here; they act inside simulations via `FaultInjector`).
-    pub faults: Option<FaultPlan>,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            max_retries: 0,
-            retry_seed: EXPERIMENT_SEED,
-            max_backoff_ms: 20,
-            soft_deadline: None,
-            hard_deadline: None,
-            faults: None,
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// Config with a retry budget and everything else default.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Overrides the backoff-schedule seed.
-    pub fn with_retry_seed(mut self, seed: u64) -> Self {
-        self.retry_seed = seed;
-        self
-    }
-
-    /// Overrides the backoff upper bound (milliseconds).
-    pub fn with_max_backoff_ms(mut self, ms: u64) -> Self {
-        self.max_backoff_ms = ms;
-        self
-    }
-
-    /// Sets the soft deadline in milliseconds.
-    pub fn with_soft_deadline_ms(mut self, ms: u64) -> Self {
-        self.soft_deadline = Some(Duration::from_millis(ms));
-        self
-    }
-
-    /// Sets the hard deadline in milliseconds.
-    pub fn with_hard_deadline_ms(mut self, ms: u64) -> Self {
-        self.hard_deadline = Some(Duration::from_millis(ms));
-        self
-    }
-
-    /// Attaches a harness-level fault plan.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// The seeded backoff before `attempt` (1-based) of the cell with
-    /// this label, in milliseconds. Pure: equal (seed, label, attempt)
-    /// always sleep equally, so a retried run stays reproducible.
-    pub fn backoff_ms(&self, label: &str, attempt: u32) -> u64 {
-        if self.max_backoff_ms == 0 {
-            return 0;
-        }
-        let per_cell = derive_seed(self.retry_seed, label);
-        derive_seed(per_cell, &format!("retry/{attempt}")) % (self.max_backoff_ms + 1)
-    }
-
-    /// The harness fault plan's hook for cell `index`, which both
-    /// attempt paths run first inside their `catch_unwind`: it sleeps the
-    /// injected stall (the max over covering `cell_stall` windows), then
-    /// panics each attempt up to the count of injected failures (the max
-    /// over covering `cell_panic` windows). It owns its two numbers, so a
-    /// detached attempt thread can take it along.
-    fn injection(&self, index: usize) -> impl Fn(u32) + Send + 'static {
-        let (mut stall_ms, mut injected) = (0, 0);
-        let windows = self.faults.iter().flat_map(|plan| plan.cell_windows());
-        for w in windows.filter(|w| w.covers(index as u64)) {
-            match w.kind {
-                FaultKind::CellStall { millis } => stall_ms = stall_ms.max(millis),
-                FaultKind::CellPanic { failures } => injected = injected.max(failures),
-                _ => {}
-            }
-        }
-        move |attempt| {
-            if stall_ms > 0 {
-                std::thread::sleep(Duration::from_millis(stall_ms));
-            }
-            if attempt <= injected {
-                panic!("injected cell panic (attempt {attempt} of {injected} injected failures)");
+            CellFailure::Panicked { message } => write!(f, "panicked: {message}"),
+            CellFailure::HardDeadline { limit_ms } => {
+                write!(f, "exceeded hard deadline of {limit_ms} ms")
             }
         }
     }
 }
 
-/// Internal: how one attempt ended short of success.
-enum AttemptError {
-    Panicked(String),
-    Deadline(u64),
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
+/// A caught panic as a [`CellFailure`], with a best-effort extraction of
+/// the payload's message.
+fn panicked(payload: Box<dyn std::any::Any + Send>) -> CellFailure {
+    let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
+    };
+    CellFailure::Panicked { message }
 }
 
 /// One independent unit of experiment work: a fully configured
@@ -338,34 +194,24 @@ impl Cell {
             .try_run_recorded(&specs, recorder)
             .unwrap_or_else(|e| panic!("simulation failed: {e}"))
     }
-
-    /// A stable 64-bit key over everything that determines this cell's
-    /// result: label, full simulation config, and workload identities.
-    /// The checkpoint journal uses it to decide which cells a resumed
-    /// run may skip. Equal configurations hash equally across runs of
-    /// the same build (FxHash, no per-process randomness).
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::Hasher;
-        let mut h = hpage_types::FxHasher::default();
-        h.write(format!("{self:?}").as_bytes());
-        h.finish()
-    }
 }
 
 /// The experiment harness: a worker pool plus the run-wide workload
-/// cache, observability log, and supervisor. One harness drives one
+/// cache, observability log, and cell deadlines. One harness drives one
 /// `repro`/`hpsim` invocation; figure drivers borrow it.
 #[derive(Debug)]
 pub struct Harness {
     jobs: usize,
     cache: WorkloadCache,
-    log: Arc<HarnessLog>,
-    supervisor: SupervisorConfig,
-    /// Supervisor events (cell panics, retries, deadline flags), in
-    /// occurrence order. Wall-clock domain — merge only into telemetry
-    /// counters, never into figure output.
-    events: Mutex<Vec<Event>>,
-    journal: Option<Arc<CellJournal>>,
+    log: HarnessLog,
+    /// Flag cells running longer than this into the [`HarnessLog`]
+    /// (observability only; the cell keeps running).
+    soft_deadline: Option<Duration>,
+    /// Abandon cells running longer than this. Only enforced by
+    /// report-shaped runs ([`Harness::run`] /
+    /// [`Harness::run_supervised`]); `run_map` closures borrow local
+    /// state and cannot be abandoned mid-flight.
+    hard_deadline: Option<Duration>,
 }
 
 impl Harness {
@@ -380,49 +226,18 @@ impl Harness {
         Harness {
             jobs,
             cache: WorkloadCache::new(),
-            log: Arc::new(HarnessLog::new()),
-            supervisor: SupervisorConfig::default(),
-            events: Mutex::new(Vec::new()),
-            journal: None,
+            log: HarnessLog::new(),
+            soft_deadline: None,
+            hard_deadline: None,
         }
     }
 
-    /// Replaces the supervisor config (retries, deadlines, faults).
-    pub fn with_supervisor(mut self, supervisor: SupervisorConfig) -> Self {
-        self.supervisor = supervisor;
+    /// Sets the soft deadline (flag the overrun, keep running) and the
+    /// hard deadline (abandon the cell) of report-shaped runs.
+    pub fn with_deadlines(mut self, soft: Option<Duration>, hard: Option<Duration>) -> Self {
+        self.soft_deadline = soft;
+        self.hard_deadline = hard;
         self
-    }
-
-    /// Attaches a checkpoint journal; completed cells are recorded as
-    /// they finish.
-    pub fn with_journal(mut self, journal: Arc<CellJournal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// The active supervisor config.
-    pub fn supervisor(&self) -> &SupervisorConfig {
-        &self.supervisor
-    }
-
-    /// The attached checkpoint journal, if any.
-    pub fn journal(&self) -> Option<&Arc<CellJournal>> {
-        self.journal.as_ref()
-    }
-
-    /// Snapshot of supervisor events so far (occurrence order).
-    pub fn supervisor_events(&self) -> Vec<Event> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    fn emit(&self, event: Event) {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(event);
     }
 
     /// A single-worker harness — cells run inline, in order, exactly as
@@ -462,12 +277,11 @@ impl Harness {
     /// returned order — and therefore every table assembled from it —
     /// is independent of scheduling.
     ///
-    /// Cells run supervised (retries, deadlines, fault injection per
-    /// [`SupervisorConfig`]). A cell that still fails after its retry
-    /// budget does **not** abort the grid: every other cell completes
-    /// first, then this method panics with an aggregate message (the
-    /// driving binary's per-section `catch_unwind` renders it as an
-    /// `n/a (cell failed: …)` row). Callers that want the failures as
+    /// Each cell runs once, under `catch_unwind` and the harness's
+    /// deadlines. A failed cell does **not** abort the grid: every other
+    /// cell completes first, then this method panics with an aggregate
+    /// message (the driving binary's per-section `catch_unwind` renders
+    /// it as an `n/a (cell failed: …)` row). Callers that want the failures as
     /// values use [`run_supervised`](Self::run_supervised).
     pub fn run(&self, cells: Vec<Cell>) -> Vec<SimReport> {
         let labels: Vec<String> = cells.iter().map(|c| c.label.clone()).collect();
@@ -476,19 +290,18 @@ impl Harness {
 
     /// Runs `cells` supervised and returns per-cell results in
     /// submission order, failures as `Err` values. This is the
-    /// deadline-capable path: attempts run on dedicated threads, so a
-    /// hard-deadline overrun abandons the attempt instead of blocking
-    /// the pool. (The abandoned thread finishes in the background; its
-    /// result is discarded.)
+    /// deadline-capable path: with a deadline set, each cell runs on a
+    /// dedicated thread, so a hard-deadline overrun abandons the cell
+    /// instead of blocking the pool. (The abandoned thread finishes in
+    /// the background; its result is discarded.)
     pub fn run_supervised(&self, cells: Vec<Cell>) -> Vec<Result<SimReport, CellFailure>> {
-        let sup = &self.supervisor;
-        if sup.soft_deadline.is_none() && sup.hard_deadline.is_none() {
+        if self.soft_deadline.is_none() && self.hard_deadline.is_none() {
             return self.try_run_map(cells, Cell::run);
         }
         let cells: Vec<Arc<Cell>> = cells.into_iter().map(Arc::new).collect();
         self.dispatch(cells.len(), |i| {
             let cell = &cells[i];
-            self.supervise_loop(i, cell, |attempt| self.deadline_attempt(i, cell, attempt))
+            self.record(&cell.label, || self.watch(cell))
         })
     }
 
@@ -501,8 +314,8 @@ impl Harness {
     /// merges, ledger concatenation) is deterministic at any `--jobs`
     /// level.
     ///
-    /// Panics with an aggregate message if any cell fails after its
-    /// retry budget — but only after every other cell has completed.
+    /// Panics with an aggregate message if any cell fails — but only
+    /// after every other cell has completed.
     pub fn run_map<T, F>(&self, cells: Vec<Cell>, f: F) -> Vec<T>
     where
         T: Send,
@@ -513,9 +326,9 @@ impl Harness {
     }
 
     /// The fallible form of [`run_map`](Self::run_map): each cell runs
-    /// under `catch_unwind` with the supervisor's retry budget, and a
-    /// cell that exhausts it yields `Err(CellFailure)` in its slot
-    /// while the rest of the grid completes normally. Deadlines are not
+    /// once under `catch_unwind`, and a cell that panics yields
+    /// `Err(CellFailure)` in its slot while the rest of the grid
+    /// completes normally. Deadlines are not
     /// enforced on this path (`f` borrows local state and cannot be
     /// abandoned); use [`run_supervised`](Self::run_supervised) for
     /// deadline coverage.
@@ -526,13 +339,8 @@ impl Harness {
     {
         self.dispatch(cells.len(), |i| {
             let cell = &cells[i];
-            let inject = self.supervisor.injection(i);
-            self.supervise_loop(i, cell, |attempt| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    inject(attempt);
-                    f(cell)
-                }))
-                .map_err(|payload| AttemptError::Panicked(panic_message(payload)))
+            self.record(&cell.label, || {
+                catch_unwind(AssertUnwindSafe(|| f(cell))).map_err(panicked)
             })
         })
     }
@@ -581,126 +389,54 @@ impl Harness {
             .collect()
     }
 
-    /// The supervisor's attempt loop for one cell: seeded backoff
-    /// between attempts, retry/failure bookkeeping into the log and
-    /// event stream, cell timing and journal entry on success.
-    fn supervise_loop<T>(
+    /// Runs one cell via `run` and records the outcome in the log: its
+    /// wall-clock time on success, its failure reason otherwise.
+    fn record<T>(
         &self,
-        index: usize,
-        cell: &Cell,
-        mut attempt_fn: impl FnMut(u32) -> Result<T, AttemptError>,
+        label: &str,
+        run: impl FnOnce() -> Result<T, CellFailure>,
     ) -> Result<T, CellFailure> {
-        let sup = &self.supervisor;
         let start = Instant::now();
-        let max_attempts = sup.max_retries.saturating_add(1);
-        let mut attempt: u32 = 1;
-        loop {
-            if attempt > 1 {
-                let backoff = sup.backoff_ms(&cell.label, attempt);
-                self.log.record_retry(&cell.label, attempt, backoff);
-                self.emit(Event::CellRetried {
-                    cell: index as u64,
-                    attempt,
-                    backoff_ms: backoff,
-                });
-                if backoff > 0 {
-                    std::thread::sleep(Duration::from_millis(backoff));
-                }
-            }
-            let error = match attempt_fn(attempt) {
-                Ok(result) => {
-                    let wall_s = start.elapsed().as_secs_f64();
-                    self.log.record_cell(&cell.label, wall_s);
-                    if let Some(journal) = &self.journal {
-                        if let Err(e) = journal.record_cell(
-                            cell.fingerprint(),
-                            &cell.label,
-                            attempt,
-                            (wall_s * 1000.0) as u64,
-                        ) {
-                            self.log.warn(format!(
-                                "journal {}: failed to record cell {}: {e}",
-                                journal.path(),
-                                cell.label
-                            ));
-                        }
-                    }
-                    return Ok(result);
-                }
-                Err(e) => e,
-            };
-            match &error {
-                AttemptError::Panicked(_) => self.emit(Event::CellPanicked {
-                    cell: index as u64,
-                    attempt,
-                }),
-                AttemptError::Deadline(_) => self.emit(Event::CellHardDeadline {
-                    cell: index as u64,
-                    attempt,
-                }),
-            }
-            if attempt >= max_attempts {
-                let failure = match error {
-                    AttemptError::Panicked(message) => CellFailure::Panicked {
-                        message,
-                        attempts: attempt,
-                    },
-                    AttemptError::Deadline(limit_ms) => CellFailure::HardDeadline {
-                        limit_ms,
-                        attempts: attempt,
-                    },
-                };
-                self.log
-                    .record_failure(&cell.label, failure.reason(), attempt);
-                return Err(failure);
-            }
-            attempt += 1;
+        let result = run();
+        match &result {
+            Ok(_) => self.log.record_cell(label, start.elapsed().as_secs_f64()),
+            Err(failure) => self.log.record_failure(label, failure.to_string()),
         }
+        result
     }
 
-    /// One deadline-watched attempt: the cell runs on a dedicated
-    /// thread while this worker plays watchdog over an mpsc channel.
-    /// Soft-deadline overruns are flagged and waiting continues;
-    /// hard-deadline overruns abandon the attempt (the thread finishes
-    /// in the background and its send lands in a closed channel).
-    fn deadline_attempt(
-        &self,
-        index: usize,
-        cell: &Arc<Cell>,
-        attempt: u32,
-    ) -> Result<SimReport, AttemptError> {
-        let sup = &self.supervisor;
-        let inject = sup.injection(index);
+    /// Runs one cell on a dedicated thread while this worker plays
+    /// watchdog over an mpsc channel. Soft-deadline overruns are flagged
+    /// and waiting continues; hard-deadline overruns abandon the cell
+    /// (the thread finishes in the background and its send lands in a
+    /// closed channel).
+    fn watch(&self, cell: &Arc<Cell>) -> Result<SimReport, CellFailure> {
         let (tx, rx) = mpsc::channel();
         let worker_cell = Arc::clone(cell);
         std::thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                inject(attempt);
-                worker_cell.run()
-            }));
+            let outcome = catch_unwind(AssertUnwindSafe(|| worker_cell.run()));
             // A send into a closed channel means the watchdog abandoned
-            // this attempt; the completed (or failed) result is dropped.
-            let _ = tx.send(outcome.map_err(panic_message));
+            // this cell; the completed (or failed) result is dropped.
+            let _ = tx.send(outcome.map_err(panicked));
         });
 
         let started = Instant::now();
-        let finish = |out: Result<SimReport, String>| out.map_err(AttemptError::Panicked);
-        let disconnected = || AttemptError::Panicked("cell worker died without reporting".into());
+        let disconnected = || CellFailure::Panicked {
+            message: "cell worker died without reporting".into(),
+        };
 
         // Phase 1: wait out the soft deadline (when it precedes the
         // hard one) and flag the overrun.
-        if let Some(soft) = sup.soft_deadline {
-            if sup.hard_deadline.is_none_or(|h| soft < h) {
+        if let Some(soft) = self.soft_deadline {
+            if self.hard_deadline.is_none_or(|h| soft < h) {
                 match rx.recv_timeout(soft) {
-                    Ok(out) => return finish(out),
+                    Ok(out) => return out,
                     Err(RecvTimeoutError::Timeout) => {
-                        let elapsed = started.elapsed();
-                        self.log
-                            .record_deadline(&cell.label, false, elapsed.as_secs_f64());
-                        self.emit(Event::CellSoftDeadline {
-                            cell: index as u64,
-                            elapsed_ms: elapsed.as_millis() as u64,
-                        });
+                        self.log.record_deadline(
+                            &cell.label,
+                            false,
+                            started.elapsed().as_secs_f64(),
+                        );
                     }
                     Err(RecvTimeoutError::Disconnected) => return Err(disconnected()),
                 }
@@ -708,26 +444,25 @@ impl Harness {
         }
 
         // Phase 2: wait out the hard deadline, or forever without one.
-        match sup.hard_deadline {
+        match self.hard_deadline {
             Some(hard) => {
                 let left = hard.saturating_sub(started.elapsed());
                 match rx.recv_timeout(left) {
-                    Ok(out) => finish(out),
+                    Ok(out) => out,
                     Err(RecvTimeoutError::Timeout) => {
                         self.log.record_deadline(
                             &cell.label,
                             true,
                             started.elapsed().as_secs_f64(),
                         );
-                        Err(AttemptError::Deadline(hard.as_millis() as u64))
+                        Err(CellFailure::HardDeadline {
+                            limit_ms: hard.as_millis() as u64,
+                        })
                     }
                     Err(RecvTimeoutError::Disconnected) => Err(disconnected()),
                 }
             }
-            None => match rx.recv() {
-                Ok(out) => finish(out),
-                Err(_) => Err(disconnected()),
-            },
+            None => rx.recv().unwrap_or_else(|_| Err(disconnected())),
         }
     }
 }

@@ -451,13 +451,6 @@ impl Recorder for TelemetryRecorder {
                 self.metrics.inc("bloat_recovered");
                 self.metrics.inc_by("bloat_recovered_bytes", bytes);
             }
-            Event::CellPanicked { .. } => self.metrics.inc("cell.panic"),
-            Event::CellRetried { backoff_ms, .. } => {
-                self.metrics.inc("cell.retry");
-                self.metrics.observe("cell.retry_backoff_ms", backoff_ms);
-            }
-            Event::CellSoftDeadline { .. } => self.metrics.inc("cell.deadline_soft"),
-            Event::CellHardDeadline { .. } => self.metrics.inc("cell.deadline_hard"),
             Event::HostPromotion {
                 process,
                 region,
@@ -675,51 +668,6 @@ mod tests {
                 .unwrap()
                 .count(),
             1
-        );
-    }
-
-    #[test]
-    fn supervisor_events_feed_cell_counters() {
-        let mut t = TelemetryRecorder::new();
-        t.record(
-            0,
-            Event::CellPanicked {
-                cell: 3,
-                attempt: 1,
-            },
-        );
-        t.record(
-            0,
-            Event::CellRetried {
-                cell: 3,
-                attempt: 2,
-                backoff_ms: 14,
-            },
-        );
-        t.record(
-            0,
-            Event::CellSoftDeadline {
-                cell: 0,
-                elapsed_ms: 1_200,
-            },
-        );
-        t.record(
-            0,
-            Event::CellHardDeadline {
-                cell: 0,
-                attempt: 2,
-            },
-        );
-        assert_eq!(t.metrics().counter("cell.panic"), 1);
-        assert_eq!(t.metrics().counter("cell.retry"), 1);
-        assert_eq!(t.metrics().counter("cell.deadline_soft"), 1);
-        assert_eq!(t.metrics().counter("cell.deadline_hard"), 1);
-        assert_eq!(
-            t.metrics()
-                .histogram("cell.retry_backoff_ms")
-                .unwrap()
-                .max(),
-            14
         );
     }
 

@@ -6,7 +6,7 @@
 
 use hpage::faults::{FaultKind, FaultPlan, FaultWindow};
 use hpage::os::DegradationConfig;
-use hpage::sim::{Harness, NullRecorder, PolicyChoice, ProcessSpec, Simulation};
+use hpage::sim::{NullRecorder, PolicyChoice, ProcessSpec, Simulation};
 use hpage::trace::{Pattern, SyntheticBuilder, SyntheticWorkload};
 use hpage::types::SystemConfig;
 use proptest::prelude::*;
@@ -119,75 +119,5 @@ proptest! {
                 .expect("chaos run must degrade gracefully, not error")
         };
         prop_assert_eq!(run(), run());
-    }
-}
-
-/// One cell per policy, so every promotion policy sees the supervisor.
-fn policy_grid() -> Vec<hpage::sim::Cell> {
-    use hpage::sim::Cell;
-    use std::sync::Arc;
-    let w: Arc<SyntheticWorkload> = Arc::new({
-        let mut b = SyntheticBuilder::new("cell-chaos", 11);
-        let a = b.array(8, (4 << 20) / 8);
-        b.phase(a, Pattern::UniformRandom { count: 50_000 }, 0);
-        b.build()
-    });
-    (0..4)
-        .map(|sel| {
-            Cell::new(
-                format!("chaos/{sel}"),
-                Simulation::new(SystemConfig::tiny(), policy(sel)),
-                w.clone(),
-            )
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Harness-level chaos: random cell_panic/cell_stall schedules
-    /// against the four-policy grid, at random worker counts, with a
-    /// retry budget that covers the worst draw. Every cell must
-    /// recover, and the recovered grid must be bit-identical to an
-    /// unfaulted sequential run.
-    #[test]
-    fn injected_cell_faults_are_absorbed_by_the_supervisor(
-        windows in prop::collection::vec(
-            // (1 = panic / 0 = stall, at, duration, failures, stall_ms)
-            (0u64..2, 0u64..4, 1u64..3, 1u32..3, 1u64..8),
-            1..4,
-        ),
-        jobs in 1usize..5,
-    ) {
-        use hpage::sim::SupervisorConfig;
-        let plan = FaultPlan::new(
-            "cell-chaos",
-            windows
-                .into_iter()
-                .map(|(is_panic, at, duration, failures, millis)| FaultWindow {
-                    kind: if is_panic == 1 {
-                        FaultKind::CellPanic { failures }
-                    } else {
-                        FaultKind::CellStall { millis }
-                    },
-                    at,
-                    duration,
-                })
-                .collect(),
-        )
-        .expect("drawn windows are always valid");
-        let clean = Harness::sequential().run_supervised(policy_grid());
-        let h = Harness::new(jobs).with_supervisor(
-            SupervisorConfig::default().with_max_retries(3).with_faults(plan),
-        );
-        let chaotic = h.run_supervised(policy_grid());
-        for (i, (c, f)) in clean.iter().zip(&chaotic).enumerate() {
-            let c = c.as_ref().expect("clean run never fails");
-            let f = f.as_ref().unwrap_or_else(|e| {
-                panic!("cell {i} failed despite retry budget: {e}")
-            });
-            prop_assert_eq!(c, f, "cell {} diverged after recovery", i);
-        }
     }
 }

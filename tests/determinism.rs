@@ -153,43 +153,3 @@ fn cache_served_workloads_match_fresh_instantiations() {
     let _ = cache.get_parts(AppId::Bfs, Dataset::Kronecker, p.workloads, 0xC0FFEE);
     assert_eq!(cache.stats().hits, 1);
 }
-
-#[test]
-fn forced_retries_leave_figure_rows_bit_identical() {
-    // The supervisor's whole point: a run that panicked and retried
-    // must be indistinguishable from one that never faulted. Inject
-    // two panics and a stall into the fig7 grid, give the supervisor
-    // budget to absorb them, and demand byte equality.
-    use hpage::faults::{FaultKind, FaultPlan, FaultWindow};
-    use hpage::sim::SupervisorConfig;
-    let p = profile();
-    let apps = [AppId::Bfs];
-    let clean = fig7_fragmentation_on(&Harness::new(8), &p, &apps, 90);
-    let plan = FaultPlan::new(
-        "retry-determinism",
-        vec![
-            FaultWindow {
-                kind: FaultKind::CellPanic { failures: 2 },
-                at: 0,
-                duration: 5,
-            },
-            FaultWindow {
-                kind: FaultKind::CellStall { millis: 3 },
-                at: 0,
-                duration: 2,
-            },
-        ],
-    )
-    .unwrap();
-    let h = Harness::new(8).with_supervisor(
-        SupervisorConfig::default()
-            .with_max_retries(3)
-            .with_faults(plan),
-    );
-    let retried = fig7_fragmentation_on(&h, &p, &apps, 90);
-    assert_eq!(clean, retried, "retried cells must not perturb fig7 rows");
-    assert!(
-        !h.log().retries().is_empty(),
-        "the injected panics must actually have forced retries"
-    );
-}

@@ -1,106 +1,119 @@
-//! Supervised-execution suite: panic isolation, deterministic retry,
-//! deadlines, and the failure surface the harness exposes to drivers.
-//! These are the guarantees that make long `repro` runs survivable: one
-//! bad cell degrades one row, never the grid.
+//! Supervised-execution suite: panic isolation, deadlines, and the
+//! failure surface the harness exposes to drivers. These are the
+//! guarantees that make long `repro` runs survivable: one bad cell
+//! degrades one row, never the grid. Each cell gets exactly one attempt.
 
-use hpage::faults::{FaultKind, FaultPlan, FaultWindow};
-use hpage::sim::{
-    Cell, CellFailure, Event, Harness, PolicyChoice, SharedWorkload, Simulation, SupervisorConfig,
-};
-use hpage::telemetry::TelemetryRecorder;
-use hpage::trace::{Pattern, SyntheticBuilder};
-use hpage::types::SystemConfig;
+use hpage::sim::{Cell, CellFailure, Harness, PolicyChoice, SharedWorkload, Simulation};
+use hpage::trace::{Pattern, SyntheticBuilder, SyntheticWorkload, TraceStream, Workload};
+use hpage::types::{Region, SystemConfig};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-fn workload(seed: u64) -> SharedWorkload {
+fn synthetic(seed: u64) -> SyntheticWorkload {
     let mut b = SyntheticBuilder::new("sup", seed);
     let a = b.array(8, (2 << 20) / 8);
     b.phase(a, Pattern::UniformRandom { count: 50_000 }, 0);
-    Arc::new(b.build())
+    b.build()
 }
 
-fn cells(n: u64) -> Vec<Cell> {
+/// What a [`Faulty`] workload does each time a cell asks for its trace.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    Panic,
+    Sleep(Duration),
+}
+
+/// A synthetic workload that panics or sleeps in `thread_stream`, i.e.
+/// while the cell running it sets up, and counts how often it was asked.
+struct Faulty {
+    inner: SyntheticWorkload,
+    fault: Fault,
+    streams: AtomicU32,
+}
+
+impl Faulty {
+    fn new(seed: u64, fault: Fault) -> Arc<Self> {
+        Arc::new(Faulty {
+            inner: synthetic(seed),
+            fault,
+            streams: AtomicU32::new(0),
+        })
+    }
+}
+
+impl Workload for Faulty {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn regions(&self) -> Vec<Region> {
+        self.inner.regions()
+    }
+
+    fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
+        self.streams.fetch_add(1, Ordering::SeqCst);
+        match self.fault {
+            Fault::Panic => panic!("test workload panics"),
+            Fault::Sleep(d) => std::thread::sleep(d),
+        }
+        self.inner.thread_stream(thread, threads)
+    }
+}
+
+fn cell(i: u64, workload: SharedWorkload) -> Cell {
+    Cell::new(
+        format!("cell/{i}"),
+        Simulation::new(SystemConfig::tiny(), PolicyChoice::pcc_default()),
+        workload,
+    )
+}
+
+/// `n` healthy cells, with cell `faulty` (if any) running `workload`.
+fn cells(n: u64, faulty: Option<(u64, SharedWorkload)>) -> Vec<Cell> {
     (0..n)
-        .map(|i| {
-            Cell::new(
-                format!("cell/{i}"),
-                Simulation::new(SystemConfig::tiny(), PolicyChoice::pcc_default()),
-                workload(i),
-            )
+        .map(|i| match &faulty {
+            Some((at, w)) if *at == i => cell(i, Arc::clone(w)),
+            _ => cell(i, Arc::new(synthetic(i))),
         })
         .collect()
 }
 
-/// A plan that panics the first `failures` attempts of cell `at`.
-fn panic_plan(at: u64, failures: u32) -> FaultPlan {
-    FaultPlan::new(
-        "test-panic",
-        vec![FaultWindow {
-            kind: FaultKind::CellPanic { failures },
-            at,
-            duration: 1,
-        }],
-    )
-    .unwrap()
-}
-
-fn stall_plan(at: u64, duration: u64, millis: u64) -> FaultPlan {
-    FaultPlan::new(
-        "test-stall",
-        vec![FaultWindow {
-            kind: FaultKind::CellStall { millis },
-            at,
-            duration,
-        }],
-    )
-    .unwrap()
-}
-
 #[test]
 fn panicking_cell_fails_alone_while_the_grid_survives() {
-    let h = Harness::new(2).with_supervisor(
-        SupervisorConfig::default()
-            .with_max_retries(0)
-            .with_faults(panic_plan(1, 1)),
-    );
-    let results = h.run_supervised(cells(3));
+    let h = Harness::new(2);
+    let results = h.run_supervised(cells(3, Some((1, Faulty::new(1, Fault::Panic)))));
     assert_eq!(results.len(), 3);
     assert!(results[0].is_ok(), "cell 0 must survive cell 1's panic");
     assert!(results[2].is_ok(), "cell 2 must survive cell 1's panic");
     match &results[1] {
-        Err(CellFailure::Panicked { message, attempts }) => {
-            assert_eq!(*attempts, 1);
-            assert!(message.contains("injected cell panic"), "{message}");
+        Err(CellFailure::Panicked { message }) => {
+            assert!(message.contains("test workload panics"), "{message}");
         }
         other => panic!("cell 1 should have panicked, got {other:?}"),
     }
-    // The failure is on the log and the event stream.
+    // The failure is on the log, once.
     let failures = h.log().failures();
     assert_eq!(failures.len(), 1);
     assert_eq!(failures[0].label, "cell/1");
-    assert!(h.supervisor_events().iter().any(|e| matches!(
-        e,
-        Event::CellPanicked {
-            cell: 1,
-            attempt: 1
-        }
-    )));
+    assert_eq!(failures[0].reason, "panicked: test workload panics");
+    assert_eq!(h.log().cells().len(), 2, "only the healthy cells are timed");
 }
 
 #[test]
 fn run_panics_with_an_aggregate_message_only_after_the_grid_completes() {
-    let h = Harness::new(2).with_supervisor(
-        SupervisorConfig::default()
-            .with_max_retries(0)
-            .with_faults(panic_plan(0, 1)),
-    );
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.run(cells(2))));
+    let h = Harness::new(2);
+    let grid = cells(2, Some((0, Faulty::new(0, Fault::Panic))));
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.run(grid)));
     let msg = match out {
         Err(payload) => *payload.downcast::<String>().expect("aggregate message"),
         Ok(_) => panic!("run() must surface the failed cell"),
     };
     assert!(msg.contains("1 cell(s) failed"), "{msg}");
-    assert!(msg.contains("cell/0"), "{msg}");
+    assert!(
+        msg.contains("cell/0: panicked: test workload panics"),
+        "{msg}"
+    );
     // The healthy cell still ran to completion before the panic.
     assert!(
         h.log().cells().iter().any(|c| c.label == "cell/1"),
@@ -109,118 +122,60 @@ fn run_panics_with_an_aggregate_message_only_after_the_grid_completes() {
 }
 
 #[test]
-fn retried_run_is_identical_to_a_clean_run() {
-    let clean = Harness::new(4).run(cells(4));
-    let h = Harness::new(4).with_supervisor(
-        SupervisorConfig::default()
-            .with_max_retries(3)
-            .with_faults(panic_plan(2, 2)),
-    );
-    let retried = h.run(cells(4));
-    assert_eq!(clean, retried, "retries must not perturb results");
-    // Two failed attempts → attempts 2 and 3 were retries.
-    let retries = h.log().retries();
-    assert_eq!(retries.len(), 2, "{retries:?}");
-    assert!(retries.iter().all(|r| r.label == "cell/2"));
-    assert!(h
-        .supervisor_events()
-        .iter()
-        .any(|e| matches!(e, Event::CellRetried { cell: 2, .. })));
-}
-
-#[test]
 fn soft_deadline_flags_the_overrun_but_the_cell_completes() {
-    let h = Harness::new(2).with_supervisor(
-        SupervisorConfig::default()
-            .with_soft_deadline_ms(10)
-            .with_faults(stall_plan(0, 1, 80)),
-    );
-    let results = h.run_supervised(cells(2));
+    let h = Harness::new(2).with_deadlines(Some(Duration::from_millis(10)), None);
+    let slow = Faulty::new(0, Fault::Sleep(Duration::from_millis(80)));
+    let results = h.run_supervised(cells(2, Some((0, slow))));
     assert!(
         results.iter().all(Result::is_ok),
         "soft deadline never kills"
     );
     let flags = h.log().deadline_flags();
-    assert!(!flags.is_empty(), "the stalled cell must be flagged");
+    assert!(
+        flags.iter().any(|f| f.label == "cell/0"),
+        "the stalled cell must be flagged: {flags:?}"
+    );
     assert!(flags.iter().all(|f| !f.hard));
-    assert!(h
-        .supervisor_events()
-        .iter()
-        .any(|e| matches!(e, Event::CellSoftDeadline { cell: 0, .. })));
+    assert!(h.log().failures().is_empty());
 }
 
 #[test]
 fn hard_deadline_abandons_the_stalled_cell() {
-    let h = Harness::new(2).with_supervisor(
-        SupervisorConfig::default()
-            .with_max_retries(0)
-            .with_soft_deadline_ms(5)
-            .with_hard_deadline_ms(40)
-            .with_faults(stall_plan(0, 1, 400)),
+    let h = Harness::new(2).with_deadlines(
+        Some(Duration::from_millis(5)),
+        Some(Duration::from_millis(40)),
     );
-    let results = h.run_supervised(cells(2));
+    let stalled = Faulty::new(0, Fault::Sleep(Duration::from_millis(400)));
+    let results = h.run_supervised(cells(2, Some((0, stalled))));
     match &results[0] {
-        Err(CellFailure::HardDeadline { limit_ms, attempts }) => {
-            assert_eq!(*limit_ms, 40);
-            assert_eq!(*attempts, 1);
-        }
+        Err(CellFailure::HardDeadline { limit_ms }) => assert_eq!(*limit_ms, 40),
         other => panic!("stalled cell should hit the hard deadline, got {other:?}"),
     }
     assert!(results[1].is_ok(), "the healthy cell is unaffected");
     let flags = h.log().deadline_flags();
-    assert!(flags.iter().any(|f| f.hard), "{flags:?}");
-    assert!(h.supervisor_events().iter().any(|e| matches!(
-        e,
-        Event::CellHardDeadline {
-            cell: 0,
-            attempt: 1
-        }
-    )));
-}
-
-#[test]
-fn backoff_is_seeded_per_cell_and_bounded() {
-    let a = SupervisorConfig::default()
-        .with_retry_seed(7)
-        .with_max_backoff_ms(20);
-    let b = SupervisorConfig::default()
-        .with_retry_seed(7)
-        .with_max_backoff_ms(20);
-    for attempt in 2..6 {
-        assert_eq!(
-            a.backoff_ms("fig7/BFS/pcc", attempt),
-            b.backoff_ms("fig7/BFS/pcc", attempt),
-            "backoff must be a pure function of (seed, label, attempt)"
-        );
-        assert!(a.backoff_ms("fig7/BFS/pcc", attempt) <= 20);
-    }
-    // A different seed moves the schedule (with overwhelming likelihood
-    // over four attempts × 21 buckets).
-    let c = SupervisorConfig::default()
-        .with_retry_seed(8)
-        .with_max_backoff_ms(20);
     assert!(
-        (2..6).any(|n| a.backoff_ms("fig7/BFS/pcc", n) != c.backoff_ms("fig7/BFS/pcc", n)),
-        "different retry seeds should produce different schedules"
+        flags.iter().any(|f| f.hard && f.label == "cell/0"),
+        "{flags:?}"
     );
-    // Zero budget means no sleeping at all.
-    let z = SupervisorConfig::default().with_max_backoff_ms(0);
-    assert_eq!(z.backoff_ms("any", 2), 0);
+    let failures = h.log().failures();
+    assert_eq!(failures.len(), 1);
+    assert_eq!(failures[0].reason, "exceeded hard deadline of 40 ms");
 }
 
 #[test]
-fn supervisor_events_flow_into_telemetry_counters() {
-    let h = Harness::new(2).with_supervisor(
-        SupervisorConfig::default()
-            .with_max_retries(1)
-            .with_faults(panic_plan(0, 1)),
-    );
-    let _ = h.run(cells(2));
-    let mut t = TelemetryRecorder::new();
-    for e in h.supervisor_events() {
-        use hpage::sim::Recorder;
-        t.record(0, e);
-    }
-    assert_eq!(t.metrics().counter("cell.panic"), 1);
-    assert_eq!(t.metrics().counter("cell.retry"), 1);
+fn hard_deadline_overrun_fails_after_a_single_run() {
+    let h = Harness::new(1).with_deadlines(None, Some(Duration::from_millis(30)));
+    let stalled = Faulty::new(0, Fault::Sleep(Duration::from_millis(300)));
+    let results = h.run_supervised(vec![cell(0, Arc::clone(&stalled) as SharedWorkload)]);
+    assert!(matches!(
+        results[..],
+        [Err(CellFailure::HardDeadline { limit_ms: 30 })]
+    ));
+    // One hard flag, one failure record, and the workload was asked for
+    // its trace once: no second attempt followed the overrun.
+    let flags = h.log().deadline_flags();
+    assert_eq!(flags.len(), 1, "{flags:?}");
+    assert!(flags[0].hard);
+    assert_eq!(h.log().failures().len(), 1);
+    assert_eq!(stalled.streams.load(Ordering::SeqCst), 1);
 }
