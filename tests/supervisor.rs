@@ -179,3 +179,38 @@ fn hard_deadline_overrun_fails_after_a_single_run() {
     assert_eq!(h.log().failures().len(), 1);
     assert_eq!(stalled.streams.load(Ordering::SeqCst), 1);
 }
+
+#[test]
+fn panicking_cell_runs_once_with_or_without_deadlines() {
+    // Without deadlines the cell runs on a pool worker; with one it runs
+    // on a watched thread. Either way a panic is final: the workload is
+    // asked for its trace once and the log holds one failure.
+    for h in [
+        Harness::new(2),
+        Harness::new(2).with_deadlines(Some(Duration::from_secs(60)), None),
+    ] {
+        let panicking = Faulty::new(0, Fault::Panic);
+        let results = h.run_supervised(cells(
+            2,
+            Some((0, Arc::clone(&panicking) as SharedWorkload)),
+        ));
+        assert!(matches!(results[0], Err(CellFailure::Panicked { .. })));
+        assert!(results[1].is_ok());
+        assert_eq!(panicking.streams.load(Ordering::SeqCst), 1);
+        assert_eq!(h.log().failures().len(), 1);
+    }
+}
+
+#[test]
+fn cell_failures_reach_the_artifact_fields() {
+    let h = Harness::new(2);
+    let _ = h.run_supervised(cells(3, Some((2, Faulty::new(2, Fault::Panic)))));
+    let fields = h.log().to_json_fields();
+    assert!(
+        fields.contains(r#"{"label":"cell/2","reason":"panicked: test workload panics"}"#),
+        "{fields}"
+    );
+    // A failure record is its label and reason; no retry bookkeeping.
+    assert!(!fields.contains("attempts"), "{fields}");
+    assert!(!fields.contains("retries"), "{fields}");
+}
