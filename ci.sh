@@ -227,16 +227,30 @@ echo "== supervisor smoke: hard-deadline overrun -> partial output, exit 3 =="
 # A 1 ms hard deadline is shorter than any cell, so every figure 7 cell
 # is abandoned after its one attempt: the section degrades to an n/a row,
 # the run exits with the partial-failure code (not 1), and the failures
-# land in the artifact.
+# land in the artifact. The failure is handled, so stderr carries no
+# panic message.
 set +e
 HPAGE_PROFILE=test ./target/release/repro --figure 7 --hard-deadline-ms 1 \
     --jobs 2 --bench-out /tmp/BENCH_repro_deadline.json --quiet \
-    > /tmp/repro_deadline.txt 2>/dev/null
+    > /tmp/repro_deadline.txt 2> /tmp/repro_deadline_err.txt
 deadline_rc=$?
 set -e
 test "$deadline_rc" -eq 3
 grep -q 'n/a (cell failed: .*exceeded hard deadline' /tmp/repro_deadline.txt
 grep -q '"failures":\[{"label":' /tmp/BENCH_repro_deadline.json
+if grep -q 'panicked at' /tmp/repro_deadline_err.txt; then
+    echo "repro printed a panic for a handled cell failure" >&2
+    exit 1
+fi
+
+echo "== argument smoke: a bad argument fails before any section runs =="
+bogus_rc=0
+HPAGE_PROFILE=test ./target/release/repro --table 1 --bogus \
+    > /tmp/repro_bogus.txt 2> /dev/null || bogus_rc=$?
+if [ "$bogus_rc" -ne 2 ] || [ -s /tmp/repro_bogus.txt ]; then
+    echo "repro --table 1 --bogus exited $bogus_rc with output, want 2 and none" >&2
+    exit 1
+fi
 
 echo "== checkpoint smoke: journal a partial run, resume the full one =="
 # First run journals only figure 7; the resumed run replays it and adds

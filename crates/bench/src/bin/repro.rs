@@ -17,9 +17,8 @@
 //! (`--bench-out` overrides the path).
 
 use hpage_bench::*;
-use hpage_sim::{CellJournal, Fig9Config, Harness, JournalError};
+use hpage_sim::{catch_quietly, CellJournal, Fig9Config, Harness, JournalError};
 use hpage_trace::AppId;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 const USAGE: &str = "usage: repro [--all] [--figure 1|2|5|6|7|8|9a|9b] [--table 1|2|storage] [--ablation] [--datasets] [--timeline] [--consolidation] [--tenants N] [--virt] [--ledger-out FILE] [--json 1|6|7|ablation|datasets] [--jobs N|-j N] [--sim-threads N] [--bench-out FILE] [--journal FILE | --resume FILE] [--soft-deadline-ms N] [--hard-deadline-ms N] [--quiet|-q] [--verbose|-v]
@@ -110,11 +109,11 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Section runner: progress notes, wall-clock accounting, journal
 /// replay/record, and degraded rendering.
 ///
-/// Each section runs under `catch_unwind`: a grid with a failed cell
+/// Each section runs under [`catch_quietly`]: a grid with a failed cell
 /// (the harness panics with an aggregate message *after* the grid
-/// completes) degrades into an
-/// `n/a (cell failed: …)` row instead of aborting the remaining
-/// sections, and the run exits with code 3. With a journal attached,
+/// completes) degrades into an `n/a (cell failed: …)` row, reported
+/// once on stderr and never by the panic hook, instead of aborting the
+/// remaining sections, and the run exits with code 3. With a journal attached,
 /// completed sections are recorded with their full rendered output;
 /// on `--resume`, already-recorded sections replay that output
 /// byte-identically without re-running any cells.
@@ -141,7 +140,7 @@ impl Sections {
             eprintln!("repro: rendering {label}...");
         }
         let t0 = std::time::Instant::now();
-        let out = catch_unwind(AssertUnwindSafe(f));
+        let out = catch_quietly(f);
         let wall = t0.elapsed().as_secs_f64();
         h.log().record_section(label, wall);
         match out {
@@ -164,6 +163,77 @@ impl Sections {
             }
         }
     }
+}
+
+/// Every section `--all` renders, in order. Labels match the
+/// single-section flags' (`--figure 7` is "figure 7"), so a journal
+/// written by one invocation resumes under the other.
+const ALL_SECTIONS: [&str; 13] = [
+    "table 1",
+    "table 2",
+    "storage table",
+    "figure 1",
+    "figure 2",
+    "figure 5",
+    "figure 6",
+    "figure 7",
+    "figure 8",
+    "figure 9a",
+    "figure 9b",
+    "ablation",
+    "timeline",
+];
+
+/// The `--json` targets.
+const JSON_TARGETS: [&str; 5] = ["1", "6", "7", "ablation", "datasets"];
+
+/// One unit of output, named by its label: a section run through
+/// [`Sections::run`] (timed, journaled, degraded on failure), or a
+/// table or JSON document printed as is.
+enum Step {
+    Section(String),
+    Print(String),
+}
+
+/// Turns the section arguments into the steps they ask for, or
+/// usage-errors on the first bad one — before any section runs, so a
+/// typo at the end of a long invocation costs nothing.
+fn parse_steps(args: &[String]) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        match arg {
+            "--all" => steps.extend(ALL_SECTIONS.map(|label| Step::Section(label.into()))),
+            "--figure" => {
+                let which = it.next().unwrap_or("");
+                let label = format!("figure {which}");
+                if !ALL_SECTIONS.contains(&label.as_str()) {
+                    die(&format!("unknown figure '{which}'"));
+                }
+                steps.push(Step::Section(label));
+            }
+            "--ablation" => steps.extend(
+                ["ablation omnetpp", "ablation bfs"].map(|label| Step::Section(label.into())),
+            ),
+            "--datasets" | "--timeline" | "--consolidation" | "--virt" => {
+                steps.push(Step::Section(arg["--".len()..].into()))
+            }
+            "--json" => {
+                let which = it.next().unwrap_or("");
+                if !JSON_TARGETS.contains(&which) {
+                    die(&format!("unknown json target '{which}'"));
+                }
+                steps.push(Step::Print(format!("json {which}")));
+            }
+            "--table" => steps.push(Step::Print(match it.next().unwrap_or("") {
+                which @ ("1" | "2") => format!("table {which}"),
+                "storage" => "storage table".into(),
+                other => die(&format!("unknown table '{other}'")),
+            })),
+            other => die(&format!("unknown argument '{other}'")),
+        }
+    }
+    steps
 }
 
 fn main() {
@@ -223,11 +293,11 @@ fn main() {
             _ => rest.push(a),
         }
     }
-    let args = rest;
-    if args.is_empty() && ledger_out.is_none() {
+    if rest.is_empty() && ledger_out.is_none() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     }
+    let steps = parse_steps(&rest);
     if journal_out.is_some() && resume_from.is_some() {
         die("--journal and --resume are mutually exclusive (resume appends to its own file)");
     }
@@ -292,292 +362,86 @@ fn main() {
     let virt_json: std::cell::RefCell<Option<String>> = std::cell::RefCell::new(None);
     let run_start = std::time::Instant::now();
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--all" => {
-                println!("{}", sections.run(h, "table 1", render_table1));
-                println!("{}", sections.run(h, "table 2", || render_table2(&profile)));
-                println!("{}", sections.run(h, "storage table", render_storage));
-                println!(
-                    "{}",
-                    sections.run(h, "figure 1", || render_fig1(h, &profile, &AppId::ALL))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "figure 2", || render_fig2(
-                        h,
-                        &profile,
-                        AppId::Bfs,
-                        2_000_000
-                    ))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "figure 5", || render_fig5(
-                        h,
-                        &profile,
-                        &AppId::ALL,
-                        sweep
-                    ))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "figure 6", || render_fig6(
-                        h,
-                        &fig6_profile(&profile),
-                        &AppId::GRAPH,
-                        &[4, 8, 16, 32, 64, 128, 256, 512, 1024]
-                    ))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "figure 7", || render_fig7(
-                        h,
-                        &profile,
-                        &AppId::GRAPH,
-                        90
-                    ))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "figure 8", || render_fig8(
-                        h,
-                        &profile,
-                        &AppId::GRAPH,
-                        &[2, 4, 8],
-                        quick_sweep
-                    ))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "figure 9a", || render_fig9(
-                        h,
-                        &profile,
-                        Fig9Config {
-                            app_a: AppId::PageRank,
-                            app_b: AppId::Mcf
-                        },
-                        quick_sweep
-                    ))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "figure 9b", || render_fig9(
-                        h,
-                        &profile,
-                        Fig9Config {
-                            app_a: AppId::PageRank,
-                            app_b: AppId::Sssp
-                        },
-                        quick_sweep
-                    ))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "ablation", || render_ablation(h, &profile, AppId::Bfs))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "timeline", || render_timeline(h, &profile, AppId::Bfs))
-                );
+    let render = |label: &str| -> String {
+        match label {
+            "table 1" => render_table1(),
+            "table 2" => render_table2(&profile),
+            "storage table" => render_storage(),
+            "figure 1" => render_fig1(h, &profile, &AppId::ALL),
+            "figure 2" => render_fig2(h, &profile, AppId::Bfs, 2_000_000),
+            "figure 5" => render_fig5(h, &profile, &AppId::ALL, sweep),
+            "figure 6" => render_fig6(
+                h,
+                &fig6_profile(&profile),
+                &AppId::GRAPH,
+                &[4, 8, 16, 32, 64, 128, 256, 512, 1024],
+            ),
+            "figure 7" => render_fig7(h, &profile, &AppId::GRAPH, 90),
+            "figure 8" => render_fig8(h, &profile, &AppId::GRAPH, &[2, 4, 8], quick_sweep),
+            "figure 9a" => render_fig9(
+                h,
+                &profile,
+                Fig9Config {
+                    app_a: AppId::PageRank,
+                    app_b: AppId::Mcf,
+                },
+                quick_sweep,
+            ),
+            "figure 9b" => render_fig9(
+                h,
+                &profile,
+                Fig9Config {
+                    app_a: AppId::PageRank,
+                    app_b: AppId::Sssp,
+                },
+                quick_sweep,
+            ),
+            "ablation" | "ablation bfs" => render_ablation(h, &profile, AppId::Bfs),
+            "ablation omnetpp" => render_ablation(h, &profile, AppId::Omnetpp),
+            "datasets" => render_datasets(h, &profile, &AppId::GRAPH),
+            "timeline" => render_timeline(h, &profile, AppId::Bfs),
+            "consolidation" => {
+                let (text, json) = render_consolidation(h, &profile, tenants, sim_threads);
+                *consolidation_json.borrow_mut() = Some(json);
+                text
             }
-            "--figure" => {
-                i += 1;
-                let which = args.get(i).map(String::as_str).unwrap_or("");
-                // Labels match the --all section names so a journal
-                // written by one invocation resumes under the other.
-                match which {
-                    "1" => println!(
-                        "{}",
-                        sections.run(h, "figure 1", || render_fig1(h, &profile, &AppId::ALL))
-                    ),
-                    "2" => println!(
-                        "{}",
-                        sections.run(h, "figure 2", || render_fig2(
-                            h,
-                            &profile,
-                            AppId::Bfs,
-                            2_000_000
-                        ))
-                    ),
-                    "5" => println!(
-                        "{}",
-                        sections.run(h, "figure 5", || render_fig5(
-                            h,
-                            &profile,
-                            &AppId::ALL,
-                            sweep
-                        ))
-                    ),
-                    "6" => println!(
-                        "{}",
-                        sections.run(h, "figure 6", || render_fig6(
-                            h,
-                            &fig6_profile(&profile),
-                            &AppId::GRAPH,
-                            &[4, 8, 16, 32, 64, 128, 256, 512, 1024]
-                        ))
-                    ),
-                    "7" => println!(
-                        "{}",
-                        sections.run(h, "figure 7", || render_fig7(
-                            h,
-                            &profile,
-                            &AppId::GRAPH,
-                            90
-                        ))
-                    ),
-                    "8" => println!(
-                        "{}",
-                        sections.run(h, "figure 8", || render_fig8(
-                            h,
-                            &profile,
-                            &AppId::GRAPH,
-                            &[2, 4, 8],
-                            quick_sweep
-                        ))
-                    ),
-                    "9a" => println!(
-                        "{}",
-                        sections.run(h, "figure 9a", || render_fig9(
-                            h,
-                            &profile,
-                            Fig9Config {
-                                app_a: AppId::PageRank,
-                                app_b: AppId::Mcf
-                            },
-                            quick_sweep
-                        ))
-                    ),
-                    "9b" => println!(
-                        "{}",
-                        sections.run(h, "figure 9b", || render_fig9(
-                            h,
-                            &profile,
-                            Fig9Config {
-                                app_a: AppId::PageRank,
-                                app_b: AppId::Sssp
-                            },
-                            quick_sweep
-                        ))
-                    ),
-                    other => die(&format!("unknown figure '{other}'")),
-                }
+            "virt" => {
+                let (text, json) = render_virt(h, &profile, sim_threads);
+                *virt_json.borrow_mut() = Some(json);
+                text
             }
-            "--ablation" => {
-                println!(
-                    "{}",
-                    sections.run(h, "ablation omnetpp", || render_ablation(
-                        h,
-                        &profile,
-                        AppId::Omnetpp
-                    ))
-                );
-                println!(
-                    "{}",
-                    sections.run(h, "ablation bfs", || render_ablation(
-                        h,
-                        &profile,
-                        AppId::Bfs
-                    ))
-                );
-            }
-            "--datasets" => {
-                println!(
-                    "{}",
-                    sections.run(h, "datasets", || render_datasets(
-                        h,
-                        &profile,
-                        &AppId::GRAPH
-                    ))
-                );
-            }
-            "--timeline" => {
-                println!(
-                    "{}",
-                    sections.run(h, "timeline", || render_timeline(h, &profile, AppId::Bfs))
-                );
-            }
-            "--consolidation" => {
-                println!(
-                    "{}",
-                    sections.run(h, "consolidation", || {
-                        let (text, json) = render_consolidation(h, &profile, tenants, sim_threads);
-                        *consolidation_json.borrow_mut() = Some(json);
-                        text
-                    })
-                );
-            }
-            "--virt" => {
-                println!(
-                    "{}",
-                    sections.run(h, "virt", || {
-                        let (text, json) = render_virt(h, &profile, sim_threads);
-                        *virt_json.borrow_mut() = Some(json);
-                        text
-                    })
-                );
-            }
-            "--json" => {
-                i += 1;
-                let which = args.get(i).map(String::as_str).unwrap_or("");
-                match which {
-                    "1" => println!(
-                        "{}",
-                        hpage_bench::json::fig1_json(&hpage_sim::fig1_page_sizes_on(
-                            h,
-                            &profile,
-                            &AppId::ALL
-                        ))
-                    ),
-                    "6" => println!(
-                        "{}",
-                        hpage_bench::json::fig6_json(&hpage_sim::fig6_pcc_size_on(
-                            h,
-                            &fig6_profile(&profile),
-                            &AppId::GRAPH,
-                            &[4, 16, 64, 128, 512]
-                        ))
-                    ),
-                    "7" => println!(
-                        "{}",
-                        hpage_bench::json::fig7_json(
-                            &hpage_sim::fig7_fragmentation_on(h, &profile, &AppId::GRAPH, 90),
-                            90
-                        )
-                    ),
-                    "ablation" => println!(
-                        "{}",
-                        hpage_bench::json::ablation_json(
-                            "BFS",
-                            &hpage_sim::ablation_design_choices_on(h, &profile, AppId::Bfs)
-                        )
-                    ),
-                    "datasets" => println!(
-                        "{}",
-                        hpage_bench::json::datasets_json(&hpage_sim::dataset_sweep_on(
-                            h,
-                            &profile,
-                            &AppId::GRAPH
-                        ))
-                    ),
-                    other => die(&format!("unknown json target '{other}'")),
-                }
-            }
-            "--table" => {
-                i += 1;
-                let which = args.get(i).map(String::as_str).unwrap_or("");
-                match which {
-                    "1" => println!("{}", render_table1()),
-                    "2" => println!("{}", render_table2(&profile)),
-                    "storage" => println!("{}", render_storage()),
-                    other => die(&format!("unknown table '{other}'")),
-                }
-            }
-            other => die(&format!("unknown argument '{other}'")),
+            "json 1" => hpage_bench::json::fig1_json(&hpage_sim::fig1_page_sizes_on(
+                h,
+                &profile,
+                &AppId::ALL,
+            )),
+            "json 6" => hpage_bench::json::fig6_json(&hpage_sim::fig6_pcc_size_on(
+                h,
+                &fig6_profile(&profile),
+                &AppId::GRAPH,
+                &[4, 16, 64, 128, 512],
+            )),
+            "json 7" => hpage_bench::json::fig7_json(
+                &hpage_sim::fig7_fragmentation_on(h, &profile, &AppId::GRAPH, 90),
+                90,
+            ),
+            "json ablation" => hpage_bench::json::ablation_json(
+                "BFS",
+                &hpage_sim::ablation_design_choices_on(h, &profile, AppId::Bfs),
+            ),
+            "json datasets" => hpage_bench::json::datasets_json(&hpage_sim::dataset_sweep_on(
+                h,
+                &profile,
+                &AppId::GRAPH,
+            )),
+            other => unreachable!("parse_steps produced no step '{other}'"),
         }
-        i += 1;
+    };
+    for step in &steps {
+        match step {
+            Step::Section(label) => println!("{}", sections.run(h, label, || render(label))),
+            Step::Print(label) => println!("{}", render(label)),
+        }
     }
 
     if let Some(path) = &ledger_out {

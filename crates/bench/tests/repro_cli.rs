@@ -1,10 +1,12 @@
 //! Error paths of the `repro` command line: numeric flags given zero
 //! where zero means nothing useful, garbage, a missing operand, values
-//! past the flag's range and past `u64::MAX`; retired flags; and a
-//! `--resume` journal that is malformed or recorded under another
-//! profile. Each must be a usage error (exit 2) whose message names the
-//! flag or file, never a panic, a run of every cell to failure, or a
-//! silent fallback. Only a journal that cannot be read exits 1.
+//! past the flag's range and past `u64::MAX`; retired flags; a bad
+//! section argument after good ones; and a `--resume` journal that is
+//! malformed or recorded under another profile. Each must be a usage
+//! error (exit 2) whose message names the flag or file, never a panic,
+//! a run of every cell to failure, or a silent fallback. Only a journal
+//! that cannot be read exits 1. Cells that fail at run time exit 3,
+//! reported without a panic message.
 
 use std::process::{Command, Output};
 
@@ -79,6 +81,78 @@ fn retired_flags_are_unknown_arguments() {
     }
 }
 
+/// A per-process path in the temp directory for this test's `name`.
+fn temp_path(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("hpage-repro-cli-{}-{name}", std::process::id()))
+}
+
+#[test]
+fn section_arguments_are_checked_before_any_section_runs() {
+    // A bad argument after a good section used to surface only after
+    // that section had printed.
+    let bench = temp_path("upfront.json");
+    let journal = temp_path("upfront.jsonl");
+    let (b, j) = (bench.to_str().unwrap(), journal.to_str().unwrap());
+    let rows: [(&[&str], &str); 4] = [
+        (
+            &["--table", "1", "--bogus"],
+            "repro: unknown argument '--bogus'",
+        ),
+        (
+            &["--figure", "7", "--figure", "3"],
+            "repro: unknown figure '3'",
+        ),
+        (
+            &["--table", "storage", "--json", "x"],
+            "repro: unknown json target 'x'",
+        ),
+        (&["--all", "--table"], "repro: unknown table ''"),
+    ];
+    for (args, prefix) in rows {
+        let mut argv = args.to_vec();
+        argv.extend(["--bench-out", b, "--journal", j]);
+        assert_usage_error(&argv, prefix);
+        let out = repro(&argv);
+        assert!(out.stdout.is_empty(), "{argv:?} printed before failing");
+        assert!(!bench.exists(), "{argv:?} wrote the artifact");
+        assert!(!journal.exists(), "{argv:?} created the journal");
+    }
+}
+
+#[test]
+fn handled_cell_failures_print_no_panic() {
+    // Every cell overruns a 1 ms hard deadline: the section degrades
+    // to an n/a row and the run exits 3, and stderr says so without
+    // the panic hook's "panicked at" and backtrace.
+    let bench = temp_path("deadline.json");
+    let b = bench.to_str().unwrap();
+    let out = repro(&[
+        "--figure",
+        "7",
+        "--hard-deadline-ms",
+        "1",
+        "-j",
+        "2",
+        "--bench-out",
+        b,
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("repro: figure 7 failed: "),
+        "stderr:\n{stderr}"
+    );
+    assert!(
+        stdout.starts_with("figure 7: n/a (cell failed: "),
+        "stdout:\n{stdout}"
+    );
+    let artifact = std::fs::read_to_string(&bench).unwrap();
+    std::fs::remove_file(&bench).unwrap();
+    assert!(artifact.contains("\"failures\":[{\"label\":"), "{artifact}");
+}
+
 /// A journal header with the given magic, version, profile and scale.
 fn header(magic: &str, version: u64, profile: &str, scale: &str) -> String {
     format!(
@@ -117,10 +191,7 @@ fn malformed_or_mismatched_journals_are_usage_errors() {
         ),
     ];
     for (name, text, needle) in rows {
-        let path = std::env::temp_dir().join(format!(
-            "hpage-repro-cli-{}-{name}.jsonl",
-            std::process::id()
-        ));
+        let path = temp_path(&format!("{name}.jsonl"));
         std::fs::write(&path, text).unwrap();
         let p = path.to_str().unwrap();
         assert_usage_error(
@@ -133,10 +204,7 @@ fn malformed_or_mismatched_journals_are_usage_errors() {
 
 #[test]
 fn unreadable_journal_is_a_runtime_error() {
-    let path = std::env::temp_dir().join(format!(
-        "hpage-repro-cli-{}-missing.jsonl",
-        std::process::id()
-    ));
+    let path = temp_path("missing.jsonl");
     let p = path.to_str().unwrap();
     let out = repro(&["--figure", "7", "--resume", p, "--quiet"]);
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -22,9 +22,10 @@
 //!
 //! Each cell gets exactly one attempt. Cells are pure over their
 //! configuration, so a cell that panicked would panic again; the harness
-//! instead isolates the failure (`catch_unwind`, optional soft and hard
-//! deadlines), lets the rest of the grid finish, and records the cell's
-//! timing or its failure once, in the [`HarnessLog`].
+//! instead isolates the failure ([`catch_quietly`], optional soft and
+//! hard deadlines), lets the rest of the grid finish, and records the
+//! cell's timing or its failure once, in the [`HarnessLog`]. A caught
+//! failure is reported there and by the caller, never by the panic hook.
 //!
 //! The harness also owns the run's [`WorkloadCache`], so each workload
 //! is instantiated once per `repro` invocation no matter how many
@@ -90,6 +91,34 @@ impl std::fmt::Display for CellFailure {
             }
         }
     }
+}
+
+thread_local! {
+    /// How many [`catch_quietly`] calls enclose this thread's current
+    /// code: while nonzero, a panic is on its way to a caller that
+    /// reports it, so the panic hook stays silent.
+    static QUIET: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// `catch_unwind` for failures the caller reports itself — as a
+/// [`CellFailure`], an `n/a` row or a `failures[]` record. A panic on
+/// this thread while `f` runs skips the panic hook, so it prints no
+/// "panicked at" or backtrace; panics anywhere else still reach the
+/// hook that was installed before the first call.
+pub fn catch_quietly<T>(f: impl FnOnce() -> T) -> std::thread::Result<T> {
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| {
+        let outer = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if QUIET.with(std::cell::Cell::get) == 0 {
+                outer(info);
+            }
+        }));
+    });
+    QUIET.with(|q| q.set(q.get() + 1));
+    let out = catch_unwind(AssertUnwindSafe(f));
+    QUIET.with(|q| q.set(q.get() - 1));
+    out
 }
 
 /// A caught panic as a [`CellFailure`], with a best-effort extraction of
@@ -277,12 +306,12 @@ impl Harness {
     /// returned order — and therefore every table assembled from it —
     /// is independent of scheduling.
     ///
-    /// Each cell runs once, under `catch_unwind` and the harness's
+    /// Each cell runs once, under [`catch_quietly`] and the harness's
     /// deadlines. A failed cell does **not** abort the grid: every other
     /// cell completes first, then this method panics with an aggregate
-    /// message (the driving binary's per-section `catch_unwind` renders
-    /// it as an `n/a (cell failed: …)` row). Callers that want the failures as
-    /// values use [`run_supervised`](Self::run_supervised).
+    /// message (the driving binary's per-section [`catch_quietly`]
+    /// renders it as an `n/a (cell failed: …)` row). Callers that want
+    /// the failures as values use [`run_supervised`](Self::run_supervised).
     pub fn run(&self, cells: Vec<Cell>) -> Vec<SimReport> {
         let labels: Vec<String> = cells.iter().map(|c| c.label.clone()).collect();
         unwrap_all(&labels, self.run_supervised(cells))
@@ -326,7 +355,7 @@ impl Harness {
     }
 
     /// The fallible form of [`run_map`](Self::run_map): each cell runs
-    /// once under `catch_unwind`, and a cell that panics yields
+    /// once under [`catch_quietly`], and a cell that panics yields
     /// `Err(CellFailure)` in its slot while the rest of the grid
     /// completes normally. Deadlines are not
     /// enforced on this path (`f` borrows local state and cannot be
@@ -339,9 +368,7 @@ impl Harness {
     {
         self.dispatch(cells.len(), |i| {
             let cell = &cells[i];
-            self.record(&cell.label, || {
-                catch_unwind(AssertUnwindSafe(|| f(cell))).map_err(panicked)
-            })
+            self.record(&cell.label, || catch_quietly(|| f(cell)).map_err(panicked))
         })
     }
 
@@ -414,7 +441,7 @@ impl Harness {
         let (tx, rx) = mpsc::channel();
         let worker_cell = Arc::clone(cell);
         std::thread::spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| worker_cell.run()));
+            let outcome = catch_quietly(|| worker_cell.run());
             // A send into a closed channel means the watchdog abandoned
             // this cell; the completed (or failed) result is dropped.
             let _ = tx.send(outcome.map_err(panicked));
@@ -562,6 +589,14 @@ mod tests {
         // (and everything else derived left-to-right) jobs-invariant.
         assert_eq!(expected, got);
         assert!(got.iter().any(|(_, counts)| !counts.is_empty()));
+    }
+
+    #[test]
+    fn catch_quietly_silences_only_its_own_extent() {
+        assert!(catch_quietly(|| panic!("reported by the caller")).is_err());
+        assert_eq!(catch_quietly(|| 7).ok(), Some(7));
+        // Unwinding out of the closure still ends the quiet extent.
+        assert_eq!(QUIET.with(std::cell::Cell::get), 0);
     }
 
     #[test]

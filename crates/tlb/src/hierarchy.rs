@@ -71,9 +71,8 @@ impl TlbHierarchyStats {
 #[derive(Debug, Clone)]
 pub struct TlbHierarchy {
     config: TlbConfig,
-    l1_4k: SetAssocTlb,
-    l1_2m: SetAssocTlb,
-    l1_1g: SetAssocTlb,
+    /// The split L1s, indexed by [`PageSize`].
+    l1: [SetAssocTlb; 3],
     l2: SetAssocTlb,
     /// Full-hierarchy misses. Hits are *not* counted here — each level
     /// already counts its own, and [`stats`](Self::stats) assembles the
@@ -83,13 +82,6 @@ pub struct TlbHierarchy {
     /// L2 hits by page size (the unified L2's own counter cannot
     /// attribute sizes).
     l2_hits_by_size: [u64; 3],
-    /// Page size of the most recent L1 hit or fill — probed first on
-    /// the next lookup. Pure probe-order steering: an address is
-    /// resident at most one page size (shootdowns precede every mapping
-    /// change) and a missed `touch` leaves a level's clock and stats
-    /// untouched, so the hint cannot change any outcome or statistic,
-    /// only how many sets are scanned before the hit.
-    l1_hint: PageSize,
 }
 
 impl TlbHierarchy {
@@ -100,14 +92,11 @@ impl TlbHierarchy {
     /// Panics if any level's geometry is invalid.
     pub fn new(config: TlbConfig) -> Self {
         TlbHierarchy {
-            l1_4k: SetAssocTlb::new(config.l1_4k),
-            l1_2m: SetAssocTlb::new(config.l1_2m),
-            l1_1g: SetAssocTlb::new(config.l1_1g),
+            l1: PageSize::ALL.map(|size| SetAssocTlb::new(config.l1_for(size))),
             l2: SetAssocTlb::new(config.l2),
             config,
             walks: 0,
             l2_hits_by_size: [0; 3],
-            l1_hint: PageSize::Base4K,
         }
     }
 
@@ -120,11 +109,7 @@ impl TlbHierarchy {
     /// levels count their own hits; only walks and the L2 size breakdown
     /// live here).
     pub fn stats(&self) -> TlbHierarchyStats {
-        let l1_hits_by_size = [
-            self.l1_4k.stats().hits,
-            self.l1_2m.stats().hits,
-            self.l1_1g.stats().hits,
-        ];
+        let l1_hits_by_size = self.l1.each_ref().map(|l1| l1.stats().hits);
         let l1_hits = l1_hits_by_size.iter().sum::<u64>();
         let l2_hits = self.l2.stats().hits;
         TlbHierarchyStats {
@@ -137,50 +122,36 @@ impl TlbHierarchy {
         }
     }
 
-    #[inline(always)]
-    fn l1_for(&mut self, size: PageSize) -> &mut SetAssocTlb {
-        match size {
-            PageSize::Base4K => &mut self.l1_4k,
-            PageSize::Huge2M => &mut self.l1_2m,
-            PageSize::Huge1G => &mut self.l1_1g,
-        }
-    }
-
     /// Looks up `va`. On an L2 hit the entry is promoted into the L1 of
     /// its size. On [`TlbOutcome::Miss`] the caller must walk the page
     /// table and call [`fill`](Self::fill) with the result.
     #[inline]
     pub fn lookup(&mut self, va: VirtAddr) -> TlbOutcome {
-        // Probe the split L1s, most-recently-used size first: an address
-        // can only be resident at the page size it is currently mapped
-        // with, so probe order never changes which level hits. `touch`
-        // is probe + recency refresh in one set scan; a miss leaves the
-        // level's clock and stats untouched, like `probe`. The level's
-        // own hit counter is the hierarchy's l1 stat.
-        let hint = self.l1_hint;
-        if let Some(t) = self.l1_for(hint).touch(va.vpn(hint)) {
-            return TlbOutcome::L1Hit(t);
+        // Search the 4 KiB and 2 MiB L1 sets together, then count the
+        // hit in whichever matched. An address is resident at only the
+        // size it is mapped with (shootdowns precede every mapping
+        // change), and a search that misses changes no clock or stat,
+        // so this equals probing one size after the other; 4 KiB wins
+        // the tie a shootdown rules out, as it would probed first.
+        let vpns = [va.vpn(PageSize::Base4K), va.vpn(PageSize::Huge2M)];
+        let l1 = [self.l1[0].find(vpns[0]), self.l1[1].find(vpns[1])];
+        if let Some(pos) = l1[0].or(l1[1]) {
+            let size = usize::from(l1[0].is_none());
+            return TlbOutcome::L1Hit(self.l1[size].hit(pos, vpns[size]));
         }
-        for size in PageSize::ALL {
-            if size == hint {
-                continue;
-            }
-            let vpn = va.vpn(size);
-            if let Some(t) = self.l1_for(size).touch(vpn) {
-                self.l1_hint = size;
-                return TlbOutcome::L1Hit(t);
-            }
+        let giant = va.vpn(PageSize::Huge1G);
+        if let Some(pos) = self.l1[2].find(giant) {
+            return TlbOutcome::L1Hit(self.l1[2].hit(pos, giant));
         }
-        // L2: unified over 4K + 2M.
-        for size in [PageSize::Base4K, PageSize::Huge2M] {
-            let vpn = va.vpn(size);
-            if let Some(t) = self.l2.touch(vpn) {
-                self.l2_hits_by_size[size as usize] += 1;
-                // Promote into the L1 for this size.
-                self.l1_for(size).insert(t);
-                self.l1_hint = size;
-                return TlbOutcome::L2Hit(t);
-            }
+        // L2: unified over 4K + 2M, both sizes searched the same way.
+        let l2 = [self.l2.find(vpns[0]), self.l2.find(vpns[1])];
+        if let Some(pos) = l2[0].or(l2[1]) {
+            let size = usize::from(l2[0].is_none());
+            self.l2_hits_by_size[size] += 1;
+            let t = self.l2.hit(pos, vpns[size]);
+            // Promote into the L1 for this size.
+            self.l1[size].insert(t);
+            return TlbOutcome::L2Hit(t);
         }
         self.walks += 1;
         TlbOutcome::Miss
@@ -192,9 +163,7 @@ impl TlbHierarchy {
     /// victim cache would capture.
     pub fn fill(&mut self, translation: Translation) -> Option<Translation> {
         let size = translation.size();
-        self.l1_for(size).insert(translation);
-        // The access that walked retries at this size next.
-        self.l1_hint = size;
+        self.l1[size as usize].insert(translation);
         if size != PageSize::Huge1G {
             self.l2.insert(translation)
         } else {
@@ -202,27 +171,26 @@ impl TlbHierarchy {
         }
     }
 
+    /// Every level, the L1s first.
+    fn levels(&mut self) -> impl Iterator<Item = &mut SetAssocTlb> {
+        self.l1.iter_mut().chain([&mut self.l2])
+    }
+
     /// TLB shootdown for a huge region: removes every overlapping entry
     /// from all levels (stale base-page translations after promotion, or a
     /// stale huge translation after demotion). Returns total removed.
     pub fn shootdown(&mut self, region: Vpn) -> usize {
-        self.l1_4k.invalidate_region(region)
-            + self.l1_2m.invalidate_region(region)
-            + self.l1_1g.invalidate_region(region)
-            + self.l2.invalidate_region(region)
+        self.levels().map(|l| l.invalidate_region(region)).sum()
     }
 
     /// Flushes every level (e.g. on context switch).
     pub fn flush(&mut self) {
-        self.l1_4k.flush();
-        self.l1_2m.flush();
-        self.l1_1g.flush();
-        self.l2.flush();
+        self.levels().for_each(SetAssocTlb::flush);
     }
 
     /// Total resident entries across all levels.
     pub fn resident_entries(&self) -> usize {
-        self.l1_4k.len() + self.l1_2m.len() + self.l1_1g.len() + self.l2.len()
+        self.l1.iter().chain([&self.l2]).map(SetAssocTlb::len).sum()
     }
 
     /// Every translation resident anywhere in the hierarchy, in no
@@ -230,11 +198,10 @@ impl TlbHierarchy {
     /// appears twice — the invariant auditor checks each copy against the
     /// live page table, so duplicates are intentional.
     pub fn resident_translations(&self) -> Vec<Translation> {
-        self.l1_4k
-            .entries()
-            .chain(self.l1_2m.entries())
-            .chain(self.l1_1g.entries())
-            .chain(self.l2.entries())
+        self.l1
+            .iter()
+            .chain([&self.l2])
+            .flat_map(SetAssocTlb::entries)
             .collect()
     }
 }
@@ -385,9 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn mru_size_hint_is_stats_invisible() {
-        // Alternating page sizes thrash the hint every lookup; every
-        // access must still resolve at its true size with exact counts.
+    fn alternating_sizes_hit_at_their_own_size() {
+        // Every lookup alternates between the 4 KiB and the 2 MiB L1;
+        // each must resolve at its true size with exact counts.
         let mut h = hierarchy();
         h.fill(t4k(1));
         h.fill(t2m(9));
@@ -399,11 +366,13 @@ mod tests {
         assert_eq!(s.l1_hits_by_size, [4, 4, 0]);
         assert_eq!(s.accesses, 8);
         assert_eq!(s.walks, 0);
-        // A miss with a stale hint still misses everywhere, and the
-        // probes along the way leave no trace in the stats.
+        // A miss searches every level and leaves no trace in their
+        // stats beyond the one walk.
         assert_eq!(h.lookup(VirtAddr::new(0xdead_beef_f000)), TlbOutcome::Miss);
         assert_eq!(h.stats().l1_hits, 8);
         assert_eq!(h.stats().walks, 1);
+        assert!(h.l1.iter().all(|l1| l1.stats().misses == 0));
+        assert_eq!(h.l2.stats().misses, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A set-associative TLB with LRU replacement.
 
 use crate::table::Translation;
-use hpage_types::{PageSize, Pfn, TlbLevelConfig, VirtAddr, Vpn};
+use hpage_types::{PageSize, Pfn, TlbLevelConfig, Vpn};
 
 /// Hit/miss counters for one TLB structure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,33 +59,28 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct SetAssocTlb {
     /// All slots in one contiguous slab, `ways` per set: set `s`
-    /// occupies `slots[s * ways .. s * ways + lens[s]]`, live entries
+    /// occupies `slots[s * ways .. (s + 1) * ways]`, live entries
     /// first, in insertion order. One allocation instead of a `Vec`
     /// per set keeps the per-access probe from chasing a pointer per
     /// set (the unified L2 has 128 of them).
     slots: Vec<Slot>,
-    /// Packed match keys ([`vpn_key`]) parallel to `slots`. The probe
-    /// scan compares 8-byte keys — a 12-way set fits in two cache
-    /// lines instead of the nine its 48-byte slots span; the payload
-    /// is only dereferenced on a hit.
+    /// Packed match keys ([`vpn_key`]) parallel to `slots`; a way past
+    /// its set's live entries holds [`EMPTY_KEY`]. A set search
+    /// compares all `ways` 8-byte keys at once ([`Self::match_mask`]) —
+    /// a 12-way set fits in two cache lines instead of the three its
+    /// slots span — and dereferences the payload only on a hit.
     keys: Vec<u64>,
-    /// Live-entry count per set.
-    lens: Vec<u32>,
-    /// Total live entries (sum of `lens`), kept incrementally so the
-    /// hit path can skip scanning an empty structure in O(1) — the 1G
-    /// L1 (and the 2M L1 before any promotion) is probed on every
-    /// access but holds nothing.
-    live: usize,
+    sets: usize,
     ways: u32,
     clock: u64,
     /// `set_count - 1` when the set count is a power of two (the
-    /// common geometries), letting [`Self::set_index`] mask instead of
+    /// common geometries), letting [`Self::set_base`] mask instead of
     /// divide on the per-access path; `usize::MAX` otherwise.
     set_mask: usize,
     stats: TlbStats,
 }
 
-/// Packs a [`Vpn`] into the 8-byte match key the probe scan compares:
+/// Packs a [`Vpn`] into the 8-byte match key the set search compares:
 /// page index in the high bits, page size in the low two. Bijective,
 /// so key equality is exactly `Vpn` equality.
 #[inline(always)]
@@ -111,12 +106,17 @@ fn key_pfn(key: u64) -> Pfn {
     Pfn::new(key >> 2, PageSize::ALL[(key & 3) as usize])
 }
 
-/// Placeholder occupying slab slots beyond a set's live length; never
-/// observable (every read is bounded by `lens`).
-const EMPTY_SLOT: Slot = Slot {
-    pfn: 0,
-    last_used: 0,
-};
+/// The key of an empty way. Its low two bits, 3, name no [`PageSize`],
+/// so no [`vpn_key`] equals it — not even VPN 0's, which is 0.
+const EMPTY_KEY: u64 = u64::MAX;
+
+/// Bitmask of the `keys` equal to `key`, bit `i` for way `i`.
+#[inline(always)]
+fn mask_of(keys: &[u64], key: u64) -> u64 {
+    keys.iter()
+        .enumerate()
+        .fold(0, |mask, (i, &k)| mask | u64::from(k == key) << i)
+}
 
 impl SetAssocTlb {
     /// Creates a TLB with the given geometry.
@@ -129,10 +129,15 @@ impl SetAssocTlb {
         config.validate().expect("invalid TLB geometry");
         let sets = config.sets() as usize;
         SetAssocTlb {
-            slots: vec![EMPTY_SLOT; sets * config.ways as usize],
-            keys: vec![0; sets * config.ways as usize],
-            lens: vec![0; sets],
-            live: 0,
+            slots: vec![
+                Slot {
+                    pfn: 0,
+                    last_used: 0
+                };
+                sets * config.ways as usize
+            ],
+            keys: vec![EMPTY_KEY; sets * config.ways as usize],
+            sets,
             ways: config.ways,
             clock: 0,
             set_mask: if sets.is_power_of_two() {
@@ -146,48 +151,43 @@ impl SetAssocTlb {
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.lens.len()
+        self.sets
     }
 
-    /// The live slots of set `idx`.
-    fn set(&self, idx: usize) -> &[Slot] {
-        let base = idx * self.ways as usize;
-        &self.slots[base..base + self.lens[idx] as usize]
-    }
-
-    /// The live slots of set `idx`, mutably.
-    fn set_mut(&mut self, idx: usize) -> &mut [Slot] {
-        let base = idx * self.ways as usize;
-        &mut self.slots[base..base + self.lens[idx] as usize]
-    }
-
-    /// Position of `vpn` among set `idx`'s live slots, via the packed
-    /// key slab.
+    /// Bitmask of the ways of the set at slab offset `base` whose key
+    /// is `key`: the one set search. Searching all ways, empty ones
+    /// included, needs no live-length bound and no early exit, so the
+    /// compare has no branch to mispredict; the 4- and 8-way arms give
+    /// the compiler a constant trip count to unroll.
     #[inline(always)]
-    fn find(&self, idx: usize, vpn: Vpn) -> Option<usize> {
-        let base = idx * self.ways as usize;
-        let key = vpn_key(vpn);
-        self.keys[base..base + self.lens[idx] as usize]
-            .iter()
-            .position(|&k| k == key)
+    fn match_mask(&self, base: usize, key: u64) -> u64 {
+        match self.ways {
+            4 => mask_of(&self.keys[base..base + 4], key),
+            8 => mask_of(&self.keys[base..base + 8], key),
+            ways => mask_of(&self.keys[base..base + ways as usize], key),
+        }
     }
 
-    /// Order-preserving removal of live slot `pos` from set `idx`,
-    /// returning the translation it held.
-    fn remove_at(&mut self, idx: usize, pos: usize) -> Translation {
-        let base = idx * self.ways as usize;
-        let len = self.lens[idx] as usize;
-        debug_assert!(pos < len);
+    /// Slab position of `vpn`'s entry, if resident. Keys are unique
+    /// within a set, so the match mask has at most one bit.
+    #[inline(always)]
+    pub(crate) fn find(&self, vpn: Vpn) -> Option<usize> {
+        let base = self.set_base(vpn);
+        let mask = self.match_mask(base, vpn_key(vpn));
+        (mask != 0).then_some(base + mask.trailing_zeros() as usize)
+    }
+
+    /// Order-preserving removal of the entry at slab position `pos`
+    /// from the set at `base`, returning the translation it held.
+    fn remove_at(&mut self, base: usize, pos: usize) -> Translation {
+        let end = base + self.ways as usize;
         let victim = Translation {
-            vpn: key_vpn(self.keys[base + pos]),
-            pfn: key_pfn(self.slots[base + pos].pfn),
+            vpn: key_vpn(self.keys[pos]),
+            pfn: key_pfn(self.slots[pos].pfn),
         };
-        self.slots
-            .copy_within(base + pos + 1..base + len, base + pos);
-        self.keys
-            .copy_within(base + pos + 1..base + len, base + pos);
-        self.lens[idx] -= 1;
-        self.live -= 1;
+        self.slots.copy_within(pos + 1..end, pos);
+        self.keys.copy_within(pos + 1..end, pos);
+        self.keys[end - 1] = EMPTY_KEY;
         victim
     }
 
@@ -198,7 +198,7 @@ impl SetAssocTlb {
 
     /// Total entries currently resident.
     pub fn len(&self) -> usize {
-        self.live
+        self.keys.iter().filter(|&&k| k != EMPTY_KEY).count()
     }
 
     /// Whether no entries are resident.
@@ -215,82 +215,62 @@ impl SetAssocTlb {
     /// Read-only: recency and statistics are untouched — this is the
     /// auditor's view, not an architectural lookup.
     pub fn entries(&self) -> impl Iterator<Item = Translation> + '_ {
-        (0..self.set_count()).flat_map(move |idx| {
-            let base = idx * self.ways as usize;
-            let len = self.lens[idx] as usize;
-            self.keys[base..base + len]
-                .iter()
-                .zip(&self.slots[base..base + len])
-                .map(|(&k, s)| Translation {
-                    vpn: key_vpn(k),
-                    pfn: key_pfn(s.pfn),
-                })
-        })
+        self.keys
+            .iter()
+            .zip(&self.slots)
+            .filter(|(&k, _)| k != EMPTY_KEY)
+            .map(|(&k, s)| Translation {
+                vpn: key_vpn(k),
+                pfn: key_pfn(s.pfn),
+            })
     }
 
+    /// Slab offset of the set `vpn` indexes.
     #[inline(always)]
-    fn set_index(&self, vpn: Vpn) -> usize {
-        if self.set_mask != usize::MAX {
+    fn set_base(&self, vpn: Vpn) -> usize {
+        let set = if self.set_mask != usize::MAX {
             vpn.index() as usize & self.set_mask
         } else {
-            (vpn.index() % self.lens.len() as u64) as usize
+            (vpn.index() % self.sets as u64) as usize
+        };
+        set * self.ways as usize
+    }
+
+    /// Counts a hit on the entry at slab position `pos` (from
+    /// [`find`](Self::find)) and refreshes its recency. A probe that
+    /// misses leaves clock and stats untouched, so the hierarchy can
+    /// search every level it might hit and count only the one that did.
+    #[inline(always)]
+    pub(crate) fn hit(&mut self, pos: usize, vpn: Vpn) -> Translation {
+        self.clock += 1;
+        self.stats.hits += 1;
+        let slot = &mut self.slots[pos];
+        slot.last_used = self.clock;
+        Translation {
+            vpn,
+            pfn: key_pfn(slot.pfn),
         }
     }
 
     /// Looks up the translation for `vpn` (VPN at a specific page size).
     /// Updates recency on a hit and the hit/miss statistics always.
     pub fn lookup(&mut self, vpn: Vpn) -> Option<Translation> {
-        self.clock += 1;
-        let clock = self.clock;
-        let idx = self.set_index(vpn);
-        if let Some(pos) = self.find(idx, vpn) {
-            self.stats.hits += 1;
-            let slot = &mut self.set_mut(idx)[pos];
-            slot.last_used = clock;
-            Some(Translation {
-                vpn,
-                pfn: key_pfn(slot.pfn),
-            })
-        } else {
-            self.stats.misses += 1;
-            None
+        match self.find(vpn) {
+            Some(pos) => Some(self.hit(pos, vpn)),
+            None => {
+                self.clock += 1;
+                self.stats.misses += 1;
+                None
+            }
         }
     }
 
     /// Checks whether `vpn` is resident without updating recency or
     /// statistics.
     pub fn probe(&self, vpn: Vpn) -> Option<Translation> {
-        if self.live == 0 {
-            return None;
-        }
-        let idx = self.set_index(vpn);
-        self.find(idx, vpn).map(|pos| Translation {
+        self.find(vpn).map(|pos| Translation {
             vpn,
-            pfn: key_pfn(self.set(idx)[pos].pfn),
-        })
-    }
-
-    /// Hit-path combination of [`probe`](Self::probe) +
-    /// [`lookup`](Self::lookup): a single set scan that, on a hit,
-    /// refreshes recency and counts the hit exactly like `lookup` — and
-    /// on a miss changes *nothing* (no clock tick, no miss counted),
-    /// exactly like `probe`. The hierarchy's lookup uses this so a hit
-    /// costs one scan instead of two.
-    #[inline]
-    pub fn touch(&mut self, vpn: Vpn) -> Option<Translation> {
-        if self.live == 0 {
-            return None;
-        }
-        let idx = self.set_index(vpn);
-        let pos = self.find(idx, vpn)?;
-        self.clock += 1;
-        let clock = self.clock;
-        self.stats.hits += 1;
-        let slot = &mut self.set_mut(idx)[pos];
-        slot.last_used = clock;
-        Some(Translation {
-            vpn,
-            pfn: key_pfn(slot.pfn),
+            pfn: key_pfn(self.slots[pos].pfn),
         })
     }
 
@@ -304,53 +284,49 @@ impl SetAssocTlb {
     /// invalidation, making tied evictions depend on incidental layout.
     pub fn insert(&mut self, translation: Translation) -> Option<Translation> {
         self.clock += 1;
-        let clock = self.clock;
-        let ways = self.ways as usize;
-        let idx = self.set_index(translation.vpn);
-        if let Some(pos) = self.find(idx, translation.vpn) {
-            let slot = &mut self.set_mut(idx)[pos];
-            slot.pfn = pfn_key(translation.pfn);
-            slot.last_used = clock;
+        let slot = Slot {
+            pfn: pfn_key(translation.pfn),
+            last_used: self.clock,
+        };
+        let base = self.set_base(translation.vpn);
+        let key = vpn_key(translation.vpn);
+        let resident = self.match_mask(base, key);
+        if resident != 0 {
+            self.slots[base + resident.trailing_zeros() as usize] = slot;
             return None;
         }
-        let evicted = if self.lens[idx] as usize == ways {
+        let ways = self.ways as usize;
+        // Live entries come first, so the first empty way is the end.
+        let free = self.match_mask(base, EMPTY_KEY);
+        let (pos, evicted) = if free != 0 {
+            (base + free.trailing_zeros() as usize, None)
+        } else {
             // First minimum wins (`min_by_key` would take the last):
             // lowest position is earliest-inserted on a recency tie.
-            let set = self.set(idx);
+            let set = &self.slots[base..base + ways];
             let mut lru = 0;
             for (i, s) in set.iter().enumerate().skip(1) {
                 if s.last_used < set[lru].last_used {
                     lru = i;
                 }
             }
-            let victim = self.remove_at(idx, lru);
+            let victim = self.remove_at(base, base + lru);
             self.stats.evictions += 1;
-            Some(victim)
-        } else {
-            None
+            (base + ways - 1, Some(victim))
         };
-        let base = idx * ways;
-        let len = self.lens[idx] as usize;
-        self.slots[base + len] = Slot {
-            pfn: pfn_key(translation.pfn),
-            last_used: clock,
-        };
-        self.keys[base + len] = vpn_key(translation.vpn);
-        self.lens[idx] += 1;
-        self.live += 1;
+        self.slots[pos] = slot;
+        self.keys[pos] = key;
         evicted
     }
 
     /// Removes the entry for exactly `vpn`, returning whether it existed.
     pub fn invalidate(&mut self, vpn: Vpn) -> bool {
-        let idx = self.set_index(vpn);
-        if let Some(pos) = self.find(idx, vpn) {
-            self.remove_at(idx, pos);
-            self.stats.invalidations += 1;
-            true
-        } else {
-            false
-        }
+        let Some(pos) = self.find(vpn) else {
+            return false;
+        };
+        self.remove_at(self.set_base(vpn), pos);
+        self.stats.invalidations += 1;
+        true
     }
 
     /// Removes every entry whose page overlaps the huge region `region`
@@ -362,27 +338,27 @@ impl SetAssocTlb {
         let end = start + region.size().bytes();
         let mut removed = 0;
         let ways = self.ways as usize;
-        for idx in 0..self.lens.len() {
-            let base_off = idx * ways;
-            let len = self.lens[idx] as usize;
-            // Order-preserving in-place compaction (retain).
-            let mut keep = 0;
-            for pos in 0..len {
-                let vpn = key_vpn(self.keys[base_off + pos]);
-                let base = vpn.base().raw();
-                let span = vpn.size().bytes();
+        for base in (0..self.keys.len()).step_by(ways) {
+            // Order-preserving in-place compaction (retain); the ways
+            // it vacates become empty.
+            let mut keep = base;
+            for pos in base..base + ways {
+                let key = self.keys[pos];
+                if key == EMPTY_KEY {
+                    break;
+                }
+                let vpn = key_vpn(key);
+                let page = vpn.base().raw();
                 // Keep entries that do not overlap [start, end).
-                if base + span <= start || base >= end {
-                    if keep != pos {
-                        self.slots[base_off + keep] = self.slots[base_off + pos];
-                        self.keys[base_off + keep] = self.keys[base_off + pos];
-                    }
+                if page + vpn.size().bytes() <= start || page >= end {
+                    self.slots[keep] = self.slots[pos];
+                    self.keys[keep] = key;
                     keep += 1;
+                } else {
+                    removed += 1;
                 }
             }
-            removed += len - keep;
-            self.live -= len - keep;
-            self.lens[idx] = keep as u32;
+            self.keys[keep..base + ways].fill(EMPTY_KEY);
         }
         self.stats.invalidations += removed as u64;
         removed
@@ -390,22 +366,7 @@ impl SetAssocTlb {
 
     /// Empties the TLB (full flush).
     pub fn flush(&mut self) {
-        self.lens.fill(0);
-        self.live = 0;
-    }
-
-    /// Resolves a raw virtual address by probing at each page size this
-    /// TLB could hold, smallest first. Convenience for unified TLBs.
-    pub fn lookup_addr(&mut self, va: VirtAddr, sizes: &[PageSize]) -> Option<Translation> {
-        for &size in sizes {
-            if self.probe(va.vpn(size)).is_some() {
-                return self.lookup(va.vpn(size));
-            }
-        }
-        // Count a single miss for the failed lookup.
-        self.clock += 1;
-        self.stats.misses += 1;
-        None
+        self.keys.fill(EMPTY_KEY);
     }
 }
 
@@ -472,7 +433,7 @@ mod tests {
         // the public API, whose clock stamps are unique — but exactly
         // the state an architectural LRU approximation with coarse
         // recency bits lives in).
-        for slot in t.set_mut(0) {
+        for slot in &mut t.slots[..4] {
             slot.last_used = 99;
         }
         // The earliest-inserted survivor must lose the tie.
@@ -498,7 +459,7 @@ mod tests {
         assert_eq!(t.set_count(), 3);
         t.insert(tr(5));
         assert_eq!(t.lookup(tr(5).vpn), Some(tr(5)));
-        assert_eq!(t.set(2).len(), 1);
+        assert_eq!(t.find(tr(5).vpn), Some(2 * 4)); // set 2's first way
     }
 
     #[test]
@@ -582,22 +543,24 @@ mod tests {
     }
 
     #[test]
-    fn lookup_addr_probes_sizes() {
-        let mut t = tlb(8, 8);
-        let huge = Translation {
-            vpn: Vpn::new(3, PageSize::Huge2M),
-            pfn: Pfn::new(3, PageSize::Huge2M),
-        };
-        t.insert(huge);
-        let va = huge.vpn.base().offset(0x1234);
-        let sizes = [PageSize::Base4K, PageSize::Huge2M];
-        assert_eq!(t.lookup_addr(va, &sizes), Some(huge));
-        // A miss at all sizes counts one miss.
-        let misses_before = t.stats().misses;
-        assert!(t
-            .lookup_addr(VirtAddr::new(0x0dea_dbee_f000), &sizes)
-            .is_none());
-        assert_eq!(t.stats().misses, misses_before + 1);
+    fn vpn_zero_misses_in_empty_ways() {
+        // VPN 0's key is 0, the value a zeroed key slab would hold: an
+        // empty way must never match it — fresh, flushed, shot down or
+        // vacated by an invalidation.
+        let mut t = tlb(8, 4);
+        let zero = tr(0).vpn;
+        assert_eq!(t.lookup(zero), None);
+        t.insert(tr(0));
+        t.flush();
+        assert_eq!(t.lookup(zero), None);
+        t.insert(tr(0));
+        assert_eq!(t.invalidate_region(Vpn::new(0, PageSize::Huge2M)), 1);
+        assert_eq!(t.lookup(zero), None);
+        t.insert(tr(0));
+        assert!(t.invalidate(zero));
+        assert_eq!(t.lookup(zero), None);
+        assert_eq!(t.stats().hits, 0);
+        assert_eq!(t.stats().misses, 4);
     }
 
     #[test]

@@ -33,14 +33,18 @@ impl TlbLevelConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if `entries` or `ways` is zero or `ways`
-    /// does not divide `entries`.
+    /// Returns [`ConfigError`] if `entries` or `ways` is zero, `ways`
+    /// does not divide `entries`, or `ways` exceeds 64.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.entries == 0 || self.ways == 0 {
             return Err(ConfigError::new("TLB entries and ways must be nonzero"));
         }
         if !self.entries.is_multiple_of(self.ways) {
             return Err(ConfigError::new("TLB ways must divide entries"));
+        }
+        // A set search matches all ways into one 64-bit mask.
+        if self.ways > 64 {
+            return Err(ConfigError::new("TLB ways must be at most 64"));
         }
         Ok(())
     }
@@ -681,6 +685,8 @@ mod tests {
         assert!(TlbLevelConfig::new(0, 1).validate().is_err());
         assert!(TlbLevelConfig::new(8, 3).validate().is_err());
         assert!(TlbLevelConfig::new(8, 0).validate().is_err());
+        assert!(TlbLevelConfig::new(64, 64).validate().is_ok());
+        assert!(TlbLevelConfig::new(128, 128).validate().is_err());
         assert!(PccConfig::paper_2m().with_entries(0).validate().is_err());
         let mut sys = SystemConfig::paper_system();
         sys.cores = 0;

@@ -4,9 +4,11 @@
 
 use hpage::os::PhysicalMemory;
 use hpage::pcc::{Pcc, PccEvent, ReplacementPolicy};
-use hpage::tlb::{PageTable, PageWalkCache, SetAssocTlb, Translation};
+use hpage::tlb::{
+    PageTable, PageWalkCache, SetAssocTlb, TlbHierarchy, TlbHierarchyStats, TlbOutcome, Translation,
+};
 use hpage::types::{
-    derive_seed, PageSize, PccConfig, Pfn, PwcConfig, TlbLevelConfig, VirtAddr, Vpn,
+    derive_seed, PageSize, PccConfig, Pfn, PwcConfig, TlbConfig, TlbLevelConfig, VirtAddr, Vpn,
 };
 use proptest::prelude::*;
 
@@ -115,7 +117,7 @@ proptest! {
     /// The flat-slab set-associative TLB is observationally equivalent
     /// to a straightforward per-set LRU-list model — same hit results,
     /// same eviction victims, same residency — under any interleaving of
-    /// inserts, lookups, touches, and invalidations. This pins the
+    /// inserts, lookups, probes, and invalidations. This pins the
     /// eviction order the seq tie-break fix made deterministic: the
     /// model's list order *is* insertion-then-recency order, so any
     /// position-dependent tie-break (the old `swap_remove` perturbation)
@@ -161,14 +163,9 @@ proptest! {
                     prop_assert_eq!(tlb.lookup(vpn), expected);
                 }
                 2 => {
-                    // `touch` hits exactly like `lookup`, misses like
-                    // `probe` (no state change) — same model either way.
-                    let expected = set.iter().position(|e| e.vpn == vpn).map(|pos| {
-                        let e = set.remove(pos);
-                        set.push(e);
-                        e
-                    });
-                    prop_assert_eq!(tlb.touch(vpn), expected);
+                    // `probe` changes nothing, hit or miss.
+                    let expected = set.iter().find(|e| e.vpn == vpn).copied();
+                    prop_assert_eq!(tlb.probe(vpn), expected);
                 }
                 _ => {
                     let existed = match set.iter().position(|e| e.vpn == vpn) {
@@ -187,6 +184,66 @@ proptest! {
             for e in set {
                 prop_assert_eq!(tlb.probe(e.vpn), Some(*e));
             }
+        }
+    }
+
+    /// The hierarchy's one-pass lookup, which searches the 4 KiB and
+    /// 2 MiB L1s (then the L2's two sizes) together, is observationally
+    /// equivalent to probing one structure at a time in a naive model:
+    /// per-size `Vec` LRU lists, L1 at 4K → 2M → 1G, then the L2 at
+    /// 4K → 2M. Same outcome, L2 victim and shootdown count per op, same
+    /// stats and residency after it — over mixed-size fills (including
+    /// a 4 KiB and a 2 MiB entry for one address, which real runs rule
+    /// out), lookups, shootdowns and flushes, at 1 to 12 ways and set
+    /// counts that are not powers of two.
+    #[test]
+    fn tlb_hierarchy_matches_naive_model(
+        ops in prop::collection::vec((0u8..23, 0u64..4096), 1..400),
+        geometry in prop::collection::vec((0usize..5, 1u32..6), 4..5),
+    ) {
+        const WAYS: [u32; 5] = [1, 2, 4, 8, 12];
+        let level = |i: usize| {
+            let (w, sets) = geometry[i];
+            TlbLevelConfig::new(WAYS[w] * sets, WAYS[w])
+        };
+        let config = TlbConfig { l1_4k: level(0), l1_2m: level(1), l1_1g: level(2), l2: level(3) };
+        let mut tlb = TlbHierarchy::new(config);
+        let mut model = NaiveHierarchy::new(config);
+        for (i, &(kind, a)) in ops.iter().enumerate() {
+            // 32 base pages in each of three 2 MiB regions: small enough
+            // that lookups hit and sets conflict; page 0 has key 0.
+            let region = a % 3;
+            let page = Vpn::new(region * 512 + (a / 3) % 32, PageSize::Base4K);
+            let map = |vpn: Vpn| Translation { vpn, pfn: Pfn::new(vpn.index() + 7, vpn.size()) };
+            match kind {
+                0..=5 => prop_assert_eq!(tlb.fill(map(page)), model.fill(map(page)), "op {}", i),
+                6..=8 => {
+                    let huge = map(Vpn::new(region, PageSize::Huge2M));
+                    prop_assert_eq!(tlb.fill(huge), model.fill(huge), "op {}", i);
+                }
+                9 => {
+                    let giant = map(Vpn::new(0, PageSize::Huge1G));
+                    prop_assert_eq!(tlb.fill(giant), model.fill(giant), "op {}", i);
+                }
+                10..=19 => {
+                    let va = page.base().offset(a & 0xfff);
+                    prop_assert_eq!(tlb.lookup(va), model.lookup(va), "op {}", i);
+                }
+                20 | 21 => {
+                    let huge = Vpn::new(region, PageSize::Huge2M);
+                    prop_assert_eq!(tlb.shootdown(huge), model.shootdown(huge), "op {}", i);
+                }
+                _ => {
+                    tlb.flush();
+                    model.flush();
+                }
+            }
+            prop_assert_eq!(tlb.stats(), model.stats, "op {}", i);
+            let mut resident = tlb.resident_translations();
+            let mut want = model.resident();
+            resident.sort_by_key(translation_order);
+            want.sort_by_key(translation_order);
+            prop_assert_eq!(resident, want, "op {}", i);
         }
     }
 
@@ -563,4 +620,149 @@ fn ref_pwc_walk(arrays: &mut [RefLruArray; 3], clock: &mut u64, va: VirtAddr, le
         arrays[2].insert(t2m, *clock);
     }
     leaf
+}
+
+/// A total order on translations, for comparing residency as sets.
+fn translation_order(t: &Translation) -> (u8, u64, u8, u64) {
+    (
+        t.vpn.size() as u8,
+        t.vpn.index(),
+        t.pfn.size() as u8,
+        t.pfn.index(),
+    )
+}
+
+/// One set-associative TLB of the naive hierarchy model: per set, a
+/// `Vec` ordered least to most recently used.
+struct NaiveTlb {
+    ways: usize,
+    sets: Vec<Vec<Translation>>,
+}
+
+impl NaiveTlb {
+    fn new(config: TlbLevelConfig) -> Self {
+        NaiveTlb {
+            ways: config.ways as usize,
+            sets: vec![Vec::new(); config.sets() as usize],
+        }
+    }
+
+    fn set(&mut self, vpn: Vpn) -> &mut Vec<Translation> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(vpn.index() % n) as usize]
+    }
+
+    /// A hit moves the entry to the most-recent end.
+    fn lookup(&mut self, vpn: Vpn) -> Option<Translation> {
+        let set = self.set(vpn);
+        let pos = set.iter().position(|e| e.vpn == vpn)?;
+        let e = set.remove(pos);
+        set.push(e);
+        Some(e)
+    }
+
+    /// Inserts or refreshes, evicting the least recently used entry of
+    /// a full set.
+    fn insert(&mut self, t: Translation) -> Option<Translation> {
+        let ways = self.ways;
+        let set = self.set(t.vpn);
+        let mut victim = None;
+        if let Some(pos) = set.iter().position(|e| e.vpn == t.vpn) {
+            set.remove(pos);
+        } else if set.len() == ways {
+            victim = Some(set.remove(0));
+        }
+        set.push(t);
+        victim
+    }
+
+    fn shootdown(&mut self, region: Vpn) -> usize {
+        let (start, end) = (
+            region.base().raw(),
+            region.base().raw() + region.size().bytes(),
+        );
+        let mut removed = 0;
+        for set in &mut self.sets {
+            let before = set.len();
+            set.retain(|e| {
+                let base = e.vpn.base().raw();
+                base + e.vpn.size().bytes() <= start || base >= end
+            });
+            removed += before - set.len();
+        }
+        removed
+    }
+}
+
+/// The hierarchy, probed one structure at a time: the L1s at 4K, 2M,
+/// 1G, then the L2 at 4K, 2M; counters kept directly.
+struct NaiveHierarchy {
+    l1: Vec<NaiveTlb>,
+    l2: NaiveTlb,
+    stats: TlbHierarchyStats,
+}
+
+impl NaiveHierarchy {
+    fn new(config: TlbConfig) -> Self {
+        NaiveHierarchy {
+            l1: PageSize::ALL
+                .iter()
+                .map(|&s| NaiveTlb::new(config.l1_for(s)))
+                .collect(),
+            l2: NaiveTlb::new(config.l2),
+            stats: TlbHierarchyStats::default(),
+        }
+    }
+
+    fn lookup(&mut self, va: VirtAddr) -> TlbOutcome {
+        self.stats.accesses += 1;
+        for size in PageSize::ALL {
+            if let Some(t) = self.l1[size as usize].lookup(va.vpn(size)) {
+                self.stats.l1_hits += 1;
+                self.stats.l1_hits_by_size[size as usize] += 1;
+                return TlbOutcome::L1Hit(t);
+            }
+        }
+        for size in [PageSize::Base4K, PageSize::Huge2M] {
+            if let Some(t) = self.l2.lookup(va.vpn(size)) {
+                self.stats.l2_hits += 1;
+                self.stats.l2_hits_by_size[size as usize] += 1;
+                self.l1[size as usize].insert(t);
+                return TlbOutcome::L2Hit(t);
+            }
+        }
+        self.stats.walks += 1;
+        TlbOutcome::Miss
+    }
+
+    fn fill(&mut self, t: Translation) -> Option<Translation> {
+        self.l1[t.size() as usize].insert(t);
+        if t.size() == PageSize::Huge1G {
+            None
+        } else {
+            self.l2.insert(t)
+        }
+    }
+
+    fn shootdown(&mut self, region: Vpn) -> usize {
+        self.l1
+            .iter_mut()
+            .chain([&mut self.l2])
+            .map(|l| l.shootdown(region))
+            .sum()
+    }
+
+    fn flush(&mut self) {
+        for level in self.l1.iter_mut().chain([&mut self.l2]) {
+            level.sets.iter_mut().for_each(Vec::clear);
+        }
+    }
+
+    fn resident(&self) -> Vec<Translation> {
+        self.l1
+            .iter()
+            .chain([&self.l2])
+            .flat_map(|l| l.sets.iter().flatten().copied())
+            .collect()
+    }
 }
