@@ -157,6 +157,20 @@ purity "bfs pcc --threads 4" --app bfs --policy pcc --threads 4
 purity "omnetpp victim --threads 2" --app omnetpp --policy victim --threads 2
 purity "bfs pcc --nested" --app bfs --policy pcc --nested
 
+echo "== event-stream smoke: a two-core PCC run's events are checksum-pinned =="
+# The recorder path (every TLB hit, walk and fault with its timestamp)
+# is otherwise checked only for equality across thread counts; this
+# compares the whole stream against a committed SHA-256.
+events_sum=crates/bench/tests/golden/events_bfs_pcc_t2.sha256
+HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc --threads 2 \
+    --max-accesses 200000 --events /tmp/hpsim_events_t2.jsonl --quiet > /dev/null
+events_got=$(sha256sum /tmp/hpsim_events_t2.jsonl | cut -d' ' -f1)
+events_want=$(grep -v '^#' "$events_sum")
+if [ "$events_got" != "$events_want" ]; then
+    echo "event stream sha256 $events_got, want $events_want ($events_sum)" >&2
+    exit 1
+fi
+
 echo "== trace pipeline smoke: record -> replay byte-identical =="
 # Record an HPT2 trace and replay it: SimReport and event JSONL must be
 # byte-identical at every --sim-threads/--jobs, including strided
