@@ -1,8 +1,8 @@
 //! The per-core two-level TLB hierarchy of the paper's Table 2.
 
 use crate::table::Translation;
-use crate::tlb::SetAssocTlb;
-use hpage_types::{PageSize, TlbConfig, VirtAddr, Vpn};
+use crate::tlb::{four_way_pow2, l1_hit_run, SetAssocTlb};
+use hpage_types::{MemoryAccess, PageSize, TlbConfig, VirtAddr, Vpn};
 
 /// Where a lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,28 +122,50 @@ impl TlbHierarchy {
         }
     }
 
+    /// Consumes the leading `accesses` that hit the 4 KiB or 2 MiB L1,
+    /// calling `on_hit` with each one's index in `accesses` and its
+    /// translation, in order, and returns how many it consumed. Each
+    /// hit is counted exactly as [`lookup`](Self::lookup) counts it:
+    /// its level's clock tick, LRU stamp and hit count, 4 KiB winning
+    /// a tie. The access that ends the run is left untouched, so
+    /// passing it to `lookup` next (for the 1 GiB L1, the L2 or a walk)
+    /// equals looking up every access one at a time.
+    #[inline]
+    pub fn l1_hits(
+        &mut self,
+        accesses: &[MemoryAccess],
+        on_hit: impl FnMut(usize, Translation),
+    ) -> usize {
+        let [small, huge, _] = &mut self.l1;
+        if four_way_pow2([small, huge]) {
+            l1_hit_run::<4>([small, huge], accesses, on_hit)
+        } else {
+            l1_hit_run::<0>([small, huge], accesses, on_hit)
+        }
+    }
+
     /// Looks up `va`. On an L2 hit the entry is promoted into the L1 of
     /// its size. On [`TlbOutcome::Miss`] the caller must walk the page
     /// table and call [`fill`](Self::fill) with the result.
     #[inline]
     pub fn lookup(&mut self, va: VirtAddr) -> TlbOutcome {
-        // Search the 4 KiB and 2 MiB L1 sets together, then count the
-        // hit in whichever matched. An address is resident at only the
-        // size it is mapped with (shootdowns precede every mapping
-        // change), and a search that misses changes no clock or stat,
-        // so this equals probing one size after the other; 4 KiB wins
-        // the tie a shootdown rules out, as it would probed first.
-        let vpns = [va.vpn(PageSize::Base4K), va.vpn(PageSize::Huge2M)];
-        let l1 = [self.l1[0].find(vpns[0]), self.l1[1].find(vpns[1])];
-        if let Some(pos) = l1[0].or(l1[1]) {
-            let size = usize::from(l1[0].is_none());
-            return TlbOutcome::L1Hit(self.l1[size].hit(pos, vpns[size]));
+        // The 4 KiB and 2 MiB L1s through the one L1 probe. An address
+        // is resident at only the size it is mapped with (shootdowns
+        // precede every mapping change), and a search that misses
+        // changes no clock or stat, so the order the levels are
+        // searched in decides nothing.
+        let mut l1 = None;
+        self.l1_hits(&[MemoryAccess::read(va)], |_, t| l1 = Some(t));
+        if let Some(t) = l1 {
+            return TlbOutcome::L1Hit(t);
         }
         let giant = va.vpn(PageSize::Huge1G);
         if let Some(pos) = self.l1[2].find(giant) {
             return TlbOutcome::L1Hit(self.l1[2].hit(pos, giant));
         }
-        // L2: unified over 4K + 2M, both sizes searched the same way.
+        // L2: unified over 4K + 2M, both sizes searched together, the
+        // hit counted in whichever matched.
+        let vpns = [va.vpn(PageSize::Base4K), va.vpn(PageSize::Huge2M)];
         let l2 = [self.l2.find(vpns[0]), self.l2.find(vpns[1])];
         if let Some(pos) = l2[0].or(l2[1]) {
             let size = usize::from(l2[0].is_none());
@@ -373,6 +395,32 @@ mod tests {
         assert_eq!(h.stats().walks, 1);
         assert!(h.l1.iter().all(|l1| l1.stats().misses == 0));
         assert_eq!(h.l2.stats().misses, 0);
+    }
+
+    #[test]
+    fn l1_hits_consume_the_leading_hits() {
+        let mut h = hierarchy();
+        h.fill(t4k(1));
+        h.fill(t2m(9));
+        let access = |t: Translation| MemoryAccess::read(t.vpn.base());
+        let run = [
+            access(t4k(1)),
+            access(t2m(9)),
+            access(t4k(1)),
+            access(t4k(2)), // misses every L1: ends the run
+            access(t4k(1)),
+        ];
+        let mut hits = Vec::new();
+        assert_eq!(h.l1_hits(&run, |i, t| hits.push((i, t))), 3);
+        assert_eq!(hits, [(0, t4k(1)), (1, t2m(9)), (2, t4k(1))]);
+        // The access that ended the run is left for `lookup`: nothing
+        // counted it yet.
+        assert_eq!(h.stats().l1_hits_by_size, [2, 1, 0]);
+        assert_eq!(h.stats().accesses, 3);
+        assert_eq!(h.l1_hits(&run[3..], |_, _| unreachable!()), 0);
+        assert_eq!(h.l1_hits(&[], |_, _| unreachable!()), 0);
+        assert_eq!(h.lookup(run[3].addr), TlbOutcome::Miss);
+        assert_eq!(h.stats().accesses, 4);
     }
 
     #[test]

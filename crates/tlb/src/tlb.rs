@@ -1,7 +1,7 @@
 //! A set-associative TLB with LRU replacement.
 
 use crate::table::Translation;
-use hpage_types::{PageSize, Pfn, TlbLevelConfig, Vpn};
+use hpage_types::{MemoryAccess, PageSize, Pfn, TlbLevelConfig, Vpn};
 
 /// Hit/miss counters for one TLB structure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,18 +66,43 @@ pub struct SetAssocTlb {
     slots: Vec<Slot>,
     /// Packed match keys ([`vpn_key`]) parallel to `slots`; a way past
     /// its set's live entries holds [`EMPTY_KEY`]. A set search
-    /// compares all `ways` 8-byte keys at once ([`Self::match_mask`]) —
-    /// a 12-way set fits in two cache lines instead of the three its
-    /// slots span — and dereferences the payload only on a hit.
+    /// compares all `ways` 8-byte keys at once ([`search`]) — a 12-way
+    /// set fits in two cache lines instead of the three its slots span
+    /// — and dereferences the payload only on a hit.
     keys: Vec<u64>,
-    sets: usize,
-    ways: u32,
+    geometry: Geometry,
     clock: u64,
-    /// `set_count - 1` when the set count is a power of two (the
-    /// common geometries), letting [`Self::set_base`] mask instead of
-    /// divide on the per-access path; `usize::MAX` otherwise.
-    set_mask: usize,
     stats: TlbStats,
+}
+
+/// The shape of a level's slab, as the set search reads it.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    sets: usize,
+    ways: usize,
+    /// `sets - 1` when the set count is a power of two (the common
+    /// geometries), letting [`Self::set_base`] mask instead of divide
+    /// on the per-access path; `usize::MAX` otherwise.
+    set_mask: usize,
+}
+
+impl Geometry {
+    /// Slab offset of the set `vpn` indexes. A non-zero `W` asserts
+    /// that the level has `W` ways and a power-of-two set count, so the
+    /// offset is a mask and a constant multiply; `W == 0` reads both
+    /// from the geometry.
+    #[inline(always)]
+    fn set_base<const W: usize>(self, vpn: Vpn) -> usize {
+        if W != 0 {
+            return (vpn.index() as usize & self.set_mask) * W;
+        }
+        let set = if self.set_mask != usize::MAX {
+            vpn.index() as usize & self.set_mask
+        } else {
+            (vpn.index() % self.sets as u64) as usize
+        };
+        set * self.ways
+    }
 }
 
 /// Packs a [`Vpn`] into the 8-byte match key the set search compares:
@@ -94,16 +119,28 @@ fn pfn_key(pfn: Pfn) -> u64 {
     (pfn.index() << 2) | pfn.size() as u64
 }
 
+/// The page size a packed key's low two bits name. Total (3, which
+/// no live key holds, reads as 1 GiB), so decoding a key cannot panic
+/// and costs nothing when the caller drops the result.
+#[inline(always)]
+fn key_size(key: u64) -> PageSize {
+    match key & 3 {
+        0 => PageSize::Base4K,
+        1 => PageSize::Huge2M,
+        _ => PageSize::Huge1G,
+    }
+}
+
 /// Inverse of [`vpn_key`].
 #[inline(always)]
 fn key_vpn(key: u64) -> Vpn {
-    Vpn::new(key >> 2, PageSize::ALL[(key & 3) as usize])
+    Vpn::new(key >> 2, key_size(key))
 }
 
 /// Inverse of [`pfn_key`].
 #[inline(always)]
 fn key_pfn(key: u64) -> Pfn {
-    Pfn::new(key >> 2, PageSize::ALL[(key & 3) as usize])
+    Pfn::new(key >> 2, key_size(key))
 }
 
 /// The key of an empty way. Its low two bits, 3, name no [`PageSize`],
@@ -116,6 +153,37 @@ fn mask_of(keys: &[u64], key: u64) -> u64 {
     keys.iter()
         .enumerate()
         .fold(0, |mask, (i, &k)| mask | u64::from(k == key) << i)
+}
+
+/// Bitmask of the ways of the `ways`-way set at slab offset `base`
+/// whose key is `key`. Searching all ways, empty ones included, needs
+/// no live-length bound and no early exit, so the compare has no
+/// branch to mispredict; the 4- and 8-way arms give the compiler a
+/// constant trip count to unroll.
+#[inline(always)]
+fn match_mask(keys: &[u64], ways: usize, base: usize, key: u64) -> u64 {
+    match ways {
+        4 => mask_of(&keys[base..base + 4], key),
+        8 => mask_of(&keys[base..base + 8], key),
+        ways => mask_of(&keys[base..base + ways], key),
+    }
+}
+
+/// The one set search: slab position of `vpn`'s entry, if resident.
+/// `W` is as in [`Geometry::set_base`]: non-zero only for a level with
+/// `W` ways and a power-of-two set count, which then searches a
+/// fixed-size set. Keys are unique within a set, so the match mask has
+/// at most one bit.
+#[inline(always)]
+fn search<const W: usize>(keys: &[u64], geometry: Geometry, vpn: Vpn) -> Option<usize> {
+    let base = geometry.set_base::<W>(vpn);
+    let key = vpn_key(vpn);
+    let mask = if W != 0 {
+        mask_of(&keys[base..base + W], key)
+    } else {
+        match_mask(keys, geometry.ways, base, key)
+    };
+    (mask != 0).then_some(base + mask.trailing_zeros() as usize)
 }
 
 impl SetAssocTlb {
@@ -137,50 +205,42 @@ impl SetAssocTlb {
                 sets * config.ways as usize
             ],
             keys: vec![EMPTY_KEY; sets * config.ways as usize],
-            sets,
-            ways: config.ways,
-            clock: 0,
-            set_mask: if sets.is_power_of_two() {
-                sets - 1
-            } else {
-                usize::MAX
+            geometry: Geometry {
+                sets,
+                ways: config.ways as usize,
+                set_mask: if sets.is_power_of_two() {
+                    sets - 1
+                } else {
+                    usize::MAX
+                },
             },
+            clock: 0,
             stats: TlbStats::default(),
         }
     }
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets
+        self.geometry.sets
     }
 
-    /// Bitmask of the ways of the set at slab offset `base` whose key
-    /// is `key`: the one set search. Searching all ways, empty ones
-    /// included, needs no live-length bound and no early exit, so the
-    /// compare has no branch to mispredict; the 4- and 8-way arms give
-    /// the compiler a constant trip count to unroll.
-    #[inline(always)]
-    fn match_mask(&self, base: usize, key: u64) -> u64 {
-        match self.ways {
-            4 => mask_of(&self.keys[base..base + 4], key),
-            8 => mask_of(&self.keys[base..base + 8], key),
-            ways => mask_of(&self.keys[base..base + ways as usize], key),
-        }
-    }
-
-    /// Slab position of `vpn`'s entry, if resident. Keys are unique
-    /// within a set, so the match mask has at most one bit.
+    /// Slab position of `vpn`'s entry, if resident ([`search`]'s
+    /// generic arm).
     #[inline(always)]
     pub(crate) fn find(&self, vpn: Vpn) -> Option<usize> {
-        let base = self.set_base(vpn);
-        let mask = self.match_mask(base, vpn_key(vpn));
-        (mask != 0).then_some(base + mask.trailing_zeros() as usize)
+        search::<0>(&self.keys, self.geometry, vpn)
+    }
+
+    /// Slab offset of the set `vpn` indexes.
+    #[inline(always)]
+    fn set_base(&self, vpn: Vpn) -> usize {
+        self.geometry.set_base::<0>(vpn)
     }
 
     /// Order-preserving removal of the entry at slab position `pos`
     /// from the set at `base`, returning the translation it held.
     fn remove_at(&mut self, base: usize, pos: usize) -> Translation {
-        let end = base + self.ways as usize;
+        let end = base + self.geometry.ways;
         let victim = Translation {
             vpn: key_vpn(self.keys[pos]),
             pfn: key_pfn(self.slots[pos].pfn),
@@ -193,7 +253,7 @@ impl SetAssocTlb {
 
     /// Associativity.
     pub fn ways(&self) -> u32 {
-        self.ways
+        self.geometry.ways as u32
     }
 
     /// Total entries currently resident.
@@ -223,17 +283,6 @@ impl SetAssocTlb {
                 vpn: key_vpn(k),
                 pfn: key_pfn(s.pfn),
             })
-    }
-
-    /// Slab offset of the set `vpn` indexes.
-    #[inline(always)]
-    fn set_base(&self, vpn: Vpn) -> usize {
-        let set = if self.set_mask != usize::MAX {
-            vpn.index() as usize & self.set_mask
-        } else {
-            (vpn.index() % self.sets as u64) as usize
-        };
-        set * self.ways as usize
     }
 
     /// Counts a hit on the entry at slab position `pos` (from
@@ -290,14 +339,14 @@ impl SetAssocTlb {
         };
         let base = self.set_base(translation.vpn);
         let key = vpn_key(translation.vpn);
-        let resident = self.match_mask(base, key);
+        let ways = self.geometry.ways;
+        let resident = match_mask(&self.keys, ways, base, key);
         if resident != 0 {
             self.slots[base + resident.trailing_zeros() as usize] = slot;
             return None;
         }
-        let ways = self.ways as usize;
         // Live entries come first, so the first empty way is the end.
-        let free = self.match_mask(base, EMPTY_KEY);
+        let free = match_mask(&self.keys, ways, base, EMPTY_KEY);
         let (pos, evicted) = if free != 0 {
             (base + free.trailing_zeros() as usize, None)
         } else {
@@ -337,7 +386,7 @@ impl SetAssocTlb {
         let start = region.base().raw();
         let end = start + region.size().bytes();
         let mut removed = 0;
-        let ways = self.ways as usize;
+        let ways = self.geometry.ways;
         for base in (0..self.keys.len()).step_by(ways) {
             // Order-preserving in-place compaction (retain); the ways
             // it vacates become empty.
@@ -368,6 +417,113 @@ impl SetAssocTlb {
     pub fn flush(&mut self) {
         self.keys.fill(EMPTY_KEY);
     }
+}
+
+/// One L1 opened for a run of hits ([`l1_hit_run`]): its slab
+/// split-borrowed, its clock held in a local for the run and written
+/// back, with the hits it counted, once by [`close`](Self::close).
+struct HitRun<'a, const W: usize> {
+    keys: &'a [u64],
+    slots: &'a mut [Slot],
+    geometry: Geometry,
+    clock: &'a mut u64,
+    hits: &'a mut u64,
+    /// The clock when the run opened.
+    start: u64,
+    /// The clock now: one tick per hit counted in the run.
+    now: u64,
+}
+
+impl<'a, const W: usize> HitRun<'a, W> {
+    #[inline(always)]
+    fn open(tlb: &'a mut SetAssocTlb) -> Self {
+        let SetAssocTlb {
+            slots,
+            keys,
+            geometry,
+            clock,
+            stats,
+        } = tlb;
+        HitRun {
+            keys,
+            slots,
+            geometry: *geometry,
+            start: *clock,
+            now: *clock,
+            clock,
+            hits: &mut stats.hits,
+        }
+    }
+
+    #[inline(always)]
+    fn find(&self, vpn: Vpn) -> Option<usize> {
+        search::<W>(self.keys, self.geometry, vpn)
+    }
+
+    /// [`SetAssocTlb::hit`]'s bookkeeping: one clock tick (which is
+    /// also one hit) and the entry stamped with the new clock.
+    #[inline(always)]
+    fn hit(&mut self, pos: usize, vpn: Vpn) -> Translation {
+        self.now += 1;
+        let slot = &mut self.slots[pos];
+        slot.last_used = self.now;
+        Translation {
+            vpn,
+            pfn: key_pfn(slot.pfn),
+        }
+    }
+
+    #[inline(always)]
+    fn close(self) {
+        *self.hits += self.now - self.start;
+        *self.clock = self.now;
+    }
+}
+
+/// Whether both levels fit the 4-way arm of [`l1_hit_run`].
+#[inline]
+pub(crate) fn four_way_pow2(levels: [&SetAssocTlb; 2]) -> bool {
+    levels
+        .iter()
+        .all(|l| l.geometry.ways == 4 && l.geometry.set_mask != usize::MAX)
+}
+
+/// The arms of [`TlbHierarchy::l1_hits`](crate::TlbHierarchy::l1_hits):
+/// consumes the leading `accesses` that hit `levels` (the 4 KiB and
+/// 2 MiB L1s), calls `on_hit` with each one's index and translation,
+/// and returns how many it consumed. Each hit is counted exactly as
+/// [`SetAssocTlb::hit`] counts it, 4 KiB first on a tie. `W == 4` is the
+/// arm for two 4-way levels with power-of-two set counts
+/// ([`four_way_pow2`]); `W == 0` fits any geometry.
+#[inline(always)]
+pub(crate) fn l1_hit_run<const W: usize>(
+    levels: [&mut SetAssocTlb; 2],
+    accesses: &[MemoryAccess],
+    mut on_hit: impl FnMut(usize, Translation),
+) -> usize {
+    let [mut small, mut huge] = levels.map(HitRun::<W>::open);
+    let mut consumed = accesses.len();
+    for (i, access) in accesses.iter().enumerate() {
+        // Search both sets, then count the hit in whichever matched: a
+        // search that misses changes nothing, and an address is
+        // resident at only the size it is mapped with.
+        let vpns = [
+            access.addr.vpn(PageSize::Base4K),
+            access.addr.vpn(PageSize::Huge2M),
+        ];
+        let t = match [small.find(vpns[0]), huge.find(vpns[1])] {
+            [Some(pos), _] => small.hit(pos, vpns[0]),
+            [None, Some(pos)] => huge.hit(pos, vpns[1]),
+            [None, None] => {
+                consumed = i;
+                break;
+            }
+        };
+        on_hit(i, t);
+    }
+    small.close();
+    huge.close();
+    consumed
 }
 
 #[cfg(test)]

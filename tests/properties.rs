@@ -8,7 +8,8 @@ use hpage::tlb::{
     PageTable, PageWalkCache, SetAssocTlb, TlbHierarchy, TlbHierarchyStats, TlbOutcome, Translation,
 };
 use hpage::types::{
-    derive_seed, PageSize, PccConfig, Pfn, PwcConfig, TlbConfig, TlbLevelConfig, VirtAddr, Vpn,
+    derive_seed, MemoryAccess, PageSize, PccConfig, Pfn, PwcConfig, TlbConfig, TlbLevelConfig,
+    VirtAddr, Vpn,
 };
 use proptest::prelude::*;
 
@@ -195,16 +196,23 @@ proptest! {
     /// stats and residency after it — over mixed-size fills (including
     /// a 4 KiB and a 2 MiB entry for one address, which real runs rule
     /// out), lookups, shootdowns and flushes, at 1 to 12 ways and set
-    /// counts that are not powers of two.
+    /// counts that are not powers of two. Half the draws give both the
+    /// 4 KiB and the 2 MiB L1 4 ways and a power-of-two set count, the
+    /// geometry the L1 probe's 4-way arm serves.
     #[test]
     fn tlb_hierarchy_matches_naive_model(
         ops in prop::collection::vec((0u8..23, 0u64..4096), 1..400),
         geometry in prop::collection::vec((0usize..5, 1u32..6), 4..5),
+        four_way in any::<bool>(),
     ) {
         const WAYS: [u32; 5] = [1, 2, 4, 8, 12];
         let level = |i: usize| {
             let (w, sets) = geometry[i];
-            TlbLevelConfig::new(WAYS[w] * sets, WAYS[w])
+            if four_way && i < 2 {
+                TlbLevelConfig::new(4 << (sets % 3), 4)
+            } else {
+                TlbLevelConfig::new(WAYS[w] * sets, WAYS[w])
+            }
         };
         let config = TlbConfig { l1_4k: level(0), l1_2m: level(1), l1_1g: level(2), l2: level(3) };
         let mut tlb = TlbHierarchy::new(config);
@@ -244,6 +252,133 @@ proptest! {
             resident.sort_by_key(translation_order);
             want.sort_by_key(translation_order);
             prop_assert_eq!(resident, want, "op {}", i);
+        }
+    }
+
+    /// `l1_hits` is `lookup` batched. One hierarchy runs each access
+    /// sequence through `l1_hits` over random slices, sending the access
+    /// that ends a run (and, at random, single accesses) through
+    /// `lookup`; a clone looks up every access one at a time. Both fill
+    /// the base page of every miss, as the engine's walk would. Fills,
+    /// shootdowns and flushes land between sequences. Outcomes, stats
+    /// and residency must agree throughout, and refilling every L1 set
+    /// afterwards, one new entry at a time, must evict the same victims:
+    /// equal LRU stamps, not only equal contents. Half the draws give
+    /// both L1s 4 ways and a power-of-two set count (the 4-way arm);
+    /// the rest draw 1 to 12 ways and any set count (the generic arm).
+    #[test]
+    fn l1_hit_runs_match_per_access_lookup(
+        ops in prop::collection::vec((0u8..16, any::<u64>(), 1usize..48), 1..100),
+        geometry in prop::collection::vec((0usize..5, 1u32..6), 4..5),
+        four_way in any::<bool>(),
+    ) {
+        const WAYS: [u32; 5] = [1, 2, 4, 8, 12];
+        let level = |i: usize| {
+            let (w, sets) = geometry[i];
+            if four_way && i < 2 {
+                TlbLevelConfig::new(4 << (sets % 3), 4)
+            } else {
+                TlbLevelConfig::new(WAYS[w] * sets, WAYS[w])
+            }
+        };
+        let config = TlbConfig { l1_4k: level(0), l1_2m: level(1), l1_1g: level(2), l2: level(3) };
+        let mut batched = TlbHierarchy::new(config);
+        let mut single = batched.clone();
+        let map = |vpn: Vpn| Translation { vpn, pfn: Pfn::new(vpn.index() + 7, vpn.size()) };
+        let lookup = |tlb: &mut TlbHierarchy, access: MemoryAccess| {
+            let outcome = tlb.lookup(access.addr);
+            if outcome == TlbOutcome::Miss {
+                tlb.fill(map(access.addr.vpn(PageSize::Base4K)));
+            }
+            outcome
+        };
+        for (i, &(kind, seed, len)) in ops.iter().enumerate() {
+            let mut rng = seed;
+            let mut next = move || {
+                rng = derive_seed(rng, "l1-hit-run");
+                rng
+            };
+            // 32 base pages in each of three 2 MiB regions, as in the
+            // naive-model test: lookups hit and sets conflict.
+            let page = |r: u64| Vpn::new((r % 3) * 512 + (r >> 8) % 32, PageSize::Base4K);
+            match kind {
+                0..=10 => {
+                    let accesses: Vec<MemoryAccess> = (0..len)
+                        .map(|_| {
+                            let r = next();
+                            MemoryAccess::read(page(r).base().offset(r >> 20 & 0xfff))
+                        })
+                        .collect();
+                    let mut got = Vec::new();
+                    let mut pos = 0;
+                    while pos < accesses.len() {
+                        let r = next();
+                        if r % 4 != 0 {
+                            let end = (pos + 1 + (r >> 8) as usize % 8).min(accesses.len());
+                            let start = pos;
+                            pos += batched.l1_hits(&accesses[start..end], |j, t| {
+                                got.push((start + j, TlbOutcome::L1Hit(t)));
+                            });
+                            if pos < end {
+                                got.push((pos, lookup(&mut batched, accesses[pos])));
+                                pos += 1;
+                            }
+                        } else {
+                            got.push((pos, lookup(&mut batched, accesses[pos])));
+                            pos += 1;
+                        }
+                    }
+                    let want: Vec<_> = accesses
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &a)| (j, lookup(&mut single, a)))
+                        .collect();
+                    prop_assert_eq!(got, want, "op {}", i);
+                }
+                11 => {
+                    let t = map(page(next()));
+                    prop_assert_eq!(batched.fill(t), single.fill(t), "op {}", i);
+                }
+                12 => {
+                    let t = map(Vpn::new(next() % 3, PageSize::Huge2M));
+                    prop_assert_eq!(batched.fill(t), single.fill(t), "op {}", i);
+                }
+                13 => {
+                    let t = map(Vpn::new(0, PageSize::Huge1G));
+                    prop_assert_eq!(batched.fill(t), single.fill(t), "op {}", i);
+                }
+                14 => {
+                    let region = Vpn::new(next() % 3, PageSize::Huge2M);
+                    prop_assert_eq!(batched.shootdown(region), single.shootdown(region), "op {}", i);
+                }
+                _ => {
+                    batched.flush();
+                    single.flush();
+                }
+            }
+            prop_assert_eq!(batched.stats(), single.stats(), "op {}", i);
+            let mut got = batched.resident_translations();
+            let mut want = single.resident_translations();
+            got.sort_by_key(translation_order);
+            want.sort_by_key(translation_order);
+            prop_assert_eq!(got, want, "op {}", i);
+        }
+        // Refill every 4 KiB and 2 MiB L1 set with fresh entries (far
+        // above the pages used so far, newer than every stamp): each
+        // fill into a full set evicts its least recently used entry.
+        for (size, l1) in [(PageSize::Base4K, config.l1_4k), (PageSize::Huge2M, config.l1_2m)] {
+            let sets = u64::from(l1.sets());
+            for k in 0..u64::from(l1.ways) {
+                for set in 0..sets {
+                    let t = map(Vpn::new(set + sets * (1 << 20) * (k + 1), size));
+                    prop_assert_eq!(batched.fill(t), single.fill(t));
+                    let mut got = batched.resident_translations();
+                    let mut want = single.resident_translations();
+                    got.sort_by_key(translation_order);
+                    want.sort_by_key(translation_order);
+                    prop_assert_eq!(got, want, "refill {:?} way {} set {}", size, k, set);
+                }
+            }
         }
     }
 
