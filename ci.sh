@@ -118,18 +118,31 @@ echo "== set-up and producer smoke: results do not depend on the host's cores ==
 # Reports and event streams must be byte-identical, so neither set-up
 # threads nor producers ever reach a result. --threads 3 is one shard
 # with three cores, only some of them fed by a producer; its event
-# streams cover the first 300k accesses of each core.
+# streams cover the first 300k accesses of each core. The HPT2 replay
+# (strided over three cores) and the synthetic omnetpp run cover the
+# producer over the other two kinds of trace source.
 all_cpus="0-$(($(nproc) - 1))"
+HPAGE_PROFILE=test ./target/release/hpsim --app bfs \
+    --trace-out /tmp/hpsim_setup_trace.hpt2 --max-accesses 200000 > /dev/null
 for cpus in 0 "$all_cpus"; do
     HPAGE_PROFILE=test HPAGE_SCALE=18 taskset -c "$cpus" ./target/release/hpsim \
         --app bfs --policy pcc -j 1 --quiet > "/tmp/hpsim_setup_$cpus.txt"
     HPAGE_PROFILE=test HPAGE_SCALE=18 taskset -c "$cpus" ./target/release/hpsim \
         --app bfs --policy pcc -j 1 --threads 3 --max-accesses 300000 \
         --events "/tmp/hpsim_setup_t3_$cpus.jsonl" --quiet > "/tmp/hpsim_setup_t3_$cpus.txt"
+    HPAGE_PROFILE=test taskset -c "$cpus" ./target/release/hpsim \
+        --trace-in /tmp/hpsim_setup_trace.hpt2 --policy pcc -j 1 --threads 3 \
+        --events "/tmp/hpsim_setup_replay_$cpus.jsonl" --quiet > "/tmp/hpsim_setup_replay_$cpus.txt"
+    HPAGE_PROFILE=test taskset -c "$cpus" ./target/release/hpsim \
+        --app omnetpp --policy pcc -j 1 --threads 2 --max-accesses 300000 \
+        --events "/tmp/hpsim_setup_omnetpp_$cpus.jsonl" --quiet > "/tmp/hpsim_setup_omnetpp_$cpus.txt"
 done
-cmp /tmp/hpsim_setup_0.txt "/tmp/hpsim_setup_$all_cpus.txt"
-cmp /tmp/hpsim_setup_t3_0.txt "/tmp/hpsim_setup_t3_$all_cpus.txt"
-cmp /tmp/hpsim_setup_t3_0.jsonl "/tmp/hpsim_setup_t3_$all_cpus.jsonl"
+for run in setup setup_t3 setup_replay setup_omnetpp; do
+    cmp "/tmp/hpsim_${run}_0.txt" "/tmp/hpsim_${run}_$all_cpus.txt"
+done
+for run in setup_t3 setup_replay setup_omnetpp; do
+    cmp "/tmp/hpsim_${run}_0.jsonl" "/tmp/hpsim_${run}_$all_cpus.jsonl"
+done
 # A scale the generator cannot take is a usage error, not a panic.
 for scale in 0 abc; do
     scale_rc=0

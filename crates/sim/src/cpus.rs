@@ -1,6 +1,6 @@
 //! The process-wide count of CPUs that simulation threads keep busy.
 //!
-//! A trace producer ([`hpage_trace::ProducerStream`]) pays only on a CPU
+//! A trace producer ([`hpage_trace::Producer`]) pays only on a CPU
 //! nobody else is using, so the engine gives its cores producers from
 //! the *spare* CPUs: `available_parallelism()` minus every CPU this
 //! process has already claimed. Claims are held by [`CpuClaim`] guards:

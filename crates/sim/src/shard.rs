@@ -25,8 +25,8 @@
 //! # Trace producers
 //!
 //! A core's trace can also be generated on a thread of its own: a
-//! [`ProducerStream`] fills blocks of accesses ahead of the shard that
-//! replays them, taking trace generation off that shard's critical
+//! [`Producer`] has the workload's trace source append blocks of
+//! accesses ahead of the shard that replays them, taking trace generation off that shard's critical
 //! path. Cores get producers in core order while the process has a CPU
 //! to spare: `available_parallelism()` minus every CPU the process has
 //! claimed for the shards of running engines and the workers of a
@@ -106,7 +106,7 @@ use hpage_perf::RunCounters;
 use hpage_tlb::{
     HostSpace, NestedPwc, PageWalkCache, TlbHierarchy, TlbOutcome, Translation, WalkResult,
 };
-use hpage_trace::{ProducerStream, TraceStream};
+use hpage_trace::{Producer, SourceStream, TraceStream};
 use hpage_types::{
     derive_seed, CoreId, HpageError, MemoryAccess, NestedConfig, PageSize, ProcessId,
     PromotionPolicyKind, VirtAddr, Vpn,
@@ -1867,10 +1867,12 @@ pub(crate) fn run<R: Recorder>(
                     .iter()
                     .position(|(p, ..)| *p == pi)
                     .expect("space placed before seats");
-                let mut trace = spec.workload.thread_stream(t, spec.threads);
-                if core < spare.cpus() {
-                    trace = Box::new(ProducerStream::spawn(scope, trace));
-                }
+                let trace: Box<dyn TraceStream + Send> = if core < spare.cpus() {
+                    let source = spec.workload.thread_source(t, spec.threads);
+                    Box::new(SourceStream::new(Producer::spawn(scope, source)))
+                } else {
+                    spec.workload.thread_stream(t, spec.threads)
+                };
                 worker.seats.push(CoreSeat {
                     core,
                     pid: pi,

@@ -4,7 +4,7 @@
 use crate::graph::{degree_based_grouping, generate_rmat, RmatParams};
 use crate::kernels::{GraphKernel, GraphWorkload};
 use crate::synth::{self, SynthScale, SyntheticWorkload};
-use crate::workload::{TraceStream, Workload};
+use crate::workload::{TraceSource, Workload};
 
 /// The eight applications of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -254,10 +254,10 @@ impl Workload for AnyWorkload {
         }
     }
 
-    fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
+    fn thread_source(&self, thread: u32, threads: u32) -> Box<dyn TraceSource + Send + '_> {
         match self {
-            AnyWorkload::Graph(w) => w.thread_stream(thread, threads),
-            AnyWorkload::Synth(w) => w.thread_stream(thread, threads),
+            AnyWorkload::Graph(w) => w.thread_source(thread, threads),
+            AnyWorkload::Synth(w) => w.thread_source(thread, threads),
         }
     }
 }

@@ -36,11 +36,11 @@
 //!
 //! [`MmapTrace`] maps the file and validates everything once at open —
 //! checksums, strict per-block decode, trailer totals — so its replay
-//! streams can decode block-by-block with no error paths in the hot
-//! loop and windows borrowed straight from the decode buffer.
+//! sources can decode block-by-block with no error paths in the hot
+//! loop, each block straight into the buffer windows are cut from.
 
 use crate::mmap::{Advice, Mmap};
-use crate::workload::{TraceStream, Workload};
+use crate::workload::{TraceSource, Workload};
 use hpage_types::{AccessKind, MemoryAccess, PageSize, Region, VirtAddr};
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -315,9 +315,9 @@ fn decode_block_strict(
 /// Fast-path decode of an already-validated block payload (no error
 /// paths: [`MmapTrace::open`] proved the payload well-formed).
 ///
-/// Keeps records `skip, skip + stride, …` of the block in `out` — every
-/// record when `skip == 0, stride == 1`, one core's round-robin share
-/// otherwise. The delta chain still decodes every record; only the kept
+/// Appends records `skip, skip + stride, …` of the block to `out` —
+/// every record when `skip == 0, stride == 1`, one core's round-robin
+/// share otherwise. The delta chain still decodes every record; only the kept
 /// ones are stored. Returns how many records the next block must skip
 /// to continue the partition.
 fn decode_block_trusted(
@@ -327,7 +327,6 @@ fn decode_block_trusted(
     stride: usize,
     out: &mut Vec<MemoryAccess>,
 ) -> usize {
-    out.clear();
     let mut pos = 0usize;
     let mut prev_addr = 0u64;
     let mut keep = skip;
@@ -556,20 +555,6 @@ impl MmapTrace {
         let meta = self.blocks[block];
         &self.map.as_slice()[meta.payload_start..meta.payload_start + meta.payload_len as usize]
     }
-
-    fn stream_for(&self, thread: u32, threads: u32) -> Hpt2Stream<'_> {
-        assert!(thread < threads, "bad thread index");
-        Hpt2Stream {
-            trace: self,
-            next_block: 0,
-            buf: Vec::new(),
-            pos: 0,
-            stride: threads as usize,
-            skip: thread as usize,
-            gather: Vec::new(),
-            win: Win::Buf { start: 0, len: 0 },
-        }
-    }
 }
 
 impl Workload for MmapTrace {
@@ -584,96 +569,48 @@ impl Workload for MmapTrace {
     /// A recorded trace is one thread's stream; replayed across
     /// `threads` cores it is partitioned round-robin by record, so core
     /// `thread` replays records `thread, thread + threads, …`.
-    fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
-        Box::new(self.stream_for(thread, threads))
+    fn thread_source(&self, thread: u32, threads: u32) -> Box<dyn TraceSource + Send + '_> {
+        assert!(thread < threads, "bad thread index");
+        Box::new(Hpt2Source {
+            trace: self,
+            next_block: 0,
+            stride: threads as usize,
+            skip: thread as usize,
+        })
     }
 }
 
-/// Where the current window lives.
-#[derive(Debug, Clone, Copy)]
-enum Win {
-    /// Subslice of the decoded block buffer.
-    Buf { start: usize, len: usize },
-    /// The gather buffer (block-boundary windows).
-    Gather,
-}
-
-/// Replay stream over an [`MmapTrace`].
-///
-/// Each block is decoded into `buf` keeping only this core's records
-/// (all of them single-threaded, every `stride`-th when the trace is
-/// partitioned over cores). Windows are direct subslices of `buf`; only
-/// windows straddling a block boundary are gathered.
-pub struct Hpt2Stream<'a> {
+/// Replay source over an [`MmapTrace`]: each refill decodes one block,
+/// keeping only this core's records (all of them single-threaded,
+/// every `stride`-th when the trace is partitioned over cores).
+struct Hpt2Source<'a> {
     trace: &'a MmapTrace,
     next_block: usize,
-    /// This core's decoded records of the current block.
-    buf: Vec<MemoryAccess>,
-    /// Consumed prefix of `buf`.
-    pos: usize,
     stride: usize,
     /// Records the next block skips before this core's first pick.
     skip: usize,
-    gather: Vec<MemoryAccess>,
-    win: Win,
 }
 
-impl Hpt2Stream<'_> {
-    /// Decodes the next block into `buf`; false when none remain.
-    fn advance_block(&mut self) -> bool {
-        self.pos = 0;
-        let Some(&meta) = self.trace.blocks.get(self.next_block) else {
-            self.buf.clear();
-            return false;
-        };
-        self.skip = decode_block_trusted(
-            self.trace.payload(self.next_block),
-            meta.n_records,
-            self.skip,
-            self.stride,
-            &mut self.buf,
-        );
-        self.next_block += 1;
-        true
-    }
-}
-
-impl TraceStream for Hpt2Stream<'_> {
-    fn next_window(&mut self, max: usize) -> &[MemoryAccess] {
-        if self.pos + max <= self.buf.len() {
-            let start = self.pos;
-            self.pos += max;
-            self.win = Win::Buf { start, len: max };
-            return &self.buf[start..start + max];
+impl TraceSource for Hpt2Source<'_> {
+    fn refill(&mut self, out: &mut Vec<MemoryAccess>) -> bool {
+        if let Some(&meta) = self.trace.blocks.get(self.next_block) {
+            self.skip = decode_block_trusted(
+                self.trace.payload(self.next_block),
+                meta.n_records,
+                self.skip,
+                self.stride,
+                out,
+            );
+            self.next_block += 1;
         }
-        // Block boundary: gather the tail, then heads of following
-        // blocks until the window is full or the trace ends.
-        self.gather.clear();
-        self.gather.extend_from_slice(&self.buf[self.pos..]);
-        self.pos = self.buf.len();
-        while self.gather.len() < max {
-            if !self.advance_block() {
-                break;
-            }
-            let take = (max - self.gather.len()).min(self.buf.len());
-            self.gather.extend_from_slice(&self.buf[..take]);
-            self.pos = take;
-        }
-        self.win = Win::Gather;
-        &self.gather
-    }
-
-    fn window(&self) -> &[MemoryAccess] {
-        match self.win {
-            Win::Buf { start, len } => &self.buf[start..start + len],
-            Win::Gather => &self.gather,
-        }
+        self.next_block < self.trace.blocks.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::TraceStream;
 
     fn acc(addr: u64) -> MemoryAccess {
         MemoryAccess::read(VirtAddr::new(addr))

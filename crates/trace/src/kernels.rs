@@ -16,7 +16,7 @@
 
 use crate::graph::CsrGraph;
 use crate::layout::{AddressSpaceBuilder, ArrayLayout};
-use crate::workload::{TraceStream, Workload};
+use crate::workload::{TraceSource, Workload, PIECE_LEN};
 use hpage_types::{MemoryAccess, Region};
 use std::collections::VecDeque;
 
@@ -118,6 +118,26 @@ impl GraphWorkload {
         self.props_a
     }
 
+    /// Appends the accesses of scanning vertex `u`'s out-edges to `out`:
+    /// the offsets pair, then per edge the neighbour read, after which
+    /// `visit(out, edge, neighbour)` appends the kernel's own property
+    /// accesses.
+    fn scan_vertex(
+        &self,
+        u: u32,
+        out: &mut Vec<MemoryAccess>,
+        mut visit: impl FnMut(&mut Vec<MemoryAccess>, u64, u32),
+    ) {
+        out.push(MemoryAccess::read(self.offsets.addr_of(u as u64)));
+        out.push(MemoryAccess::read(self.offsets.addr_of(u as u64 + 1)));
+        let lo = self.graph.offsets()[u as usize];
+        for (k, &v) in self.graph.neighbors_of(u).iter().enumerate() {
+            let e = lo + k as u64;
+            out.push(MemoryAccess::read(self.neighbors.addr_of(e)));
+            visit(out, e, v);
+        }
+    }
+
     fn vertex_range(&self, thread: u32, threads: u32) -> (u32, u32) {
         assert!(threads > 0 && thread < threads, "bad thread index");
         let n = self.graph.vertex_count();
@@ -137,24 +157,58 @@ impl Workload for GraphWorkload {
         self.regions.clone()
     }
 
-    fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
-        // `BulkKernel`'s windows borrow the kernel's own pending queue,
-        // so the simulation reads generated accesses in place.
+    fn thread_source(&self, thread: u32, threads: u32) -> Box<dyn TraceSource + Send + '_> {
         let (lo, hi) = self.vertex_range(thread, threads);
         match self.kernel {
-            GraphKernel::Bfs => Box::new(BulkKernel::new(BfsTrace::new(self, lo, hi))),
-            GraphKernel::Sssp => Box::new(BulkKernel::new(SsspTrace::new(self, lo, hi))),
-            GraphKernel::PageRank => Box::new(BulkKernel::new(PrTrace::new(self, lo, hi))),
-            GraphKernel::Components => Box::new(BulkKernel::new(CcTrace::new(self, lo, hi))),
+            GraphKernel::Bfs => {
+                let mut k = BfsTrace::new(self, lo, hi);
+                steps(move |out| k.step(out))
+            }
+            GraphKernel::Sssp => {
+                let mut k = SsspTrace::new(self, lo, hi);
+                steps(move |out| k.step(out))
+            }
+            GraphKernel::PageRank => {
+                let mut k = PrTrace::new(self, lo, hi);
+                steps(move |out| k.step(out))
+            }
+            GraphKernel::Components => {
+                let mut k = CcTrace::new(self, lo, hi);
+                steps(move |out| k.step(out))
+            }
         }
     }
+}
+
+/// A kernel's `step` as a [`TraceSource`]. Each step scans one more
+/// vertex into the buffer, `false` once the kernel is done; a refill
+/// steps until it has appended [`PIECE_LEN`] accesses, so the kernel
+/// writes straight into the buffer its reader cuts windows from.
+struct Steps<F>(F);
+
+impl<F: FnMut(&mut Vec<MemoryAccess>) -> bool> TraceSource for Steps<F> {
+    fn refill(&mut self, out: &mut Vec<MemoryAccess>) -> bool {
+        let full = out.len() + PIECE_LEN;
+        while out.len() < full {
+            if !(self.0)(out) {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+fn steps<'g>(
+    step: impl FnMut(&mut Vec<MemoryAccess>) -> bool + Send + 'g,
+) -> Box<dyn TraceSource + Send + 'g> {
+    Box::new(Steps(step))
 }
 
 /// Label-propagation connected components over the thread's partition:
 /// repeated sweeps reading `labels[v]` for every neighbour and writing
 /// back the minimum, until a sweep makes no change (or a sweep cap).
 struct CcTrace<'g> {
-    scanner: EdgeScanner<'g>,
+    w: &'g GraphWorkload,
     labels: Vec<u32>,
     lo: u32,
     hi: u32,
@@ -168,7 +222,7 @@ impl<'g> CcTrace<'g> {
     fn new(w: &'g GraphWorkload, lo: u32, hi: u32) -> Self {
         let n = w.graph.vertex_count();
         CcTrace {
-            scanner: EdgeScanner::new(w),
+            w,
             labels: (0..n).collect(),
             lo,
             hi,
@@ -179,7 +233,7 @@ impl<'g> CcTrace<'g> {
         }
     }
 
-    fn step(&mut self) -> bool {
+    fn step(&mut self, out: &mut Vec<MemoryAccess>) -> bool {
         if self.cursor >= self.hi {
             self.sweeps += 1;
             if self.sweeps >= self.max_sweeps || !self.changed {
@@ -193,186 +247,26 @@ impl<'g> CcTrace<'g> {
         }
         let u = self.cursor;
         self.cursor += 1;
-        let w = self.scanner.w;
+        let w = self.w;
         let my_label = self.labels[u as usize];
         let labels = &mut self.labels;
         let changed = &mut self.changed;
-        self.scanner.scan_vertex(u, |pending, _e, v| {
-            pending.push_back(MemoryAccess::read(w.props_a.addr_of(v as u64)));
+        w.scan_vertex(u, out, |out, _e, v| {
+            out.push(MemoryAccess::read(w.props_a.addr_of(v as u64)));
             let lv = labels[v as usize];
             let min = my_label.min(lv);
             if lv > min {
                 labels[v as usize] = min;
                 *changed = true;
-                pending.push_back(MemoryAccess::write(w.props_a.addr_of(v as u64)));
+                out.push(MemoryAccess::write(w.props_a.addr_of(v as u64)));
             }
             if labels[u as usize] > min {
                 labels[u as usize] = min;
                 *changed = true;
-                pending.push_back(MemoryAccess::write(w.props_a.addr_of(u as u64)));
+                out.push(MemoryAccess::write(w.props_a.addr_of(u as u64)));
             }
         });
         true
-    }
-}
-
-impl KernelSteps for CcTrace<'_> {
-    fn pending(&mut self) -> &mut AccessQueue {
-        &mut self.scanner.pending
-    }
-
-    fn pending_ref(&self) -> &AccessQueue {
-        &self.scanner.pending
-    }
-
-    fn step(&mut self) -> bool {
-        CcTrace::step(self)
-    }
-}
-
-/// Emits the access pattern of processing one vertex `u`: offsets pair,
-/// then per-edge neighbour read + property access. Shared by all kernels
-/// via a small state machine.
-struct EdgeScanner<'g> {
-    w: &'g GraphWorkload,
-    /// Pending accesses not yet drained.
-    pending: AccessQueue,
-}
-
-/// FIFO of generated accesses: a `Vec` with a consume cursor instead of
-/// a `VecDeque`, so the producer side is a plain `push` and the bulk
-/// consumer side is one contiguous slice (a single `memcpy` into the
-/// simulation's chunk buffer, no wrap-around halves).
-#[derive(Debug)]
-struct AccessQueue {
-    buf: Vec<MemoryAccess>,
-    head: usize,
-}
-
-impl AccessQueue {
-    fn with_capacity(n: usize) -> Self {
-        AccessQueue {
-            buf: Vec::with_capacity(n),
-            head: 0,
-        }
-    }
-
-    #[inline(always)]
-    fn push_back(&mut self, a: MemoryAccess) {
-        self.buf.push(a);
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len() - self.head
-    }
-
-    /// The queued accesses, oldest first.
-    fn as_slice(&self) -> &[MemoryAccess] {
-        &self.buf[self.head..]
-    }
-
-    /// Releases the `n` oldest accesses; storage is recycled once the
-    /// queue drains, and a large consumed prefix is compacted away so
-    /// `buf` stays bounded even when windows always leave a tail (the
-    /// zero-copy window protocol consumes in window-sized bites, so
-    /// without compaction `head` would creep forever on billion-access
-    /// traces).
-    fn consume(&mut self, n: usize) {
-        self.head += n;
-        debug_assert!(self.head <= self.buf.len());
-        if self.head == self.buf.len() {
-            self.buf.clear();
-            self.head = 0;
-        } else if self.head >= COMPACT_AT && self.head >= self.buf.len() / 2 {
-            // Amortized O(1): the tail copied here is no longer than
-            // the >= COMPACT_AT elements consumed since the last reset.
-            self.buf.copy_within(self.head.., 0);
-            let tail = self.buf.len() - self.head;
-            self.buf.truncate(tail);
-            self.head = 0;
-        }
-    }
-}
-
-/// Consumed-prefix length at which [`AccessQueue::consume`] compacts.
-const COMPACT_AT: usize = 1024;
-
-/// A kernel generator reduced to its two primitives: the queue of
-/// already-produced accesses and a `step` that scans one more vertex.
-/// [`BulkKernel`] builds the chunked [`TraceStream`] from these.
-trait KernelSteps {
-    /// The scanner holding queued accesses.
-    fn pending(&mut self) -> &mut AccessQueue;
-    /// Shared view of the queue (for re-borrowing the current window).
-    fn pending_ref(&self) -> &AccessQueue;
-    /// Advances the kernel by one vertex; `false` when the trace is done.
-    fn step(&mut self) -> bool;
-}
-
-/// Chunked adapter giving a [`KernelSteps`] state machine a zero-copy
-/// [`TraceStream`]: each window is a direct slice of the kernel's own
-/// pending queue — the simulation reads generated accesses where the
-/// scanner wrote them, no intermediate buffer. The graph kernels
-/// produce tens of accesses per scanned vertex, so this is where
-/// trace-generation time goes.
-///
-/// Consumption is deferred: the window handed out by `next_window`
-/// stays queued (length in `out`) until the *next* call releases it,
-/// because the borrow it returned was a view into the queue.
-struct BulkKernel<T> {
-    kernel: T,
-    /// Length of the outstanding window, consumed on the next call.
-    out: usize,
-}
-
-impl<T: KernelSteps> BulkKernel<T> {
-    fn new(kernel: T) -> Self {
-        BulkKernel { kernel, out: 0 }
-    }
-}
-
-impl<T: KernelSteps> TraceStream for BulkKernel<T> {
-    fn next_window(&mut self, max: usize) -> &[MemoryAccess] {
-        self.kernel.pending().consume(self.out);
-        while self.kernel.pending_ref().len() < max {
-            if !self.kernel.step() {
-                break;
-            }
-        }
-        let take = self.kernel.pending_ref().len().min(max);
-        self.out = take;
-        &self.kernel.pending_ref().as_slice()[..take]
-    }
-
-    fn window(&self) -> &[MemoryAccess] {
-        &self.kernel.pending_ref().as_slice()[..self.out]
-    }
-}
-
-impl<'g> EdgeScanner<'g> {
-    fn new(w: &'g GraphWorkload) -> Self {
-        EdgeScanner {
-            w,
-            pending: AccessQueue::with_capacity(64),
-        }
-    }
-
-    /// Queues the accesses for scanning vertex `u`'s out-edges; calls
-    /// `visit` for each neighbour so the kernel can react (and queue its
-    /// own property accesses).
-    fn scan_vertex(&mut self, u: u32, mut visit: impl FnMut(&mut AccessQueue, u64, u32)) {
-        let w = self.w;
-        self.pending
-            .push_back(MemoryAccess::read(w.offsets.addr_of(u as u64)));
-        self.pending
-            .push_back(MemoryAccess::read(w.offsets.addr_of(u as u64 + 1)));
-        let lo = w.graph.offsets()[u as usize];
-        for (k, &v) in w.graph.neighbors_of(u).iter().enumerate() {
-            let e = lo + k as u64;
-            self.pending
-                .push_back(MemoryAccess::read(w.neighbors.addr_of(e)));
-            visit(&mut self.pending, e, v);
-        }
     }
 }
 
@@ -380,7 +274,7 @@ impl<'g> EdgeScanner<'g> {
 /// partition). Emits parent-array reads for every edge and writes on
 /// discovery.
 struct BfsTrace<'g> {
-    scanner: EdgeScanner<'g>,
+    w: &'g GraphWorkload,
     parent: Vec<bool>,
     queue: VecDeque<u32>,
     lo: u32,
@@ -394,7 +288,7 @@ impl<'g> BfsTrace<'g> {
     fn new(w: &'g GraphWorkload, lo: u32, hi: u32) -> Self {
         let n = w.graph.vertex_count() as usize;
         let mut t = BfsTrace {
-            scanner: EdgeScanner::new(w),
+            w,
             parent: vec![false; n],
             queue: VecDeque::new(),
             lo,
@@ -417,7 +311,7 @@ impl<'g> BfsTrace<'g> {
         }
     }
 
-    fn step(&mut self) -> bool {
+    fn step(&mut self, out: &mut Vec<MemoryAccess>) -> bool {
         loop {
             let Some(u) = self.queue.pop_front() else {
                 self.seed();
@@ -426,16 +320,16 @@ impl<'g> BfsTrace<'g> {
                 }
                 continue;
             };
-            let w = self.scanner.w;
+            let w = self.w;
             let parent = &mut self.parent;
             let queue = &mut self.queue;
             let (lo, hi) = (self.lo, self.hi);
-            self.scanner.scan_vertex(u, |pending, _e, v| {
+            w.scan_vertex(u, out, |out, _e, v| {
                 // Read parent[v]; write + enqueue when newly discovered.
-                pending.push_back(MemoryAccess::read(w.props_a.addr_of(v as u64)));
+                out.push(MemoryAccess::read(w.props_a.addr_of(v as u64)));
                 if !parent[v as usize] {
                     parent[v as usize] = true;
-                    pending.push_back(MemoryAccess::write(w.props_a.addr_of(v as u64)));
+                    out.push(MemoryAccess::write(w.props_a.addr_of(v as u64)));
                     if v >= lo && v < hi {
                         queue.push_back(v);
                     }
@@ -446,24 +340,10 @@ impl<'g> BfsTrace<'g> {
     }
 }
 
-impl KernelSteps for BfsTrace<'_> {
-    fn pending(&mut self) -> &mut AccessQueue {
-        &mut self.scanner.pending
-    }
-
-    fn pending_ref(&self) -> &AccessQueue {
-        &self.scanner.pending
-    }
-
-    fn step(&mut self) -> bool {
-        BfsTrace::step(self)
-    }
-}
-
 /// Bellman-Ford-style SSSP over the thread's partition: `rounds` sweeps
 /// relaxing every out-edge, reading `weights[e]` and `dist[v]`.
 struct SsspTrace<'g> {
-    scanner: EdgeScanner<'g>,
+    w: &'g GraphWorkload,
     dist: Vec<u32>,
     lo: u32,
     hi: u32,
@@ -477,12 +357,9 @@ impl<'g> SsspTrace<'g> {
     fn new(w: &'g GraphWorkload, lo: u32, hi: u32) -> Self {
         let n = w.graph.vertex_count() as usize;
         let mut dist = vec![u32::MAX / 2; n];
-        if (lo..hi).contains(&0) || lo == 0 {
-            dist[lo as usize] = 0;
-        }
         dist[lo.min(n.saturating_sub(1) as u32) as usize] = 0;
         SsspTrace {
-            scanner: EdgeScanner::new(w),
+            w,
             dist,
             lo,
             hi,
@@ -493,7 +370,7 @@ impl<'g> SsspTrace<'g> {
         }
     }
 
-    fn step(&mut self) -> bool {
+    fn step(&mut self, out: &mut Vec<MemoryAccess>) -> bool {
         if self.cursor >= self.hi {
             // End of a sweep.
             self.round += 1;
@@ -508,38 +385,24 @@ impl<'g> SsspTrace<'g> {
         }
         let u = self.cursor;
         self.cursor += 1;
-        let w = self.scanner.w;
+        let w = self.w;
         let du = self.dist[u as usize];
         let dist = &mut self.dist;
         let improved = &mut self.improved;
         let weights = w.weights.expect("sssp has weights");
-        self.scanner.scan_vertex(u, |pending, e, v| {
-            pending.push_back(MemoryAccess::read(weights.addr_of(e)));
-            pending.push_back(MemoryAccess::read(w.props_a.addr_of(v as u64)));
+        w.scan_vertex(u, out, |out, e, v| {
+            out.push(MemoryAccess::read(weights.addr_of(e)));
+            out.push(MemoryAccess::read(w.props_a.addr_of(v as u64)));
             // Deterministic pseudo-weight derived from the edge index.
             let wgt = (e % 16 + 1) as u32;
             let cand = du.saturating_add(wgt);
             if cand < dist[v as usize] {
                 dist[v as usize] = cand;
                 *improved = true;
-                pending.push_back(MemoryAccess::write(w.props_a.addr_of(v as u64)));
+                out.push(MemoryAccess::write(w.props_a.addr_of(v as u64)));
             }
         });
         true
-    }
-}
-
-impl KernelSteps for SsspTrace<'_> {
-    fn pending(&mut self) -> &mut AccessQueue {
-        &mut self.scanner.pending
-    }
-
-    fn pending_ref(&self) -> &AccessQueue {
-        &self.scanner.pending
-    }
-
-    fn step(&mut self) -> bool {
-        SsspTrace::step(self)
     }
 }
 
@@ -548,7 +411,7 @@ impl KernelSteps for SsspTrace<'_> {
 /// symmetric approximation, as pull-style GAP PR does on the transpose)
 /// and write `rank_next[u]`.
 struct PrTrace<'g> {
-    scanner: EdgeScanner<'g>,
+    w: &'g GraphWorkload,
     lo: u32,
     hi: u32,
     iter: u32,
@@ -559,7 +422,7 @@ struct PrTrace<'g> {
 impl<'g> PrTrace<'g> {
     fn new(w: &'g GraphWorkload, lo: u32, hi: u32) -> Self {
         PrTrace {
-            scanner: EdgeScanner::new(w),
+            w,
             lo,
             hi,
             iter: 0,
@@ -568,7 +431,7 @@ impl<'g> PrTrace<'g> {
         }
     }
 
-    fn step(&mut self) -> bool {
+    fn step(&mut self, out: &mut Vec<MemoryAccess>) -> bool {
         if self.cursor >= self.hi {
             self.iter += 1;
             if self.iter >= self.iters {
@@ -581,30 +444,13 @@ impl<'g> PrTrace<'g> {
         }
         let u = self.cursor;
         self.cursor += 1;
-        let w = self.scanner.w;
+        let w = self.w;
         let rank_next = w.props_b.expect("pagerank has two rank arrays");
-        self.scanner.scan_vertex(u, |pending, _e, v| {
-            pending.push_back(MemoryAccess::read(w.props_a.addr_of(v as u64)));
-            let _ = v;
+        w.scan_vertex(u, out, |out, _e, v| {
+            out.push(MemoryAccess::read(w.props_a.addr_of(v as u64)));
         });
-        self.scanner
-            .pending
-            .push_back(MemoryAccess::write(rank_next.addr_of(u as u64)));
+        out.push(MemoryAccess::write(rank_next.addr_of(u as u64)));
         true
-    }
-}
-
-impl KernelSteps for PrTrace<'_> {
-    fn pending(&mut self) -> &mut AccessQueue {
-        &mut self.scanner.pending
-    }
-
-    fn pending_ref(&self) -> &AccessQueue {
-        &self.scanner.pending
-    }
-
-    fn step(&mut self) -> bool {
-        PrTrace::step(self)
     }
 }
 
@@ -744,9 +590,9 @@ mod tests {
 
     #[test]
     fn streams_are_independent_of_window_size() {
-        // Window sizes from one access to far more than a vertex burst:
-        // 7 straddles the scanner's per-vertex bursts and leaves queue
-        // tails, 4096 forces many steps per window.
+        // Window sizes from one access to a whole piece: 7 straddles
+        // the per-vertex bursts, and 7 and 256 leave a piece's tail to
+        // be stitched to the next piece's head.
         for kernel in [
             GraphKernel::Bfs,
             GraphKernel::Sssp,

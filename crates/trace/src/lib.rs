@@ -37,7 +37,7 @@ pub use catalog::{
     instantiate, paper_table1, AnyWorkload, AppId, CatalogRow, Dataset, WorkloadScale,
 };
 pub use graph::{degree_based_grouping, generate_rmat, CsrGraph, RmatParams};
-pub use hpt2::{Hpt2Stream, Hpt2Writer, MmapTrace, DEFAULT_BLOCK_RECORDS};
+pub use hpt2::{Hpt2Writer, MmapTrace, DEFAULT_BLOCK_RECORDS};
 pub use kernels::{GraphKernel, GraphWorkload};
 pub use layout::{AddressSpaceBuilder, ArrayLayout, HEAP_BASE};
 pub use mmap::{Advice, Mmap};
@@ -47,4 +47,6 @@ pub use synth::{
     SyntheticWorkload,
 };
 pub use wcache::{CacheStats, WorkloadCache, WorkloadKey};
-pub use workload::{IterStream, ProducerStream, StreamIter, TraceStream, Workload};
+pub use workload::{
+    IterSource, Producer, SourceStream, StreamIter, TraceSource, TraceStream, Workload,
+};

@@ -8,7 +8,7 @@
 //! (see DESIGN.md's substitution table).
 
 use crate::layout::{AddressSpaceBuilder, ArrayLayout};
-use crate::workload::{IterStream, TraceStream, Workload};
+use crate::workload::{IterSource, TraceSource, Workload};
 use hpage_types::{MemoryAccess, Region};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,11 +150,11 @@ impl Workload for SyntheticWorkload {
         self.regions.clone()
     }
 
-    fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
+    fn thread_source(&self, thread: u32, threads: u32) -> Box<dyn TraceSource + Send + '_> {
         assert!(thread < threads, "bad thread index");
         // Threads share the pattern but draw from distinct RNG streams;
-        // wrapping the concrete iterator monomorphises window production.
-        Box::new(IterStream::new(SynthTrace::new(
+        // wrapping the concrete iterator monomorphises each refill.
+        Box::new(IterSource::new(SynthTrace::new(
             self,
             self.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(thread) + 1)),
         )))

@@ -11,7 +11,7 @@ use hpage::os::DegradationConfig;
 use hpage::sim::{
     Cell, CellFailure, Harness, NullRecorder, PolicyChoice, ProcessSpec, SharedWorkload, Simulation,
 };
-use hpage::trace::{Pattern, SyntheticBuilder, SyntheticWorkload, TraceStream, Workload};
+use hpage::trace::{Pattern, SyntheticBuilder, SyntheticWorkload, TraceSource, Workload};
 use hpage::types::{Region, SystemConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -140,7 +140,7 @@ impl Workload for Panicking {
         self.0.regions()
     }
 
-    fn thread_stream(&self, _thread: u32, _threads: u32) -> Box<dyn TraceStream + Send + '_> {
+    fn thread_source(&self, _thread: u32, _threads: u32) -> Box<dyn TraceSource + Send + '_> {
         panic!("chaos workload panics")
     }
 }

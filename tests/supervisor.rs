@@ -4,7 +4,7 @@
 //! degrades one row, never the grid. Each cell gets exactly one attempt.
 
 use hpage::sim::{Cell, CellFailure, Harness, PolicyChoice, SharedWorkload, Simulation};
-use hpage::trace::{Pattern, SyntheticBuilder, SyntheticWorkload, TraceStream, Workload};
+use hpage::trace::{Pattern, SyntheticBuilder, SyntheticWorkload, TraceSource, Workload};
 use hpage::types::{Region, SystemConfig};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -24,7 +24,7 @@ enum Fault {
     Sleep(Duration),
 }
 
-/// A synthetic workload that panics or sleeps in `thread_stream`, i.e.
+/// A synthetic workload that panics or sleeps in `thread_source`, i.e.
 /// while the cell running it sets up, and counts how often it was asked.
 struct Faulty {
     inner: SyntheticWorkload,
@@ -51,13 +51,13 @@ impl Workload for Faulty {
         self.inner.regions()
     }
 
-    fn thread_stream(&self, thread: u32, threads: u32) -> Box<dyn TraceStream + Send + '_> {
+    fn thread_source(&self, thread: u32, threads: u32) -> Box<dyn TraceSource + Send + '_> {
         self.streams.fetch_add(1, Ordering::SeqCst);
         match self.fault {
             Fault::Panic => panic!("test workload panics"),
             Fault::Sleep(d) => std::thread::sleep(d),
         }
-        self.inner.thread_stream(thread, threads)
+        self.inner.thread_source(thread, threads)
     }
 }
 
