@@ -131,6 +131,7 @@ fn run(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+    #[test]
     fn sharded_engine_matches_sequential(
         policy_index in 0u64..5,
         fault_index in 0u64..3,

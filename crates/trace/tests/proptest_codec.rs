@@ -57,6 +57,7 @@ fn touched_pages(accesses: &[MemoryAccess]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    #[test]
     fn hpt2_roundtrips_full_range_addresses(
         raw in prop::collection::vec((any::<u64>(), any::<bool>()), 0..400),
         block_records in 1u32..70,
@@ -85,6 +86,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn hpt2_truncation_is_detected(
         raw in prop::collection::vec((any::<u64>(), any::<bool>()), 1..200),
         block_records in 1u32..33,
@@ -98,6 +100,7 @@ proptest! {
         prop_assert!(open_hpt2("trunc", case, &bytes[..cut]).is_err());
     }
 
+    #[test]
     fn hpt2_corruption_is_detected(
         raw in prop::collection::vec((any::<u64>(), any::<bool>()), 1..200),
         block_records in 1u32..33,
