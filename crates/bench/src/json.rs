@@ -4,7 +4,6 @@
 //! implementation shared with the flight recorder's JSONL sink.
 
 use hpage_obs::json::{esc, num};
-use hpage_perf::UtilityCurve;
 use hpage_sim::{
     AblationRow, ConsolidationReport, DatasetRow, Fig1Row, Fig6Row, Fig7Row, Harness, VirtReport,
 };
@@ -27,39 +26,6 @@ pub fn fig1_json(rows: &[Fig1Row]) -> String {
         })
         .collect();
     format!("{{\"figure\":\"1\",\"rows\":[{}]}}", items.join(","))
-}
-
-/// Serializes a set of utility curves (Fig. 5/8 bodies).
-pub fn curves_json(figure: &str, curves: &[UtilityCurve]) -> String {
-    let items: Vec<String> = curves
-        .iter()
-        .map(|c| {
-            let points: Vec<String> = c
-                .points
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"percent\":{},\"speedup\":{},\"walk_ratio\":{},\"thps\":{}}}",
-                        p.percent,
-                        num(p.speedup),
-                        num(p.walk_ratio),
-                        p.huge_pages_used
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"app\":\"{}\",\"policy\":\"{}\",\"points\":[{}]}}",
-                esc(&c.app),
-                esc(&c.policy),
-                points.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"figure\":\"{}\",\"curves\":[{}]}}",
-        esc(figure),
-        items.join(",")
-    )
 }
 
 /// Serializes Fig. 6 rows.
@@ -262,7 +228,6 @@ pub fn bench_repro_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpage_perf::UtilityPoint;
 
     #[test]
     fn escaping() {
@@ -284,20 +249,6 @@ mod tests {
         assert!(j.starts_with("{\"figure\":\"1\""));
         assert!(j.contains("\"app\":\"BFS\""));
         assert!(j.contains("\"speedup_2m\":2.540000"));
-    }
-
-    #[test]
-    fn curves_shape() {
-        let mut c = UtilityCurve::new("BFS", "pcc");
-        c.points.push(UtilityPoint {
-            percent: 4,
-            speedup: 2.21,
-            walk_ratio: 0.029,
-            huge_pages_used: 2,
-        });
-        let j = curves_json("5", &[c]);
-        assert!(j.contains("\"percent\":4"));
-        assert!(j.contains("\"thps\":2"));
     }
 
     #[test]

@@ -662,11 +662,6 @@ impl PccPolicy {
         self
     }
 
-    /// Whether the pressure detector is currently on.
-    pub fn under_pressure(&self) -> bool {
-        self.in_pressure
-    }
-
     /// The configured selection policy.
     pub fn selection(&self) -> PromotionPolicyKind {
         self.selection

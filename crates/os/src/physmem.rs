@@ -213,11 +213,6 @@ impl PhysicalMemory {
         &self.stats
     }
 
-    /// The injected-fault gate currently in force.
-    pub fn alloc_gate(&self) -> AllocGate {
-        self.gate
-    }
-
     /// Installs an injected-fault gate (pass `AllocGate::default()` to
     /// lift it).
     pub fn set_alloc_gate(&mut self, gate: AllocGate) {

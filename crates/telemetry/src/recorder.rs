@@ -44,10 +44,6 @@ struct SummaryMark {
 pub struct TelemetryRecorder {
     metrics: MetricsRegistry,
     spans: SpanBook,
-    /// Model cycles per page-table level actually referenced, used to
-    /// scale walk spans and the `walk_cycles` histogram. The default 30
-    /// matches `TimingConfig` (120-cycle full 4-level walk).
-    cycles_per_level: u64,
     /// Per-core id+timestamp of the most recent walk span, for linking
     /// the PCC update the same access produces.
     last_walk_span: FxHashMap<u32, (u64, u64)>,
@@ -62,6 +58,11 @@ pub struct TelemetryRecorder {
     /// the snapshot as the `sink.io_errors` gauge.
     sink_errors: Option<Arc<AtomicU64>>,
 }
+
+/// Model cycles per page-table level actually referenced, used to scale
+/// walk spans and the `walk_cycles` histogram: `TimingConfig`'s
+/// 120-cycle full 4-level walk.
+const CYCLES_PER_LEVEL: u64 = 30;
 
 /// Default span-book capacity: enough for every OS-side span of any
 /// realistic run plus a long prefix of hot-path walk spans.
@@ -79,7 +80,6 @@ impl TelemetryRecorder {
         TelemetryRecorder {
             metrics: MetricsRegistry::new(),
             spans: SpanBook::with_capacity(DEFAULT_SPAN_CAPACITY),
-            cycles_per_level: 30,
             last_walk_span: FxHashMap::default(),
             promote_spans: FxHashMap::default(),
             last_boundary_at: 0,
@@ -103,14 +103,6 @@ impl TelemetryRecorder {
     #[must_use]
     pub fn with_span_capacity(mut self, capacity: usize) -> Self {
         self.spans = SpanBook::with_capacity(capacity);
-        self
-    }
-
-    /// Overrides the cycles-per-level scale for walk spans and the
-    /// `walk_cycles` histogram.
-    #[must_use]
-    pub fn with_cycles_per_level(mut self, cycles: u64) -> Self {
-        self.cycles_per_level = cycles;
         self
     }
 
@@ -226,7 +218,7 @@ impl Recorder for TelemetryRecorder {
                 ..
             } => {
                 self.metrics.inc("walk");
-                let cycles = u64::from(effective_levels) * self.cycles_per_level;
+                let cycles = u64::from(effective_levels) * CYCLES_PER_LEVEL;
                 self.metrics.observe("walk_cycles", cycles);
                 let id = self.spans.push(
                     "walk",

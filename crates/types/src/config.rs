@@ -400,16 +400,6 @@ impl Default for NestedConfig {
     }
 }
 
-/// Address-translation mode of the simulated machine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TranslationMode {
-    /// Native one-dimensional translation (the paper's evaluation).
-    #[default]
-    Native,
-    /// Nested two-dimensional guest/host translation (virtualized).
-    Nested(NestedConfig),
-}
-
 /// How the OS selects promotion candidates across multiple per-core PCCs
 /// (§3.3.2, evaluated in Figs. 8–9).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]

@@ -35,7 +35,7 @@ pub use access::{AccessKind, CoreId, MemoryAccess, ProcessId, ThreadId};
 pub use addr::{PageSize, Pfn, PhysAddr, Region, VirtAddr, Vpn};
 pub use config::{
     NestedConfig, PccConfig, PccPlacement, PromotionPolicyKind, PwcConfig, SystemConfig,
-    TimingConfig, TlbConfig, TlbLevelConfig, TranslationMode,
+    TimingConfig, TlbConfig, TlbLevelConfig,
 };
 pub use error::{ConfigError, HpageError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
