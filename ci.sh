@@ -170,7 +170,7 @@ purity "bfs pcc --threads 4" --app bfs --policy pcc --threads 4
 purity "omnetpp victim --threads 2" --app omnetpp --policy victim --threads 2
 purity "bfs pcc --nested" --app bfs --policy pcc --nested
 
-echo "== event-stream smoke: a two-core PCC run's events are checksum-pinned =="
+echo "== event-stream smoke: two-core PCC runs' events are checksum-pinned =="
 # The recorder path (every TLB hit, walk and fault with its timestamp)
 # is otherwise checked only for equality across thread counts; this
 # compares the whole stream against a committed SHA-256.
@@ -181,6 +181,20 @@ events_got=$(sha256sum /tmp/hpsim_events_t2.jsonl | cut -d' ' -f1)
 events_want=$(grep -v '^#' "$events_sum")
 if [ "$events_got" != "$events_want" ]; then
     echo "event stream sha256 $events_got, want $events_want ($events_sum)" >&2
+    exit 1
+fi
+# A faulted omnetpp run degrades: its stream holds the PCC policy's
+# backoff deferrals and pressure transitions.
+chaos_sum=crates/bench/tests/golden/events_omnetpp_chaos_t2.sha256
+HPAGE_PROFILE=test ./target/release/hpsim --app omnetpp --policy pcc --threads 2 \
+    --faults examples/chaos.json --max-accesses 500000 \
+    --events /tmp/hpsim_events_chaos_t2.jsonl --quiet > /dev/null
+grep -q '"type":"defer"' /tmp/hpsim_events_chaos_t2.jsonl
+grep -q '"type":"pressure_enter"' /tmp/hpsim_events_chaos_t2.jsonl
+chaos_got=$(sha256sum /tmp/hpsim_events_chaos_t2.jsonl | cut -d' ' -f1)
+chaos_want=$(grep -v '^#' "$chaos_sum")
+if [ "$chaos_got" != "$chaos_want" ]; then
+    echo "event stream sha256 $chaos_got, want $chaos_want ($chaos_sum)" >&2
     exit 1
 fi
 
