@@ -16,7 +16,7 @@
 
 use hpage_bench::profile_from_env;
 use hpage_faults::FaultPlan;
-use hpage_os::{read_schedule, write_schedule, DegradationConfig, PromotionBudget};
+use hpage_os::{read_schedule, write_schedule, PromotionBudget};
 use hpage_perf::{fmt_pct, fmt_speedup, TextTable};
 use hpage_sim::{JsonlSink, NullRecorder, PolicyChoice, ProcessSpec, SimReport, Simulation, Tee};
 use hpage_telemetry::TelemetryRecorder;
@@ -468,7 +468,7 @@ fn main() {
             FaultPlan::from_json(&text).unwrap_or_else(|e| die(&format!("parse {path}: {e}")));
         sim = sim.with_faults(plan);
         if !opts.no_degrade {
-            sim = sim.with_degradation(DegradationConfig::default());
+            sim = sim.with_degradation();
         }
     }
     if opts.audit {

@@ -241,20 +241,6 @@ impl Level {
             last_used: clock,
         });
     }
-
-    /// Drops every line in the physical range `[start, end)`.
-    fn invalidate_range(&mut self, start: u64, end: u64) -> usize {
-        let mut removed = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|l| {
-                let base = l.tag << self.line_shift;
-                base + (1 << self.line_shift) <= start || base >= end
-            });
-            removed += before - set.len();
-        }
-        removed
-    }
 }
 
 /// Per-core L1D + L2 in front of a shared LLC.
@@ -324,18 +310,6 @@ impl CacheHierarchy {
         }
         outcome
     }
-
-    /// Invalidates a physical range in every level — data migration
-    /// (promotion collapse / compaction) moves bytes to new frames, so
-    /// lines caching the old frames are stale. Returns lines dropped.
-    pub fn invalidate_phys_range(&mut self, start: PhysAddr, bytes: u64) -> usize {
-        let (s, e) = (start.raw(), start.raw() + bytes);
-        let mut n = self.llc.invalidate_range(s, e);
-        for l in self.l1.iter_mut().chain(self.l2.iter_mut()) {
-            n += l.invalidate_range(s, e);
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -398,16 +372,6 @@ mod tests {
             c2.access(0, PhysAddr::new(i * 64));
         }
         assert!(c2.stats().memory_ratio() > 0.95);
-    }
-
-    #[test]
-    fn invalidate_phys_range_drops_lines() {
-        let mut c = h();
-        c.access(0, PhysAddr::new(0x8000));
-        c.access(1, PhysAddr::new(0x8040));
-        let dropped = c.invalidate_phys_range(PhysAddr::new(0x8000), 0x80);
-        assert!(dropped >= 2);
-        assert_eq!(c.access(0, PhysAddr::new(0x8000)), CacheOutcome::Memory);
     }
 
     #[test]

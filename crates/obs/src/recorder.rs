@@ -131,9 +131,7 @@ impl MemoryRecorder {
     }
 
     /// Events overwritten because the ring was full (always 0 for an
-    /// unbounded recorder). Surface this through a metrics registry
-    /// (e.g. a `recorder.events_dropped` counter) so capped recordings
-    /// are visibly lossy rather than silently truncated.
+    /// unbounded recorder).
     pub fn dropped(&self) -> u64 {
         self.dropped
     }

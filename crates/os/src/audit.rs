@@ -31,7 +31,7 @@ use crate::addrspace::AddressSpace;
 use crate::engine::OsState;
 use hpage_pcc::PccBank;
 use hpage_tlb::TlbHierarchy;
-use hpage_types::{CoreId, PageSize, Vpn, BASE_PAGES_PER_2M};
+use hpage_types::{CoreId, Vpn, BASE_PAGES_PER_2M};
 use std::fmt;
 
 /// One violated invariant, with enough context to diagnose it.
@@ -324,9 +324,6 @@ impl Auditor {
             };
             let pt = os.spaces[process].page_table();
             for candidate in bank.pcc(core_id).iter() {
-                if candidate.region.size() != PageSize::Huge2M {
-                    continue; // No 1 GiB page is mapped, so a 1 GiB candidate is never stale.
-                }
                 if pt.is_huge_mapped(candidate.region) {
                     violations.push(AuditViolation::StalePccCandidate {
                         core,
@@ -394,7 +391,7 @@ impl Auditor {
 mod tests {
     use super::*;
     use crate::PhysicalMemory;
-    use hpage_types::{PccConfig, ProcessId, TlbConfig, VirtAddr};
+    use hpage_types::{PageSize, PccConfig, ProcessId, TlbConfig, VirtAddr};
 
     const MB2: u64 = PageSize::Huge2M.bytes();
 

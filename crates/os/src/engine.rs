@@ -181,52 +181,34 @@ impl IntervalReport {
     }
 }
 
-/// Tuning knobs for graceful degradation under memory pressure and
-/// injected faults (currently honored by [`PccPolicy`]; other policies
-/// ignore it).
-///
-/// Two mechanisms are configured here:
-///
-/// * **Per-region exponential backoff** — a region whose promotion
-///   failed is not retried every interval; the retry is deferred by
-///   `backoff_base_accesses * 2^(failures-1)` accesses, with the
-///   exponent capped at `max_backoff_exponent`.
-/// * **Pressure detection** — when cleanly promotable blocks drop to
-///   `pressure_enter_free_blocks` or fewer while bloat is not falling,
-///   the policy throttles its per-interval promotion count by
-///   `throttle_divisor` and demotes up to `demotions_per_interval` cold
-///   huge regions (HawkEye-style), reclaiming their untouched tail
-///   pages. Pressure exits with hysteresis once free blocks recover to
-///   `pressure_exit_free_blocks`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradationConfig {
-    /// Backoff unit, in accesses (the first retry is deferred this far).
-    pub backoff_base_accesses: u64,
-    /// Cap on the backoff doubling exponent.
-    pub max_backoff_exponent: u32,
-    /// Enter pressure when `free_huge_capable_blocks` ≤ this.
-    pub pressure_enter_free_blocks: u64,
-    /// Exit pressure when `free_huge_capable_blocks` ≥ this (hysteresis:
-    /// keep it above the enter threshold).
-    pub pressure_exit_free_blocks: u64,
-    /// Divide `regions_to_promote` by this while under pressure.
-    pub throttle_divisor: u32,
-    /// Cold huge regions to demote per interval while under pressure.
-    pub demotions_per_interval: u32,
-}
+// Graceful degradation under memory pressure and injected faults
+// (`PccPolicy::with_degradation`) has two mechanisms:
+//
+// * Per-region exponential backoff: a region whose promotion failed is
+//   not retried every interval; the retry is deferred by
+//   `BACKOFF_BASE_ACCESSES * 2^(failures-1)` accesses, with the exponent
+//   capped at `MAX_BACKOFF_EXPONENT`.
+// * Pressure detection: when cleanly promotable blocks drop to
+//   `PRESSURE_ENTER_FREE_BLOCKS` or fewer while bloat is not falling,
+//   the policy divides its per-interval promotion count by
+//   `THROTTLE_DIVISOR` and demotes up to `DEMOTIONS_PER_INTERVAL` cold
+//   huge regions (HawkEye-style), reclaiming their untouched tail pages.
+//   Pressure exits with hysteresis once free blocks recover to
+//   `PRESSURE_EXIT_FREE_BLOCKS`.
 
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            backoff_base_accesses: 50_000,
-            max_backoff_exponent: 6,
-            pressure_enter_free_blocks: 2,
-            pressure_exit_free_blocks: 4,
-            throttle_divisor: 4,
-            demotions_per_interval: 2,
-        }
-    }
-}
+/// Backoff unit, in accesses (the first retry is deferred this far).
+const BACKOFF_BASE_ACCESSES: u64 = 50_000;
+/// Cap on the backoff doubling exponent.
+const MAX_BACKOFF_EXPONENT: u32 = 6;
+/// Enter pressure when `free_huge_capable_blocks` is at most this.
+const PRESSURE_ENTER_FREE_BLOCKS: u64 = 2;
+/// Exit pressure when `free_huge_capable_blocks` is at least this
+/// (hysteresis: above the enter threshold).
+const PRESSURE_EXIT_FREE_BLOCKS: u64 = 4;
+/// Divides `regions_to_promote` while under pressure.
+const THROTTLE_DIVISOR: u32 = 4;
+/// Cold huge regions demoted per interval while under pressure.
+const DEMOTIONS_PER_INTERVAL: u32 = 2;
 
 /// A huge-page management policy.
 pub trait HugePagePolicy {
@@ -237,12 +219,6 @@ pub trait HugePagePolicy {
     /// synchronously (Linux THP's fault path).
     fn fault_prefers_huge(&self) -> bool {
         false
-    }
-
-    /// Enables graceful degradation with the given tuning. Policies
-    /// without a degradation mode ignore the call (the default).
-    fn configure_degradation(&mut self, cfg: DegradationConfig) {
-        let _ = cfg;
     }
 
     /// Runs one promotion interval. `pccs` is `Some` only for
@@ -332,25 +308,22 @@ impl HugePagePolicy for IdealHugePolicy {
 /// Linux's default THP management (§2.1): greedy huge allocation at page
 /// fault time, plus the `khugepaged` daemon asynchronously collapsing
 /// base-mapped regions, scanning up to `pages_per_scan` base pages per
-/// interval in address order.
+/// interval in address order. khugepaged runs at Linux's default
+/// `max_ptes_none = 511`: one mapped page suffices for a collapse (the
+/// paper's "greedy" behaviour).
 #[derive(Debug, Clone)]
 pub struct LinuxThpPolicy {
     pages_per_scan: u64,
-    /// khugepaged's `max_ptes_none`: a region may be collapsed when at
-    /// most this many of its 512 PTEs are unmapped (Linux default 511 —
-    /// i.e. one mapped page suffices, the paper's "greedy" behaviour).
-    max_ptes_none: u64,
     /// Per-process scan rotor (region index to resume from).
     rotors: FxHashMap<usize, u64>,
 }
 
 impl LinuxThpPolicy {
     /// Default khugepaged configuration (4096 pages per scan, as the
-    /// paper states — 8 huge-page regions; `max_ptes_none = 511`).
+    /// paper states — 8 huge-page regions).
     pub fn new() -> Self {
         LinuxThpPolicy {
             pages_per_scan: 4096,
-            max_ptes_none: 511,
             rotors: FxHashMap::default(),
         }
     }
@@ -359,19 +332,6 @@ impl LinuxThpPolicy {
     #[must_use]
     pub fn with_pages_per_scan(mut self, pages: u64) -> Self {
         self.pages_per_scan = pages;
-        self
-    }
-
-    /// Overrides `max_ptes_none` (0 = collapse only fully-mapped
-    /// regions; 511 = Linux's greedy default).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 511`.
-    #[must_use]
-    pub fn with_max_ptes_none(mut self, n: u64) -> Self {
-        assert!(n <= 511, "max_ptes_none is at most 511");
-        self.max_ptes_none = n;
         self
     }
 }
@@ -414,11 +374,9 @@ impl HugePagePolicy for LinuxThpPolicy {
             for k in 0..regions.len().min(scan_cap) {
                 let region = regions[(start + k) % regions.len()];
                 *rotor = region.index() + 1;
-                if os.spaces[p].page_table().is_huge_mapped(region) {
-                    continue;
-                }
-                let mapped = os.spaces[p].page_table().mapped_base_pages_in(region);
-                if mapped == 0 || BASE_PAGES_PER_2M - mapped > self.max_ptes_none {
+                if os.spaces[p].page_table().is_huge_mapped(region)
+                    || os.spaces[p].page_table().mapped_base_pages_in(region) == 0
+                {
                     continue;
                 }
                 if !budget.available() {
@@ -602,9 +560,9 @@ pub struct PccPolicy {
     /// [`Self::COLD_STREAK`] intervals before it may be demoted, which
     /// prevents promote/demote thrash.
     cold_streaks: FxHashMap<(usize, u64), u32>,
-    /// Degradation mode ([`DegradationConfig`]); `None` keeps the
-    /// paper-faithful retry-every-interval behaviour.
-    degradation: Option<DegradationConfig>,
+    /// Graceful degradation (backoff and the pressure detector); off
+    /// keeps the paper-faithful retry-every-interval behaviour.
+    degradation: bool,
     /// Exponential-backoff state per failed region:
     /// `(process, region index) -> (consecutive failures, retry_at)`.
     backoff: FxHashMap<(usize, u64), (u32, u64)>,
@@ -624,7 +582,7 @@ impl PccPolicy {
             bias: Vec::new(),
             demotion: false,
             cold_streaks: FxHashMap::default(),
-            degradation: None,
+            degradation: false,
             backoff: FxHashMap::default(),
             in_pressure: false,
             last_bloat: 0,
@@ -653,12 +611,13 @@ impl PccPolicy {
         self
     }
 
-    /// Enables graceful degradation (per-region exponential backoff plus
-    /// the pressure detector); see [`DegradationConfig`]. Equivalent to
-    /// [`HugePagePolicy::configure_degradation`].
+    /// Enables graceful degradation: per-region exponential backoff
+    /// after failed promotions, plus the pressure detector that throttles
+    /// promotion and demotes cold regions. Its tuning is fixed by the
+    /// degradation constants of this module.
     #[must_use]
-    pub fn with_degradation_config(mut self, cfg: DegradationConfig) -> Self {
-        self.degradation = Some(cfg);
+    pub fn with_degradation(mut self, enabled: bool) -> Self {
+        self.degradation = enabled;
         self
     }
 
@@ -728,15 +687,15 @@ impl PccPolicy {
     /// HawkEye-style cold-region demotions. Returns the throttled
     /// per-interval promotion cap.
     fn apply_pressure(&mut self, os: &mut OsState, report: &mut IntervalReport) -> u32 {
-        let Some(cfg) = self.degradation else {
+        if !self.degradation {
             return self.regions_to_promote;
-        };
+        }
         let free = os.phys.free_huge_capable_blocks();
         let bloat = os.total_bloat_bytes();
-        if !self.in_pressure && free <= cfg.pressure_enter_free_blocks && bloat >= self.last_bloat {
+        if !self.in_pressure && free <= PRESSURE_ENTER_FREE_BLOCKS && bloat >= self.last_bloat {
             self.in_pressure = true;
             report.pressure_entered = true;
-        } else if self.in_pressure && free >= cfg.pressure_exit_free_blocks {
+        } else if self.in_pressure && free >= PRESSURE_EXIT_FREE_BLOCKS {
             self.in_pressure = false;
             report.pressure_exited = true;
         }
@@ -744,22 +703,18 @@ impl PccPolicy {
         if !self.in_pressure {
             return self.regions_to_promote;
         }
-        for _ in 0..cfg.demotions_per_interval {
+        for _ in 0..DEMOTIONS_PER_INTERVAL {
             if !self.demote_one_cold(os, report, true) {
                 break;
             }
         }
-        (self.regions_to_promote / cfg.throttle_divisor.max(1)).max(1)
+        (self.regions_to_promote / THROTTLE_DIVISOR).max(1)
     }
 }
 
 impl HugePagePolicy for PccPolicy {
     fn name(&self) -> &'static str {
         "pcc"
-    }
-
-    fn configure_degradation(&mut self, cfg: DegradationConfig) {
-        self.degradation = Some(cfg);
     }
 
     fn run_interval(
@@ -818,7 +773,7 @@ impl HugePagePolicy for PccPolicy {
             let mut result = execute_promotion(os, &mut pccs, p, region, now);
             if matches!(result, Err(HpageError::OutOfMemory { .. })) && self.demotion {
                 // §3.3.3: free a huge frame by demoting a cold region.
-                if self.demote_one_cold(os, &mut report, self.degradation.is_some()) {
+                if self.demote_one_cold(os, &mut report, self.degradation) {
                     result = execute_promotion(os, &mut pccs, p, region, now);
                 }
             }
@@ -835,12 +790,12 @@ impl HugePagePolicy for PccPolicy {
                 }
                 Err(HpageError::OutOfMemory { .. } | HpageError::Fault { .. }) => {
                     report.failures += 1;
-                    if let Some(cfg) = self.degradation {
+                    if self.degradation {
                         let entry = self.backoff.entry((p, region.index())).or_insert((0, now));
                         entry.0 += 1;
-                        let exp = (entry.0 - 1).min(cfg.max_backoff_exponent).min(63);
-                        entry.1 = now
-                            .saturating_add(cfg.backoff_base_accesses.saturating_mul(1u64 << exp));
+                        let exp = (entry.0 - 1).min(MAX_BACKOFF_EXPONENT);
+                        entry.1 =
+                            now.saturating_add(BACKOFF_BASE_ACCESSES.saturating_mul(1u64 << exp));
                         report
                             .deferred
                             .push((ProcessId(p as u32), region, entry.1, entry.0));
@@ -852,7 +807,7 @@ impl HugePagePolicy for PccPolicy {
         }
         // Update cold streaks and refresh A-bit tracking of promoted
         // regions so the next interval can detect coldness.
-        if self.demotion || self.degradation.is_some() {
+        if self.demotion || self.degradation {
             for (p, space) in os.spaces.iter_mut().enumerate() {
                 let regions: Vec<Vpn> = space
                     .promoted_regions()
@@ -1501,14 +1456,10 @@ mod tests {
         os.phys.fragment(100, 1);
         fault_pages(&mut os, 0, region(3), 4);
         let mut bank = bank();
-        let cfg = DegradationConfig {
-            backoff_base_accesses: 100,
-            ..DegradationConfig::default()
-        };
-        let mut p =
-            PccPolicy::new(PromotionPolicyKind::HighestFrequency, 8).with_degradation_config(cfg);
+        let mut p = PccPolicy::new(PromotionPolicyKind::HighestFrequency, 8).with_degradation(true);
+        let base = BACKOFF_BASE_ACCESSES;
         bank.record_walk(CoreId(0), region(3), true);
-        // t=0: attempt fails, backoff entry created (retry at 100).
+        // t=0: attempt fails, backoff entry created (retry at one unit).
         let rep = p.run_interval(
             &mut os,
             Some(&mut bank),
@@ -1516,26 +1467,32 @@ mod tests {
             &mut PromotionBudget::UNLIMITED.clone(),
         );
         assert_eq!(rep.failures, 1);
-        assert_eq!(rep.deferred, vec![(ProcessId(0), region(3), 100, 1)]);
-        // t=50: still inside the backoff window — deferred, no attempt.
+        assert_eq!(rep.deferred, vec![(ProcessId(0), region(3), base, 1)]);
+        // Half a unit: still inside the backoff window — deferred, no
+        // attempt.
         bank.record_walk(CoreId(0), region(3), true);
         let rep = p.run_interval(
             &mut os,
             Some(&mut bank),
-            50,
+            base / 2,
             &mut PromotionBudget::UNLIMITED.clone(),
         );
         assert_eq!(rep.failures, 0, "no retry inside the backoff window");
-        assert_eq!(rep.deferred, vec![(ProcessId(0), region(3), 100, 1)]);
-        // t=150: backoff expired — retried (fails again, doubled delay).
+        assert_eq!(rep.deferred, vec![(ProcessId(0), region(3), base, 1)]);
+        // One and a half units: backoff expired — retried (fails again,
+        // doubled delay).
+        let now = base + base / 2;
         let rep = p.run_interval(
             &mut os,
             Some(&mut bank),
-            150,
+            now,
             &mut PromotionBudget::UNLIMITED.clone(),
         );
         assert_eq!(rep.failures, 1);
-        assert_eq!(rep.deferred, vec![(ProcessId(0), region(3), 150 + 200, 2)]);
+        assert_eq!(
+            rep.deferred,
+            vec![(ProcessId(0), region(3), now + 2 * base, 2)]
+        );
     }
 
     #[test]
@@ -1543,12 +1500,7 @@ mod tests {
         let mut os = os_with(8);
         fault_pages(&mut os, 0, region(3), 4);
         let mut bank = bank();
-        let cfg = DegradationConfig {
-            backoff_base_accesses: 100,
-            ..DegradationConfig::default()
-        };
-        let mut p =
-            PccPolicy::new(PromotionPolicyKind::HighestFrequency, 8).with_degradation_config(cfg);
+        let mut p = PccPolicy::new(PromotionPolicyKind::HighestFrequency, 8).with_degradation(true);
         // Make the first attempt fail via an injected OOM window.
         os.phys.set_alloc_gate(crate::AllocGate {
             deny_huge: true,
@@ -1568,7 +1520,7 @@ mod tests {
         let rep = p.run_interval(
             &mut os,
             Some(&mut bank),
-            200,
+            2 * BACKOFF_BASE_ACCESSES,
             &mut PromotionBudget::UNLIMITED.clone(),
         );
         assert_eq!(rep.promotions.len(), 1);
@@ -1591,15 +1543,8 @@ mod tests {
             .promote(region(1), true, 0, &mut os.phys)
             .unwrap();
         let mut bank = bank();
-        let cfg = DegradationConfig {
-            pressure_enter_free_blocks: 2,
-            pressure_exit_free_blocks: 3,
-            demotions_per_interval: 2,
-            ..DegradationConfig::default()
-        };
-        let mut p =
-            PccPolicy::new(PromotionPolicyKind::HighestFrequency, 8).with_degradation_config(cfg);
-        assert!(os.phys.free_huge_capable_blocks() <= 2);
+        let mut p = PccPolicy::new(PromotionPolicyKind::HighestFrequency, 8).with_degradation(true);
+        assert!(os.phys.free_huge_capable_blocks() <= PRESSURE_ENTER_FREE_BLOCKS);
         let mut entered = false;
         let mut recovered = 0u64;
         for t in 0..6u64 {
@@ -1645,16 +1590,6 @@ mod tests {
             assert!(rep.deferred.is_empty());
             assert!(!rep.pressure_entered && !rep.pressure_exited);
         }
-    }
-
-    #[test]
-    fn configure_degradation_via_trait() {
-        let mut p: Box<dyn HugePagePolicy> =
-            Box::new(PccPolicy::new(PromotionPolicyKind::HighestFrequency, 8));
-        p.configure_degradation(DegradationConfig::default());
-        // Other policies accept and ignore the call.
-        let mut base: Box<dyn HugePagePolicy> = Box::new(BasePagesPolicy);
-        base.configure_degradation(DegradationConfig::default());
     }
 
     #[test]
@@ -1729,20 +1664,6 @@ mod tests {
             1,
             "khugepaged compacts where faults cannot"
         );
-    }
-
-    #[test]
-    fn max_ptes_none_gates_collapse() {
-        let mut os = os_with(16);
-        fault_pages(&mut os, 0, region(3), 10); // 502 PTEs are none
-                                                // Strict setting: region must be (nearly) fully mapped.
-        let mut strict = LinuxThpPolicy::new().with_max_ptes_none(0);
-        let rep = strict.run_interval(&mut os, None, 0, &mut PromotionBudget::UNLIMITED.clone());
-        assert!(rep.promotions.is_empty());
-        // Greedy default collapses it.
-        let mut greedy = LinuxThpPolicy::new();
-        let rep = greedy.run_interval(&mut os, None, 0, &mut PromotionBudget::UNLIMITED.clone());
-        assert_eq!(rep.promotions.len(), 1);
     }
 
     #[test]

@@ -33,9 +33,9 @@ mod schedule_io;
 pub use addrspace::{AddressSpace, AddressSpaceStats, FaultGrant, FaultOutcome, PromotionOutcome};
 pub use audit::{AuditViolation, Auditor};
 pub use engine::{
-    BasePagesPolicy, DegradationConfig, HawkEyePolicy, HugePagePolicy, IdealHugePolicy,
-    IntervalReport, LinuxThpPolicy, OsState, PccPolicy, PromotionBudget, PromotionRecord,
-    PromotionSchedule, ReplayPolicy, ScheduledPromotion,
+    BasePagesPolicy, HawkEyePolicy, HugePagePolicy, IdealHugePolicy, IntervalReport,
+    LinuxThpPolicy, OsState, PccPolicy, PromotionBudget, PromotionRecord, PromotionSchedule,
+    ReplayPolicy, ScheduledPromotion,
 };
 pub use ledger::{LedgerEntry, LedgerSummary, PromotionLedger, RegionWalks};
 pub use physmem::{AllocGate, HugeAlloc, PhysMemStats, PhysicalMemory};

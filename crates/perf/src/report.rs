@@ -35,11 +35,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
@@ -100,7 +95,6 @@ mod tests {
         // Columns align: "speedup" starts at the same offset in all rows.
         let col = lines[0].find("speedup").unwrap();
         assert_eq!(&lines[2][col..col + 5], "1.28x");
-        assert_eq!(t.row_count(), 2);
     }
 
     #[test]

@@ -15,12 +15,13 @@ pub struct SimProfile {
     pub workloads: WorkloadScale,
     /// Optional per-core trace cap (simulation window).
     pub max_accesses_per_core: Option<u64>,
-    /// Physical memory sized as this percentage of the workload
-    /// footprint when experiments size memory dynamically. The paper's
-    /// fragmentation results assume memory is nearly full (footprint is
-    /// a large fraction of a NUMA node), so the default is 150%.
-    pub mem_headroom_pct: u64,
 }
+
+/// Physical memory as a percentage of the workload footprint when
+/// experiments size memory dynamically. The paper's fragmentation
+/// results assume memory is nearly full (footprint is a large fraction
+/// of a NUMA node), hence 150%.
+const MEM_HEADROOM_PCT: u64 = 150;
 
 impl SimProfile {
     /// The paper's exact Table 2 hardware, for full-scale runs (hours).
@@ -33,7 +34,6 @@ impl SimProfile {
                 dbg_sorted: false,
             },
             max_accesses_per_core: None,
-            mem_headroom_pct: 150,
         }
     }
 
@@ -66,7 +66,6 @@ impl SimProfile {
                 dbg_sorted: false,
             },
             max_accesses_per_core: Some(10_000_000),
-            mem_headroom_pct: 150,
         }
     }
 
@@ -76,7 +75,6 @@ impl SimProfile {
             system: SystemConfig::tiny(),
             workloads: WorkloadScale::TEST,
             max_accesses_per_core: Some(1_500_000),
-            mem_headroom_pct: 150,
         }
     }
 
@@ -87,11 +85,12 @@ impl SimProfile {
         self
     }
 
-    /// Sizes physical memory to fit `footprint_bytes` with this profile's
-    /// headroom, 2 MiB-aligned, and returns the updated profile.
+    /// Sizes physical memory to fit `footprint_bytes` with
+    /// [`MEM_HEADROOM_PCT`] headroom, 2 MiB-aligned, and returns the
+    /// updated profile.
     #[must_use]
     pub fn sized_for(mut self, footprint_bytes: u64) -> Self {
-        let want = (footprint_bytes.saturating_mul(self.mem_headroom_pct) / 100).max(64 << 21);
+        let want = (footprint_bytes.saturating_mul(MEM_HEADROOM_PCT) / 100).max(64 << 21);
         self.system.phys_mem_bytes = want.next_multiple_of(1 << 21);
         self
     }

@@ -78,7 +78,7 @@
 //!   core order at the end of each round, which equals timestamp order.
 //! * **Barriers** move two lists: processes (address space and, nested,
 //!   VM) keyed by pid, and cores ([`CoreHw`]) keyed by core. The only
-//!   merges — PCCs back into their banks, ledger walk tallies summed by
+//!   merges — PCCs back into their bank, ledger walk tallies summed by
 //!   region — are order-insensitive, so the assembled state is
 //!   byte-identical at any `--sim-threads`.
 //!
@@ -124,7 +124,7 @@ pub(crate) const CHUNK: u32 = 256;
 struct WorkerFlags {
     /// Policy faults prefer 2 MiB frames.
     prefer_huge: bool,
-    /// §5.4.1 ablation: PCC banks are fed from L2-TLB evictions.
+    /// §5.4.1 ablation: the PCC bank is fed from L2-TLB evictions.
     victim_mode: bool,
     /// Tally per-region walk counts for the promotion ledger.
     ledger_on: bool,
@@ -249,13 +249,8 @@ impl WalkCache {
     }
 }
 
-/// The granularity of each PCC bank, in the order of
-/// [`CoreHw::pccs`]: the 2 MiB bank the promotion policy ranks, then
-/// the 1 GiB bank (§3.2.3).
-const PCC_SIZES: [PageSize; 2] = [PageSize::Huge2M, PageSize::Huge1G];
-
 /// Everything one core owns between barriers: its translation hardware
-/// (TLB hierarchy, paging-structure cache, its PCC in each bank) and
+/// (TLB hierarchy, paging-structure cache, its 2 MiB PCC) and
 /// what the engine counts for it. The seat holds it between barriers,
 /// and it travels to the coordinator and back as one value at each
 /// interval barrier.
@@ -263,10 +258,10 @@ struct CoreHw {
     tlb: TlbHierarchy,
     /// `None` when the run models no page-walk cache.
     walk_cache: Option<WalkCache>,
-    /// The core's PCC in each bank, in [`PCC_SIZES`] order. `None` when
-    /// the run has no such bank, and at a barrier, while the PCC is back
-    /// in its bank for the policy and the audit.
-    pccs: [Option<Pcc>; 2],
+    /// The core's PCC. `None` when the run has no PCC bank, and at a
+    /// barrier, while the PCC is back in its bank for the policy and the
+    /// audit.
+    pcc: Option<Pcc>,
     /// What the engine counts itself: walk levels, faults and
     /// data-cache outcomes. Accesses, TLB hits and walks are the TLB's
     /// own counts; [`run_counters`](Self::run_counters) adds them.
@@ -807,21 +802,16 @@ fn handle_walk<const REC: bool>(
         ));
     }
     let l2_victim = hw.tlb.fill(walk.translation);
-    // A-bit harvest, 2 MiB bank first: each PCC reads the accessed bit
-    // of its own level (PMD, PUD). In victim mode (§5.4.1 ablation) the
-    // feed is the L2 eviction stream instead: an eviction is evidence of
-    // prior residence, so it always takes the A-bit-set update path (the
-    // banks' cold-miss filter is off in this mode).
-    for (pcc, size) in hw.pccs.iter_mut().zip(PCC_SIZES) {
-        let Some(pcc) = pcc else {
-            continue;
-        };
+    // A-bit harvest: the PCC reads the PMD's accessed bit. In victim mode
+    // (§5.4.1 ablation) the feed is the L2 eviction stream instead: an
+    // eviction is evidence of prior residence, so it always takes the
+    // A-bit-set update path (the bank's cold-miss filter is off in this
+    // mode).
+    if let Some(pcc) = hw.pcc.as_mut() {
         let harvested = if flags.victim_mode {
-            l2_victim.map(|victim| (victim.vpn.base().vpn(size), true))
-        } else if size == PageSize::Huge1G {
-            Some((access.addr.vpn(size), walk.pud_accessed_before))
+            l2_victim.map(|victim| (victim.vpn.base().vpn(PageSize::Huge2M), true))
         } else {
-            Some((access.addr.vpn(size), walk.pmd_accessed_before))
+            Some((access.addr.vpn(PageSize::Huge2M), walk.pmd_accessed_before))
         };
         if let Some((region, a_bit)) = harvested {
             if REC {
@@ -1105,9 +1095,9 @@ struct Coordinator<'a, 'w, R: Recorder> {
     /// Nested mode with the ledger on: provenance for *host* promotions,
     /// keyed by `(VM pid, gPA 2 MiB region)`.
     host_ledger: Option<PromotionLedger>,
-    /// The PCC banks, in [`PCC_SIZES`] order. Each core's PCCs are back
-    /// here only across interval barriers.
-    banks: [Option<PccBank>; 2],
+    /// The 2 MiB PCC bank. Each core's PCC is back here only across
+    /// interval barriers.
+    bank: Option<PccBank>,
     remaining: Vec<u64>,
     live: Vec<bool>,
     live_count: usize,
@@ -1283,7 +1273,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
     }
 
     /// Pulls every shard's OS-visible state back into the coordinator:
-    /// each core's PCCs return to their banks, and the rest of each
+    /// each core's PCC returns to the bank, and the rest of each
     /// core's hardware comes back indexed by core.
     fn assemble_os(&mut self) -> Vec<CoreHw> {
         for si in 0..self.shards.len() {
@@ -1300,12 +1290,11 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 self.vms[pid] = vm;
             }
             for (core, mut hw) in slice.cores {
-                for (bank, pcc) in self.banks.iter_mut().zip(&mut hw.pccs) {
-                    if let Some(pcc) = pcc.take() {
-                        bank.as_mut()
-                            .expect("seats hold PCCs only when the bank exists")
-                            .restore(CoreId(core as u32), pcc);
-                    }
+                if let Some(pcc) = hw.pcc.take() {
+                    self.bank
+                        .as_mut()
+                        .expect("seats hold PCCs only when the bank exists")
+                        .restore(CoreId(core as u32), pcc);
                 }
                 cores[core] = Some(hw);
             }
@@ -1317,7 +1306,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
     }
 
     /// Hands OS-visible state back to the shards after a barrier; each
-    /// core takes its PCCs out of the banks again.
+    /// core takes its PCC out of the bank again.
     fn distribute_os(&mut self, cores: Vec<CoreHw>) {
         let mut slices: Vec<OsSlice> = (0..self.shards.len()).map(|_| OsSlice::default()).collect();
         for (pid, &shard) in self.process_shard.iter().enumerate() {
@@ -1328,7 +1317,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 .push((pid, space, self.vms[pid].take()));
         }
         for (core, mut hw) in cores.into_iter().enumerate() {
-            hw.pccs = take_pccs(&mut self.banks, core);
+            hw.pcc = take_pcc(&mut self.bank, core);
             slices[self.core_shard[core]].cores.push((core, hw));
         }
         for (shard, slice) in self.shards.iter_mut().zip(slices) {
@@ -1368,7 +1357,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 }
             }
             if effects.pcc_reset {
-                for bank in self.banks.iter_mut().flatten() {
+                if let Some(bank) = self.bank.as_mut() {
                     bank.clear_all();
                 }
             }
@@ -1422,7 +1411,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         }
         let report = self.policy.run_interval(
             &mut self.os,
-            self.banks[0].as_mut(),
+            self.bank.as_mut(),
             total_accesses,
             &mut self.budget,
         );
@@ -1561,7 +1550,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
         // (TLBs/PCCs must be coherent with the page tables now).
         if let Some(auditor) = self.auditor.as_ref() {
             let tlbs = cores.iter().map(|hw| &hw.tlb);
-            let mut found = auditor.run(&self.os, tlbs, self.banks[0].as_ref());
+            let mut found = auditor.run(&self.os, tlbs, self.bank.as_ref());
             if let Some(ledger) = self.ledger.as_ref() {
                 found.extend(auditor.check_ledger(ledger, |pid| self.os.spaces.get(pid)));
             }
@@ -1577,7 +1566,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             l2_hit_rate: dl2 as f64 / da as f64,
             promotions: report.promotions.len() as u64,
             demotions: report.demotions.len() as u64,
-            pcc_occupancy: self.banks[0]
+            pcc_occupancy: self
+                .bank
                 .as_ref()
                 .map(|b| b.total_candidates() as u64)
                 .unwrap_or(0),
@@ -1590,7 +1580,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
                 Event::Interval(interval_snapshot(
                     self.interval_series.len() as u64,
                     &row,
-                    self.banks[0].as_ref(),
+                    self.bank.as_ref(),
                     &self.os,
                 )),
             );
@@ -1688,9 +1678,8 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
     }
 
     fn finish(mut self) -> Result<SimReport, HpageError> {
-        // Pull final state home: spaces for bloat, the 1 GiB bank for
-        // the candidate dump, and each core's counts, which are
-        // attributed to the owning process.
+        // Pull final state home: spaces for bloat, and each core's
+        // counts, which are attributed to the owning process.
         let cores = self.assemble_os();
         for (core, hw) in cores.iter().enumerate() {
             let p = self.core_process[core];
@@ -1700,15 +1689,6 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             .per_process
             .iter()
             .fold(RunCounters::default(), |acc, c| acc.merged(c));
-        let [_, bank_1g] = self.banks;
-        let candidates_1g = bank_1g
-            .map(|b| {
-                b.dump_by_frequency()
-                    .into_iter()
-                    .map(|c| c.candidate)
-                    .collect()
-            })
-            .unwrap_or_default();
         let bloat_bytes: Vec<u64> = self.os.spaces.iter().map(|s| s.bloat_bytes()).collect();
         let policy = match self.sim.nested.as_ref() {
             Some(nc) => format!("{}+nested-{}", self.sim.policy.label(), nc.placement),
@@ -1720,7 +1700,7 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
             per_process: self.per_process,
             huge_pages_at_end: self.os.phys.huge_blocks_in_use(),
             promotion_failures: self.promotion_failures,
-            candidates_1g,
+            candidates_1g: Vec::new(),
             schedule: self.schedule,
             interval_walk_rates: self.interval_series.walk_rates(),
             interval_series: self.interval_series,
@@ -1733,29 +1713,27 @@ impl<R: Recorder> Coordinator<'_, '_, R> {
     }
 }
 
-/// Builds the bank of per-core PCCs at `size` for the policies that
-/// feed one; the 1 GiB bank also needs `SystemConfig::pcc_1g`. A victim
-/// cache (§5.4.1 ablation) is structurally a PCC bank fed by L2
-/// evictions with no accessed-bit filter: evictions are evidence of
-/// prior residence, so the cold-miss problem does not arise. Its 2 MiB
-/// bank takes the victim cache's entry count; the 1 GiB bank keeps its
-/// own sizing.
-fn pcc_bank(sim: &Simulation, size: PageSize, cores: u32) -> Option<PccBank> {
+/// Builds the bank of per-core 2 MiB PCCs for the policies that feed
+/// one. A victim cache (§5.4.1 ablation) is structurally a PCC bank fed
+/// by L2 evictions with no accessed-bit filter: evictions are evidence
+/// of prior residence, so the cold-miss problem does not arise. It takes
+/// the victim cache's entry count.
+fn pcc_bank(sim: &Simulation, cores: u32) -> Option<PccBank> {
     let victim_entries = sim.policy.uses_victim_cache();
     if !sim.policy.uses_pcc() && victim_entries.is_none() {
         return None;
     }
-    let mut cfg = match size {
-        PageSize::Huge1G => sim.config.pcc_1g?,
-        _ => sim.config.pcc_2m,
-    };
+    let mut cfg = sim.config.pcc_2m;
     if let Some(entries) = victim_entries {
-        if size == PageSize::Huge2M {
-            cfg = cfg.with_entries(entries);
-        }
+        cfg = cfg.with_entries(entries);
         cfg.access_bit_filter = false;
     }
-    Some(PccBank::with_replacement(cores, cfg, size, sim.replacement))
+    Some(PccBank::with_replacement(
+        cores,
+        cfg,
+        PageSize::Huge2M,
+        sim.replacement,
+    ))
 }
 
 /// Drains one ledger tally out of every core into a single map, summed
@@ -1770,10 +1748,9 @@ fn drain_tallies(cores: &mut [CoreHw], tally: fn(&mut CoreHw) -> &mut RegionWalk
     sum
 }
 
-/// Takes `core`'s PCC out of each bank the run has.
-fn take_pccs(banks: &mut [Option<PccBank>; 2], core: usize) -> [Option<Pcc>; 2] {
-    let id = CoreId(core as u32);
-    banks.each_mut().map(|b| b.as_mut().map(|b| b.take(id)))
+/// Takes `core`'s PCC out of the bank, if the run has one.
+fn take_pcc(bank: &mut Option<PccBank>, core: usize) -> Option<Pcc> {
+    bank.as_mut().map(|b| b.take(CoreId(core as u32)))
 }
 
 /// Entry point: builds the shard partition and drives the run.
@@ -1797,10 +1774,7 @@ pub(crate) fn run<R: Recorder>(
         phys.fragment(sim.fragmentation_pct, sim.fragmentation_seed);
     }
     let mut os = OsState::new(phys, processes.len() as u32, core_process.clone())?;
-    let mut policy = sim.policy.build(&sim.config);
-    if let Some(cfg) = sim.degradation {
-        policy.configure_degradation(cfg);
-    }
+    let policy = sim.policy.build(&sim.config, sim.degradation);
     let prefer_huge = policy.fault_prefers_huge();
     let injector = match sim.faults.clone() {
         Some(plan) => Some(FaultInjector::new(plan)?),
@@ -1809,7 +1783,7 @@ pub(crate) fn run<R: Recorder>(
     let auditor = sim.audit.then(|| Auditor::new(&os));
     let ledger = sim.ledger.then(PromotionLedger::new);
 
-    let mut banks = PCC_SIZES.map(|size| pcc_bank(sim, size, total_cores));
+    let mut bank = pcc_bank(sim, total_cores);
 
     // Shard partition: every core of a process lands on the shard that
     // owns the process's address space. The shared-LLC cache model
@@ -1887,7 +1861,7 @@ pub(crate) fn run<R: Recorder>(
                                 .pwc
                                 .map(|c| WalkCache::Native(PageWalkCache::new(c))),
                         },
-                        pccs: take_pccs(&mut banks, core),
+                        pcc: take_pcc(&mut bank, core),
                         counters: RunCounters::default(),
                         region_walks: RegionWalks::default(),
                         host_region_walks: RegionWalks::default(),
@@ -1919,7 +1893,7 @@ pub(crate) fn run<R: Recorder>(
             ledger,
             vms: (0..processes.len()).map(|_| None).collect(),
             host_ledger: (sim.ledger && sim.nested.is_some()).then(PromotionLedger::new),
-            banks,
+            bank,
             // A zero budget retires every core before the first round.
             remaining: vec![budget; n_cores],
             live: vec![budget > 0; n_cores],

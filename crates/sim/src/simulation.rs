@@ -7,9 +7,8 @@ use hpage_cache::CacheConfig;
 use hpage_faults::{FaultPlan, FaultStats};
 use hpage_obs::{IntervalSeries, NullRecorder, Recorder};
 use hpage_os::{
-    AuditViolation, BasePagesPolicy, DegradationConfig, HawkEyePolicy, HugePagePolicy,
-    IdealHugePolicy, LinuxThpPolicy, PccPolicy, PromotionBudget, PromotionLedger,
-    PromotionSchedule, ReplayPolicy,
+    AuditViolation, BasePagesPolicy, HawkEyePolicy, HugePagePolicy, IdealHugePolicy,
+    LinuxThpPolicy, PccPolicy, PromotionBudget, PromotionLedger, PromotionSchedule, ReplayPolicy,
 };
 use hpage_pcc::{Candidate, ReplacementPolicy};
 use hpage_perf::RunCounters;
@@ -85,7 +84,13 @@ impl PolicyChoice {
         }
     }
 
-    pub(crate) fn build(&self, config: &SystemConfig) -> Box<dyn HugePagePolicy> {
+    /// The policy engine for a run of `config`. `degradation` turns on
+    /// the PCC engine's graceful degradation; other policies have none.
+    pub(crate) fn build(
+        &self,
+        config: &SystemConfig,
+        degradation: bool,
+    ) -> Box<dyn HugePagePolicy> {
         match self {
             PolicyChoice::BasePages => Box::new(BasePagesPolicy),
             PolicyChoice::IdealHuge => Box::new(IdealHugePolicy),
@@ -102,15 +107,19 @@ impl PolicyChoice {
             } => Box::new(
                 PccPolicy::new(*selection, config.regions_to_promote)
                     .with_bias(bias.clone())
-                    .with_demotion(*demotion),
+                    .with_demotion(*demotion)
+                    .with_degradation(degradation),
             ),
             PolicyChoice::Replay(schedule) => Box::new(ReplayPolicy::new(schedule.clone())),
             // The victim-cache alternative reuses the PCC's OS consumption
             // path; only the hardware feed differs.
-            PolicyChoice::VictimCache { .. } => Box::new(PccPolicy::new(
-                PromotionPolicyKind::HighestFrequency,
-                config.regions_to_promote,
-            )),
+            PolicyChoice::VictimCache { .. } => Box::new(
+                PccPolicy::new(
+                    PromotionPolicyKind::HighestFrequency,
+                    config.regions_to_promote,
+                )
+                .with_degradation(degradation),
+            ),
         }
     }
 
@@ -166,10 +175,8 @@ pub struct SimReport {
     pub huge_pages_at_end: u64,
     /// Huge-page promotion attempts that failed for lack of frames.
     pub promotion_failures: u64,
-    /// Final ranked contents of the 1 GiB PCCs, aggregated across cores
-    /// (empty unless `SystemConfig::pcc_1g` is set). Reported only: no
-    /// policy promotes to 1 GiB, because 1 GiB pages are not mapped
-    /// (§3.2.3's 2 MiB-vs-1 GiB comparison is not modelled).
+    /// Always empty: the 1 GiB PCC is not modelled. The field stays only
+    /// because the benchmark's digest hashes this struct's `Debug` form.
     pub candidates_1g: Vec<Candidate>,
     /// The promotion schedule of this run (every promotion with its
     /// timestamp) — feed it to [`PolicyChoice::Replay`] to reproduce the
@@ -241,7 +248,7 @@ pub struct Simulation {
     pub(crate) max_accesses_per_core: Option<u64>,
     pub(crate) cache: Option<CacheConfig>,
     pub(crate) faults: Option<FaultPlan>,
-    pub(crate) degradation: Option<DegradationConfig>,
+    pub(crate) degradation: bool,
     pub(crate) audit: bool,
     pub(crate) ledger: bool,
     pub(crate) sim_threads: usize,
@@ -266,7 +273,7 @@ impl Simulation {
             max_accesses_per_core: None,
             cache: None,
             faults: None,
-            degradation: None,
+            degradation: false,
             audit: false,
             ledger: false,
             sim_threads: 1,
@@ -323,11 +330,12 @@ impl Simulation {
     }
 
     /// Enables graceful degradation in policies that support it (the PCC
-    /// engine): per-region exponential backoff after failed promotions
-    /// and pressure-triggered throttling/demotion.
+    /// engine and the victim cache that reuses it): per-region
+    /// exponential backoff after failed promotions and
+    /// pressure-triggered throttling/demotion.
     #[must_use]
-    pub fn with_degradation(mut self, cfg: DegradationConfig) -> Self {
-        self.degradation = Some(cfg);
+    pub fn with_degradation(mut self) -> Self {
+        self.degradation = true;
         self
     }
 
@@ -659,23 +667,20 @@ mod tests {
     fn recording_does_not_perturb_the_simulation() {
         // The flight recorder must be pure observation: a run with a live
         // recorder produces a SimReport identical to an unobserved run.
-        // Also with the 1 GiB bank on, under the PCC and under the victim
-        // cache, with cores on two shard threads.
+        // Also under the PCC and under the victim cache with cores on two
+        // shard threads.
         let w = random_workload(8, 150_000, 9);
         let w2 = random_workload(8, 150_000, 10);
-        let mut cfg_1g = hpage_types::SystemConfig::tiny();
-        cfg_1g.pcc_1g = Some(hpage_types::PccConfig::paper_1g());
         let one = [ProcessSpec::new(&w)];
         let two = [ProcessSpec::with_threads(&w, 2), ProcessSpec::new(&w2)];
         let cases: [(Simulation, &[ProcessSpec<'_>]); 3] = [
             (tiny_sim(PolicyChoice::pcc_default()), &one),
             (
-                Simulation::new(cfg_1g.clone(), PolicyChoice::pcc_default()).with_sim_threads(2),
+                tiny_sim(PolicyChoice::pcc_default()).with_sim_threads(2),
                 &two,
             ),
             (
-                Simulation::new(cfg_1g, PolicyChoice::VictimCache { entries: 128 })
-                    .with_sim_threads(2),
+                tiny_sim(PolicyChoice::VictimCache { entries: 128 }).with_sim_threads(2),
                 &two,
             ),
         ];
@@ -685,9 +690,6 @@ mod tests {
             let observed = sim.try_run_recorded(specs, &mut rec).unwrap();
             assert_eq!(silent, observed, "{}", silent.policy);
             assert!(!rec.is_empty());
-            if sim.config.pcc_1g.is_some() {
-                assert!(!silent.candidates_1g.is_empty(), "{}", silent.policy);
-            }
         }
     }
 
@@ -1000,7 +1002,7 @@ mod tests {
         let run = || {
             tiny_sim(PolicyChoice::pcc_default())
                 .with_faults(chaos_plan())
-                .with_degradation(hpage_os::DegradationConfig::default())
+                .with_degradation()
                 .with_audit()
                 .try_run_recorded(&[ProcessSpec::new(&w)], &mut NullRecorder)
                 .unwrap()
@@ -1027,7 +1029,7 @@ mod tests {
         let mut rec = MemoryRecorder::new();
         tiny_sim(PolicyChoice::pcc_default())
             .with_faults(chaos_plan())
-            .with_degradation(hpage_os::DegradationConfig::default())
+            .with_degradation()
             .try_run_recorded(&[ProcessSpec::new(&w)], &mut rec)
             .unwrap();
         let counts = rec.counts_by_kind();
@@ -1068,24 +1070,6 @@ mod tests {
             .unwrap();
         assert_eq!(report.fault_stats, None);
         assert!(report.audit_violations.is_empty());
-    }
-
-    #[test]
-    fn one_gb_pcc_tracks_giant_regions() {
-        let w = random_workload(8, 200_000, 1);
-        let mut cfg = hpage_types::SystemConfig::tiny();
-        cfg.pcc_1g = Some(hpage_types::PccConfig::paper_1g());
-        let report = Simulation::new(cfg, PolicyChoice::pcc_default()).run(&[ProcessSpec::new(&w)]);
-        // The whole 8MiB workload lives in one or two 1GiB regions.
-        assert!(!report.candidates_1g.is_empty());
-        assert!(report.candidates_1g.len() <= 2);
-        assert_eq!(
-            report.candidates_1g[0].region.size(),
-            hpage_types::PageSize::Huge1G
-        );
-        // The 1GB region's frequency dwarfs any single 2MB region's —
-        // exactly the §3.2.3 comparison (prefer 1GB only if ≥512x).
-        assert!(report.candidates_1g[0].frequency > 0);
     }
 
     #[test]
@@ -1181,31 +1165,6 @@ mod tests {
                 assert!(report.audit_violations.is_empty(), "{}", policy.label());
             }
         }
-    }
-
-    #[test]
-    fn victim_ablation_keeps_the_1g_bank_live() {
-        // Regression for the §5.4.1 ablation bug: with `pcc_1g` set,
-        // the victim-cache mode used to silently drop the 1 GiB bank
-        // (it was only built for `PolicyChoice::Pcc`), so the 2M-vs-1G
-        // comparison was vacuous in that mode. Both banks now follow
-        // the same mode selection: in victim mode the 1 GiB bank rides
-        // the eviction feed on the always-A-bit-set path.
-        let w = random_workload(16, 600_000, 5);
-        let mut cfg = hpage_types::SystemConfig::tiny();
-        cfg.pcc_1g = Some(hpage_types::PccConfig::paper_1g());
-        let victim = Simulation::new(cfg.clone(), PolicyChoice::VictimCache { entries: 128 })
-            .run(&[ProcessSpec::new(&w)]);
-        assert!(
-            !victim.candidates_1g.is_empty(),
-            "the 1 GiB bank must see the victim feed"
-        );
-        assert!(victim.candidates_1g[0].frequency > 0);
-        // And the ablation still byte-reproduces under sharding.
-        let again = Simulation::new(cfg, PolicyChoice::VictimCache { entries: 128 })
-            .with_sim_threads(4)
-            .run(&[ProcessSpec::new(&w)]);
-        assert_eq!(victim, again);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct TelemetryRecorder {
 /// 120-cycle full 4-level walk.
 const CYCLES_PER_LEVEL: u64 = 30;
 
-/// Default span-book capacity: enough for every OS-side span of any
+/// Span-book capacity: enough for every OS-side span of any
 /// realistic run plus a long prefix of hot-path walk spans.
 pub const DEFAULT_SPAN_CAPACITY: usize = 200_000;
 
@@ -95,14 +95,6 @@ impl TelemetryRecorder {
     #[must_use]
     pub fn with_sink_error_counter(mut self, counter: Arc<AtomicU64>) -> Self {
         self.sink_errors = Some(counter);
-        self
-    }
-
-    /// Overrides the span-book capacity (0 disables span collection
-    /// entirely — metrics only).
-    #[must_use]
-    pub fn with_span_capacity(mut self, capacity: usize) -> Self {
-        self.spans = SpanBook::with_capacity(capacity);
         self
     }
 
@@ -144,13 +136,6 @@ impl TelemetryRecorder {
             out.push('\n');
         }
         out
-    }
-
-    /// Folds an event-buffer drop count (e.g. from a capped
-    /// `MemoryRecorder` ring) into the registry, so lossy recordings
-    /// are visible in the metrics output.
-    pub fn note_dropped_events(&mut self, dropped: u64) {
-        self.metrics.set_gauge("recorder.events_dropped", dropped);
     }
 
     /// Folds a finished run's promotion ledger into the registry: the
@@ -626,16 +611,15 @@ mod tests {
 
     #[test]
     fn snapshot_exposes_span_drops() {
-        let mut t = TelemetryRecorder::new().with_span_capacity(1);
-        t.record(1, walk(0));
-        t.record(2, walk(0));
-        t.record(3, walk(0));
+        let mut t = TelemetryRecorder::new();
+        let walks = DEFAULT_SPAN_CAPACITY as u64 + 2;
+        for at in 1..=walks {
+            t.record(at, walk(0));
+        }
         assert_eq!(t.spans().dropped(), 2);
         let m = t.metrics_snapshot();
         assert_eq!(m.gauge("telemetry.spans_dropped"), Some(2));
-        assert_eq!(m.counter("walk"), 3, "metrics never drop");
-        t.note_dropped_events(17);
-        assert_eq!(t.metrics().gauge("recorder.events_dropped"), Some(17));
+        assert_eq!(m.counter("walk"), walks, "metrics never drop");
     }
 
     #[test]

@@ -54,15 +54,6 @@ impl TlbHierarchyStats {
             self.walks as f64 / self.accesses as f64
         }
     }
-
-    /// Fraction of accesses missing the L1 (hitting L2 or walking).
-    pub fn l1_miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            (self.l2_hits + self.walks) as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// A core's data-TLB hierarchy: split-size L1 (4 KiB / 2 MiB / 1 GiB) in
@@ -349,7 +340,6 @@ mod tests {
         });
         h.lookup(va); // hit
         assert!((h.stats().walk_ratio() - 0.5).abs() < 1e-12);
-        assert!((h.stats().l1_miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The model keeps only what the simulation needs: present mappings at
 //! 4 KiB / 2 MiB granularity, and the *accessed* bits the hardware
-//! walker sets at the PUD (1 GiB region) and PMD (2 MiB) levels — the
-//! bits the PCC's cold-miss filter reads (steps 3 and 6 of the paper's
+//! walker sets at the PMD (2 MiB) and PTE levels — the PMD bit is the
+//! one the PCC's cold-miss filter reads (steps 3 and 6 of the paper's
 //! Fig. 3). A PUD entry always points to a PMD directory: 1 GiB leaf
 //! mappings are not modelled, and [`PageTable::map`] rejects them.
 
@@ -30,9 +30,6 @@ impl Translation {
 pub struct WalkResult {
     /// The translation found by the walk.
     pub translation: Translation,
-    /// Whether the PUD-level (1 GiB region) accessed bit was already set
-    /// before this walk. Drives the 1 GiB PCC's cold-miss filter.
-    pub pud_accessed_before: bool,
     /// Whether the PMD-level (2 MiB region) accessed bit was already set
     /// before this walk. Drives the 2 MiB PCC's cold-miss filter.
     pub pmd_accessed_before: bool,
@@ -40,14 +37,6 @@ pub struct WalkResult {
     /// (3 for a 2 MiB leaf at the PMD, 4 for a 4 KiB leaf at the PTE —
     /// counting from the PGD).
     pub levels_referenced: u8,
-}
-
-/// One PUD entry: the 1 GiB region's accessed bit and the table of the
-/// 512 PMDs covering it.
-#[derive(Debug, Clone)]
-struct PudEntry {
-    accessed: bool,
-    pmds: PmdDir,
 }
 
 /// The 512-entry PMD directory of one PUD: a real page table is an
@@ -227,20 +216,14 @@ impl PteTable {
 /// and demotion.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
-    /// Keys are global 1 GiB region indices.
-    puds: FxHashMap<u64, PudEntry>,
-    walks: u64,
+    /// Each PUD's PMD directory, keyed by global 1 GiB region index.
+    puds: FxHashMap<u64, PmdDir>,
 }
 
 impl PageTable {
     /// Creates an empty page table.
     pub fn new() -> Self {
         PageTable::default()
-    }
-
-    /// Total hardware walks performed against this table.
-    pub fn walk_count(&self) -> u64 {
-        self.walks
     }
 
     /// Installs a mapping of `vpn` to `pfn` (page sizes must match).
@@ -296,14 +279,7 @@ impl PageTable {
     }
 
     fn pmd_dir(&mut self, pud_idx: u64) -> &mut PmdDir {
-        &mut self
-            .puds
-            .entry(pud_idx)
-            .or_insert_with(|| PudEntry {
-                accessed: false,
-                pmds: PmdDir::new(),
-            })
-            .pmds
+        self.puds.entry(pud_idx).or_insert_with(PmdDir::new)
     }
 
     /// Removes the mapping containing `vpn.base()` at exactly `vpn`'s size.
@@ -322,7 +298,7 @@ impl PageTable {
             return Err(not_modelled_1g());
         }
         let pud_idx = vpn.containing(PageSize::Huge1G).index();
-        let pmds = &mut self.puds.get_mut(&pud_idx).ok_or_else(err)?.pmds;
+        let pmds = self.puds.get_mut(&pud_idx).ok_or_else(err)?;
         if vpn.size() == PageSize::Huge2M {
             return match pmds.remove(vpn.index()) {
                 Some(PmdEntry {
@@ -347,8 +323,8 @@ impl PageTable {
     /// Resolves `va` without touching accessed bits (an "OS peek", unlike
     /// the hardware [`walk`](Self::walk)).
     pub fn translate(&self, va: VirtAddr) -> Option<Translation> {
-        let pud = self.puds.get(&va.vpn(PageSize::Huge1G).index())?;
-        let pmd = pud.pmds.get(va.vpn(PageSize::Huge2M).index())?;
+        let pmds = self.puds.get(&va.vpn(PageSize::Huge1G).index())?;
+        let pmd = pmds.get(va.vpn(PageSize::Huge2M).index())?;
         match &pmd.kind {
             PmdKind::Huge2M(pfn) => Some(Translation {
                 vpn: va.vpn(PageSize::Huge2M),
@@ -370,9 +346,10 @@ impl PageTable {
     }
 
     /// Performs a hardware page-table walk for `va`: resolves the
-    /// translation, reports the prior state of the PUD/PMD accessed bits,
-    /// and sets every accessed bit on the walked path (Intel semantics:
-    /// the walker sets A-bits at each level it references).
+    /// translation, reports the prior state of the PMD accessed bit, and
+    /// sets the PMD and leaf accessed bits on the walked path (Intel
+    /// semantics: the walker sets A-bits at each level it references;
+    /// the upper levels' bits are not modelled, as nothing reads them).
     ///
     /// # Errors
     ///
@@ -381,10 +358,9 @@ impl PageTable {
     pub fn walk(&mut self, va: VirtAddr) -> Result<WalkResult, HpageError> {
         let err = || HpageError::Unmapped { addr: va.raw() };
         let pud_idx = va.vpn(PageSize::Huge1G).index();
-        let pud = self.puds.get_mut(&pud_idx).ok_or_else(err)?;
-        let pud_accessed_before = pud.accessed;
+        let pmds = self.puds.get_mut(&pud_idx).ok_or_else(err)?;
         let pmd_idx = va.vpn(PageSize::Huge2M).index();
-        let pmd = pud.pmds.get_mut(pmd_idx).ok_or_else(err)?;
+        let pmd = pmds.get_mut(pmd_idx).ok_or_else(err)?;
         let pmd_accessed_before = pmd.accessed;
         let result = match &mut pmd.kind {
             PmdKind::Huge2M(pfn) => WalkResult {
@@ -392,7 +368,6 @@ impl PageTable {
                     vpn: va.vpn(PageSize::Huge2M),
                     pfn: *pfn,
                 },
-                pud_accessed_before,
                 pmd_accessed_before,
                 levels_referenced: 3,
             },
@@ -407,28 +382,25 @@ impl PageTable {
                         vpn: va.vpn(PageSize::Base4K),
                         pfn: PteTable::unpack_pfn(*w),
                     },
-                    pud_accessed_before,
                     pmd_accessed_before,
                     levels_referenced: 4,
                 }
             }
         };
         pmd.accessed = true;
-        pud.accessed = true;
-        self.walks += 1;
         Ok(result)
     }
 
     /// The PMD entry of a 2 MiB region, if its PUD and PMD are present.
     fn pmd(&self, region: Vpn) -> Option<&PmdEntry> {
         let pud_idx = region.containing(PageSize::Huge1G).index();
-        self.puds.get(&pud_idx)?.pmds.get(region.index())
+        self.puds.get(&pud_idx)?.get(region.index())
     }
 
     /// Mutable form of [`pmd`](Self::pmd).
     fn pmd_mut(&mut self, region: Vpn) -> Option<&mut PmdEntry> {
         let pud_idx = region.containing(PageSize::Huge1G).index();
-        self.puds.get_mut(&pud_idx)?.pmds.get_mut(region.index())
+        self.puds.get_mut(&pud_idx)?.get_mut(region.index())
     }
 
     /// Replaces the 4 KiB mappings of a fully- or partially-mapped 2 MiB
@@ -549,10 +521,9 @@ impl PageTable {
     /// scan order khugepaged and HawkEye traverse.
     pub fn mapped_2m_regions(&self) -> Vec<Vpn> {
         let mut regions: Vec<Vpn> = Vec::new();
-        for (pud_idx, pud) in &self.puds {
+        for (pud_idx, pmds) in &self.puds {
             regions.extend(
-                pud.pmds
-                    .entries()
+                pmds.entries()
                     .map(|(slot, _)| Vpn::new(pud_idx * 512 + slot as u64, PageSize::Huge2M)),
             );
         }
@@ -661,13 +632,10 @@ mod tests {
 
         let w1 = pt.walk(va).unwrap();
         assert!(!w1.pmd_accessed_before);
-        assert!(!w1.pud_accessed_before);
         assert_eq!(w1.levels_referenced, 4);
 
         let w2 = pt.walk(va).unwrap();
         assert!(w2.pmd_accessed_before);
-        assert!(w2.pud_accessed_before);
-        assert_eq!(pt.walk_count(), 2);
     }
 
     #[test]

@@ -16,22 +16,6 @@ pub struct TlbStats {
     pub invalidations: u64,
 }
 
-impl TlbStats {
-    /// Total lookups (hits + misses).
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss ratio in `[0, 1]`; 0 when there were no lookups.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.lookups() as f64
-        }
-    }
-}
-
 /// One resident entry, packed to 16 bytes so an LRU scan over a
 /// 12-way set reads three cache lines instead of the nine a struct
 /// with unpacked [`Translation`]s would span. The entry's VPN lives in
@@ -217,11 +201,6 @@ impl SetAssocTlb {
             clock: 0,
             stats: TlbStats::default(),
         }
-    }
-
-    /// Number of sets.
-    pub fn set_count(&self) -> usize {
-        self.geometry.sets
     }
 
     /// Slab position of `vpn`'s entry, if resident ([`search`]'s
@@ -556,7 +535,6 @@ mod tests {
         let mut t = tlb(8, 4);
         assert!(t.lookup(Vpn::new(1, PageSize::Base4K)).is_none());
         assert_eq!(t.stats().misses, 1);
-        assert_eq!(t.stats().miss_ratio(), 1.0);
     }
 
     #[test]
@@ -612,7 +590,6 @@ mod tests {
         // 12 entries / 4 ways = 3 sets: the mask fast path must not
         // apply; page 5 maps to set 5 % 3 = 2.
         let mut t = tlb(12, 4);
-        assert_eq!(t.set_count(), 3);
         t.insert(tr(5));
         assert_eq!(t.lookup(tr(5).vpn), Some(tr(5)));
         assert_eq!(t.find(tr(5).vpn), Some(2 * 4)); // set 2's first way

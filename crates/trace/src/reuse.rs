@@ -99,11 +99,6 @@ impl ReuseAnalyzer {
         self.threshold
     }
 
-    /// Total accesses observed.
-    pub fn access_count(&self) -> u64 {
-        self.time
-    }
-
     /// Observes one access.
     pub fn observe(&mut self, access: &MemoryAccess) {
         self.observe_addr(access.addr);
@@ -353,7 +348,6 @@ mod tests {
     fn observe_all_consumes_iterator() {
         let mut a = ReuseAnalyzer::new();
         a.observe_all((0..10u64).map(|i| MemoryAccess::read(VirtAddr::new(i * 0x1000))));
-        assert_eq!(a.access_count(), 10);
         assert_eq!(a.profiles().len(), 10);
     }
 }

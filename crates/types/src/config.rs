@@ -509,14 +509,13 @@ impl Default for TimingConfig {
 /// Full evaluation-system configuration (Table 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
-    /// Number of cores (each with its own TLB hierarchy and PCC).
-    pub cores: u32,
     /// Per-core TLB hierarchy.
     pub tlb: TlbConfig,
     /// Per-core 2 MiB PCC.
     pub pcc_2m: PccConfig,
-    /// Optional per-core 1 GiB PCC (§3.2.3). `None` disables 1 GiB
-    /// tracking.
+    /// The 1 GiB PCC (§3.2.3), which the simulator does not model:
+    /// [`SystemConfig::validate`] rejects anything but `None`. The field
+    /// stays only because the benchmark reads it.
     pub pcc_1g: Option<PccConfig>,
     /// Optional per-core page-walk cache (§5.4.1 ablation). `None`
     /// charges every walk its full level count.
@@ -534,8 +533,6 @@ pub struct SystemConfig {
     /// of the hardware so scan-rate starvation matches the paper's
     /// footprint-to-scan-budget ratio.
     pub scanner_pages_per_interval: u64,
-    /// OS candidate-selection policy across PCCs.
-    pub promotion_policy: PromotionPolicyKind,
     /// Timing-model constants.
     pub timing: TimingConfig,
 }
@@ -545,7 +542,6 @@ impl SystemConfig {
     /// promotions per interval, Haswell TLB hierarchy.
     pub fn paper_system() -> Self {
         SystemConfig {
-            cores: 1,
             tlb: TlbConfig::paper(),
             pcc_2m: PccConfig::paper_2m(),
             pcc_1g: None,
@@ -554,7 +550,6 @@ impl SystemConfig {
             promotion_interval_accesses: 20_000_000,
             regions_to_promote: 128,
             scanner_pages_per_interval: 4096,
-            promotion_policy: PromotionPolicyKind::HighestFrequency,
             timing: TimingConfig::paper(),
         }
     }
@@ -564,7 +559,6 @@ impl SystemConfig {
     /// the paper's ~10^11).
     pub fn tiny() -> Self {
         SystemConfig {
-            cores: 1,
             tlb: TlbConfig::tiny(),
             pcc_2m: PccConfig::paper_2m().with_entries(16),
             pcc_1g: None,
@@ -573,7 +567,6 @@ impl SystemConfig {
             promotion_interval_accesses: 50_000,
             regions_to_promote: 16,
             scanner_pages_per_interval: 512,
-            promotion_policy: PromotionPolicyKind::HighestFrequency,
             timing: TimingConfig::paper().with_window_scale(40),
         }
     }
@@ -582,17 +575,14 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when any sub-config is invalid, there are no
-    /// cores, physical memory is not 2 MiB-aligned, or the promotion
+    /// Returns [`ConfigError`] when any sub-config is invalid, a 1 GiB
+    /// PCC is set, physical memory is not 2 MiB-aligned, or the promotion
     /// interval is zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.cores == 0 {
-            return Err(ConfigError::new("system must have at least one core"));
-        }
         self.tlb.validate()?;
         self.pcc_2m.validate()?;
-        if let Some(p) = &self.pcc_1g {
-            p.validate()?;
+        if self.pcc_1g.is_some() {
+            return Err(ConfigError::new("the 1GiB PCC is not modelled"));
         }
         if let Some(p) = &self.pwc {
             p.validate()?;
@@ -679,7 +669,7 @@ mod tests {
         assert!(TlbLevelConfig::new(128, 128).validate().is_err());
         assert!(PccConfig::paper_2m().with_entries(0).validate().is_err());
         let mut sys = SystemConfig::paper_system();
-        sys.cores = 0;
+        sys.pcc_1g = Some(PccConfig::paper_1g());
         assert!(sys.validate().is_err());
         let mut sys = SystemConfig::paper_system();
         sys.phys_mem_bytes = 4096;

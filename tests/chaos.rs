@@ -7,7 +7,6 @@
 //! harness confines each failure to its own cell.
 
 use hpage::faults::{FaultKind, FaultPlan, FaultWindow};
-use hpage::os::DegradationConfig;
 use hpage::sim::{
     Cell, CellFailure, Harness, NullRecorder, PolicyChoice, ProcessSpec, SharedWorkload, Simulation,
 };
@@ -79,7 +78,7 @@ proptest! {
         let w = workload(wseed);
         let report = Simulation::new(SystemConfig::tiny(), policy(policy_sel))
             .with_faults(plan)
-            .with_degradation(DegradationConfig::default())
+            .with_degradation()
             .with_audit()
             .try_run_recorded(&[ProcessSpec::new(&w)], &mut NullRecorder)
             .expect("chaos run must degrade gracefully, not error");
@@ -118,7 +117,7 @@ proptest! {
         let run = || {
             Simulation::new(SystemConfig::tiny(), policy(policy_sel))
                 .with_faults(plan.clone())
-                .with_degradation(DegradationConfig::default())
+                .with_degradation()
                 .with_audit()
                 .try_run_recorded(&[ProcessSpec::new(&w)], &mut NullRecorder)
                 .expect("chaos run must degrade gracefully, not error")
