@@ -1130,6 +1130,7 @@ mod tests {
             PolicyChoice::pcc_default(),
             PolicyChoice::LinuxThp,
             PolicyChoice::BasePages,
+            PolicyChoice::VictimCache { entries: 128 },
         ] {
             let runs: Vec<(SimReport, String)> = [1usize, 2, 3, 8]
                 .iter()
