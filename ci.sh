@@ -154,7 +154,7 @@ for scale in 0 abc; do
     fi
 done
 
-echo "== recording-purity smoke: --events leaves the report unchanged =="
+echo "== recording-purity smoke: recording leaves the report unchanged =="
 # The flight recorder is pure observation: the report of a run that
 # streams its events must be byte-identical to the run without them.
 purity() {
@@ -166,9 +166,18 @@ purity() {
         "$@" --events /tmp/ci_purity.jsonl --quiet > /tmp/ci_purity_recorded.txt
     cmp /tmp/ci_purity_plain.txt /tmp/ci_purity_recorded.txt
 }
-purity "bfs pcc --threads 4" --app bfs --policy pcc --threads 4
 purity "omnetpp victim --threads 2" --app omnetpp --policy victim --threads 2
 purity "bfs pcc --nested" --app bfs --policy pcc --nested
+purity "bfs pcc --threads 4" --app bfs --policy pcc --threads 4
+# Both recorder legs at once (the JSONL sink teed with telemetry): the
+# report must equal the plain run's above, and the event stream the
+# --events-only run's.
+bounded "hpsim bfs pcc --threads 4 --events --metrics --chrome-trace" \
+    env HPAGE_PROFILE=test ./target/release/hpsim --app bfs --policy pcc --threads 4 \
+    --events /tmp/ci_purity_tee.jsonl --metrics /tmp/ci_purity_tee_metrics.jsonl \
+    --chrome-trace /tmp/ci_purity_tee_trace.json --quiet > /tmp/ci_purity_tee.txt
+cmp /tmp/ci_purity_plain.txt /tmp/ci_purity_tee.txt
+cmp /tmp/ci_purity.jsonl /tmp/ci_purity_tee.jsonl
 
 echo "== event-stream smoke: two-core PCC runs' events are checksum-pinned =="
 # The recorder path (every TLB hit, walk and fault with its timestamp)

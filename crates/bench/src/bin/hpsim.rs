@@ -18,12 +18,12 @@ use hpage_bench::profile_from_env;
 use hpage_faults::FaultPlan;
 use hpage_os::{read_schedule, write_schedule, PromotionBudget};
 use hpage_perf::{fmt_pct, fmt_speedup, TextTable};
-use hpage_sim::{JsonlSink, NullRecorder, PolicyChoice, ProcessSpec, SimReport, Simulation, Tee};
+use hpage_sim::{JsonlSink, PolicyChoice, ProcessSpec, SimReport, Simulation, Tee};
 use hpage_telemetry::TelemetryRecorder;
 use hpage_trace::{instantiate, AnyWorkload, AppId, Dataset, Hpt2Writer, MmapTrace, Workload};
 use hpage_types::{derive_seed, NestedConfig, PccPlacement, PromotionPolicyKind};
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::process::exit;
 
 const USAGE: &str = "usage: hpsim --app <bfs|sssp|pr|canneal|omnetpp|xalancbmk|dedup|mcf>
@@ -392,14 +392,14 @@ fn main() {
             .unwrap_or(u64::MAX);
         let trace = workload.trace().take(cap as usize);
         let mut writer = Hpt2Writer::new(BufWriter::new(file))
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
         writer
             .write_all(trace)
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
         let n = writer.records();
         writer
             .finish()
-            .unwrap_or_else(|e| die(&format!("flush {path}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("flush {path}: {e}")));
         println!("wrote {n} accesses of {} to {path} (hpt2)", workload.name());
         return;
     }
@@ -495,9 +495,9 @@ fn main() {
     let run_base = || base_sim.run(&spec());
     // The instrumented run streams the flight recorder when requested;
     // the baseline run is never recorded (it is only a speedup anchor).
-    // `--metrics` and `--chrome-trace` both ride on the telemetry
-    // recorder; `--events` keeps its raw JSONL sink, teed when both are
-    // asked for.
+    // `--events` attaches the raw JSONL sink, `--metrics` and
+    // `--chrome-trace` the telemetry recorder. With neither leg attached
+    // the tee is disabled, and the run takes the recorder-less hot loop.
     let want_telemetry = opts.metrics.is_some() || opts.chrome_trace.is_some();
     type EventCounts = (u64, Vec<(String, u64)>);
     type PolicyOut = (
@@ -508,51 +508,28 @@ fn main() {
     );
     let run_policy = || -> PolicyOut {
         let t0 = std::time::Instant::now();
-        match (&opts.events, want_telemetry) {
-            (Some(path), telemetry) => {
-                let file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-                // Shared IO-error counter: the sink counts write/flush
-                // failures, the telemetry recorder mirrors the count
-                // into the `--metrics` snapshot as `sink.io_errors`.
-                let sink_errors = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-                let sink = JsonlSink::new(BufWriter::new(file))
-                    .with_path(path.as_str())
-                    .with_error_counter(std::sync::Arc::clone(&sink_errors));
-                let mut rec = Tee(
-                    sink,
-                    telemetry.then(|| {
-                        TelemetryRecorder::new().with_sink_error_counter(sink_errors.clone())
-                    }),
-                );
-                let report = sim
-                    .try_run_recorded(&spec(), &mut rec)
-                    .unwrap_or_else(|e| fail(&format!("simulation failed: {e}")));
-                let wall = t0.elapsed();
-                let Tee(sink, telem) = rec;
-                let total = sink.total();
-                let counts = sink
-                    .finish()
-                    .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-                let counts = counts
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
-                (report, Some((total, counts)), telem, wall)
-            }
-            (None, true) => {
-                let mut telem = TelemetryRecorder::new();
-                let report = sim
-                    .try_run_recorded(&spec(), &mut telem)
-                    .unwrap_or_else(|e| fail(&format!("simulation failed: {e}")));
-                (report, None, Some(telem), t0.elapsed())
-            }
-            (None, false) => {
-                let report = sim
-                    .try_run_recorded(&spec(), &mut NullRecorder)
-                    .unwrap_or_else(|e| fail(&format!("simulation failed: {e}")));
-                (report, None, None, t0.elapsed())
-            }
-        }
+        let sink = opts.events.as_deref().map(|path| {
+            let file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+            JsonlSink::new(BufWriter::new(file)).with_path(path)
+        });
+        let mut rec = Tee(sink, want_telemetry.then(TelemetryRecorder::new));
+        let report = sim
+            .try_run_recorded(&spec(), &mut rec)
+            .unwrap_or_else(|e| fail(&format!("simulation failed: {e}")));
+        let wall = t0.elapsed();
+        let Tee(sink, telem) = rec;
+        let event_counts = sink.zip(opts.events.as_deref()).map(|(sink, path)| {
+            let total = sink.total();
+            let counts = sink
+                .finish()
+                .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+            let counts = counts
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect();
+            (total, counts)
+        });
+        (report, event_counts, telem, wall)
     };
     // Both runs are deterministic in their configuration, so overlapping
     // them changes wall-clock only, never the printed report.
@@ -710,8 +687,9 @@ fn main() {
 
     if let Some(telem) = &telemetry {
         if let Some(path) = &opts.chrome_trace {
-            std::fs::write(path, telem.chrome_trace_json())
-                .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+            let mut file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+            file.write_all(telem.chrome_trace_json().as_bytes())
+                .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
             if opts.verbosity >= 1 {
                 println!(
                     "wrote {} spans to {path} (load in chrome://tracing or ui.perfetto.dev)",
@@ -720,7 +698,6 @@ fn main() {
             }
         }
         if opts.verbosity >= 2 {
-            println!("{}", telem.interval_summary());
             println!(
                 "telemetry registry\n{}",
                 telem.metrics_snapshot().render_text()
@@ -730,13 +707,12 @@ fn main() {
 
     if let Some(path) = &opts.metrics {
         let file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-        use std::io::Write;
         let mut w = BufWriter::new(file);
         let telem = telemetry.as_ref().expect("--metrics attaches telemetry");
         w.write_all(report.interval_series.to_jsonl().as_bytes())
             .and_then(|()| w.write_all(telem.metrics_snapshot().to_jsonl().as_bytes()))
             .and_then(|()| w.flush())
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
         if opts.verbosity >= 1 {
             println!(
                 "wrote {} interval metric rows and the telemetry registry to {path}",
@@ -747,8 +723,10 @@ fn main() {
 
     if let Some(path) = &opts.schedule_out {
         let file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-        write_schedule(&report.schedule, BufWriter::new(file))
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        let mut w = BufWriter::new(file);
+        write_schedule(&report.schedule, &mut w)
+            .and_then(|()| w.flush())
+            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
         println!(
             "wrote {} promotion events to {path} (replay with --policy replay --schedule-in)",
             report.schedule.len()

@@ -17,7 +17,7 @@
 //! (`--bench-out` overrides the path).
 
 use hpage_bench::*;
-use hpage_sim::{catch_quietly, CellJournal, Fig9Config, Harness, JournalError};
+use hpage_sim::{catch_quietly, panic_message, CellJournal, Fig9Config, Harness, JournalError};
 use hpage_trace::AppId;
 use std::time::Duration;
 
@@ -95,17 +95,6 @@ fn deadline_ms(flag: &str, it: &mut std::vec::IntoIter<String>) -> u64 {
     }
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Section runner: progress notes, wall-clock accounting, journal
 /// replay/record, and degraded rendering.
 ///
@@ -157,7 +146,7 @@ impl Sections {
             }
             Err(payload) => {
                 self.failed = true;
-                let msg = panic_text(payload);
+                let msg = panic_message(&*payload);
                 eprintln!("repro: {label} failed: {msg}");
                 format!("{label}: n/a (cell failed: {msg})")
             }

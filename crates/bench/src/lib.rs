@@ -409,11 +409,10 @@ pub fn render_ledger(h: &Harness, profile: &SimProfile, apps: &[AppId]) -> (Stri
 }
 
 /// Runs the consolidation scenario (`tenants` mixed synthetic tenants
-/// under churn, sharded across `sim_threads` workers) with a telemetry
-/// recorder attached, and renders the per-tenant fairness table plus
-/// the shootdown-storm summary. Returns `(table text, JSON fragment)`;
-/// the fragment goes into `BENCH_repro.json` via
-/// [`json::bench_repro_json`]'s `extra` parameter.
+/// under churn, sharded across `sim_threads` workers) and renders the
+/// per-tenant fairness table plus the shootdown-storm summary. Returns
+/// `(table text, JSON fragment)`; the fragment goes into
+/// `BENCH_repro.json` via [`json::bench_repro_json`]'s `extra` parameter.
 pub fn render_consolidation(
     h: &Harness,
     profile: &SimProfile,
@@ -421,9 +420,8 @@ pub fn render_consolidation(
     sim_threads: usize,
 ) -> (String, String) {
     let cfg = hpage_sim::ConsolidationConfig::for_profile(profile, tenants, sim_threads);
-    let mut telemetry = hpage_telemetry::TelemetryRecorder::new();
     let t0 = std::time::Instant::now();
-    let r = hpage_sim::consolidation_on(profile, &cfg, &mut telemetry);
+    let r = hpage_sim::consolidation_on(profile, &cfg, &mut hpage_sim::NullRecorder);
     h.log().record_cell(
         format!("consolidation/{tenants}t/pcc"),
         t0.elapsed().as_secs_f64(),
@@ -446,19 +444,12 @@ pub fn render_consolidation(
             row.faults.to_string(),
         ]);
     }
-    let metrics = telemetry.metrics_snapshot();
-    let storm_count = metrics.counter("shootdown_storm");
-    let storm_p50 = metrics
-        .histogram("shootdown_entries_flushed")
-        .map(|hist| hist.quantile(0.5))
-        .unwrap_or(0);
     let text = format!(
         "Consolidation — {} tenants on {} cores, churn plan \"consolidation-churn\" \
          (--sim-threads {})\n{t}\n\
          Jain fairness over promotion shares: {:.4}\n\
          promotions: {} performed, {} failed, {} huge pages resident at end\n\
-         shootdown storms: {} flushes, {} entries total, max {}/core \
-         (telemetry: count {}, p50 {})\n",
+         shootdown storms: {} flushes, {} entries total, max {}/core\n",
         r.tenants,
         r.tenants,
         r.sim_threads,
@@ -469,8 +460,6 @@ pub fn render_consolidation(
         r.storm_flushes,
         r.storm_entries_flushed,
         r.storm_entries_max,
-        storm_count,
-        storm_p50,
     );
     let json = json::consolidation_json(&r);
     (text, json)

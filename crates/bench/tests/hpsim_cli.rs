@@ -6,7 +6,9 @@
 //! nested too deep to parse), and an `HPAGE_PROFILE` or `HPAGE_SCALE` that
 //! names no profile.
 //! Each must be a usage error (exit 2) with a message naming the
-//! problem, never a panic, a hang or a silent fallback.
+//! problem, never a panic, a hang or a silent fallback. An output file
+//! that opens but cannot be written is a runtime error instead: exit 1,
+//! without the usage text.
 
 use std::process::{Command, Output};
 
@@ -75,6 +77,39 @@ fn non_regular_trace_is_rejected() {
     let want = format!("hpsim: open {d}: HPT2 replay needs a regular file");
     assert_usage_error(&hpsim(&["--trace-in", d, "--quiet"]), &want);
     assert_usage_error(&hpsim(&["--trace-info", d]), &want);
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn write_failures_are_runtime_errors() {
+    // `/dev/full` opens, then fails every write with ENOSPC.
+    for flag in [
+        "--events",
+        "--metrics",
+        "--chrome-trace",
+        "--schedule-out",
+        "--trace-out",
+    ] {
+        let out = hpsim(&[
+            "--app",
+            "bfs",
+            "--policy",
+            "pcc",
+            "--max-accesses",
+            "20000",
+            flag,
+            "/dev/full",
+            "--quiet",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: stderr:\n{stderr}");
+        assert!(
+            stderr.contains("/dev/full: No space left on device"),
+            "{flag}: stderr:\n{stderr}"
+        );
+        assert!(!stderr.contains("usage:"), "{flag}: stderr:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{flag}: stderr:\n{stderr}");
+    }
 }
 
 #[test]

@@ -146,16 +146,6 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// The last interval (exclusive) touched by any window, i.e. the
-    /// plan is fully spent once this many intervals have elapsed.
-    pub fn horizon(&self) -> u64 {
-        self.windows
-            .iter()
-            .map(|w| w.at.saturating_add(w.duration))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Parses a plan from its JSON form. The format:
     ///
     /// ```json
@@ -483,16 +473,6 @@ mod tests {
             )]
         )
         .is_err());
-    }
-
-    #[test]
-    fn horizon_spans_all_windows() {
-        let p = plan(vec![
-            w(FaultKind::OomWindow, 2, 3),
-            w(FaultKind::PccReset, 7, 1),
-        ]);
-        assert_eq!(p.horizon(), 8);
-        assert_eq!(FaultPlan::default().horizon(), 0);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   an uninstrumented simulation pays nothing (the simulator is generic
 //!   over `R: Recorder`, so the null case monomorphizes to dead code).
 //! - [`MemoryRecorder`] — buffers `(timestamp, Event)` pairs in memory
-//!   for tests and programmatic inspection, optionally as a bounded ring
-//!   that keeps the most recent events and counts what it dropped.
+//!   for tests and programmatic inspection.
 //! - [`JsonlSink`] — streams events as JSON Lines to any writer, and
 //!   flushes on `Drop` so truncated runs still leave whole lines.
 //! - [`Tee`] — fans one event stream out to two recorders (e.g. a raw

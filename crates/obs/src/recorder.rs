@@ -1,11 +1,8 @@
-//! Recorder backends: the zero-cost null recorder, an in-memory buffer
-//! (optionally a bounded ring), a streaming JSONL sink, and a tee that
-//! feeds two recorders at once.
+//! Recorder backends: the zero-cost null recorder, an in-memory buffer,
+//! a streaming JSONL sink, and a tee that feeds two recorders at once.
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::event::Event;
 
@@ -71,56 +68,25 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     }
 }
 
-/// Buffers every event in memory; for tests and programmatic analysis.
-///
-/// By default the buffer is unbounded. Long chaos runs can cap it with
-/// [`with_capacity`](MemoryRecorder::with_capacity), which turns the
-/// buffer into a ring keeping the **most recent** events (the tail is
-/// what matters when diagnosing a failure) and counts what was
-/// overwritten in [`dropped`](MemoryRecorder::dropped).
+/// Buffers every event in memory, in arrival order; for tests and
+/// programmatic analysis.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryRecorder {
     events: Vec<(u64, Event)>,
-    /// Ring capacity; `None` is unbounded.
-    capacity: Option<usize>,
-    /// Next ring slot to overwrite once the buffer is full.
-    head: usize,
-    dropped: u64,
 }
 
 impl MemoryRecorder {
-    /// An empty, unbounded recorder.
+    /// An empty recorder.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty ring recorder keeping at most `capacity` events (the
-    /// most recent ones; older events are overwritten and counted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be nonzero");
-        MemoryRecorder {
-            events: Vec::with_capacity(capacity),
-            capacity: Some(capacity),
-            head: 0,
-            dropped: 0,
-        }
+    /// Every `(timestamp, event)` pair, in arrival order.
+    pub fn events(&self) -> &[(u64, Event)] {
+        &self.events
     }
 
-    /// All retained `(timestamp, event)` pairs, oldest first. For an
-    /// unbounded recorder this is every event in arrival order; for a
-    /// ring it is the most recent `capacity` events.
-    pub fn events(&self) -> Vec<(u64, Event)> {
-        let mut out = Vec::with_capacity(self.events.len());
-        out.extend_from_slice(&self.events[self.head..]);
-        out.extend_from_slice(&self.events[..self.head]);
-        out
-    }
-
-    /// Number of retained events.
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -130,14 +96,7 @@ impl MemoryRecorder {
         self.events.is_empty()
     }
 
-    /// Events overwritten because the ring was full (always 0 for an
-    /// unbounded recorder).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Per-kind event counts of the *retained* events, ordered by kind
-    /// name.
+    /// Per-kind event counts, ordered by kind name.
     pub fn counts_by_kind(&self) -> BTreeMap<&'static str, u64> {
         let mut counts = BTreeMap::new();
         for (_, ev) in &self.events {
@@ -146,10 +105,10 @@ impl MemoryRecorder {
         counts
     }
 
-    /// Renders the retained buffer as JSON Lines, oldest event first.
+    /// Renders the buffer as JSON Lines, oldest event first.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (at, ev) in self.events() {
+        for &(at, ev) in &self.events {
             out.push_str(&ev.to_jsonl(at));
             out.push('\n');
         }
@@ -165,14 +124,7 @@ impl Recorder for MemoryRecorder {
 
     #[inline]
     fn record(&mut self, at: u64, event: Event) {
-        match self.capacity {
-            Some(cap) if self.events.len() == cap => {
-                self.events[self.head] = (at, event);
-                self.head = (self.head + 1) % cap;
-                self.dropped += 1;
-            }
-            _ => self.events.push((at, event)),
-        }
+        self.events.push((at, event));
     }
 }
 
@@ -184,11 +136,9 @@ impl Recorder for MemoryRecorder {
 /// that aborts before calling `finish` still leaves whole JSONL lines
 /// behind (every record is written with a single `writeln!`). An error
 /// that would otherwise die with the `Drop` (nobody called `finish`, or
-/// the final flush itself failed) is counted in the shared error
-/// counter ([`with_error_counter`](JsonlSink::with_error_counter)) and
-/// reported once to stderr with the sink's path
-/// ([`with_path`](JsonlSink::with_path)) — a full disk must be visible,
-/// not silent data loss.
+/// the final flush itself failed) is reported once to stderr with the
+/// sink's path ([`with_path`](JsonlSink::with_path)) — a full disk must
+/// be visible, not silent data loss.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
@@ -196,7 +146,6 @@ pub struct JsonlSink<W: Write> {
     total: u64,
     error: Option<std::io::Error>,
     path: Option<String>,
-    io_errors: Option<Arc<AtomicU64>>,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -209,7 +158,6 @@ impl<W: Write> JsonlSink<W> {
             total: 0,
             error: None,
             path: None,
-            io_errors: None,
         }
     }
 
@@ -220,28 +168,9 @@ impl<W: Write> JsonlSink<W> {
         self
     }
 
-    /// Attaches a shared counter incremented once per I/O error the
-    /// sink encounters (streaming write failures and the `Drop`-flush).
-    /// Callers mirror it into a metrics snapshot as `sink.io_errors`.
-    pub fn with_error_counter(mut self, counter: Arc<AtomicU64>) -> Self {
-        self.io_errors = Some(counter);
-        self
-    }
-
     /// Events written so far.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    fn count_io_error(&self) {
-        if let Some(c) = &self.io_errors {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Per-kind event counts, ordered by kind name.
-    pub fn counts_by_kind(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
     }
 
     /// Flushes and returns the per-kind counts, or the first I/O error
@@ -260,13 +189,9 @@ impl<W: Write> Drop for JsonlSink<W> {
         // Best-effort: a sink dropped mid-run (panic, early return) must
         // not leave buffered lines unwritten. Errors that would die here
         // — a streaming error nobody surfaced via `finish`, or a failing
-        // final flush — are counted and reported once to stderr instead
-        // of being silently swallowed.
+        // final flush — are reported once to stderr instead of being
+        // silently swallowed.
         let flush_err = self.writer.flush().err();
-        if flush_err.is_some() {
-            // Streaming errors were already counted by `record`.
-            self.count_io_error();
-        }
         let unsurfaced = self.error.take();
         if let Some(err) = unsurfaced.as_ref().or(flush_err.as_ref()) {
             let target = self.path.as_deref().unwrap_or("<unnamed sink>");
@@ -289,7 +214,6 @@ impl<W: Write> Recorder for JsonlSink<W> {
         self.total += 1;
         let line = event.to_jsonl(at);
         if let Err(err) = writeln!(self.writer, "{line}") {
-            self.count_io_error();
             self.error = Some(err);
         }
     }
@@ -349,43 +273,12 @@ mod tests {
         r.record(1, hit());
         r.record(2, hit());
         assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 0);
         assert_eq!(r.counts_by_kind().get("tlb_hit"), Some(&2));
         let jsonl = r.to_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
         for line in jsonl.lines() {
             assert_json_shape(line);
         }
-    }
-
-    #[test]
-    fn ring_keeps_most_recent_and_counts_drops() {
-        let mut r = MemoryRecorder::with_capacity(3);
-        for at in 1..=7 {
-            r.record(at, hit());
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 4);
-        let ats: Vec<u64> = r.events().iter().map(|(at, _)| *at).collect();
-        assert_eq!(ats, vec![5, 6, 7], "ring keeps the newest events in order");
-        // JSONL render follows the same oldest-first order.
-        assert!(r.to_jsonl().starts_with("{\"at\":5,"));
-    }
-
-    #[test]
-    fn ring_below_capacity_behaves_like_unbounded() {
-        let mut r = MemoryRecorder::with_capacity(8);
-        r.record(1, hit());
-        r.record(2, hit());
-        assert_eq!(r.dropped(), 0);
-        let ats: Vec<u64> = r.events().iter().map(|(at, _)| *at).collect();
-        assert_eq!(ats, vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_capacity_ring_is_rejected() {
-        let _ = MemoryRecorder::with_capacity(0);
     }
 
     #[test]
@@ -466,62 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_error_is_counted_once_even_through_drop() {
-        let errors = Arc::new(AtomicU64::new(0));
-        {
-            let mut sink = JsonlSink::new(FailingWriter)
-                .with_path("/tmp/nope.jsonl")
-                .with_error_counter(errors.clone());
-            sink.record(1, hit());
-            sink.record(2, hit());
-            // No finish(): the Drop reports the unsurfaced error but
-            // must not recount it.
-        }
-        assert_eq!(errors.load(Ordering::Relaxed), 1);
-    }
-
-    struct FlushFailingWriter;
-    impl Write for FlushFailingWriter {
-        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-            Ok(data.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Err(std::io::Error::other("flush: disk full"))
-        }
-    }
-
-    #[test]
-    fn drop_flush_error_is_counted_not_swallowed() {
-        let errors = Arc::new(AtomicU64::new(0));
-        {
-            let mut sink = JsonlSink::new(FlushFailingWriter).with_error_counter(errors.clone());
-            sink.record(1, hit());
-        }
-        assert_eq!(
-            errors.load(Ordering::Relaxed),
-            1,
-            "Drop-flush failure must land in the error counter"
-        );
-    }
-
-    #[test]
-    fn finished_sink_does_not_double_report() {
-        let errors = Arc::new(AtomicU64::new(0));
-        let mut sink = JsonlSink::new(FailingWriter).with_error_counter(errors.clone());
-        sink.record(1, hit());
-        assert!(sink.finish().is_err()); // surfaced here; Drop stays quiet
-        assert_eq!(errors.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn tee_feeds_both_recorders() {
-        let mut tee = Tee(MemoryRecorder::new(), MemoryRecorder::with_capacity(1));
+        let mut tee = Tee(MemoryRecorder::new(), MemoryRecorder::new());
         assert!(tee.enabled());
         tee.record(1, hit());
         tee.record(2, hit());
-        assert_eq!(tee.0.len(), 2);
-        assert_eq!(tee.1.len(), 1);
-        assert_eq!(tee.1.dropped(), 1);
+        assert_eq!(tee.0.events(), tee.1.events());
+        assert_eq!(tee.1.len(), 2);
         // A tee of two null recorders stays disabled.
         assert!(!Tee(NullRecorder, NullRecorder).enabled());
     }

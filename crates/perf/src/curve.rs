@@ -46,35 +46,6 @@ impl UtilityCurve {
             .find(|p| p.percent == percent)
             .map(|p| p.speedup)
     }
-
-    /// The smallest sweep percentage whose speedup reaches `fraction` of
-    /// the curve's peak speedup — the paper's "promote 4% of the
-    /// footprint to get >75% of peak" headline metric. `None` when the
-    /// curve is empty.
-    pub fn percent_reaching(&self, fraction: f64) -> Option<u64> {
-        let peak = self
-            .points
-            .iter()
-            .map(|p| p.speedup)
-            .fold(f64::NAN, f64::max);
-        if !peak.is_finite() {
-            return None;
-        }
-        // "Fraction of peak" interpolates between baseline (1.0) and peak.
-        let target = 1.0 + (peak - 1.0) * fraction;
-        self.points
-            .iter()
-            .find(|p| p.speedup >= target - 1e-12)
-            .map(|p| p.percent)
-    }
-
-    /// Whether speedups are (weakly) monotonic in promoted footprint —
-    /// holds for well-behaved utility curves modulo promotion overheads.
-    pub fn is_monotonic(&self, tolerance: f64) -> bool {
-        self.points
-            .windows(2)
-            .all(|w| w[1].speedup >= w[0].speedup - tolerance)
-    }
 }
 
 /// Geometric mean of a nonempty slice; returns `None` when empty or any
@@ -157,27 +128,6 @@ mod tests {
         let c = curve();
         assert_eq!(c.speedup_at(4), Some(1.28));
         assert_eq!(c.speedup_at(3), None);
-    }
-
-    #[test]
-    fn percent_reaching_paper_metric() {
-        let c = curve();
-        // Peak 1.32; 75% of the way is 1.24 — first reached at 4%.
-        assert_eq!(c.percent_reaching(0.75), Some(4));
-        // 100% of peak only at the end.
-        assert_eq!(c.percent_reaching(1.0), Some(100));
-        // 0% of peak: the baseline point qualifies.
-        assert_eq!(c.percent_reaching(0.0), Some(0));
-        assert_eq!(UtilityCurve::new("x", "y").percent_reaching(0.5), None);
-    }
-
-    #[test]
-    fn monotonicity_check() {
-        let mut c = curve();
-        assert!(c.is_monotonic(0.0));
-        c.points[3].speedup = 1.0;
-        assert!(!c.is_monotonic(0.01));
-        assert!(c.is_monotonic(0.5));
     }
 
     #[test]

@@ -107,17 +107,6 @@ impl RunCounters {
     pub fn speedup_over(&self, baseline: &RunCounters, timing: &TimingConfig) -> f64 {
         baseline.cycles(timing) / self.cycles(timing)
     }
-
-    /// Address-translation overhead as a fraction of total cycles.
-    pub fn translation_overhead(&self, timing: &TimingConfig) -> f64 {
-        let total = self.cycles(timing);
-        if total == 0.0 {
-            return 0.0;
-        }
-        let l2 = (self.l2_hits + self.walks) as f64 * timing.l2_tlb_latency as f64;
-        let walk = self.walk_levels as f64 * timing.walk_latency as f64 / 4.0;
-        (l2 + walk) / total
-    }
 }
 
 #[cfg(test)]
@@ -284,19 +273,5 @@ mod tests {
             ..RunCounters::default()
         };
         assert!((c.walk_ratio() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn translation_overhead_fraction() {
-        let t = timing();
-        let c = RunCounters {
-            accesses: 1000,
-            walks: 100,
-            walk_levels: 400,
-            ..RunCounters::default()
-        };
-        let f = c.translation_overhead(&t);
-        assert!(f > 0.0 && f < 1.0);
-        assert_eq!(RunCounters::default().translation_overhead(&t), 0.0);
     }
 }

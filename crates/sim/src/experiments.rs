@@ -1761,8 +1761,8 @@ mod tests {
         let recorded = consolidation_on(&p, &cfg, &mut events);
         let storms: Vec<u64> = events
             .events()
-            .into_iter()
-            .filter_map(|(_, ev)| match ev {
+            .iter()
+            .filter_map(|&(_, ev)| match ev {
                 Event::ShootdownStorm {
                     entries_flushed, ..
                 } => Some(entries_flushed),

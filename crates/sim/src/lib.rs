@@ -44,7 +44,9 @@ pub use experiments::{
 };
 pub use journal::{CellJournal, JournalError};
 pub use profile::SimProfile;
-pub use runner::{catch_quietly, Cell, CellFailure, Harness, SharedWorkload, EXPERIMENT_SEED};
+pub use runner::{
+    catch_quietly, panic_message, Cell, CellFailure, Harness, SharedWorkload, EXPERIMENT_SEED,
+};
 pub use simulation::{PolicyChoice, ProcessSpec, SimReport, Simulation};
 
 // Re-export the flight-recorder surface so simulator users need not

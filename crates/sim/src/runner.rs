@@ -121,17 +121,22 @@ pub fn catch_quietly<T>(f: impl FnOnce() -> T) -> std::thread::Result<T> {
     out
 }
 
-/// A caught panic as a [`CellFailure`], with a best-effort extraction of
-/// the payload's message.
-fn panicked(payload: Box<dyn std::any::Any + Send>) -> CellFailure {
-    let message = if let Some(s) = payload.downcast_ref::<&str>() {
+/// Best-effort extraction of a caught panic payload's message.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    };
-    CellFailure::Panicked { message }
+    }
+}
+
+/// A caught panic as a [`CellFailure`].
+fn panicked(payload: Box<dyn std::any::Any + Send>) -> CellFailure {
+    CellFailure::Panicked {
+        message: panic_message(&*payload),
+    }
 }
 
 /// One independent unit of experiment work: a fully configured
@@ -210,9 +215,8 @@ impl Cell {
     }
 
     /// Runs the cell with a flight recorder attached. The recorder only
-    /// sees this cell's events; merging across cells is the caller's
-    /// job (see [`Harness::run_map`], which keeps merges deterministic
-    /// by folding in submission order).
+    /// sees this cell's events; combining cells is the caller's job (see
+    /// [`Harness::run_map`], which returns results in submission order).
     pub fn run_recorded<R: hpage_obs::Recorder>(&self, recorder: &mut R) -> SimReport {
         let specs: Vec<ProcessSpec<'_>> = self
             .processes
@@ -339,9 +343,9 @@ impl Harness {
     /// drivers that want per-cell telemetry pass a closure that attaches
     /// a recorder (e.g. via [`Cell::run_recorded`]) and returns the
     /// report *plus* whatever the recorder captured. Because results
-    /// come back in submission order, folding them left-to-right (metric
-    /// merges, ledger concatenation) is deterministic at any `--jobs`
-    /// level.
+    /// come back in submission order, folding them left-to-right
+    /// (concatenating rendered metrics or ledgers) is deterministic at
+    /// any `--jobs` level.
     ///
     /// Panics with an aggregate message if any cell fails — but only
     /// after every other cell has completed.

@@ -1348,7 +1348,7 @@ mod tests {
         // guest chain length interleaved with host walks) alongside the
         // effective (cache-filtered) references.
         let mut saw_nested_walk = false;
-        for (_, e) in rec.events() {
+        for &(_, e) in rec.events() {
             if let hpage_obs::Event::Walk {
                 levels,
                 effective_levels,

@@ -6,15 +6,14 @@
 //!
 //! * [`MetricsRegistry`] — monotonic counters, gauges, and log-linear
 //!   [`Histogram`]s (walk latency, shootdown size, promotion
-//!   latency-to-benefit, PCC occupancy), deterministic to render and
-//!   cheap to merge across the harness's worker threads;
+//!   latency-to-benefit, PCC occupancy), deterministic to render;
 //! * [`SpanBook`] — parent/child spans of OS operations (page walk →
 //!   PCC update, promotion → shootdown → compaction), emitted as
 //!   chrome-trace-viewer JSON for `chrome://tracing` / Perfetto;
 //! * [`TelemetryRecorder`] — the [`Recorder`](hpage_obs::Recorder)
 //!   implementation that builds both from the event stream in one
-//!   pass, plus a per-interval text summary, and folds in the
-//!   promotion ledger's predicted-vs-realized accounting.
+//!   pass and folds in the promotion ledger's predicted-vs-realized
+//!   accounting.
 //!
 //! The hot loop stays free: the simulator is generic over the recorder,
 //! so `NullRecorder` builds compile all instrumentation away; this

@@ -120,28 +120,6 @@ impl Histogram {
         self.max
     }
 
-    /// Merges `other` into `self` (elementwise bucket add).
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, &c) in other.buckets.iter().enumerate() {
-            self.buckets[b] += c;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
-
     /// Non-empty buckets as `(lower_bound, count)`, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
@@ -157,8 +135,7 @@ impl Histogram {
 ///
 /// All maps are `BTreeMap` so every rendering (text or JSONL) iterates
 /// in lexicographic name order — snapshots of a deterministic run are
-/// byte-stable, and snapshots of per-thread registries merged in
-/// submission order are identical to a sequential run's.
+/// byte-stable.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
@@ -214,23 +191,6 @@ impl MetricsRegistry {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Merges `other` into `self`: counters and histogram buckets add;
-    /// gauges take the maximum (the merge of per-thread point-in-time
-    /// readings has no single "last" value, and max is
-    /// order-independent, which keeps parallel merges deterministic).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (&name, &v) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
-        }
-        for (&name, &v) in &other.gauges {
-            let g = self.gauges.entry(name).or_insert(v);
-            *g = (*g).max(v);
-        }
-        for (&name, h) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(h);
-        }
     }
 
     /// Renders the registry as aligned text, one metric per line,
@@ -369,27 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_equals_combined_stream() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut both = Histogram::new();
-        for v in 0..100u64 {
-            if v % 2 == 0 {
-                a.observe(v * 7)
-            } else {
-                b.observe(v * 7)
-            }
-            both.observe(v * 7);
-        }
-        a.merge(&b);
-        assert_eq!(a, both, "merge must equal recording the union");
-        // Merging an empty histogram is a no-op.
-        let before = both.clone();
-        both.merge(&Histogram::new());
-        assert_eq!(both, before);
-    }
-
-    #[test]
     fn registry_records_and_renders_deterministically() {
         let mut r = MetricsRegistry::new();
         r.inc("walk");
@@ -408,31 +347,5 @@ mod tests {
         for line in r.to_jsonl().lines() {
             assert_json_shape(line);
         }
-    }
-
-    #[test]
-    fn registry_merge_is_deterministic_and_additive() {
-        let mut a = MetricsRegistry::new();
-        a.inc_by("walk", 10);
-        a.set_gauge("occ", 5);
-        a.observe("h", 4);
-        let mut b = MetricsRegistry::new();
-        b.inc_by("walk", 7);
-        b.inc("only_b");
-        b.set_gauge("occ", 9);
-        b.observe("h", 400);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        assert_eq!(ab.counter("walk"), 17);
-        assert_eq!(ab.counter("only_b"), 1);
-        assert_eq!(ab.gauge("occ"), Some(9), "gauge merge takes max");
-        assert_eq!(ab.histogram("h").unwrap().count(), 2);
-
-        // Gauge-max makes merge order-independent.
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.render_text(), ba.render_text());
-        assert_eq!(ab.to_jsonl(), ba.to_jsonl());
     }
 }

@@ -1,28 +1,13 @@
 //! [`TelemetryRecorder`]: the aggregating [`Recorder`] that turns the
-//! flight-recorder event stream into metrics, causally-linked spans,
-//! and a per-interval text summary — in one pass, with no intermediate
-//! event buffer.
+//! flight-recorder event stream into metrics and causally-linked spans
+//! in one pass, with no intermediate event buffer.
 
 use hpage_obs::{Event, FailureReason, PccAction, Recorder, TlbLevel};
 use hpage_os::PromotionLedger;
 use hpage_types::{FxHashMap, PageSize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::metrics::MetricsRegistry;
 use crate::span::{SpanBook, PID_HW, PID_OS};
-
-/// Counter values captured at the last interval boundary, for
-/// per-interval deltas in the text summary.
-#[derive(Debug, Clone, Copy, Default)]
-struct SummaryMark {
-    walks: u64,
-    hits: u64,
-    promotions: u64,
-    demotions: u64,
-    shootdowns: u64,
-    faults: u64,
-}
 
 /// Aggregates the event stream into a [`MetricsRegistry`] and a
 /// [`SpanBook`] as the simulation runs.
@@ -51,12 +36,6 @@ pub struct TelemetryRecorder {
     promote_spans: FxHashMap<(u32, u64), u64>,
     /// Timestamp of the previous interval boundary.
     last_boundary_at: u64,
-    mark: SummaryMark,
-    summary_rows: Vec<String>,
-    /// Shared I/O-error counter of the JSONL sink this recorder rides
-    /// alongside (see `JsonlSink::with_error_counter`), mirrored into
-    /// the snapshot as the `sink.io_errors` gauge.
-    sink_errors: Option<Arc<AtomicU64>>,
 }
 
 /// Model cycles per page-table level actually referenced, used to scale
@@ -83,19 +62,7 @@ impl TelemetryRecorder {
             last_walk_span: FxHashMap::default(),
             promote_spans: FxHashMap::default(),
             last_boundary_at: 0,
-            mark: SummaryMark::default(),
-            summary_rows: Vec::new(),
-            sink_errors: None,
         }
-    }
-
-    /// Attaches the shared I/O-error counter of a companion `JsonlSink`
-    /// so sink failures surface in [`metrics_snapshot`]
-    /// (Self::metrics_snapshot) as the `sink.io_errors` gauge.
-    #[must_use]
-    pub fn with_sink_error_counter(mut self, counter: Arc<AtomicU64>) -> Self {
-        self.sink_errors = Some(counter);
-        self
     }
 
     /// The live metrics registry.
@@ -114,28 +81,12 @@ impl TelemetryRecorder {
     pub fn metrics_snapshot(&self) -> MetricsRegistry {
         let mut m = self.metrics.clone();
         m.set_gauge("telemetry.spans_dropped", self.spans.dropped());
-        if let Some(errors) = &self.sink_errors {
-            m.set_gauge("sink.io_errors", errors.load(Ordering::Relaxed));
-        }
         m
     }
 
     /// Renders the collected spans as chrome-trace-viewer JSON.
     pub fn chrome_trace_json(&self) -> String {
         self.spans.chrome_trace_json()
-    }
-
-    /// The per-interval text summary: one row per completed interval
-    /// with event-count deltas for that interval.
-    pub fn interval_summary(&self) -> String {
-        let mut out = String::from(
-            "interval  accesses  walks  tlb_hits  faults  promotes  demotes  shootdowns\n",
-        );
-        for row in &self.summary_rows {
-            out.push_str(row);
-            out.push('\n');
-        }
-        out
     }
 
     /// Folds a finished run's promotion ledger into the registry: the
@@ -161,16 +112,6 @@ impl TelemetryRecorder {
             "ledger.prediction_accuracy_ppm",
             (s.prediction_accuracy * 1e6).round() as u64,
         );
-    }
-
-    /// Merges another recorder's aggregates into this one (counters and
-    /// histograms add, gauges take max, summary rows and spans append).
-    /// Merging per-cell recorders in submission order yields output
-    /// identical to a sequential run's, which is what keeps `--jobs N`
-    /// byte-stable.
-    pub fn merge(&mut self, other: &TelemetryRecorder) {
-        self.metrics.merge(&other.metrics);
-        self.summary_rows.extend(other.summary_rows.iter().cloned());
     }
 
     fn fault_counter(size: PageSize) -> &'static str {
@@ -388,34 +329,6 @@ impl Recorder for TelemetryRecorder {
                     None,
                     vec![("index", s.interval)],
                 );
-                // Summary row: deltas since the previous boundary.
-                let walks = self.metrics.counter("walk");
-                let hits = self.metrics.counter("tlb_hit.l1") + self.metrics.counter("tlb_hit.l2");
-                let promotions = self.metrics.counter("promote");
-                let demotions = self.metrics.counter("demote");
-                let shootdowns = self.metrics.counter("shootdown");
-                let faults = self.metrics.counter("fault.4k")
-                    + self.metrics.counter("fault.2m")
-                    + self.metrics.counter("fault.1g");
-                self.summary_rows.push(format!(
-                    "{:<8}  {:<8}  {:<5}  {:<8}  {:<6}  {:<8}  {:<7}  {}",
-                    s.interval,
-                    at - self.last_boundary_at,
-                    walks - self.mark.walks,
-                    hits - self.mark.hits,
-                    faults - self.mark.faults,
-                    promotions - self.mark.promotions,
-                    demotions - self.mark.demotions,
-                    shootdowns - self.mark.shootdowns,
-                ));
-                self.mark = SummaryMark {
-                    walks,
-                    hits,
-                    promotions,
-                    demotions,
-                    shootdowns,
-                    faults,
-                };
                 self.last_boundary_at = at;
                 // Causality never crosses an interval boundary.
                 self.promote_spans.clear();
@@ -591,22 +504,15 @@ mod tests {
     }
 
     #[test]
-    fn interval_rows_hold_deltas() {
+    fn interval_snapshot_sets_gauges_and_spans_the_interval() {
         let mut t = TelemetryRecorder::new();
         t.record(1, walk(0));
-        t.record(2, walk(0));
         t.record(1_000, snapshot(0));
-        t.record(1_001, walk(0));
         t.record(2_000, snapshot(1));
-        let summary = t.interval_summary();
-        let rows: Vec<&str> = summary.lines().collect();
-        assert_eq!(rows.len(), 3, "header + 2 intervals: {summary}");
-        assert!(rows[1].starts_with('0'), "{summary}");
-        let walks_row0: u64 = rows[1].split_whitespace().nth(2).unwrap().parse().unwrap();
-        let walks_row1: u64 = rows[2].split_whitespace().nth(2).unwrap().parse().unwrap();
-        assert_eq!(walks_row0, 2);
-        assert_eq!(walks_row1, 1, "second row counts only its own interval");
+        assert_eq!(t.metrics().gauge("interval"), Some(1));
         assert_eq!(t.metrics().gauge("pcc_occupancy"), Some(10));
+        let last = t.spans().spans().last().unwrap();
+        assert_eq!((last.name, last.ts, last.dur), ("interval", 1_000, 1_000));
     }
 
     #[test]
@@ -645,35 +551,5 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn snapshot_mirrors_sink_error_counter() {
-        let errors = Arc::new(AtomicU64::new(0));
-        let t = TelemetryRecorder::new().with_sink_error_counter(errors.clone());
-        assert_eq!(t.metrics_snapshot().gauge("sink.io_errors"), Some(0));
-        errors.fetch_add(3, Ordering::Relaxed);
-        assert_eq!(t.metrics_snapshot().gauge("sink.io_errors"), Some(3));
-        // Without a counter attached the gauge is absent, not zero.
-        assert_eq!(
-            TelemetryRecorder::new()
-                .metrics_snapshot()
-                .gauge("sink.io_errors"),
-            None
-        );
-    }
-
-    #[test]
-    fn merge_appends_rows_and_adds_counters() {
-        let mut a = TelemetryRecorder::new();
-        a.record(1, walk(0));
-        a.record(1_000, snapshot(0));
-        let mut b = TelemetryRecorder::new();
-        b.record(5, walk(1));
-        b.record(5, walk(1));
-        b.record(1_000, snapshot(0));
-        a.merge(&b);
-        assert_eq!(a.metrics().counter("walk"), 3);
-        assert_eq!(a.interval_summary().lines().count(), 3);
     }
 }

@@ -91,9 +91,9 @@ fn ablation_rows_are_identical_at_any_jobs() {
 }
 
 /// Runs the PCC policy with a telemetry recorder and the promotion
-/// ledger over two apps, folding per-cell results in submission order,
-/// and returns every rendered artifact: the merged metrics registry,
-/// the concatenated ledger tables, and the ledger JSONL.
+/// ledger over two apps, concatenating per-cell results in submission
+/// order, and returns every rendered artifact: the metrics registries,
+/// the ledger tables, and the ledger JSONL.
 fn telemetry_artifacts(jobs: usize) -> (String, String, String) {
     use hpage::sim::{Cell, PolicyChoice, SharedWorkload, Simulation};
     use hpage::telemetry::TelemetryRecorder;
@@ -123,19 +123,18 @@ fn telemetry_artifacts(jobs: usize) -> (String, String, String) {
         }
         (telem, report)
     });
-    // Submission-order slots make this left-to-right fold — the merge
-    // of per-cell registries and the concatenation of ledger tables —
+    // Submission-order slots make this left-to-right concatenation
     // independent of which worker finished first.
-    let mut merged = hpage::telemetry::TelemetryRecorder::new();
+    let mut metrics = String::new();
     let mut tables = String::new();
     let mut jsonl = String::new();
     for (telem, report) in &results {
-        merged.merge(telem);
+        metrics.push_str(&telem.metrics_snapshot().render_text());
         let ledger = report.ledger.as_ref().expect("ledger requested");
         tables.push_str(&ledger.render_table());
         jsonl.push_str(&ledger.to_jsonl());
     }
-    (merged.metrics_snapshot().render_text(), tables, jsonl)
+    (metrics, tables, jsonl)
 }
 
 #[test]
