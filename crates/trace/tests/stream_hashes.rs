@@ -1,6 +1,7 @@
 //! Pins a 64-bit hash of every generator's access stream (address and
 //! kind of each access, in order): the four graph kernels, a synthetic
-//! preset and an HPT2 replay, each per thread.
+//! preset, a synthetic workload that runs every [`Pattern`] arm, and an
+//! HPT2 replay, each per thread.
 //!
 //! Every stream is read through its workload's own windows and again
 //! through a [`Producer`], at several window sizes, and must give
@@ -8,8 +9,9 @@
 //! buffered or handed over that moves a single access fails here.
 
 use hpage_trace::{
-    generate_rmat, omnetpp, GraphKernel, GraphWorkload, Hpt2Writer, MmapTrace, Producer,
-    RmatParams, SourceStream, SynthScale, TraceStream, Workload,
+    generate_rmat, omnetpp, GraphKernel, GraphWorkload, Hpt2Writer, MmapTrace, Pattern, Producer,
+    RmatParams, SourceStream, SynthScale, SyntheticBuilder, SyntheticWorkload, TraceStream,
+    Workload,
 };
 use hpage_types::{AccessKind, MemoryAccess};
 
@@ -166,6 +168,44 @@ fn synthetic_streams_are_pinned() {
         (1, (0xbaa2_ec7c_a0ce_831d, 8_000_000)),
     ] {
         check("omnetpp", &w, thread, 2, expect);
+    }
+}
+
+/// Every [`Pattern`] arm in one small workload: Zipf below, at and
+/// above θ = 1, uniform, pointer chase, sequential at strides 1 and 3
+/// (wrapping a 1000-element array), a one-element array, an empty array
+/// and an empty budget, at write ratios 0, 37 and 100. Budgets that tie,
+/// and ones whose remaining fractions meet, exercise the phase pick.
+fn every_pattern_arm() -> SyntheticWorkload {
+    let mut b = SyntheticBuilder::new("arms", 11);
+    let big = b.array(64, 1 << 16);
+    let ring = b.array(16, 1000);
+    let one = b.array(8, 1);
+    let none = b.array(8, 0);
+    let zipf = |count, exponent| Pattern::Zipf { count, exponent };
+    let seq = |stride, count| Pattern::Sequential { stride, count };
+    b.phase(big, zipf(24_000, 0.6), 37)
+        .phase(big, zipf(12_000, 1.0), 0)
+        .phase(big, zipf(12_000, 1.3), 100)
+        .phase(big, Pattern::UniformRandom { count: 9_000 }, 37)
+        .phase(big, Pattern::PointerChase { count: 6_000 }, 0)
+        .phase(ring, seq(1, 3_000), 100)
+        .phase(ring, seq(3, 7_001), 37)
+        .phase(one, zipf(2_000, 0.8), 37)
+        .phase(one, Pattern::UniformRandom { count: 1_000 }, 100)
+        .phase(none, seq(1, 500), 37)
+        .phase(big, Pattern::UniformRandom { count: 0 }, 0);
+    b.build()
+}
+
+#[test]
+fn every_synthetic_pattern_arm_is_pinned() {
+    let w = every_pattern_arm();
+    for (thread, expect) in [
+        (0, (0xd234_9f4f_208c_3210, 76_001)),
+        (1, (0x2727_9ce5_29eb_96fa, 76_001)),
+    ] {
+        check("arms", &w, thread, 2, expect);
     }
 }
 
