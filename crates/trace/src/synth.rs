@@ -11,7 +11,7 @@ use crate::layout::{AddressSpaceBuilder, ArrayLayout};
 use crate::workload::{IterSource, TraceSource, Workload};
 use hpage_types::{MemoryAccess, Region};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// A primitive access pattern over one array.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,22 +161,143 @@ impl Workload for SyntheticWorkload {
     }
 }
 
+/// How a phase picks element indices, with every per-phase constant of
+/// its [`Pattern`] worked out once.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// Sequential: `pos` is the running position modulo the array
+    /// length, advanced by `step` (the stride, at least 1, reduced
+    /// modulo the length), so each index is the position the unreduced
+    /// walk would reach, taken modulo the length.
+    Sequential { pos: u64, step: u64 },
+    /// Uniform: one draw modulo the array length.
+    Uniform,
+    /// Zipf over more than one element.
+    Zipf(ZipfCdf),
+    /// Zipf over a one-element array: always element 0, with no draw.
+    First,
+    /// Pointer chase: a multiplicative-congruential walk.
+    Chase { pos: u64 },
+}
+
+/// Zipf's approximate inverse CDF over `n > 1` elements with exponent
+/// θ (harmonic weights `1/(k+1)^θ`), exact enough for workload shaping,
+/// with its powers of `n` hoisted out of the draw. A uniform `u` maps to
+/// the rank `base^exp · mul − sub`, one `powf` for all three forms (a
+/// bounded Pareto's inverse below θ = 1, a heavy-tail form from θ = 1):
+/// - θ < 1: `(u · n^(1−θ))^(1/(1−θ)) − 1`;
+/// - θ = 1: `n^u − 1`;
+/// - θ > 1: `u^(1/(1−θ)) · n`.
+///
+/// Multiplying by 1 and subtracting 0 are exact, so every form gives
+/// the value its own expression gives.
+#[derive(Debug, Clone, Copy)]
+struct ZipfCdf {
+    /// Whether θ = 1 (within 1e-9), where `n` is the base and `u` the
+    /// exponent.
+    harmonic: bool,
+    /// `n` as a float.
+    n: f64,
+    /// `n^(1−θ)` up to θ = 1, else 1.
+    scale: f64,
+    /// `1/(1−θ)`.
+    exp: f64,
+    /// `n` above θ = 1, else 1.
+    mul: f64,
+    /// 1 up to θ = 1, else 0.
+    sub: f64,
+}
+
+impl ZipfCdf {
+    fn new(n: u64, theta: f64) -> Self {
+        let n = n as f64;
+        let harmonic = (theta - 1.0).abs() < 1e-9;
+        let heavy = theta > 1.0 && !harmonic;
+        ZipfCdf {
+            harmonic,
+            n,
+            scale: if heavy { 1.0 } else { n.powf(1.0 - theta) },
+            exp: 1.0 / (1.0 - theta),
+            mul: if heavy { n } else { 1.0 },
+            sub: if heavy { 0.0 } else { 1.0 },
+        }
+    }
+
+    /// The rank of the uniform draw `u`, before clamping to the array.
+    #[inline]
+    fn rank(&self, u: f64) -> f64 {
+        let (base, exp) = if self.harmonic {
+            (self.n, u)
+        } else {
+            (u * self.scale, self.exp)
+        };
+        base.powf(exp) * self.mul - self.sub
+    }
+}
+
 struct PhaseState {
     array: ArrayLayout,
-    pattern: Pattern,
-    write_ratio_pct: u8,
+    draw: Draw,
+    write_ratio_pct: u64,
+    budget: u64,
     emitted: u64,
-    seq_pos: u64,
-    chase_pos: u64,
+    /// `(budget − emitted) / budget`, refreshed each time this phase is
+    /// picked; 0 once it can emit nothing more (or never could: an empty
+    /// budget or array).
+    remaining: f64,
 }
 
 impl PhaseState {
-    fn budget(&self) -> u64 {
-        match self.pattern {
-            Pattern::Sequential { count, .. }
-            | Pattern::UniformRandom { count }
-            | Pattern::Zipf { count, .. }
-            | Pattern::PointerChase { count } => count,
+    fn new(array: ArrayLayout, pattern: Pattern, write_ratio_pct: u8) -> Self {
+        let n = array.len();
+        let (draw, budget) = match pattern {
+            Pattern::Sequential { stride, count } => (
+                Draw::Sequential {
+                    pos: 0,
+                    step: stride.max(1) % n.max(1),
+                },
+                count,
+            ),
+            Pattern::UniformRandom { count } => (Draw::Uniform, count),
+            Pattern::Zipf { count, .. } if n <= 1 => (Draw::First, count),
+            Pattern::Zipf { count, exponent } => (Draw::Zipf(ZipfCdf::new(n, exponent)), count),
+            Pattern::PointerChase { count } => (Draw::Chase { pos: 0 }, count),
+        };
+        PhaseState {
+            array,
+            draw,
+            write_ratio_pct: u64::from(write_ratio_pct),
+            budget,
+            emitted: 0,
+            remaining: if budget > 0 && n > 0 { 1.0 } else { 0.0 },
+        }
+    }
+
+    /// The next element index, drawing from `rng` as the pattern needs.
+    #[inline]
+    fn index(&mut self, rng: &mut StdRng) -> u64 {
+        let n = self.array.len();
+        match &mut self.draw {
+            Draw::Sequential { pos, step } => {
+                let idx = *pos;
+                *pos += *step;
+                if *pos >= n {
+                    *pos -= n;
+                }
+                idx
+            }
+            Draw::Uniform => rng.next_u64() % n,
+            Draw::Zipf(cdf) => {
+                let u: f64 = rng.random::<f64>().max(1e-12);
+                (cdf.rank(u).max(0.0) as u64).min(n - 1)
+            }
+            Draw::First => 0,
+            Draw::Chase { pos } => {
+                *pos = pos
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                *pos % n
+            }
         }
     }
 }
@@ -192,45 +313,13 @@ impl<'w> SynthTrace<'w> {
         let phases = w
             .phases
             .iter()
-            .map(|p| PhaseState {
-                array: w.arrays[p.array],
-                pattern: p.pattern,
-                write_ratio_pct: p.write_ratio_pct,
-                emitted: 0,
-                seq_pos: 0,
-                chase_pos: 0,
-            })
+            .map(|p| PhaseState::new(w.arrays[p.array], p.pattern, p.write_ratio_pct))
             .collect();
         SynthTrace {
             phases,
             rng: StdRng::seed_from_u64(seed),
             _marker: core::marker::PhantomData,
         }
-    }
-
-    /// Draws a Zipf-distributed rank in `[0, n)` via inverse-CDF
-    /// approximation (harmonic weights `1/(k+1)^theta`).
-    fn zipf_index(rng: &mut StdRng, n: u64, theta: f64) -> u64 {
-        if n <= 1 {
-            return 0;
-        }
-        // Approximate inverse CDF of a bounded Pareto; exact enough for
-        // workload shaping. rank ~ n * u^(1/(1-theta)) for theta < 1;
-        // for theta >= 1 fall back to a rejection-free heavy-tail form.
-        let u: f64 = rng.random::<f64>().max(1e-12);
-        let idx = if (theta - 1.0).abs() < 1e-9 {
-            // theta == 1: rank ~ exp(u * ln n)
-            (n as f64).powf(u) - 1.0
-        } else {
-            let inv = 1.0 / (1.0 - theta);
-            if theta < 1.0 {
-                (u * (n as f64).powf(1.0 - theta)).powf(inv) - 1.0
-            } else {
-                // theta > 1: heavier head; invert the tail CDF.
-                (u.powf(inv)).mul_add(n as f64, 0.0).min(n as f64 - 1.0)
-            }
-        };
-        (idx.max(0.0) as u64).min(n - 1)
     }
 }
 
@@ -239,49 +328,30 @@ impl Iterator for SynthTrace<'_> {
 
     fn next(&mut self) -> Option<MemoryAccess> {
         // Weighted interleave: serve the phase that is proportionally the
-        // furthest behind, so phases deplete together and each phase's
-        // share of the stream matches its access budget.
-        let pick = self
-            .phases
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.emitted < p.budget() && !p.array.is_empty())
-            .max_by(|(_, a), (_, b)| {
-                let fa = (a.budget() - a.emitted) as f64 / a.budget() as f64;
-                let fb = (b.budget() - b.emitted) as f64 / b.budget() as f64;
-                fa.partial_cmp(&fb).expect("budgets are finite")
-            })
-            .map(|(i, _)| i);
-        {
-            let i = pick?;
-            let p = &mut self.phases[i];
-            p.emitted += 1;
-            let n = p.array.len();
-            let idx = match p.pattern {
-                Pattern::Sequential { stride, .. } => {
-                    let idx = p.seq_pos % n;
-                    p.seq_pos = p.seq_pos.wrapping_add(stride.max(1));
-                    idx
-                }
-                Pattern::UniformRandom { .. } => self.rng.random_range(0..n),
-                Pattern::Zipf { exponent, .. } => Self::zipf_index(&mut self.rng, n, exponent),
-                Pattern::PointerChase { .. } => {
-                    // Multiplicative-congruential permutation walk.
-                    p.chase_pos = p
-                        .chase_pos
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    p.chase_pos % n
-                }
-            };
-            let addr = self.phases[i].array.addr_of(idx);
-            let is_write = self.rng.random_range(0..100u8) < self.phases[i].write_ratio_pct;
-            Some(if is_write {
-                MemoryAccess::write(addr)
-            } else {
-                MemoryAccess::read(addr)
-            })
+        // furthest behind (the last of several that tie), so phases
+        // deplete together and each phase's share of the stream matches
+        // its access budget.
+        let (mut pick, mut best) = (0, 0.0);
+        for (i, p) in self.phases.iter().enumerate() {
+            if p.remaining >= best {
+                (pick, best) = (i, p.remaining);
+            }
         }
+        if best == 0.0 {
+            return None;
+        }
+        let p = &mut self.phases[pick];
+        p.emitted += 1;
+        p.remaining = (p.budget - p.emitted) as f64 / p.budget as f64;
+        let idx = p.index(&mut self.rng);
+        let addr = p.array.addr_of(idx);
+        // `random_range(0..100u8)` is this draw modulo 100.
+        let is_write = self.rng.next_u64() % 100 < p.write_ratio_pct;
+        Some(if is_write {
+            MemoryAccess::write(addr)
+        } else {
+            MemoryAccess::read(addr)
+        })
     }
 }
 
