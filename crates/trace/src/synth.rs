@@ -8,7 +8,7 @@
 //! (see DESIGN.md's substitution table).
 
 use crate::layout::{AddressSpaceBuilder, ArrayLayout};
-use crate::workload::{IterSource, TraceSource, Workload};
+use crate::workload::{TraceSource, Workload, PIECE_LEN};
 use hpage_types::{MemoryAccess, Region};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -152,12 +152,11 @@ impl Workload for SyntheticWorkload {
 
     fn thread_source(&self, thread: u32, threads: u32) -> Box<dyn TraceSource + Send + '_> {
         assert!(thread < threads, "bad thread index");
-        // Threads share the pattern but draw from distinct RNG streams;
-        // wrapping the concrete iterator monomorphises each refill.
-        Box::new(IterSource::new(SynthTrace::new(
+        // Threads share the pattern but draw from distinct RNG streams.
+        Box::new(SynthTrace::new(
             self,
             self.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(thread) + 1)),
-        )))
+        ))
     }
 }
 
@@ -206,11 +205,13 @@ struct ZipfCdf {
     mul: f64,
     /// 1 up to θ = 1, else 0.
     sub: f64,
+    /// The last element, `n − 1`.
+    last: u64,
 }
 
 impl ZipfCdf {
-    fn new(n: u64, theta: f64) -> Self {
-        let n = n as f64;
+    fn new(len: u64, theta: f64) -> Self {
+        let n = len as f64;
         let harmonic = (theta - 1.0).abs() < 1e-9;
         let heavy = theta > 1.0 && !harmonic;
         ZipfCdf {
@@ -220,18 +221,21 @@ impl ZipfCdf {
             exp: 1.0 / (1.0 - theta),
             mul: if heavy { n } else { 1.0 },
             sub: if heavy { 0.0 } else { 1.0 },
+            last: len - 1,
         }
     }
 
-    /// The rank of the uniform draw `u`, before clamping to the array.
+    /// The element a uniform draw `u` in (0, 1) picks: its rank,
+    /// clamped to the array.
     #[inline]
-    fn rank(&self, u: f64) -> f64 {
+    fn index(&self, u: f64) -> u64 {
         let (base, exp) = if self.harmonic {
             (self.n, u)
         } else {
             (u * self.scale, self.exp)
         };
-        base.powf(exp) * self.mul - self.sub
+        let rank = base.powf(exp) * self.mul - self.sub;
+        (rank.max(0.0) as u64).min(self.last)
     }
 }
 
@@ -239,12 +243,12 @@ struct PhaseState {
     array: ArrayLayout,
     draw: Draw,
     write_ratio_pct: u64,
-    budget: u64,
-    emitted: u64,
-    /// `(budget − emitted) / budget`, refreshed each time this phase is
-    /// picked; 0 once it can emit nothing more (or never could: an empty
-    /// budget or array).
-    remaining: f64,
+    /// Accesses this phase has still to emit: its budget, less what it
+    /// emitted; 0 throughout for an empty array.
+    left: u64,
+    /// `budget.max(1)`: the phase's share still to come is
+    /// `left / weight`.
+    weight: u64,
 }
 
 impl PhaseState {
@@ -267,49 +271,116 @@ impl PhaseState {
             array,
             draw,
             write_ratio_pct: u64::from(write_ratio_pct),
-            budget,
-            emitted: 0,
-            remaining: if budget > 0 && n > 0 { 1.0 } else { 0.0 },
+            left: if n > 0 { budget } else { 0 },
+            weight: budget.max(1),
         }
     }
 
-    /// The next element index, drawing from `rng` as the pattern needs.
+    /// Whether this phase's share still to come is at least `other`'s:
+    /// `left / weight ≥ other.left / other.weight`, cross-multiplied so
+    /// that it is exact.
     #[inline]
-    fn index(&mut self, rng: &mut StdRng) -> u64 {
-        let n = self.array.len();
+    fn level_or_behind(&self, other: &PhaseState) -> bool {
+        u128::from(self.left) * u128::from(other.weight)
+            >= u128::from(other.left) * u128::from(self.weight)
+    }
+
+    /// Appends this phase's next `k` accesses to `out`. A Zipf access
+    /// gets element 0 for now and its uniform draw goes on `zipf`,
+    /// tagged with its place in `out` and with `me`, this phase's index.
+    #[inline]
+    fn emit(
+        &mut self,
+        me: usize,
+        k: usize,
+        rng: &mut StdRng,
+        out: &mut Vec<MemoryAccess>,
+        zipf: &mut Vec<ZipfDraw>,
+    ) {
+        let (array, pct) = (self.array, self.write_ratio_pct);
+        let n = array.len();
         match &mut self.draw {
-            Draw::Sequential { pos, step } => {
+            Draw::Sequential { pos, step } => emit_run(out, k, rng, array, pct, |_| {
                 let idx = *pos;
                 *pos += *step;
                 if *pos >= n {
                     *pos -= n;
                 }
                 idx
+            }),
+            Draw::Uniform => emit_run(out, k, rng, array, pct, |rng| rng.next_u64() % n),
+            Draw::Zipf(_) => {
+                let mut at = out.len();
+                emit_run(out, k, rng, array, pct, |rng| {
+                    let u = rng.random::<f64>().max(1e-12);
+                    zipf.push(ZipfDraw { at, phase: me, u });
+                    at += 1;
+                    0
+                })
             }
-            Draw::Uniform => rng.next_u64() % n,
-            Draw::Zipf(cdf) => {
-                let u: f64 = rng.random::<f64>().max(1e-12);
-                (cdf.rank(u).max(0.0) as u64).min(n - 1)
-            }
-            Draw::First => 0,
-            Draw::Chase { pos } => {
+            Draw::First => emit_run(out, k, rng, array, pct, |_| 0),
+            Draw::Chase { pos } => emit_run(out, k, rng, array, pct, |_| {
                 *pos = pos
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 *pos % n
-            }
+            }),
         }
     }
 }
 
-struct SynthTrace<'w> {
-    phases: Vec<PhaseState>,
-    rng: StdRng,
-    _marker: core::marker::PhantomData<&'w ()>,
+/// A Zipf access whose element is still to be worked out: its place in
+/// the piece's buffer, its phase and its uniform draw.
+struct ZipfDraw {
+    at: usize,
+    phase: usize,
+    u: f64,
 }
 
-impl<'w> SynthTrace<'w> {
-    fn new(w: &'w SyntheticWorkload, seed: u64) -> Self {
+/// Appends `k` accesses to `array`, each at the element `index` draws
+/// and then a write with probability `pct`%: one loop per [`Draw`] arm.
+#[inline(always)]
+fn emit_run(
+    out: &mut Vec<MemoryAccess>,
+    k: usize,
+    rng: &mut StdRng,
+    array: ArrayLayout,
+    pct: u64,
+    mut index: impl FnMut(&mut StdRng) -> u64,
+) {
+    for _ in 0..k {
+        let addr = array.addr_of(index(rng));
+        // `random_range(0..100u8)` is this draw modulo 100.
+        out.push(if rng.next_u64() % 100 < pct {
+            MemoryAccess::write(addr)
+        } else {
+            MemoryAccess::read(addr)
+        });
+    }
+}
+
+/// One thread's synthetic trace.
+///
+/// Phases are interleaved by their shares still to come: each access
+/// goes to the phase with the largest `left / weight`, the last of
+/// several that tie, so phases deplete together and each phase's share
+/// of the stream matches its budget. A phase keeps the pick for a run
+/// of accesses, until its share falls below its rival's (the phase that
+/// would be picked without it), so [`refill`](TraceSource::refill)
+/// scans the phases once per run and generates each run in a loop of
+/// its own [`Draw`] arm, with the RNG in a local. The piece's Zipf
+/// elements are worked out after the rest of it, in one loop of `powf`
+/// calls that holds no RNG state, which runs faster than the same calls
+/// inside the run loop (EXPERIMENTS.md has the rates).
+struct SynthTrace {
+    phases: Vec<PhaseState>,
+    rng: StdRng,
+    /// The piece's Zipf accesses, in the order they were drawn.
+    zipf: Vec<ZipfDraw>,
+}
+
+impl SynthTrace {
+    fn new(w: &SyntheticWorkload, seed: u64) -> Self {
         let phases = w
             .phases
             .iter()
@@ -318,40 +389,75 @@ impl<'w> SynthTrace<'w> {
         SynthTrace {
             phases,
             rng: StdRng::seed_from_u64(seed),
-            _marker: core::marker::PhantomData,
+            zipf: Vec::new(),
         }
+    }
+
+    /// The phase the interleave serves next and the length of its run,
+    /// at most `room`; `None` once every phase is spent.
+    fn next_run(&self, room: usize) -> Option<(usize, usize)> {
+        let phases = &self.phases;
+        let mut pick = 0;
+        for (i, p) in phases.iter().enumerate().skip(1) {
+            if p.level_or_behind(&phases[pick]) {
+                pick = i;
+            }
+        }
+        let p = &phases[pick];
+        if p.left == 0 {
+            return None;
+        }
+        // The rival, picked by the same rule among the other phases, is
+        // the only one the pick must stay ahead of: a rival after
+        // `pick` wins a tie (`strict`), one before it loses it. With no
+        // rival the run lasts while `pick` has accesses left.
+        let (mut rival, mut strict) = (None::<&PhaseState>, false);
+        for (i, q) in phases.iter().enumerate().filter(|&(i, _)| i != pick) {
+            if rival.is_none_or(|r| q.level_or_behind(r)) {
+                (rival, strict) = (Some(q), i > pick);
+            }
+        }
+        let (rival_left, rival_weight) = rival.map_or((0, 1), |r| (r.left, r.weight));
+        // `pick` keeps the next access while `left · rival_weight`
+        // reaches `floor`: the rival's `rival_left · weight` (plus one
+        // to win a tie it would lose) and `rival_weight` (a left of 1).
+        let step = u128::from(rival_weight);
+        let floor = (u128::from(rival_left) * u128::from(p.weight) + u128::from(strict)).max(step);
+        let mut next = u128::from(p.left - 1) * step;
+        let mut run = 1;
+        while run < room && next >= floor {
+            run += 1;
+            next -= step;
+        }
+        Some((pick, run))
     }
 }
 
-impl Iterator for SynthTrace<'_> {
-    type Item = MemoryAccess;
-
-    fn next(&mut self) -> Option<MemoryAccess> {
-        // Weighted interleave: serve the phase that is proportionally the
-        // furthest behind (the last of several that tie), so phases
-        // deplete together and each phase's share of the stream matches
-        // its access budget.
-        let (mut pick, mut best) = (0, 0.0);
-        for (i, p) in self.phases.iter().enumerate() {
-            if p.remaining >= best {
-                (pick, best) = (i, p.remaining);
+impl TraceSource for SynthTrace {
+    fn refill(&mut self, out: &mut Vec<MemoryAccess>) -> bool {
+        let mut rng = self.rng.clone();
+        let mut room = PIECE_LEN;
+        out.reserve(room);
+        let more = loop {
+            if room == 0 {
+                break true;
+            }
+            let Some((pick, run)) = self.next_run(room) else {
+                break false;
+            };
+            let p = &mut self.phases[pick];
+            p.left -= run as u64;
+            p.emit(pick, run, &mut rng, out, &mut self.zipf);
+            room -= run;
+        };
+        self.rng = rng;
+        for ZipfDraw { at, phase, u } in self.zipf.drain(..) {
+            let p = &self.phases[phase];
+            if let Draw::Zipf(cdf) = &p.draw {
+                out[at].addr = p.array.addr_of(cdf.index(u));
             }
         }
-        if best == 0.0 {
-            return None;
-        }
-        let p = &mut self.phases[pick];
-        p.emitted += 1;
-        p.remaining = (p.budget - p.emitted) as f64 / p.budget as f64;
-        let idx = p.index(&mut self.rng);
-        let addr = p.array.addr_of(idx);
-        // `random_range(0..100u8)` is this draw modulo 100.
-        let is_write = self.rng.next_u64() % 100 < p.write_ratio_pct;
-        Some(if is_write {
-            MemoryAccess::write(addr)
-        } else {
-            MemoryAccess::read(addr)
-        })
+        more
     }
 }
 
@@ -559,6 +665,7 @@ mod tests {
     use super::*;
     use crate::workload::StreamIter;
     use hpage_types::AccessKind;
+    use proptest::prelude::*;
 
     fn assert_in_regions(w: &SyntheticWorkload, n: usize) {
         let regions = w.regions();
@@ -738,5 +845,205 @@ mod tests {
         let mut b = SyntheticBuilder::new("t", 0);
         let a = b.array(8, 10);
         b.phase(a, Pattern::UniformRandom { count: 1 }, 101);
+    }
+
+    /// The oracle for the piece generator, one access at a time: each
+    /// access goes to the phase with the largest remaining budget
+    /// fraction, worked out as an `f64` (the last of several that tie),
+    /// and draws its index from its [`Pattern`] directly: `%` for the
+    /// remainders, a stride product for the sequential walk, and each
+    /// Zipf form's own expression.
+    struct Reference {
+        phases: Vec<RefPhase>,
+        rng: StdRng,
+    }
+
+    struct RefPhase {
+        array: ArrayLayout,
+        pattern: Pattern,
+        write_ratio_pct: u8,
+        budget: u64,
+        emitted: u64,
+        chase: u64,
+    }
+
+    impl Reference {
+        fn new(w: &SyntheticWorkload, thread: u32) -> Self {
+            let phases = w
+                .phases
+                .iter()
+                .map(|p| RefPhase {
+                    array: w.arrays[p.array],
+                    pattern: p.pattern,
+                    write_ratio_pct: p.write_ratio_pct,
+                    budget: match p.pattern {
+                        Pattern::Sequential { count, .. }
+                        | Pattern::UniformRandom { count }
+                        | Pattern::Zipf { count, .. }
+                        | Pattern::PointerChase { count } => count,
+                    },
+                    emitted: 0,
+                    chase: 0,
+                })
+                .collect();
+            let seed = w.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(thread) + 1);
+            Reference {
+                phases,
+                rng: StdRng::seed_from_u64(seed),
+            }
+        }
+    }
+
+    impl Iterator for Reference {
+        type Item = MemoryAccess;
+
+        fn next(&mut self) -> Option<MemoryAccess> {
+            let (mut pick, mut best) = (0, 0.0);
+            for (i, p) in self.phases.iter().enumerate() {
+                let remaining = if p.budget == 0 || p.array.is_empty() {
+                    0.0
+                } else {
+                    (p.budget - p.emitted) as f64 / p.budget as f64
+                };
+                if remaining >= best {
+                    (pick, best) = (i, remaining);
+                }
+            }
+            if best == 0.0 {
+                return None;
+            }
+            let p = &mut self.phases[pick];
+            let nth = p.emitted;
+            p.emitted += 1;
+            let n = p.array.len();
+            let idx = match p.pattern {
+                Pattern::Sequential { stride, .. } => {
+                    (u128::from(nth) * u128::from(stride.max(1)) % u128::from(n)) as u64
+                }
+                Pattern::UniformRandom { .. } => self.rng.random_range(0..n),
+                Pattern::Zipf { .. } if n == 1 => 0,
+                Pattern::Zipf { exponent, .. } => {
+                    let u: f64 = self.rng.random::<f64>().max(1e-12);
+                    let n_f = n as f64;
+                    let rank = if (exponent - 1.0).abs() < 1e-9 {
+                        n_f.powf(u) - 1.0
+                    } else if exponent < 1.0 {
+                        (u * n_f.powf(1.0 - exponent)).powf(1.0 / (1.0 - exponent)) - 1.0
+                    } else {
+                        u.powf(1.0 / (1.0 - exponent)) * n_f
+                    };
+                    (rank.max(0.0) as u64).min(n - 1)
+                }
+                Pattern::PointerChase { .. } => {
+                    p.chase = p
+                        .chase
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    p.chase % n
+                }
+            };
+            let addr = p.array.addr_of(idx);
+            Some(if self.rng.random_range(0..100u8) < p.write_ratio_pct {
+                MemoryAccess::write(addr)
+            } else {
+                MemoryAccess::read(addr)
+            })
+        }
+    }
+
+    /// Accesses of each stream the oracle test compares: all of a small
+    /// workload, a prefix of one with large budgets.
+    const ORACLE_PREFIX: usize = 3000;
+
+    /// A workload from raw draws: per phase, an arm, an array length
+    /// class (empty, one element, small, large), a budget class (none,
+    /// the shared base, a multiple of it, any below the bound), a write
+    /// ratio of 0, 37 or 100%, and a parameter (stride or exponent).
+    fn oracle_workload(
+        seed: u64,
+        base: u64,
+        phases: &[(u8, u8, u8, u64, u8, u64)],
+    ) -> SyntheticWorkload {
+        let mut b = SyntheticBuilder::new("oracle", seed);
+        for &(arm, len_class, budget_class, raw, write_class, param) in phases {
+            let len = match len_class {
+                0 => 0,
+                1 => 1,
+                2 => 2 + raw % 100,
+                _ => 1 + raw % (1 << 36),
+            };
+            let count = match budget_class {
+                0 => 0,
+                1 => base,
+                2 => base * (2 + param % 4),
+                _ => raw % base.max(2) + 1,
+            };
+            let pattern = match arm {
+                0 => Pattern::Sequential {
+                    stride: if param & 1 == 0 {
+                        param % 5
+                    } else {
+                        param >> 1
+                    },
+                    count,
+                },
+                1 => Pattern::UniformRandom { count },
+                2 => Pattern::Zipf {
+                    count,
+                    exponent: [0.0, 0.7, 0.9, 1.0, 1.3][(param % 5) as usize],
+                },
+                _ => Pattern::PointerChase { count },
+            };
+            let array = b.array(8, len);
+            b.phase(array, pattern, [0, 37, 100][usize::from(write_class)]);
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The piece generator's stream equals the one-at-a-time f64
+        /// reference's, whatever window size reads it: over 1–4 phases
+        /// of every arm, empty and one-element arrays, budgets below
+        /// 2^26 that tie (equal budgets and exact multiples of a shared
+        /// base) and ones that do not.
+        #[test]
+        fn pieces_match_the_f64_reference(
+            seed in any::<u64>(),
+            large in any::<bool>(),
+            base_raw in any::<u64>(),
+            phases in prop::collection::vec(
+                (0u8..4, 0u8..4, 0u8..4, any::<u64>(), 0u8..3, any::<u64>()),
+                1..5,
+            ),
+        ) {
+            // Large bases make budgets up to 5 · 2^23, below 2^26; small
+            // ones let the whole stream, its end included, be compared.
+            let base = if large { base_raw % (1 << 23) } else { base_raw % 40 };
+            let w = oracle_workload(seed, base, &phases);
+            let want: Vec<MemoryAccess> = Reference::new(&w, 0).take(ORACLE_PREFIX).collect();
+            for window in [1, 7, 256] {
+                let mut stream = w.thread_stream(0, 1);
+                let mut got = Vec::new();
+                while got.len() < ORACLE_PREFIX {
+                    let piece = stream.next_window(window);
+                    got.extend_from_slice(piece);
+                    if piece.len() < window {
+                        break;
+                    }
+                }
+                got.truncate(ORACLE_PREFIX);
+                let first = got.iter().zip(&want).position(|(a, b)| a != b);
+                prop_assert!(
+                    got == want,
+                    "windows of {}: first difference at {:?}, {} against {} accesses, phases {:?}",
+                    window,
+                    first,
+                    got.len(),
+                    want.len(),
+                    phases
+                );
+            }
+        }
     }
 }

@@ -158,8 +158,9 @@ impl<S: TraceSource> TraceStream for SourceStream<S> {
 }
 
 /// Adapts any access iterator into a [`TraceSource`], [`PIECE_LEN`]
-/// accesses per refill. Used by generators whose natural form is an
-/// iterator.
+/// accesses per refill, for a trace whose natural form is an iterator
+/// (the contract tests' recorded traces, say). The built-in generators
+/// implement `refill` themselves.
 pub struct IterSource<I> {
     iter: I,
 }
