@@ -112,6 +112,32 @@ fn write_failures_are_runtime_errors() {
     }
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_event_stream_is_reported_once() {
+    // The sink's error reaches `hpsim: write ...` through `finish`; the
+    // sink's own drop must not warn about the same failure again.
+    let out = hpsim(&[
+        "--app",
+        "bfs",
+        "--policy",
+        "pcc",
+        "--max-accesses",
+        "20000",
+        "--events",
+        "/dev/full",
+        "--quiet",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert_eq!(
+        stderr.matches("No space left on device").count(),
+        1,
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("jsonl sink"), "stderr:\n{stderr}");
+}
+
 #[test]
 fn retired_flag_is_an_unknown_argument() {
     for args in [

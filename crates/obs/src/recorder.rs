@@ -135,10 +135,11 @@ impl Recorder for MemoryRecorder {
 /// [`JsonlSink::finish`]. The sink also flushes on `Drop`, so a run
 /// that aborts before calling `finish` still leaves whole JSONL lines
 /// behind (every record is written with a single `writeln!`). An error
-/// that would otherwise die with the `Drop` (nobody called `finish`, or
-/// the final flush itself failed) is reported once to stderr with the
-/// sink's path ([`with_path`](JsonlSink::with_path)) — a full disk must
-/// be visible, not silent data loss.
+/// that would otherwise die with the `Drop` (nobody called `finish`) is
+/// reported once to stderr with the sink's path
+/// ([`with_path`](JsonlSink::with_path)) — a full disk must be visible,
+/// not silent data loss. After `finish` the `Drop` does nothing: the
+/// caller holds whatever error `finish` returned.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
@@ -146,6 +147,8 @@ pub struct JsonlSink<W: Write> {
     total: u64,
     error: Option<std::io::Error>,
     path: Option<String>,
+    /// `finish` ran and handed its outcome to the caller.
+    finished: bool,
 }
 
 impl<W: Write> JsonlSink<W> {
@@ -158,6 +161,7 @@ impl<W: Write> JsonlSink<W> {
             total: 0,
             error: None,
             path: None,
+            finished: false,
         }
     }
 
@@ -174,8 +178,9 @@ impl<W: Write> JsonlSink<W> {
     }
 
     /// Flushes and returns the per-kind counts, or the first I/O error
-    /// encountered while streaming.
+    /// encountered while streaming or flushing.
     pub fn finish(mut self) -> std::io::Result<BTreeMap<&'static str, u64>> {
+        self.finished = true;
         if let Some(err) = self.error.take() {
             return Err(err);
         }
@@ -188,9 +193,12 @@ impl<W: Write> Drop for JsonlSink<W> {
     fn drop(&mut self) {
         // Best-effort: a sink dropped mid-run (panic, early return) must
         // not leave buffered lines unwritten. Errors that would die here
-        // — a streaming error nobody surfaced via `finish`, or a failing
-        // final flush — are reported once to stderr instead of being
+        // — a streaming error or a failing flush, with no `finish` to
+        // return them — are reported once to stderr instead of being
         // silently swallowed.
+        if self.finished {
+            return;
+        }
         let flush_err = self.writer.flush().err();
         let unsurfaced = self.error.take();
         if let Some(err) = unsurfaced.as_ref().or(flush_err.as_ref()) {
@@ -356,6 +364,43 @@ mod tests {
         sink.record(1, hit());
         sink.record(2, hit()); // swallowed after first error
         assert!(sink.finish().is_err());
+    }
+
+    /// A writer whose every write and flush fails, counting the calls.
+    #[derive(Clone, Default)]
+    struct FullDisk {
+        calls: Rc<RefCell<u32>>,
+    }
+
+    impl Write for FullDisk {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            *self.calls.borrow_mut() += 1;
+            Err(std::io::Error::other("disk full"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            *self.calls.borrow_mut() += 1;
+            Err(std::io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn an_error_finish_returned_is_not_reported_again_on_drop() {
+        // Streaming error: `finish` returns it, and the drop that ends
+        // `finish` touches the writer no more (it would fail and warn).
+        let disk = FullDisk::default();
+        let mut sink = JsonlSink::new(disk.clone());
+        sink.record(1, hit());
+        assert!(sink.finish().is_err());
+        assert_eq!(*disk.calls.borrow(), 1, "one write, no flush on drop");
+        // Failing final flush: likewise tried once, by `finish` alone.
+        let disk = FullDisk::default();
+        let sink = JsonlSink::new(disk.clone());
+        assert!(sink.finish().is_err());
+        assert_eq!(*disk.calls.borrow(), 1, "one flush, none on drop");
+        // Without `finish` the drop still flushes (and reports).
+        let disk = FullDisk::default();
+        drop(JsonlSink::new(disk.clone()));
+        assert_eq!(*disk.calls.borrow(), 1, "the drop flushes");
     }
 
     #[test]
