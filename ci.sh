@@ -120,26 +120,56 @@ echo "== set-up and producer smoke: results do not depend on the host's cores ==
 # with three cores, only some of them fed by a producer; its event
 # streams cover the first 300k accesses of each core. The HPT2 replay
 # (strided over three cores) and the synthetic omnetpp run cover the
-# producer over the other two kinds of trace source.
+# producer over the other two kinds of trace source. -v adds the
+# per-interval series and a "producer-fed cores" line: everything but
+# that line must match, pinned runs must feed no core from a producer,
+# and unpinned ones (on two or more CPUs) at least one, so the step
+# shows that the producer path ran. Each run streams its events to one
+# path, so -v's "flight recorder" line names the same file both ways.
 all_cpus="0-$(($(nproc) - 1))"
+events=/tmp/hpsim_setup_events.jsonl
 HPAGE_PROFILE=test ./target/release/hpsim --app bfs \
     --trace-out /tmp/hpsim_setup_trace.hpt2 --max-accesses 200000 > /dev/null
 for cpus in 0 "$all_cpus"; do
     HPAGE_PROFILE=test HPAGE_SCALE=18 taskset -c "$cpus" ./target/release/hpsim \
-        --app bfs --policy pcc -j 1 --quiet > "/tmp/hpsim_setup_$cpus.txt"
+        --app bfs --policy pcc -j 1 -v > "/tmp/hpsim_setup_$cpus.txt"
     HPAGE_PROFILE=test HPAGE_SCALE=18 taskset -c "$cpus" ./target/release/hpsim \
         --app bfs --policy pcc -j 1 --threads 3 --max-accesses 300000 \
-        --events "/tmp/hpsim_setup_t3_$cpus.jsonl" --quiet > "/tmp/hpsim_setup_t3_$cpus.txt"
+        --events "$events" -v > "/tmp/hpsim_setup_t3_$cpus.txt"
+    mv "$events" "/tmp/hpsim_setup_t3_$cpus.jsonl"
     HPAGE_PROFILE=test taskset -c "$cpus" ./target/release/hpsim \
         --trace-in /tmp/hpsim_setup_trace.hpt2 --policy pcc -j 1 --threads 3 \
-        --events "/tmp/hpsim_setup_replay_$cpus.jsonl" --quiet > "/tmp/hpsim_setup_replay_$cpus.txt"
+        --events "$events" -v > "/tmp/hpsim_setup_replay_$cpus.txt"
+    mv "$events" "/tmp/hpsim_setup_replay_$cpus.jsonl"
     HPAGE_PROFILE=test taskset -c "$cpus" ./target/release/hpsim \
         --app omnetpp --policy pcc -j 1 --threads 2 --max-accesses 300000 \
-        --events "/tmp/hpsim_setup_omnetpp_$cpus.jsonl" --quiet > "/tmp/hpsim_setup_omnetpp_$cpus.txt"
+        --events "$events" -v > "/tmp/hpsim_setup_omnetpp_$cpus.txt"
+    mv "$events" "/tmp/hpsim_setup_omnetpp_$cpus.jsonl"
 done
+fed_line='^producer-fed cores: '
+# fed FILE: the count on FILE's producer-fed line; fails without one.
+fed() {
+    grep "$fed_line" "$1" | cut -d' ' -f3 ||
+        { echo "$1 has no producer-fed cores line" >&2; return 1; }
+}
 for run in setup setup_t3 setup_replay setup_omnetpp; do
-    cmp "/tmp/hpsim_${run}_0.txt" "/tmp/hpsim_${run}_$all_cpus.txt"
+    cmp <(grep -v "$fed_line" "/tmp/hpsim_${run}_0.txt") \
+        <(grep -v "$fed_line" "/tmp/hpsim_${run}_$all_cpus.txt")
+    pinned=$(fed "/tmp/hpsim_${run}_0.txt")
+    unpinned=$(fed "/tmp/hpsim_${run}_$all_cpus.txt")
+    if [ "$pinned" -ne 0 ]; then
+        echo "$run pinned to one CPU fed $pinned cores from a producer, want 0" >&2
+        exit 1
+    fi
+    if [ "$(nproc)" -ge 2 ] && [ "$unpinned" -lt 1 ]; then
+        echo "$run on $(nproc) CPUs fed no core from a producer" >&2
+        exit 1
+    fi
+    echo "$run: producer-fed cores pinned $pinned, unpinned $unpinned"
 done
+if [ "$(nproc)" -lt 2 ]; then
+    echo "producer check skipped: one CPU, so no run starts a producer"
+fi
 for run in setup_t3 setup_replay setup_omnetpp; do
     cmp "/tmp/hpsim_${run}_0.jsonl" "/tmp/hpsim_${run}_$all_cpus.jsonl"
 done

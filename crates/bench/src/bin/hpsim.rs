@@ -72,6 +72,7 @@ robustness:  --faults loads a JSON fault plan (OOM windows, fragmentation
 throughput:  --throughput times the instrumented run and appends a
              simulator accesses/sec line
 verbosity:   --quiet prints the results table only; -v adds the per-interval series
+             and how many cores a trace producer thread fed
 environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices, 1..=30>";
 
 /// Largest accepted `--jobs`, `--sim-threads` and `--threads` value —
@@ -658,6 +659,13 @@ fn main() {
             ]);
         }
         println!("per-interval series ({})\n{t}", report.policy);
+    }
+    if opts.verbosity >= 2 {
+        // Whether the runs took the producer path; never in a report.
+        println!(
+            "producer-fed cores: {} (baseline and policy runs)",
+            hpage_sim::producer_fed_cores()
+        );
     }
 
     if let Some((total, counts)) = &event_counts {

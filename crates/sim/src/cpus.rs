@@ -28,6 +28,11 @@ use std::sync::OnceLock;
 /// data, so every access is `Relaxed`.
 static CLAIMED: AtomicUsize = AtomicUsize::new(0);
 
+/// CPUs [`claim_spare`] has handed out in this process: an engine run
+/// feeds one core from a trace producer per spare CPU it claims. A
+/// statistic that publishes no other data, so every access is `Relaxed`.
+static PRODUCER_FED: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
     /// A live claim already counts this thread's CPU.
     static COVERED: Cell<bool> = const { Cell::new(false) };
@@ -84,6 +89,13 @@ pub fn cover_thread() {
     COVERED.set(true);
 }
 
+/// Cores fed from a trace producer thread, summed over every engine run
+/// this process has started. No report depends on it: it only shows
+/// whether the producer path ran (`hpsim -v` prints it).
+pub fn producer_fed_cores() -> usize {
+    PRODUCER_FED.load(Ordering::Relaxed)
+}
+
 /// Claims up to `want` CPUs that no live claim holds.
 pub(crate) fn claim_spare(want: usize) -> CpuClaim {
     let mut claimed = CLAIMED.load(Ordering::Relaxed);
@@ -102,6 +114,7 @@ pub(crate) fn claim_spare(want: usize) -> CpuClaim {
             Err(now) => claimed = now,
         }
     };
+    PRODUCER_FED.fetch_add(cpus, Ordering::Relaxed);
     CpuClaim {
         cpus,
         covers_caller: false,

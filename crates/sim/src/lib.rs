@@ -33,7 +33,7 @@ mod runner;
 mod shard;
 mod simulation;
 
-pub use cpus::{claim_busy, cover_thread, CpuClaim};
+pub use cpus::{claim_busy, cover_thread, producer_fed_cores, CpuClaim};
 pub use experiments::{
     ablation_design_choices_on, consolidation_on, dataset_geomean, dataset_sweep_on,
     fig1_geomean_2m, fig1_page_sizes_on, fig2_reuse_on, fig5_utility_on, fig6_pcc_size_on,
