@@ -42,6 +42,15 @@ CARGO_TARGET_DIR=.bench_build cargo build --offline --release \
 ./.bench_build/release/hpbench run --workload bfs_pcc --workload mix4_st2 \
     --seconds 1 --trace 0
 
+echo "== probe smoke: l1_rate's TLB outcomes pinned =="
+# The TLB-probe layer bench over the first 300k accesses of each stream:
+# every column but ns/access (the fourth) must match the committed rows,
+# so any change to a TLB outcome fails here by name, and the example
+# keeps building and running.
+cargo run --quiet --release -p hpage-sim --example l1_rate -- 1 300000 |
+    awk 'NR > 1 { $4 = "-"; print }' > /tmp/l1_rate.txt
+cmp crates/sim/tests/golden/l1_rate_300k.txt /tmp/l1_rate.txt
+
 echo "== chaos smoke: hpsim --faults examples/chaos.json --audit =="
 HPAGE_PROFILE=test ./target/release/hpsim --policy pcc \
     --faults examples/chaos.json --audit --quiet
