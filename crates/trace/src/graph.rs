@@ -103,12 +103,14 @@ impl CsrGraph {
         }
         // New vertex `perm[u]` gets old vertex `u`'s degree and its
         // neighbours, renamed, in the same order: the CSR `from_edges`
-        // would build from the relabelled edges in source order.
-        let mut degree = vec![0u64; n as usize];
+        // would build from the relabelled edges in source order. Each
+        // permuted degree lands one past its vertex's offset, so a
+        // prefix sum in place turns the degrees into the offsets.
+        let mut offsets = vec![0u64; n as usize + 1];
         for u in 0..n {
-            degree[perm[u as usize] as usize] = self.degree(u);
+            offsets[perm[u as usize] as usize + 1] = self.degree(u);
         }
-        let offsets = offsets_from_degrees(&degree);
+        prefix_sum(&mut offsets);
         let mut neighbors = vec![0u32; self.neighbors.len()];
         for u in 0..n {
             let old = self.neighbors_of(u);
@@ -121,16 +123,13 @@ impl CsrGraph {
     }
 }
 
-/// CSR offsets for the given out-degrees: their prefix sums, from 0.
-fn offsets_from_degrees(degree: &[u64]) -> Vec<u64> {
-    let mut offsets = Vec::with_capacity(degree.len() + 1);
-    let mut acc = 0u64;
-    offsets.push(0);
-    for d in degree {
-        acc += d;
-        offsets.push(acc);
+/// Turns `counts` into their running sums in place.
+fn prefix_sum(counts: &mut [u64]) {
+    let mut acc = 0;
+    for c in counts {
+        acc += *c;
+        *c = acc;
     }
-    offsets
 }
 
 /// Edges below which one more set-up thread does not pay for itself.
@@ -578,12 +577,13 @@ mod tests {
     fn csr_by_stable_sort(n: u32, edges: &[(u32, u32)]) -> CsrGraph {
         let mut sorted = edges.to_vec();
         sorted.sort_by_key(|&(u, _)| u);
-        let mut degree = vec![0u64; n as usize];
+        let mut offsets = vec![0u64; n as usize + 1];
         for &(u, _) in &sorted {
-            degree[u as usize] += 1;
+            offsets[u as usize + 1] += 1;
         }
+        prefix_sum(&mut offsets);
         CsrGraph {
-            offsets: offsets_from_degrees(&degree),
+            offsets,
             neighbors: sorted.iter().map(|&(_, v)| v).collect(),
         }
     }
