@@ -98,7 +98,8 @@ fn deadline_ms(flag: &str, it: &mut std::vec::IntoIter<String>) -> u64 {
 /// Section runner: progress notes, wall-clock accounting, journal
 /// replay/record, and degraded rendering.
 ///
-/// Each section runs under [`catch_quietly`]: a grid with a failed cell
+/// Every step (figure, table, JSON document and the `--ledger-out`
+/// render) runs under [`catch_quietly`]: a grid with a failed cell
 /// (the harness panics with an aggregate message *after* the grid
 /// completes) degrades into an `n/a (cell failed: …)` row, reported
 /// once on stderr and never by the panic hook, instead of aborting the
@@ -125,6 +126,23 @@ impl Sections {
             h.log().record_section(label, 0.0);
             return stored;
         }
+        match self.attempt(h, label, f) {
+            Ok(text) => {
+                if let Some(j) = &mut self.journal {
+                    if let Err(e) = j.record_section(label, &text) {
+                        eprintln!("repro: warning: journal {}: {e}", j.path());
+                    }
+                }
+                text
+            }
+            Err(row) => row,
+        }
+    }
+
+    /// Runs `f` once under [`catch_quietly`] and records its wall-clock
+    /// time. A panic sets `failed`, is reported once on stderr, and comes
+    /// back as the section's `n/a (cell failed: …)` row.
+    fn attempt<T>(&mut self, h: &Harness, label: &str, f: impl FnOnce() -> T) -> Result<T, String> {
         if self.verbosity >= 1 {
             eprintln!("repro: rendering {label}...");
         }
@@ -133,22 +151,17 @@ impl Sections {
         let wall = t0.elapsed().as_secs_f64();
         h.log().record_section(label, wall);
         match out {
-            Ok(text) => {
+            Ok(value) => {
                 if self.verbosity >= 2 {
                     eprintln!("repro: {label} done in {wall:.1}s");
                 }
-                if let Some(j) = &mut self.journal {
-                    if let Err(e) = j.record_section(label, &text) {
-                        eprintln!("repro: warning: journal {}: {e}", j.path());
-                    }
-                }
-                text
+                Ok(value)
             }
             Err(payload) => {
                 self.failed = true;
                 let msg = panic_message(&*payload);
                 eprintln!("repro: {label} failed: {msg}");
-                format!("{label}: n/a (cell failed: {msg})")
+                Err(format!("{label}: n/a (cell failed: {msg})"))
             }
         }
     }
@@ -176,49 +189,39 @@ const ALL_SECTIONS: [&str; 13] = [
 /// The `--json` targets.
 const JSON_TARGETS: [&str; 5] = ["1", "6", "7", "ablation", "datasets"];
 
-/// One unit of output, named by its label: a section run through
-/// [`Sections::run`] (timed, journaled, degraded on failure), or a
-/// table or JSON document printed as is.
-enum Step {
-    Section(String),
-    Print(String),
-}
-
-/// Turns the section arguments into the steps they ask for, or
-/// usage-errors on the first bad one — before any section runs, so a
-/// typo at the end of a long invocation costs nothing.
-fn parse_steps(args: &[String]) -> Vec<Step> {
+/// Turns the section arguments into the labels of the sections they
+/// ask for, or usage-errors on the first bad one — before any section
+/// runs, so a typo at the end of a long invocation costs nothing.
+fn parse_steps(args: &[String]) -> Vec<String> {
     let mut steps = Vec::new();
     let mut it = args.iter().map(String::as_str);
     while let Some(arg) = it.next() {
         match arg {
-            "--all" => steps.extend(ALL_SECTIONS.map(|label| Step::Section(label.into()))),
+            "--all" => steps.extend(ALL_SECTIONS.map(String::from)),
             "--figure" => {
                 let which = it.next().unwrap_or("");
                 let label = format!("figure {which}");
                 if !ALL_SECTIONS.contains(&label.as_str()) {
                     die(&format!("unknown figure '{which}'"));
                 }
-                steps.push(Step::Section(label));
+                steps.push(label);
             }
-            "--ablation" => steps.extend(
-                ["ablation omnetpp", "ablation bfs"].map(|label| Step::Section(label.into())),
-            ),
+            "--ablation" => steps.extend(["ablation omnetpp", "ablation bfs"].map(String::from)),
             "--datasets" | "--timeline" | "--consolidation" | "--virt" => {
-                steps.push(Step::Section(arg["--".len()..].into()))
+                steps.push(arg["--".len()..].into())
             }
             "--json" => {
                 let which = it.next().unwrap_or("");
                 if !JSON_TARGETS.contains(&which) {
                     die(&format!("unknown json target '{which}'"));
                 }
-                steps.push(Step::Print(format!("json {which}")));
+                steps.push(format!("json {which}"));
             }
-            "--table" => steps.push(Step::Print(match it.next().unwrap_or("") {
+            "--table" => steps.push(match it.next().unwrap_or("") {
                 which @ ("1" | "2") => format!("table {which}"),
                 "storage" => "storage table".into(),
                 other => die(&format!("unknown table '{other}'")),
-            })),
+            }),
             other => die(&format!("unknown argument '{other}'")),
         }
     }
@@ -426,28 +429,25 @@ fn main() {
             other => unreachable!("parse_steps produced no step '{other}'"),
         }
     };
-    for step in &steps {
-        match step {
-            Step::Section(label) => println!("{}", sections.run(h, label, || render(label))),
-            Step::Print(label) => println!("{}", render(label)),
-        }
+    for label in &steps {
+        println!("{}", sections.run(h, label, || render(label)));
     }
 
     if let Some(path) = &ledger_out {
-        if verbosity >= 1 {
-            eprintln!("repro: rendering promotion ledger...");
-        }
-        let t0 = std::time::Instant::now();
-        let (text, jsonl) = render_ledger(h, &profile, &AppId::GRAPH);
-        h.log()
-            .record_section("promotion ledger", t0.elapsed().as_secs_f64());
-        println!("{text}");
-        if let Err(e) = std::fs::write(path, jsonl) {
-            eprintln!("repro: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        if verbosity >= 1 {
-            eprintln!("repro: per-region ledger entries written to {path}");
+        match sections.attempt(h, "promotion ledger", || {
+            render_ledger(h, &profile, &AppId::GRAPH)
+        }) {
+            Ok((text, jsonl)) => {
+                println!("{text}");
+                if let Err(e) = std::fs::write(path, jsonl) {
+                    eprintln!("repro: cannot write {path}: {e}");
+                    std::process::exit(1);
+                }
+                if verbosity >= 1 {
+                    eprintln!("repro: per-region ledger entries written to {path}");
+                }
+            }
+            Err(row) => println!("{row}"),
         }
     }
 
