@@ -19,9 +19,8 @@
 use hpage_bench::*;
 use hpage_sim::{catch_quietly, panic_message, CellJournal, Fig9Config, Harness, JournalError};
 use hpage_trace::AppId;
-use std::time::Duration;
 
-const USAGE: &str = "usage: repro [--all] [--figure 1|2|5|6|7|8|9a|9b] [--table 1|2|storage] [--ablation] [--datasets] [--timeline] [--consolidation] [--tenants N] [--virt] [--ledger-out FILE] [--json 1|6|7|ablation|datasets] [--jobs N|-j N] [--sim-threads N] [--bench-out FILE] [--journal FILE | --resume FILE] [--soft-deadline-ms N] [--hard-deadline-ms N] [--quiet|-q] [--verbose|-v]
+const USAGE: &str = "usage: repro [--all] [--figure 1|2|5|6|7|8|9a|9b] [--table 1|2|storage] [--ablation] [--datasets] [--timeline] [--consolidation] [--tenants N] [--virt] [--ledger-out FILE] [--json 1|6|7|ablation|datasets] [--jobs N|-j N] [--sim-threads N] [--bench-out FILE] [--journal FILE | --resume FILE] [--quiet|-q] [--verbose|-v]
 parallelism: --jobs N runs up to N simulation cells concurrently (default: available cores; tables are byte-identical at any N);
            --sim-threads N shards the consolidation/virt simulation loops across N threads (default 1;
            reports are byte-identical at any N — hpsim accepts the same flag for single-scenario runs)
@@ -35,7 +34,6 @@ artifacts: runs that simulate anything write wall-clock timings to BENCH_repro.j
            --ledger-out runs the PCC policy with the promotion ledger on, prints the
            predicted-vs-realized attribution summary, and writes per-region entries to FILE as JSONL
 supervision: each cell runs once, its panic isolated from the rest of the grid;
-           --soft/--hard-deadline-ms flag or abandon overrunning cells;
            a section with a failed cell renders an 'n/a (cell failed: ...)' row
 checkpoint: --journal FILE records each completed section; --resume FILE replays them
            byte-identically and re-runs only the rest (a malformed or mismatched journal is a usage error)
@@ -83,16 +81,6 @@ fn num_value(flag: &str, it: &mut std::vec::IntoIter<String>) -> u64 {
     path_value(flag, it)
         .parse()
         .unwrap_or_else(|_| die(&format!("{flag} expects a number")))
-}
-
-/// Parses a `--soft-deadline-ms`/`--hard-deadline-ms` operand. A zero
-/// deadline would flag (soft) or abandon (hard) every cell before it
-/// could finish, so it is a usage error.
-fn deadline_ms(flag: &str, it: &mut std::vec::IntoIter<String>) -> u64 {
-    match num_value(flag, it) {
-        0 => die(&format!("{flag} must be at least 1")),
-        ms => ms,
-    }
 }
 
 /// Section runner: progress notes, wall-clock accounting, journal
@@ -249,8 +237,6 @@ fn main() {
     let mut ledger_out: Option<String> = None;
     let mut journal_out: Option<String> = None;
     let mut resume_from: Option<String> = None;
-    let mut soft_deadline_ms: Option<u64> = None;
-    let mut hard_deadline_ms: Option<u64> = None;
     let mut sim_threads: usize = 1;
     let mut tenants: usize = 32;
     let mut rest = Vec::new();
@@ -276,12 +262,6 @@ fn main() {
             "--ledger-out" => ledger_out = Some(path_value("--ledger-out", &mut it)),
             "--journal" => journal_out = Some(path_value("--journal", &mut it)),
             "--resume" => resume_from = Some(path_value("--resume", &mut it)),
-            "--soft-deadline-ms" => {
-                soft_deadline_ms = Some(deadline_ms("--soft-deadline-ms", &mut it))
-            }
-            "--hard-deadline-ms" => {
-                hard_deadline_ms = Some(deadline_ms("--hard-deadline-ms", &mut it))
-            }
             _ => rest.push(a),
         }
     }
@@ -333,10 +313,7 @@ fn main() {
     };
 
     let jobs = jobs.unwrap_or_else(default_jobs);
-    let harness = Harness::new(jobs).with_deadlines(
-        soft_deadline_ms.map(Duration::from_millis),
-        hard_deadline_ms.map(Duration::from_millis),
-    );
+    let harness = Harness::new(jobs);
     let h = &harness;
     if verbosity >= 1 && jobs > 1 {
         eprintln!("repro: running up to {jobs} simulation cells in parallel");
@@ -490,5 +467,33 @@ fn main() {
             eprintln!("repro: completed with failed cells (partial output)");
         }
         std::process::exit(3);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_section_degrades_to_an_n_a_row() {
+        let h = Harness::sequential();
+        let mut sections = Sections {
+            verbosity: 0,
+            journal: None,
+            failed: false,
+        };
+        let row = sections.run(&h, "json 7", || {
+            panic!("1 cell(s) failed: fig7/BFS/pcc: panicked: boom")
+        });
+        assert_eq!(
+            row,
+            "json 7: n/a (cell failed: 1 cell(s) failed: fig7/BFS/pcc: panicked: boom)"
+        );
+        assert!(sections.failed);
+        let recorded: Vec<String> = h.log().sections().into_iter().map(|s| s.label).collect();
+        assert_eq!(recorded, ["json 7"]);
+        // A later healthy section prints as is; the run still exits 3.
+        assert_eq!(sections.run(&h, "table 1", || "rows".into()), "rows");
+        assert!(sections.failed);
     }
 }

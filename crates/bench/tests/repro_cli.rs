@@ -5,8 +5,7 @@
 //! malformed or recorded under another profile. Each must be a usage
 //! error (exit 2) whose message names the flag or file, never a panic,
 //! a run of every cell to failure, or a silent fallback. Only a journal
-//! that cannot be read exits 1. Cells that fail at run time exit 3,
-//! reported without a panic message.
+//! that cannot be read exits 1.
 
 use std::process::{Command, Output};
 
@@ -36,12 +35,10 @@ fn assert_usage_error(args: &[&str], prefix: &str) {
 
 /// The numeric flags, each with a value past its range where it has
 /// one. Zero is invalid for all of them.
-const FLAGS: [(&str, Option<&str>); 5] = [
+const FLAGS: [(&str, Option<&str>); 3] = [
     ("--jobs", Some("513")),
     ("--sim-threads", Some("513")),
     ("--tenants", Some("4097")),
-    ("--soft-deadline-ms", None),
-    ("--hard-deadline-ms", None),
 ];
 
 #[test]
@@ -59,22 +56,16 @@ fn numeric_flags_reject_bad_operands() {
 }
 
 #[test]
-fn zero_deadlines_are_usage_errors() {
-    // A zero hard deadline used to abandon every cell and exit 3 with a
-    // panic backtrace; a zero soft deadline silently flagged every cell.
-    for flag in ["--soft-deadline-ms", "--hard-deadline-ms"] {
-        assert_usage_error(
-            &["--figure", "1", flag, "0", "--quiet"],
-            &format!("repro: {flag} must be at least 1"),
-        );
-    }
-}
-
-#[test]
 fn retired_flags_are_unknown_arguments() {
-    // Cells run once and the harness injects no cell faults, so the
-    // retry budget and the harness fault plan are gone.
-    for args in [&["--retries", "1"][..], &["--harness-faults", "x"]] {
+    // Cells run once on the pool and the harness injects no cell faults,
+    // so the retry budget, the harness fault plan and the per-cell
+    // deadlines are gone.
+    for args in [
+        &["--retries", "1"][..],
+        &["--harness-faults", "x"],
+        &["--soft-deadline-ms", "1"],
+        &["--hard-deadline-ms", "1"],
+    ] {
         let mut argv = args.to_vec();
         argv.extend(["--figure", "7", "--quiet"]);
         assert_usage_error(&argv, &format!("repro: unknown argument '{}'", args[0]));
@@ -117,40 +108,6 @@ fn section_arguments_are_checked_before_any_section_runs() {
         assert!(!bench.exists(), "{argv:?} wrote the artifact");
         assert!(!journal.exists(), "{argv:?} created the journal");
     }
-}
-
-#[test]
-fn handled_cell_failures_print_no_panic() {
-    // Every cell overruns a 1 ms hard deadline: the section degrades
-    // to an n/a row and the run exits 3, and stderr says so without
-    // the panic hook's "panicked at" and backtrace.
-    let bench = temp_path("deadline.json");
-    let b = bench.to_str().unwrap();
-    let out = repro(&[
-        "--figure",
-        "7",
-        "--hard-deadline-ms",
-        "1",
-        "-j",
-        "2",
-        "--bench-out",
-        b,
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(3), "stderr:\n{stderr}");
-    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
-    assert!(
-        stderr.contains("repro: figure 7 failed: "),
-        "stderr:\n{stderr}"
-    );
-    assert!(
-        stdout.starts_with("figure 7: n/a (cell failed: "),
-        "stdout:\n{stdout}"
-    );
-    let artifact = std::fs::read_to_string(&bench).unwrap();
-    std::fs::remove_file(&bench).unwrap();
-    assert!(artifact.contains("\"failures\":[{\"label\":"), "{artifact}");
 }
 
 /// A journal header with the given magic, version, profile and scale.

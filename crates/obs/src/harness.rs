@@ -36,20 +36,8 @@ pub struct SectionTiming {
 pub struct FailureRecord {
     /// The failed cell's label.
     pub label: String,
-    /// Human-readable failure reason (panic message or deadline).
+    /// Human-readable failure reason (the panic message).
     pub reason: String,
-}
-
-/// A cell that overran a supervisor deadline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeadlineFlag {
-    /// The flagged cell's label.
-    pub label: String,
-    /// `true` for the hard deadline (cell abandoned), `false` for
-    /// the soft deadline (flagged, still running).
-    pub hard: bool,
-    /// Wall-clock seconds elapsed when the flag was raised.
-    pub wall_s: f64,
 }
 
 /// Thread-safe log of harness timings and warnings.
@@ -65,7 +53,6 @@ pub struct HarnessLog {
     sections: Mutex<Vec<SectionTiming>>,
     warnings: Mutex<Vec<String>>,
     failures: Mutex<Vec<FailureRecord>>,
-    deadline_flags: Mutex<Vec<DeadlineFlag>>,
 }
 
 impl HarnessLog {
@@ -114,15 +101,6 @@ impl HarnessLog {
         });
     }
 
-    /// Records a deadline overrun (`hard = true` abandons the cell).
-    pub fn record_deadline(&self, label: impl Into<String>, hard: bool, wall_s: f64) {
-        self.deadline_flags.lock().unwrap().push(DeadlineFlag {
-            label: label.into(),
-            hard,
-            wall_s,
-        });
-    }
-
     /// Snapshot of all warnings.
     pub fn warnings(&self) -> Vec<String> {
         self.warnings.lock().unwrap().clone()
@@ -131,11 +109,6 @@ impl HarnessLog {
     /// Snapshot of all cell failures, in occurrence order.
     pub fn failures(&self) -> Vec<FailureRecord> {
         self.failures.lock().unwrap().clone()
-    }
-
-    /// Snapshot of all deadline flags, in occurrence order.
-    pub fn deadline_flags(&self) -> Vec<DeadlineFlag> {
-        self.deadline_flags.lock().unwrap().clone()
     }
 
     /// Total wall-clock seconds across all recorded cells (the *serial*
@@ -191,27 +164,14 @@ impl HarnessLog {
                 )
             })
             .collect();
-        let deadlines: Vec<String> = self
-            .deadline_flags()
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"label\":\"{}\",\"hard\":{},\"wall_s\":{}}}",
-                    esc(&d.label),
-                    d.hard,
-                    num(d.wall_s)
-                )
-            })
-            .collect();
         format!(
             "\"serial_cell_s\":{},\"sections\":[{}],\"cells\":[{}],\"warnings\":[{}],\
-             \"failures\":[{}],\"deadline_flags\":[{}]",
+             \"failures\":[{}]",
             num(self.total_cell_seconds()),
             sections.join(","),
             cells.join(","),
             warnings.join(","),
-            failures.join(","),
-            deadlines.join(",")
+            failures.join(",")
         )
     }
 }
@@ -237,7 +197,7 @@ mod tests {
     #[test]
     fn an_empty_log_totals_positive_zero() {
         let log = HarnessLog::new();
-        log.record_failure("c", "exceeded hard deadline of 1 ms");
+        log.record_failure("c", "panicked: boom");
         assert!(log.total_cell_seconds().is_sign_positive());
         assert!(log
             .to_json_fields()
@@ -251,28 +211,24 @@ mod tests {
         log.record_section("figure \\ 9", 2.0);
         log.warn("watch\nout");
         log.record_failure("fig7/BFS/pcc", "panicked: \"boom\"");
-        log.record_deadline("fig7/BFS/pcc", true, 30.5);
         let wrapped = format!("{{{}}}", log.to_json_fields());
         assert_json_shape(&wrapped);
         assert!(wrapped.contains("\"serial_cell_s\":0.500000"));
         assert!(wrapped.contains("\"failures\":[{\"label\":"));
         assert!(!wrapped.contains("retries"));
-        assert!(wrapped.contains("\"hard\":true"));
     }
 
     #[test]
     fn supervisor_records_round_trip() {
         let log = HarnessLog::new();
-        log.record_failure("c", "hard deadline");
-        log.record_deadline("c", false, 1.5);
+        log.record_failure("c", "panicked: boom");
         assert_eq!(
             log.failures(),
             vec![FailureRecord {
                 label: "c".into(),
-                reason: "hard deadline".into()
+                reason: "panicked: boom".into()
             }]
         );
-        assert!(!log.deadline_flags()[0].hard);
     }
 
     #[test]

@@ -39,6 +39,6 @@ pub use event::{
     Event, FailureReason, IntervalSnapshot, PccAction, TlbLevel, EVENT_KINDS,
     FREQ_HISTOGRAM_BUCKETS,
 };
-pub use harness::{CellTiming, DeadlineFlag, FailureRecord, HarnessLog, SectionTiming};
+pub use harness::{CellTiming, FailureRecord, HarnessLog, SectionTiming};
 pub use metrics::{IntervalRow, IntervalSeries};
 pub use recorder::{JsonlSink, MemoryRecorder, NullRecorder, Recorder, Tee};

@@ -52,8 +52,8 @@ pub use simulation::{PolicyChoice, ProcessSpec, SimReport, Simulation};
 // Re-export the flight-recorder surface so simulator users need not
 // depend on `hpage-obs` directly.
 pub use hpage_obs::{
-    CellTiming, DeadlineFlag, Event, FailureRecord, HarnessLog, IntervalRow, IntervalSeries,
-    JsonlSink, MemoryRecorder, NullRecorder, Recorder, SectionTiming, Tee,
+    CellTiming, Event, FailureRecord, HarnessLog, IntervalRow, IntervalSeries, JsonlSink,
+    MemoryRecorder, NullRecorder, Recorder, SectionTiming, Tee,
 };
 
 // Likewise the promotion ledger, which [`SimReport::ledger`] carries.

@@ -20,12 +20,12 @@
 //!    order; only wall-clock *observability* (the [`HarnessLog`]) sees
 //!    completion order.
 //!
-//! Each cell gets exactly one attempt. Cells are pure over their
-//! configuration, so a cell that panicked would panic again; the harness
-//! instead isolates the failure ([`catch_quietly`], optional soft and
-//! hard deadlines), lets the rest of the grid finish, and records the
-//! cell's timing or its failure once, in the [`HarnessLog`]. A caught
-//! failure is reported there and by the caller, never by the panic hook.
+//! Each cell gets exactly one attempt, on a pool worker. Cells are pure
+//! over their configuration, so a cell that panicked would panic again;
+//! the harness instead isolates the failure ([`catch_quietly`]), lets
+//! the rest of the grid finish, and records the cell's timing or its
+//! failure once, in the [`HarnessLog`]. A caught failure is reported
+//! there and by the caller, never by the panic hook.
 //!
 //! The harness also owns the run's [`WorkloadCache`], so each workload
 //! is instantiated once per `repro` invocation no matter how many
@@ -38,9 +38,8 @@ use hpage_obs::HarnessLog;
 use hpage_trace::{AnyWorkload, AppId, Dataset, Workload, WorkloadCache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A workload shared across the worker-pool boundary. `Arc<AnyWorkload>`
 /// (what [`Harness::workload`] serves) coerces into this at any call
@@ -73,11 +72,6 @@ pub enum CellFailure {
         /// The panic message.
         message: String,
     },
-    /// The cell overran the hard deadline and was abandoned.
-    HardDeadline {
-        /// The hard deadline, in milliseconds.
-        limit_ms: u64,
-    },
 }
 
 impl std::fmt::Display for CellFailure {
@@ -86,9 +80,6 @@ impl std::fmt::Display for CellFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CellFailure::Panicked { message } => write!(f, "panicked: {message}"),
-            CellFailure::HardDeadline { limit_ms } => {
-                write!(f, "exceeded hard deadline of {limit_ms} ms")
-            }
         }
     }
 }
@@ -129,13 +120,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// A caught panic as a [`CellFailure`].
-fn panicked(payload: Box<dyn std::any::Any + Send>) -> CellFailure {
-    CellFailure::Panicked {
-        message: panic_message(&*payload),
     }
 }
 
@@ -230,21 +214,13 @@ impl Cell {
 }
 
 /// The experiment harness: a worker pool plus the run-wide workload
-/// cache, observability log, and cell deadlines. One harness drives one
-/// `repro`/`hpsim` invocation; figure drivers borrow it.
+/// cache and observability log. One harness drives one `repro`/`hpsim`
+/// invocation; figure drivers borrow it.
 #[derive(Debug)]
 pub struct Harness {
     jobs: usize,
     cache: WorkloadCache,
     log: HarnessLog,
-    /// Flag cells running longer than this into the [`HarnessLog`]
-    /// (observability only; the cell keeps running).
-    soft_deadline: Option<Duration>,
-    /// Abandon cells running longer than this. Only enforced by
-    /// report-shaped runs ([`Harness::run`] /
-    /// [`Harness::run_supervised`]); `run_map` closures borrow local
-    /// state and cannot be abandoned mid-flight.
-    hard_deadline: Option<Duration>,
 }
 
 impl Harness {
@@ -260,17 +236,7 @@ impl Harness {
             jobs,
             cache: WorkloadCache::new(),
             log: HarnessLog::new(),
-            soft_deadline: None,
-            hard_deadline: None,
         }
-    }
-
-    /// Sets the soft deadline (flag the overrun, keep running) and the
-    /// hard deadline (abandon the cell) of report-shaped runs.
-    pub fn with_deadlines(mut self, soft: Option<Duration>, hard: Option<Duration>) -> Self {
-        self.soft_deadline = soft;
-        self.hard_deadline = hard;
-        self
     }
 
     /// A single-worker harness — cells run inline, in order, exactly as
@@ -310,36 +276,18 @@ impl Harness {
     /// returned order — and therefore every table assembled from it —
     /// is independent of scheduling.
     ///
-    /// Each cell runs once, under [`catch_quietly`] and the harness's
-    /// deadlines. A failed cell does **not** abort the grid: every other
-    /// cell completes first, then this method panics with an aggregate
-    /// message (the driving binary's per-section [`catch_quietly`]
-    /// renders it as an `n/a (cell failed: …)` row). Callers that want
-    /// the failures as values use [`run_supervised`](Self::run_supervised).
+    /// Each cell runs once, under [`catch_quietly`]. A failed cell does
+    /// **not** abort the grid: every other cell completes first, then
+    /// this method panics with an aggregate message (the driving
+    /// binary's per-section [`catch_quietly`] renders it as an
+    /// `n/a (cell failed: …)` row). Callers that want the failures as
+    /// values call [`try_run_map`](Self::try_run_map)`(cells, Cell::run)`.
     pub fn run(&self, cells: Vec<Cell>) -> Vec<SimReport> {
-        let labels: Vec<String> = cells.iter().map(|c| c.label.clone()).collect();
-        unwrap_all(&labels, self.run_supervised(cells))
-    }
-
-    /// Runs `cells` supervised and returns per-cell results in
-    /// submission order, failures as `Err` values. This is the
-    /// deadline-capable path: with a deadline set, each cell runs on a
-    /// dedicated thread, so a hard-deadline overrun abandons the cell
-    /// instead of blocking the pool. (The abandoned thread finishes in
-    /// the background; its result is discarded.)
-    pub fn run_supervised(&self, cells: Vec<Cell>) -> Vec<Result<SimReport, CellFailure>> {
-        if self.soft_deadline.is_none() && self.hard_deadline.is_none() {
-            return self.try_run_map(cells, Cell::run);
-        }
-        let cells: Vec<Arc<Cell>> = cells.into_iter().map(Arc::new).collect();
-        self.dispatch(cells.len(), |i| {
-            let cell = &cells[i];
-            self.record(&cell.label, || self.watch(cell))
-        })
+        self.run_map(cells, Cell::run)
     }
 
     /// Runs `f` over every cell and returns the results in submission
-    /// order. [`run`](Self::run) routes here when no deadlines are set;
+    /// order. [`run`](Self::run) is `run_map(cells, Cell::run)`;
     /// drivers that want per-cell telemetry pass a closure that attaches
     /// a recorder (e.g. via [`Cell::run_recorded`]) and returns the
     /// report *plus* whatever the recorder captured. Because results
@@ -361,10 +309,7 @@ impl Harness {
     /// The fallible form of [`run_map`](Self::run_map): each cell runs
     /// once under [`catch_quietly`], and a cell that panics yields
     /// `Err(CellFailure)` in its slot while the rest of the grid
-    /// completes normally. Deadlines are not
-    /// enforced on this path (`f` borrows local state and cannot be
-    /// abandoned); use [`run_supervised`](Self::run_supervised) for
-    /// deadline coverage.
+    /// completes normally.
     pub fn try_run_map<T, F>(&self, cells: Vec<Cell>, f: F) -> Vec<Result<T, CellFailure>>
     where
         T: Send,
@@ -372,7 +317,17 @@ impl Harness {
     {
         self.dispatch(cells.len(), |i| {
             let cell = &cells[i];
-            self.record(&cell.label, || catch_quietly(|| f(cell)).map_err(panicked))
+            let start = Instant::now();
+            let result = catch_quietly(|| f(cell)).map_err(|payload| CellFailure::Panicked {
+                message: panic_message(&*payload),
+            });
+            match &result {
+                Ok(_) => self
+                    .log
+                    .record_cell(&cell.label, start.elapsed().as_secs_f64()),
+                Err(failure) => self.log.record_failure(&cell.label, failure.to_string()),
+            }
+            result
         })
     }
 
@@ -419,86 +374,9 @@ impl Harness {
             })
             .collect()
     }
-
-    /// Runs one cell via `run` and records the outcome in the log: its
-    /// wall-clock time on success, its failure reason otherwise.
-    fn record<T>(
-        &self,
-        label: &str,
-        run: impl FnOnce() -> Result<T, CellFailure>,
-    ) -> Result<T, CellFailure> {
-        let start = Instant::now();
-        let result = run();
-        match &result {
-            Ok(_) => self.log.record_cell(label, start.elapsed().as_secs_f64()),
-            Err(failure) => self.log.record_failure(label, failure.to_string()),
-        }
-        result
-    }
-
-    /// Runs one cell on a dedicated thread while this worker plays
-    /// watchdog over an mpsc channel. Soft-deadline overruns are flagged
-    /// and waiting continues; hard-deadline overruns abandon the cell
-    /// (the thread finishes in the background and its send lands in a
-    /// closed channel).
-    fn watch(&self, cell: &Arc<Cell>) -> Result<SimReport, CellFailure> {
-        let (tx, rx) = mpsc::channel();
-        let worker_cell = Arc::clone(cell);
-        std::thread::spawn(move || {
-            let outcome = catch_quietly(|| worker_cell.run());
-            // A send into a closed channel means the watchdog abandoned
-            // this cell; the completed (or failed) result is dropped.
-            let _ = tx.send(outcome.map_err(panicked));
-        });
-
-        let started = Instant::now();
-        let disconnected = || CellFailure::Panicked {
-            message: "cell worker died without reporting".into(),
-        };
-
-        // Phase 1: wait out the soft deadline (when it precedes the
-        // hard one) and flag the overrun.
-        if let Some(soft) = self.soft_deadline {
-            if self.hard_deadline.is_none_or(|h| soft < h) {
-                match rx.recv_timeout(soft) {
-                    Ok(out) => return out,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.log.record_deadline(
-                            &cell.label,
-                            false,
-                            started.elapsed().as_secs_f64(),
-                        );
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return Err(disconnected()),
-                }
-            }
-        }
-
-        // Phase 2: wait out the hard deadline, or forever without one.
-        match self.hard_deadline {
-            Some(hard) => {
-                let left = hard.saturating_sub(started.elapsed());
-                match rx.recv_timeout(left) {
-                    Ok(out) => out,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.log.record_deadline(
-                            &cell.label,
-                            true,
-                            started.elapsed().as_secs_f64(),
-                        );
-                        Err(CellFailure::HardDeadline {
-                            limit_ms: hard.as_millis() as u64,
-                        })
-                    }
-                    Err(RecvTimeoutError::Disconnected) => Err(disconnected()),
-                }
-            }
-            None => rx.recv().unwrap_or_else(|_| Err(disconnected())),
-        }
-    }
 }
 
-/// Zips labels with supervised results; if any cell failed, panics with
+/// Zips labels with per-cell results; if any cell failed, panics with
 /// one aggregate message *after* the whole grid has completed.
 fn unwrap_all<T>(labels: &[String], results: Vec<Result<T, CellFailure>>) -> Vec<T> {
     let failed: Vec<String> = labels

@@ -184,9 +184,9 @@ proptest! {
         mask in 0u64..16,
         jobs in 1usize..5,
     ) {
-        let clean = Harness::sequential().run_supervised(policy_grid(0));
+        let clean = Harness::sequential().try_run_map(policy_grid(0), Cell::run);
         let h = Harness::new(jobs);
-        let chaotic = h.run_supervised(policy_grid(mask));
+        let chaotic = h.try_run_map(policy_grid(mask), Cell::run);
         for (i, (c, f)) in clean.iter().zip(&chaotic).enumerate() {
             let c = c.as_ref().expect("clean run never fails");
             if mask >> i & 1 == 1 {

@@ -49,28 +49,6 @@ fn fig7_fragmented_rows_are_identical_at_any_jobs() {
 }
 
 #[test]
-fn deadline_watched_fig7_rows_match_unwatched_rows() {
-    // With a deadline set, each cell runs on its own watched thread
-    // instead of the pool worker. A soft deadline that every cell
-    // overruns flags each one and must leave the rows byte-identical.
-    use std::time::Duration;
-    let p = profile();
-    let apps = [AppId::Bfs];
-    let clean = fig7_fragmentation_on(&Harness::sequential(), &p, &apps, 90);
-    let h = Harness::new(4).with_deadlines(Some(Duration::from_nanos(1)), None);
-    let watched = fig7_fragmentation_on(&h, &p, &apps, 90);
-    assert_eq!(
-        clean, watched,
-        "deadline watching must not perturb fig7 rows"
-    );
-    assert!(
-        !h.log().deadline_flags().is_empty(),
-        "the 1 ns soft deadline must actually have been overrun"
-    );
-    assert!(h.log().failures().is_empty());
-}
-
-#[test]
 fn fig9_multiprocess_rows_are_identical_at_any_jobs() {
     let p = profile();
     let cfg = Fig9Config {
