@@ -320,40 +320,30 @@ if [ "$bogus_rc" -ne 2 ] || [ -s /tmp/repro_bogus.txt ]; then
     echo "repro --table 1 --bogus exited $bogus_rc with output, want 2 and none" >&2
     exit 1
 fi
-# The retired per-cell deadline is an unknown argument like any other:
-# exit 2, nothing on stdout, and no artifact written.
-retired_rc=0
-rm -f /tmp/BENCH_repro_retired.json
-HPAGE_PROFILE=test ./target/release/repro --figure 7 --hard-deadline-ms 1 \
-    --bench-out /tmp/BENCH_repro_retired.json \
-    > /tmp/repro_retired.txt 2> /dev/null || retired_rc=$?
-if [ "$retired_rc" -ne 2 ] || [ -s /tmp/repro_retired.txt ] ||
-    [ -e /tmp/BENCH_repro_retired.json ]; then
-    echo "repro --hard-deadline-ms 1 exited $retired_rc, want 2, no output, no artifact" >&2
-    exit 1
-fi
+# Retired flags (the per-cell deadline, the section journal) are unknown
+# arguments like any other: exit 2, nothing on stdout, no artifact.
+for retired in "--hard-deadline-ms 1" "--journal F" "--resume F"; do
+    retired_rc=0
+    rm -f /tmp/BENCH_repro_retired.json
+    # shellcheck disable=SC2086 # the flag and its operand split on purpose
+    HPAGE_PROFILE=test ./target/release/repro --figure 7 $retired \
+        --bench-out /tmp/BENCH_repro_retired.json \
+        > /tmp/repro_retired.txt 2> /dev/null || retired_rc=$?
+    if [ "$retired_rc" -ne 2 ] || [ -s /tmp/repro_retired.txt ] ||
+        [ -e /tmp/BENCH_repro_retired.json ]; then
+        echo "repro $retired exited $retired_rc, want 2, no output, no artifact" >&2
+        exit 1
+    fi
+done
 
-echo "== checkpoint smoke: journal a partial run, resume the full one =="
-# First run journals only figure 7; the resumed run replays it and adds
-# the ablation, and must be byte-identical to the uninterrupted run.
-HPAGE_PROFILE=test ./target/release/repro --figure 7 \
-    --journal BENCH_repro_journal.jsonl --jobs 2 \
-    --bench-out /tmp/BENCH_repro_part.json --quiet > /tmp/repro_part.txt
-HPAGE_PROFILE=test ./target/release/repro --figure 7 --ablation \
-    --resume BENCH_repro_journal.jsonl --jobs 2 \
-    --bench-out /tmp/BENCH_repro_resumed.json --quiet > /tmp/repro_resumed.txt
-cmp /tmp/repro_resumed.txt /tmp/repro_j2.txt
-test -s BENCH_repro_journal.jsonl
-# A journal from a build that also wrote per-cell records (version 1) is
-# refused as a usage error rather than half-read.
-echo '{"journal":"hpage-repro","version":1,"profile":"test","scale":""}' \
-    > /tmp/repro_journal_v1.jsonl
-v1_rc=0
-HPAGE_PROFILE=test ./target/release/repro --figure 7 \
-    --resume /tmp/repro_journal_v1.jsonl --quiet > /dev/null 2>&1 || v1_rc=$?
-if [ "$v1_rc" -ne 2 ]; then
-    echo "repro resumed a version-1 journal with exit $v1_rc, want 2" >&2
-    exit 1
-fi
+echo "== split-run smoke: one section per command concatenates to one run =="
+# Sections are independent and print whole, so a long run resumes by
+# rerunning the sections its saved stdout lacks: two commands' stdout,
+# concatenated, must equal the single run's byte for byte.
+HPAGE_PROFILE=test ./target/release/repro --figure 7 --jobs 2 \
+    --bench-out /tmp/BENCH_repro_part.json --quiet > /tmp/repro_split.txt
+HPAGE_PROFILE=test ./target/release/repro --ablation --jobs 2 \
+    --bench-out /tmp/BENCH_repro_part.json --quiet >> /tmp/repro_split.txt
+cmp /tmp/repro_split.txt /tmp/repro_j2.txt
 
 echo "CI OK"

@@ -73,6 +73,12 @@ throughput:  --throughput times the instrumented run and appends a
              simulator accesses/sec line
 verbosity:   --quiet prints the results table only; -v adds the per-interval series
              and how many cores a trace producer thread fed
+usage errors (exit 2): a flag whose operand is missing or is another flag;
+             a flag the run would ignore (--schedule-in needs --policy replay,
+             --selection and --demotion need --policy pcc, --no-degrade needs
+             --faults, --dataset needs bfs, sssp or pr, --pcc-placement needs
+             --nested); an output file that cannot be opened, checked before
+             the run starts
 environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices, 1..=30>";
 
 /// Largest accepted `--jobs`, `--sim-threads` and `--threads` value —
@@ -99,9 +105,9 @@ fn fail(msg: &str) -> ! {
 
 struct Options {
     app: AppId,
-    dataset: Dataset,
+    dataset: Option<Dataset>,
     policy: String,
-    selection: PromotionPolicyKind,
+    selection: Option<PromotionPolicyKind>,
     demotion: bool,
     threads: u32,
     frag: u8,
@@ -132,9 +138,9 @@ struct Options {
 fn parse_args() -> Options {
     let mut opts = Options {
         app: AppId::Bfs,
-        dataset: Dataset::Kronecker,
+        dataset: None,
         policy: "pcc".into(),
-        selection: PromotionPolicyKind::HighestFrequency,
+        selection: None,
         demotion: false,
         threads: 1,
         frag: 0,
@@ -162,11 +168,16 @@ fn parse_args() -> Options {
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
+    // A flag's operand; a missing one, or another flag in its place
+    // (`--events --quiet`), is a usage error naming the flag.
     let value = |i: &mut usize| -> String {
+        let flag = &args[*i];
         *i += 1;
-        args.get(*i)
-            .unwrap_or_else(|| die("missing argument value"))
-            .clone()
+        match args.get(*i) {
+            Some(v) if v.starts_with("--") => die(&format!("{flag} needs a value, got flag '{v}'")),
+            Some(v) => v.clone(),
+            None => die(&format!("{flag} needs a value")),
+        }
     };
     while i < args.len() {
         match args[i].as_str() {
@@ -184,20 +195,20 @@ fn parse_args() -> Options {
                 }
             }
             "--dataset" => {
-                opts.dataset = match value(&mut i).to_lowercase().as_str() {
+                opts.dataset = Some(match value(&mut i).to_lowercase().as_str() {
                     "kronecker" | "kron" => Dataset::Kronecker,
                     "twitter" => Dataset::Twitter,
                     "web" | "sd1" => Dataset::Web,
                     other => die(&format!("unknown dataset '{other}'")),
-                }
+                })
             }
             "--policy" => opts.policy = value(&mut i).to_lowercase(),
             "--selection" => {
-                opts.selection = match value(&mut i).to_lowercase().as_str() {
+                opts.selection = Some(match value(&mut i).to_lowercase().as_str() {
                     "highest-frequency" | "hf" => PromotionPolicyKind::HighestFrequency,
                     "round-robin" | "rr" => PromotionPolicyKind::RoundRobin,
                     other => die(&format!("unknown selection '{other}'")),
-                }
+                })
             }
             "--demotion" => opts.demotion = true,
             "--threads" => {
@@ -289,7 +300,42 @@ fn parse_args() -> Options {
         }
         i += 1;
     }
+    // A flag the run would ignore is a usage error, not a silent no-op.
+    let pcc = opts.policy == "pcc";
+    for (ignored, msg) in [
+        (
+            opts.schedule_in.is_some() && opts.policy != "replay",
+            "--schedule-in requires --policy replay",
+        ),
+        (
+            opts.selection.is_some() && !pcc,
+            "--selection requires --policy pcc",
+        ),
+        (opts.demotion && !pcc, "--demotion requires --policy pcc"),
+        (
+            opts.no_degrade && opts.faults.is_none(),
+            "--no-degrade requires --faults",
+        ),
+        (
+            opts.dataset.is_some() && !opts.app.is_graph(),
+            "--dataset requires a graph app (bfs, sssp or pr)",
+        ),
+        (
+            opts.pcc_placement.is_some() && !opts.nested,
+            "--pcc-placement requires --nested",
+        ),
+    ] {
+        if ignored {
+            die(msg);
+        }
+    }
     opts
+}
+
+/// Creates an output file before the run, so a path that cannot be
+/// opened is a usage error before any simulation time is spent.
+fn create(path: &str) -> File {
+    File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")))
 }
 
 enum AnyOrRecorded {
@@ -377,7 +423,7 @@ fn main() {
         Some(path) => AnyOrRecorded::Mapped(open_trace(path)),
         None => AnyOrRecorded::Builtin(instantiate(
             opts.app,
-            opts.dataset,
+            opts.dataset.unwrap_or(Dataset::Kronecker),
             profile.workloads,
             opts.seed,
         )),
@@ -386,7 +432,7 @@ fn main() {
     let footprint = workload.footprint_bytes();
 
     if let Some(path) = &opts.trace_out {
-        let file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+        let file = create(path);
         let cap = opts
             .max_accesses
             .or(profile.max_accesses_per_core)
@@ -411,7 +457,9 @@ fn main() {
         "linux" | "thp" => PolicyChoice::LinuxThp,
         "hawkeye" => PolicyChoice::HawkEye,
         "pcc" => PolicyChoice::Pcc {
-            selection: opts.selection,
+            selection: opts
+                .selection
+                .unwrap_or(PromotionPolicyKind::HighestFrequency),
             demotion: opts.demotion,
             bias: Vec::new(),
         },
@@ -428,9 +476,6 @@ fn main() {
         }
         other => die(&format!("unknown policy '{other}'")),
     };
-    if opts.pcc_placement.is_some() && !opts.nested {
-        die("--pcc-placement requires --nested");
-    }
     let placement = opts.pcc_placement.unwrap_or_default();
     // The placement gates each dimension's promotion engine: with the
     // guest dimension disabled the requested guest policy is overridden
@@ -479,6 +524,12 @@ fn main() {
         sim = sim.with_ledger();
     }
 
+    // Every output file opens before either run starts.
+    let events_file = opts.events.as_deref().map(create);
+    let metrics_file = opts.metrics.as_deref().map(create);
+    let chrome_file = opts.chrome_trace.as_deref().map(create);
+    let schedule_file = opts.schedule_out.as_deref().map(create);
+
     // Baseline for the speedup column.
     let mut base_sim = Simulation::new(sized.system.clone(), PolicyChoice::BasePages)
         .with_sim_threads(opts.sim_threads);
@@ -509,10 +560,9 @@ fn main() {
     );
     let run_policy = || -> PolicyOut {
         let t0 = std::time::Instant::now();
-        let sink = opts.events.as_deref().map(|path| {
-            let file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-            JsonlSink::new(BufWriter::new(file)).with_path(path)
-        });
+        let sink = events_file
+            .zip(opts.events.as_deref())
+            .map(|(file, path)| JsonlSink::new(BufWriter::new(file)).with_path(path));
         let mut rec = Tee(sink, want_telemetry.then(TelemetryRecorder::new));
         let report = sim
             .try_run_recorded(&spec(), &mut rec)
@@ -556,10 +606,11 @@ fn main() {
     }
 
     if opts.verbosity >= 1 {
+        // A graph kernel's name carries its dataset ("BFS-Twitter");
+        // no other workload has one.
         println!(
-            "{} on {} ({} MiB footprint, {} threads, {}% fragmented)\n",
+            "{} ({} MiB footprint, {} threads, {}% fragmented)\n",
             workload.name(),
-            opts.dataset.name(),
             footprint >> 20,
             opts.threads,
             opts.frag
@@ -694,8 +745,7 @@ fn main() {
     }
 
     if let Some(telem) = &telemetry {
-        if let Some(path) = &opts.chrome_trace {
-            let mut file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+        if let (Some(mut file), Some(path)) = (chrome_file, &opts.chrome_trace) {
             file.write_all(telem.chrome_trace_json().as_bytes())
                 .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
             if opts.verbosity >= 1 {
@@ -713,8 +763,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = &opts.metrics {
-        let file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+    if let (Some(file), Some(path)) = (metrics_file, &opts.metrics) {
         let mut w = BufWriter::new(file);
         let telem = telemetry.as_ref().expect("--metrics attaches telemetry");
         w.write_all(report.interval_series.to_jsonl().as_bytes())
@@ -729,8 +778,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = &opts.schedule_out {
-        let file = File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+    if let (Some(file), Some(path)) = (schedule_file, &opts.schedule_out) {
         let mut w = BufWriter::new(file);
         write_schedule(&report.schedule, &mut w)
             .and_then(|()| w.flush())

@@ -15,12 +15,16 @@
 //! byte-identical at any `--jobs`, and every run that simulates
 //! anything writes a `BENCH_repro.json` wall-clock artifact
 //! (`--bench-out` overrides the path).
+//!
+//! Sections are independent and each prints whole as it finishes, so a
+//! long run can go one section per command, appending stdout to a file;
+//! after a crash, rerun the sections the file does not hold yet.
 
 use hpage_bench::*;
-use hpage_sim::{catch_quietly, panic_message, CellJournal, Fig9Config, Harness, JournalError};
+use hpage_sim::{catch_quietly, panic_message, Fig9Config, Harness};
 use hpage_trace::AppId;
 
-const USAGE: &str = "usage: repro [--all] [--figure 1|2|5|6|7|8|9a|9b] [--table 1|2|storage] [--ablation] [--datasets] [--timeline] [--consolidation] [--tenants N] [--virt] [--ledger-out FILE] [--json 1|6|7|ablation|datasets] [--jobs N|-j N] [--sim-threads N] [--bench-out FILE] [--journal FILE | --resume FILE] [--quiet|-q] [--verbose|-v]
+const USAGE: &str = "usage: repro [--all] [--figure 1|2|5|6|7|8|9a|9b] [--table 1|2|storage] [--ablation] [--datasets] [--timeline] [--consolidation] [--tenants N] [--virt] [--ledger-out FILE] [--json 1|6|7|ablation|datasets] [--jobs N|-j N] [--sim-threads N] [--bench-out FILE] [--quiet|-q] [--verbose|-v]
 parallelism: --jobs N runs up to N simulation cells concurrently (default: available cores; tables are byte-identical at any N);
            --sim-threads N shards the consolidation/virt simulation loops across N threads (default 1;
            reports are byte-identical at any N — hpsim accepts the same flag for single-scenario runs)
@@ -35,8 +39,6 @@ artifacts: runs that simulate anything write wall-clock timings to BENCH_repro.j
            predicted-vs-realized attribution summary, and writes per-region entries to FILE as JSONL
 supervision: each cell runs once, its panic isolated from the rest of the grid;
            a section with a failed cell renders an 'n/a (cell failed: ...)' row
-checkpoint: --journal FILE records each completed section; --resume FILE replays them
-           byte-identically and re-runs only the rest (a malformed or mismatched journal is a usage error)
 exit codes: 0 ok, 1 runtime error, 2 usage error, 3 completed with failed cells (partial output)
 verbosity: progress notes go to stderr; --quiet silences them, -v adds per-section timing
 environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices, 1..=30>";
@@ -71,10 +73,14 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Consumes a flag's operand, or usage-errors naming the flag.
+/// Consumes a flag's operand, or usage-errors naming the flag when it
+/// is missing or is itself a flag (`--ledger-out --all`).
 fn path_value(flag: &str, it: &mut std::vec::IntoIter<String>) -> String {
-    it.next()
-        .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+    match it.next() {
+        Some(v) if v.starts_with("--") => die(&format!("{flag} needs a value, got flag '{v}'")),
+        Some(v) => v,
+        None => die(&format!("{flag} needs a value")),
+    }
 }
 
 fn num_value(flag: &str, it: &mut std::vec::IntoIter<String>) -> u64 {
@@ -83,54 +89,25 @@ fn num_value(flag: &str, it: &mut std::vec::IntoIter<String>) -> u64 {
         .unwrap_or_else(|_| die(&format!("{flag} expects a number")))
 }
 
-/// Section runner: progress notes, wall-clock accounting, journal
-/// replay/record, and degraded rendering.
+/// Section runner: progress notes, wall-clock accounting, and
+/// degraded rendering.
 ///
 /// Every step (figure, table, JSON document and the `--ledger-out`
 /// render) runs under [`catch_quietly`]: a grid with a failed cell
 /// (the harness panics with an aggregate message *after* the grid
 /// completes) degrades into an `n/a (cell failed: …)` row, reported
 /// once on stderr and never by the panic hook, instead of aborting the
-/// remaining sections, and the run exits with code 3. With a journal attached,
-/// completed sections are recorded with their full rendered output;
-/// on `--resume`, already-recorded sections replay that output
-/// byte-identically without re-running any cells.
+/// remaining sections, and the run exits with code 3.
 struct Sections {
     verbosity: u8,
-    journal: Option<CellJournal>,
     failed: bool,
 }
 
 impl Sections {
-    fn run<F: FnOnce() -> String>(&mut self, h: &Harness, label: &str, f: F) -> String {
-        if let Some(stored) = self
-            .journal
-            .as_ref()
-            .and_then(|j| j.completed_section(label))
-        {
-            if self.verbosity >= 1 {
-                eprintln!("repro: {label}: replayed from journal");
-            }
-            h.log().record_section(label, 0.0);
-            return stored;
-        }
-        match self.attempt(h, label, f) {
-            Ok(text) => {
-                if let Some(j) = &mut self.journal {
-                    if let Err(e) = j.record_section(label, &text) {
-                        eprintln!("repro: warning: journal {}: {e}", j.path());
-                    }
-                }
-                text
-            }
-            Err(row) => row,
-        }
-    }
-
     /// Runs `f` once under [`catch_quietly`] and records its wall-clock
     /// time. A panic sets `failed`, is reported once on stderr, and comes
     /// back as the section's `n/a (cell failed: …)` row.
-    fn attempt<T>(&mut self, h: &Harness, label: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+    fn run<T>(&mut self, h: &Harness, label: &str, f: impl FnOnce() -> T) -> Result<T, String> {
         if self.verbosity >= 1 {
             eprintln!("repro: rendering {label}...");
         }
@@ -156,8 +133,8 @@ impl Sections {
 }
 
 /// Every section `--all` renders, in order. Labels match the
-/// single-section flags' (`--figure 7` is "figure 7"), so a journal
-/// written by one invocation resumes under the other.
+/// single-section flags' (`--figure 7` is "figure 7"), so a section
+/// reads the same in `BENCH_repro.json` however it was asked for.
 const ALL_SECTIONS: [&str; 13] = [
     "table 1",
     "table 2",
@@ -235,8 +212,6 @@ fn main() {
     let mut jobs: Option<usize> = None;
     let mut bench_out = String::from("BENCH_repro.json");
     let mut ledger_out: Option<String> = None;
-    let mut journal_out: Option<String> = None;
-    let mut resume_from: Option<String> = None;
     let mut sim_threads: usize = 1;
     let mut tenants: usize = 32;
     let mut rest = Vec::new();
@@ -260,8 +235,6 @@ fn main() {
             }
             "--bench-out" => bench_out = path_value("--bench-out", &mut it),
             "--ledger-out" => ledger_out = Some(path_value("--ledger-out", &mut it)),
-            "--journal" => journal_out = Some(path_value("--journal", &mut it)),
-            "--resume" => resume_from = Some(path_value("--resume", &mut it)),
             _ => rest.push(a),
         }
     }
@@ -270,46 +243,11 @@ fn main() {
         std::process::exit(2);
     }
     let steps = parse_steps(&rest);
-    if journal_out.is_some() && resume_from.is_some() {
-        die("--journal and --resume are mutually exclusive (resume appends to its own file)");
-    }
     let profile = profile_from_env().unwrap_or_else(|e| die(&e.to_string()));
     let profile_name = match std::env::var("HPAGE_PROFILE").as_deref() {
         Ok("test") => "test",
         Ok("paper") => "paper",
         _ => "scaled",
-    };
-    let scale = std::env::var("HPAGE_SCALE").unwrap_or_default();
-
-    let journal: Option<CellJournal> = match (&journal_out, &resume_from) {
-        (Some(path), None) => Some(
-            CellJournal::create(path, profile_name, &scale).unwrap_or_else(|e| {
-                eprintln!("repro: cannot create journal {path}: {e}");
-                std::process::exit(1);
-            }),
-        ),
-        (None, Some(path)) => {
-            let j = CellJournal::resume(path, profile_name, &scale).unwrap_or_else(|e| match e {
-                JournalError::Invalid(_) => die(&e.to_string()),
-                JournalError::Io(_) => {
-                    eprintln!("repro: {e}");
-                    std::process::exit(1);
-                }
-            });
-            if verbosity >= 1 {
-                eprintln!(
-                    "repro: resuming from {path}: {} section(s) on record{}",
-                    j.completed_sections(),
-                    if j.skipped_lines() > 0 {
-                        format!(", {} corrupt line(s) skipped", j.skipped_lines())
-                    } else {
-                        String::new()
-                    }
-                );
-            }
-            Some(j)
-        }
-        _ => None,
     };
 
     let jobs = jobs.unwrap_or_else(default_jobs);
@@ -320,7 +258,6 @@ fn main() {
     }
     let mut sections = Sections {
         verbosity,
-        journal,
         failed: false,
     };
     let sweep: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 100];
@@ -407,11 +344,13 @@ fn main() {
         }
     };
     for label in &steps {
-        println!("{}", sections.run(h, label, || render(label)));
+        match sections.run(h, label, || render(label)) {
+            Ok(text) | Err(text) => println!("{text}"),
+        }
     }
 
     if let Some(path) = &ledger_out {
-        match sections.attempt(h, "promotion ledger", || {
+        match sections.run(h, "promotion ledger", || {
             render_ledger(h, &profile, &AppId::GRAPH)
         }) {
             Ok((text, jsonl)) => {
@@ -479,21 +418,20 @@ mod tests {
         let h = Harness::sequential();
         let mut sections = Sections {
             verbosity: 0,
-            journal: None,
             failed: false,
         };
-        let row = sections.run(&h, "json 7", || {
+        let row = sections.run(&h, "json 7", || -> String {
             panic!("1 cell(s) failed: fig7/BFS/pcc: panicked: boom")
         });
         assert_eq!(
-            row,
+            row.unwrap_err(),
             "json 7: n/a (cell failed: 1 cell(s) failed: fig7/BFS/pcc: panicked: boom)"
         );
         assert!(sections.failed);
         let recorded: Vec<String> = h.log().sections().into_iter().map(|s| s.label).collect();
         assert_eq!(recorded, ["json 7"]);
         // A later healthy section prints as is; the run still exits 3.
-        assert_eq!(sections.run(&h, "table 1", || "rows".into()), "rows");
+        assert_eq!(sections.run(&h, "table 1", || "rows"), Ok("rows"));
         assert!(sections.failed);
     }
 }

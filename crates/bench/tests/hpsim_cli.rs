@@ -1,10 +1,11 @@
 //! Error paths of the `hpsim` command line for inputs it does not
 //! accept: a trace in the retired `HPT1` container, an `HPT2` trace with
 //! junk after its end magic, a path that is not a regular file, retired
-//! flags, numeric flags out of range or malformed, a malformed fault
-//! plan (truncated, an unknown kind or key, a bad or missing `at`, or
-//! nested too deep to parse), and an `HPAGE_PROFILE` or `HPAGE_SCALE` that
-//! names no profile.
+//! flags, numeric flags out of range or malformed, a flag where an
+//! operand belongs, a flag the run would ignore, an output file that
+//! cannot be opened, a malformed fault plan (truncated, an unknown kind
+//! or key, a bad or missing `at`, or nested too deep to parse), and an
+//! `HPAGE_PROFILE` or `HPAGE_SCALE` that names no profile.
 //! Each must be a usage error (exit 2) with a message naming the
 //! problem, never a panic, a hang or a silent fallback. An output file
 //! that opens but cannot be written is a runtime error instead: exit 1,
@@ -79,6 +80,17 @@ fn non_regular_trace_is_rejected() {
     assert_usage_error(&hpsim(&["--trace-info", d]), &want);
 }
 
+#[test]
+fn unopenable_output_files_fail_before_the_run() {
+    // Each used to exit 2 only after both runs and the whole report.
+    let path = "/nonexistent/dir/x";
+    for flag in ["--events", "--metrics", "--chrome-trace", "--schedule-out"] {
+        let out = hpsim(&["--app", "bfs", "--policy", "pcc", flag, path]);
+        assert_usage_error(&out, &format!("hpsim: open {path}: "));
+        assert!(out.stdout.is_empty(), "{flag}: printed before failing");
+    }
+}
+
 #[cfg(target_os = "linux")]
 #[test]
 fn write_failures_are_runtime_errors() {
@@ -150,6 +162,45 @@ fn retired_flag_is_an_unknown_argument() {
         argv.push("--quiet");
         let out = hpsim(&argv);
         assert_usage_error(&out, &format!("hpsim: unknown argument '{}'", args[0]));
+    }
+}
+
+#[test]
+fn flags_the_run_would_ignore_are_usage_errors() {
+    // Each of these used to run without the flag taking effect: a
+    // nonexistent schedule exited 0, `--events --quiet` wrote events to
+    // a file named `--quiet` and was not quiet.
+    let rows: [(&[&str], &str); 7] = [
+        (
+            &["--schedule-in", "/nonexistent"],
+            "hpsim: --schedule-in requires --policy replay",
+        ),
+        (
+            &["--policy", "linux", "--selection", "rr"],
+            "hpsim: --selection requires --policy pcc",
+        ),
+        (
+            &["--policy", "base", "--demotion"],
+            "hpsim: --demotion requires --policy pcc",
+        ),
+        (&["--no-degrade"], "hpsim: --no-degrade requires --faults"),
+        (
+            &["--app", "mcf", "--dataset", "twitter"],
+            "hpsim: --dataset requires a graph app",
+        ),
+        (
+            &["--pcc-placement", "host"],
+            "hpsim: --pcc-placement requires --nested",
+        ),
+        (
+            &["--events", "--quiet"],
+            "hpsim: --events needs a value, got flag '--quiet'",
+        ),
+    ];
+    for (args, want) in rows {
+        let out = hpsim(args);
+        assert_usage_error(&out, want);
+        assert!(out.stdout.is_empty(), "{args:?}: printed before failing");
     }
 }
 

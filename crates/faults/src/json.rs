@@ -64,8 +64,7 @@ impl Value {
 }
 
 /// The deepest nesting of arrays and objects [`parse`] accepts. The
-/// parser recurses once per level; fault plans and journal lines nest
-/// three or four levels deep.
+/// parser recurses once per level; fault plans nest three levels deep.
 pub const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document; trailing non-whitespace, and arrays

@@ -27,7 +27,6 @@
 
 mod cpus;
 mod experiments;
-mod journal;
 mod profile;
 mod runner;
 mod shard;
@@ -42,7 +41,6 @@ pub use experiments::{
     Fig2Summary, Fig6Row, Fig7Row, Fig8Row, Fig9Config, Fig9Row, VirtConfig, VirtPlacementRow,
     VirtReport, VirtVmRow,
 };
-pub use journal::{CellJournal, JournalError};
 pub use profile::SimProfile;
 pub use runner::{
     catch_quietly, panic_message, Cell, CellFailure, Harness, SharedWorkload, EXPERIMENT_SEED,

@@ -1,20 +1,16 @@
-//! Generated-input tests for the two text formats a user hands the
-//! simulator: fault plans (`hpsim --faults`) and resume journals
-//! (`repro --resume`).
+//! Generated-input tests for the text format a user hands the
+//! simulator: fault plans (`hpsim --faults`).
 //!
 //! Each case starts from a valid document and applies a few random
 //! byte-level edits: deletions, insertions of JSON-significant bytes
 //! and digits, overwrites, duplicated slices and truncation. Whatever
-//! comes out, parsing must return a typed error or a value that holds
-//! up: a fault plan that validates, drives an injector over 64
-//! intervals and round-trips through its JSON form; a journal whose
-//! sections can be read back. A panic anywhere fails the case.
+//! comes out, parsing must return a typed error or a fault plan that
+//! holds up: it validates, drives an injector over 64 intervals and
+//! round-trips through its JSON form. A panic anywhere fails the case.
 
 use hpage::faults::{FaultInjector, FaultPlan};
-use hpage::sim::{CellJournal, JournalError};
 use hpage::types::derive_seed;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes the edits insert: JSON structure, quotes, escapes, digits,
 /// signs, letters of the format's keywords, and a multi-byte character.
@@ -65,34 +61,6 @@ fn mutate(text: &[u8], seed: u64, edits: usize) -> Vec<u8> {
     out
 }
 
-/// A unique scratch path per call, so cases and test threads never
-/// share a journal file.
-fn scratch_path(tag: &str) -> std::path::PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "hpage-generated-{tag}-{}-{}.jsonl",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// A valid two-section journal recorded through [`CellJournal`].
-fn journal_seed() -> Vec<u8> {
-    let path = scratch_path("seed");
-    let path_str = path.to_str().expect("temp path is UTF-8");
-    let mut journal = CellJournal::create(path_str, "test", "").expect("journal created");
-    journal
-        .record_section("figure 7", "Figure 7\n  pcc  1.23x\n")
-        .expect("section recorded");
-    journal
-        .record_section("table 1", "quoted \"cell\"\tand a tab\n")
-        .expect("section recorded");
-    drop(journal);
-    let text = std::fs::read(&path).expect("journal readable");
-    std::fs::remove_file(&path).ok();
-    text
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
 
@@ -108,31 +76,6 @@ proptest! {
             let mut injector = FaultInjector::new(plan).expect("a parsed plan validates");
             for interval in 0..64 {
                 injector.effects_at(interval);
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(500))]
-
-    /// A mutated journal resumes to a typed error or to a journal whose
-    /// sections read back; the file may not even be UTF-8.
-    #[test]
-    fn mutated_journals_error_or_hold(seed in any::<u64>(), edits in 1usize..6) {
-        let bytes = mutate(&journal_seed(), seed, edits);
-        let lines = bytes.split(|&b| b == b'\n').count();
-        let path = scratch_path("case");
-        std::fs::write(&path, &bytes).expect("scratch file written");
-        let resumed = CellJournal::resume(path.to_str().expect("temp path is UTF-8"), "test", "");
-        std::fs::remove_file(&path).ok();
-        match resumed {
-            Ok(journal) => {
-                prop_assert!(journal.completed_sections() < lines);
-                prop_assert!(journal.skipped_lines() < lines as u64);
-            }
-            Err(JournalError::Invalid(msg) | JournalError::Io(msg)) => {
-                prop_assert!(!msg.is_empty());
             }
         }
     }
