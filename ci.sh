@@ -311,6 +311,28 @@ if ./target/release/hpsim --app bfs --pcc-placement host --quiet \
     echo "hpsim accepted --pcc-placement without --nested" >&2
     exit 1
 fi
+# A flag the mode does not read is refused before any output file is
+# created: each must exit 2 with nothing on stdout.
+HPAGE_PROFILE=test ./target/release/hpsim --app bfs \
+    --trace-out /tmp/ci_unread.hpt2 --max-accesses 5000 > /dev/null
+rm -rf /tmp/ci_unread && mkdir /tmp/ci_unread
+while read -r args; do
+    unread_rc=0
+    (cd /tmp/ci_unread && HPAGE_PROFILE=test "$OLDPWD/target/release/hpsim" $args \
+        > /tmp/ci_unread.txt 2> /dev/null) || unread_rc=$?
+    if [ "$unread_rc" -ne 2 ] || [ -s /tmp/ci_unread.txt ] ||
+        [ -n "$(ls -A /tmp/ci_unread)" ]; then
+        echo "hpsim $args exited $unread_rc, printed or wrote a file; want 2 and none" >&2
+        exit 1
+    fi
+done <<'EOF'
+--app bfs --trace-out t.hpt2 --max-accesses 5000 --faults /nonexistent.json --threads 4 --metrics m.jsonl
+--trace-out t.hpt2 --policy bogus
+--trace-info /tmp/ci_unread.hpt2 --policy bogus --events /nonexistent/x
+--trace-in /tmp/ci_unread.hpt2 --app mcf
+--trace-in /tmp/ci_unread.hpt2 --dataset twitter
+--app bfs --trace-out t.hpt2 --nested --ledger --audit
+EOF
 
 echo "== argument smoke: a bad argument fails before any section runs =="
 bogus_rc=0

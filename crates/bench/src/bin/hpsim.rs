@@ -1,4 +1,4 @@
-//! `hpsim` — run one simulation configuration and print its report.
+//! `hpsim` — record, replay and inspect one simulation configuration.
 //!
 //! ```text
 //! hpsim --app bfs --policy pcc --budget-pct 4
@@ -11,6 +11,11 @@
 //! hpsim --app bfs --chrome-trace t.json    # spans for chrome://tracing
 //! ```
 //!
+//! A command line parses into one `Mode` whose variant holds only the
+//! flags that mode reads: `--trace-info` inspects a recorded trace,
+//! `--trace-out` records a source's accesses, and anything else runs a
+//! simulation. A flag the mode does not read is a usage error.
+//!
 //! Profile selection follows `repro`: `HPAGE_PROFILE=test|scaled|paper`,
 //! `HPAGE_SCALE=<log2 vertices>`.
 
@@ -18,83 +23,78 @@ use hpage_bench::profile_from_env;
 use hpage_faults::FaultPlan;
 use hpage_os::{read_schedule, write_schedule, PromotionBudget};
 use hpage_perf::{fmt_pct, fmt_speedup, TextTable};
-use hpage_sim::{JsonlSink, PolicyChoice, ProcessSpec, SimReport, Simulation, Tee};
+use hpage_sim::{JsonlSink, PolicyChoice, ProcessSpec, SimProfile, SimReport, Simulation, Tee};
 use hpage_telemetry::TelemetryRecorder;
-use hpage_trace::{instantiate, AnyWorkload, AppId, Dataset, Hpt2Writer, MmapTrace, Workload};
+use hpage_trace::{instantiate, AppId, Dataset, Hpt2Writer, MmapTrace, ReuseAnalyzer, Workload};
 use hpage_types::{derive_seed, NestedConfig, PccPlacement, PromotionPolicyKind};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::exit;
 
-const USAGE: &str = "usage: hpsim --app <bfs|sssp|pr|canneal|omnetpp|xalancbmk|dedup|mcf>
-             [--dataset kronecker|twitter|web] [--policy base|ideal|linux|hawkeye|pcc|victim|replay]
-             [--selection highest-frequency|round-robin] [--demotion]
-             [--threads N] [--frag PCT] [--budget-pct PCT] [--seed N] [--max-accesses N]
-             [--nested] [--pcc-placement guest|host|both|none]
-             [--jobs N|-j N] [--sim-threads N] [--schedule-out FILE] [--schedule-in FILE] [--trace-out FILE]
-             [--trace-in FILE] [--trace-info FILE] [--events FILE] [--metrics FILE]
-             [--ledger] [--chrome-trace FILE] [--faults FILE] [--no-degrade]
-             [--audit] [--throughput] [--quiet|-q] [--verbose|-v]
-parallelism: --jobs 2+ runs the 4KB baseline concurrently with the
-             instrumented run (default: available cores; the printed
-             report is byte-identical at any N); --sim-threads N shards
-             the simulation loop itself across N threads, the calling
-             thread and N-1 workers; a process never spans shards
-             (default 1; reports and event streams are byte-identical
-             at any N)
-virtualization: --nested runs the workload as a VM under nested (2D)
-             translation: every guest-walk step is host-translated through
-             per-VM host page tables, with 2D structure caches and a nested
-             TLB; --pcc-placement picks which dimension(s) run PCC-guided
-             promotion (default both; the printed baseline stays native 4KB,
-             so the speedup column reads as nested-vs-native). repro --virt
-             runs the full four-placement ablation
-tracing:     --trace-out dumps the access stream as an HPT2 trace (blocked,
-             with per-block restart points and checksums); --trace-in
-             replays a recorded HPT2 trace straight out of the file mapping
-             (FILE must be a regular file, validated in full before the run;
-             --threads N splits its records round-robin over N cores);
-             --trace-info summarises one
-flight recorder: --events streams every simulation event (TLB hits, walks,
-             faults, PCC updates, promotions, shootdowns, interval snapshots)
-             as JSON Lines; --metrics writes the per-interval series plus the
-             telemetry registry (counters, gauges, histograms) as JSONL
-telemetry:   --ledger records predicted vs realized walk savings for every
-             promoted region and prints the attribution table with a
-             prediction_accuracy summary; --chrome-trace writes parent/child
-             spans (walk -> PCC update, promotion -> shootdown/compaction) as
-             chrome-trace-viewer JSON (load in chrome://tracing or Perfetto)
-robustness:  --faults loads a JSON fault plan (OOM windows, fragmentation
-             shocks, compaction stalls, PCC resets, shootdown spikes) and
-             enables graceful degradation (--no-degrade opts out, for
-             A/B runs); --audit cross-checks OS/TLB/PCC invariants every
-             interval and exits 1 on any violation
-throughput:  --throughput times the instrumented run and appends a
-             simulator accesses/sec line
+const USAGE: &str = "usage: hpsim [SOURCE] [RUN FLAGS]                         run a simulation
+       hpsim [SOURCE] --trace-out FILE [--max-accesses N]  record the source's accesses
+       hpsim --trace-info FILE                             summarise a recorded trace
+SOURCE:      --app bfs|sssp|pr|canneal|omnetpp|xalancbmk|dedup|mcf (default bfs)
+             [--dataset kronecker|twitter|web] [--seed N], or --trace-in FILE
+RUN FLAGS:   [--policy base|ideal|linux|hawkeye|pcc|victim|replay] [--demotion]
+             [--selection highest-frequency|round-robin] [--schedule-in FILE] [--threads N]
+             [--frag PCT] [--budget-pct PCT] [--max-accesses N] [--nested]
+             [--pcc-placement guest|host|both|none] [--jobs N|-j N] [--sim-threads N]
+             [--events FILE] [--metrics FILE] [--chrome-trace FILE] [--schedule-out FILE]
+             [--ledger] [--faults FILE] [--no-degrade] [--audit] [--throughput]
+             [--quiet|-q] [--verbose|-v]
+parallelism: --jobs 2+ runs the 4KB baseline concurrently with the instrumented run
+             (default: available cores); --sim-threads N (default 1) shards the simulation
+             loop across N threads, the calling thread and N-1 workers, and a process never
+             spans shards; reports and event streams are byte-identical at any N of either
+virtualization: --nested runs the workload as a VM under nested (2D) translation, every
+             guest-walk step host-translated through per-VM host page tables, with 2D
+             structure caches and a nested TLB; --pcc-placement picks the dimension(s) that
+             run PCC-guided promotion (default both; with the guest off, the guest runs base
+             pages and takes no policy flag). The baseline stays native 4KB, so the speedup
+             column reads as nested-vs-native; repro --virt runs the four-placement ablation
+tracing:     --trace-out dumps the access stream as an HPT2 trace (blocked, with per-block
+             restart points and checksums); --trace-in replays one straight out of the file
+             mapping (a regular file, validated in full first; --threads N splits its records
+             round-robin over N cores); --trace-info summarises one
+flight recorder: --events streams every simulation event (TLB hits, walks, faults, PCC
+             updates, promotions, shootdowns, interval snapshots) as JSON Lines; --metrics
+             writes the per-interval series plus the telemetry registry as JSONL
+telemetry:   --ledger prints predicted vs realized walk savings for every promoted region
+             with a prediction_accuracy summary; --chrome-trace writes parent/child spans
+             (walk -> PCC update, promotion -> shootdown/compaction) as chrome-trace-viewer
+             JSON (load in chrome://tracing or Perfetto)
+robustness:  --faults loads a JSON fault plan (OOM windows, fragmentation shocks, compaction
+             stalls, PCC resets, shootdown spikes) and enables graceful degradation
+             (--no-degrade opts out, for A/B runs); --audit cross-checks OS/TLB/PCC
+             invariants every interval and exits 1 on any violation
+throughput:  --throughput times the instrumented run and appends an accesses/sec line
 verbosity:   --quiet prints the results table only; -v adds the per-interval series
              and how many cores a trace producer thread fed
-usage errors (exit 2): a flag whose operand is missing or is another flag;
-             a flag the run would ignore (--schedule-in needs --policy replay,
-             --selection and --demotion need --policy pcc, --no-degrade needs
-             --faults, --dataset needs bfs, sssp or pr, --pcc-placement needs
-             --nested); an output file that cannot be opened, checked before
-             the run starts
+usage errors (exit 2): a flag whose operand is missing or is another flag; a flag the
+             mode does not read (--trace-info takes its FILE alone, --trace-out a SOURCE and
+             --max-accesses, --trace-in no --app, --dataset or --seed) or whose parent is
+             absent (--selection and --demotion need --policy pcc, --schedule-in --policy
+             replay, --no-degrade --faults, --pcc-placement --nested, --dataset a graph app);
+             an input that cannot be read or an output file that cannot be opened, all
+             checked before any workload is built
 environment: HPAGE_PROFILE=test|scaled|paper   HPAGE_SCALE=<log2 vertices, 1..=30>";
 
 /// Largest accepted `--jobs`, `--sim-threads` and `--threads` value —
 /// far above any real machine, small enough to catch typos like
 /// `--jobs 10000`.
-const MAX_JOBS: usize = 512;
+const MAX_JOBS: u64 = 512;
+
+/// The workload seed without `--seed`.
+const SEED: u64 = 0xC0FFEE;
 
 fn die(msg: &str) -> ! {
     eprintln!("hpsim: {msg}\n{USAGE}");
     exit(2)
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(MAX_JOBS))
-        .unwrap_or(1)
+fn default_jobs() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| (n.get() as u64).min(MAX_JOBS))
 }
 
 /// Runtime failure (not a usage error): no usage text, exit 1.
@@ -103,261 +103,365 @@ fn fail(msg: &str) -> ! {
     exit(1)
 }
 
-struct Options {
-    app: AppId,
-    dataset: Option<Dataset>,
-    policy: String,
-    selection: Option<PromotionPolicyKind>,
-    demotion: bool,
-    threads: u32,
-    frag: u8,
+/// Every flag that takes an operand, and every switch. Which mode reads
+/// a flag is not listed here: each mode takes its flags from `Args`, and
+/// any flag left over is refused.
+const OPERAND_FLAGS: &str = "--app --dataset --seed --trace-in --trace-out --trace-info \
+    --max-accesses --policy --selection --schedule-in --threads --frag --budget-pct --jobs \
+    --sim-threads --pcc-placement --faults --events --metrics --chrome-trace --schedule-out";
+const SWITCHES: &str =
+    "--demotion --nested --no-degrade --ledger --audit --throughput --quiet --verbose";
+
+/// The command line as `(flag, operand)` pairs in the order given (a
+/// switch's operand is empty). Each mode takes the flags it reads, and
+/// `Mode::from_args` refuses whatever is left.
+struct Args(Vec<(&'static str, String)>);
+
+impl Args {
+    /// Splits the command line into flags. An unknown flag, and a
+    /// missing operand or another flag in its place (`--events
+    /// --quiet`), is a usage error naming the flag; `--help` prints the
+    /// usage and exits.
+    fn parse(argv: impl IntoIterator<Item = String>) -> Args {
+        let mut argv = argv.into_iter();
+        let mut given = Vec::new();
+        while let Some(arg) = argv.next() {
+            let name = match arg.as_str() {
+                "-j" => "--jobs",
+                "-q" => "--quiet",
+                "-v" => "--verbose",
+                "--help" | "-h" => {
+                    println!("{USAGE}");
+                    exit(0)
+                }
+                name => name,
+            };
+            let find = |flags: &'static str| flags.split_whitespace().find(|f| *f == name);
+            let (flag, operand) = match (find(OPERAND_FLAGS), find(SWITCHES)) {
+                (Some(flag), _) => (flag, true),
+                (None, Some(flag)) => (flag, false),
+                (None, None) => die(&format!("unknown argument '{arg}'")),
+            };
+            let value = match operand.then(|| argv.next()) {
+                None => String::new(),
+                Some(Some(v)) if v.starts_with("--") => {
+                    die(&format!("{arg} needs a value, got flag '{v}'"))
+                }
+                Some(Some(v)) => v,
+                Some(None) => die(&format!("{arg} needs a value")),
+            };
+            given.push((flag, value));
+        }
+        Args(given)
+    }
+
+    /// Takes `flag`'s operand; of a repeated flag, the last one wins.
+    fn take(&mut self, flag: &str) -> Option<String> {
+        self.0
+            .extract_if(.., |(f, _)| *f == flag)
+            .last()
+            .map(|(_, v)| v)
+    }
+
+    /// Takes a switch: whether it was given.
+    fn switch(&mut self, flag: &str) -> bool {
+        self.take(flag).is_some()
+    }
+
+    /// `flag`'s operand as a number in `min..=max`: zero, garbage and
+    /// absurd values are usage errors, never a panic or a silent clamp.
+    fn number(&mut self, flag: &str, min: u64, max: u64) -> Option<u64> {
+        self.take(flag).map(|raw| match raw.parse::<u64>() {
+            Ok(n) if n < min => die(&format!("{flag} must be at least {min}")),
+            Ok(n) if n > max => die(&format!("{flag} {n} is out of range (max {max})")),
+            Ok(n) => n,
+            Err(_) => die(&format!("{flag} expects a number, got '{raw}'")),
+        })
+    }
+
+    /// `--quiet` (0) or `--verbose` (2), whichever came last; 1 for neither.
+    fn verbosity(&mut self) -> u8 {
+        let given = self
+            .0
+            .extract_if(.., |(f, _)| matches!(*f, "--quiet" | "--verbose"));
+        given
+            .last()
+            .map_or(1, |(f, _)| if f == "--quiet" { 0 } else { 2 })
+    }
+
+    /// Refuses `flag` if it is still unread: only `parent` reads it.
+    fn requires(&self, flag: &str, parent: &str) {
+        if self.0.iter().any(|(f, _)| *f == flag) {
+            die(&format!("{flag} requires {parent}"));
+        }
+    }
+}
+
+/// What one command line does. Each variant holds only the flags that
+/// mode reads, with every input (trace, fault plan, schedule) already
+/// read; its outputs open first thing when it runs.
+enum Mode {
+    /// `--trace-info FILE`: summarise a recorded trace.
+    Info(String),
+    /// `--trace-out FILE`: write at most `cap` of the source's accesses
+    /// as an HPT2 trace.
+    Record {
+        source: Source,
+        out: String,
+        cap: Option<u64>,
+    },
+    /// Simulate the source under a policy beside a 4 KiB baseline.
+    Run(Box<Run>),
+}
+
+impl Mode {
+    fn from_args(mut args: Args, profile: &SimProfile) -> Mode {
+        let mode = match args.take("--trace-info") {
+            Some(path) => Mode::Info(path),
+            None => {
+                let source = Source::from_args(&mut args);
+                let cap = args.number("--max-accesses", 1, u64::MAX);
+                let cap = cap.or(profile.max_accesses_per_core);
+                match args.take("--trace-out") {
+                    Some(out) => Mode::Record { source, out, cap },
+                    None => Mode::Run(Box::new(Run::from_args(source, cap, &mut args))),
+                }
+            }
+        };
+        // A flag no field of the mode read would be ignored.
+        if let Some((flag, _)) = args.0.first() {
+            let name = match &mode {
+                Mode::Info(_) => "--trace-info",
+                Mode::Record {
+                    source: Source::App { .. },
+                    ..
+                } => "--trace-out",
+                Mode::Record { .. } => "--trace-out from --trace-in",
+                Mode::Run(run) if matches!(run.source, Source::Replay(_)) => "a --trace-in run",
+                Mode::Run(_) => "a run",
+            };
+            die(&format!("{flag} does not apply to {name}"));
+        }
+        mode
+    }
+}
+
+/// The accesses a record or a run reads.
+enum Source {
+    /// A built-in workload: `--app`, with its `--dataset` and `--seed`.
+    App {
+        app: AppId,
+        dataset: Dataset,
+        seed: u64,
+    },
+    /// `--trace-in`: a recorded HPT2 trace, mapped and validated in full.
+    Replay(MmapTrace),
+}
+
+impl Source {
+    fn from_args(args: &mut Args) -> Source {
+        if let Some(path) = args.take("--trace-in") {
+            return Source::Replay(open_trace(&path));
+        }
+        let app = args.take("--app").map(parse_app).unwrap_or(AppId::Bfs);
+        let dataset = app
+            .is_graph()
+            .then(|| args.take("--dataset").map(parse_dataset))
+            .flatten();
+        args.requires("--dataset", "a graph app (bfs, sssp or pr)");
+        Source::App {
+            app,
+            dataset: dataset.unwrap_or(Dataset::Kronecker),
+            seed: args.number("--seed", 0, u64::MAX).unwrap_or(SEED),
+        }
+    }
+
+    /// Builds the workload (a graph is generated here), or hands over the
+    /// mapped trace. The baseline run may read it from a worker thread.
+    fn load(self, profile: &SimProfile) -> Box<dyn Workload + Sync> {
+        match self {
+            Source::App { app, dataset, seed } => {
+                Box::new(instantiate(app, dataset, profile.workloads, seed))
+            }
+            Source::Replay(trace) => Box::new(trace),
+        }
+    }
+}
+
+/// An output file, created before any workload is built, so a path that
+/// cannot be opened is a usage error that costs no simulation time.
+struct OutFile {
+    path: String,
+    file: File,
+}
+
+impl OutFile {
+    fn create(path: String) -> OutFile {
+        let file = File::create(&path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+        OutFile { path, file }
+    }
+}
+
+/// `--faults`: the parsed plan, and whether the run degrades under it
+/// (`--no-degrade` opts out).
+struct Faults {
+    path: String,
+    plan: FaultPlan,
+    degrade: bool,
+}
+
+/// A simulation run and every flag it reads.
+struct Run {
+    source: Source,
+    policy: PolicyChoice,
+    threads: u64,
+    /// `--frag PCT` above 0, and the seed the fragmenter derives its
+    /// stream from.
+    frag: Option<(u8, u64)>,
     budget_pct: Option<u64>,
-    seed: u64,
+    /// Accesses per core, at most.
     max_accesses: Option<u64>,
-    jobs: usize,
-    sim_threads: usize,
-    schedule_out: Option<String>,
-    schedule_in: Option<String>,
-    trace_out: Option<String>,
-    trace_in: Option<String>,
-    trace_info: Option<String>,
-    events: Option<String>,
-    metrics: Option<String>,
-    nested: bool,
-    pcc_placement: Option<PccPlacement>,
+    jobs: Option<u64>,
+    sim_threads: u64,
+    /// `--nested`, with its `--pcc-placement`.
+    nested: Option<PccPlacement>,
+    faults: Option<Faults>,
     ledger: bool,
-    chrome_trace: Option<String>,
-    faults: Option<String>,
-    no_degrade: bool,
     audit: bool,
     throughput: bool,
     /// 0 = quiet (results table only), 1 = default, 2 = verbose.
     verbosity: u8,
+    events: Option<String>,
+    metrics: Option<String>,
+    chrome_trace: Option<String>,
+    schedule_out: Option<String>,
 }
 
-fn parse_args() -> Options {
-    let mut opts = Options {
-        app: AppId::Bfs,
-        dataset: None,
-        policy: "pcc".into(),
-        selection: None,
-        demotion: false,
-        threads: 1,
-        frag: 0,
-        budget_pct: None,
-        seed: 0xC0FFEE,
-        max_accesses: None,
-        jobs: default_jobs(),
-        sim_threads: 1,
-        schedule_out: None,
-        schedule_in: None,
-        trace_out: None,
-        trace_in: None,
-        trace_info: None,
-        events: None,
-        metrics: None,
-        nested: false,
-        pcc_placement: None,
-        ledger: false,
-        chrome_trace: None,
-        faults: None,
-        no_degrade: false,
-        audit: false,
-        throughput: false,
-        verbosity: 1,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    // A flag's operand; a missing one, or another flag in its place
-    // (`--events --quiet`), is a usage error naming the flag.
-    let value = |i: &mut usize| -> String {
-        let flag = &args[*i];
-        *i += 1;
-        match args.get(*i) {
-            Some(v) if v.starts_with("--") => die(&format!("{flag} needs a value, got flag '{v}'")),
-            Some(v) => v.clone(),
-            None => die(&format!("{flag} needs a value")),
-        }
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--app" => {
-                opts.app = match value(&mut i).to_lowercase().as_str() {
-                    "bfs" => AppId::Bfs,
-                    "sssp" => AppId::Sssp,
-                    "pr" | "pagerank" => AppId::PageRank,
-                    "canneal" => AppId::Canneal,
-                    "omnetpp" => AppId::Omnetpp,
-                    "xalancbmk" => AppId::Xalancbmk,
-                    "dedup" => AppId::Dedup,
-                    "mcf" => AppId::Mcf,
-                    other => die(&format!("unknown app '{other}'")),
-                }
-            }
-            "--dataset" => {
-                opts.dataset = Some(match value(&mut i).to_lowercase().as_str() {
-                    "kronecker" | "kron" => Dataset::Kronecker,
-                    "twitter" => Dataset::Twitter,
-                    "web" | "sd1" => Dataset::Web,
-                    other => die(&format!("unknown dataset '{other}'")),
-                })
-            }
-            "--policy" => opts.policy = value(&mut i).to_lowercase(),
-            "--selection" => {
-                opts.selection = Some(match value(&mut i).to_lowercase().as_str() {
-                    "highest-frequency" | "hf" => PromotionPolicyKind::HighestFrequency,
-                    "round-robin" | "rr" => PromotionPolicyKind::RoundRobin,
-                    other => die(&format!("unknown selection '{other}'")),
-                })
-            }
-            "--demotion" => opts.demotion = true,
-            "--threads" => {
-                opts.threads = match value(&mut i).parse() {
-                    Ok(0) => die("--threads must be at least 1"),
-                    Ok(n) if n as usize > MAX_JOBS => {
-                        die(&format!("--threads {n} is out of range (max {MAX_JOBS})"))
-                    }
-                    Ok(n) => n,
-                    Err(_) => die("bad --threads"),
-                }
-            }
-            "--frag" => {
-                opts.frag = match value(&mut i).parse() {
-                    Ok(pct) if pct > 100 => die(&format!("--frag {pct} is out of range (max 100)")),
-                    Ok(pct) => pct,
-                    Err(_) => die("bad --frag"),
-                }
-            }
-            "--budget-pct" => {
-                opts.budget_pct = match value(&mut i).parse() {
-                    Ok(pct) if pct > 100 => {
-                        die(&format!("--budget-pct {pct} is out of range (max 100)"))
-                    }
-                    Ok(pct) => Some(pct),
-                    Err(_) => die("bad --budget-pct"),
-                }
-            }
-            "--seed" => opts.seed = value(&mut i).parse().unwrap_or_else(|_| die("bad --seed")),
-            "--max-accesses" => {
-                opts.max_accesses = match value(&mut i).parse() {
-                    Ok(0) => die("--max-accesses must be at least 1"),
-                    Ok(n) => Some(n),
-                    Err(_) => die("bad --max-accesses"),
-                }
-            }
-            "--jobs" | "-j" => {
-                // Zero, garbage, and absurd values are usage errors
-                // (exit 2), never a panic or a silent clamp.
-                let raw = value(&mut i);
-                opts.jobs = match raw.parse::<usize>() {
-                    Ok(0) => die("--jobs must be at least 1"),
-                    Ok(n) if n > MAX_JOBS => {
-                        die(&format!("--jobs {n} is out of range (max {MAX_JOBS})"))
-                    }
-                    Ok(n) => n,
-                    Err(_) => die(&format!("--jobs expects a number, got '{raw}'")),
-                }
-            }
-            "--sim-threads" => {
-                let raw = value(&mut i);
-                opts.sim_threads = match raw.parse::<usize>() {
-                    Ok(0) => die("--sim-threads must be at least 1"),
-                    Ok(n) if n > MAX_JOBS => die(&format!(
-                        "--sim-threads {n} is out of range (max {MAX_JOBS})"
-                    )),
-                    Ok(n) => n,
-                    Err(_) => die(&format!("--sim-threads expects a number, got '{raw}'")),
-                }
-            }
-            "--schedule-out" => opts.schedule_out = Some(value(&mut i)),
-            "--schedule-in" => opts.schedule_in = Some(value(&mut i)),
-            "--trace-out" => opts.trace_out = Some(value(&mut i)),
-            "--trace-in" => opts.trace_in = Some(value(&mut i)),
-            "--nested" => opts.nested = true,
-            "--pcc-placement" => {
-                let raw = value(&mut i);
-                opts.pcc_placement = Some(
-                    PccPlacement::parse(&raw)
-                        .unwrap_or_else(|e| die(&format!("--pcc-placement {raw}: {e}"))),
-                );
-            }
-            "--trace-info" => opts.trace_info = Some(value(&mut i)),
-            "--events" => opts.events = Some(value(&mut i)),
-            "--metrics" => opts.metrics = Some(value(&mut i)),
-            "--ledger" => opts.ledger = true,
-            "--chrome-trace" => opts.chrome_trace = Some(value(&mut i)),
-            "--faults" => opts.faults = Some(value(&mut i)),
-            "--no-degrade" => opts.no_degrade = true,
-            "--audit" => opts.audit = true,
-            "--throughput" => opts.throughput = true,
-            "--quiet" | "-q" => opts.verbosity = 0,
-            "--verbose" | "-v" => opts.verbosity = 2,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                exit(0)
-            }
-            other => die(&format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    // A flag the run would ignore is a usage error, not a silent no-op.
-    let pcc = opts.policy == "pcc";
-    for (ignored, msg) in [
-        (
-            opts.schedule_in.is_some() && opts.policy != "replay",
-            "--schedule-in requires --policy replay",
-        ),
-        (
-            opts.selection.is_some() && !pcc,
-            "--selection requires --policy pcc",
-        ),
-        (opts.demotion && !pcc, "--demotion requires --policy pcc"),
-        (
-            opts.no_degrade && opts.faults.is_none(),
-            "--no-degrade requires --faults",
-        ),
-        (
-            opts.dataset.is_some() && !opts.app.is_graph(),
-            "--dataset requires a graph app (bfs, sssp or pr)",
-        ),
-        (
-            opts.pcc_placement.is_some() && !opts.nested,
-            "--pcc-placement requires --nested",
-        ),
-    ] {
-        if ignored {
-            die(msg);
+impl Run {
+    fn from_args(source: Source, max_accesses: Option<u64>, args: &mut Args) -> Run {
+        let nested = args.switch("--nested").then(|| {
+            let placement = args.take("--pcc-placement").map(|raw| {
+                PccPlacement::parse(&raw)
+                    .unwrap_or_else(|e| die(&format!("--pcc-placement {raw}: {e}")))
+            });
+            placement.unwrap_or_default()
+        });
+        args.requires("--pcc-placement", "--nested");
+        // The placement gates each dimension's promotion engine: with the
+        // guest dimension off the guest runs base pages, as `repro --virt`
+        // does per ablation cell, and no policy flag applies.
+        let policy = match nested {
+            Some(placement) if !placement.guest_enabled() => PolicyChoice::BasePages,
+            _ => policy(args),
+        };
+        args.requires("--policy", "--pcc-placement guest or both");
+        args.requires("--selection", "--policy pcc");
+        args.requires("--demotion", "--policy pcc");
+        args.requires("--schedule-in", "--policy replay");
+        let faults = args.take("--faults").map(|path| Faults {
+            plan: read_fault_plan(&path),
+            degrade: !args.switch("--no-degrade"),
+            path,
+        });
+        args.requires("--no-degrade", "--faults");
+        // A replayed trace reads no `--seed`: its fragmenter takes the
+        // default, and no report, event or file depends on which frames
+        // it breaks.
+        let seed = match source {
+            Source::App { seed, .. } => seed,
+            Source::Replay(_) => SEED,
+        };
+        let frag = args.number("--frag", 0, 100).filter(|&pct| pct > 0);
+        let frag = frag.map(|pct| (pct as u8, seed));
+        Run {
+            source,
+            policy,
+            threads: args.number("--threads", 1, MAX_JOBS).unwrap_or(1),
+            frag,
+            budget_pct: args.number("--budget-pct", 0, 100),
+            max_accesses,
+            jobs: args.number("--jobs", 1, MAX_JOBS),
+            sim_threads: args.number("--sim-threads", 1, MAX_JOBS).unwrap_or(1),
+            nested,
+            faults,
+            ledger: args.switch("--ledger"),
+            audit: args.switch("--audit"),
+            throughput: args.switch("--throughput"),
+            verbosity: args.verbosity(),
+            events: args.take("--events"),
+            metrics: args.take("--metrics"),
+            chrome_trace: args.take("--chrome-trace"),
+            schedule_out: args.take("--schedule-out"),
         }
     }
-    opts
 }
 
-/// Creates an output file before the run, so a path that cannot be
-/// opened is a usage error before any simulation time is spent.
-fn create(path: &str) -> File {
-    File::create(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")))
-}
-
-enum AnyOrRecorded {
-    Builtin(AnyWorkload),
-    /// `--trace-in`: replayed straight out of the file mapping.
-    Mapped(MmapTrace),
-}
-
-// The baseline run may execute on a worker thread (`--jobs 2+`), reading
-// the same workload as the instrumented run on the main thread.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<AnyOrRecorded>();
-};
-
-impl AnyOrRecorded {
-    fn as_workload(&self) -> &dyn Workload {
-        match self {
-            AnyOrRecorded::Builtin(w) => w,
-            AnyOrRecorded::Mapped(w) => w,
+/// `--policy` (default pcc), with the flags only its variant reads:
+/// `--selection` and `--demotion` under pcc, `--schedule-in` under
+/// replay (the schedule is read here).
+fn policy(args: &mut Args) -> PolicyChoice {
+    let name = args.take("--policy").unwrap_or_else(|| "pcc".into());
+    match name.to_lowercase().as_str() {
+        "base" | "4k" => PolicyChoice::BasePages,
+        "ideal" | "2m" => PolicyChoice::IdealHuge,
+        "linux" | "thp" => PolicyChoice::LinuxThp,
+        "hawkeye" => PolicyChoice::HawkEye,
+        "pcc" => PolicyChoice::Pcc {
+            selection: args
+                .take("--selection")
+                .map(parse_selection)
+                .unwrap_or(PromotionPolicyKind::HighestFrequency),
+            demotion: args.switch("--demotion"),
+            bias: Vec::new(),
+        },
+        "victim" => PolicyChoice::VictimCache { entries: 128 },
+        "replay" => {
+            let path = args
+                .take("--schedule-in")
+                .unwrap_or_else(|| die("--policy replay needs --schedule-in"));
+            let file = File::open(&path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+            PolicyChoice::Replay(
+                read_schedule(file).unwrap_or_else(|e| die(&format!("parse {path}: {e}"))),
+            )
         }
+        other => die(&format!("unknown policy '{other}'")),
     }
+}
+
+fn parse_app(raw: String) -> AppId {
+    match raw.to_lowercase().as_str() {
+        "bfs" => AppId::Bfs,
+        "sssp" => AppId::Sssp,
+        "pr" | "pagerank" => AppId::PageRank,
+        "canneal" => AppId::Canneal,
+        "omnetpp" => AppId::Omnetpp,
+        "xalancbmk" => AppId::Xalancbmk,
+        "dedup" => AppId::Dedup,
+        "mcf" => AppId::Mcf,
+        other => die(&format!("unknown app '{other}'")),
+    }
+}
+
+fn parse_dataset(raw: String) -> Dataset {
+    match raw.to_lowercase().as_str() {
+        "kronecker" | "kron" => Dataset::Kronecker,
+        "twitter" => Dataset::Twitter,
+        "web" | "sd1" => Dataset::Web,
+        other => die(&format!("unknown dataset '{other}'")),
+    }
+}
+
+fn parse_selection(raw: String) -> PromotionPolicyKind {
+    match raw.to_lowercase().as_str() {
+        "highest-frequency" | "hf" => PromotionPolicyKind::HighestFrequency,
+        "round-robin" | "rr" => PromotionPolicyKind::RoundRobin,
+        other => die(&format!("unknown selection '{other}'")),
+    }
+}
+
+fn read_fault_plan(path: &str) -> FaultPlan {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
+    FaultPlan::from_json(&text).unwrap_or_else(|e| die(&format!("parse {path}: {e}")))
 }
 
 /// Maps and validates the HPT2 trace at `path`; any failure is a usage
@@ -372,305 +476,194 @@ fn open_trace(path: &str) -> MmapTrace {
     })
 }
 
-fn trace_info(path: &str) -> ! {
-    use hpage_trace::ReuseAnalyzer;
+fn trace_info(path: &str) {
     let w = open_trace(path);
     let mut analyzer = ReuseAnalyzer::new();
     analyzer.observe_all(w.trace());
     let (friendly, hubs, low) = analyzer.class_counts();
     let total = (friendly + hubs + low).max(1);
+    // Profiles come sorted by page, so a page's 2 MiB region repeats
+    // only next to itself.
+    let mut regions: Vec<u64> = analyzer
+        .profiles()
+        .iter()
+        .map(|p| p.page.index() >> 9)
+        .collect();
+    regions.dedup();
+    let share = |n: u64| format!("{n} ({:.1}%)", 100.0 * n as f64 / total as f64);
     let mut t = TextTable::new(["property", "value"]);
-    t.row(["records".into(), w.records().to_string()]);
-    t.row([
-        "footprint".into(),
-        format!("{} KiB", w.footprint_bytes() >> 10),
-    ]);
-    t.row([
-        "2MiB regions touched".into(),
-        (w.footprint_bytes().div_ceil(2 << 20)).to_string(),
-    ]);
-    t.row(["contiguous extents".into(), w.regions().len().to_string()]);
-    t.row([
-        "TLB-friendly pages".into(),
-        format!(
-            "{friendly} ({:.1}%)",
-            100.0 * friendly as f64 / total as f64
-        ),
-    ]);
-    t.row([
-        "HUB pages".into(),
-        format!("{hubs} ({:.1}%)", 100.0 * hubs as f64 / total as f64),
-    ]);
-    t.row([
-        "low-reuse pages".into(),
-        format!("{low} ({:.1}%)", 100.0 * low as f64 / total as f64),
-    ]);
-    t.row([
-        "HUB regions".into(),
-        analyzer.hub_regions().len().to_string(),
-    ]);
+    for (property, value) in [
+        ("records", w.records().to_string()),
+        ("footprint", format!("{} KiB", w.footprint_bytes() >> 10)),
+        ("2MiB regions touched", regions.len().to_string()),
+        ("contiguous extents", w.regions().len().to_string()),
+        ("TLB-friendly pages", share(friendly)),
+        ("HUB pages", share(hubs)),
+        ("low-reuse pages", share(low)),
+        ("HUB regions", analyzer.hub_regions().len().to_string()),
+    ] {
+        t.row([property.to_string(), value]);
+    }
     println!("{path}\n\n{t}");
-    exit(0)
 }
 
-fn main() {
-    let opts = parse_args();
-    let profile = profile_from_env().unwrap_or_else(|e| die(&e.to_string()));
-    if let Some(path) = &opts.trace_info {
-        trace_info(path);
-    }
-    let holder = match &opts.trace_in {
-        Some(path) => AnyOrRecorded::Mapped(open_trace(path)),
-        None => AnyOrRecorded::Builtin(instantiate(
-            opts.app,
-            opts.dataset.unwrap_or(Dataset::Kronecker),
-            profile.workloads,
-            opts.seed,
-        )),
-    };
-    let workload = holder.as_workload();
+/// Writes the source's first accesses (thread 0's stream) as HPT2.
+fn record(source: Source, out: String, cap: Option<u64>, profile: &SimProfile) {
+    let OutFile { path, file } = OutFile::create(out);
+    let workload = source.load(profile);
+    let trace = workload
+        .trace()
+        .take(cap.map_or(usize::MAX, |n| n as usize));
+    let mut writer = Hpt2Writer::new(BufWriter::new(file))
+        .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+    writer
+        .write_all(trace)
+        .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+    let n = writer.records();
+    writer
+        .finish()
+        .unwrap_or_else(|e| fail(&format!("flush {path}: {e}")));
+    println!("wrote {n} accesses of {} to {path} (hpt2)", workload.name());
+}
+
+fn simulate(run: Run, profile: &SimProfile) {
+    let [events, metrics, chrome_trace, schedule_out] =
+        [run.events, run.metrics, run.chrome_trace, run.schedule_out]
+            .map(|p| p.map(OutFile::create));
+    let workload = run.source.load(profile);
     let footprint = workload.footprint_bytes();
-
-    if let Some(path) = &opts.trace_out {
-        let file = create(path);
-        let cap = opts
-            .max_accesses
-            .or(profile.max_accesses_per_core)
-            .unwrap_or(u64::MAX);
-        let trace = workload.trace().take(cap as usize);
-        let mut writer = Hpt2Writer::new(BufWriter::new(file))
-            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-        writer
-            .write_all(trace)
-            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-        let n = writer.records();
-        writer
-            .finish()
-            .unwrap_or_else(|e| fail(&format!("flush {path}: {e}")));
-        println!("wrote {n} accesses of {} to {path} (hpt2)", workload.name());
-        return;
-    }
-
-    let policy = match opts.policy.as_str() {
-        "base" | "4k" => PolicyChoice::BasePages,
-        "ideal" | "2m" => PolicyChoice::IdealHuge,
-        "linux" | "thp" => PolicyChoice::LinuxThp,
-        "hawkeye" => PolicyChoice::HawkEye,
-        "pcc" => PolicyChoice::Pcc {
-            selection: opts
-                .selection
-                .unwrap_or(PromotionPolicyKind::HighestFrequency),
-            demotion: opts.demotion,
-            bias: Vec::new(),
-        },
-        "victim" => PolicyChoice::VictimCache { entries: 128 },
-        "replay" => {
-            let path = opts
-                .schedule_in
-                .as_ref()
-                .unwrap_or_else(|| die("--policy replay needs --schedule-in"));
-            let file = File::open(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-            let schedule =
-                read_schedule(file).unwrap_or_else(|e| die(&format!("parse {path}: {e}")));
-            PolicyChoice::Replay(schedule)
-        }
-        other => die(&format!("unknown policy '{other}'")),
-    };
-    let placement = opts.pcc_placement.unwrap_or_default();
-    // The placement gates each dimension's promotion engine: with the
-    // guest dimension disabled the requested guest policy is overridden
-    // to base pages, exactly as `repro --virt` does per ablation cell.
-    let policy = if opts.nested && !placement.guest_enabled() {
-        if opts.verbosity >= 1 && !matches!(policy, PolicyChoice::BasePages) {
-            eprintln!("hpsim: --pcc-placement {placement} disables the guest dimension; guest runs base pages");
-        }
-        PolicyChoice::BasePages
-    } else {
-        policy
-    };
 
     let sized = profile.clone().sized_for(footprint);
     let timing = sized.system.timing;
-    let mut sim = Simulation::new(sized.system.clone(), policy);
-    sim = sim.with_sim_threads(opts.sim_threads);
-    if opts.nested {
+    let mut sim = Simulation::new(sized.system.clone(), run.policy)
+        .with_sim_threads(run.sim_threads as usize);
+    if let Some(placement) = run.nested {
         sim = sim.with_nested(NestedConfig::typical().with_placement(placement));
     }
-    if let Some(n) = opts.max_accesses.or(profile.max_accesses_per_core) {
+    if let Some(n) = run.max_accesses {
         sim = sim.with_max_accesses_per_core(n);
     }
-    if opts.frag > 0 {
+    if let Some((pct, seed)) = run.frag {
         // The fragmenter gets its own derived stream: feeding it the raw
         // workload seed would alias the two RNG sequences.
-        sim = sim.with_fragmentation(opts.frag, derive_seed(opts.seed, "frag"));
+        sim = sim.with_fragmentation(pct, derive_seed(seed, "frag"));
     }
-    if let Some(pct) = opts.budget_pct {
+    if let Some(pct) = run.budget_pct {
         sim = sim.with_budget(PromotionBudget::percent_of_footprint(pct, footprint));
     }
-    if let Some(path) = &opts.faults {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("open {path}: {e}")));
-        let plan =
-            FaultPlan::from_json(&text).unwrap_or_else(|e| die(&format!("parse {path}: {e}")));
-        sim = sim.with_faults(plan);
-        if !opts.no_degrade {
+    if let Some(faults) = &run.faults {
+        sim = sim.with_faults(faults.plan.clone());
+        if faults.degrade {
             sim = sim.with_degradation();
         }
     }
-    if opts.audit {
+    if run.audit {
         sim = sim.with_audit();
     }
-    if opts.ledger {
+    if run.ledger {
         sim = sim.with_ledger();
     }
 
-    // Every output file opens before either run starts.
-    let events_file = opts.events.as_deref().map(create);
-    let metrics_file = opts.metrics.as_deref().map(create);
-    let chrome_file = opts.chrome_trace.as_deref().map(create);
-    let schedule_file = opts.schedule_out.as_deref().map(create);
-
     // Baseline for the speedup column.
     let mut base_sim = Simulation::new(sized.system.clone(), PolicyChoice::BasePages)
-        .with_sim_threads(opts.sim_threads);
-    if let Some(n) = opts.max_accesses.or(profile.max_accesses_per_core) {
+        .with_sim_threads(run.sim_threads as usize);
+    if let Some(n) = run.max_accesses {
         base_sim = base_sim.with_max_accesses_per_core(n);
     }
-    // `spec` captures the concrete holder (not `&dyn Workload`) so the
-    // closure stays `Send` for the parallel baseline below.
-    let spec = || {
-        [ProcessSpec::with_threads(
-            holder.as_workload(),
-            opts.threads,
-        )]
-    };
+    let spec = || [ProcessSpec::with_threads(&*workload, run.threads as u32)];
     let run_base = || base_sim.run(&spec());
     // The instrumented run streams the flight recorder when requested;
     // the baseline run is never recorded (it is only a speedup anchor).
     // `--events` attaches the raw JSONL sink, `--metrics` and
     // `--chrome-trace` the telemetry recorder. With neither leg attached
     // the tee is disabled, and the run takes the recorder-less hot loop.
-    let want_telemetry = opts.metrics.is_some() || opts.chrome_trace.is_some();
-    type EventCounts = (u64, Vec<(String, u64)>);
-    type PolicyOut = (
-        SimReport,
-        Option<EventCounts>,
-        Option<TelemetryRecorder>,
-        std::time::Duration,
-    );
-    let run_policy = || -> PolicyOut {
+    let want_telemetry = metrics.is_some() || chrome_trace.is_some();
+    let events_path = events.as_ref().map(|out| out.path.clone());
+    let run_policy = || {
         let t0 = std::time::Instant::now();
-        let sink = events_file
-            .zip(opts.events.as_deref())
-            .map(|(file, path)| JsonlSink::new(BufWriter::new(file)).with_path(path));
+        let sink = events.map(|out| JsonlSink::new(BufWriter::new(out.file)).with_path(out.path));
         let mut rec = Tee(sink, want_telemetry.then(TelemetryRecorder::new));
         let report = sim
             .try_run_recorded(&spec(), &mut rec)
             .unwrap_or_else(|e| fail(&format!("simulation failed: {e}")));
         let wall = t0.elapsed();
         let Tee(sink, telem) = rec;
-        let event_counts = sink.zip(opts.events.as_deref()).map(|(sink, path)| {
+        let event_counts = sink.zip(events_path.as_deref()).map(|(sink, path)| {
             let total = sink.total();
             let counts = sink
                 .finish()
                 .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-            let counts = counts
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
             (total, counts)
         });
         (report, event_counts, telem, wall)
     };
     // Both runs are deterministic in their configuration, so overlapping
     // them changes wall-clock only, never the printed report.
-    let (base, (report, event_counts, mut telemetry, policy_wall)) = if opts.jobs > 1 {
-        std::thread::scope(|scope| {
-            // Two engines at once: neither may take the other's CPU for
-            // a trace producer.
-            let _cpus = hpage_sim::claim_busy(2);
-            let baseline = scope.spawn(|| {
-                hpage_sim::cover_thread();
-                run_base()
-            });
-            let policy_out = run_policy();
-            (baseline.join().expect("baseline worker"), policy_out)
-        })
-    } else {
-        (run_base(), run_policy())
-    };
+    let (base, (report, event_counts, mut telemetry, policy_wall)) =
+        if run.jobs.unwrap_or_else(default_jobs) > 1 {
+            std::thread::scope(|scope| {
+                // Two engines at once: neither may take the other's CPU for
+                // a trace producer.
+                let _cpus = hpage_sim::claim_busy(2);
+                let baseline = scope.spawn(|| {
+                    hpage_sim::cover_thread();
+                    run_base()
+                });
+                let policy_out = run_policy();
+                (baseline.join().expect("baseline worker"), policy_out)
+            })
+        } else {
+            (run_base(), run_policy())
+        };
     // Fold the ledger's outcome accounting into the telemetry registry
     // so --metrics surfaces prediction_accuracy alongside the counters.
     if let (Some(telem), Some(ledger)) = (telemetry.as_mut(), report.ledger.as_ref()) {
         telem.ingest_ledger(ledger);
     }
 
-    if opts.verbosity >= 1 {
+    if run.verbosity >= 1 {
         // A graph kernel's name carries its dataset ("BFS-Twitter");
         // no other workload has one.
         println!(
             "{} ({} MiB footprint, {} threads, {}% fragmented)\n",
             workload.name(),
             footprint >> 20,
-            opts.threads,
-            opts.frag
+            run.threads,
+            run.frag.map_or(0, |(pct, _)| pct)
         );
     }
     let mut t = TextTable::new(["metric", "baseline (4KB)", &report.policy]);
-    let a = &report.aggregate;
-    let b = &base.aggregate;
-    t.row([
-        "accesses".into(),
-        b.accesses.to_string(),
-        a.accesses.to_string(),
-    ]);
-    t.row([
-        "PTW rate".into(),
-        fmt_pct(b.walk_ratio()),
-        fmt_pct(a.walk_ratio()),
-    ]);
-    t.row([
-        "faults (base/huge)".into(),
+    let mut row = |metric: &str, base: String, policy: String| {
+        t.row([metric.to_string(), base, policy]);
+    };
+    let (a, b) = (&report.aggregate, &base.aggregate);
+    row("accesses", b.accesses.to_string(), a.accesses.to_string());
+    row("PTW rate", fmt_pct(b.walk_ratio()), fmt_pct(a.walk_ratio()));
+    row(
+        "faults (base/huge)",
         format!("{}/{}", b.faults_base, b.faults_huge),
         format!("{}/{}", a.faults_base, a.faults_huge),
-    ]);
-    t.row(["promotions".into(), "0".into(), a.promotions.to_string()]);
-    t.row(["demotions".into(), "0".into(), a.demotions.to_string()]);
-    if opts.nested {
-        t.row([
-            "host promotions".into(),
-            "0".into(),
-            a.host_promotions.to_string(),
-        ]);
-        t.row([
-            "host shootdowns".into(),
-            "0".into(),
-            a.host_shootdowns.to_string(),
-        ]);
-        t.row([
-            "2D refs/walk".into(),
-            "-".into(),
-            format!("{:.3}", a.walk_levels as f64 / a.walks.max(1) as f64),
-        ]);
+    );
+    row("promotions", "0".into(), a.promotions.to_string());
+    row("demotions", "0".into(), a.demotions.to_string());
+    if run.nested.is_some() {
+        row("host promotions", "0".into(), a.host_promotions.to_string());
+        row("host shootdowns", "0".into(), a.host_shootdowns.to_string());
+        let refs = a.walk_levels as f64 / a.walks.max(1) as f64;
+        row("2D refs/walk", "-".into(), format!("{refs:.3}"));
     }
-    t.row([
-        "huge pages at end".into(),
+    let bloat = |r: &SimReport| format!("{} KiB", r.bloat_bytes.iter().sum::<u64>() >> 10);
+    row(
+        "huge pages at end",
         base.huge_pages_at_end.to_string(),
         report.huge_pages_at_end.to_string(),
-    ]);
-    t.row([
-        "memory bloat".into(),
-        format!("{} KiB", base.bloat_bytes.iter().sum::<u64>() >> 10),
-        format!("{} KiB", report.bloat_bytes.iter().sum::<u64>() >> 10),
-    ]);
-    t.row([
-        "speedup".into(),
-        fmt_speedup(1.0),
-        fmt_speedup(report.speedup_over(&base, &timing)),
-    ]);
+    );
+    row("memory bloat", bloat(&base), bloat(&report));
+    let speedup = report.speedup_over(&base, &timing);
+    row("speedup", fmt_speedup(1.0), fmt_speedup(speedup));
     println!("{t}");
 
-    if opts.throughput {
+    if run.throughput {
         // Simulator (host) throughput of the instrumented run: a quick
         // check, not a benchmark (hpbench is the benchmark). With
         // --jobs 2+ the 4KB baseline runs concurrently and contends for
@@ -684,7 +677,7 @@ fn main() {
         );
     }
 
-    if opts.verbosity >= 2 && !report.interval_series.is_empty() {
+    if run.verbosity >= 2 && !report.interval_series.is_empty() {
         let mut t = TextTable::new([
             "interval",
             "PTW rate",
@@ -711,7 +704,7 @@ fn main() {
         }
         println!("per-interval series ({})\n{t}", report.policy);
     }
-    if opts.verbosity >= 2 {
+    if run.verbosity >= 2 {
         // Whether the runs took the producer path; never in a report.
         println!(
             "producer-fed cores: {} (baseline and policy runs)",
@@ -719,16 +712,13 @@ fn main() {
         );
     }
 
-    if let Some((total, counts)) = &event_counts {
-        if opts.verbosity >= 1 {
+    if let (Some((total, counts)), Some(path)) = (&event_counts, &events_path) {
+        if run.verbosity >= 1 {
             let mut t = TextTable::new(["event", "count"]);
             for (kind, n) in counts {
-                t.row([kind.clone(), n.to_string()]);
+                t.row([kind.to_string(), n.to_string()]);
             }
-            println!(
-                "flight recorder: {total} events -> {}\n{t}",
-                opts.events.as_deref().unwrap_or_default()
-            );
+            println!("flight recorder: {total} events -> {path}\n{t}");
         }
     }
 
@@ -744,41 +734,41 @@ fn main() {
         }
     }
 
+    // The recorder is attached exactly when --metrics or --chrome-trace
+    // asked for it.
     if let Some(telem) = &telemetry {
-        if let (Some(mut file), Some(path)) = (chrome_file, &opts.chrome_trace) {
+        if let Some(OutFile { path, mut file }) = chrome_trace {
             file.write_all(telem.chrome_trace_json().as_bytes())
                 .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-            if opts.verbosity >= 1 {
+            if run.verbosity >= 1 {
                 println!(
                     "wrote {} spans to {path} (load in chrome://tracing or ui.perfetto.dev)",
                     telem.spans().len()
                 );
             }
         }
-        if opts.verbosity >= 2 {
+        if run.verbosity >= 2 {
             println!(
                 "telemetry registry\n{}",
                 telem.metrics_snapshot().render_text()
             );
         }
-    }
-
-    if let (Some(file), Some(path)) = (metrics_file, &opts.metrics) {
-        let mut w = BufWriter::new(file);
-        let telem = telemetry.as_ref().expect("--metrics attaches telemetry");
-        w.write_all(report.interval_series.to_jsonl().as_bytes())
-            .and_then(|()| w.write_all(telem.metrics_snapshot().to_jsonl().as_bytes()))
-            .and_then(|()| w.flush())
-            .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
-        if opts.verbosity >= 1 {
-            println!(
-                "wrote {} interval metric rows and the telemetry registry to {path}",
-                report.interval_series.len()
-            );
+        if let Some(OutFile { path, file }) = metrics {
+            let mut w = BufWriter::new(file);
+            w.write_all(report.interval_series.to_jsonl().as_bytes())
+                .and_then(|()| w.write_all(telem.metrics_snapshot().to_jsonl().as_bytes()))
+                .and_then(|()| w.flush())
+                .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+            if run.verbosity >= 1 {
+                println!(
+                    "wrote {} interval metric rows and the telemetry registry to {path}",
+                    report.interval_series.len()
+                );
+            }
         }
     }
 
-    if let (Some(file), Some(path)) = (schedule_file, &opts.schedule_out) {
+    if let Some(OutFile { path, file }) = schedule_out {
         let mut w = BufWriter::new(file);
         write_schedule(&report.schedule, &mut w)
             .and_then(|()| w.flush())
@@ -789,37 +779,26 @@ fn main() {
         );
     }
 
-    if let Some(stats) = &report.fault_stats {
-        if opts.verbosity >= 1 {
+    if let (Some(stats), Some(faults)) = (&report.fault_stats, &run.faults) {
+        if run.verbosity >= 1 {
             let mut t = TextTable::new(["fault", "count"]);
-            t.row([
-                "faulted intervals".into(),
-                stats.faulted_intervals.to_string(),
-            ]);
-            t.row(["OOM intervals".into(), stats.oom_intervals.to_string()]);
-            t.row([
-                "compaction stalls".into(),
-                stats.compaction_stall_intervals.to_string(),
-            ]);
-            t.row([
-                "fragmentation shocks".into(),
-                stats.shocks_fired.to_string(),
-            ]);
-            t.row(["PCC resets".into(), stats.pcc_resets.to_string()]);
-            t.row([
-                "shootdown spikes".into(),
-                stats.shootdown_spike_intervals.to_string(),
-            ]);
-            println!(
-                "injected faults ({})\n{t}",
-                opts.faults.as_deref().unwrap_or_default()
-            );
+            for (fault, n) in [
+                ("faulted intervals", stats.faulted_intervals),
+                ("OOM intervals", stats.oom_intervals),
+                ("compaction stalls", stats.compaction_stall_intervals),
+                ("fragmentation shocks", stats.shocks_fired),
+                ("PCC resets", stats.pcc_resets),
+                ("shootdown spikes", stats.shootdown_spike_intervals),
+            ] {
+                t.row([fault.to_string(), n.to_string()]);
+            }
+            println!("injected faults ({})\n{t}", faults.path);
         }
     }
 
-    if opts.audit {
+    if run.audit {
         if report.audit_violations.is_empty() {
-            if opts.verbosity >= 1 {
+            if run.verbosity >= 1 {
                 println!("audit: all invariants held every interval");
             }
         } else {
@@ -832,5 +811,15 @@ fn main() {
             }
             exit(1);
         }
+    }
+}
+
+fn main() {
+    let args = Args::parse(std::env::args().skip(1));
+    let profile = profile_from_env().unwrap_or_else(|e| die(&e.to_string()));
+    match Mode::from_args(args, &profile) {
+        Mode::Info(path) => trace_info(&path),
+        Mode::Record { source, out, cap } => record(source, out, cap, &profile),
+        Mode::Run(run) => simulate(*run, &profile),
     }
 }

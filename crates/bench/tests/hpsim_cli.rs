@@ -9,16 +9,52 @@
 //! Each must be a usage error (exit 2) with a message naming the
 //! problem, never a panic, a hang or a silent fallback. An output file
 //! that opens but cannot be written is a runtime error instead: exit 1,
-//! without the usage text.
+//! without the usage text. `every_flag_acts_or_is_refused_in_every_mode`
+//! crosses every flag with each of hpsim's modes (inspect, record, run;
+//! a record or run reading an app or a replayed trace).
 
+use std::collections::{BTreeSet, HashMap};
+use std::ffi::OsStr;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn hpsim(args: &[&str]) -> Output {
+    hpsim_in(Path::new("."), args)
+}
+
+/// Runs hpsim with `dir` as its working directory.
+fn hpsim_in<S: AsRef<OsStr>>(dir: &Path, args: &[S]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hpsim"))
+        .current_dir(dir)
         .args(args)
         .env("HPAGE_PROFILE", "test")
         .output()
         .expect("spawn hpsim")
+}
+
+/// Runs hpsim in a new, empty directory under `root`, so relative output
+/// paths land there; returns the output and the directory.
+fn hpsim_fresh<S: AsRef<OsStr>>(root: &Path, args: &[S]) -> (Output, PathBuf) {
+    static CELLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = root.join(format!("cell{}", CELLS.fetch_add(1, Ordering::Relaxed)));
+    std::fs::create_dir(&dir).unwrap();
+    (hpsim_in(&dir, args), dir)
+}
+
+/// Asserts that `what` was refused at parse time: exit 2, `needle` on
+/// stderr, nothing on stdout and no file created in `dir`.
+fn assert_refused(what: &str, out: &Output, dir: &Path, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: stderr:\n{stderr}");
+    assert!(
+        stderr.contains(needle) && !stderr.contains("unknown argument"),
+        "{what}: want {needle:?} in stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{what}: stderr:\n{stderr}");
+    assert!(out.stdout.is_empty(), "{what}: printed before failing");
+    let files: Vec<_> = std::fs::read_dir(dir).unwrap().collect();
+    assert!(files.is_empty(), "{what}: created {files:?}");
 }
 
 /// Asserts a usage error: exit 2, no panic, and `needle` on stderr.
@@ -95,13 +131,7 @@ fn unopenable_output_files_fail_before_the_run() {
 #[test]
 fn write_failures_are_runtime_errors() {
     // `/dev/full` opens, then fails every write with ENOSPC.
-    for flag in [
-        "--events",
-        "--metrics",
-        "--chrome-trace",
-        "--schedule-out",
-        "--trace-out",
-    ] {
+    for flag in ["--events", "--metrics", "--chrome-trace", "--schedule-out"] {
         let out = hpsim(&[
             "--app",
             "bfs",
@@ -122,6 +152,23 @@ fn write_failures_are_runtime_errors() {
         assert!(!stderr.contains("usage:"), "{flag}: stderr:\n{stderr}");
         assert!(!stderr.contains("panicked"), "{flag}: stderr:\n{stderr}");
     }
+    // A record reads no run flag, so `--trace-out` goes without them.
+    let out = hpsim(&[
+        "--app",
+        "bfs",
+        "--max-accesses",
+        "20000",
+        "--trace-out",
+        "/dev/full",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("/dev/full: No space left on device"),
+        "stderr:\n{stderr}"
+    );
+    assert!(!stderr.contains("usage:"), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
 }
 
 #[cfg(target_os = "linux")]
@@ -391,4 +438,330 @@ fn bad_profile_environment_is_a_usage_error() {
             );
         }
     }
+}
+
+#[test]
+fn flags_a_mode_does_not_read_are_usage_errors() {
+    // Each of these used to exit 0 with the flags after the mode's own
+    // dropped: a record ran no simulation, so its --faults, --metrics,
+    // --policy and --nested did nothing, and a replay read no --app.
+    let root = temp_path("unread");
+    std::fs::create_dir_all(&root).unwrap();
+    let trace = root.join("t.hpt2");
+    let t = trace.to_str().unwrap();
+    let out = hpsim(&["--app", "bfs", "--trace-out", t, "--max-accesses", "5000"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let rows: [(&[&str], &str); 6] = [
+        (
+            &[
+                "--app",
+                "bfs",
+                "--trace-out",
+                "x.hpt2",
+                "--max-accesses",
+                "5000",
+                "--faults",
+                "/nonexistent.json",
+                "--threads",
+                "4",
+                "--metrics",
+                "m.jsonl",
+            ],
+            "hpsim: --faults does not apply to --trace-out",
+        ),
+        (
+            &["--trace-out", "x.hpt2", "--policy", "bogus"],
+            "hpsim: --policy does not apply to --trace-out",
+        ),
+        (
+            &[
+                "--trace-info",
+                t,
+                "--policy",
+                "bogus",
+                "--events",
+                "/nonexistent/x",
+            ],
+            "hpsim: --policy does not apply to --trace-info",
+        ),
+        (
+            &["--trace-in", t, "--app", "mcf"],
+            "hpsim: --app does not apply to a --trace-in run",
+        ),
+        (
+            &["--trace-in", t, "--dataset", "twitter"],
+            "hpsim: --dataset does not apply to a --trace-in run",
+        ),
+        (
+            &[
+                "--app",
+                "bfs",
+                "--trace-out",
+                "x.hpt2",
+                "--nested",
+                "--ledger",
+                "--audit",
+            ],
+            "hpsim: --nested does not apply to --trace-out",
+        ),
+    ];
+    for (args, want) in rows {
+        let (out, dir) = hpsim_fresh(&root, args);
+        assert_refused(&format!("{args:?}"), &out, &dir, want);
+    }
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn trace_info_counts_the_regions_its_records_touch() {
+    use hpage_trace::Workload;
+    let path = temp_path("regions.hpt2");
+    let p = path.to_str().unwrap();
+    let out = hpsim(&["--app", "bfs", "--trace-out", p, "--max-accesses", "5000"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let trace = hpage_trace::MmapTrace::open("regions", &path).unwrap();
+    let regions: BTreeSet<u64> = trace.trace().map(|a| a.addr.raw() >> 21).collect();
+
+    let out = hpsim(&["--trace-info", p]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row = stdout
+        .lines()
+        .find(|l| l.starts_with("2MiB regions touched"))
+        .unwrap_or_else(|| panic!("no regions row in:\n{stdout}"));
+    assert_eq!(
+        row.split_whitespace().last(),
+        Some(regions.len().to_string().as_str()),
+        "{stdout}"
+    );
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// How one flag shows in one mode of hpsim.
+#[derive(Clone, Copy, Debug)]
+enum Cell {
+    /// Refused at parse time: exit 2, stderr names the flag, stdout is
+    /// empty and no file is created.
+    No,
+    /// Exit 0, with stdout or the recorded trace unlike the baseline's.
+    Changes,
+    /// Exit 0, with this file written.
+    Writes(&'static str),
+    /// Exit 0, with stdout equal to the baseline's: the flag changes wall
+    /// time only, and the report is promised byte-identical at any value.
+    Same,
+}
+
+#[test]
+fn every_flag_acts_or_is_refused_in_every_mode() {
+    use Cell::{Changes, No, Same, Writes};
+    let root = temp_path("modes");
+    std::fs::create_dir_all(&root).unwrap();
+    let at = |name: &str| root.join(name).to_str().unwrap().to_string();
+    let (omnetpp, bfs, sched) = (at("omnetpp.hpt2"), at("bfs.hpt2"), at("run.sched"));
+    let chaos = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/chaos.json");
+    for setup in [
+        [
+            "--app",
+            "omnetpp",
+            "--max-accesses",
+            "500000",
+            "--trace-out",
+            &omnetpp,
+        ],
+        [
+            "--app",
+            "bfs",
+            "--max-accesses",
+            "20000",
+            "--trace-out",
+            &bfs,
+        ],
+        [
+            "--app",
+            "omnetpp",
+            "--max-accesses",
+            "100000",
+            "--schedule-out",
+            &sched,
+        ],
+    ] {
+        let out = hpsim(&setup);
+        assert_eq!(out.status.code(), Some(0), "{setup:?}: {out:?}");
+    }
+    // A record writes `out.hpt2` in its own directory, so two runs'
+    // stdout compare equal unless the flag changed them.
+    let modes: [(&str, &[&str]); 5] = [
+        ("info", &["--trace-info", &omnetpp]),
+        (
+            "record from app",
+            &[
+                "--app",
+                "omnetpp",
+                "--trace-out",
+                "out.hpt2",
+                "--max-accesses",
+                "20000",
+            ],
+        ),
+        (
+            "record from replay",
+            &[
+                "--trace-in",
+                &omnetpp,
+                "--trace-out",
+                "out.hpt2",
+                "--max-accesses",
+                "20000",
+            ],
+        ),
+        (
+            "run from app",
+            &["--app", "omnetpp", "--max-accesses", "20000"],
+        ),
+        (
+            "run from replay",
+            &["--trace-in", &omnetpp, "--max-accesses", "20000"],
+        ),
+    ];
+    const RUN: [Cell; 5] = [No, No, No, Changes, Changes];
+    let writes = |file| [No, No, No, Writes(file), Writes(file)];
+    // Each row: the flag under test first, then any flag it needs; the
+    // arguments its effect is measured against; its cell in each mode.
+    // A budget and degradation only show once promotions start, so those
+    // two rows run longer.
+    let rows: &[(&[&str], &[&str], [Cell; 5])] = &[
+        (&["--app", "mcf"], &[], [No, Changes, No, Changes, No]),
+        (
+            &["--dataset", "twitter", "--app", "bfs"],
+            &["--app", "bfs"],
+            [No, Changes, No, Changes, No],
+        ),
+        // A replayed trace has no workload seed, and nothing a run prints
+        // or writes depends on the fragmenter's seed.
+        (&["--seed", "7"], &[], [No, Changes, No, Changes, No]),
+        (
+            &["--trace-in", "{bfs}"],
+            &[],
+            [No, No, Changes, No, Changes],
+        ),
+        (
+            &["--trace-out", "x.hpt2"],
+            &[],
+            [
+                No,
+                Writes("x.hpt2"),
+                Writes("x.hpt2"),
+                Writes("x.hpt2"),
+                Writes("x.hpt2"),
+            ],
+        ),
+        (&["--trace-info", "{bfs}"], &[], [Changes, No, No, No, No]),
+        (
+            &["--max-accesses", "10000"],
+            &[],
+            [No, Changes, Changes, Changes, Changes],
+        ),
+        (&["--policy", "linux"], &[], RUN),
+        (&["--selection", "rr"], &[], RUN),
+        (&["--demotion"], &[], RUN),
+        (
+            &["--schedule-in", "{sched}", "--policy", "replay"],
+            &[],
+            RUN,
+        ),
+        (&["--threads", "2"], &[], RUN),
+        (&["--frag", "50"], &[], RUN),
+        (
+            &["--budget-pct", "1", "--max-accesses", "100000"],
+            &["--max-accesses", "100000"],
+            RUN,
+        ),
+        (&["--jobs", "1"], &[], [No, No, No, Same, Same]),
+        (&["--sim-threads", "2"], &[], [No, No, No, Same, Same]),
+        (&["--nested"], &[], RUN),
+        (
+            &["--pcc-placement", "guest", "--nested"],
+            &["--nested"],
+            RUN,
+        ),
+        (&["--faults", "{chaos}"], &[], RUN),
+        (
+            &[
+                "--no-degrade",
+                "--faults",
+                "{chaos}",
+                "--max-accesses",
+                "500000",
+            ],
+            &["--faults", "{chaos}", "--max-accesses", "500000"],
+            RUN,
+        ),
+        (&["--events", "e.jsonl"], &[], writes("e.jsonl")),
+        (&["--metrics", "m.jsonl"], &[], writes("m.jsonl")),
+        (&["--chrome-trace", "c.json"], &[], writes("c.json")),
+        (&["--schedule-out", "s.sched"], &[], writes("s.sched")),
+        (&["--ledger"], &[], RUN),
+        (&["--audit"], &[], RUN),
+        (&["--throughput"], &[], RUN),
+        (&["--quiet"], &[], RUN),
+        (&["--verbose"], &[], RUN),
+    ];
+
+    // Every flag in the usage synopsis has a row.
+    let help = String::from_utf8(hpsim(&["--help"]).stdout).unwrap();
+    let synopsis = &help[..help.find("parallelism:").expect("usage sections")];
+    let listed: BTreeSet<&str> = synopsis
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.starts_with("--"))
+        .collect();
+    let tested: BTreeSet<&str> = rows.iter().map(|(args, ..)| args[0]).collect();
+    assert_eq!(
+        listed, tested,
+        "a flag without a row, or a row without a flag"
+    );
+
+    let arg = |a: &&str| match *a {
+        "{bfs}" => bfs.clone(),
+        "{sched}" => sched.clone(),
+        "{chaos}" => chaos.to_string(),
+        a => a.to_string(),
+    };
+    // The observable result of an accepted command: stdout and the trace
+    // a record wrote.
+    let effect = |out: &Output, dir: &Path| {
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (stdout, std::fs::read(dir.join("out.hpt2")).ok())
+    };
+    let mut baselines = HashMap::new();
+    for (args, base, cells) in rows {
+        for ((mode, mode_args), cell) in modes.iter().zip(cells) {
+            let argv: Vec<String> = mode_args.iter().chain(*args).map(arg).collect();
+            let (out, dir) = hpsim_fresh(&root, &argv);
+            let what = format!("{mode}: {argv:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            match *cell {
+                No => assert_refused(&what, &out, &dir, args[0]),
+                Writes(file) => {
+                    assert_eq!(out.status.code(), Some(0), "{what}\n{stderr}");
+                    let len = std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+                    assert!(len > 0, "{what}: wrote no {file}");
+                }
+                Changes | Same => {
+                    assert_eq!(out.status.code(), Some(0), "{what}\n{stderr}");
+                    let base: Vec<String> = mode_args.iter().chain(*base).map(arg).collect();
+                    let want = baselines.entry(base).or_insert_with_key(|base| {
+                        let (out, dir) = hpsim_fresh(&root, base);
+                        effect(&out, &dir)
+                    });
+                    let got = effect(&out, &dir);
+                    match cell {
+                        Changes => assert_ne!(&got, want, "{what}: no effect"),
+                        _ => assert_eq!(&got, want, "{what}: output changed"),
+                    }
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&root).unwrap();
 }
